@@ -56,7 +56,6 @@ from .curvature import (
     BisExtremes,
     CurvatureTensor,
     OriginValues,
-    SearchConfig,
     TangentPair,
     bis_extremes,
     bis_extremes_from_jet,
@@ -111,7 +110,6 @@ __all__ = [
     "einstein_residual",
     "CurvatureTensor",
     "TangentPair",
-    "SearchConfig",
     "BisExtremes",
     "OriginValues",
     "curvature_tensor",

@@ -19,7 +19,6 @@ import argparse
 import csv
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,13 +28,11 @@ from .params import TubeParams, ShootingConfig
 from .potential_solver import (
     PotentialSolution,
     load_solution,
-    solution_from_dict,
     solve_potential,
 )
 from .tube_geometry import Point
 from .metric_tensor import metric_jet
 from .curvature import (
-    SearchConfig,
     TangentPair,
     bis_extremes_from_jet,
     bisectional,
@@ -65,42 +62,25 @@ class SweepRow:
     sect_max: float
 
 
-def _row_at(sol: PotentialSolution, x: float, config: SearchConfig) -> SweepRow:
+def _row_at(sol: PotentialSolution, x: float) -> SweepRow:
     F = float(sol.eval_F(x))
     f, f1, f2, f3 = (float(v) for v in sol.eval_f_derivs(x, 3))
     Z = float(sol.eval_Z(x, 0)[0])
     jet = metric_jet(sol, Point(0j, complex(x)))
     tensor = tensor_from_jet(jet)
-    ext = bis_extremes_from_jet(jet, tensor, config)
-    sm, _ = sectional_max_from_jet(jet, tensor, config)
+    ext = bis_extremes_from_jet(jet, tensor)
+    sm, _ = sectional_max_from_jet(jet, tensor)
     return SweepRow(x=x, F=F, f=f, f1=f1, f2=f2, f3=f3, Z=Z, det_g=jet.det,
                     bis_min=ext.min, bis_max=ext.max, sect_max=sm)
 
 
-_WORKER_SOL = None
-_WORKER_CFG = None
-
-
-def _sweep_init(sol_data, config):
-    global _WORKER_SOL, _WORKER_CFG
-    _WORKER_SOL = solution_from_dict(sol_data)
-    _WORKER_CFG = config
-
-
-def _sweep_task(x):
-    return _row_at(_WORKER_SOL, float(x), _WORKER_CFG)
-
-
 def axis_sweep(sol: PotentialSolution, x_min: float = 0.0,
-               x_max: float = 1.0 - 1e-4, n: int = 500,
-               config: SearchConfig | None = None, jobs: int = 1) -> list:
+               x_max: float = 1.0 - 1e-4, n: int = 500) -> list:
     """Tabulate profile and curvature quantities at n points of [x_min, x_max].
 
     Points on the real-z2 axis represent every orbit of the automorphism
     group with X >= 0, so this one table captures the whole geometry.
-    With jobs > 1 rows are computed by a process pool (each worker rebuilds
-    the solution once from its dict form); rows come back in x order either
-    way and are checked to be finite.
+    Rows come back in x order and are checked to be finite.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -108,14 +88,7 @@ def axis_sweep(sol: PotentialSolution, x_min: float = 0.0,
         raise ValueError("sweep endpoints must lie in (-1, 1)")
     if n > 1 and not x_min < x_max:
         raise ValueError("need x_min < x_max for a multi-point sweep")
-    config = config or SearchConfig()
-    xs = np.linspace(x_min, x_max, n)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_sweep_init,
-                                 initargs=(sol.to_dict(), config)) as pool:
-            rows = list(pool.map(_sweep_task, xs, chunksize=max(1, n // (8 * jobs))))
-    else:
-        rows = [_row_at(sol, float(x), config) for x in xs]
+    rows = [_row_at(sol, float(x)) for x in np.linspace(x_min, x_max, n)]
     for row in rows:
         values = [getattr(row, c) for c in SWEEP_COLUMNS]
         if not all(np.isfinite(values)):
@@ -224,8 +197,7 @@ def _cmd_curvature(args) -> int:
 
 def _cmd_sweep(args) -> int:
     sol = load_solution(args.sol)
-    rows = axis_sweep(sol, x_min=args.x_min, x_max=args.x_max, n=args.n,
-                      jobs=args.jobs)
+    rows = axis_sweep(sol, x_min=args.x_min, x_max=args.x_max, n=args.n)
     write_sweep_csv(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
@@ -281,7 +253,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_curv.add_argument("--v", help="first tangent vector as re1,im1,re2,im2")
     p_curv.add_argument("--w", help="second tangent vector as re1,im1,re2,im2")
     p_curv.add_argument("--extremes", action="store_true",
-                        help="search for extremal bisectional/sectional values")
+                        help="extremal bisectional/sectional values")
     p_curv.set_defaults(func=_cmd_curvature)
 
     p_sweep = sub.add_parser("sweep", help="CSV sweep along the real-z2 axis")
@@ -289,8 +261,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--x-min", type=float, default=0.0)
     p_sweep.add_argument("--x-max", type=float, default=1.0 - 1e-4)
     p_sweep.add_argument("--n", type=int, default=500)
-    p_sweep.add_argument("--jobs", type=int, default=1,
-                         help="worker processes for the curvature searches")
     p_sweep.add_argument("--out", required=True, help="output CSV path")
     p_sweep.set_defaults(func=_cmd_sweep)
 

@@ -13,11 +13,21 @@ sees each vector through four real features
 
 giving Bis(v, w) = u(v)^T C u(w) / ((u(v).gvec)(u(w).gvec)) for a fixed
 4x4 symmetric matrix C built from the six coefficients and
-gvec = [g11, g22, 2 g12, 0].  That bilinear form is what the extremal
-searches optimize: a coarse tensor-product grid over the angles
-(theta_v, theta_w, alpha, beta) evaluated as one matrix product, then
-Nelder-Mead refinement from the best cells.  The classical 16-term
-curvature sum is kept as an independent cross-check path.
+gvec = [g11, g22, 2 g12, 0].  The classical 16-term curvature sum is kept
+as an independent cross-check path.
+
+The extremes are exact.  Write a g-unit vector through its Bloch vector
+n on the unit sphere, v v* = K (I + n.sigma) K^T / 2 with g = L L^T and
+K = L^{-T}; in that basis the form becomes
+
+    Bis(v, w) = a + b.(n + m) + n^T M m
+
+with M a symmetric 3x3 matrix.  The Einstein condition Ric = -3g fixes
+a = -3/2, b = 0 and tr M = -3/2, so bis_min/max = a -+ ||M||_2 at the
+top singular pair of M and sect_max = a + lambda_max(M) at its top
+eigenvector.  The computed b is not exactly 0: each reported value is
+the full form at the pair it reports, so it is attained, and lies within
+4||b|| of the true extreme (||b|| <= 7e-10 for |x| <= 0.99, p = 1, 2, 3).
 """
 
 from __future__ import annotations
@@ -28,7 +38,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import DomainError
 from .params import TubeParams
@@ -39,7 +48,6 @@ from .metric_tensor import MetricJet, metric_jet
 __all__ = [
     "CurvatureTensor",
     "TangentPair",
-    "SearchConfig",
     "BisExtremes",
     "curvature_tensor",
     "tensor_from_jet",
@@ -121,28 +129,6 @@ class TangentPair:
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "alpha", cmath.phase(v[0] * v[1].conjugate()))
         object.__setattr__(self, "beta", cmath.phase(w[0] * w[1].conjugate()))
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    """Budget of the extremal searches.
-
-    The coarse grid is n_theta x n_theta x n_alpha x n_alpha over
-    (theta_v, theta_w, alpha, beta) in [0, pi/2]^2 x [0, 2pi]^2; the
-    alpha grid contains the multiples of pi/2 where the extremes are
-    known to sit, so refinement only polishes.
-    """
-
-    n_theta: int = 17
-    n_alpha: int = 25
-    polish_starts: int = 5
-    polish_maxiter: int = 400
-
-    def __post_init__(self):
-        if self.n_theta < 3 or self.n_alpha < 5:
-            raise ValueError("search grid too coarse")
-        if self.polish_starts < 1:
-            raise ValueError("polish_starts must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -345,115 +331,83 @@ def boundary_limit_bis(jet: MetricJet, pair: TangentPair) -> float:
 
 
 # ---------------------------------------------------------------------------
-# extremal searches
+# exact extremes
 # ---------------------------------------------------------------------------
 
-def _angle_grid(config: SearchConfig):
-    thetas = np.linspace(0.0, math.pi / 2, config.n_theta)
-    alphas = np.linspace(0.0, 2.0 * math.pi, config.n_alpha)
-    tt, aa = np.meshgrid(thetas, alphas, indexing="ij")
-    m = np.cos(tt).ravel()
-    n = np.sin(tt).ravel()
-    U = np.column_stack([m * m, n * n, m * n * np.cos(aa).ravel(), m * n * np.sin(aa).ravel()])
-    return thetas, alphas, U
+# the Pauli basis (I, sigma_x, sigma_y, sigma_z) of the Hermitian 2x2 matrices
+_PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
+                   [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
-def _vector_from_angles(theta: float, alpha: float) -> np.ndarray:
-    # features of (cos t, sin t e^{-i a}) are [cos^2 t, sin^2 t,
-    # cos t sin t cos a, cos t sin t sin a]
-    return np.array([math.cos(theta), math.sin(theta) * cmath.exp(-1j * alpha)])
+def _bloch_form(jet: MetricJet, tensor: CurvatureTensor) -> tuple[float, np.ndarray, np.ndarray]:
+    """(a, b, M) with Bis(v, w) = a + b.(n + m) + n^T M m.
+
+    n and m are the Bloch vectors of g-unit v and w.  With g = L L^T and
+    K = L^{-T}, v v* = K (I + n.sigma) K^T / 2, so column k of P holds the
+    features of K sigma_k K^T / 2 and the 4x4 form P^T C P carries a in
+    its corner, b in its border and M in its 3x3 block.
+    """
+    C, gvec = _form(jet, tensor)
+    g12 = 0.5 * gvec[2]
+    K = np.linalg.inv(np.linalg.cholesky(np.array([[gvec[0], g12], [g12, gvec[1]]]))).T
+    H = 0.5 * (K @ _PAULI @ K.T)
+    P = np.array([H[:, 0, 0].real, H[:, 1, 1].real, H[:, 0, 1].real, H[:, 0, 1].imag])
+    T = P.T @ C @ P
+    return float(T[0, 0]), T[0, 1:], T[1:, 1:]
 
 
-def _u_of(q_theta: float, q_alpha: float) -> np.ndarray:
-    m, n = math.cos(q_theta), math.sin(q_theta)
-    return np.array([m * m, n * n, m * n * math.cos(q_alpha), m * n * math.sin(q_alpha)])
+def _unit_vector(jet: MetricJet, n: np.ndarray) -> np.ndarray:
+    """The g-unit vector L^{-T} (cos(t/2), e^{i phi} sin(t/2)) with Bloch vector n."""
+    theta = math.acos(min(1.0, max(-1.0, float(n[2]))))
+    phi = math.atan2(n[1], n[0])
+    unit = np.array([math.cos(0.5 * theta), cmath.exp(1j * phi) * math.sin(0.5 * theta)])
+    return np.linalg.solve(np.linalg.cholesky(jet.metric).T, unit)
 
 
-def bis_extremes_from_jet(jet: MetricJet, tensor: CurvatureTensor,
-                          config: SearchConfig | None = None) -> BisExtremes:
+def bis_extremes_from_jet(jet: MetricJet, tensor: CurvatureTensor) -> BisExtremes:
     """Extremes of Bis over all nonzero pairs at a fixed point.
 
-    By scale invariance the search space is (theta_v, theta_w, alpha,
-    beta); the grid evaluates all pairs at once as U C U^T over the
-    feature matrix U, then Nelder-Mead polishes the best cells.
+    n^T M m ranges over [-s, s] for the top singular value s of M, reached
+    at n = -+u, m = v for the top singular pair; each value reported is
+    the form at the pair it reports, so it is attained exactly.
     """
-    config = config or SearchConfig()
-    thetas, alphas, U = _angle_grid(config)
-    C, gvec = _form(jet, tensor)
-    den = U @ gvec
-    val = (U @ C @ U.T) / np.outer(den, den)
-
-    def objective(q, sign):
-        uv = _u_of(q[0], q[2])
-        uw = _u_of(q[1], q[3])
-        return sign * _bis_from_form(C, gvec, uv, uw)
-
-    n_a = config.n_alpha
-    results = {}
-    for mode, sign in (("min", 1.0), ("max", -1.0)):
-        flat = (sign * val).ravel()
-        order = np.argsort(flat)[: config.polish_starts]
-        best_val, best_q = math.inf, None
-        for idx in order:
-            iv, iw = np.unravel_index(idx, val.shape)
-            q0 = np.array([thetas[iv // n_a], thetas[iw // n_a],
-                           alphas[iv % n_a], alphas[iw % n_a]])
-            res = minimize(objective, q0, args=(sign,), method="Nelder-Mead",
-                           options=dict(xatol=1e-9, fatol=1e-13,
-                                        maxiter=config.polish_maxiter))
-            if res.fun < best_val:
-                best_val, best_q = res.fun, res.x
-        pair = TangentPair(v=_vector_from_angles(best_q[0], best_q[2]),
-                           w=_vector_from_angles(best_q[1], best_q[3]))
-        results[mode] = (float(sign * best_val), pair)
-    return BisExtremes(min=results["min"][0], argmin=results["min"][1],
-                       max=results["max"][0], argmax=results["max"][1])
+    a, b, M = _bloch_form(jet, tensor)
+    U, _, Vt = np.linalg.svd(M)
+    m = Vt[0]
+    found = []
+    for n in (-U[:, 0], U[:, 0]):
+        value = float(a + b @ (n + m) + n @ M @ m)
+        found.append((value, TangentPair(v=_unit_vector(jet, n), w=_unit_vector(jet, m))))
+    (low, argmin), (high, argmax) = found
+    return BisExtremes(min=low, argmin=argmin, max=high, argmax=argmax)
 
 
-def bis_extremes(sol: PotentialSolution, z: Point,
-                 config: SearchConfig | None = None) -> BisExtremes:
+def bis_extremes(sol: PotentialSolution, z: Point) -> BisExtremes:
     """Extremes of Bis_z over vector pairs; evaluated on the axis orbit."""
     if not in_domain(sol.params, z):
         raise DomainError(f"point {z} is not in T_{sol.params.p}")
     axis = Point(0j, complex(x_invariant(sol.params, z)))
     jet = metric_jet(sol, axis)
-    return bis_extremes_from_jet(jet, tensor_from_jet(jet), config)
+    return bis_extremes_from_jet(jet, tensor_from_jet(jet))
 
 
-def sectional_max_from_jet(jet: MetricJet, tensor: CurvatureTensor,
-                           config: SearchConfig | None = None) -> tuple[float, np.ndarray]:
-    """Maximum of S(v) = Bis(v, v) at a fixed point, with a maximizer."""
-    config = config or SearchConfig()
-    thetas, alphas, U = _angle_grid(config)
-    C, gvec = _form(jet, tensor)
-    den = U @ gvec
-    val = np.einsum("ij,jk,ik->i", U, C, U) / (den * den)
+def sectional_max_from_jet(jet: MetricJet, tensor: CurvatureTensor) -> tuple[float, np.ndarray]:
+    """Maximum of S(v) = Bis(v, v) at a fixed point, with a maximizer.
 
-    def objective(q):
-        u = _u_of(q[0], q[1])
-        return -_bis_from_form(C, gvec, u, u)
-
-    order = np.argsort(-val)[: config.polish_starts]
-    best_val, best_q = math.inf, None
-    n_a = config.n_alpha
-    for idx in order:
-        q0 = np.array([thetas[idx // n_a], alphas[idx % n_a]])
-        res = minimize(objective, q0, method="Nelder-Mead",
-                       options=dict(xatol=1e-9, fatol=1e-13,
-                                    maxiter=config.polish_maxiter))
-        if res.fun < best_val:
-            best_val, best_q = res.fun, res.x
-    return float(-best_val), _vector_from_angles(best_q[0], best_q[1])
+    n^T M n peaks at the top eigenvector of M, where S = a + 2 b.n + lambda_max.
+    """
+    a, b, M = _bloch_form(jet, tensor)
+    n = np.linalg.eigh(M)[1][:, -1]
+    return float(a + 2.0 * (b @ n) + n @ M @ n), _unit_vector(jet, n)
 
 
-def sectional_max(sol: PotentialSolution, z: Point,
-                  config: SearchConfig | None = None) -> tuple[float, np.ndarray]:
+def sectional_max(sol: PotentialSolution, z: Point) -> tuple[float, np.ndarray]:
     """Maximum holomorphic sectional curvature at z, with a maximizer."""
     if not in_domain(sol.params, z):
         raise DomainError(f"point {z} is not in T_{sol.params.p}")
     axis = Point(0j, complex(x_invariant(sol.params, z)))
     jet = metric_jet(sol, axis)
-    return sectional_max_from_jet(jet, tensor_from_jet(jet), config)
+    return sectional_max_from_jet(jet, tensor_from_jet(jet))
 
 
 # ---------------------------------------------------------------------------

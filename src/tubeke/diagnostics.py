@@ -27,7 +27,6 @@ from . import tube_geometry as geo
 from .tube_geometry import Point, RegionClass, BoundaryClass
 from .metric_tensor import metric_jet, einstein_residual, x_derivatives
 from .curvature import (
-    SearchConfig,
     TangentPair,
     bis_extremes_from_jet,
     bisectional,
@@ -439,12 +438,11 @@ def _suite_regions(params, sol, rng):
     checks.append(_flag("cone_points_near_vertex_are_inner", all_inner))
     # pinching over a light axis sweep (the full 500-row version lives in
     # the acceptance tests)
-    budget = SearchConfig(polish_starts=3)
     worst_min, worst_max = 0.0, -math.inf
     for x in np.linspace(0.0, 1.0 - 1e-4, 100):
         jet = metric_jet(sol, Point(0j, complex(x)))
         tensor = tensor_from_jet(jet)
-        ext = bis_extremes_from_jet(jet, tensor, budget)
+        ext = bis_extremes_from_jet(jet, tensor)
         worst_min = min(worst_min, ext.min)
         worst_max = max(worst_max, ext.max)
     checks.append(CheckResult("sweep_bis_min_bounded_below", -5.0, worst_min, 0.0,

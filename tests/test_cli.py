@@ -3,10 +3,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import tubeke
 from tubeke import axis_sweep
 from tubeke.cli import main
 
@@ -177,3 +181,13 @@ def test_tampered_solution_file_exits_two(sol1_file, tmp_path, capsys):
     bad.write_text(json.dumps(data))
     assert main(["eval", "--sol", str(bad), "--x", "0.25"]) == 2
     assert "tampered" in capsys.readouterr().err
+
+
+def test_import_does_not_load_scipy():
+    # every CLI call pays the package import; scipy.optimize alone costs ~0.5 s
+    code = "import sys, tubeke; print('scipy' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(tubeke.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "False"

@@ -32,6 +32,7 @@ from tubeke import (
     sectional_max_from_jet,
     tensor_from_jet,
 )
+from tubeke.curvature import _bloch_form
 
 ORIGIN = Point(0j, 0j)
 
@@ -180,9 +181,36 @@ def test_origin_extremes_match_closed_forms(sols):
         ext = bis_extremes(sol, ORIGIN)
         assert abs(ext.min - float(vals.bis_min)) < 1e-7
         assert abs(ext.max - float(vals.bis_max)) < 1e-7
-        # the extremizers actually achieve the reported values
-        assert abs(bisectional(sol, ORIGIN, ext.argmin) - ext.min) < 1e-10
-        assert abs(bisectional(sol, ORIGIN, ext.argmax) - ext.max) < 1e-10
+        # the extremizers actually achieve the reported values, at the
+        # center and along the axis
+        for z in (ORIGIN, Point(0j, 0.3 + 0j), Point(0j, 0.62 + 0j), Point(0j, 0.9 + 0j)):
+            ext = bis_extremes(sol, z)
+            assert abs(bisectional(sol, z, ext.argmin) - ext.min) < 1e-10
+            assert abs(bisectional(sol, z, ext.argmax) - ext.max) < 1e-10
+
+
+def test_bis_max_reaches_a_known_pair_near_the_boundary(sol_p2):
+    # this pair, evaluated by the independent 16-term sum, bounds the maximum
+    # from below; a local search from a coarse grid stops 1.27e-6 short of it
+    z = Point(0j, 0.975 + 0j)
+    pair = TangentPair(v=np.array([0.465695, -1.0]), w=np.array([1.0, 0.146903]))
+    direct = bisectional(sol_p2, z, pair, formula="direct")
+    assert abs(direct + 0.99953216337) < 1e-10
+    assert bis_extremes(sol_p2, z).max >= direct - 1e-10
+
+
+def test_bloch_form_satisfies_the_einstein_reduction(sols):
+    # Ric = -3g forces a = -3/2, b = 0 and tr M = -3/2 in Bis = a + b.(n+m) + n^T M m
+    for sol in sols.values():
+        for x in np.linspace(-0.99, 0.99, 41):
+            jet = metric_jet(sol, Point(0j, complex(x)))
+            a, b, M = _bloch_form(jet, tensor_from_jet(jet))
+            assert abs(a + 1.5) <= 1e-8
+            assert np.linalg.norm(b) <= 1e-8
+            assert abs(np.trace(M) + 1.5) <= 1e-8
+    jet = metric_jet(sols[2], ORIGIN)
+    _, _, M = _bloch_form(jet, tensor_from_jet(jet))
+    assert np.allclose(np.linalg.eigvalsh(M), [-0.9, -0.45, -0.15], rtol=0.0, atol=1e-10)
 
 
 def test_origin_axis_pairs_hit_the_extremes(sols):

@@ -3,9 +3,12 @@ Solving the reduced potential equation by shooting
 ===================================================
 
 The radial profile F solves F'' = (4 e^{3F} + F'^2) / ((2p-1) x F' + 4pK)
-with F'(0) = 0 and F' blowing up at x = 1.  A bisection on the single
-unknown F(0) pins the blow-up to the right endpoint; everything else in
-the library is evaluated from the stored profile.
+with F'(0) = 0 and F' blowing up at x = 1.  The equation is invariant
+under F(x) -> F(lambda x) + (2/3) ln(lambda), so one shot from any F(0) = c
+that blows up at x_b gives the critical value c + (2/3) ln(x_b).  The
+solver applies this correction to a coarse shot and then to a fine one,
+and records the profile from the result: three integrations in all.
+Everything else in the library is evaluated from the stored profile.
 """
 
 import math
@@ -19,7 +22,8 @@ from tubeke import TubeParams, solve_potential
 for p in (1, 2):
     sol = solve_potential(TubeParams(p=p))
     print(f"p={p}: F(0) = {sol.F0:.12f}, blow-up at x = "
-          f"{sol.achieved_blowup_x:.12f}, {len(sol.xs)} nodes")
+          f"{sol.achieved_blowup_x:.12f}, {len(sol.xs)} nodes, "
+          f"{sol.stats['integrations']} integrations")
 
 # --- the p=1 profile has a closed form --------------------------------
 # F(x) = ln(2)/3 - ln(1 - x^2), so F(0) = ln(2)/3 and f = 2x/(1-x^2).

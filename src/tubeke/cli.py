@@ -227,7 +227,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="shoot for the potential and cache it")
     p_solve.add_argument("--p", type=int, required=True, help="domain parameter (>= 1)")
     p_solve.add_argument("--tol", type=float, default=1e-12,
-                         help="bisection tolerance on the center value")
+                         help="tolerance on the center value; the recorded blow-up "
+                              "must lie within 10*sqrt(tol) of x=1")
     p_solve.add_argument("--f-max", type=float, default=1e8,
                          help="slope threshold treated as blow-up")
     p_solve.add_argument("--out", required=True, help="output JSON path")

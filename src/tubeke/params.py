@@ -54,7 +54,7 @@ class ShootingConfig:
     """Knobs of the blow-up shooting solver.
 
     The defaults reproduce every tolerance quoted in the test suite; they are
-    deliberately conservative because a single solve is cheap (< 0.1 s).
+    deliberately conservative because a single solve is cheap (~0.01 s).
 
     Attributes
     ----------
@@ -62,19 +62,17 @@ class ShootingConfig:
         The slope f = F' is declared "blown up" once it exceeds this value.
         1e8 puts the recorded blow-up location within ~1e-8 of the true
         singularity (f ~ 1/(1-x) near it).
-    c0_bracket : tuple of float
-        Initial bisection bracket for the unknown F(0).  Widened
-        geometrically if it does not straddle the critical value.
     c0_tolerance : float
-        Bisection terminates when the bracket is narrower than this.
+        Tolerance recorded for the center value F(0); a solution is
+        accepted only if its blow-up abscissa lies within
+        10*sqrt(c0_tolerance) of 1.
     step_tolerance : float
         Local relative error target of the adaptive integrator.
     max_steps : int
-        Hard cap on accepted+rejected steps of a single integration.
+        Hard cap on the accepted steps of a single integration.
     """
 
     f_blowup_threshold: float = 1e8
-    c0_bracket: tuple[float, float] = (-5.0, 5.0)
     c0_tolerance: float = 1e-12
     step_tolerance: float = 1e-12
     max_steps: int = 500_000
@@ -82,9 +80,6 @@ class ShootingConfig:
     def __post_init__(self):
         if not (self.f_blowup_threshold > 1e2):
             raise ValueError("f_blowup_threshold must exceed 1e2")
-        lo, hi = self.c0_bracket
-        if not lo < hi:
-            raise ValueError("c0_bracket must be an increasing pair")
         if not (0 < self.c0_tolerance < 1):
             raise ValueError("c0_tolerance out of range")
         if not (0 < self.step_tolerance <= 1e-6):

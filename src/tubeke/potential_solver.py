@@ -7,11 +7,13 @@ solving
     F'' = (4 e^{3F} + F'^2) / ((2p-1) x F' + 4pK),      K = (2p+1)/3,
 
 with F'(0) = 0 and F(x) -> +infinity as x -> 1.  The free initial value
-F(0) is pinned down by the blow-up condition: integrating from too large
-an F(0) blows up before x = 1, from too small a value after it.  We locate
-the critical F(0) by bisection on the blow-up abscissa and return a dense
-grid of (x, F, f = F') with analytic evaluators for F, f, f', f'', f'''
-and Z = e^{3F}.
+F(0) is pinned down by the blow-up condition.  The equation is invariant
+under the dilation F(x) -> F(lambda x) + (2/3) ln(lambda), so a trajectory
+from any F(0) = c that blows up at x_b is carried onto the critical one by
+lambda = x_b: the critical value is c + (2/3) ln(x_b).  The solver finds it
+with a coarse shot and one corrective shot, then records a dense grid of
+(x, F, f = F') with analytic evaluators for F, f, f', f'', f''' and
+Z = e^{3F}.
 
 Higher f-derivatives are never obtained by differentiating the
 interpolant; they are recomputed exactly from the ODE at the interpolated
@@ -51,6 +53,13 @@ __all__ = [
 _H_MAX_RECORD = 0.008
 _ETA_RECORD = 0.012
 
+# dilation solve: the coarse shot starts at F(0) = _C_START and runs to
+# _X_END_COARSE; the fine shot and the recorded pass start within ~1e-9 of
+# the critical value and run to _X_END_FINE
+_C_START = 2.0
+_X_END_COARSE = 2.0
+_X_END_FINE = 1.02
+
 # 5-point Gauss-Legendre rule on [0,1]; exact for the degree-9 integrand
 # (cubic interpolant cubed) used by the integral-identity validator
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(5)
@@ -83,12 +92,16 @@ def ode_rhs(x: float, F: float, f: float, params: TubeParams) -> tuple[float, fl
 def _integrate(p, c, x_end, rtol, f_cap, max_steps, record=False):
     """Adaptive Cash-Karp 4(5) march of (F, f) from x=0, F=c, f=0.
 
-    Stops when f crosses f_cap (status "blowup") or x reaches x_end
-    (status "end").  Returns (status, x, F, f, xs, Fs, fs); the node lists
-    are populated only when record=True.
+    Stops when f crosses f_cap or x reaches x_end.  Returns (blowup_x,
+    accepted, rejected, xs, Fs, fs): blowup_x is x + 1/f at the crossing
+    (f ~ 1/(x_b - x) below the singularity, so this is x_b up to
+    O(1/f_cap^2)) or None if x_end came first; accepted and rejected count
+    the steps; the node lists are populated only when record=True.
+    max_steps caps the accepted steps; a rejected step is retried with a
+    smaller h until it is accepted or h underflows.
 
-    The right-hand side is inlined for speed: one solve is worth ~1e4
-    steps x 6 stages and lives inside a bisection loop.
+    The right-hand side is inlined for speed: one integration is worth a
+    few thousand steps x 6 stages.
     """
     p2m1 = 2.0 * p - 1.0
     pK4 = 4.0 * p * (2.0 * p + 1.0) / 3.0
@@ -98,11 +111,12 @@ def _integrate(p, c, x_end, rtol, f_cap, max_steps, record=False):
     xs, Fs, fs = [0.0], [c], [0.0]
     atol = 1e-13
     nsteps = 0
+    rejected = 0
     while True:
         if f >= f_cap:
-            return "blowup", x, F, f, xs, Fs, fs
+            return x + 1.0 / f, nsteps, rejected, xs, Fs, fs
         if x >= x_end:
-            return "end", x, F, f, xs, Fs, fs
+            return None, nsteps, rejected, xs, Fs, fs
         nsteps += 1
         if nsteps > max_steps:
             raise MaxStepsError(f"exceeded {max_steps} steps at x={x:.12f}")
@@ -204,6 +218,7 @@ def _integrate(p, c, x_end, rtol, f_cap, max_steps, record=False):
                 if err != err:
                     bad = True
             if bad:
+                rejected += 1
                 h *= 0.25
                 bad = False
                 if h < 1e-15:
@@ -221,22 +236,11 @@ def _integrate(p, c, x_end, rtol, f_cap, max_steps, record=False):
                     fac = 5.0
                 h *= fac
                 break
+            rejected += 1
             fac = 0.9 * err ** -0.2
             if fac < 0.1:
                 fac = 0.1
             h *= fac
-
-
-def _blowup_proxy(status, x, f):
-    """Estimated blow-up abscissa from the threshold crossing.
-
-    Since f ~ 1/(x_b - x) just below the singularity, x + 1/f corrects the
-    crossing location to the singularity itself up to O(1/f_cap^2).
-    Returns None when the integration ended without crossing.
-    """
-    if status != "blowup":
-        return None
-    return x + 1.0 / f
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +287,12 @@ class PotentialSolution:
     goes through cubic Hermite interpolation of (F, f) and the exact ODE
     recurrence for the higher derivatives, with the parity of F (even) and
     f (odd) applied up front.
+
+    stats records how the solution was obtained: "integrations",
+    "accepted_steps" and "rejected_steps" (summed over all integrations;
+    all 0 for a loaded solution), "nodes" and the largest
+    integral-identity residual "identity_residual".  It is not part of
+    to_dict().
     """
 
     params: TubeParams
@@ -292,6 +302,7 @@ class PotentialSolution:
     fs: np.ndarray = field(repr=False)
     achieved_blowup_x: float
     tolerance: float
+    stats: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         p = self.params.p
@@ -471,7 +482,10 @@ def integral_identity_residuals(params: TubeParams, F0: float, xs, Fs, fs) -> np
 
 
 def _validate_solution_data(params, F0, xs, Fs, fs, blowup_x, tolerance):
-    """Invariant checks shared by the solver and the cache loader."""
+    """Invariant checks shared by the solver and the cache loader.
+
+    Returns the largest integral-identity residual over the nodes.
+    """
     if len(xs) < 4:
         raise ValueError("solution grid has fewer than 4 nodes")
     if xs[0] != 0.0 or fs[0] != 0.0:
@@ -496,22 +510,24 @@ def _validate_solution_data(params, F0, xs, Fs, fs, blowup_x, tolerance):
             f"integral-identity residual {worst:.3e} exceeds 1e-8 "
             f"at node x={xs[int(resid.argmax())]!r}"
         )
+    return worst
 
 
 def solve_potential(params: TubeParams, config: ShootingConfig | None = None) -> PotentialSolution:
-    """Find F(0) by bisection on the blow-up abscissa and record the profile.
+    """Find F(0) by the dilation law of the ODE and record the profile.
 
-    The shooting map c -> x_b(c) (blow-up abscissa as a function of the
-    trial F(0)) is strictly decreasing — the dilation family
-    F(lambda x) + (2/3) ln(lambda) maps solutions to solutions, giving
-    x_b(c) = x_b(c*) e^{-3(c-c*)/2} — so bisection on the predicate
-    "blows up before x=1" converges to the critical value.  Monotonicity
-    is still asserted at runtime on a bracket wide enough (1e-6) for the
-    two blow-up locations to be numerically distinguishable.
+    The dilation F(x) -> F(lambda x) + (2/3) ln(lambda) maps solutions to
+    solutions, so a shot from F(0) = c that blows up at x_b yields the
+    critical value c + (2/3) ln(x_b) exactly.  Three integrations:
 
-    Bisection runs with a relaxed step tolerance (1e-9) until the bracket
-    is 1e-6 wide, then at config.step_tolerance; the final dense pass
-    records nodes with spacing min(0.008, 0.012*(1-x)).
+    1. a coarse shot (rtol 1e-9) from F(0) = 2; while it does not blow up
+       by x = 2 (from p = 38 on), F(0) is raised by (2/3) ln 2, which
+       halves x_b, and the shot is repeated;
+    2. a shot at config.step_tolerance from the corrected c, whose blow-up
+       x_b ~ 1 gives F0 = c + (2/3) ln(x_b);
+    3. the recorded pass at F0, with node spacing min(0.008, 0.012*(1-x));
+       its own blow-up estimate is stored as achieved_blowup_x and must lie
+       within 10*sqrt(config.c0_tolerance) of 1.
 
     Parameters
     ----------
@@ -522,81 +538,52 @@ def solve_potential(params: TubeParams, config: ShootingConfig | None = None) ->
     Returns
     -------
     PotentialSolution
+        With stats filled in (see PotentialSolution).
 
     Raises
     ------
     BracketError
-        If no straddling bracket is found after geometric widening.
+        If a shot fails to blow up where the dilation law says it must.
     MaxStepsError
-        If a single integration exceeds config.max_steps steps.
+        If a single integration exceeds config.max_steps accepted steps.
     """
     if config is None:
         config = ShootingConfig()
     p = params.p
-    f_cap = config.f_blowup_threshold
+    stats = {"integrations": 0, "accepted_steps": 0, "rejected_steps": 0}
 
-    def shoot(c, rtol, x_end=1.0):
-        status, x, F, f, *_ = _integrate(p, c, x_end, rtol, f_cap, config.max_steps)
-        return _blowup_proxy(status, x, f)
-
-    def before_one(c, rtol):
-        xb = shoot(c, rtol)
-        return xb is not None and xb < 1.0
-
-    # establish a straddling bracket: the lower end must survive to x=1,
-    # the upper end must blow up earlier; widen geometrically on failure
-    lo, hi = config.c0_bracket
-    coarse = 1e-9
-    for _ in range(64):
-        lo_before = before_one(lo, coarse)
-        hi_before = before_one(hi, coarse)
-        if not lo_before and hi_before:
-            break
-        span = hi - lo
-        if lo_before:
-            lo -= span
-        if not hi_before:
-            hi += span
-    else:
-        xb_lo = shoot(lo, coarse, x_end=2.0)
-        xb_hi = shoot(hi, coarse, x_end=2.0)
-        raise BracketError(
-            f"no straddling bracket for F(0): blow-up at F(0)={lo} is {xb_lo}, "
-            f"at F(0)={hi} is {xb_hi}"
+    def shoot(c, rtol, x_end, record=False):
+        blowup_x, accepted, rejected, *nodes = _integrate(
+            p, c, x_end, rtol, config.f_blowup_threshold, config.max_steps, record
         )
+        stats["integrations"] += 1
+        stats["accepted_steps"] += accepted
+        stats["rejected_steps"] += rejected
+        return blowup_x, *nodes
 
-    checked_monotone = False
-    while hi - lo > config.c0_tolerance:
-        width = hi - lo
-        rtol = coarse if width > 1e-6 else config.step_tolerance
-        if not checked_monotone and width <= 1e-6:
-            # one explicit ordering check where the separation (~1.5e-6 in
-            # x_b) is far above integration noise
-            xb_lo = shoot(lo, config.step_tolerance, x_end=1.5)
-            xb_hi = shoot(hi, config.step_tolerance, x_end=1.5)
-            if xb_lo is None or xb_hi is None or not xb_lo > xb_hi:
-                raise BracketError(
-                    f"blow-up abscissa failed to decrease across the bracket: "
-                    f"x_b({lo!r})={xb_lo!r}, x_b({hi!r})={xb_hi!r}"
-                )
-            checked_monotone = True
-        mid = 0.5 * (lo + hi)
-        if before_one(mid, rtol):
-            hi = mid
-        else:
-            lo = mid
-
-    F0 = 0.5 * (lo + hi)
-    status, x, F, f, xs, Fs, fs = _integrate(
-        p, F0, 1.02, config.step_tolerance, f_cap, config.max_steps, record=True
-    )
-    if status != "blowup":
-        raise BracketError(f"critical trajectory failed to blow up by x={x!r}")
-    blowup_x = _blowup_proxy(status, x, f)
+    c = _C_START
+    for _ in range(64):
+        blowup_x, *_ = shoot(c, 1e-9, _X_END_COARSE)
+        if blowup_x is not None:
+            break
+        # divides the blow-up abscissa by exactly _X_END_COARSE
+        c += 2.0 / 3.0 * math.log(_X_END_COARSE)
+    else:
+        raise BracketError(f"no blow-up by x={_X_END_COARSE} even from F(0)={c!r}")
+    c += 2.0 / 3.0 * math.log(blowup_x)
+    blowup_x, *_ = shoot(c, config.step_tolerance, _X_END_FINE)
+    if blowup_x is not None:
+        F0 = c + 2.0 / 3.0 * math.log(blowup_x)
+        blowup_x, xs, Fs, fs = shoot(F0, config.step_tolerance, _X_END_FINE, record=True)
+    if blowup_x is None:
+        raise BracketError(f"near-critical trajectory failed to blow up by x={_X_END_FINE}")
     xs = np.asarray(xs)
     Fs = np.asarray(Fs)
     fs = np.asarray(fs)
-    _validate_solution_data(params, F0, xs, Fs, fs, blowup_x, config.c0_tolerance)
+    stats["nodes"] = len(xs)
+    stats["identity_residual"] = _validate_solution_data(
+        params, F0, xs, Fs, fs, blowup_x, config.c0_tolerance
+    )
     return PotentialSolution(
         params=params,
         F0=F0,
@@ -605,6 +592,7 @@ def solve_potential(params: TubeParams, config: ShootingConfig | None = None) ->
         fs=fs,
         achieved_blowup_x=blowup_x,
         tolerance=config.c0_tolerance,
+        stats=stats,
     )
 
 
@@ -645,7 +633,7 @@ def solution_from_dict(data: dict) -> PotentialSolution:
         raise ValueError(f"malformed solution data: {exc}") from exc
     if K != params.K:
         raise ValueError(f"stored K={K} does not equal (2p+1)/3 for p={params.p}")
-    _validate_solution_data(params, F0, xs, Fs, fs, blowup_x, tolerance)
+    resid = _validate_solution_data(params, F0, xs, Fs, fs, blowup_x, tolerance)
     return PotentialSolution(
         params=params,
         F0=F0,
@@ -654,6 +642,8 @@ def solution_from_dict(data: dict) -> PotentialSolution:
         fs=fs,
         achieved_blowup_x=blowup_x,
         tolerance=tolerance,
+        stats={"integrations": 0, "accepted_steps": 0, "rejected_steps": 0,
+               "nodes": len(xs), "identity_residual": resid},
     )
 
 

@@ -191,3 +191,13 @@ def test_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
     assert out.stdout.strip() == "False"
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(tubeke.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-W", "default", "-m", "tubeke", "--help"],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 0
+    assert "usage: tubeke" in out.stdout
+    assert "Warning" not in out.stderr

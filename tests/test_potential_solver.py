@@ -32,6 +32,7 @@ from tubeke import (
     solution_from_dict,
     solve_potential,
 )
+from tubeke.potential_solver import _integrate
 
 LN2_OVER_3 = math.log(2.0) / 3.0
 
@@ -123,6 +124,7 @@ def test_solution_invariants(sols):
         assert xs[-1] < 1.0
         envelope = 10.0 * math.sqrt(sol.tolerance)
         assert abs(sol.achieved_blowup_x - 1.0) <= envelope
+        assert abs(sol.achieved_blowup_x - 1.0) <= 1e-9   # far inside the envelope
 
 
 def test_integral_identity_residuals(sols):
@@ -243,6 +245,52 @@ def test_ode_rhs_rejects_non_finite():
 def test_step_budget_is_enforced():
     with pytest.raises(MaxStepsError):
         solve_potential(TubeParams(p=1), ShootingConfig(max_steps=1000))
+
+
+def test_dilation_law_moves_the_blowup(sols):
+    # F(lambda x) + (2/3) ln(lambda) is again a solution, so shifting F(0)
+    # by s moves the blow-up from 1 to exp(-3s/2)
+    config = ShootingConfig()
+    for sol in sols.values():
+        for shift in (0.1, -0.1):
+            blowup_x, *_ = _integrate(sol.params.p, sol.F0 + shift, 2.0, config.step_tolerance,
+                                      config.f_blowup_threshold, config.max_steps)
+            assert abs(blowup_x - math.exp(-1.5 * shift)) < 1e-9
+
+
+def test_default_solve_takes_three_integrations(sols):
+    for sol in sols.values():
+        stats = sol.stats
+        assert set(stats) == {"integrations", "accepted_steps", "rejected_steps",
+                              "nodes", "identity_residual"}
+        assert stats["integrations"] == 3
+        assert stats["nodes"] == len(sol.xs)
+        # the recorded pass alone accepts one step per node after the first
+        assert stats["accepted_steps"] >= stats["nodes"] - 1
+        assert 0.0 < stats["identity_residual"] < 1e-8
+
+
+@pytest.mark.parametrize("p", [5, 8])
+def test_larger_p_solves_and_validates(p):
+    sol = solve_potential(TubeParams(p=p))
+    assert abs(sol.achieved_blowup_x - 1.0) <= 1e-9
+    assert sol.stats["identity_residual"] < 1e-8
+    rebuilt = solution_from_dict(sol.to_dict())
+    assert rebuilt.F0 == sol.F0
+
+
+def test_stats_stay_out_of_the_solution_file(tmp_path, sol_p2):
+    data = sol_p2.to_dict()
+    assert "stats" not in data
+    assert set(data) == {"p", "K", "F0", "tolerance", "blowup_x", "nodes"}
+    path = tmp_path / "sol.json"
+    sol_p2.save(path)
+    loaded = load_solution(path)
+    assert loaded.stats["integrations"] == 0
+    assert loaded.stats["accepted_steps"] == loaded.stats["rejected_steps"] == 0
+    assert loaded.stats["nodes"] == len(sol_p2.xs)
+    assert loaded.stats["identity_residual"] == sol_p2.stats["identity_residual"]
+    assert path.read_text() == json.dumps(loaded.to_dict()) + "\n"
 
 
 def test_solution_tolerance_recorded(sol_p1):

@@ -62,6 +62,7 @@ from .curvature import (
     bisectional,
     bisectional_batch,
     boundary_limit_bis,
+    boundary_limit_batch,
     curvature_tensor,
     extremal_sectional_vector,
     origin_closed_forms,
@@ -122,6 +123,7 @@ __all__ = [
     "sectional_max",
     "sectional_max_from_jet",
     "boundary_limit_bis",
+    "boundary_limit_batch",
     "origin_closed_forms",
     "extremal_sectional_vector",
     "CheckResult",

@@ -62,10 +62,8 @@ class SweepRow:
     sect_max: float
 
 
-def _row_at(sol: PotentialSolution, x: float) -> SweepRow:
-    F = float(sol.eval_F(x))
-    f, f1, f2, f3 = (float(v) for v in sol.eval_f_derivs(x, 3))
-    Z = float(sol.eval_Z(x, 0)[0])
+def _row_at(sol: PotentialSolution, x: float, F: float, f: float, f1: float,
+            f2: float, f3: float, Z: float) -> SweepRow:
     jet = metric_jet(sol, Point(0j, complex(x)))
     tensor = tensor_from_jet(jet)
     ext = bis_extremes_from_jet(jet, tensor)
@@ -88,7 +86,9 @@ def axis_sweep(sol: PotentialSolution, x_min: float = 0.0,
         raise ValueError("sweep endpoints must lie in (-1, 1)")
     if n > 1 and not x_min < x_max:
         raise ValueError("need x_min < x_max for a multi-point sweep")
-    rows = [_row_at(sol, float(x)) for x in np.linspace(x_min, x_max, n)]
+    xs = np.linspace(x_min, x_max, n)
+    columns = [xs, sol.eval_F(xs), *sol.eval_f_derivs(xs, 3), sol.eval_Z(xs, 0)[0]]
+    rows = [_row_at(sol, *values) for values in zip(*(c.tolist() for c in columns))]
     for row in rows:
         values = [getattr(row, c) for c in SWEEP_COLUMNS]
         if not all(np.isfinite(values)):
@@ -122,11 +122,7 @@ def _point_reals(z: Point) -> list:
 
 def _cmd_solve(args) -> int:
     params = TubeParams(p=args.p)
-    config = ShootingConfig(
-        f_blowup_threshold=args.f_max,
-        c0_tolerance=args.tol,
-        step_tolerance=min(args.tol, 1e-12),
-    )
+    config = ShootingConfig(f_blowup_threshold=args.f_max, step_tolerance=args.tol)
     sol = solve_potential(params, config)
     sol.save(args.out)
     print(json.dumps({
@@ -227,7 +223,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="shoot for the potential and cache it")
     p_solve.add_argument("--p", type=int, required=True, help="domain parameter (>= 1)")
     p_solve.add_argument("--tol", type=float, default=1e-12,
-                         help="tolerance on the center value; the recorded blow-up "
+                         help="local error target of the integrator (at most 1e-6), "
+                              "recorded as the solution's tolerance; the blow-up "
                               "must lie within 10*sqrt(tol) of x=1")
     p_solve.add_argument("--f-max", type=float, default=1e8,
                          help="slope threshold treated as blow-up")

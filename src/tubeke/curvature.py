@@ -59,6 +59,7 @@ __all__ = [
     "sectional_max",
     "sectional_max_from_jet",
     "boundary_limit_bis",
+    "boundary_limit_batch",
     "origin_closed_forms",
     "OriginValues",
     "extremal_sectional_vector",
@@ -121,14 +122,17 @@ class TangentPair:
     def __post_init__(self):
         v = np.asarray(self.v, dtype=complex).reshape(2)
         w = np.asarray(self.w, dtype=complex).reshape(2)
-        if not (np.all(np.isfinite(v.view(float))) and np.all(np.isfinite(w.view(float)))):
+        # checked on Python complex entries: numpy reductions over two
+        # length-2 arrays would cost most of the construction
+        (v0, v1), (w0, w1) = v.tolist(), w.tolist()
+        if not all(map(cmath.isfinite, (v0, v1, w0, w1))):
             raise ValueError("tangent vectors must be finite")
-        if np.all(v == 0) or np.all(w == 0):
+        if (v0 == 0 and v1 == 0) or (w0 == 0 and w1 == 0):
             raise ValueError("tangent vectors must be nonzero")
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "w", w)
-        object.__setattr__(self, "alpha", cmath.phase(v[0] * v[1].conjugate()))
-        object.__setattr__(self, "beta", cmath.phase(w[0] * w[1].conjugate()))
+        object.__setattr__(self, "alpha", cmath.phase(v0 * v1.conjugate()))
+        object.__setattr__(self, "beta", cmath.phase(w0 * w1.conjugate()))
 
 
 @dataclass(frozen=True)
@@ -312,22 +316,29 @@ def sectional(sol: PotentialSolution, z: Point, v) -> float:
     return bisectional(sol, z, TangentPair(v=v, w=v))
 
 
-def boundary_limit_bis(jet: MetricJet, pair: TangentPair) -> float:
-    """The strictly pseudoconvex boundary limit of Bis for a fixed pair.
+def boundary_limit_batch(jet: MetricJet, vs, ws) -> np.ndarray:
+    """The strictly pseudoconvex boundary limit of Bis for stacked pairs.
 
-    Value -1 - |<v,w>_g|^2 / (|v|_g^2 |w|_g^2), always in [-2, -1]:
-    -2 at proportional vectors (Cauchy-Schwarz equality), -1 at
-    g-orthogonal ones.
+    Value -1 - |<v,w>_g|^2 / (|v|_g^2 |w|_g^2) for each row pair of the
+    (n, 2) complex arrays vs, ws, always in [-2, -1]: -2 at proportional
+    vectors (Cauchy-Schwarz equality), -1 at g-orthogonal ones.
     """
     g = jet.metric
-    v, w = pair.v, pair.w
-    ip_vw = (g[0, 0] * v[0] * np.conjugate(w[0]) + g[0, 1] * v[0] * np.conjugate(w[1])
-             + g[1, 0] * v[1] * np.conjugate(w[0]) + g[1, 1] * v[1] * np.conjugate(w[1]))
-    ip_vv = (g[0, 0] * abs(v[0]) ** 2 + g[1, 1] * abs(v[1]) ** 2
-             + 2.0 * (g[0, 1] * v[0] * np.conjugate(v[1])).real)
-    ip_ww = (g[0, 0] * abs(w[0]) ** 2 + g[1, 1] * abs(w[1]) ** 2
-             + 2.0 * (g[0, 1] * w[0] * np.conjugate(w[1])).real)
-    return -1.0 - abs(ip_vw) ** 2 / (ip_vv * ip_ww)
+    vs = np.asarray(vs, dtype=complex)
+    ws = np.asarray(ws, dtype=complex)
+    v0, v1, w0, w1 = vs[:, 0], vs[:, 1], ws[:, 0], ws[:, 1]
+    ip_vw = (g[0, 0] * v0 * np.conjugate(w0) + g[0, 1] * v0 * np.conjugate(w1)
+             + g[1, 0] * v1 * np.conjugate(w0) + g[1, 1] * v1 * np.conjugate(w1))
+    ip_vv = (g[0, 0] * np.abs(v0) ** 2 + g[1, 1] * np.abs(v1) ** 2
+             + 2.0 * (g[0, 1] * v0 * np.conjugate(v1)).real)
+    ip_ww = (g[0, 0] * np.abs(w0) ** 2 + g[1, 1] * np.abs(w1) ** 2
+             + 2.0 * (g[0, 1] * w0 * np.conjugate(w1)).real)
+    return -1.0 - np.abs(ip_vw) ** 2 / (ip_vv * ip_ww)
+
+
+def boundary_limit_bis(jet: MetricJet, pair: TangentPair) -> float:
+    """boundary_limit_batch for a single pair."""
+    return float(boundary_limit_batch(jet, pair.v[None], pair.w[None])[0])
 
 
 # ---------------------------------------------------------------------------

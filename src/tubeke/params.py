@@ -60,28 +60,24 @@ class ShootingConfig:
     ----------
     f_blowup_threshold : float
         The slope f = F' is declared "blown up" once it exceeds this value.
-        1e8 puts the recorded blow-up location within ~1e-8 of the true
-        singularity (f ~ 1/(1-x) near it).
-    c0_tolerance : float
-        Tolerance recorded for the center value F(0); a solution is
-        accepted only if its blow-up abscissa lies within
-        10*sqrt(c0_tolerance) of 1.
+        The blow-up estimate x + 1/f is off by O(1/f^2) there, about 1e-16
+        at the default 1e8; a threshold whose error bound exceeds
+        step_tolerance is refused.
     step_tolerance : float
-        Local relative error target of the adaptive integrator.
+        Local relative error target of the adaptive integrator, recorded
+        as the solution's tolerance; a solution is accepted only if its
+        blow-up abscissa lies within 10*sqrt(step_tolerance) of 1.
     max_steps : int
         Hard cap on the accepted steps of a single integration.
     """
 
     f_blowup_threshold: float = 1e8
-    c0_tolerance: float = 1e-12
     step_tolerance: float = 1e-12
     max_steps: int = 500_000
 
     def __post_init__(self):
         if not (self.f_blowup_threshold > 1e2):
             raise ValueError("f_blowup_threshold must exceed 1e2")
-        if not (0 < self.c0_tolerance < 1):
-            raise ValueError("c0_tolerance out of range")
         if not (0 < self.step_tolerance <= 1e-6):
             raise ValueError("step_tolerance out of range (want <= 1e-6)")
         if self.max_steps < 1000:

@@ -498,6 +498,17 @@ def _validate_solution_data(params, F0, xs, Fs, fs, blowup_x, tolerance):
         raise ValueError("nodes must stay below x=1")
     if not np.all(np.diff(fs) > 0.0):
         raise ValueError("f must be strictly increasing along the grid (F strictly convex)")
+    # with d = x_b - x, f = 1/d + c0 + o(1) and (2p-1)/(4Z) = d^3 (1 + 3 c0 d
+    # + o(d)) near the singularity, so the distances d_Z and 1/f differ by
+    # 2 c0 d^2: twice the error of the x + 1/f blow-up estimate
+    p = params.p
+    d_Z = ((2 * p - 1) / (4.0 * math.exp(3.0 * Fs[-1]))) ** (1.0 / 3.0)
+    estimate_err = 0.5 * abs(d_Z - 1.0 / fs[-1])
+    if estimate_err > tolerance:
+        raise ValueError(
+            f"blow-up estimate error {estimate_err:.2e} at the last node (f={fs[-1]:.3g}) "
+            f"exceeds the tolerance {tolerance:g}: raise f_max"
+        )
     envelope = 10.0 * math.sqrt(tolerance)
     if abs(blowup_x - 1.0) > envelope:
         raise ValueError(
@@ -527,7 +538,8 @@ def solve_potential(params: TubeParams, config: ShootingConfig | None = None) ->
        x_b ~ 1 gives F0 = c + (2/3) ln(x_b);
     3. the recorded pass at F0, with node spacing min(0.008, 0.012*(1-x));
        its own blow-up estimate is stored as achieved_blowup_x and must lie
-       within 10*sqrt(config.c0_tolerance) of 1.
+       within 10*sqrt(config.step_tolerance) of 1, and the estimate's error
+       bound at the last node must not exceed config.step_tolerance.
 
     Parameters
     ----------
@@ -582,7 +594,7 @@ def solve_potential(params: TubeParams, config: ShootingConfig | None = None) ->
     fs = np.asarray(fs)
     stats["nodes"] = len(xs)
     stats["identity_residual"] = _validate_solution_data(
-        params, F0, xs, Fs, fs, blowup_x, config.c0_tolerance
+        params, F0, xs, Fs, fs, blowup_x, config.step_tolerance
     )
     return PotentialSolution(
         params=params,
@@ -591,7 +603,7 @@ def solve_potential(params: TubeParams, config: ShootingConfig | None = None) ->
         Fs=Fs,
         fs=fs,
         achieved_blowup_x=blowup_x,
-        tolerance=config.c0_tolerance,
+        tolerance=config.step_tolerance,
         stats=stats,
     )
 

@@ -45,6 +45,22 @@ def test_solve_reports_center_value(tmp_path, capsys):
     assert stored["p"] == 1 and stored["K"] == "1"
 
 
+def test_solve_tol_sets_the_step_tolerance(tmp_path, sol1_file, capsys):
+    path = tmp_path / "s.json"
+    code, out = run_json(capsys, ["solve", "--p", "1", "--tol", "1e-8", "--out", str(path)])
+    assert code == 0
+    assert json.loads(path.read_text())["tolerance"] == 1e-8
+    # the looser target changes the computed profile, within that target
+    assert out["F0"] != json.loads(sol1_file.read_text())["F0"]
+    assert abs(out["F0"] - math.log(2.0) / 3.0) < 1e-8
+
+
+def test_solve_refuses_a_blowup_cap_too_low(tmp_path, capsys):
+    assert main(["solve", "--p", "2", "--f-max", "1e3", "--out", str(tmp_path / "s.json")]) == 2
+    assert "f_max" in capsys.readouterr().err
+    assert not (tmp_path / "s.json").exists()
+
+
 def test_eval_basic_and_derivs(sol1_file, capsys):
     code, out = run_json(capsys, ["eval", "--sol", str(sol1_file), "--x", "0.5"])
     assert code == 0

@@ -35,7 +35,6 @@ def test_p_must_be_a_plain_integer(bad):
 def test_shooting_config_defaults():
     config = ShootingConfig()
     assert config.f_blowup_threshold == 1e8
-    assert config.c0_tolerance == 1e-12
     assert config.step_tolerance == 1e-12
     assert config.max_steps == 500_000
 
@@ -43,8 +42,8 @@ def test_shooting_config_defaults():
 @pytest.mark.parametrize("kwargs", [
     dict(f_blowup_threshold=0.0),
     dict(f_blowup_threshold=-1.0),
-    dict(c0_tolerance=0.0),
-    dict(c0_tolerance=-1e-9),
+    dict(step_tolerance=-1e-9),
+    dict(step_tolerance=1e-5),
     dict(step_tolerance=0.0),
     dict(max_steps=0),
 ])

@@ -298,7 +298,24 @@ def test_solution_tolerance_recorded(sol_p1):
 
 
 def test_loose_tolerance_still_valid():
-    config = ShootingConfig(c0_tolerance=1e-8, step_tolerance=1e-8)
+    config = ShootingConfig(step_tolerance=1e-8)
     sol = solve_potential(TubeParams(p=1), config)
     assert abs(sol.F0 - LN2_OVER_3) < 1e-7
     assert abs(sol.achieved_blowup_x - 1.0) <= 10.0 * math.sqrt(1e-8)
+
+
+def test_blowup_cap_too_low_for_the_tolerance_is_refused(sol_p2):
+    # half |d_Z - 1/f| at the last node reads 7.7e-7 and 7.6e-9 for these
+    # caps, the true errors of the blow-up estimate; the tolerance is 1e-12
+    for f_max in (1e3, 1e4):
+        with pytest.raises(ValueError, match="f_max"):
+            solve_potential(TubeParams(p=2), ShootingConfig(f_blowup_threshold=f_max))
+    sol = solve_potential(TubeParams(p=2), ShootingConfig(f_blowup_threshold=1e8))
+    assert sol.F0 == sol_p2.F0
+
+
+def test_load_rejects_a_grid_cut_short_of_the_blowup(sol_p2):
+    data = sol_p2.to_dict()
+    data["nodes"] = [node for node in data["nodes"] if node["f"] < 1e4]
+    with pytest.raises(ValueError, match="f_max"):
+        solution_from_dict(data)

@@ -1,0 +1,263 @@
+"""Batched pair and grid checks against the scalar loops they replace.
+
+The verification suites evaluate their pair and grid checks in array
+calls.  The per-pair and per-point loops below are the earlier form of
+those checks, kept verbatim as the reference: the batched suites must
+report the same checks with the same verdicts and, up to rounding, the
+same observed values.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from tubeke import (
+    Point,
+    TangentPair,
+    TubeParams,
+    bisectional,
+    bisectional_batch,
+    boundary_limit_batch,
+    boundary_limit_bis,
+    metric_jet,
+    run_suite,
+)
+from tubeke import diagnostics
+from tubeke import tube_geometry as geo
+from tubeke.diagnostics import _ASYMPTOTIC_TOLS, CheckResult, _below, _close, _flag
+from tubeke.metric_tensor import x_derivatives
+
+EPS = np.finfo(float).eps
+
+
+# ---------------------------------------------------------------------------
+# the scalar reference loops
+# ---------------------------------------------------------------------------
+
+def reference_boundary_limit(jet, v, w):
+    g = jet.metric
+    ip_vw = (g[0, 0] * v[0] * np.conjugate(w[0]) + g[0, 1] * v[0] * np.conjugate(w[1])
+             + g[1, 0] * v[1] * np.conjugate(w[0]) + g[1, 1] * v[1] * np.conjugate(w[1]))
+    ip_vv = (g[0, 0] * abs(v[0]) ** 2 + g[1, 1] * abs(v[1]) ** 2
+             + 2.0 * (g[0, 1] * v[0] * np.conjugate(v[1])).real)
+    ip_ww = (g[0, 0] * abs(w[0]) ** 2 + g[1, 1] * abs(w[1]) ** 2
+             + 2.0 * (g[0, 1] * w[0] * np.conjugate(w[1])).real)
+    return -1.0 - abs(ip_vw) ** 2 / (ip_vv * ip_ww)
+
+
+def reference_random_points(params, rng, n, x_cap=0.99):
+    p = params.p
+    pts = []
+    for _ in range(n):
+        x = rng.uniform(-x_cap, x_cap)
+        r = rng.uniform(0.2, 3.0)
+        y1, y2 = rng.uniform(-2.0, 2.0, 2)
+        z1 = complex((1.0 - r) / (4 * p), y1)
+        z2 = complex(x * r ** (1.0 / (2 * p)), y2)
+        pts.append(Point(z1, z2))
+    return pts
+
+
+def reference_asymptotics(params, sol, rng):
+    p = params.p
+    checks = []
+    f_near = sol.eval_f_derivs(1.0 - 1e-4, 0)[0]
+    checks.append(CheckResult("f(1-1e-4)_exceeds_1e3", 1e3, f_near, 0.0, f_near > 1e3))
+    for k, (tf, tz, td, tF) in _ASYMPTOTIC_TOLS.items():
+        d = 10.0 ** -k
+        x = 1.0 - d
+        F = sol.eval_F(x)
+        f, f1, f2, f3 = sol.eval_f_derivs(x, 3)
+        Z = sol.eval_Z(x, 0)[0]
+        target = (2 * p - 1) / 4.0
+        checks.append(_below(f"f_law_k{k}", abs(f * d - 1.0), tf))
+        checks.append(_below(f"Z_law_k{k}", abs(d**3 * Z - target) / target, tz))
+        deriv_defect = max(abs(f1 * d**2 - 1.0), abs(f2 * d**3 / 2.0 - 1.0),
+                           abs(f3 * d**4 / 6.0 - 1.0))
+        checks.append(_below(f"deriv_laws_k{k}", deriv_defect, td))
+        checks.append(_below(f"F_law_k{k}",
+                             abs(F - math.log(1.0 / d) - math.log((2 * p - 1) / 4.0) / 3.0), tF))
+    grid = np.linspace(0.0, 1.0 - 1e-4, 301)
+    f1_grid = sol.eval_f_derivs(grid, 1)[1]
+    checks.append(_flag("convexity_f1_positive", bool(np.all(f1_grid > 0.0)),
+                        float(f1_grid.min())))
+    xs = rng.uniform(0.0, 0.99, 50)
+    even_defect = float(np.max(np.abs(sol.eval_F(-xs) - sol.eval_F(xs))))
+    odd_defect = float(np.max(np.abs(sol.eval_f_derivs(-xs, 0)[0]
+                                     + sol.eval_f_derivs(xs, 0)[0])))
+    checks.append(_below("parity_F_even_exact", even_defect, 0.0))
+    checks.append(_below("parity_f_odd_exact", odd_defect, 0.0))
+    worst = 0.0
+    for x in np.linspace(-0.99, 0.99, 41):
+        h = 1e-5
+        vals = sol.eval_f_derivs(x, 3)
+        for k in (1, 2, 3):
+            fd = (sol.eval_f_derivs(x + h, k - 1)[k - 1]
+                  - sol.eval_f_derivs(x - h, k - 1)[k - 1]) / (2.0 * h)
+            if abs(vals[k]) > 1e-6:
+                worst = max(worst, abs(fd - vals[k]) / abs(vals[k]))
+    checks.append(_below("derivs_match_finite_differences", worst, 1e-5))
+    return checks
+
+
+def reference_invariance(params, sol, rng):
+    p = params.p
+    checks = []
+    worst = 0.0
+    for z in reference_random_points(params, rng, 334):
+        x0 = geo.x_invariant(params, z)
+        tau = geo.TubeAutomorphism(params=params, u=tuple(rng.uniform(-3, 3, 2)))
+        dil = geo.TubeAutomorphism(params=params, lam=float(rng.uniform(0.2, 5.0)))
+        flip = geo.TubeAutomorphism(params=params, flip=True)
+        worst = max(worst,
+                    abs(geo.x_invariant(params, geo.apply(tau, z)) - x0),
+                    abs(geo.x_invariant(params, geo.apply(dil, z)) - x0),
+                    abs(geo.x_invariant(params, geo.apply(flip, z)) + x0))
+    checks.append(_below("x_invariant_along_orbits", worst, 1e-12))
+    ok = True
+    for z in reference_random_points(params, rng, 100):
+        for a in (geo.TubeAutomorphism(params=params, u=(1.3, -0.4)),
+                  geo.TubeAutomorphism(params=params, lam=0.35),
+                  geo.TubeAutomorphism(params=params, lam=2.6),
+                  geo.TubeAutomorphism(params=params, flip=True)):
+            ok = ok and geo.in_domain(params, geo.apply(a, z))
+    checks.append(_flag("generators_preserve_domain", ok))
+    worst_norm = worst_jac = worst_pot = 0.0
+    for z in reference_random_points(params, rng, 100):
+        psi = geo.normalizing_automorphism(params, z)
+        img = geo.apply(psi, z)
+        x0 = geo.x_invariant(params, z)
+        worst_norm = max(worst_norm, abs(img.z1), abs(img.z2 - x0))
+        r = 1.0 - 4 * p * z.z1.real
+        worst_jac = max(worst_jac,
+                        abs(geo.jacobian_det(psi) - r ** (-(2 * p + 1) / (2 * p))))
+        tab = x_derivatives(params, z, 0)
+        g_z = sol.eval_F(tab.x_value) + tab.L()
+        g_img = sol.eval_F(x0)
+        shift = (2.0 / 3.0) * math.log(abs(geo.jacobian_det(psi)))
+        worst_pot = max(worst_pot, abs(g_z - g_img - shift))
+    checks.append(_below("normalization_sends_z_to_axis", worst_norm, 1e-12))
+    checks.append(_below("jacobian_det_closed_form", worst_jac, 1e-12))
+    checks.append(_below("potential_transformation", worst_pot, 1e-12))
+    worst_g = 0.0
+    for z in reference_random_points(params, rng, 20):
+        psi = geo.normalizing_automorphism(params, z)
+        jac = geo.jacobian(psi)
+        g_here = metric_jet(sol, z).metric
+        g_axis = metric_jet(sol, geo.apply(psi, z)).metric
+        pulled = (jac.T @ g_axis @ np.conjugate(jac)).real
+        worst_g = max(worst_g, float(np.max(np.abs(pulled - g_here))
+                                     / np.max(np.abs(g_here))))
+    checks.append(_below("metric_transformation_law", worst_g, 1e-8))
+    exact = 0.0
+    for z in reference_random_points(params, rng, 20):
+        shifted = Point(z.z1 + 1j * rng.uniform(-5, 5), z.z2 + 1j * rng.uniform(-5, 5))
+        j1, j2 = metric_jet(sol, z), metric_jet(sol, shifted)
+        exact = max(exact, float(np.max(np.abs(j1.metric - j2.metric))),
+                    max(abs(j1.d4[k] - j2.d4[k]) for k in j1.d4))
+    checks.append(_below("jets_translation_invariant", exact, 0.0))
+    worst_bis = worst_scale = worst_formula = 0.0
+    for z in reference_random_points(params, rng, 100):
+        v, w = diagnostics._random_vectors(rng, 2)
+        pair = TangentPair(v=v, w=w)
+        raw = bisectional(sol, z, pair, normalize=False)
+        normalized = bisectional(sol, z, pair, normalize=True)
+        worst_bis = max(worst_bis, abs(raw - normalized) / abs(raw))
+        c, d = rng.normal(size=2) + 1j * rng.normal(size=2)
+        scaled = bisectional(sol, z, TangentPair(v=c * v, w=d * w))
+        worst_scale = max(worst_scale, abs(scaled - normalized) / abs(normalized))
+        direct = bisectional(sol, z, pair, formula="direct")
+        worst_formula = max(worst_formula, abs(direct - normalized) / abs(normalized))
+    checks.append(_below("bis_automorphism_invariance_rel", worst_bis, 1e-7))
+    checks.append(_below("bis_scale_invariance_rel", worst_scale, 1e-10))
+    checks.append(_below("bis_formula_agreement_rel", worst_formula, 1e-10))
+    return checks
+
+
+def reference_boundary_limit_suite(params, sol, rng):
+    checks = []
+    vs = diagnostics._random_vectors(rng, 2000)
+    E = {}
+    for x in (0.9, 0.99, 0.999):
+        z = Point(0j, complex(x))
+        jet = metric_jet(sol, z)
+        values = bisectional_batch(sol, z, vs[::2], vs[1::2])
+        gap = 0.0
+        for i in range(1000):
+            gap = max(gap, abs(values[i] - reference_boundary_limit(jet, vs[2 * i], vs[2 * i + 1])))
+        E[x] = gap
+    checks.append(_below("E(0.9)", E[0.9], 1.0))
+    checks.append(_below("E(0.99)", E[0.99], 0.1))
+    checks.append(_below("E(0.999)", E[0.999], 0.05))
+    increase = max(E[0.99] - E[0.9], E[0.999] - E[0.99])
+    degenerate = max(E.values()) <= 1e-8
+    checks.append(_flag("E_strictly_decreasing_or_noise_floor",
+                        (increase < 0.0) or degenerate, increase))
+    jet = metric_jet(sol, Point(0j, 0.4 + 0j))
+    worst_range = 0.0
+    for i in range(200):
+        val = reference_boundary_limit(jet, vs[2 * i], vs[2 * i + 1])
+        worst_range = max(worst_range, -2.0 - val, val - (-1.0), 0.0)
+    checks.append(_below("limit_value_within_[-2,-1]", worst_range, 1e-12))
+    v = vs[0]
+    checks.append(_close("limit_at_parallel_pair", -2.0,
+                         reference_boundary_limit(jet, v, v), 1e-12))
+    g = jet.metric
+    w = np.array([-np.conjugate(v[1]), np.conjugate(v[0])], complex)
+
+    def ip_g(a, b):
+        return (g[0, 0] * a[0] * np.conjugate(b[0]) + g[0, 1] * a[0] * np.conjugate(b[1])
+                + g[1, 0] * a[1] * np.conjugate(b[0]) + g[1, 1] * a[1] * np.conjugate(b[1]))
+    w = w - (ip_g(w, v) / ip_g(v, v)) * v
+    checks.append(_close("limit_at_orthogonal_pair", -1.0,
+                         reference_boundary_limit(jet, v, w), 1e-12))
+    return checks
+
+
+# ---------------------------------------------------------------------------
+# tests
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("x", [0.4, 0.999])
+def test_boundary_limit_batch_matches_the_scalar_loop(sol_p2, x):
+    rng = np.random.default_rng(11)
+    vs = rng.normal(size=(2000, 2)) + 1j * rng.normal(size=(2000, 2))
+    jet = metric_jet(sol_p2, Point(0j, complex(x)))
+    batch = boundary_limit_batch(jet, vs[::2], vs[1::2])
+    loop = np.array([boundary_limit_bis(jet, TangentPair(v=vs[2 * i], w=vs[2 * i + 1]))
+                     for i in range(1000)])
+    assert np.max(np.abs(batch - loop)) <= 1e-15
+    # numpy's array loops round complex products and moduli differently
+    # from its scalar path; the Gram ratio amplifies that by up to cond(g)
+    reference = np.array([reference_boundary_limit(jet, vs[2 * i], vs[2 * i + 1])
+                          for i in range(1000)])
+    assert np.max(np.abs(batch - reference)) <= 4.0 * np.linalg.cond(jet.metric) * EPS
+    assert np.all((batch >= -2.0 - 1e-12) & (batch <= -1.0 + 1e-12))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_random_points_match_the_per_point_loop(p):
+    params = TubeParams(p=p)
+    for seed in range(3):
+        rng_loop, rng_block = np.random.default_rng(seed), np.random.default_rng(seed)
+        loop = np.array([z.as_reals() for z in reference_random_points(params, rng_loop, 334)])
+        block = np.array([z.as_reals() for z in diagnostics._random_points(params, rng_block, 334)])
+        assert np.all(np.abs(block - loop) <= np.spacing(np.abs(loop)))
+        assert rng_block.random() == rng_loop.random()
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_batched_suites_report_the_scalar_loops_checks(p, sols, monkeypatch):
+    sol, params = sols[p], TubeParams(p=p)
+    batched = [run_suite("all", params, sol, seed=seed) for seed in range(5)]
+    monkeypatch.setattr(diagnostics, "_random_points", reference_random_points)
+    monkeypatch.setitem(diagnostics._SUITES, "asymptotics", reference_asymptotics)
+    monkeypatch.setitem(diagnostics._SUITES, "invariance", reference_invariance)
+    monkeypatch.setitem(diagnostics._SUITES, "boundary_limit", reference_boundary_limit_suite)
+    for seed, new in enumerate(batched):
+        old = run_suite("all", params, sol, seed=seed)
+        assert [c.name for c in new.checks] == [c.name for c in old.checks]
+        for a, b in zip(new.checks, old.checks):
+            assert (a.tolerance, a.passed, a.expected) == (b.tolerance, b.passed, b.expected), a.name
+            assert abs(a.observed - b.observed) <= 1e-12, (a.name, a.observed, b.observed)

@@ -12,11 +12,10 @@ import numpy as np
 
 from tubeke import (
     Point,
-    TangentPair,
     TubeParams,
     bis_extremes,
-    bisectional,
-    boundary_limit_bis,
+    bisectional_batch,
+    boundary_limit_batch,
     metric_jet,
     origin_closed_forms,
     sectional_max,
@@ -59,8 +58,6 @@ ws = rng.normal(size=(300, 2)) + 1j * rng.normal(size=(300, 2))
 print("\nsup |Bis - boundary limit| over 300 pairs:")
 for x in (0.9, 0.99, 0.999):
     z = Point(0j, complex(x))
-    jet = metric_jet(sol, z)
-    gap = max(abs(bisectional(sol, z, TangentPair(v=v, w=w))
-                  - boundary_limit_bis(jet, TangentPair(v=v, w=w)))
-              for v, w in zip(vs, ws))
+    gaps = bisectional_batch(sol, z, vs, ws) - boundary_limit_batch(metric_jet(sol, z), vs, ws)
+    gap = np.abs(gaps).max()
     print(f"  x = {x:5.3f}: {gap:.3e}")

@@ -49,7 +49,9 @@ from .metric_tensor import (
     MetricJet,
     XLDerivatives,
     einstein_residual,
+    einstein_residual_batch,
     metric_jet,
+    metric_jet_batch,
     x_derivatives,
 )
 from .curvature import (
@@ -61,6 +63,7 @@ from .curvature import (
     bis_extremes_from_jet,
     bisectional,
     bisectional_batch,
+    bisectional_from_jet,
     boundary_limit_bis,
     boundary_limit_batch,
     curvature_tensor,
@@ -108,7 +111,9 @@ __all__ = [
     "MetricJet",
     "x_derivatives",
     "metric_jet",
+    "metric_jet_batch",
     "einstein_residual",
+    "einstein_residual_batch",
     "CurvatureTensor",
     "TangentPair",
     "BisExtremes",
@@ -116,6 +121,7 @@ __all__ = [
     "curvature_tensor",
     "tensor_from_jet",
     "bisectional",
+    "bisectional_from_jet",
     "bisectional_batch",
     "sectional",
     "bis_extremes",

@@ -223,7 +223,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="shoot for the potential and cache it")
     p_solve.add_argument("--p", type=int, required=True, help="domain parameter (>= 1)")
     p_solve.add_argument("--tol", type=float, default=1e-12,
-                         help="local error target of the integrator (at most 1e-6), "
+                         help="local error target of the integrator (at most 1e-7), "
                               "recorded as the solution's tolerance; the blow-up "
                               "must lie within 10*sqrt(tol) of x=1")
     p_solve.add_argument("--f-max", type=float, default=1e8,

@@ -52,6 +52,7 @@ __all__ = [
     "curvature_tensor",
     "tensor_from_jet",
     "bisectional",
+    "bisectional_from_jet",
     "bisectional_batch",
     "sectional",
     "bis_extremes",
@@ -277,7 +278,15 @@ def bisectional(sol: PotentialSolution, z: Point, pair: TangentPair,
     else:
         v, w = pair.v, pair.w
     jet = metric_jet(sol, z)
-    tensor = tensor_from_jet(jet)
+    return bisectional_from_jet(jet, tensor_from_jet(jet), v, w, formula=formula)
+
+
+def bisectional_from_jet(jet: MetricJet, tensor: CurvatureTensor, v, w,
+                         *, formula: str = "tube") -> float:
+    """Bis(v, w) at the jet's point, for vectors given at that point.
+
+    formula is as in bisectional; no pull to the axis is made here.
+    """
     if formula == "tube":
         C, gvec = _form(jet, tensor)
         return _bis_from_form(C, gvec, _features(v), _features(w))

@@ -14,8 +14,10 @@ roughly 3x the observed residual across p = 1..3 (the underlying
 statements are limits without stated rates).
 
 Pair and grid checks are evaluated in batches, through the array forms of
-the curvature formulas and the profile evaluators; the tests keep the
-scalar loops they replace as the reference.
+the curvature formulas and the profile evaluators.  Point loops run
+through stacked metric jets (metric_jet_batch, einstein_residual_batch);
+the scalar metric_jet is the path that single point queries use.  The
+tests keep the scalar loops these replace as the reference.
 """
 
 from __future__ import annotations
@@ -29,12 +31,20 @@ from .params import TubeParams
 from .potential_solver import PotentialSolution
 from . import tube_geometry as geo
 from .tube_geometry import Point, RegionClass, BoundaryClass
-from .metric_tensor import metric_jet, einstein_residual, x_derivatives
+from .metric_tensor import (
+    einstein_residual,
+    einstein_residual_batch,
+    metric_jet,
+    metric_jet_batch,
+    x_derivatives,
+)
 from .curvature import (
     TangentPair,
+    _pull_to_axis,
     bis_extremes_from_jet,
     bisectional,
     bisectional_batch,
+    bisectional_from_jet,
     boundary_limit_batch,
     boundary_limit_bis,
     extremal_sectional_vector,
@@ -297,33 +307,51 @@ def _suite_invariance(params, sol, rng):
     checks.append(_below("jacobian_det_closed_form", worst_jac, 1e-12))
     checks.append(_below("potential_transformation", worst_pot, 1e-12))
     worst_g = 0.0
-    for z in _random_points(params, rng, 20):
+    points = _random_points(params, rng, 20)
+    jacs, images = [], []
+    for z in points:
         psi = geo.normalizing_automorphism(params, z)
-        jac = geo.jacobian(psi)
-        g_here = metric_jet(sol, z).metric
-        g_axis = metric_jet(sol, geo.apply(psi, z)).metric
-        pulled = (jac.T @ g_axis @ np.conjugate(jac)).real
+        jacs.append(geo.jacobian(psi))
+        images.append(geo.apply(psi, z))
+    for jac, here, axis in zip(jacs, metric_jet_batch(sol, points),
+                               metric_jet_batch(sol, images)):
+        g_here = here.metric
+        pulled = (jac.T @ axis.metric @ np.conjugate(jac)).real
         worst_g = max(worst_g, float(np.max(np.abs(pulled - g_here))
                                      / np.max(np.abs(g_here))))
     checks.append(_below("metric_transformation_law", worst_g, 1e-8))
-    # jets depend only on (Re z1, Re z2)
+    # jets depend only on (Re z1, Re z2); both batches hold each point at
+    # the same row, so equal inputs meet the same arithmetic
+    points = _random_points(params, rng, 20)
+    shifted = [Point(z.z1 + 1j * rng.uniform(-5, 5), z.z2 + 1j * rng.uniform(-5, 5))
+               for z in points]
     exact = 0.0
-    for z in _random_points(params, rng, 20):
-        shifted = Point(z.z1 + 1j * rng.uniform(-5, 5), z.z2 + 1j * rng.uniform(-5, 5))
-        j1, j2 = metric_jet(sol, z), metric_jet(sol, shifted)
+    for j1, j2 in zip(metric_jet_batch(sol, points), metric_jet_batch(sol, shifted)):
         exact = max(exact, float(np.max(np.abs(j1.metric - j2.metric))),
+                    max(abs(j1.d3[k] - j2.d3[k]) for k in j1.d3),
                     max(abs(j1.d4[k] - j2.d4[k]) for k in j1.d4))
     checks.append(_below("jets_translation_invariant", exact, 0.0))
-    worst_bis = worst_scale = worst_formula = 0.0
-    for z in _random_points(params, rng, 100):
+    # Bis at z from the raw jet there, and on the axis orbit from pushed
+    # vectors: normalized, scaled and direct share one axis tensor
+    points = _random_points(params, rng, 100)
+    pairs, axis_points, pushed = [], [], []
+    for z in points:
         v, w = _random_vectors(rng, 2)
-        pair = TangentPair(v=v, w=w)
-        raw = bisectional(sol, z, pair, normalize=False)
         c, d = rng.normal(size=2) + 1j * rng.normal(size=2)
-        normalized, scaled = bisectional_batch(sol, z, [v, c * v], [w, d * w])
+        axis, vectors = _pull_to_axis(sol, z, (v, w, c * v, d * w))
+        pairs.append((v, w))
+        axis_points.append(axis)
+        pushed.append(vectors)
+    worst_bis = worst_scale = worst_formula = 0.0
+    for (v, w), (pv, pw, pcv, pdw), here, axis in zip(
+            pairs, pushed, metric_jet_batch(sol, points), metric_jet_batch(sol, axis_points)):
+        raw = bisectional_from_jet(here, tensor_from_jet(here), v, w)
+        tensor = tensor_from_jet(axis)
+        normalized = bisectional_from_jet(axis, tensor, pv, pw)
+        scaled = bisectional_from_jet(axis, tensor, pcv, pdw)
+        direct = bisectional_from_jet(axis, tensor, pv, pw, formula="direct")
         worst_bis = max(worst_bis, abs(raw - normalized) / abs(raw))
         worst_scale = max(worst_scale, abs(scaled - normalized) / abs(normalized))
-        direct = bisectional(sol, z, pair, formula="direct")
         worst_formula = max(worst_formula, abs(direct - normalized) / abs(normalized))
     checks.append(_below("bis_automorphism_invariance_rel", worst_bis, 1e-7))
     checks.append(_below("bis_scale_invariance_rel", worst_scale, 1e-10))
@@ -333,21 +361,22 @@ def _suite_invariance(params, sol, rng):
 
 def _suite_einstein(params, sol, rng):
     checks = []
-    worst = max(einstein_residual(sol, z) for z in _random_points(params, rng, 100))
+    worst = np.max(einstein_residual_batch(sol, _random_points(params, rng, 100)))
     checks.append(_below("einstein_residual_random_points", worst, 1e-8))
     checks.append(_below("einstein_residual_origin",
                          einstein_residual(sol, Point(0j, 0j)), 1e-12))
     p = params.p
-    worst_det = worst_inv = 0.0
-    pd_ok = True
-    for z in _random_points(params, rng, 100):
-        jet = metric_jet(sol, z)
-        r = 1.0 - 4 * p * z.z1.real
-        det_formula = sol.eval_Z(jet.x_value, 0)[0] / r ** (3.0 * params.K_float / p)
-        worst_det = max(worst_det, abs(jet.det - det_formula) / det_formula)
-        worst_inv = max(worst_inv, float(np.max(np.abs(
-            jet.metric @ jet.inverse - np.eye(2)))))
-        pd_ok = pd_ok and jet.metric[0, 0] > 0.0 and jet.det > 0.0
+    points = _random_points(params, rng, 100)
+    jets = metric_jet_batch(sol, points)
+    r = 1.0 - 4 * p * np.array([z.z1.real for z in points])
+    xs = np.array([jet.x_value for jet in jets])
+    dets = np.array([jet.det for jet in jets])
+    metrics = np.array([jet.metric for jet in jets])
+    inverses = np.array([jet.inverse for jet in jets])
+    det_formula = sol.eval_Z(xs, 0)[0] / r ** (3.0 * params.K_float / p)
+    worst_det = np.max(np.abs(dets - det_formula) / det_formula)
+    worst_inv = np.max(np.abs(metrics @ inverses - np.eye(2)))
+    pd_ok = bool(np.all(metrics[:, 0, 0] > 0.0) and np.all(dets > 0.0))
     checks.append(_below("det_matches_Z_over_r_power", worst_det, 1e-8))
     checks.append(_below("metric_inverse_identity", worst_inv, 1e-10))
     checks.append(_flag("metric_positive_definite", pd_ok))
@@ -440,8 +469,8 @@ def _suite_regions(params, sol, rng):
     # pinching over a light axis sweep (the full 500-row version lives in
     # the acceptance tests)
     worst_min, worst_max = 0.0, -math.inf
-    for x in np.linspace(0.0, 1.0 - 1e-4, 100):
-        jet = metric_jet(sol, Point(0j, complex(x)))
+    axis = [Point(0j, complex(x)) for x in np.linspace(0.0, 1.0 - 1e-4, 100)]
+    for jet in metric_jet_batch(sol, axis):
         tensor = tensor_from_jet(jet)
         ext = bis_extremes_from_jet(jet, tensor)
         worst_min = min(worst_min, ext.min)

@@ -10,6 +10,12 @@ pattern or order.  That collapses the 4^4 possible index words of order
 four into a small (a, b)-count table with fully closed-form entries, and
 makes every metric derivative a short chain-rule combination of
 (f, f', f'', f''') at X(z) with the table.
+
+One chain rule serves floats and arrays.  metric_jet and
+einstein_residual evaluate it at one point; that scalar path is the one
+single point queries use.  metric_jet_batch and einstein_residual_batch
+evaluate it once on stacked points, and the verification suites run
+their point loops through them.
 """
 
 from __future__ import annotations
@@ -29,7 +35,9 @@ __all__ = [
     "MetricJet",
     "x_derivatives",
     "metric_jet",
+    "metric_jet_batch",
     "einstein_residual",
+    "einstein_residual_batch",
 ]
 
 _IDX = (1, 2)
@@ -79,20 +87,29 @@ def x_derivatives(params: TubeParams, z: Point, max_total_order: int = 4) -> XLD
     """
     if not 0 <= max_total_order <= 4:
         raise ValueError(f"max_total_order must be in 0..4, got {max_total_order}")
-    p = params.p
-    r = 1.0 - 4 * p * z.z1.real
+    r = 1.0 - 4 * params.p * z.z1.real
     if r <= 0.0:
         raise DomainError(f"derivative tables undefined: Re(4p z1) >= 1 at {z}")
+    x, dX, dL = _tables(params, r, z.z2.real, max_total_order, math.log)
+    return XLDerivatives(x_value=x, r=r, dX=dX, dL=dL)
+
+
+def _tables(params: TubeParams, r, t, order: int, log):
+    """(X, dX, dL) of x_derivatives from r = 1 - 4p Re(z1) and t = Re(z2).
+
+    r and t are floats, or arrays of one shape for stacked points; log is
+    math.log for floats and np.log for arrays.
+    """
+    p = params.p
     s = 1.0 / (2 * p)
-    t = z.z2.real
     x = t / r**s
     c = [1.0, 1.0]
-    for a in range(2, max_total_order + 1):
+    for a in range(2, order + 1):
         c.append(c[-1] * (1.0 + 2 * p * (a - 1)))
     K = params.K_float
     dX, dL = {}, {}
-    for a in range(max_total_order + 1):
-        for b in range(max_total_order + 1 - a):
+    for a in range(order + 1):
+        for b in range(order + 1 - a):
             if b == 0:
                 dX[(a, b)] = c[a] * x / r**a
             elif b == 1:
@@ -100,12 +117,57 @@ def x_derivatives(params: TubeParams, z: Point, max_total_order: int = 4) -> XLD
             else:
                 dX[(a, b)] = 0.0
             if a == 0 and b == 0:
-                dL[(a, b)] = (K / p) * math.log(1.0 / r)
+                dL[(a, b)] = (K / p) * log(1.0 / r)
             elif b == 0:
                 dL[(a, b)] = 2.0 * K * math.factorial(a - 1) * (2 * p) ** (a - 1) / r**a
             else:
                 dL[(a, b)] = 0.0
-    return XLDerivatives(x_value=x, r=r, dX=dX, dL=dL)
+    return x, dX, dL
+
+
+def _chain(tab: XLDerivatives, f, f1, f2=None, f3=None):
+    """Metric derivatives from the count tables and (f, f', f'', f''').
+
+    Returns ((g11, g12, g22), val3, val4), where val3[m] and val4[m] are
+    the third and fourth derivatives with m indices of z1 type; both are
+    None unless f2 and f3 are given, which takes tables of order four.
+    Floats and stacked arrays go through the same arithmetic.
+    """
+    dX, dL = tab.X, tab.L
+
+    def g2(i, j):
+        return f1 * dX(i) * dX(j) + f * dX(i, j) + dL(i, j)
+
+    def g3(i, j, k):
+        return (
+            f2 * dX(i) * dX(j) * dX(k)
+            + f1 * (dX(i, j) * dX(k) + dX(i, k) * dX(j) + dX(k, j) * dX(i))
+            + f * dX(i, j, k)
+            + dL(i, j, k)
+        )
+
+    def g4(i, j, k, l):
+        return (
+            f3 * dX(i) * dX(j) * dX(k) * dX(l)
+            + f2 * (dX(i, j) * dX(k) * dX(l) + dX(i, k) * dX(j) * dX(l)
+                    + dX(i, l) * dX(j) * dX(k) + dX(k, j) * dX(i) * dX(l)
+                    + dX(k, l) * dX(i) * dX(j) + dX(j, l) * dX(i) * dX(k))
+            + f1 * (dX(i, j, k) * dX(l) + dX(i, j, l) * dX(k)
+                    + dX(i, k, l) * dX(j) + dX(j, k, l) * dX(i)
+                    + dX(i, j) * dX(k, l) + dX(i, k) * dX(j, l) + dX(i, l) * dX(k, j))
+            + f * dX(i, j, k, l)
+            + dL(i, j, k, l)
+        )
+
+    metric = (g2(1, 1), g2(1, 2), g2(2, 2))
+    if f2 is None:
+        return metric, None, None
+    # every value depends only on how many indices are of z1 type, so
+    # compute one representative per count class; the jets mirror it, which
+    # keeps their tables bit-exactly symmetric under index permutation
+    val3 = [g3(*([1] * m + [2] * (3 - m))) for m in range(4)]
+    val4 = [g4(*([1] * m + [2] * (4 - m))) for m in range(5)]
+    return metric, val3, val4
 
 
 @dataclass(frozen=True)
@@ -161,47 +223,53 @@ def metric_jet(sol: PotentialSolution, z: Point) -> MetricJet:
         raise DomainError(f"point {z} is not in T_{params.p}")
     tab = x_derivatives(params, z, 4)
     f, f1, f2, f3 = sol.eval_f_derivs(tab.x_value, 3)
-    dX, dL = tab.X, tab.L
+    (g11, g12, g22), val3, val4 = _chain(tab, f, f1, f2, f3)
+    return _assemble(z, tab.x_value, g11, g12, g22, val3, val4)
 
-    def g2(i, j):
-        return f1 * dX(i) * dX(j) + f * dX(i, j) + dL(i, j)
 
-    def g3(i, j, k):
-        return (
-            f2 * dX(i) * dX(j) * dX(k)
-            + f1 * (dX(i, j) * dX(k) + dX(i, k) * dX(j) + dX(k, j) * dX(i))
-            + f * dX(i, j, k)
-            + dL(i, j, k)
-        )
+_D3_CLASSES = tuple(((i, j, k), (i, j, k).count(1))
+                    for i in _IDX for j in _IDX for k in _IDX)
+_D4_CLASSES = tuple(((i, j, k, l), (i, j, k, l).count(1))
+                    for i in _IDX for j in _IDX for k in _IDX for l in _IDX)
 
-    def g4(i, j, k, l):
-        return (
-            f3 * dX(i) * dX(j) * dX(k) * dX(l)
-            + f2 * (dX(i, j) * dX(k) * dX(l) + dX(i, k) * dX(j) * dX(l)
-                    + dX(i, l) * dX(j) * dX(k) + dX(k, j) * dX(i) * dX(l)
-                    + dX(k, l) * dX(i) * dX(j) + dX(j, l) * dX(i) * dX(k))
-            + f1 * (dX(i, j, k) * dX(l) + dX(i, j, l) * dX(k)
-                    + dX(i, k, l) * dX(j) + dX(j, k, l) * dX(i)
-                    + dX(i, j) * dX(k, l) + dX(i, k) * dX(j, l) + dX(i, l) * dX(k, j))
-            + f * dX(i, j, k, l)
-            + dL(i, j, k, l)
-        )
 
-    # every value depends only on how many indices are of z1 type, so
-    # compute one representative per count class and mirror it — this keeps
-    # the tables bit-exactly symmetric under index permutation
-    g11, g12, g22 = g2(1, 1), g2(1, 2), g2(2, 2)
+def _assemble(z, x, g11, g12, g22, val3, val4) -> MetricJet:
+    """The MetricJet at z from one point's _chain values (floats)."""
     g = np.array([[g11, g12], [g12, g22]])
     det = g11 * g22 - g12 * g12
     inverse = np.array([[g22, -g12], [-g12, g11]]) / det
-    val3 = {m: g3(*([1] * m + [2] * (3 - m))) for m in range(4)}
-    val4 = {m: g4(*([1] * m + [2] * (4 - m))) for m in range(5)}
-    d3 = {(i, j, k): val3[(i, j, k).count(1)]
-          for i in _IDX for j in _IDX for k in _IDX}
-    d4 = {(i, j, k, l): val4[(i, j, k, l).count(1)]
-          for i in _IDX for j in _IDX for k in _IDX for l in _IDX}
-    return MetricJet(point=z, x_value=tab.x_value, metric=g, inverse=inverse,
+    d3 = {key: val3[m] for key, m in _D3_CLASSES}
+    d4 = {key: val4[m] for key, m in _D4_CLASSES}
+    return MetricJet(point=z, x_value=x, metric=g, inverse=inverse,
                      det=float(det), d3=d3, d4=d4)
+
+
+def _stacked_tables(params: TubeParams, points, order: int) -> XLDerivatives:
+    """Count tables of stacked points, each entry an array over the points."""
+    for z in points:
+        if not in_domain(params, z):
+            raise DomainError(f"point {z} is not in T_{params.p}")
+    r = 1.0 - 4 * params.p * np.array([z.z1.real for z in points], dtype=float)
+    t = np.array([z.z2.real for z in points], dtype=float)
+    x, dX, dL = _tables(params, r, t, order, np.log)
+    return XLDerivatives(x_value=x, r=r, dX=dX, dL=dL)
+
+
+def metric_jet_batch(sol: PotentialSolution, points) -> list[MetricJet]:
+    """metric_jet at each of a sequence of points, in one array pass.
+
+    The tables, the profile derivatives and the chain rule run once on
+    the stacked points; each jet then holds the same fields as
+    metric_jet's, equal to them up to rounding (numpy's vector log and
+    pow may differ from libm's by an ulp).
+    """
+    points = list(points)
+    tab = _stacked_tables(sol.params, points, 4)
+    f, f1, f2, f3 = sol.eval_f_derivs(tab.x_value, 3)
+    (g11, g12, g22), val3, val4 = _chain(tab, f, f1, f2, f3)
+    rows = zip(*(col.tolist() for col in (tab.x_value, g11, g12, g22, *val3, *val4)))
+    return [_assemble(z, x, a, b, c, rest[:4], rest[4:])
+            for z, (x, a, b, c, *rest) in zip(points, rows)]
 
 
 def einstein_residual(sol: PotentialSolution, z: Point) -> float:
@@ -216,11 +284,18 @@ def einstein_residual(sol: PotentialSolution, z: Point) -> float:
         raise DomainError(f"point {z} is not in T_{params.p}")
     tab = x_derivatives(params, z, 2)
     f, f1 = sol.eval_f_derivs(tab.x_value, 1)
-    dX, dL = tab.X, tab.L
-    g11 = f1 * dX(1) * dX(1) + f * dX(1, 1) + dL(1, 1)
-    g12 = f1 * dX(1) * dX(2) + f * dX(1, 2) + dL(1, 2)
-    g22 = f1 * dX(2) * dX(2) + f * dX(2, 2) + dL(2, 2)
+    (g11, g12, g22), _, _ = _chain(tab, f, f1)
     det = g11 * g22 - g12 * g12
-    potential = sol.eval_F(tab.x_value) + dL()
+    potential = sol.eval_F(tab.x_value) + tab.L()
     rhs = math.exp(3.0 * potential)
     return abs(det - rhs) / rhs
+
+
+def einstein_residual_batch(sol: PotentialSolution, points) -> np.ndarray:
+    """einstein_residual at each of a sequence of points, as one array."""
+    tab = _stacked_tables(sol.params, list(points), 2)
+    f, f1 = sol.eval_f_derivs(tab.x_value, 1)
+    (g11, g12, g22), _, _ = _chain(tab, f, f1)
+    det = g11 * g22 - g12 * g12
+    rhs = np.exp(3.0 * (sol.eval_F(tab.x_value) + tab.L()))
+    return np.abs(det - rhs) / rhs

@@ -66,7 +66,10 @@ class ShootingConfig:
     step_tolerance : float
         Local relative error target of the adaptive integrator, recorded
         as the solution's tolerance; a solution is accepted only if its
-        blow-up abscissa lies within 10*sqrt(step_tolerance) of 1.
+        blow-up abscissa lies within 10*sqrt(step_tolerance) of 1.  At
+        most 1e-7: from 1.5e-7 up the profile misses the fixed 1e-8
+        integral-identity gate for nearly every p, so such values are
+        refused here rather than by the solve.
     max_steps : int
         Hard cap on the accepted steps of a single integration.
     """
@@ -78,7 +81,7 @@ class ShootingConfig:
     def __post_init__(self):
         if not (self.f_blowup_threshold > 1e2):
             raise ValueError("f_blowup_threshold must exceed 1e2")
-        if not (0 < self.step_tolerance <= 1e-6):
-            raise ValueError("step_tolerance out of range (want <= 1e-6)")
+        if not (0 < self.step_tolerance <= 1e-7):
+            raise ValueError("step_tolerance out of range (want <= 1e-7)")
         if self.max_steps < 1000:
             raise ValueError("max_steps too small to reach a blow-up")

@@ -22,6 +22,7 @@ from tubeke import (
     bis_extremes_from_jet,
     bisectional,
     bisectional_batch,
+    bisectional_from_jet,
     boundary_limit_bis,
     curvature_tensor,
     extremal_sectional_vector,
@@ -32,7 +33,7 @@ from tubeke import (
     sectional_max_from_jet,
     tensor_from_jet,
 )
-from tubeke.curvature import _bloch_form
+from tubeke.curvature import _bloch_form, _pull_to_axis
 
 ORIGIN = Point(0j, 0j)
 
@@ -151,6 +152,27 @@ def test_unknown_formula_rejected(sol_p1):
         bisectional(sol_p1, ORIGIN,
                     TangentPair(v=np.array([1, 0]), w=np.array([0, 1])),
                     formula="bogus")
+
+
+@pytest.mark.parametrize("formula", ["tube", "direct"])
+def test_bisectional_from_jet_equals_bisectional(sols, formula):
+    # bisectional is the pull to the axis, the axis jet and this call
+    rng = np.random.default_rng(25)
+    for p, sol in sols.items():
+        z = Point(complex(0.04, -0.7), complex(0.35, 1.2))
+        for _ in range(10):
+            v, w = random_vectors(rng, 2)
+            pair = TangentPair(v=v, w=w)
+            axis, (pv, pw) = _pull_to_axis(sol, z, (v, w))
+            jet = metric_jet(sol, axis)
+            assert (bisectional_from_jet(jet, tensor_from_jet(jet), pv, pw, formula=formula)
+                    == bisectional(sol, z, pair, formula=formula))
+            here = metric_jet(sol, z)
+            assert (bisectional_from_jet(here, tensor_from_jet(here), v, w, formula=formula)
+                    == bisectional(sol, z, pair, normalize=False, formula=formula))
+    jet = metric_jet(sols[1], ORIGIN)
+    with pytest.raises(ValueError):
+        bisectional_from_jet(jet, tensor_from_jet(jet), v, w, formula="bogus")
 
 
 def test_batch_matches_single(sol_p2):

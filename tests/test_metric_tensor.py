@@ -9,6 +9,7 @@ which none of the jet code enforces directly.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,10 @@ from tubeke import (
     Point,
     TubeParams,
     einstein_residual,
+    einstein_residual_batch,
+    in_domain,
     metric_jet,
+    metric_jet_batch,
     x_derivatives,
 )
 
@@ -239,3 +243,124 @@ def test_d3_d4_match_finite_differences_of_the_metric(sol_p2):
             for j in (1, 2):
                 val = jet.d4[(i, j, k, l)]
                 assert abs(fd4[i - 1, j - 1] - val) < 1e-4 * (1.0 + abs(val))
+
+
+# ---------------------------------------------------------------------------
+# stacked jets, and the scalar chain rule as it read before _chain
+# ---------------------------------------------------------------------------
+
+def reference_metric_jet(sol, z):
+    """metric_jet with its own g2/g3/g4 closures, as written before _chain."""
+    params = sol.params
+    tab = x_derivatives(params, z, 4)
+    f, f1, f2, f3 = sol.eval_f_derivs(tab.x_value, 3)
+    dX, dL = tab.X, tab.L
+
+    def g2(i, j):
+        return f1 * dX(i) * dX(j) + f * dX(i, j) + dL(i, j)
+
+    def g3(i, j, k):
+        return (
+            f2 * dX(i) * dX(j) * dX(k)
+            + f1 * (dX(i, j) * dX(k) + dX(i, k) * dX(j) + dX(k, j) * dX(i))
+            + f * dX(i, j, k)
+            + dL(i, j, k)
+        )
+
+    def g4(i, j, k, l):
+        return (
+            f3 * dX(i) * dX(j) * dX(k) * dX(l)
+            + f2 * (dX(i, j) * dX(k) * dX(l) + dX(i, k) * dX(j) * dX(l)
+                    + dX(i, l) * dX(j) * dX(k) + dX(k, j) * dX(i) * dX(l)
+                    + dX(k, l) * dX(i) * dX(j) + dX(j, l) * dX(i) * dX(k))
+            + f1 * (dX(i, j, k) * dX(l) + dX(i, j, l) * dX(k)
+                    + dX(i, k, l) * dX(j) + dX(j, k, l) * dX(i)
+                    + dX(i, j) * dX(k, l) + dX(i, k) * dX(j, l) + dX(i, l) * dX(k, j))
+            + f * dX(i, j, k, l)
+            + dL(i, j, k, l)
+        )
+
+    g11, g12, g22 = g2(1, 1), g2(1, 2), g2(2, 2)
+    g = np.array([[g11, g12], [g12, g22]])
+    det = g11 * g22 - g12 * g12
+    inverse = np.array([[g22, -g12], [-g12, g11]]) / det
+    val3 = {m: g3(*([1] * m + [2] * (3 - m))) for m in range(4)}
+    val4 = {m: g4(*([1] * m + [2] * (4 - m))) for m in range(5)}
+    d3 = {(i, j, k): val3[(i, j, k).count(1)]
+          for i in (1, 2) for j in (1, 2) for k in (1, 2)}
+    d4 = {(i, j, k, l): val4[(i, j, k, l).count(1)]
+          for i in (1, 2) for j in (1, 2) for k in (1, 2) for l in (1, 2)}
+    return tab.x_value, g, inverse, float(det), d3, d4
+
+
+def reference_einstein_residual(sol, z):
+    """einstein_residual's body as written before _chain."""
+    params = sol.params
+    tab = x_derivatives(params, z, 2)
+    f, f1 = sol.eval_f_derivs(tab.x_value, 1)
+    dX, dL = tab.X, tab.L
+    g11 = f1 * dX(1) * dX(1) + f * dX(1, 1) + dL(1, 1)
+    g12 = f1 * dX(1) * dX(2) + f * dX(1, 2) + dL(1, 2)
+    g22 = f1 * dX(2) * dX(2) + f * dX(2, 2) + dL(2, 2)
+    det = g11 * g22 - g12 * g12
+    potential = sol.eval_F(tab.x_value) + dL()
+    rhs = math.exp(3.0 * potential)
+    return abs(det - rhs) / rhs
+
+
+def _jet_fields(jet):
+    return jet.x_value, jet.metric, jet.inverse, jet.det, jet.d3, jet.d4
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_scalar_jet_is_bit_equal_to_its_own_closures(p, sols):
+    sol = sols[p]
+    for z in sample_points(sol.params, np.random.default_rng(20 + p), 100, x_cap=0.99):
+        x, g, inverse, det, d3, d4 = _jet_fields(metric_jet(sol, z))
+        rx, rg, rinv, rdet, rd3, rd4 = reference_metric_jet(sol, z)
+        assert x == rx and det == rdet and d3 == rd3 and d4 == rd4
+        assert list(d3) == list(rd3) and list(d4) == list(rd4)
+        assert np.array_equal(g, rg) and np.array_equal(inverse, rinv)
+        assert einstein_residual(sol, z) == reference_einstein_residual(sol, z)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_metric_jet_batch_matches_the_scalar_jet(p, sols):
+    sol = sols[p]
+    points = sample_points(sol.params, np.random.default_rng(30 + p), 300, x_cap=0.99)
+    batch = metric_jet_batch(sol, points)
+    assert len(batch) == len(points)
+    for z, jet in zip(points, batch):
+        ref = metric_jet(sol, z)
+        assert jet.point is z
+        assert abs(jet.x_value - ref.x_value) <= 1e-13
+        for name in ("metric", "inverse"):
+            a, b = getattr(jet, name), getattr(ref, name)
+            assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b)), name
+        assert abs(jet.det - ref.det) <= 1e-13 * abs(ref.det)
+        for name in ("d3", "d4"):
+            a, b = getattr(jet, name), getattr(ref, name)
+            assert list(a) == list(b)
+            scale = max(abs(v) for v in b.values())
+            assert max(abs(a[k] - b[k]) for k in b) <= 1e-13 * scale, name
+        # the batch mirrors its count classes exactly, as the scalar jet does
+        assert jet.d4[(1, 2, 1, 2)] == jet.d4[(2, 1, 1, 2)] == jet.d4[(1, 1, 2, 2)]
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_einstein_residual_batch_matches_the_scalar_loop(p, sols):
+    sol = sols[p]
+    points = sample_points(sol.params, np.random.default_rng(40 + p), 300, x_cap=0.99)
+    batch = einstein_residual_batch(sol, points)
+    loop = np.array([einstein_residual(sol, z) for z in points])
+    assert batch.shape == (300,)
+    assert np.max(np.abs(batch - loop)) <= 1e-14
+
+
+def test_batches_refuse_a_point_outside_the_domain(sol_p1):
+    points = sample_points(sol_p1.params, np.random.default_rng(50), 5)
+    bad = Point(0.25 + 0j, 0j)
+    assert not in_domain(sol_p1.params, bad)
+    for batch in (metric_jet_batch, einstein_residual_batch):
+        with pytest.raises(DomainError, match=re.escape(str(bad))):
+            batch(sol_p1, points[:2] + [bad] + points[2:])

@@ -46,6 +46,8 @@ def test_shooting_config_defaults():
     dict(step_tolerance=1e-5),
     dict(step_tolerance=0.0),
     dict(max_steps=0),
+    # the smallest value measured to fail the identity gate for nearly every p
+    dict(step_tolerance=1.5e-7),
 ])
 def test_shooting_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):

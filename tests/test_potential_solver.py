@@ -304,6 +304,16 @@ def test_loose_tolerance_still_valid():
     assert abs(sol.achieved_blowup_x - 1.0) <= 10.0 * math.sqrt(1e-8)
 
 
+@pytest.mark.parametrize("p", range(1, 9))
+def test_loosest_accepted_tolerance_solves(p):
+    # 1e-7 is the largest step_tolerance ShootingConfig accepts; every p it
+    # is meant for must then pass the 1e-8 integral-identity gate
+    sol = solve_potential(TubeParams(p=p), ShootingConfig(step_tolerance=1e-7))
+    assert sol.tolerance == 1e-7
+    assert sol.stats["identity_residual"] < 1e-8
+    assert abs(sol.achieved_blowup_x - 1.0) <= 10.0 * math.sqrt(1e-7)
+
+
 def test_blowup_cap_too_low_for_the_tolerance_is_refused(sol_p2):
     # half |d_Z - 1/f| at the last node reads 7.7e-7 and 7.6e-9 for these
     # caps, the true errors of the blow-up estimate; the tolerance is 1e-12

@@ -1,10 +1,11 @@
-"""Batched pair and grid checks against the scalar loops they replace.
+"""Batched pair, grid and point checks against the scalar loops they replace.
 
 The verification suites evaluate their pair and grid checks in array
-calls.  The per-pair and per-point loops below are the earlier form of
-those checks, kept verbatim as the reference: the batched suites must
-report the same checks with the same verdicts and, up to rounding, the
-same observed values.
+calls, and their point loops through stacked metric jets.  The per-pair
+and per-point loops below are the earlier form of those checks, kept
+verbatim as the reference: the batched suites must report the same
+checks with the same verdicts and, up to rounding, the same observed
+values.
 """
 
 import math
@@ -13,15 +14,20 @@ import numpy as np
 import pytest
 
 from tubeke import (
+    BoundaryClass,
     Point,
+    RegionClass,
     TangentPair,
     TubeParams,
+    bis_extremes_from_jet,
     bisectional,
     bisectional_batch,
     boundary_limit_batch,
     boundary_limit_bis,
+    einstein_residual,
     metric_jet,
     run_suite,
+    tensor_from_jet,
 )
 from tubeke import diagnostics
 from tubeke import tube_geometry as geo
@@ -215,6 +221,88 @@ def reference_boundary_limit_suite(params, sol, rng):
     return checks
 
 
+def reference_einstein(params, sol, rng):
+    checks = []
+    worst = max(einstein_residual(sol, z) for z in reference_random_points(params, rng, 100))
+    checks.append(_below("einstein_residual_random_points", worst, 1e-8))
+    checks.append(_below("einstein_residual_origin",
+                         einstein_residual(sol, Point(0j, 0j)), 1e-12))
+    p = params.p
+    worst_det = worst_inv = 0.0
+    pd_ok = True
+    for z in reference_random_points(params, rng, 100):
+        jet = metric_jet(sol, z)
+        r = 1.0 - 4 * p * z.z1.real
+        det_formula = sol.eval_Z(jet.x_value, 0)[0] / r ** (3.0 * params.K_float / p)
+        worst_det = max(worst_det, abs(jet.det - det_formula) / det_formula)
+        worst_inv = max(worst_inv, float(np.max(np.abs(
+            jet.metric @ jet.inverse - np.eye(2)))))
+        pd_ok = pd_ok and jet.metric[0, 0] > 0.0 and jet.det > 0.0
+    checks.append(_below("det_matches_Z_over_r_power", worst_det, 1e-8))
+    checks.append(_below("metric_inverse_identity", worst_inv, 1e-10))
+    checks.append(_flag("metric_positive_definite", pd_ok))
+    return checks
+
+
+def reference_regions(params, sol, rng):
+    p = params.p
+    checks = []
+    checks.append(_flag("center_is_inner",
+                        geo.region(params, Point(0j, 0j), 0.3) is RegionClass.INNER))
+    eps = 0.01
+    x_out = (1.0 - eps) ** (1.0 / (2 * p))
+    checks.append(_flag("near_unit_X_is_outer",
+                        geo.region(params, Point(0j, complex(x_out)), 2 * eps)
+                        is RegionClass.OUTER))
+    checks.append(_flag("vertex_is_weakly_pseudoconvex",
+                        geo.classify_boundary(params, Point(1.0 / (4 * p) + 0j, 0j))
+                        is BoundaryClass.WEAKLY_PSEUDOCONVEX))
+    checks.append(_flag("unit_X_boundary_is_strictly_pseudoconvex",
+                        geo.classify_boundary(params, Point(0j, 1.0 + 0j))
+                        is BoundaryClass.STRICTLY_PSEUDOCONVEX))
+    checks.append(_flag("center_is_not_boundary",
+                        geo.classify_boundary(params, Point(0j, 0j))
+                        is BoundaryClass.NOT_BOUNDARY))
+    checks.append(_flag("axis_points_in_every_cone",
+                        all(geo.in_cone(params, Point(complex(t), 0j), 0.05)
+                            for t in np.linspace(-2.0, 1.0 / (4 * p) - 1e-9, 20))))
+    # sampled cone points close enough to the vertex land in the inner
+    # region: the aperture bound gives |X| <= tan(theta) (4p delta)^{1-1/(2p)}/(4p),
+    # so delta below the radius solving that against alpha^{1/(2p)} suffices
+    theta, alpha = 0.3, 0.2
+    tan_t = math.tan(theta)
+    radius = (4 * p * alpha ** (1.0 / (2 * p)) / tan_t) ** (2 * p / (2 * p - 1.0)) / (4 * p)
+    radius = min(radius, 1.0 / (8 * p))
+    all_inner = True
+    for _ in range(100):
+        delta = rng.uniform(0.0, radius) + 1e-12
+        spread = rng.uniform(0.0, tan_t * delta)
+        x2_cap = 0.9 * (4 * p * delta) ** (1.0 / (2 * p))
+        x2 = min(0.5 * spread, x2_cap)
+        rest = math.sqrt(max(spread**2 - x2**2, 0.0))
+        phi = rng.uniform(0.0, 2 * math.pi)
+        z = Point(complex(1.0 / (4 * p) - delta, rest * math.cos(phi)),
+                  complex(x2, rest * math.sin(phi)))
+        if not geo.in_cone(params, z, theta):
+            continue
+        all_inner = all_inner and (geo.region(params, z, alpha) is RegionClass.INNER)
+    checks.append(_flag("cone_points_near_vertex_are_inner", all_inner))
+    # pinching over a light axis sweep (the full 500-row version lives in
+    # the acceptance tests)
+    worst_min, worst_max = 0.0, -math.inf
+    for x in np.linspace(0.0, 1.0 - 1e-4, 100):
+        jet = metric_jet(sol, Point(0j, complex(x)))
+        tensor = tensor_from_jet(jet)
+        ext = bis_extremes_from_jet(jet, tensor)
+        worst_min = min(worst_min, ext.min)
+        worst_max = max(worst_max, ext.max)
+    checks.append(CheckResult("sweep_bis_min_bounded_below", -5.0, worst_min, 0.0,
+                              worst_min >= -5.0))
+    checks.append(CheckResult("sweep_bis_max_bounded_away_from_0", -0.1, worst_max, 0.0,
+                              worst_max <= -0.1))
+    return checks
+
+
 # ---------------------------------------------------------------------------
 # tests
 # ---------------------------------------------------------------------------
@@ -255,6 +343,8 @@ def test_batched_suites_report_the_scalar_loops_checks(p, sols, monkeypatch):
     monkeypatch.setitem(diagnostics._SUITES, "asymptotics", reference_asymptotics)
     monkeypatch.setitem(diagnostics._SUITES, "invariance", reference_invariance)
     monkeypatch.setitem(diagnostics._SUITES, "boundary_limit", reference_boundary_limit_suite)
+    monkeypatch.setitem(diagnostics._SUITES, "einstein", reference_einstein)
+    monkeypatch.setitem(diagnostics._SUITES, "regions", reference_regions)
     for seed, new in enumerate(batched):
         old = run_suite("all", params, sol, seed=seed)
         assert [c.name for c in new.checks] == [c.name for c in old.checks]

@@ -47,11 +47,13 @@ from .tube_geometry import (
 )
 from .metric_tensor import (
     MetricJet,
+    StackedJet,
     XLDerivatives,
     einstein_residual,
     einstein_residual_batch,
     metric_jet,
     metric_jet_batch,
+    stacked_jet,
     x_derivatives,
 )
 from .curvature import (
@@ -72,6 +74,8 @@ from .curvature import (
     sectional,
     sectional_max,
     sectional_max_from_jet,
+    stacked_bisectional,
+    stacked_tensor,
     tensor_from_jet,
 )
 from .diagnostics import SUITE_NAMES, CheckResult, SuiteReport, run_suite
@@ -109,9 +113,11 @@ __all__ = [
     "in_cone",
     "XLDerivatives",
     "MetricJet",
+    "StackedJet",
     "x_derivatives",
     "metric_jet",
     "metric_jet_batch",
+    "stacked_jet",
     "einstein_residual",
     "einstein_residual_batch",
     "CurvatureTensor",
@@ -120,9 +126,11 @@ __all__ = [
     "OriginValues",
     "curvature_tensor",
     "tensor_from_jet",
+    "stacked_tensor",
     "bisectional",
     "bisectional_from_jet",
     "bisectional_batch",
+    "stacked_bisectional",
     "sectional",
     "bis_extremes",
     "bis_extremes_from_jet",

@@ -16,6 +16,11 @@ giving Bis(v, w) = u(v)^T C u(w) / ((u(v).gvec)(u(w).gvec)) for a fixed
 gvec = [g11, g22, 2 g12, 0].  The classical 16-term curvature sum is kept
 as an independent cross-check path.
 
+The tensor formula, the feature form and the 16-term sum serve single
+points and stacked ones alike: stacked_tensor and stacked_bisectional
+evaluate them on a StackedJet (one array per count class) with one
+vector pair per point, which is how the invariance suite runs.
+
 The extremes are exact.  Write a g-unit vector through its Bloch vector
 n on the unit sphere, v v* = K (I + n.sigma) K^T / 2 with g = L L^T and
 K = L^{-T}; in that basis the form becomes
@@ -39,11 +44,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError
 from .params import TubeParams
 from .potential_solver import PotentialSolution
-from .tube_geometry import Point, in_domain, x_invariant
-from .metric_tensor import MetricJet, metric_jet
+from .tube_geometry import Point, require_domain, x_invariant
+from .metric_tensor import MetricJet, StackedJet, metric_jet
 
 __all__ = [
     "CurvatureTensor",
@@ -51,9 +55,11 @@ __all__ = [
     "BisExtremes",
     "curvature_tensor",
     "tensor_from_jet",
+    "stacked_tensor",
     "bisectional",
     "bisectional_from_jet",
     "bisectional_batch",
+    "stacked_bisectional",
     "sectional",
     "bis_extremes",
     "bis_extremes_from_jet",
@@ -148,21 +154,43 @@ class BisExtremes:
 # tensor assembly
 # ---------------------------------------------------------------------------
 
-def tensor_from_jet(jet: MetricJet) -> CurvatureTensor:
-    """Curvature coefficients from an already computed metric jet."""
-    d3, d4, ginv = jet.d3, jet.d4, jet.inverse
+def _tensor(g11, g12, g22, d3, d4) -> CurvatureTensor:
+    """The six coefficients from 3 metric, 4 d3 and 5 d4 values.
+
+    d3[m] and d4[m] are the third and fourth metric derivatives with m
+    indices of z1 type; every other index word of the same count has the
+    same value.  Floats give a tensor of floats, arrays over stacked
+    points a tensor of arrays, through the same arithmetic.
+    """
+    det = g11 * g22 - g12 * g12
+    inv = ((g22 / det, -g12 / det), (-g12 / det, g11 / det))
 
     def R(i, j, k, l):
+        ik, jl = (i == 1) + (k == 1), (j == 1) + (l == 1)
         s = 0.0
         for a in _IDX:
             for b in _IDX:
-                s += d3[(i, a, k)] * ginv[a - 1, b - 1] * d3[(b, j, l)]
-        return -d4[(i, j, k, l)] + s
+                s += d3[ik + (a == 1)] * inv[a - 1][b - 1] * d3[jl + (b == 1)]
+        return -d4[ik + jl] + s
 
     return CurvatureTensor(
         R1111=R(1, 1, 1, 1), R1112=R(1, 1, 1, 2), R1122=R(1, 1, 2, 2),
         R1212=R(1, 2, 1, 2), R1222=R(1, 2, 2, 2), R2222=R(2, 2, 2, 2),
     )
+
+
+def tensor_from_jet(jet: MetricJet) -> CurvatureTensor:
+    """Curvature coefficients from an already computed metric jet."""
+    d3, d4, g = jet.d3, jet.d4, jet.metric
+    return _tensor(g[0, 0], g[0, 1], g[1, 1],
+                   [d3[(2, 2, 2)], d3[(1, 2, 2)], d3[(1, 1, 2)], d3[(1, 1, 1)]],
+                   [d4[(2, 2, 2, 2)], d4[(1, 2, 2, 2)], d4[(1, 1, 2, 2)],
+                    d4[(1, 1, 1, 2)], d4[(1, 1, 1, 1)]])
+
+
+def stacked_tensor(jet: StackedJet) -> CurvatureTensor:
+    """tensor_from_jet at stacked points: each coefficient is an array."""
+    return _tensor(*jet.metric, jet.d3, jet.d4)
 
 
 def curvature_tensor(sol: PotentialSolution, z: Point) -> CurvatureTensor:
@@ -174,22 +202,37 @@ def curvature_tensor(sol: PotentialSolution, z: Point) -> CurvatureTensor:
 # bisectional / sectional values
 # ---------------------------------------------------------------------------
 
+def _metric(jet) -> tuple:
+    """(g11, g12, g22) of a MetricJet, or arrays of them of a StackedJet."""
+    if isinstance(jet, StackedJet):
+        return jet.metric
+    g = jet.metric
+    return g[0, 0], g[0, 1], g[1, 1]
+
+
 def _features(v) -> np.ndarray:
+    """u(v) of a vector, or a (4, n) array of them for v of shape (2, n)."""
     cross = v[0] * np.conjugate(v[1])
     return np.array([abs(v[0]) ** 2, abs(v[1]) ** 2, cross.real, cross.imag])
 
 
-def _form(jet: MetricJet, tensor: CurvatureTensor) -> tuple[np.ndarray, np.ndarray]:
+def _form(jet, tensor: CurvatureTensor) -> tuple[np.ndarray, np.ndarray]:
     """(C, gvec) of the feature bilinear form, conditioned near x = 1.
 
     Beyond |x| = 0.999 both are pre-scaled by powers of 1/g22 (the same
     magnitude as the 1/f^2 normalization natural near the boundary); the
     Bis ratio is invariant under this joint rescaling but the intermediate
-    products stay in comfortable double range.
+    products stay in comfortable double range.  A StackedJet with a
+    stacked tensor gives C of shape (4, 4, n) and gvec of shape (4, n),
+    scaled point by point.
     """
-    g = jet.metric
-    sc = 1.0 / g[1, 1] if abs(jet.x_value) > 0.999 else 1.0
-    g11, g12, g22 = g[0, 0] * sc, g[0, 1] * sc, g[1, 1] * sc
+    g11, g12, g22 = _metric(jet)
+    x = jet.x_value
+    if np.ndim(x):
+        sc = np.where(np.abs(x) > 0.999, 1.0 / g22, 1.0)
+    else:
+        sc = 1.0 / g22 if abs(x) > 0.999 else 1.0
+    g11, g12, g22 = g11 * sc, g12 * sc, g22 * sc
     sc2 = sc * sc
     R1111 = tensor.R1111 * sc2
     R1112 = tensor.R1112 * sc2
@@ -197,13 +240,14 @@ def _form(jet: MetricJet, tensor: CurvatureTensor) -> tuple[np.ndarray, np.ndarr
     R1212 = tensor.R1212 * sc2
     R1222 = tensor.R1222 * sc2
     R2222 = tensor.R2222 * sc2
+    zero = 0.0 * sc
     C = np.array([
-        [R1111,        R1122,        2.0 * R1112,           0.0],
-        [R1122,        R2222,        2.0 * R1222,           0.0],
-        [2.0 * R1112,  2.0 * R1222,  2.0 * (R1122 + R1212), 0.0],
-        [0.0,          0.0,          0.0,                   2.0 * (R1122 - R1212)],
+        [R1111,        R1122,        2.0 * R1112,           zero],
+        [R1122,        R2222,        2.0 * R1222,           zero],
+        [2.0 * R1112,  2.0 * R1222,  2.0 * (R1122 + R1212), zero],
+        [zero,         zero,         zero,                  2.0 * (R1122 - R1212)],
     ])
-    gvec = np.array([g11, g22, 2.0 * g12, 0.0])
+    gvec = np.array([g11, g22, 2.0 * g12, zero])
     return C, gvec
 
 
@@ -211,8 +255,11 @@ def _bis_from_form(C, gvec, uv, uw) -> float:
     return float(uv @ C @ uw) / (float(uv @ gvec) * float(uw @ gvec))
 
 
-def _bis_direct(jet: MetricJet, tensor: CurvatureTensor, v, w) -> float:
-    """Classical 16-term curvature sum; independent cross-check path."""
+def _bis_direct(jet, tensor: CurvatureTensor, v, w) -> float:
+    """Classical 16-term curvature sum; independent cross-check path.
+
+    v and w are vectors, or (2, n) arrays of them with a stacked jet.
+    """
     num = 0.0 + 0.0j
     for i in _IDX:
         for j in _IDX:
@@ -221,13 +268,33 @@ def _bis_direct(jet: MetricJet, tensor: CurvatureTensor, v, w) -> float:
                     num += (tensor.coeff(i, j, k, l)
                             * v[i - 1] * np.conjugate(v[j - 1])
                             * w[k - 1] * np.conjugate(w[l - 1]))
-    g = jet.metric
+    g11, g12, g22 = _metric(jet)
 
     def sq_norm(u):
-        return (g[0, 0] * abs(u[0]) ** 2 + g[1, 1] * abs(u[1]) ** 2
-                + 2.0 * (g[0, 1] * u[0] * np.conjugate(u[1])).real)
+        return (g11 * abs(u[0]) ** 2 + g22 * abs(u[1]) ** 2
+                + 2.0 * (g12 * u[0] * np.conjugate(u[1])).real)
 
     return num.real / (sq_norm(v) * sq_norm(w))
+
+
+def _tangent_rows(vs) -> np.ndarray:
+    """vs as an (n, 2) complex array of nonzero finite vectors, or ValueError."""
+    vs = np.asarray(vs, dtype=complex)
+    if vs.ndim != 2 or vs.shape[1] != 2:
+        raise ValueError(f"tangent vectors must be stacked as (n, 2) rows, got shape {vs.shape}")
+    if not np.isfinite(vs).all():
+        raise ValueError("tangent vectors must be finite")
+    if ((vs[:, 0] == 0) & (vs[:, 1] == 0)).any():
+        raise ValueError("tangent vectors must be nonzero")
+    return vs
+
+
+def _tangent_pairs(vs, ws) -> tuple[np.ndarray, np.ndarray]:
+    vs, ws = _tangent_rows(vs), _tangent_rows(ws)
+    if vs.shape != ws.shape:
+        raise ValueError(f"vs and ws must hold the same number of vectors, "
+                         f"got {len(vs)} and {len(ws)}")
+    return vs, ws
 
 
 def _pull_to_axis(sol: PotentialSolution, z: Point, vectors):
@@ -237,13 +304,15 @@ def _pull_to_axis(sol: PotentialSolution, z: Point, vectors):
     diag(lam, lam^{1/(2p)}) with lam = 1/(1 - Re(4p z1)); bisectional
     curvature is invariant under it, so evaluating on the axis loses
     nothing and keeps the potential evaluators at their best-conditioned
-    abscissa.
+    abscissa.  A stacked z takes vectors of shape (2, n), one per point.
     """
     p = sol.params.p
     lam = 1.0 / (1.0 - 4 * p * z.z1.real)
     x = x_invariant(sol.params, z)
     j1, j2 = lam, lam ** (1.0 / (2 * p))
     pushed = [np.array([j1 * u[0], j2 * u[1]]) for u in vectors]
+    if np.ndim(x):
+        return Point(np.zeros(x.shape, dtype=complex), x.astype(complex)), pushed
     return Point(0j, complex(x)), pushed
 
 
@@ -271,8 +340,7 @@ def bisectional(sol: PotentialSolution, z: Point, pair: TangentPair,
         The curvature value; invariant under nonzero complex rescaling
         of either vector.
     """
-    if not in_domain(sol.params, z):
-        raise DomainError(f"point {z} is not in T_{sol.params.p}")
+    require_domain(sol.params, z)
     if normalize:
         z, (v, w) = _pull_to_axis(sol, z, (pair.v, pair.w))
     else:
@@ -299,25 +367,44 @@ def bisectional_batch(sol: PotentialSolution, z: Point, vs, ws,
                       *, normalize: bool = True) -> np.ndarray:
     """Bis_z(v_i, w_i) for stacked vector pairs, via the feature form.
 
-    vs, ws : (n, 2) complex arrays of nonzero vectors.
+    vs, ws : (n, 2) complex arrays of nonzero finite vectors; other
+    shapes, zero rows and non-finite rows raise ValueError.
     """
-    vs = np.asarray(vs, dtype=complex)
-    ws = np.asarray(ws, dtype=complex)
-    if not in_domain(sol.params, z):
-        raise DomainError(f"point {z} is not in T_{sol.params.p}")
+    vs, ws = _tangent_pairs(vs, ws)
+    require_domain(sol.params, z)
     if normalize:
         z, (vs, ws) = _pull_to_axis(sol, z, (vs.T, ws.T))
         vs, ws = vs.T, ws.T
     jet = metric_jet(sol, z)
     C, gvec = _form(jet, tensor_from_jet(jet))
-    cross_v = vs[:, 0] * np.conjugate(vs[:, 1])
-    cross_w = ws[:, 0] * np.conjugate(ws[:, 1])
-    Uv = np.column_stack([np.abs(vs[:, 0]) ** 2, np.abs(vs[:, 1]) ** 2,
-                          cross_v.real, cross_v.imag])
-    Uw = np.column_stack([np.abs(ws[:, 0]) ** 2, np.abs(ws[:, 1]) ** 2,
-                          cross_w.real, cross_w.imag])
+    # einsum's summation order follows the memory layout: C-ordered rows
+    Uv = np.ascontiguousarray(_features(vs.T).T)
+    Uw = np.ascontiguousarray(_features(ws.T).T)
     num = np.einsum("ij,jk,ik->i", Uv, C, Uw)
     return num / ((Uv @ gvec) * (Uw @ gvec))
+
+
+def stacked_bisectional(jet: StackedJet, tensor: CurvatureTensor, vs, ws,
+                        *, formula: str = "tube") -> np.ndarray:
+    """Bis(vs[i], ws[i]) at point i of a stacked jet, for vectors given there.
+
+    tensor is stacked_tensor(jet); vs and ws are (n, 2) arrays with one
+    pair per point.  formula is as in bisectional: "tube" applies the
+    feature form, with its |x| > 0.999 rescaling point by point, and
+    "direct" the 16-term sum.  No pull to the axis is made here.
+    """
+    vs, ws = _tangent_pairs(vs, ws)
+    if len(vs) != np.size(jet.x_value):
+        raise ValueError(f"expected one vector pair per point ({np.size(jet.x_value)}), "
+                         f"got {len(vs)}")
+    if formula == "tube":
+        C, gvec = _form(jet, tensor)
+        uv, uw = _features(vs.T), _features(ws.T)
+        num = np.einsum("in,ijn,jn->n", uv, C, uw)
+        return num / (np.einsum("in,in->n", uv, gvec) * np.einsum("in,in->n", uw, gvec))
+    if formula == "direct":
+        return _bis_direct(jet, tensor, vs.T, ws.T)
+    raise ValueError(f"unknown formula {formula!r} (expected 'tube' or 'direct')")
 
 
 def sectional(sol: PotentialSolution, z: Point, v) -> float:
@@ -330,11 +417,14 @@ def boundary_limit_batch(jet: MetricJet, vs, ws) -> np.ndarray:
 
     Value -1 - |<v,w>_g|^2 / (|v|_g^2 |w|_g^2) for each row pair of the
     (n, 2) complex arrays vs, ws, always in [-2, -1]: -2 at proportional
-    vectors (Cauchy-Schwarz equality), -1 at g-orthogonal ones.
+    vectors (Cauchy-Schwarz equality), -1 at g-orthogonal ones.  Other
+    shapes, zero rows and non-finite rows raise ValueError.
     """
-    g = jet.metric
-    vs = np.asarray(vs, dtype=complex)
-    ws = np.asarray(ws, dtype=complex)
+    vs, ws = _tangent_pairs(vs, ws)
+    return _boundary_limit(jet.metric, vs, ws)
+
+
+def _boundary_limit(g, vs, ws) -> np.ndarray:
     v0, v1, w0, w1 = vs[:, 0], vs[:, 1], ws[:, 0], ws[:, 1]
     ip_vw = (g[0, 0] * v0 * np.conjugate(w0) + g[0, 1] * v0 * np.conjugate(w1)
              + g[1, 0] * v1 * np.conjugate(w0) + g[1, 1] * v1 * np.conjugate(w1))
@@ -346,8 +436,8 @@ def boundary_limit_batch(jet: MetricJet, vs, ws) -> np.ndarray:
 
 
 def boundary_limit_bis(jet: MetricJet, pair: TangentPair) -> float:
-    """boundary_limit_batch for a single pair."""
-    return float(boundary_limit_batch(jet, pair.v[None], pair.w[None])[0])
+    """boundary_limit_batch for a single pair (validated by TangentPair)."""
+    return float(_boundary_limit(jet.metric, pair.v[None], pair.w[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +494,7 @@ def bis_extremes_from_jet(jet: MetricJet, tensor: CurvatureTensor) -> BisExtreme
 
 def bis_extremes(sol: PotentialSolution, z: Point) -> BisExtremes:
     """Extremes of Bis_z over vector pairs; evaluated on the axis orbit."""
-    if not in_domain(sol.params, z):
-        raise DomainError(f"point {z} is not in T_{sol.params.p}")
+    require_domain(sol.params, z)
     axis = Point(0j, complex(x_invariant(sol.params, z)))
     jet = metric_jet(sol, axis)
     return bis_extremes_from_jet(jet, tensor_from_jet(jet))
@@ -423,8 +512,7 @@ def sectional_max_from_jet(jet: MetricJet, tensor: CurvatureTensor) -> tuple[flo
 
 def sectional_max(sol: PotentialSolution, z: Point) -> tuple[float, np.ndarray]:
     """Maximum holomorphic sectional curvature at z, with a maximizer."""
-    if not in_domain(sol.params, z):
-        raise DomainError(f"point {z} is not in T_{sol.params.p}")
+    require_domain(sol.params, z)
     axis = Point(0j, complex(x_invariant(sol.params, z)))
     jet = metric_jet(sol, axis)
     return sectional_max_from_jet(jet, tensor_from_jet(jet))

@@ -17,6 +17,10 @@ Pair and grid checks are evaluated in batches, through the array forms of
 the curvature formulas and the profile evaluators.  Point loops run
 through stacked metric jets (metric_jet_batch, einstein_residual_batch);
 the scalar metric_jet is the path that single point queries use.  The
+invariance suite is array-native throughout: its points are stacked
+Points, the automorphisms carry array parameters, its per-point random
+draws come in one block per loop, and the metric, tensor and Bis values
+come from stacked_jet, stacked_tensor and stacked_bisectional.  The
 tests keep the scalar loops these replace as the reference.
 """
 
@@ -32,11 +36,12 @@ from .potential_solver import PotentialSolution
 from . import tube_geometry as geo
 from .tube_geometry import Point, RegionClass, BoundaryClass
 from .metric_tensor import (
+    _stacked_tables,
     einstein_residual,
     einstein_residual_batch,
     metric_jet,
     metric_jet_batch,
-    x_derivatives,
+    stacked_jet,
 )
 from .curvature import (
     TangentPair,
@@ -44,13 +49,14 @@ from .curvature import (
     bis_extremes_from_jet,
     bisectional,
     bisectional_batch,
-    bisectional_from_jet,
     boundary_limit_batch,
     boundary_limit_bis,
     extremal_sectional_vector,
     origin_closed_forms,
     sectional,
     sectional_max_from_jet,
+    stacked_bisectional,
+    stacked_tensor,
     tensor_from_jet,
 )
 
@@ -144,8 +150,8 @@ def _flag(name, passed, observed=None) -> CheckResult:
     return CheckResult(name, 1.0, float(observed), 0.0, bool(passed))
 
 
-def _random_points(params: TubeParams, rng, n, x_cap=0.99):
-    """Seeded in-domain points with |X| <= x_cap and varied depth/phase.
+def _random_stack(params: TubeParams, rng, n, x_cap=0.99) -> Point:
+    """Seeded in-domain points with |X| <= x_cap and varied depth/phase, stacked.
 
     The four uniforms (x, r, y1, y2) of every point come from one block,
     mapped with Generator.uniform's own low + (high - low) u, so the
@@ -159,12 +165,47 @@ def _random_points(params: TubeParams, rng, n, x_cap=0.99):
     rs = 0.2 + (3.0 - 0.2) * u[:, 1]
     ys = -2.0 + 4.0 * u[:, 2:]
     e = 1.0 / (2 * p)
-    return [Point(complex((1.0 - r) / (4 * p), y1), complex(x * r ** e, y2))
-            for x, r, (y1, y2) in zip(xs.tolist(), rs.tolist(), ys.tolist())]
+    z1 = ((1.0 - rs) / (4 * p)).astype(complex)
+    z2 = np.array([x * r ** e for x, r in zip(xs.tolist(), rs.tolist())], dtype=complex)
+    z1.imag, z2.imag = ys[:, 0], ys[:, 1]
+    return Point(z1, z2)
+
+
+def _random_points(params: TubeParams, rng, n, x_cap=0.99) -> list[Point]:
+    """_random_stack's points as a list."""
+    z = _random_stack(params, rng, n, x_cap)
+    return [Point(z1, z2) for z1, z2 in zip(z.z1.tolist(), z.z2.tolist())]
 
 
 def _random_vectors(rng, n):
     return rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+
+
+# The invariance suite draws the per-point values of its loops in one block
+# each.  Generator.uniform(low, high) is low + (high - low) u on the next
+# double u, and normals are drawn one after another, so each block holds
+# exactly the values that per-point draws give, and leaves the generator
+# where they leave it.
+
+def _orbit_draws(rng, n):
+    """(u1, u2, lam) per point, as uniform(-3, 3, 2) then uniform(0.2, 5.0)."""
+    u = rng.random((n, 3))
+    return -3.0 + 6.0 * u[:, 0], -3.0 + 6.0 * u[:, 1], 0.2 + (5.0 - 0.2) * u[:, 2]
+
+
+def _shift_draws(rng, n):
+    """(s1, s2) per point, as two uniform(-5, 5) draws."""
+    u = rng.random((n, 2))
+    return -5.0 + 10.0 * u[:, 0], -5.0 + 10.0 * u[:, 1]
+
+
+def _pair_draws(rng, n):
+    """(v, w, c, d) per point, as _random_vectors(rng, 2) then
+    normal(size=2) + 1j normal(size=2); v, w are (n, 2) rows, c, d (n, 1)."""
+    g = rng.normal(size=(n, 12))
+    vw = g[:, 0:4].reshape(n, 2, 2) + 1j * g[:, 4:8].reshape(n, 2, 2)
+    cd = g[:, 8:10] + 1j * g[:, 10:12]
+    return vw[:, 0], vw[:, 1], cd[:, :1], cd[:, 1:]
 
 
 # ---------------------------------------------------------------------------
@@ -268,95 +309,83 @@ def _suite_invariance(params, sol, rng):
     p = params.p
     checks = []
     # orbit invariant under the generators (the axis flip negates X)
-    worst = 0.0
-    for z in _random_points(params, rng, 334):
-        x0 = geo.x_invariant(params, z)
-        tau = geo.TubeAutomorphism(params=params, u=tuple(rng.uniform(-3, 3, 2)))
-        dil = geo.TubeAutomorphism(params=params, lam=float(rng.uniform(0.2, 5.0)))
-        flip = geo.TubeAutomorphism(params=params, flip=True)
-        worst = max(worst,
-                    abs(geo.x_invariant(params, geo.apply(tau, z)) - x0),
-                    abs(geo.x_invariant(params, geo.apply(dil, z)) - x0),
-                    abs(geo.x_invariant(params, geo.apply(flip, z)) + x0))
+    z = _random_stack(params, rng, 334)
+    u1, u2, lam = _orbit_draws(rng, 334)
+    x0 = geo.x_invariant(params, z)
+    tau = geo.TubeAutomorphism(params=params, u=(u1, u2))
+    dil = geo.TubeAutomorphism(params=params, lam=lam)
+    flip = geo.TubeAutomorphism(params=params, flip=True)
+    worst = max(np.max(np.abs(geo.x_invariant(params, geo.apply(tau, z)) - x0)),
+                np.max(np.abs(geo.x_invariant(params, geo.apply(dil, z)) - x0)),
+                np.max(np.abs(geo.x_invariant(params, geo.apply(flip, z)) + x0)))
     checks.append(_below("x_invariant_along_orbits", worst, 1e-12))
     # the generators preserve the domain
-    ok = True
-    for z in _random_points(params, rng, 100):
-        for a in (geo.TubeAutomorphism(params=params, u=(1.3, -0.4)),
-                  geo.TubeAutomorphism(params=params, lam=0.35),
-                  geo.TubeAutomorphism(params=params, lam=2.6),
-                  geo.TubeAutomorphism(params=params, flip=True)):
-            ok = ok and geo.in_domain(params, geo.apply(a, z))
+    z = _random_stack(params, rng, 100)
+    ok = all(np.all(geo.in_domain(params, geo.apply(a, z)))
+             for a in (geo.TubeAutomorphism(params=params, u=(1.3, -0.4)),
+                       geo.TubeAutomorphism(params=params, lam=0.35),
+                       geo.TubeAutomorphism(params=params, lam=2.6),
+                       geo.TubeAutomorphism(params=params, flip=True)))
     checks.append(_flag("generators_preserve_domain", ok))
-    worst_norm = worst_jac = worst_pot = 0.0
-    for z in _random_points(params, rng, 100):
-        psi = geo.normalizing_automorphism(params, z)
-        img = geo.apply(psi, z)
-        x0 = geo.x_invariant(params, z)
-        worst_norm = max(worst_norm, abs(img.z1), abs(img.z2 - x0))
-        r = 1.0 - 4 * p * z.z1.real
-        worst_jac = max(worst_jac,
-                        abs(geo.jacobian_det(psi) - r ** (-(2 * p + 1) / (2 * p))))
-        # potential transformation: g = g∘psi + (2/3) ln|det Jac(psi)|
-        tab = x_derivatives(params, z, 0)
-        g_z = sol.eval_F(tab.x_value) + tab.L()
-        g_img = sol.eval_F(x0)
-        shift = (2.0 / 3.0) * math.log(abs(geo.jacobian_det(psi)))
-        worst_pot = max(worst_pot, abs(g_z - g_img - shift))
+    z = _random_stack(params, rng, 100)
+    psi = geo.normalizing_automorphism(params, z)
+    img = geo.apply(psi, z)
+    x0 = geo.x_invariant(params, z)
+    worst_norm = max(np.max(np.abs(img.z1)), np.max(np.abs(img.z2 - x0)))
+    r = 1.0 - 4 * p * z.z1.real
+    det = geo.jacobian_det(psi)
+    worst_jac = np.max(np.abs(det - r ** (-(2 * p + 1) / (2 * p))))
+    # potential transformation: g = g∘psi + (2/3) ln|det Jac(psi)|
+    tab = _stacked_tables(params, z, 0)
+    g_z = sol.eval_F(tab.x_value) + tab.L()
+    g_img = sol.eval_F(x0)
+    worst_pot = np.max(np.abs(g_z - g_img - (2.0 / 3.0) * np.log(np.abs(det))))
     checks.append(_below("normalization_sends_z_to_axis", worst_norm, 1e-12))
     checks.append(_below("jacobian_det_closed_form", worst_jac, 1e-12))
     checks.append(_below("potential_transformation", worst_pot, 1e-12))
-    worst_g = 0.0
-    points = _random_points(params, rng, 20)
-    jacs, images = [], []
-    for z in points:
-        psi = geo.normalizing_automorphism(params, z)
-        jacs.append(geo.jacobian(psi))
-        images.append(geo.apply(psi, z))
-    for jac, here, axis in zip(jacs, metric_jet_batch(sol, points),
-                               metric_jet_batch(sol, images)):
-        g_here = here.metric
-        pulled = (jac.T @ axis.metric @ np.conjugate(jac)).real
-        worst_g = max(worst_g, float(np.max(np.abs(pulled - g_here))
-                                     / np.max(np.abs(g_here))))
+    z = _random_stack(params, rng, 20)
+    psi = geo.normalizing_automorphism(params, z)
+    jac = geo.jacobian(psi)
+    g_here = _metric_matrices(stacked_jet(sol, z))
+    g_axis = _metric_matrices(stacked_jet(sol, geo.apply(psi, z)))
+    pulled = (np.swapaxes(jac, 1, 2) @ g_axis @ np.conjugate(jac)).real
+    worst_g = np.max(np.max(np.abs(pulled - g_here), axis=(1, 2))
+                     / np.max(np.abs(g_here), axis=(1, 2)))
     checks.append(_below("metric_transformation_law", worst_g, 1e-8))
-    # jets depend only on (Re z1, Re z2); both batches hold each point at
+    # jets depend only on (Re z1, Re z2); both stacks hold each point at
     # the same row, so equal inputs meet the same arithmetic
-    points = _random_points(params, rng, 20)
-    shifted = [Point(z.z1 + 1j * rng.uniform(-5, 5), z.z2 + 1j * rng.uniform(-5, 5))
-               for z in points]
-    exact = 0.0
-    for j1, j2 in zip(metric_jet_batch(sol, points), metric_jet_batch(sol, shifted)):
-        exact = max(exact, float(np.max(np.abs(j1.metric - j2.metric))),
-                    max(abs(j1.d3[k] - j2.d3[k]) for k in j1.d3),
-                    max(abs(j1.d4[k] - j2.d4[k]) for k in j1.d4))
+    z = _random_stack(params, rng, 20)
+    s1, s2 = _shift_draws(rng, 20)
+    shifted = Point(z.z1 + 1j * s1, z.z2 + 1j * s2)
+    j1, j2 = stacked_jet(sol, z), stacked_jet(sol, shifted)
+    exact = max(np.max(np.abs(np.array(a) - np.array(b)))
+                for a, b in ((j1.metric, j2.metric), (j1.d3, j2.d3), (j1.d4, j2.d4)))
     checks.append(_below("jets_translation_invariant", exact, 0.0))
     # Bis at z from the raw jet there, and on the axis orbit from pushed
     # vectors: normalized, scaled and direct share one axis tensor
-    points = _random_points(params, rng, 100)
-    pairs, axis_points, pushed = [], [], []
-    for z in points:
-        v, w = _random_vectors(rng, 2)
-        c, d = rng.normal(size=2) + 1j * rng.normal(size=2)
-        axis, vectors = _pull_to_axis(sol, z, (v, w, c * v, d * w))
-        pairs.append((v, w))
-        axis_points.append(axis)
-        pushed.append(vectors)
-    worst_bis = worst_scale = worst_formula = 0.0
-    for (v, w), (pv, pw, pcv, pdw), here, axis in zip(
-            pairs, pushed, metric_jet_batch(sol, points), metric_jet_batch(sol, axis_points)):
-        raw = bisectional_from_jet(here, tensor_from_jet(here), v, w)
-        tensor = tensor_from_jet(axis)
-        normalized = bisectional_from_jet(axis, tensor, pv, pw)
-        scaled = bisectional_from_jet(axis, tensor, pcv, pdw)
-        direct = bisectional_from_jet(axis, tensor, pv, pw, formula="direct")
-        worst_bis = max(worst_bis, abs(raw - normalized) / abs(raw))
-        worst_scale = max(worst_scale, abs(scaled - normalized) / abs(normalized))
-        worst_formula = max(worst_formula, abs(direct - normalized) / abs(normalized))
+    z = _random_stack(params, rng, 100)
+    v, w, c, d = _pair_draws(rng, 100)
+    axis, (pv, pw, pcv, pdw) = _pull_to_axis(sol, z, (v.T, w.T, (c * v).T, (d * w).T))
+    pv, pw, pcv, pdw = pv.T, pw.T, pcv.T, pdw.T
+    here, there = stacked_jet(sol, z), stacked_jet(sol, axis)
+    tensor = stacked_tensor(there)
+    raw = stacked_bisectional(here, stacked_tensor(here), v, w)
+    normalized = stacked_bisectional(there, tensor, pv, pw)
+    scaled = stacked_bisectional(there, tensor, pcv, pdw)
+    direct = stacked_bisectional(there, tensor, pv, pw, formula="direct")
+    worst_bis = np.max(np.abs(raw - normalized) / np.abs(raw))
+    worst_scale = np.max(np.abs(scaled - normalized) / np.abs(normalized))
+    worst_formula = np.max(np.abs(direct - normalized) / np.abs(normalized))
     checks.append(_below("bis_automorphism_invariance_rel", worst_bis, 1e-7))
     checks.append(_below("bis_scale_invariance_rel", worst_scale, 1e-10))
     checks.append(_below("bis_formula_agreement_rel", worst_formula, 1e-10))
     return checks
+
+
+def _metric_matrices(jet) -> np.ndarray:
+    """The (n, 2, 2) metric matrices of a stacked jet."""
+    g11, g12, g22 = jet.metric
+    return np.stack([np.stack([g11, g12], -1), np.stack([g12, g22], -1)], -2)
 
 
 def _suite_einstein(params, sol, rng):

@@ -13,9 +13,11 @@ makes every metric derivative a short chain-rule combination of
 
 One chain rule serves floats and arrays.  metric_jet and
 einstein_residual evaluate it at one point; that scalar path is the one
-single point queries use.  metric_jet_batch and einstein_residual_batch
-evaluate it once on stacked points, and the verification suites run
-their point loops through them.
+single point queries use.  stacked_jet evaluates it once on stacked
+points (a Point of arrays, see tube_geometry) and keeps one array per
+count class; metric_jet_batch and einstein_residual_batch are built on
+the same pass, and the verification suites run their point loops
+through them.
 """
 
 from __future__ import annotations
@@ -28,14 +30,16 @@ import numpy as np
 from .errors import DomainError
 from .params import TubeParams
 from .potential_solver import PotentialSolution
-from .tube_geometry import Point, in_domain
+from .tube_geometry import Point, require_domain
 
 __all__ = [
     "XLDerivatives",
     "MetricJet",
+    "StackedJet",
     "x_derivatives",
     "metric_jet",
     "metric_jet_batch",
+    "stacked_jet",
     "einstein_residual",
     "einstein_residual_batch",
 ]
@@ -88,8 +92,8 @@ def x_derivatives(params: TubeParams, z: Point, max_total_order: int = 4) -> XLD
     if not 0 <= max_total_order <= 4:
         raise ValueError(f"max_total_order must be in 0..4, got {max_total_order}")
     r = 1.0 - 4 * params.p * z.z1.real
-    if r <= 0.0:
-        raise DomainError(f"derivative tables undefined: Re(4p z1) >= 1 at {z}")
+    if not r > 0.0:
+        raise DomainError(f"derivative tables undefined: Re(4p z1) is not below 1 at {z}")
     x, dX, dL = _tables(params, r, z.z2.real, max_total_order, math.log)
     return XLDerivatives(x_value=x, r=r, dX=dX, dL=dL)
 
@@ -219,8 +223,7 @@ def metric_jet(sol: PotentialSolution, z: Point) -> MetricJet:
     MetricJet
     """
     params = sol.params
-    if not in_domain(params, z):
-        raise DomainError(f"point {z} is not in T_{params.p}")
+    require_domain(params, z)
     tab = x_derivatives(params, z, 4)
     f, f1, f2, f3 = sol.eval_f_derivs(tab.x_value, 3)
     (g11, g12, g22), val3, val4 = _chain(tab, f, f1, f2, f3)
@@ -244,30 +247,51 @@ def _assemble(z, x, g11, g12, g22, val3, val4) -> MetricJet:
                      det=float(det), d3=d3, d4=d4)
 
 
-def _stacked_tables(params: TubeParams, points, order: int) -> XLDerivatives:
+@dataclass(frozen=True)
+class StackedJet:
+    """metric_jet's values at stacked points, one array per entry.
+
+    metric is (g11, g12, g22); d3[m] and d4[m] are the third and fourth
+    derivatives with m indices of z1 type, the count classes that a
+    MetricJet spreads over its 8 and 16 dict keys.
+    """
+
+    point: Point
+    x_value: np.ndarray
+    metric: tuple
+    d3: tuple
+    d4: tuple
+
+
+def _stacked_tables(params: TubeParams, z: Point, order: int) -> XLDerivatives:
     """Count tables of stacked points, each entry an array over the points."""
-    for z in points:
-        if not in_domain(params, z):
-            raise DomainError(f"point {z} is not in T_{params.p}")
-    r = 1.0 - 4 * params.p * np.array([z.z1.real for z in points], dtype=float)
-    t = np.array([z.z2.real for z in points], dtype=float)
+    require_domain(params, z)
+    r = 1.0 - 4 * params.p * np.asarray(z.z1.real, dtype=float)
+    t = np.asarray(z.z2.real, dtype=float)
     x, dX, dL = _tables(params, r, t, order, np.log)
     return XLDerivatives(x_value=x, r=r, dX=dX, dL=dL)
 
 
-def metric_jet_batch(sol: PotentialSolution, points) -> list[MetricJet]:
-    """metric_jet at each of a sequence of points, in one array pass.
+def stacked_jet(sol: PotentialSolution, z: Point) -> StackedJet:
+    """The metric jet at stacked points z, in one array pass.
 
     The tables, the profile derivatives and the chain rule run once on
-    the stacked points; each jet then holds the same fields as
-    metric_jet's, equal to them up to rounding (numpy's vector log and
-    pow may differ from libm's by an ulp).
+    the stacked points; each entry equals metric_jet's at that point up
+    to rounding (numpy's vector log and pow may differ from libm's by an
+    ulp).
     """
-    points = list(points)
-    tab = _stacked_tables(sol.params, points, 4)
+    tab = _stacked_tables(sol.params, z, 4)
     f, f1, f2, f3 = sol.eval_f_derivs(tab.x_value, 3)
-    (g11, g12, g22), val3, val4 = _chain(tab, f, f1, f2, f3)
-    rows = zip(*(col.tolist() for col in (tab.x_value, g11, g12, g22, *val3, *val4)))
+    metric, val3, val4 = _chain(tab, f, f1, f2, f3)
+    return StackedJet(point=z, x_value=tab.x_value, metric=metric,
+                      d3=tuple(val3), d4=tuple(val4))
+
+
+def metric_jet_batch(sol: PotentialSolution, points) -> list[MetricJet]:
+    """metric_jet at each of a sequence of points, from one stacked_jet."""
+    points = list(points)
+    jet = stacked_jet(sol, Point.stack(points))
+    rows = zip(*(col.tolist() for col in (jet.x_value, *jet.metric, *jet.d3, *jet.d4)))
     return [_assemble(z, x, a, b, c, rest[:4], rest[4:])
             for z, (x, a, b, c, *rest) in zip(points, rows)]
 
@@ -280,8 +304,7 @@ def einstein_residual(sol: PotentialSolution, z: Point) -> float:
     cheapest end-to-end consistency probe for the metric path.
     """
     params = sol.params
-    if not in_domain(params, z):
-        raise DomainError(f"point {z} is not in T_{params.p}")
+    require_domain(params, z)
     tab = x_derivatives(params, z, 2)
     f, f1 = sol.eval_f_derivs(tab.x_value, 1)
     (g11, g12, g22), _, _ = _chain(tab, f, f1)
@@ -293,7 +316,7 @@ def einstein_residual(sol: PotentialSolution, z: Point) -> float:
 
 def einstein_residual_batch(sol: PotentialSolution, points) -> np.ndarray:
     """einstein_residual at each of a sequence of points, as one array."""
-    tab = _stacked_tables(sol.params, list(points), 2)
+    tab = _stacked_tables(sol.params, Point.stack(points), 2)
     f, f1 = sol.eval_f_derivs(tab.x_value, 1)
     (g11, g12, g22), _, _ = _chain(tab, f, f1)
     det = g11 * g22 - g12 * g12

@@ -8,6 +8,13 @@ pinching.
 
 Everything here is exact closed-form arithmetic; no solver state is
 involved.
+
+Points may be stacked: a Point whose z1 and z2 are complex arrays of one
+shape stands for the points (z1[i], z2[i]).  in_domain, x_invariant,
+normalizing_automorphism, apply, jacobian and jacobian_det take stacked
+points, and an automorphism may carry arrays lam and u (one element per
+point), with the same code as for single points; in_domain then returns
+a boolean array, and the refusals name the first offending point.
 """
 
 from __future__ import annotations
@@ -59,6 +66,13 @@ class Point:
     def as_reals(self) -> list[float]:
         return [self.z1.real, self.z1.imag, self.z2.real, self.z2.imag]
 
+    @classmethod
+    def stack(cls, points) -> "Point":
+        """The stacked Point of a sequence of points."""
+        points = list(points)
+        return cls(np.array([z.z1 for z in points], dtype=complex),
+                   np.array([z.z2 for z in points], dtype=complex))
+
 
 class BoundaryClass(Enum):
     STRICTLY_PSEUDOCONVEX = "strictly_pseudoconvex"
@@ -90,9 +104,48 @@ class TubeAutomorphism:
     flip: bool = False
 
     def __post_init__(self):
-        if not (self.lam > 0.0 and math.isfinite(self.lam)):
-            raise ValueError(f"dilation factor must be positive, got {self.lam!r}")
-        object.__setattr__(self, "u", (float(self.u[0]), float(self.u[1])))
+        lam, (u1, u2) = self.lam, self.u
+        ok = (lam > 0.0) & np.isfinite(lam)
+        if not _all(ok):
+            raise ValueError(f"dilation factor must be positive and finite, "
+                             f"got {_first(lam, ok)!r}")
+        ok = np.isfinite(u1) & np.isfinite(u2)
+        if not _all(ok):
+            raise ValueError(f"translation must be finite, "
+                             f"got u = ({_first(u1, ok)!r}, {_first(u2, ok)!r})")
+        object.__setattr__(self, "u", (_real(u1), _real(u2)))
+
+
+def _all(cond) -> bool:
+    """A condition on a single point (a bool) or on stacked points (an array)."""
+    return cond if type(cond) is bool else bool(np.all(cond))
+
+
+def _real(value):
+    """A float, or a float array for stacked values."""
+    return np.asarray(value, dtype=float) if np.ndim(value) else float(value)
+
+
+def _first(values, ok):
+    """The single value, or the first stacked one where ok fails."""
+    if np.ndim(ok) == 0:
+        return values
+    index = np.unravel_index(np.argmin(ok), np.shape(ok))
+    return np.broadcast_to(values, np.shape(ok))[index].item()
+
+
+def _first_point(z: Point, ok) -> Point:
+    """z itself, or the first stacked point where ok fails."""
+    if np.ndim(ok) == 0:
+        return z
+    return Point(complex(_first(z.z1, ok)), complex(_first(z.z2, ok)))
+
+
+def require_domain(params: TubeParams, z: Point) -> None:
+    """Raise DomainError, naming the (first) point, unless z lies in T_p."""
+    ok = in_domain(params, z)
+    if not _all(ok):
+        raise DomainError(f"point {_first_point(z, ok)} is not in T_{params.p}")
 
 
 def in_domain(params: TubeParams, z: Point) -> bool:
@@ -105,11 +158,14 @@ def x_invariant(params: TubeParams, z: Point) -> float:
 
     Defined wherever Re(4p z1) < 1; takes values in (-1, 1) exactly on
     T_p and is constant along orbits of translations and dilations (the
-    axis flip negates it).
+    axis flip negates it).  A NaN Re(z1) is refused like Re(4p z1) >= 1.
     """
     r = 1.0 - 4 * params.p * z.z1.real
-    if r <= 0.0:
-        raise DomainError(f"X undefined: Re(4p z1) = {1.0 - r!r} >= 1")
+    ok = r > 0.0
+    if not _all(ok):
+        bad = _first_point(z, ok)
+        raise DomainError(f"X undefined: Re(4p z1) = {4 * params.p * bad.z1.real!r} "
+                          f"is not below 1 at {bad}")
     return z.z2.real / r ** (1.0 / (2 * params.p))
 
 
@@ -119,8 +175,7 @@ def normalizing_automorphism(params: TubeParams, z: Point) -> TubeAutomorphism:
     Composition of the translation killing the imaginary parts with the
     dilation by 1/(1 - Re(4p z1)); no flip.
     """
-    if not in_domain(params, z):
-        raise DomainError(f"point {z} is not in T_{params.p}")
+    require_domain(params, z)
     r = 1.0 - 4 * params.p * z.z1.real
     return TubeAutomorphism(params=params, lam=1.0 / r, u=(-z.z1.imag, -z.z2.imag))
 
@@ -138,11 +193,17 @@ def apply(a: TubeAutomorphism, z: Point) -> Point:
 
 
 def jacobian(a: TubeAutomorphism) -> np.ndarray:
-    """Complex Jacobian matrix, diag(lam, +-lam^{1/(2p)})."""
+    """Complex Jacobian matrix, diag(lam, +-lam^{1/(2p)}).
+
+    For array lam the matrices are stacked along the leading axes.
+    """
     d2 = a.lam ** (1.0 / (2 * a.params.p))
     if a.flip:
         d2 = -d2
-    return np.array([[a.lam, 0.0], [0.0, d2]], dtype=complex)
+    jac = np.zeros(np.shape(a.lam) + (2, 2), dtype=complex)
+    jac[..., 0, 0] = a.lam
+    jac[..., 1, 1] = d2
+    return jac
 
 
 def jacobian_det(a: TubeAutomorphism) -> float:
@@ -179,8 +240,7 @@ def region(params: TubeParams, z: Point, alpha: float) -> RegionClass:
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0,1), got {alpha!r}")
-    if not in_domain(params, z):
-        raise DomainError(f"point {z} is not in T_{params.p}")
+    require_domain(params, z)
     ratio = z.z2.real ** (2 * params.p) / (1.0 - 4 * params.p * z.z1.real)
     if ratio <= alpha:
         return RegionClass.INNER

@@ -23,6 +23,7 @@ from tubeke import (
     bisectional,
     bisectional_batch,
     bisectional_from_jet,
+    boundary_limit_batch,
     boundary_limit_bis,
     curvature_tensor,
     extremal_sectional_vector,
@@ -112,6 +113,37 @@ def test_tangent_pair_validation():
         TangentPair(v=np.array([1.0, float("nan")]), w=np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         TangentPair(v=np.array([1.0, 0.0, 0.0]), w=np.array([1.0, 0.0]))
+
+
+GOOD_ROWS = np.array([[1.0 + 0.5j, -0.3], [0.2j, 2.0], [1.0, 1.0j]])
+
+
+@pytest.mark.parametrize("bad, message", [
+    (np.array([[1.0, 2.0, 3.0], [0.5, 1.0, 0.0], [1.0, 0.0, 1.0]]), "stacked as \\(n, 2\\) rows"),
+    (np.array([1.0, 2.0]), "stacked as \\(n, 2\\) rows"),
+    (np.array([[1.0, 2.0], [0.0, 0.0], [1.0, 1.0]]), "tangent vectors must be nonzero"),
+    (np.array([[1.0, 2.0], [np.nan, 1.0], [1.0, 1.0]]), "tangent vectors must be finite"),
+    (np.array([[1.0, 2.0], [1.0, complex(0.0, np.inf)], [1.0, 1.0]]), "tangent vectors must be finite"),
+    (GOOD_ROWS[:2], "same number of vectors"),
+])
+def test_batch_rows_are_validated(sol_p2, bad, message):
+    jet = metric_jet(sol_p2, Point(0j, 0.4 + 0j))
+    z = Point(0.01 + 0.2j, 0.3 - 0.1j)
+    for vs, ws in ((bad, GOOD_ROWS), (GOOD_ROWS, bad)):
+        with pytest.raises(ValueError, match=message):
+            bisectional_batch(sol_p2, z, vs, ws)
+        with pytest.raises(ValueError, match=message):
+            boundary_limit_batch(jet, vs, ws)
+
+
+def test_batch_validation_keeps_the_arithmetic(sol_p2):
+    # valid rows keep their values: boundary_limit_bis, which skips the
+    # row checks, agrees with the validated batch
+    jet = metric_jet(sol_p2, Point(0j, 0.999 + 0j))
+    batch = boundary_limit_batch(jet, GOOD_ROWS, GOOD_ROWS[::-1])
+    for i in range(3):
+        single = boundary_limit_bis(jet, TangentPair(v=GOOD_ROWS[i], w=GOOD_ROWS[2 - i]))
+        assert abs(batch[i] - single) <= 1e-15
 
 
 def test_bisectional_scale_invariance(sol_p2):

@@ -1,0 +1,151 @@
+"""The count-class tensor formula and the stacked curvature paths.
+
+reference_tensor_from_jet is the earlier per-index form of
+tensor_from_jet, kept verbatim: the scalar path must reproduce it bit for
+bit, and the stacked tensor and Bis forms must reproduce the scalar ones
+point by point.
+"""
+
+import numpy as np
+import pytest
+
+from tubeke import (
+    CurvatureTensor,
+    Point,
+    StackedJet,
+    bisectional_from_jet,
+    metric_jet,
+    stacked_bisectional,
+    stacked_jet,
+    stacked_tensor,
+    tensor_from_jet,
+)
+from tubeke.curvature import _form
+
+_IDX = (1, 2)
+KEYS = ("R1111", "R1112", "R1122", "R1212", "R1222", "R2222")
+
+
+def reference_tensor_from_jet(jet):
+    """Curvature coefficients from an already computed metric jet."""
+    d3, d4, ginv = jet.d3, jet.d4, jet.inverse
+
+    def R(i, j, k, l):
+        s = 0.0
+        for a in _IDX:
+            for b in _IDX:
+                s += d3[(i, a, k)] * ginv[a - 1, b - 1] * d3[(b, j, l)]
+        return -d4[(i, j, k, l)] + s
+
+    return CurvatureTensor(
+        R1111=R(1, 1, 1, 1), R1112=R(1, 1, 1, 2), R1122=R(1, 1, 2, 2),
+        R1212=R(1, 2, 1, 2), R1222=R(1, 2, 2, 2), R2222=R(2, 2, 2, 2),
+    )
+
+
+def sample_points(p, rng, n, x_cap=0.99):
+    xs = rng.uniform(-x_cap, x_cap, n)
+    rs = rng.uniform(0.2, 3.0, n)
+    ys = rng.uniform(-2.0, 2.0, (n, 2))
+    return [Point(complex((1.0 - r) / (4 * p), y1), complex(x * r ** (1.0 / (2 * p)), y2))
+            for x, r, (y1, y2) in zip(xs, rs, ys)]
+
+
+def near_boundary_points(p, rng, n):
+    """Points on both sides of |X| = 0.999, where _form rescales."""
+    xs = rng.uniform(0.99, 0.9999, n) * rng.choice([-1.0, 1.0], n)
+    rs = rng.uniform(0.2, 3.0, n)
+    return [Point(complex((1.0 - r) / (4 * p), 0.3), complex(x * r ** (1.0 / (2 * p)), -0.7))
+            for x, r in zip(xs, rs)]
+
+
+def stack_of(jets):
+    """The StackedJet holding exactly the values of scalar jets."""
+    def col(values):
+        return np.array(list(values), dtype=float)
+    return StackedJet(
+        point=Point.stack(jet.point for jet in jets),
+        x_value=col(jet.x_value for jet in jets),
+        metric=tuple(col(jet.metric[a, b] for jet in jets) for a, b in ((0, 0), (0, 1), (1, 1))),
+        d3=tuple(col(jet.d3[(1,) * m + (2,) * (3 - m)] for jet in jets) for m in range(4)),
+        d4=tuple(col(jet.d4[(1,) * m + (2,) * (4 - m)] for jet in jets) for m in range(5)),
+    )
+
+
+def as_array(tensor):
+    return np.array([getattr(tensor, key) for key in KEYS])
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_scalar_tensor_is_bit_equal_to_the_per_index_form(p, sols):
+    rng = np.random.default_rng(40 + p)
+    for z in sample_points(p, rng, 100) + near_boundary_points(p, rng, 20) + [Point(0j, 0j)]:
+        jet = metric_jet(sols[p], z)
+        new, old = tensor_from_jet(jet), reference_tensor_from_jet(jet)
+        for key in KEYS:
+            assert getattr(new, key) == getattr(old, key), (z, key)
+            assert type(getattr(new, key)) is type(getattr(old, key))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_stacked_tensor_matches_the_scalar_tensor_per_point(p, sols):
+    sol = sols[p]
+    points = sample_points(p, np.random.default_rng(50 + p), 200)
+    jets = [metric_jet(sol, z) for z in points]
+    tensor = stacked_tensor(stacked_jet(sol, Point.stack(points)))
+    # the formula itself: on the scalar jets' own values it is exact
+    same_input = stacked_tensor(stack_of(jets))
+    for i, jet in enumerate(jets):
+        ref = as_array(reference_tensor_from_jet(jet))
+        assert np.array_equal(as_array(same_input)[:, i], ref)
+        assert np.max(np.abs(as_array(tensor)[:, i] - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_stacked_bisectional_matches_bisectional_from_jet(p, sols):
+    sol = sols[p]
+    rng = np.random.default_rng(60 + p)
+    points = sample_points(p, rng, 80) + near_boundary_points(p, rng, 40)
+    vs = rng.normal(size=(120, 2)) + 1j * rng.normal(size=(120, 2))
+    ws = rng.normal(size=(120, 2)) + 1j * rng.normal(size=(120, 2))
+    jets = [metric_jet(sol, z) for z in points]
+    # on the scalar jets' own values the forms agree to rounding; through
+    # stacked_jet the jets' own rounding differences come in as well,
+    # amplified toward the boundary
+    for stacked, near_tol in ((stack_of(jets), 1e-13),
+                              (stacked_jet(sol, Point.stack(points)), 1e-11)):
+        tensor = stacked_tensor(stacked)
+        for formula in ("tube", "direct"):
+            values = stacked_bisectional(stacked, tensor, vs, ws, formula=formula)
+            assert values.shape == (120,)
+            for i, jet in enumerate(jets):
+                ref = bisectional_from_jet(jet, tensor_from_jet(jet), vs[i], ws[i],
+                                           formula=formula)
+                tol = 1e-13 if abs(jet.x_value) <= 0.99 else near_tol
+                assert abs(values[i] - ref) <= tol * abs(ref), (formula, i, jet.x_value)
+
+
+def test_stacked_form_rescales_point_by_point(sol_p2):
+    # one stack across |x| = 0.999: each point's (C, gvec) is its own
+    # scalar form, scaled by its own 1/g22 or not at all
+    points = [Point(0j, complex(x)) for x in (0.5, 0.9989, 0.9991, -0.9995, 0.99995)]
+    jets = [metric_jet(sol_p2, z) for z in points]
+    stacked = stack_of(jets)
+    C, gvec = _form(stacked, stacked_tensor(stacked))
+    assert C.shape == (4, 4, 5) and gvec.shape == (4, 5)
+    for i, jet in enumerate(jets):
+        C_i, gvec_i = _form(jet, tensor_from_jet(jet))
+        assert np.array_equal(C[:, :, i], C_i) and np.array_equal(gvec[:, i], gvec_i)
+    assert gvec[1, 1] == jets[1].metric[1, 1] and gvec[1, 2] == 1.0
+
+
+def test_stacked_bisectional_rejects_bad_input(sol_p2):
+    jet = stacked_jet(sol_p2, Point.stack([Point(0j, 0.3 + 0j), Point(0j, -0.2 + 0j)]))
+    tensor = stacked_tensor(jet)
+    v = np.array([[1.0 + 0j, 2.0], [0.5, 1j]])
+    with pytest.raises(ValueError, match="unknown formula"):
+        stacked_bisectional(jet, tensor, v, v, formula="bloch")
+    with pytest.raises(ValueError, match="one vector pair per point"):
+        stacked_bisectional(jet, tensor, v[:1], v[:1])
+    with pytest.raises(ValueError, match="tangent vectors must be nonzero"):
+        stacked_bisectional(jet, tensor, v, np.array([[1.0, 0.0], [0.0, 0.0]]))

@@ -351,3 +351,72 @@ def test_batched_suites_report_the_scalar_loops_checks(p, sols, monkeypatch):
         for a, b in zip(new.checks, old.checks):
             assert (a.tolerance, a.passed, a.expected) == (b.tolerance, b.passed, b.expected), a.name
             assert abs(a.observed - b.observed) <= 1e-12, (a.name, a.observed, b.observed)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_invariance_block_draws_equal_the_per_point_draws(seed):
+    loop, block = np.random.default_rng(seed), np.random.default_rng(seed)
+    orbit = [(*loop.uniform(-3, 3, 2), float(loop.uniform(0.2, 5.0))) for _ in range(334)]
+    shifts = [(loop.uniform(-5, 5), loop.uniform(-5, 5)) for _ in range(20)]
+    pairs = []
+    for _ in range(100):
+        v, w = diagnostics._random_vectors(loop, 2)
+        c, d = loop.normal(size=2) + 1j * loop.normal(size=2)
+        pairs.append((v, w, c, d))
+    u1, u2, lam = diagnostics._orbit_draws(block, 334)
+    assert np.array_equal(np.column_stack([u1, u2, lam]), np.array(orbit))
+    assert np.array_equal(np.column_stack(diagnostics._shift_draws(block, 20)), np.array(shifts))
+    v, w, c, d = diagnostics._pair_draws(block, 100)
+    for i, (vi, wi, ci, di) in enumerate(pairs):
+        assert np.array_equal(v[i], vi) and np.array_equal(w[i], wi)
+        assert c[i, 0] == ci and d[i, 0] == di
+    assert block.random() == loop.random()
+
+
+def test_invariance_suite_makes_no_per_point_scalar_calls(sol_p2, monkeypatch):
+    """The invariance suite's point loops stay array calls.
+
+    Its samples hold 20 to 334 points; the scalar metric_jet,
+    tensor_from_jet, apply and eval_F are each allowed a fixed handful of
+    calls (the generators' images, the two potential lookups), far fewer
+    than the smallest sample.
+    """
+    from tubeke import curvature, metric_tensor, potential_solver
+
+    counts = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name, holders in (("metric_jet", (metric_tensor, curvature, diagnostics)),
+                          ("tensor_from_jet", (curvature, diagnostics)),
+                          ("apply", (geo,))):
+        wrapper = counted(name, getattr(holders[0], name))
+        for holder in holders:
+            monkeypatch.setattr(holder, name, wrapper)
+    monkeypatch.setattr(potential_solver.PotentialSolution, "eval_F",
+                        counted("eval_F", potential_solver.PotentialSolution.eval_F))
+    report = run_suite("invariance", sol_p2.params, sol_p2, seed=3)
+    assert report.overall
+    assert counts.get("metric_jet", 0) == 0
+    assert counts.get("tensor_from_jet", 0) == 0
+    assert counts.get("apply", 0) <= 9
+    assert counts.get("eval_F", 0) <= 2
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_raw_bis_is_taken_off_the_axis(p, sols):
+    # the automorphism defect is rounding-sized (~1e-14 to 1e-13), below the
+    # 1e-12 of the suite comparison; it is still the defect between two
+    # different evaluations, so it is nonzero and of the reference's size
+    sol, params = sols[p], TubeParams(p=p)
+    name = "bis_automorphism_invariance_rel"
+    for seed in range(3):
+        new = {c.name: c.observed for c in diagnostics._suite_invariance(
+            params, sol, np.random.default_rng(seed))}[name]
+        old = {c.name: c.observed for c in reference_invariance(
+            params, sol, np.random.default_rng(seed))}[name]
+        assert old / 4.0 <= new <= 4.0 * old, (seed, new, old)

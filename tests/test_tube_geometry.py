@@ -1,6 +1,7 @@
 """Domain membership, the orbit invariant, automorphisms, and regions."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -144,12 +145,11 @@ def test_normalizing_jacobian_det_closed_form():
 
 
 def test_automorphism_validation():
-    with pytest.raises(ValueError):
-        TubeAutomorphism(params=P1, lam=0.0)
-    with pytest.raises(ValueError):
-        TubeAutomorphism(params=P1, lam=-2.0)
-    with pytest.raises(ValueError):
-        TubeAutomorphism(params=P1, lam=float("inf"))
+    for bad in (0.0, -2.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            TubeAutomorphism(params=P1, lam=bad)
+        with pytest.raises(ValueError):
+            TubeAutomorphism(params=P1, lam=np.array([1.0, bad, 2.0]))
 
 
 def test_classify_boundary():
@@ -216,3 +216,76 @@ def test_in_domain_respects_automorphisms():
                   TubeAutomorphism(params=P2, lam=7.0),
                   TubeAutomorphism(params=P2, flip=True)):
             assert in_domain(P2, apply(a, z))
+
+
+# ---------------------------------------------------------------------------
+# stacked points and non-finite input
+# ---------------------------------------------------------------------------
+
+def _close(got, ref, rel=4 * np.finfo(float).eps):
+    return abs(got - ref) <= rel * max(abs(ref), 1.0)
+
+
+@pytest.mark.parametrize("params", [P1, P2, TubeParams(p=3)])
+def test_stacked_geometry_matches_the_scalar_geometry(params):
+    rng = np.random.default_rng(20 + params.p)
+    points = random_points(params, rng, 200) + [Point(0.3 + 1j, 0.1 + 0j), Point(0j, 1.5 + 0j)]
+    z = Point.stack(points)
+    assert z.z1.shape == z.z2.shape == (202,)
+    inside = in_domain(params, z)
+    assert inside.dtype == bool
+    assert inside.tolist() == [in_domain(params, q) for q in points]
+    assert not inside[-1] and not inside[-2]
+    points, z = points[:200], Point.stack(points[:200])
+    xs = x_invariant(params, z)
+    n = len(points)
+    u = rng.uniform(-3.0, 3.0, (n, 2))
+    lam = rng.uniform(0.2, 5.0, n)
+    stacked = [TubeAutomorphism(params=params, u=(u[:, 0], u[:, 1])),
+               TubeAutomorphism(params=params, lam=lam, flip=True),
+               TubeAutomorphism(params=params, lam=lam, u=(u[:, 0], u[:, 1])),
+               TubeAutomorphism(params=params, lam=2.6),
+               normalizing_automorphism(params, z)]
+    for i, q in enumerate(points):
+        assert _close(xs[i], x_invariant(params, q))
+        single = [TubeAutomorphism(params=params, u=(u[i, 0], u[i, 1])),
+                  TubeAutomorphism(params=params, lam=lam[i], flip=True),
+                  TubeAutomorphism(params=params, lam=lam[i], u=(u[i, 0], u[i, 1])),
+                  TubeAutomorphism(params=params, lam=2.6),
+                  normalizing_automorphism(params, q)]
+        for a_stacked, a in zip(stacked, single):
+            img, ref = apply(a_stacked, z), apply(a, q)
+            assert _close(img.z1[i], ref.z1) and _close(img.z2[i], ref.z2)
+            # an automorphism with a scalar lam holds one Jacobian for all points
+            det = np.broadcast_to(jacobian_det(a_stacked), (n,))[i]
+            jac = np.broadcast_to(jacobian(a_stacked), (n, 2, 2))[i]
+            assert _close(det, jacobian_det(a))
+            assert np.all(np.abs(jac - jacobian(a)) <= 4 * np.finfo(float).eps * np.abs(jacobian(a)))
+    psi = stacked[-1]
+    assert psi.lam.shape == (n,) and psi.u[0].shape == psi.u[1].shape == (n,)
+
+
+def test_stacked_refusals_name_the_first_bad_point():
+    good, bad = Point(0j, 0.5 + 0j), Point(0.3 + 0j, 0.1 + 2j)
+    z = Point.stack([good, good, bad, Point(0.4 + 0j, 0j)])
+    with pytest.raises(DomainError, match=re.escape(str(bad))):
+        normalizing_automorphism(P1, z)
+    with pytest.raises(DomainError, match=re.escape(str(bad))):
+        x_invariant(P1, z)
+
+
+@pytest.mark.parametrize("u", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)])
+def test_non_finite_translation_is_refused(u):
+    with pytest.raises(ValueError, match="translation must be finite"):
+        TubeAutomorphism(params=P1, u=u)
+    column = np.array([0.5, u[0], 1.0]), np.array([0.0, u[1], -1.0])
+    with pytest.raises(ValueError, match="translation must be finite"):
+        TubeAutomorphism(params=P1, u=column)
+
+
+def test_nan_real_part_of_z1_is_refused_by_x_invariant():
+    nan_point = Point(complex(math.nan, 0.0), 0.2 + 0j)
+    with pytest.raises(DomainError):
+        x_invariant(P1, nan_point)
+    with pytest.raises(DomainError, match=re.escape(str(nan_point))):
+        x_invariant(P1, Point.stack([Point(0j, 0.1 + 0j), nan_point]))

@@ -19,6 +19,7 @@ import argparse
 import csv
 import json
 import sys
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,14 +165,14 @@ def _cmd_metric(args) -> int:
 
 
 def _cmd_curvature(args) -> int:
-    if not args.extremes and (args.v is None or args.w is None):
+    if (args.v is None) != (args.w is None) or (args.v is None and not args.extremes):
         raise ValueError("provide both --v and --w, or --extremes")
     sol = load_solution(args.sol)
     z = Point.parse(args.point)
     jet = metric_jet(sol, z)
     tensor = tensor_from_jet(jet)
     out = {"point": _point_reals(z), "X": jet.x_value, "tensor": tensor.as_dict()}
-    if args.v is not None and args.w is not None:
+    if args.v is not None:
         pair = TangentPair(v=_parse_vector(args.v), w=_parse_vector(args.w))
         out["bis"] = bisectional(sol, z, pair)
     if args.extremes:
@@ -201,14 +202,25 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_verify(args) -> int:
     params = TubeParams(p=args.p)
+    start = time.perf_counter()
     sol = solve_potential(params)
-    report = run_suite(args.suite, params, sol, seed=args.seed)
+    solve_s = time.perf_counter() - start
+    timings = {}
+    report = run_suite(args.suite, params, sol, seed=args.seed, timings=timings)
     for line in report.lines():
         print(line)
     if args.report:
         with open(args.report, "w") as fh:
             json.dump(report.to_dict(), fh, indent=2)
             fh.write("\n")
+    if args.stats:
+        print(json.dumps({
+            "solve_s": solve_s,
+            "solver": sol.stats,
+            "suite_s": timings,
+            "checks": len(report.checks),
+            "failed": sum(not c.passed for c in report.checks),
+        }), file=sys.stderr)
     return 0 if report.overall else 1
 
 
@@ -268,6 +280,9 @@ def _build_parser() -> argparse.ArgumentParser:
                           choices=list(SUITE_NAMES) + ["all"])
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--report", help="write the report as JSON here")
+    p_verify.add_argument("--stats", action="store_true",
+                          help="print solve and per-suite wall seconds, the solver's "
+                               "stats and the check counts as JSON on stderr")
     p_verify.set_defaults(func=_cmd_verify)
     return parser
 

@@ -376,8 +376,17 @@ def bisectional_batch(sol: PotentialSolution, z: Point, vs, ws,
         z, (vs, ws) = _pull_to_axis(sol, z, (vs.T, ws.T))
         vs, ws = vs.T, ws.T
     jet = metric_jet(sol, z)
-    C, gvec = _form(jet, tensor_from_jet(jet))
-    # einsum's summation order follows the memory layout: C-ordered rows
+    return _form_bisectional(*_form(jet, tensor_from_jet(jet)), vs, ws)
+
+
+def _form_bisectional(C, gvec, vs, ws) -> np.ndarray:
+    """Bis of the (n, 2) rows vs, ws from one point's feature form (C, gvec).
+
+    einsum's summation order follows the memory layout, so the features
+    are C-ordered rows and the form is made contiguous (a no-op for
+    _form's own output; a slice of a stacked form is copied).
+    """
+    C, gvec = np.ascontiguousarray(C), np.ascontiguousarray(gvec)
     Uv = np.ascontiguousarray(_features(vs.T).T)
     Uw = np.ascontiguousarray(_features(ws.T).T)
     num = np.einsum("ij,jk,ik->i", Uv, C, Uw)

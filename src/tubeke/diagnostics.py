@@ -14,19 +14,34 @@ roughly 3x the observed residual across p = 1..3 (the underlying
 statements are limits without stated rates).
 
 Pair and grid checks are evaluated in batches, through the array forms of
-the curvature formulas and the profile evaluators.  Point loops run
-through stacked metric jets (metric_jet_batch, einstein_residual_batch);
-the scalar metric_jet is the path that single point queries use.  The
-invariance suite is array-native throughout: its points are stacked
-Points, the automorphisms carry array parameters, its per-point random
-draws come in one block per loop, and the metric, tensor and Bis values
-come from stacked_jet, stacked_tensor and stacked_bisectional.  The
-tests keep the scalar loops these replace as the reference.
+the curvature formulas and the profile evaluators, and each suite
+evaluates the jets its checks need once, in as few stacked passes as the
+checks allow:
+
+* einstein takes its residual sample and its metric sample (det, inverse,
+  positivity) from one order-2 pass;
+* boundary_limit takes its four axis points from one order-4 pass; each
+  E(x) sets the feature-form Bis of the pairs against the limit from that
+  pass's metric;
+* invariance evaluates z and its axis image in one pass, for the metric
+  law and for Bis; the translation check keeps two equal stacks, because
+  it demands bit equality;
+* origin reads its tensor, extremes and Bis values off the one origin
+  jet, and calls bisectional and bisectional_batch once each, which
+  covers those entry points end to end;
+* the regions mini-sweep builds its jets with metric_jet_batch.
+
+The invariance suite is array-native throughout: its points are stacked
+Points, the automorphisms carry array parameters, and its per-point random
+draws come in one block per loop.  The scalar metric_jet is the path that
+single point queries use.  The tests keep the scalar loops these replace
+as the reference.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,24 +51,29 @@ from .potential_solver import PotentialSolution
 from . import tube_geometry as geo
 from .tube_geometry import Point, RegionClass, BoundaryClass
 from .metric_tensor import (
+    StackedJet,
+    _einstein_defect,
+    _stacked_metric,
     _stacked_tables,
     einstein_residual,
-    einstein_residual_batch,
     metric_jet,
     metric_jet_batch,
     stacked_jet,
 )
 from .curvature import (
+    CurvatureTensor,
     TangentPair,
+    _boundary_limit,
+    _form,
+    _form_bisectional,
     _pull_to_axis,
+    _tangent_pairs,
     bis_extremes_from_jet,
     bisectional,
     bisectional_batch,
-    boundary_limit_batch,
-    boundary_limit_bis,
+    bisectional_from_jet,
     extremal_sectional_vector,
     origin_closed_forms,
-    sectional,
     sectional_max_from_jet,
     stacked_bisectional,
     stacked_tensor,
@@ -259,8 +279,7 @@ def _suite_origin(params, sol, rng):
     checks = []
     origin = Point(0j, 0j)
     jet = metric_jet(sol, origin)
-    f1_0 = sol.eval_f_derivs(0.0, 1)[1]
-    f3_0 = sol.eval_f_derivs(0.0, 3)[3]
+    f0, f1_0, f2_0, f3_0 = sol.eval_f_derivs(0.0, 3)
     closed = origin_closed_forms(params)
     checks.append(_close("g11_is_4pK", 4 * p * K, jet.metric[0, 0], 1e-10))
     checks.append(_close("g22_is_f1_over_4", f1_0 / 4.0, jet.metric[1, 1], 1e-12))
@@ -280,7 +299,6 @@ def _suite_origin(params, sol, rng):
     checks.append(_below("R1222_vanishes", abs(tensor.R1222), 1e-10))
     checks.append(_below("f3_identity",
                          abs(f3_0 - float(closed.f3_coeff) * f1_0**2) / f1_0**2, 1e-8))
-    f0, _, f2_0 = sol.eval_f_derivs(0.0, 2)[:3]
     checks.append(_below("f_vanishes_at_0", abs(f0), 0.0))
     checks.append(_below("f2_vanishes_at_0", abs(f2_0), 0.0))
     ext = bis_extremes_from_jet(jet, tensor)
@@ -290,13 +308,17 @@ def _suite_origin(params, sol, rng):
     checks.append(_close("sect_max_closed_form", float(closed.sect_max), sm, 1e-6))
     e1 = np.array([1.0, 0.0], complex)
     e2 = np.array([0.0, 1.0], complex)
+    # the origin is its own axis point, where bisectional's pull to the
+    # axis is the identity: bis_e1_e2 and the balanced-vector value come
+    # from this jet, while bis_e1_e1 and the pinching sample run the
+    # public entry points end to end
     checks.append(_close("bis_e1_e1", float(closed.bis_min),
                          bisectional(sol, origin, TangentPair(v=e1, w=e1)), 1e-10))
     checks.append(_close("bis_e1_e2", float(closed.bis_max),
-                         bisectional(sol, origin, TangentPair(v=e1, w=e2)), 1e-10))
+                         bisectional_from_jet(jet, tensor, e1, e2), 1e-10))
     vstar = extremal_sectional_vector(sol)
     checks.append(_close("sect_at_balanced_vector", float(closed.sect_max),
-                         sectional(sol, origin, vstar), 1e-9))
+                         bisectional_from_jet(jet, tensor, vstar, vstar), 1e-9))
     vs = _random_vectors(rng, 4000)
     values = bisectional_batch(sol, origin, vs[:2000], vs[2000:])
     violation = max(float(closed.bis_min) - values.min(),
@@ -346,8 +368,9 @@ def _suite_invariance(params, sol, rng):
     z = _random_stack(params, rng, 20)
     psi = geo.normalizing_automorphism(params, z)
     jac = geo.jacobian(psi)
-    g_here = _metric_matrices(stacked_jet(sol, z))
-    g_axis = _metric_matrices(stacked_jet(sol, geo.apply(psi, z)))
+    # z and its axis image in one order-2 pass
+    _, metric = _stacked_metric(sol, _joined(z, geo.apply(psi, z)))
+    g_here, g_axis = np.split(_metric_matrices(metric), 2)
     pulled = (np.swapaxes(jac, 1, 2) @ g_axis @ np.conjugate(jac)).real
     worst_g = np.max(np.max(np.abs(pulled - g_here), axis=(1, 2))
                      / np.max(np.abs(g_here), axis=(1, 2)))
@@ -367,12 +390,13 @@ def _suite_invariance(params, sol, rng):
     v, w, c, d = _pair_draws(rng, 100)
     axis, (pv, pw, pcv, pdw) = _pull_to_axis(sol, z, (v.T, w.T, (c * v).T, (d * w).T))
     pv, pw, pcv, pdw = pv.T, pw.T, pcv.T, pdw.T
-    here, there = stacked_jet(sol, z), stacked_jet(sol, axis)
-    tensor = stacked_tensor(there)
-    raw = stacked_bisectional(here, stacked_tensor(here), v, w)
-    normalized = stacked_bisectional(there, tensor, pv, pw)
-    scaled = stacked_bisectional(there, tensor, pcv, pdw)
-    direct = stacked_bisectional(there, tensor, pv, pw, formula="direct")
+    # z and its axis points in one pass
+    jet = stacked_jet(sol, _joined(z, axis))
+    here, there = _split(jet, stacked_tensor(jet))
+    raw = stacked_bisectional(*here, v, w)
+    normalized = stacked_bisectional(*there, pv, pw)
+    scaled = stacked_bisectional(*there, pcv, pdw)
+    direct = stacked_bisectional(*there, pv, pw, formula="direct")
     worst_bis = np.max(np.abs(raw - normalized) / np.abs(raw))
     worst_scale = np.max(np.abs(scaled - normalized) / np.abs(normalized))
     worst_formula = np.max(np.abs(direct - normalized) / np.abs(normalized))
@@ -382,30 +406,50 @@ def _suite_invariance(params, sol, rng):
     return checks
 
 
-def _metric_matrices(jet) -> np.ndarray:
-    """The (n, 2, 2) metric matrices of a stacked jet."""
-    g11, g12, g22 = jet.metric
+def _joined(*zs) -> Point:
+    """One stacked Point holding the points of the stacked Points zs in turn."""
+    return Point(np.concatenate([z.z1 for z in zs]), np.concatenate([z.z2 for z in zs]))
+
+
+def _split(jet: StackedJet, tensor: CurvatureTensor):
+    """The two equal halves of a stacked jet, each as (jet, tensor)."""
+    def take(values, rows):
+        return tuple(a[rows] for a in values)
+
+    n = np.size(jet.x_value) // 2
+    return [(StackedJet(point=Point(jet.point.z1[rows], jet.point.z2[rows]),
+                        x_value=jet.x_value[rows], metric=take(jet.metric, rows),
+                        d3=take(jet.d3, rows), d4=take(jet.d4, rows)),
+             CurvatureTensor(*take(tensor.as_dict().values(), rows)))
+            for rows in (slice(None, n), slice(n, None))]
+
+
+def _metric_matrices(metric) -> np.ndarray:
+    """The (n, 2, 2) metric matrices of stacked (g11, g12, g22)."""
+    g11, g12, g22 = metric
     return np.stack([np.stack([g11, g12], -1), np.stack([g12, g22], -1)], -2)
 
 
 def _suite_einstein(params, sol, rng):
+    p = params.p
+    n = 100
+    # the residual sample and the metric sample in one order-2 pass
+    z = _joined(_random_stack(params, rng, n), _random_stack(params, rng, n))
+    tab, metric = _stacked_metric(sol, z)
     checks = []
-    worst = np.max(einstein_residual_batch(sol, _random_points(params, rng, 100)))
+    # the defect comes for both samples; the check reads the first
+    worst = np.max(_einstein_defect(sol, tab, metric)[:n])
     checks.append(_below("einstein_residual_random_points", worst, 1e-8))
     checks.append(_below("einstein_residual_origin",
                          einstein_residual(sol, Point(0j, 0j)), 1e-12))
-    p = params.p
-    points = _random_points(params, rng, 100)
-    jets = metric_jet_batch(sol, points)
-    r = 1.0 - 4 * p * np.array([z.z1.real for z in points])
-    xs = np.array([jet.x_value for jet in jets])
-    dets = np.array([jet.det for jet in jets])
-    metrics = np.array([jet.metric for jet in jets])
-    inverses = np.array([jet.inverse for jet in jets])
-    det_formula = sol.eval_Z(xs, 0)[0] / r ** (3.0 * params.K_float / p)
-    worst_det = np.max(np.abs(dets - det_formula) / det_formula)
+    g11, g12, g22 = (g[n:] for g in metric)
+    det = g11 * g22 - g12 * g12
+    metrics = _metric_matrices((g11, g12, g22))
+    inverses = _metric_matrices((g22 / det, -g12 / det, g11 / det))
+    det_formula = sol.eval_Z(tab.x_value[n:], 0)[0] / tab.r[n:] ** (3.0 * params.K_float / p)
+    worst_det = np.max(np.abs(det - det_formula) / det_formula)
     worst_inv = np.max(np.abs(metrics @ inverses - np.eye(2)))
-    pd_ok = bool(np.all(metrics[:, 0, 0] > 0.0) and np.all(dets > 0.0))
+    pd_ok = bool(np.all(g11 > 0.0) and np.all(det > 0.0))
     checks.append(_below("det_matches_Z_over_r_power", worst_det, 1e-8))
     checks.append(_below("metric_inverse_identity", worst_inv, 1e-10))
     checks.append(_flag("metric_positive_definite", pd_ok))
@@ -415,12 +459,18 @@ def _suite_einstein(params, sol, rng):
 def _suite_boundary_limit(params, sol, rng):
     checks = []
     vs = _random_vectors(rng, 2000)
+    v_rows, w_rows = _tangent_pairs(vs[::2], vs[1::2])
+    # one order-4 pass on the axis points: each E(x) sets the feature-form
+    # Bis of the pairs against the limit from the metric at (0, x), and
+    # (0, 0.4) serves the limit-value checks
+    xs = (0.9, 0.99, 0.999, 0.4)
+    jet = stacked_jet(sol, Point(np.zeros(len(xs), complex), np.array(xs, complex)))
+    C, gvec = _form(jet, stacked_tensor(jet))
+    gs = _metric_matrices(jet.metric)
     E = {}
-    for x in (0.9, 0.99, 0.999):
-        z = Point(0j, complex(x))
-        jet = metric_jet(sol, z)
-        gaps = (bisectional_batch(sol, z, vs[::2], vs[1::2])
-                - boundary_limit_batch(jet, vs[::2], vs[1::2]))
+    for i, x in enumerate(xs[:3]):
+        gaps = (_form_bisectional(C[..., i], gvec[:, i], v_rows, w_rows)
+                - _boundary_limit(gs[i], v_rows, w_rows))
         E[x] = float(np.max(np.abs(gaps)))
     checks.append(_below("E(0.9)", E[0.9], 1.0))
     checks.append(_below("E(0.99)", E[0.99], 0.1))
@@ -433,14 +483,13 @@ def _suite_boundary_limit(params, sol, rng):
     degenerate = max(E.values()) <= 1e-8
     checks.append(_flag("E_strictly_decreasing_or_noise_floor",
                         (increase < 0.0) or degenerate, increase))
-    jet = metric_jet(sol, Point(0j, 0.4 + 0j))
-    values = boundary_limit_batch(jet, vs[:400:2], vs[1:400:2])
+    g = gs[3]
+    values = _boundary_limit(g, v_rows[:200], w_rows[:200])
     worst_range = max(float(np.max(-2.0 - values)), float(np.max(values + 1.0)), 0.0)
     checks.append(_below("limit_value_within_[-2,-1]", worst_range, 1e-12))
     v = vs[0]
     checks.append(_close("limit_at_parallel_pair", -2.0,
-                         boundary_limit_bis(jet, TangentPair(v=v, w=v)), 1e-12))
-    g = jet.metric
+                         _boundary_limit(g, v[None], v[None])[0], 1e-12))
     w = np.array([-np.conjugate(v[1]), np.conjugate(v[0])], complex)
     # make w exactly g-orthogonal to v via one Gram-Schmidt step
     def ip_g(a, b):
@@ -448,7 +497,7 @@ def _suite_boundary_limit(params, sol, rng):
                 + g[1, 0] * a[1] * np.conjugate(b[0]) + g[1, 1] * a[1] * np.conjugate(b[1]))
     w = w - (ip_g(w, v) / ip_g(v, v)) * v
     checks.append(_close("limit_at_orthogonal_pair", -1.0,
-                         boundary_limit_bis(jet, TangentPair(v=v, w=w)), 1e-12))
+                         _boundary_limit(g, v[None], w[None])[0], 1e-12))
     return checks
 
 
@@ -522,7 +571,7 @@ _SUITES = {
 
 
 def run_suite(name: str, params: TubeParams, sol: PotentialSolution,
-              seed: int = 0) -> SuiteReport:
+              seed: int = 0, timings: dict | None = None) -> SuiteReport:
     """Run one named verification suite (or "all") against a solution.
 
     Parameters
@@ -536,6 +585,8 @@ def run_suite(name: str, params: TubeParams, sol: PotentialSolution,
     sol : PotentialSolution
     seed : int
         Seed of the reproducible sampling; recorded in the report.
+    timings : dict, optional
+        If given, receives the wall seconds of each suite run, by name.
 
     Returns
     -------
@@ -543,17 +594,18 @@ def run_suite(name: str, params: TubeParams, sol: PotentialSolution,
     """
     if params.p != sol.params.p:
         raise ValueError(f"params p={params.p} does not match solution p={sol.params.p}")
-    if name == "all":
-        checks = []
-        for sub in SUITE_NAMES:
-            rng = np.random.default_rng(seed)
-            for c in _SUITES[sub](params, sol, rng):
-                checks.append(CheckResult(f"{sub}/{c.name}", c.expected, c.observed,
-                                          c.tolerance, c.passed))
-        return SuiteReport(suite_name="all", p=params.p, seed=seed, checks=checks)
-    if name not in _SUITES:
+    if name != "all" and name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; expected one of "
                          f"{', '.join(SUITE_NAMES)} or 'all'")
-    rng = np.random.default_rng(seed)
-    return SuiteReport(suite_name=name, p=params.p, seed=seed,
-                       checks=_SUITES[name](params, sol, rng))
+    checks = []
+    for sub in SUITE_NAMES if name == "all" else (name,):
+        rng = np.random.default_rng(seed)
+        start = time.perf_counter()
+        found = _SUITES[sub](params, sol, rng)
+        if timings is not None:
+            timings[sub] = time.perf_counter() - start
+        if name == "all":
+            found = [CheckResult(f"{sub}/{c.name}", c.expected, c.observed,
+                                 c.tolerance, c.passed) for c in found]
+        checks.extend(found)
+    return SuiteReport(suite_name=name, p=params.p, seed=seed, checks=checks)

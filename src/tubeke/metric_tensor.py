@@ -30,7 +30,7 @@ import numpy as np
 from .errors import DomainError
 from .params import TubeParams
 from .potential_solver import PotentialSolution
-from .tube_geometry import Point, require_domain
+from .tube_geometry import Point, _first_point, require_domain
 
 __all__ = [
     "XLDerivatives",
@@ -75,6 +75,19 @@ class XLDerivatives:
         return self.dL[_counts(indices)]
 
 
+# The smallest entries of the order-4 tables, and of the curvature built
+# from them, are the fourth z1-derivatives: r^-4 times constants >= 1 (dL
+# has 2K 3! (2p)^3 / r^4).  They stay normal doubles, and r^4 itself stays
+# finite, while r^4 <= 1/tiny; deeper points, or r = inf, are refused.
+_R_MAX = float(np.finfo(float).tiny) ** -0.25
+
+
+def _too_deep(z: Point, r) -> str:
+    return (f"point {z} is too deep for the raw metric jet: r = 1 - 4p Re(z1) = {r!r} "
+            f"exceeds {_R_MAX:.4g}, where its order-4 entries (~ r^-4) leave the "
+            f"double range (bis_extremes and sectional_max work on the axis and accept it)")
+
+
 def x_derivatives(params: TubeParams, z: Point, max_total_order: int = 4) -> XLDerivatives:
     """Derivative tables of X and L at z, up to the requested total order.
 
@@ -88,12 +101,16 @@ def x_derivatives(params: TubeParams, z: Point, max_total_order: int = 4) -> XLD
     Each z1-type derivative of r^{-q} contributes a factor 2pq/r, which is
     where the rising products c_a come from; X is affine in Re(z2), so two
     z2-type indices annihilate it, and L does not see z2 at all.
+
+    Raises DomainError unless 0 < r <= _R_MAX (see there).
     """
     if not 0 <= max_total_order <= 4:
         raise ValueError(f"max_total_order must be in 0..4, got {max_total_order}")
     r = 1.0 - 4 * params.p * z.z1.real
     if not r > 0.0:
         raise DomainError(f"derivative tables undefined: Re(4p z1) is not below 1 at {z}")
+    if not r <= _R_MAX:
+        raise DomainError(_too_deep(z, r))
     x, dX, dL = _tables(params, r, z.z2.real, max_total_order, math.log)
     return XLDerivatives(x_value=x, r=r, dX=dX, dL=dL)
 
@@ -267,6 +284,9 @@ def _stacked_tables(params: TubeParams, z: Point, order: int) -> XLDerivatives:
     """Count tables of stacked points, each entry an array over the points."""
     require_domain(params, z)
     r = 1.0 - 4 * params.p * np.asarray(z.z1.real, dtype=float)
+    ok = r <= _R_MAX
+    if not ok.all():
+        raise DomainError(_too_deep(_first_point(z, ok), float(r[~ok][0])))
     t = np.asarray(z.z2.real, dtype=float)
     x, dX, dL = _tables(params, r, t, order, np.log)
     return XLDerivatives(x_value=x, r=r, dX=dX, dL=dL)
@@ -316,9 +336,20 @@ def einstein_residual(sol: PotentialSolution, z: Point) -> float:
 
 def einstein_residual_batch(sol: PotentialSolution, points) -> np.ndarray:
     """einstein_residual at each of a sequence of points, as one array."""
-    tab = _stacked_tables(sol.params, Point.stack(points), 2)
+    return _einstein_defect(sol, *_stacked_metric(sol, Point.stack(points)))
+
+
+def _stacked_metric(sol: PotentialSolution, z: Point):
+    """(tables, (g11, g12, g22)) at stacked points, from one order-2 pass."""
+    tab = _stacked_tables(sol.params, z, 2)
     f, f1 = sol.eval_f_derivs(tab.x_value, 1)
-    (g11, g12, g22), _, _ = _chain(tab, f, f1)
+    metric, _, _ = _chain(tab, f, f1)
+    return tab, metric
+
+
+def _einstein_defect(sol: PotentialSolution, tab: XLDerivatives, metric) -> np.ndarray:
+    """|det g - e^{3 g}| / e^{3 g} per point of an order-2 stacked pass."""
+    g11, g12, g22 = metric
     det = g11 * g22 - g12 * g12
     rhs = np.exp(3.0 * (sol.eval_F(tab.x_value) + tab.L()))
     return np.abs(det - rhs) / rhs

@@ -11,6 +11,7 @@ ratio appearing in the complete Kähler-Einstein metric with Ricci curvature -3.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -62,7 +63,8 @@ class ShootingConfig:
         The slope f = F' is declared "blown up" once it exceeds this value.
         The blow-up estimate x + 1/f is off by O(1/f^2) there, about 1e-16
         at the default 1e8; a threshold whose error bound exceeds
-        step_tolerance is refused.
+        step_tolerance is refused, and so is one so high that the grid's
+        tail no longer resolves the blow-up (see the solver's validation).
     step_tolerance : float
         Local relative error target of the adaptive integrator, recorded
         as the solution's tolerance; a solution is accepted only if its
@@ -79,8 +81,8 @@ class ShootingConfig:
     max_steps: int = 500_000
 
     def __post_init__(self):
-        if not (self.f_blowup_threshold > 1e2):
-            raise ValueError("f_blowup_threshold must exceed 1e2")
+        if not (1e2 < self.f_blowup_threshold < math.inf):
+            raise ValueError("f_blowup_threshold must be finite and exceed 1e2")
         if not (0 < self.step_tolerance <= 1e-7):
             raise ValueError("step_tolerance out of range (want <= 1e-7)")
         if self.max_steps < 1000:

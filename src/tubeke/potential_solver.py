@@ -60,6 +60,9 @@ _C_START = 2.0
 _X_END_COARSE = 2.0
 _X_END_FINE = 1.02
 
+# bound on the tail error |1 - blowup_x| f_last, per unit of tolerance
+_TAIL_ERROR_PER_TOL = 1e9
+
 # 5-point Gauss-Legendre rule on [0,1]; exact for the degree-9 integrand
 # (cubic interpolant cubed) used by the integral-identity validator
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(5)
@@ -492,6 +495,20 @@ def _validate_solution_data(params, F0, xs, Fs, fs, blowup_x, tolerance):
         raise ValueError("grid must start at x=0 with f(0)=0 (F is even)")
     if Fs[0] != F0:
         raise ValueError("first node F value disagrees with F0")
+    # near the blow-up f is 1/(x_b - x) to leading order, so against the
+    # exact law 1/(1 - x) the last node carries the relative error
+    # |1 - x_b| f_last.  |1 - x_b| grows in proportion to the step
+    # tolerance (0.17-0.4 tol for p = 1..8), so the bound does too; at the
+    # default 1e-12 it is 1e-3, and the default cap 1e8 reads 2e-5.  A cap
+    # beyond the bound also piles the last steps onto equal abscissae,
+    # which is why this comes before the monotonicity checks.
+    tail = abs(1.0 - blowup_x) * fs[-1]
+    if not tail <= _TAIL_ERROR_PER_TOL * tolerance:
+        raise ValueError(
+            f"tail error |1 - blowup_x| f = {tail:.2e} at the last node (f={fs[-1]:.3g}) "
+            f"exceeds {_TAIL_ERROR_PER_TOL * tolerance:g}: the grid does not resolve "
+            f"the blow-up there; lower f_max"
+        )
     if not np.all(np.diff(xs) > 0.0):
         raise ValueError("node abscissae must be strictly increasing")
     if xs[-1] >= 1.0:
@@ -538,8 +555,10 @@ def solve_potential(params: TubeParams, config: ShootingConfig | None = None) ->
        x_b ~ 1 gives F0 = c + (2/3) ln(x_b);
     3. the recorded pass at F0, with node spacing min(0.008, 0.012*(1-x));
        its own blow-up estimate is stored as achieved_blowup_x and must lie
-       within 10*sqrt(config.step_tolerance) of 1, and the estimate's error
-       bound at the last node must not exceed config.step_tolerance.
+       within 10*sqrt(config.step_tolerance) of 1, the estimate's error
+       bound at the last node must not exceed config.step_tolerance, and
+       the tail error |1 - x_b| f at the last node must not exceed
+       1e9 * config.step_tolerance.
 
     Parameters
     ----------

@@ -61,6 +61,13 @@ def test_solve_refuses_a_blowup_cap_too_low(tmp_path, capsys):
     assert not (tmp_path / "s.json").exists()
 
 
+@pytest.mark.parametrize("f_max, message", [("inf", "finite"), ("1e16", "tail error")])
+def test_solve_refuses_a_blowup_cap_the_grid_cannot_resolve(tmp_path, capsys, f_max, message):
+    assert main(["solve", "--p", "2", "--f-max", f_max, "--out", str(tmp_path / "s.json")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "s.json").exists()
+
+
 def test_eval_basic_and_derivs(sol1_file, capsys):
     code, out = run_json(capsys, ["eval", "--sol", str(sol1_file), "--x", "0.5"])
     assert code == 0
@@ -116,6 +123,24 @@ def test_curvature_requires_a_mode(sol_file, capsys):
     assert "extremes" in capsys.readouterr().err
 
 
+def test_curvature_refuses_half_a_pair(sol_file, capsys):
+    for half in (["--v", "1,0,0,0"], ["--w", "0,0,1,0"]):
+        for extremes in ([], ["--extremes"]):
+            code = main(["curvature", "--sol", str(sol_file), "--point", "0,0,0,0",
+                         *half, *extremes])
+            assert code == 2
+            assert "provide both --v and --w" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("re1", ["-1e300", "-inf"])
+def test_points_too_deep_for_the_jet_exit_two(sol_file, capsys, re1):
+    for argv in (["metric"], ["curvature", "--extremes"]):
+        code = main([*argv, "--sol", str(sol_file), f"--point={re1},0,0,0"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: point ") and "too deep" in captured.err
+
+
 def test_sweep_csv_format(sol_file, tmp_path, capsys):
     out_csv = tmp_path / "rows.csv"
     code = main(["sweep", "--sol", str(sol_file), "--x-min", "0",
@@ -160,6 +185,24 @@ def test_verify_exit_zero_and_report(tmp_path, capsys):
     data = json.loads(report_path.read_text())
     assert data["overall"] is True
     assert data["p"] == 2 and data["seed"] == 0
+
+
+def test_verify_stats_leave_stdout_and_report_unchanged(tmp_path, capsys):
+    runs = []
+    for extra in ([], ["--stats"]):
+        report = tmp_path / f"report{len(extra)}.json"
+        code = main(["verify", "--p", "2", "--suite", "all", "--report", str(report), *extra])
+        captured = capsys.readouterr()
+        runs.append((code, captured.out, report.read_bytes(), captured.err))
+    (code, out, report, err), (code_s, out_s, report_s, err_s) = runs
+    assert code == code_s == 0
+    assert out_s == out and report_s == report and err == ""
+    stats = json.loads(err_s)
+    assert set(stats) == {"solve_s", "solver", "suite_s", "checks", "failed"}
+    assert list(stats["suite_s"]) == list(tubeke.SUITE_NAMES)
+    assert all(t > 0.0 for t in [stats["solve_s"], *stats["suite_s"].values()])
+    assert stats["solver"]["integrations"] == 3 and stats["solver"]["nodes"] > 1000
+    assert stats["checks"] == len(json.loads(report)["checks"]) and stats["failed"] == 0
 
 
 def test_verify_all_suites_p2():

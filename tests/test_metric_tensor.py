@@ -10,6 +10,7 @@ which none of the jet code enforces directly.
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -17,14 +18,20 @@ import pytest
 from tubeke import (
     DomainError,
     Point,
+    TangentPair,
     TubeParams,
+    bis_extremes,
+    bisectional,
     einstein_residual,
     einstein_residual_batch,
     in_domain,
     metric_jet,
     metric_jet_batch,
+    stacked_jet,
+    tensor_from_jet,
     x_derivatives,
 )
+from tubeke.metric_tensor import _R_MAX, _tables
 
 P2 = TubeParams(p=2)
 
@@ -364,3 +371,58 @@ def test_batches_refuse_a_point_outside_the_domain(sol_p1):
     for batch in (metric_jet_batch, einstein_residual_batch):
         with pytest.raises(DomainError, match=re.escape(str(bad))):
             batch(sol_p1, points[:2] + [bad] + points[2:])
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_points_too_deep_for_the_raw_jet_are_refused(p, sols):
+    sol = sols[p]
+    for re1 in (-1e300, -math.inf):
+        deep = Point(complex(re1, 0.0), 0j)
+        # T_p holds the point; only the raw jet cannot represent it
+        assert in_domain(sol.params, deep)
+        for evaluate in (lambda z: x_derivatives(sol.params, z, 0),
+                         lambda z: metric_jet(sol, z),
+                         lambda z: einstein_residual(sol, z)):
+            with pytest.raises(DomainError, match="too deep"):
+                evaluate(deep)
+    # the stacked path names the first deep point
+    points = sample_points(sol.params, np.random.default_rng(60 + p), 4)
+    first = Point(complex(-1e150, 0.5), 0.1j)
+    points = points[:2] + [first, Point(complex(-1e300, 0.0), 0j)] + points[2:]
+    for evaluate in (lambda zs: stacked_jet(sol, Point.stack(zs)),
+                     lambda zs: metric_jet_batch(sol, zs),
+                     lambda zs: einstein_residual_batch(sol, zs)):
+        with pytest.raises(DomainError, match=re.escape(str(first)) + ".*too deep"):
+            evaluate(points)
+    # bisectional and bis_extremes work on the axis, beyond the jet's depth
+    pair = TangentPair(v=np.array([1.0, 1j]), w=np.array([0.3, 1.0]))
+    assert math.isfinite(bisectional(sol, Point(complex(-1e100, 0.0), 0j), pair))
+    deep = Point(complex(-1e300, 0.0), 0j)
+    assert bis_extremes(sol, deep).min == bis_extremes(sol, Point(0j, 0j)).min
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_the_depth_bound_keeps_the_jet_in_normal_doubles(p, sols):
+    sol = sols[p]
+
+    def at_depth(r):
+        return Point(complex((1.0 - r) / (4 * p), 0.3), complex(0.5 * r ** (1.0 / (2 * p)), -0.2))
+
+    inside = at_depth(0.99 * _R_MAX)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        jet = metric_jet(sol, inside)
+        tensor = tensor_from_jet(jet)
+        stacked = stacked_jet(sol, Point.stack([inside, inside]))
+    values = [*jet.metric.ravel(), jet.det, *jet.inverse.ravel(), *jet.d3.values(),
+              *jet.d4.values(), *tensor.as_dict().values()]
+    assert all(math.isfinite(v) and abs(v) >= np.finfo(float).tiny for v in values)
+    for a in (*stacked.metric, *stacked.d3, *stacked.d4):
+        assert np.all(np.isfinite(a)) and np.all(np.abs(a) >= np.finfo(float).tiny)
+    with pytest.raises(DomainError, match="too deep"):
+        metric_jet(sol, at_depth(1.01 * _R_MAX))
+    # and no lower than needed: at twice the bound the unguarded tables overflow
+    with pytest.raises(OverflowError):
+        _tables(sol.params, 2.0 * _R_MAX, 0.1, 4, math.log)
+    # Re z1 = -1e70 (r = 4p 1e70, R1111 ~ -1e-280) stays inside the bound
+    assert math.isfinite(tensor_from_jet(metric_jet(sol, Point(complex(-1e70, 0.0), 0j))).R1111)

@@ -324,6 +324,30 @@ def test_blowup_cap_too_low_for_the_tolerance_is_refused(sol_p2):
     assert sol.F0 == sol_p2.F0
 
 
+def test_blowup_cap_the_grid_cannot_resolve_is_refused(sol_p2):
+    with pytest.raises(ValueError, match="finite"):
+        ShootingConfig(f_blowup_threshold=math.inf)
+    # the blow-up lands at 1 - 2e-13 whatever the cap, so |1 - x_b| f at the
+    # last node reads 2e3 and 2e-2 for these caps, against the bound 1e-3
+    for f_max in (1e16, 1e11):
+        with pytest.raises(ValueError, match="tail error"):
+            solve_potential(TubeParams(p=2), ShootingConfig(f_blowup_threshold=f_max))
+    # 1e9 reads 2e-4 and is accepted, with F0 at rounding distance
+    sol = solve_potential(TubeParams(p=2), ShootingConfig(f_blowup_threshold=1e9))
+    assert abs(1.0 - sol.achieved_blowup_x) * sol.fs[-1] <= 1e-3
+    assert abs(sol.F0 - sol_p2.F0) <= 1e-14
+    assert abs(1.0 - sol_p2.achieved_blowup_x) * sol_p2.fs[-1] <= 3e-5
+
+
+def test_load_rejects_a_blowup_the_tail_does_not_resolve(sol_p2):
+    # 1 - 1e-9 lies inside the 10 sqrt(tol) envelope, but f ~ 1e8 at the last
+    # node puts the tail error at 0.1
+    data = sol_p2.to_dict()
+    data["blowup_x"] = 1.0 - 1e-9
+    with pytest.raises(ValueError, match="tail error"):
+        solution_from_dict(data)
+
+
 def test_load_rejects_a_grid_cut_short_of_the_blowup(sol_p2):
     data = sol_p2.to_dict()
     data["nodes"] = [node for node in data["nodes"] if node["f"] < 1e4]

@@ -25,8 +25,12 @@ from tubeke import (
     boundary_limit_batch,
     boundary_limit_bis,
     einstein_residual,
+    extremal_sectional_vector,
     metric_jet,
+    origin_closed_forms,
     run_suite,
+    sectional,
+    sectional_max_from_jet,
     tensor_from_jet,
 )
 from tubeke import diagnostics
@@ -104,6 +108,58 @@ def reference_asymptotics(params, sol, rng):
             if abs(vals[k]) > 1e-6:
                 worst = max(worst, abs(fd - vals[k]) / abs(vals[k]))
     checks.append(_below("derivs_match_finite_differences", worst, 1e-5))
+    return checks
+
+
+def reference_origin(params, sol, rng):
+    p = params.p
+    K = params.K_float
+    checks = []
+    origin = Point(0j, 0j)
+    jet = metric_jet(sol, origin)
+    f1_0 = sol.eval_f_derivs(0.0, 1)[1]
+    f3_0 = sol.eval_f_derivs(0.0, 3)[3]
+    closed = origin_closed_forms(params)
+    checks.append(_close("g11_is_4pK", 4 * p * K, jet.metric[0, 0], 1e-10))
+    checks.append(_close("g22_is_f1_over_4", f1_0 / 4.0, jet.metric[1, 1], 1e-12))
+    checks.append(_below("g12_vanishes", abs(jet.metric[0, 1]), 1e-12))
+    tensor = tensor_from_jet(jet)
+    scale1 = max(1.0, abs(float(closed.R1111)))
+    checks.append(_below("R1111_closed_form",
+                         abs(tensor.R1111 - float(closed.R1111)) / scale1, 1e-8))
+    checks.append(_below("R1122_closed_form",
+                         abs(tensor.R1122 - float(closed.R1122) * f1_0), 1e-8 * f1_0))
+    checks.append(_below("R1212_closed_form",
+                         abs(tensor.R1212 - float(closed.R1212) * f1_0), 1e-8 * f1_0))
+    checks.append(_below("R2222_closed_form",
+                         abs(tensor.R2222 - float(closed.R2222_coeff) * f1_0**2),
+                         1e-8 * f1_0**2))
+    checks.append(_below("R1112_vanishes", abs(tensor.R1112), 1e-10))
+    checks.append(_below("R1222_vanishes", abs(tensor.R1222), 1e-10))
+    checks.append(_below("f3_identity",
+                         abs(f3_0 - float(closed.f3_coeff) * f1_0**2) / f1_0**2, 1e-8))
+    f0, _, f2_0 = sol.eval_f_derivs(0.0, 2)[:3]
+    checks.append(_below("f_vanishes_at_0", abs(f0), 0.0))
+    checks.append(_below("f2_vanishes_at_0", abs(f2_0), 0.0))
+    ext = bis_extremes_from_jet(jet, tensor)
+    checks.append(_close("bis_min_closed_form", float(closed.bis_min), ext.min, 1e-6))
+    checks.append(_close("bis_max_closed_form", float(closed.bis_max), ext.max, 1e-6))
+    sm, _ = sectional_max_from_jet(jet, tensor)
+    checks.append(_close("sect_max_closed_form", float(closed.sect_max), sm, 1e-6))
+    e1 = np.array([1.0, 0.0], complex)
+    e2 = np.array([0.0, 1.0], complex)
+    checks.append(_close("bis_e1_e1", float(closed.bis_min),
+                         bisectional(sol, origin, TangentPair(v=e1, w=e1)), 1e-10))
+    checks.append(_close("bis_e1_e2", float(closed.bis_max),
+                         bisectional(sol, origin, TangentPair(v=e1, w=e2)), 1e-10))
+    vstar = extremal_sectional_vector(sol)
+    checks.append(_close("sect_at_balanced_vector", float(closed.sect_max),
+                         sectional(sol, origin, vstar), 1e-9))
+    vs = diagnostics._random_vectors(rng, 4000)
+    values = bisectional_batch(sol, origin, vs[:2000], vs[2000:])
+    violation = max(float(closed.bis_min) - values.min(),
+                    values.max() - float(closed.bis_max), 0.0)
+    checks.append(_below("random_pairs_respect_pinching", violation, 1e-9))
     return checks
 
 
@@ -405,6 +461,51 @@ def test_invariance_suite_makes_no_per_point_scalar_calls(sol_p2, monkeypatch):
     assert counts.get("tensor_from_jet", 0) == 0
     assert counts.get("apply", 0) <= 9
     assert counts.get("eval_F", 0) <= 2
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_origin_suite_reads_its_values_off_one_jet(p, sols):
+    # the origin is its own axis point, so the jet the suite reuses is the
+    # one bisectional and sectional evaluate there: the values are equal
+    sol, params = sols[p], TubeParams(p=p)
+    for seed in range(3):
+        new = diagnostics._suite_origin(params, sol, np.random.default_rng(seed))
+        old = reference_origin(params, sol, np.random.default_rng(seed))
+        assert new == old
+
+
+# scalar metric_jet calls, metric_jet_batch calls and stacked passes (one
+# per _stacked_tables call) of one run, whatever the sample sizes: the origin
+# jet, bisectional's and bisectional_batch's; one order-2 pass over both
+# einstein samples; one order-4 pass over boundary_limit's four axis points;
+# and invariance's potential tables, metric-law pair, two translation stacks
+# and joint here/there stack
+JET_PASSES = {
+    "origin": (3, 0, 0),
+    "einstein": (0, 0, 1),
+    "boundary_limit": (0, 0, 1),
+    "invariance": (0, 0, 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(JET_PASSES))
+def test_suites_evaluate_their_jets_in_a_fixed_number_of_passes(name, sol_p2, monkeypatch):
+    from tubeke import curvature, metric_tensor
+
+    counts = {}
+    for fn in ("metric_jet", "metric_jet_batch", "_stacked_tables"):
+        original = getattr(metric_tensor, fn)
+
+        def wrapper(*args, _fn=fn, _original=original, **kwargs):
+            counts[_fn] += 1
+            return _original(*args, **kwargs)
+        for holder in (metric_tensor, curvature, diagnostics):
+            if getattr(holder, fn, None) is original:
+                monkeypatch.setattr(holder, fn, wrapper)
+    for seed in range(2):
+        counts.update(dict.fromkeys(("metric_jet", "metric_jet_batch", "_stacked_tables"), 0))
+        assert run_suite(name, sol_p2.params, sol_p2, seed=seed).overall
+        assert tuple(counts.values()) == JET_PASSES[name], counts
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])

@@ -121,10 +121,36 @@ def _point_reals(z: Point) -> list:
     return [z.z1.real, z.z1.imag, z.z2.real, z.z2.imag]
 
 
+class _Stages:
+    """Wall seconds of a verb's stages, in the order they ran."""
+
+    def __init__(self):
+        self.seconds = {}
+        self._last = time.perf_counter()
+
+    def lap(self, stage: str) -> None:
+        """Charge the time since the previous lap (or the start) to stage."""
+        now = time.perf_counter()
+        self.seconds[stage] = now - self._last
+        self._last = now
+
+
+def _print_stats(stages: _Stages, sol: PotentialSolution, **extra) -> None:
+    """--stats: one JSON object on stderr, stdout untouched.
+
+    It holds "<stage>_s" for each stage, the solver's stats under
+    "solver", then the verb's extra entries.
+    """
+    print(json.dumps({**{f"{name}_s": t for name, t in stages.seconds.items()},
+                      "solver": sol.stats, **extra}), file=sys.stderr)
+
+
 def _cmd_solve(args) -> int:
+    stages = _Stages()
     params = TubeParams(p=args.p)
     config = ShootingConfig(f_blowup_threshold=args.f_max, step_tolerance=args.tol)
     sol = solve_potential(params, config)
+    stages.lap("solve")
     sol.save(args.out)
     print(json.dumps({
         "p": params.p,
@@ -133,25 +159,37 @@ def _cmd_solve(args) -> int:
         "nodes": len(sol.xs),
         "out": str(args.out),
     }))
+    stages.lap("write")
+    if args.stats:
+        _print_stats(stages, sol)
     return 0
 
 
 def _cmd_eval(args) -> int:
+    stages = _Stages()
     sol = load_solution(args.sol)
+    stages.lap("load")
     out = {"x": args.x, "F": float(sol.eval_F(args.x)),
            "f": float(sol.eval_f_derivs(args.x, 0)[0])}
     if args.derivs:
         _, f1, f2, f3 = (float(v) for v in sol.eval_f_derivs(args.x, 3))
         out.update({"f1": f1, "f2": f2, "f3": f3,
                     "Z": float(sol.eval_Z(args.x, 0)[0])})
+    stages.lap("eval")
     print(json.dumps(out))
+    stages.lap("write")
+    if args.stats:
+        _print_stats(stages, sol)
     return 0
 
 
 def _cmd_metric(args) -> int:
+    stages = _Stages()
     sol = load_solution(args.sol)
+    stages.lap("load")
     z = Point.parse(args.point)
     jet = metric_jet(sol, z)
+    stages.lap("jet")
     print(json.dumps({
         "point": _point_reals(z),
         "X": jet.x_value,
@@ -161,20 +199,28 @@ def _cmd_metric(args) -> int:
         "d3": {"".join(map(str, k)): v for k, v in jet.d3.items()},
         "d4": {"".join(map(str, k)): v for k, v in jet.d4.items()},
     }))
+    stages.lap("write")
+    if args.stats:
+        _print_stats(stages, sol)
     return 0
 
 
 def _cmd_curvature(args) -> int:
     if (args.v is None) != (args.w is None) or (args.v is None and not args.extremes):
         raise ValueError("provide both --v and --w, or --extremes")
+    stages = _Stages()
     sol = load_solution(args.sol)
+    stages.lap("load")
     z = Point.parse(args.point)
     jet = metric_jet(sol, z)
+    stages.lap("jet")
     tensor = tensor_from_jet(jet)
+    stages.lap("tensor")
     out = {"point": _point_reals(z), "X": jet.x_value, "tensor": tensor.as_dict()}
     if args.v is not None:
         pair = TangentPair(v=_parse_vector(args.v), w=_parse_vector(args.w))
         out["bis"] = bisectional(sol, z, pair)
+        stages.lap("bis")
     if args.extremes:
         ext = bis_extremes_from_jet(jet, tensor)
         sm, vstar = sectional_max_from_jet(jet, tensor)
@@ -188,23 +234,33 @@ def _cmd_curvature(args) -> int:
             "sect_max": sm,
             "arg_sect_max": _vector_reals(vstar),
         }
+        stages.lap("extremes")
     print(json.dumps(out))
+    stages.lap("write")
+    if args.stats:
+        _print_stats(stages, sol)
     return 0
 
 
 def _cmd_sweep(args) -> int:
+    stages = _Stages()
     sol = load_solution(args.sol)
+    stages.lap("load")
     rows = axis_sweep(sol, x_min=args.x_min, x_max=args.x_max, n=args.n)
+    stages.lap("sweep")
     write_sweep_csv(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
+    stages.lap("write")
+    if args.stats:
+        _print_stats(stages, sol)
     return 0
 
 
 def _cmd_verify(args) -> int:
     params = TubeParams(p=args.p)
-    start = time.perf_counter()
+    stages = _Stages()
     sol = solve_potential(params)
-    solve_s = time.perf_counter() - start
+    stages.lap("solve")
     timings = {}
     report = run_suite(args.suite, params, sol, seed=args.seed, timings=timings)
     for line in report.lines():
@@ -214,14 +270,21 @@ def _cmd_verify(args) -> int:
             json.dump(report.to_dict(), fh, indent=2)
             fh.write("\n")
     if args.stats:
-        print(json.dumps({
-            "solve_s": solve_s,
-            "solver": sol.stats,
-            "suite_s": timings,
-            "checks": len(report.checks),
-            "failed": sum(not c.passed for c in report.checks),
-        }), file=sys.stderr)
+        _print_stats(stages, sol, suite_s=timings, checks=len(report.checks),
+                     failed=sum(not c.passed for c in report.checks))
     return 0 if report.overall else 1
+
+
+def _reals_help(what: str, option: str) -> str:
+    return (f"{what} as re1,im1,re2,im2; when the first value is negative write "
+            f"{option}=-1,0,0,0 ({option} -1,0,0,0 is read as an option)")
+
+
+def _add_stats(parser: argparse.ArgumentParser, stages: str) -> None:
+    parser.add_argument("--stats", action="store_true",
+                        help=f"print the wall seconds of each stage ({stages}) and the "
+                             f"solver's stats as one JSON object on stderr; stdout is "
+                             f"unchanged")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -241,6 +304,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--f-max", type=float, default=1e8,
                          help="slope threshold treated as blow-up")
     p_solve.add_argument("--out", required=True, help="output JSON path")
+    _add_stats(p_solve, "solve, write")
     p_solve.set_defaults(func=_cmd_solve)
 
     p_eval = sub.add_parser("eval", help="evaluate the cached profile at one x")
@@ -248,22 +312,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--x", type=float, required=True)
     p_eval.add_argument("--derivs", action="store_true",
                         help="include f', f'', f''' and Z = e^{3F}")
+    _add_stats(p_eval, "load, eval, write")
     p_eval.set_defaults(func=_cmd_eval)
 
     p_metric = sub.add_parser("metric", help="metric tensor and jet at a point")
     p_metric.add_argument("--sol", required=True)
-    p_metric.add_argument("--point", required=True,
-                          help="z as re1,im1,re2,im2")
+    p_metric.add_argument("--point", required=True, help=_reals_help("z", "--point"))
+    _add_stats(p_metric, "load, jet, write")
     p_metric.set_defaults(func=_cmd_metric)
 
     p_curv = sub.add_parser("curvature",
                             help="curvature tensor, bisectional values, extremes")
     p_curv.add_argument("--sol", required=True)
-    p_curv.add_argument("--point", required=True, help="z as re1,im1,re2,im2")
-    p_curv.add_argument("--v", help="first tangent vector as re1,im1,re2,im2")
-    p_curv.add_argument("--w", help="second tangent vector as re1,im1,re2,im2")
+    p_curv.add_argument("--point", required=True, help=_reals_help("z", "--point"))
+    p_curv.add_argument("--v", help=_reals_help("first tangent vector", "--v"))
+    p_curv.add_argument("--w", help=_reals_help("second tangent vector", "--w"))
     p_curv.add_argument("--extremes", action="store_true",
                         help="extremal bisectional/sectional values")
+    _add_stats(p_curv, "load, jet, tensor, then bis and/or extremes, write")
     p_curv.set_defaults(func=_cmd_curvature)
 
     p_sweep = sub.add_parser("sweep", help="CSV sweep along the real-z2 axis")
@@ -272,6 +338,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--x-max", type=float, default=1.0 - 1e-4)
     p_sweep.add_argument("--n", type=int, default=500)
     p_sweep.add_argument("--out", required=True, help="output CSV path")
+    _add_stats(p_sweep, "load, sweep, write")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
@@ -280,9 +347,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           choices=list(SUITE_NAMES) + ["all"])
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--report", help="write the report as JSON here")
-    p_verify.add_argument("--stats", action="store_true",
-                          help="print solve and per-suite wall seconds, the solver's "
-                               "stats and the check counts as JSON on stderr")
+    _add_stats(p_verify, "solve, and each suite under suite_s; the check counts follow")
     p_verify.set_defaults(func=_cmd_verify)
     return parser
 

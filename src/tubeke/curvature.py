@@ -46,7 +46,8 @@ import numpy as np
 
 from .params import TubeParams
 from .potential_solver import PotentialSolution
-from .tube_geometry import Point, require_domain, x_invariant
+from .errors import DomainError
+from .tube_geometry import Point, _all, _first_point, require_domain, x_invariant
 from .metric_tensor import MetricJet, StackedJet, metric_jet
 
 __all__ = [
@@ -305,15 +306,37 @@ def _pull_to_axis(sol: PotentialSolution, z: Point, vectors):
     curvature is invariant under it, so evaluating on the axis loses
     nothing and keeps the potential evaluators at their best-conditioned
     abscissa.  A stacked z takes vectors of shape (2, n), one per point.
+
+    Bis is also invariant under rescaling each vector, so each pushed
+    vector is divided by the power of two that brings its larger entry
+    into [0.5, 1).  That is exact in floating point, and it keeps the
+    features of deep points (lam -> 0, where lam and lam^{1/(2p)} part by
+    hundreds of decades) from underflowing.  A point whose depth
+    1 - Re(4p z1) overflows (lam = 0) is refused.
     """
     p = sol.params.p
     lam = 1.0 / (1.0 - 4 * p * z.z1.real)
     x = x_invariant(sol.params, z)
+    ok = lam > 0.0
+    if not _all(ok):
+        raise DomainError(f"point {_first_point(z, ok)} is too deep to pull tangent "
+                          f"vectors to the axis: 1 - Re(4p z1) overflows")
     j1, j2 = lam, lam ** (1.0 / (2 * p))
-    pushed = [np.array([j1 * u[0], j2 * u[1]]) for u in vectors]
+    pushed = [_binade_scaled(np.array([j1 * u[0], j2 * u[1]])) for u in vectors]
     if np.ndim(x):
         return Point(np.zeros(x.shape, dtype=complex), x.astype(complex)), pushed
     return Point(0j, complex(x)), pushed
+
+
+def _binade_scaled(u: np.ndarray) -> np.ndarray:
+    """u times the power of two that brings max |u_i| into [0.5, 1).
+
+    u is one vector, or vectors stacked as the columns of a (2, n) array,
+    each scaled by its own power.
+    """
+    if u.ndim == 1:
+        return u * math.ldexp(1.0, -math.frexp(max(abs(u[0]), abs(u[1])))[1])
+    return u * np.ldexp(1.0, -np.frexp(np.abs(u).max(axis=0))[1])
 
 
 def bisectional(sol: PotentialSolution, z: Point, pair: TangentPair,

@@ -11,6 +11,16 @@ four into a small (a, b)-count table with fully closed-form entries, and
 makes every metric derivative a short chain-rule combination of
 (f, f', f'', f''') at X(z) with the table.
 
+The metric derivatives inherit the count classes: a derivative of order
+n depends only on m, its number of z1-type indices, so the jet holds
+3 metric values, 4 third-order and 5 fourth-order ones.  X is affine in
+Re z2 and L does not see z2, so only dX[(a, 0)], dX[(a, 1)] and
+dL[(a, 0)] can be nonzero, and _chain writes each of the 12 values out
+as a straight-line formula in those entries.  Its term order is part of
+the contract: each formula adds its terms in the order of the
+index-word chain rule (metric_jet's docstring), so every value is
+bit-identical to that sum.
+
 One chain rule serves floats and arrays.  metric_jet and
 einstein_residual evaluate it at one point; that scalar path is the one
 single point queries use.  stacked_jet evaluates it once on stacked
@@ -153,41 +163,49 @@ def _chain(tab: XLDerivatives, f, f1, f2=None, f3=None):
     the third and fourth derivatives with m indices of z1 type; both are
     None unless f2 and f3 are given, which takes tables of order four.
     Floats and stacked arrays go through the same arithmetic.
+
+    Each value is the chain rule of metric_jet's docstring at the
+    representative word (1,)*m + (2,)*(n-m), written out with the only
+    table entries that can be nonzero: A_a = dX[(a, 0)], B_a = dX[(a, 1)]
+    and L_a = dL[(a, 0)].  The terms stand in the order the index-word
+    sum adds them, with the factors in its order; only the terms holding
+    an exact zero (dX[(a, b>=2)], dL[(a, b>=1)]) are left out.  That
+    order is part of the contract: it keeps every value bit-identical to
+    the index-word sum, which the tests keep as the reference.  Do not
+    regroup or merge terms.
     """
-    dX, dL = tab.X, tab.L
-
-    def g2(i, j):
-        return f1 * dX(i) * dX(j) + f * dX(i, j) + dL(i, j)
-
-    def g3(i, j, k):
-        return (
-            f2 * dX(i) * dX(j) * dX(k)
-            + f1 * (dX(i, j) * dX(k) + dX(i, k) * dX(j) + dX(k, j) * dX(i))
-            + f * dX(i, j, k)
-            + dL(i, j, k)
-        )
-
-    def g4(i, j, k, l):
-        return (
-            f3 * dX(i) * dX(j) * dX(k) * dX(l)
-            + f2 * (dX(i, j) * dX(k) * dX(l) + dX(i, k) * dX(j) * dX(l)
-                    + dX(i, l) * dX(j) * dX(k) + dX(k, j) * dX(i) * dX(l)
-                    + dX(k, l) * dX(i) * dX(j) + dX(j, l) * dX(i) * dX(k))
-            + f1 * (dX(i, j, k) * dX(l) + dX(i, j, l) * dX(k)
-                    + dX(i, k, l) * dX(j) + dX(j, k, l) * dX(i)
-                    + dX(i, j) * dX(k, l) + dX(i, k) * dX(j, l) + dX(i, l) * dX(k, j))
-            + f * dX(i, j, k, l)
-            + dL(i, j, k, l)
-        )
-
-    metric = (g2(1, 1), g2(1, 2), g2(2, 2))
+    dX, dL = tab.dX, tab.dL
+    A1, A2, B0, B1 = dX[(1, 0)], dX[(2, 0)], dX[(0, 1)], dX[(1, 1)]
+    metric = (f1 * A1 * A1 + f * A2 + dL[(2, 0)],
+              f1 * A1 * B0 + f * B1,
+              f1 * B0 * B0)
     if f2 is None:
         return metric, None, None
-    # every value depends only on how many indices are of z1 type, so
-    # compute one representative per count class; the jets mirror it, which
-    # keeps their tables bit-exactly symmetric under index permutation
-    val3 = [g3(*([1] * m + [2] * (3 - m))) for m in range(4)]
-    val4 = [g4(*([1] * m + [2] * (4 - m))) for m in range(5)]
+    A3, A4, B2, B3 = dX[(3, 0)], dX[(4, 0)], dX[(2, 1)], dX[(3, 1)]
+    val3 = [
+        f2 * B0 * B0 * B0,
+        f2 * A1 * B0 * B0 + f1 * (B1 * B0 + B1 * B0),
+        f2 * A1 * A1 * B0 + f1 * (A2 * B0 + B1 * A1 + B1 * A1) + f * B2,
+        f2 * A1 * A1 * A1 + f1 * (A2 * A1 + A2 * A1 + A2 * A1) + f * A3 + dL[(3, 0)],
+    ]
+    val4 = [
+        f3 * B0 * B0 * B0 * B0,
+        f3 * A1 * B0 * B0 * B0 + f2 * (B1 * B0 * B0 + B1 * B0 * B0 + B1 * B0 * B0),
+        (f3 * A1 * A1 * B0 * B0
+         + f2 * (A2 * B0 * B0 + B1 * A1 * B0 + B1 * A1 * B0 + B1 * A1 * B0 + B1 * A1 * B0)
+         + f1 * (B2 * B0 + B2 * B0 + B1 * B1 + B1 * B1)),
+        (f3 * A1 * A1 * A1 * B0
+         + f2 * (A2 * A1 * B0 + A2 * A1 * B0 + B1 * A1 * A1
+                 + A2 * A1 * B0 + B1 * A1 * A1 + B1 * A1 * A1)
+         + f1 * (A3 * B0 + B2 * A1 + B2 * A1 + B2 * A1 + A2 * B1 + A2 * B1 + B1 * A2)
+         + f * B3),
+        (f3 * A1 * A1 * A1 * A1
+         + f2 * (A2 * A1 * A1 + A2 * A1 * A1 + A2 * A1 * A1
+                 + A2 * A1 * A1 + A2 * A1 * A1 + A2 * A1 * A1)
+         + f1 * (A3 * A1 + A3 * A1 + A3 * A1 + A3 * A1 + A2 * A2 + A2 * A2 + A2 * A2)
+         + f * A4
+         + dL[(4, 0)]),
+    ]
     return metric, val3, val4
 
 

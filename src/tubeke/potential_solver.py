@@ -64,10 +64,16 @@ _X_END_FINE = 1.02
 _TAIL_ERROR_PER_TOL = 1e9
 
 # 5-point Gauss-Legendre rule on [0,1]; exact for the degree-9 integrand
-# (cubic interpolant cubed) used by the integral-identity validator
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(5)
-_GAUSS_X = 0.5 * (_GAUSS_X + 1.0)
-_GAUSS_W = 0.5 * _GAUSS_W
+# (cubic interpolant cubed) used by the integral-identity validator.  The
+# nodes and weights on [-1, 1] are those of numpy.polynomial.legendre.
+# leggauss(5), written out so that importing the package does not import
+# numpy.polynomial (a few ms and about a megabyte in every process)
+_LEGGAUSS5_X = (-0.906179845938664, -0.5384693101056831, 0.0,
+                0.5384693101056831, 0.906179845938664)
+_LEGGAUSS5_W = (0.23692688505618928, 0.4786286704993663, 0.5688888888888887,
+                0.4786286704993663, 0.23692688505618928)
+_GAUSS_X = 0.5 * (np.array(_LEGGAUSS5_X) + 1.0)
+_GAUSS_W = 0.5 * np.array(_LEGGAUSS5_W)
 
 
 def ode_rhs(x: float, F: float, f: float, params: TubeParams) -> tuple[float, float]:

@@ -19,6 +19,7 @@ a boolean array, and the refusals name the first offending point.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -145,12 +146,25 @@ def require_domain(params: TubeParams, z: Point) -> None:
     """Raise DomainError, naming the (first) point, unless z lies in T_p."""
     ok = in_domain(params, z)
     if not _all(ok):
-        raise DomainError(f"point {_first_point(z, ok)} is not in T_{params.p}")
+        bad = _first_point(z, ok)
+        why = "" if _finite(bad.z1, bad.z2) else " (its coordinates must be finite)"
+        raise DomainError(f"point {bad} is not in T_{params.p}{why}")
 
 
 def in_domain(params: TubeParams, z: Point) -> bool:
-    """Whether Re(4p z1) + Re(z2)^{2p} < 1 (strict: open domain)."""
-    return z.z2.real ** (2 * params.p) < 1.0 - 4 * params.p * z.z1.real
+    """Whether Re(4p z1) + Re(z2)^{2p} < 1 (strict: open domain).
+
+    A point with an infinite or NaN coordinate is not in T_p, although
+    Re(z1) = -inf satisfies the inequality.
+    """
+    inside = z.z2.real ** (2 * params.p) < 1.0 - 4 * params.p * z.z1.real
+    if type(inside) is bool:
+        return inside and _finite(z.z1, z.z2)
+    return inside & np.isfinite(z.z1) & np.isfinite(z.z2)
+
+
+def _finite(z1: complex, z2: complex) -> bool:
+    return cmath.isfinite(z1) and cmath.isfinite(z2)
 
 
 def x_invariant(params: TubeParams, z: Point) -> float:

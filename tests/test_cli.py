@@ -138,7 +138,9 @@ def test_points_too_deep_for_the_jet_exit_two(sol_file, capsys, re1):
         code = main([*argv, "--sol", str(sol_file), f"--point={re1},0,0,0"])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
-        assert captured.err.startswith("error: point ") and "too deep" in captured.err
+        # Re z1 = -inf is no point of T_p; -1e300 is one, too deep for the jet
+        reason = "must be finite" if re1 == "-inf" else "too deep"
+        assert captured.err.startswith("error: point ") and reason in captured.err
 
 
 def test_sweep_csv_format(sol_file, tmp_path, capsys):
@@ -205,6 +207,40 @@ def test_verify_stats_leave_stdout_and_report_unchanged(tmp_path, capsys):
     assert stats["checks"] == len(json.loads(report)["checks"]) and stats["failed"] == 0
 
 
+STATS_RUNS = {
+    "solve": (["solve", "--p", "1", "--out", "{tmp}/s.json"], ["solve", "write"]),
+    "eval": (["eval", "--sol", "{sol}", "--x", "0.3", "--derivs"], ["load", "eval", "write"]),
+    "metric": (["metric", "--sol", "{sol}", "--point=-0.3,0.8,0.7,-1.1"],
+               ["load", "jet", "write"]),
+    "curvature": (["curvature", "--sol", "{sol}", "--point=-0.3,0.8,0.7,-1.1",
+                   "--v=-1,0.5,0,2", "--w", "0,0,1,0", "--extremes"],
+                  ["load", "jet", "tensor", "bis", "extremes", "write"]),
+    "sweep": (["sweep", "--sol", "{sol}", "--n", "5", "--out", "{tmp}/rows.csv"],
+              ["load", "sweep", "write"]),
+}
+
+
+@pytest.mark.parametrize("verb", list(STATS_RUNS))
+def test_stats_leave_stdout_unchanged_for_every_verb(verb, sol_file, tmp_path, capsys):
+    template, stages = STATS_RUNS[verb]
+    argv = [a.format(sol=sol_file, tmp=tmp_path) for a in template]
+    runs = []
+    for extra in ([], ["--stats"]):
+        code = main([*argv, *extra])
+        captured = capsys.readouterr()
+        written = sorted(f.read_bytes() for f in tmp_path.iterdir())
+        runs.append((code, captured.out, written, captured.err))
+    (code, out, written, err), (code_s, out_s, written_s, err_s) = runs
+    assert code == code_s == 0
+    # stdout and the files written (solve's JSON, sweep's CSV) stay byte-identical
+    assert out_s == out and written_s == written and err == ""
+    stats = json.loads(err_s)
+    assert list(stats) == [f"{s}_s" for s in stages] + ["solver"]
+    assert all(stats[f"{s}_s"] >= 0.0 for s in stages)
+    assert stats["solver"]["nodes"] > 1000
+    assert stats["solver"]["integrations"] == (3 if verb == "solve" else 0)
+
+
 def test_verify_all_suites_p2():
     assert main(["verify", "--p", "2", "--suite", "all"]) == 0
 
@@ -242,14 +278,16 @@ def test_tampered_solution_file_exits_two(sol1_file, tmp_path, capsys):
     assert "tampered" in capsys.readouterr().err
 
 
-def test_import_does_not_load_scipy():
-    # every CLI call pays the package import; scipy.optimize alone costs ~0.5 s
-    code = "import sys, tubeke; print('scipy' in sys.modules)"
+def test_import_loads_neither_numpy_polynomial_nor_scipy():
+    # every CLI call pays the package import: scipy.optimize alone costs
+    # ~0.5 s, numpy.polynomial ~7 ms and 1.2 MB
+    code = ("import sys, tubeke; "
+            "print([m for m in ('numpy.polynomial', 'scipy') if m in sys.modules])")
     src = os.path.dirname(os.path.dirname(tubeke.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_python_dash_m_runs_the_cli():

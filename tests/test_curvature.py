@@ -365,6 +365,55 @@ def test_domain_errors(sol_p1):
         sectional_max(sol_p1, outside)
 
 
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_deep_points_agree_with_shallower_ones(p, sols):
+    # at Re z1 = -1e300 the pull's Jacobian entries lam ~ 1e-300 and
+    # lam^{1/(2p)} part by up to 225 decades: unscaled, the features of a
+    # z1 direction underflow and Bis reads 0/0
+    sol = sols[p]
+    rng = np.random.default_rng(80 + p)
+    vs, ws = random_vectors(rng, 6), random_vectors(rng, 6)
+    vs[0], ws[1] = (1.0, 0.0), (1.0, 0.0)
+    values = {}
+    for re1 in (-1e100, -1e300):
+        z = Point(complex(re1, 0.4), complex(0.3, -1.0))
+        pairs = [TangentPair(v=v, w=w) for v, w in zip(vs, ws)]
+        values[re1] = np.array([*(bisectional(sol, z, pair) for pair in pairs),
+                                *(bisectional(sol, z, pair, formula="direct") for pair in pairs),
+                                *(sectional(sol, z, v) for v in vs),
+                                *bisectional_batch(sol, z, vs, ws)])
+    assert np.all(np.isfinite(values[-1e300]))
+    assert np.max(np.abs(values[-1e300] - values[-1e100])) <= 1e-12
+
+
+def test_non_finite_points_are_refused(sols):
+    pair = TangentPair(v=np.array([1.0, 1j]), w=np.array([0.3, 1.0]))
+    for sol in sols.values():
+        for z in (Point(complex(-math.inf, 0.0), 0j), Point(complex(math.nan, 0.0), 0j),
+                  Point(0j, complex(0.0, math.inf))):
+            for evaluate in (lambda: bisectional(sol, z, pair),
+                             lambda: bisectional(sol, z, pair, normalize=False),
+                             lambda: bisectional_batch(sol, z, [pair.v], [pair.w]),
+                             lambda: sectional(sol, z, pair.v),
+                             lambda: bis_extremes(sol, z),
+                             lambda: sectional_max(sol, z),
+                             lambda: metric_jet(sol, z)):
+                with pytest.raises(DomainError, match="must be finite"):
+                    evaluate()
+
+
+def test_a_depth_beyond_the_double_range_is_refused_by_the_pull(sol_p1):
+    # 1 - 4 Re z1 overflows to inf: the axis point is still X = 0, but the
+    # pushed vectors would vanish
+    z = Point(complex(-1e308, 0.0), 0j)
+    pair = TangentPair(v=np.array([1.0, 1j]), w=np.array([0.3, 1.0]))
+    for evaluate in (lambda: bisectional(sol_p1, z, pair),
+                     lambda: bisectional_batch(sol_p1, z, [pair.v], [pair.w])):
+        with pytest.raises(DomainError, match="too deep to pull"):
+            evaluate()
+    assert bis_extremes(sol_p1, z).min == bis_extremes(sol_p1, ORIGIN).min
+
+
 def test_p1_curvature_is_constant_in_x(sol_p1):
     # the p=1 domain is biholomorphic to the ball: extremes do not move
     for x in (0.0, 0.4, 0.9):

@@ -27,11 +27,12 @@ from tubeke import (
     in_domain,
     metric_jet,
     metric_jet_batch,
+    solve_potential,
     stacked_jet,
     tensor_from_jet,
     x_derivatives,
 )
-from tubeke.metric_tensor import _R_MAX, _tables
+from tubeke.metric_tensor import _R_MAX, _chain, _stacked_tables, _tables
 
 P2 = TubeParams(p=2)
 
@@ -256,11 +257,12 @@ def test_d3_d4_match_finite_differences_of_the_metric(sol_p2):
 # stacked jets, and the scalar chain rule as it read before _chain
 # ---------------------------------------------------------------------------
 
-def reference_metric_jet(sol, z):
-    """metric_jet with its own g2/g3/g4 closures, as written before _chain."""
-    params = sol.params
-    tab = x_derivatives(params, z, 4)
-    f, f1, f2, f3 = sol.eval_f_derivs(tab.x_value, 3)
+def reference_chain(tab, f, f1, f2=None, f3=None):
+    """metric_tensor._chain as it read before its count-class formulas.
+
+    The index-word chain rule, verbatim: the straight-line formulas must
+    reproduce every value bit for bit.
+    """
     dX, dL = tab.X, tab.L
 
     def g2(i, j):
@@ -287,12 +289,26 @@ def reference_metric_jet(sol, z):
             + dL(i, j, k, l)
         )
 
-    g11, g12, g22 = g2(1, 1), g2(1, 2), g2(2, 2)
+    metric = (g2(1, 1), g2(1, 2), g2(2, 2))
+    if f2 is None:
+        return metric, None, None
+    # every value depends only on how many indices are of z1 type, so
+    # compute one representative per count class; the jets mirror it, which
+    # keeps their tables bit-exactly symmetric under index permutation
+    val3 = [g3(*([1] * m + [2] * (3 - m))) for m in range(4)]
+    val4 = [g4(*([1] * m + [2] * (4 - m))) for m in range(5)]
+    return metric, val3, val4
+
+
+def reference_metric_jet(sol, z):
+    """metric_jet with the index-word chain rule, as written before _chain."""
+    params = sol.params
+    tab = x_derivatives(params, z, 4)
+    f, f1, f2, f3 = sol.eval_f_derivs(tab.x_value, 3)
+    (g11, g12, g22), val3, val4 = reference_chain(tab, f, f1, f2, f3)
     g = np.array([[g11, g12], [g12, g22]])
     det = g11 * g22 - g12 * g12
     inverse = np.array([[g22, -g12], [-g12, g11]]) / det
-    val3 = {m: g3(*([1] * m + [2] * (3 - m))) for m in range(4)}
-    val4 = {m: g4(*([1] * m + [2] * (4 - m))) for m in range(5)}
     d3 = {(i, j, k): val3[(i, j, k).count(1)]
           for i in (1, 2) for j in (1, 2) for k in (1, 2)}
     d4 = {(i, j, k, l): val4[(i, j, k, l).count(1)]
@@ -329,6 +345,46 @@ def test_scalar_jet_is_bit_equal_to_its_own_closures(p, sols):
         assert list(d3) == list(rd3) and list(d4) == list(rd4)
         assert np.array_equal(g, rg) and np.array_equal(inverse, rinv)
         assert einstein_residual(sol, z) == reference_einstein_residual(sol, z)
+
+
+def chain_points(params, rng, n):
+    """Points with |X| up to 0.9999 (X = 0 and X = +-0.9999 included) and
+    r = 1 - 4p Re z1 log-uniform on [1e-6, 1e6]."""
+    p = params.p
+    xs = np.concatenate([[0.0, 0.9999, -0.9999], rng.uniform(-0.9999, 0.9999, n - 3)])
+    rs = np.concatenate([[1e-6, 1.0, 1e6], 10.0 ** rng.uniform(-6.0, 6.0, n - 3)])
+    return [Point(complex((1.0 - r) / (4 * p), y1), complex(x * r ** (1.0 / (2 * p)), y2))
+            for x, r, y1, y2 in zip(xs, rs, *rng.uniform(-2.0, 2.0, (2, n)))]
+
+
+@pytest.fixture(scope="module")
+def chain_sols(sols):
+    return {**sols, **{p: solve_potential(TubeParams(p=p)) for p in (5, 8)}}
+
+
+def _chain_values(result):
+    metric, val3, val4 = result
+    return [*metric, *(val3 or ()), *(val4 or ())]
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 5, 8])
+def test_count_class_chain_is_bit_identical_to_the_index_word_chain(p, chain_sols):
+    sol = chain_sols[p]
+    points = chain_points(sol.params, np.random.default_rng(70 + p), 200)
+    assert any(x_derivatives(sol.params, z, 0).x_value == 0.0 for z in points)
+    for order in (2, 4):
+        for z in points:
+            tab = x_derivatives(sol.params, z, order)
+            fs = sol.eval_f_derivs(tab.x_value, order - 1)
+            new, ref = _chain_values(_chain(tab, *fs)), _chain_values(reference_chain(tab, *fs))
+            assert len(new) == (12 if order == 4 else 3)
+            assert new == ref, (z, order)
+        tab = _stacked_tables(sol.params, Point.stack(points), order)
+        fs = sol.eval_f_derivs(tab.x_value, order - 1)
+        new, ref = _chain_values(_chain(tab, *fs)), _chain_values(reference_chain(tab, *fs))
+        assert len(new) == len(ref)
+        for a, b in zip(new, ref):
+            assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
@@ -377,14 +433,17 @@ def test_batches_refuse_a_point_outside_the_domain(sol_p1):
 def test_points_too_deep_for_the_raw_jet_are_refused(p, sols):
     sol = sols[p]
     for re1 in (-1e300, -math.inf):
-        deep = Point(complex(re1, 0.0), 0j)
-        # T_p holds the point; only the raw jet cannot represent it
-        assert in_domain(sol.params, deep)
-        for evaluate in (lambda z: x_derivatives(sol.params, z, 0),
-                         lambda z: metric_jet(sol, z),
-                         lambda z: einstein_residual(sol, z)):
-            with pytest.raises(DomainError, match="too deep"):
-                evaluate(deep)
+        with pytest.raises(DomainError, match="too deep"):
+            x_derivatives(sol.params, Point(complex(re1, 0.0), 0j), 0)
+    deep, infinite = Point(complex(-1e300, 0.0), 0j), Point(complex(-math.inf, 0.0), 0j)
+    # T_p holds the finite point; only the raw jet cannot represent it.
+    # Re z1 = -inf is no point of T_p at all
+    assert in_domain(sol.params, deep) and not in_domain(sol.params, infinite)
+    for evaluate in (metric_jet, einstein_residual):
+        with pytest.raises(DomainError, match="too deep"):
+            evaluate(sol, deep)
+        with pytest.raises(DomainError, match="must be finite"):
+            evaluate(sol, infinite)
     # the stacked path names the first deep point
     points = sample_points(sol.params, np.random.default_rng(60 + p), 4)
     first = Point(complex(-1e150, 0.5), 0.1j)

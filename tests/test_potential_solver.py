@@ -32,7 +32,13 @@ from tubeke import (
     solution_from_dict,
     solve_potential,
 )
-from tubeke.potential_solver import _integrate
+from tubeke.potential_solver import (
+    _GAUSS_W,
+    _GAUSS_X,
+    _LEGGAUSS5_W,
+    _LEGGAUSS5_X,
+    _integrate,
+)
 
 LN2_OVER_3 = math.log(2.0) / 3.0
 
@@ -131,6 +137,15 @@ def test_integral_identity_residuals(sols):
     for sol in sols.values():
         res = integral_identity_residuals(sol.params, sol.F0, sol.xs, sol.Fs, sol.fs)
         assert np.max(res) < 1e-8
+
+
+def test_gauss_rule_literals_are_leggauss_5():
+    # the package keeps numpy.polynomial out of its import; the values
+    # must be leggauss(5)'s to the last bit
+    x, w = np.polynomial.legendre.leggauss(5)
+    assert np.array_equal(_LEGGAUSS5_X, x) and np.array_equal(_LEGGAUSS5_W, w)
+    assert np.array_equal(_GAUSS_X, 0.5 * (x + 1.0))
+    assert np.array_equal(_GAUSS_W, 0.5 * w)
 
 
 def test_convexity_on_grid(sols):

@@ -23,6 +23,7 @@ from tubeke import (
     region,
     x_invariant,
 )
+from tubeke.tube_geometry import require_domain
 
 P1 = TubeParams(p=1)
 P2 = TubeParams(p=2)
@@ -289,3 +290,18 @@ def test_nan_real_part_of_z1_is_refused_by_x_invariant():
         x_invariant(P1, nan_point)
     with pytest.raises(DomainError, match=re.escape(str(nan_point))):
         x_invariant(P1, Point.stack([Point(0j, 0.1 + 0j), nan_point]))
+
+
+@pytest.mark.parametrize("z", [Point(complex(-math.inf, 0.0), 0j),
+                               Point(complex(0.0, math.nan), 0j),
+                               Point(0j, complex(0.1, -math.inf)),
+                               Point(0j, complex(math.nan, 0.0))])
+def test_non_finite_points_are_not_in_the_domain(z):
+    # Re z1 = -inf satisfies the defining inequality, yet is no point of C^2
+    assert in_domain(P1, z) is False
+    with pytest.raises(DomainError, match=re.escape(str(z)) + ".*must be finite"):
+        require_domain(P1, z)
+    stacked = Point.stack([Point(0j, 0.5 + 0j), z, Point(-1e300 + 0j, 0j)])
+    assert in_domain(P1, stacked).tolist() == [True, False, True]
+    with pytest.raises(DomainError, match=re.escape(str(z)) + ".*must be finite"):
+        require_domain(P1, stacked)

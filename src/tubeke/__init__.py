@@ -15,135 +15,71 @@ Typical use::
 
 The ``tubeke`` console script exposes the same functionality as
 subcommands (solve, eval, metric, curvature, sweep, verify).
+
+Importing the package registers every submodule in ``sys.modules``
+without running it (``importlib.util.LazyLoader``); a submodule's body
+runs on the first access to one of its attributes, so a CLI call runs
+only the modules its verb uses.
 """
 
-from .errors import BracketError, DomainError, MaxStepsError
-from .params import ShootingConfig, TubeParams
-from .potential_solver import (
-    PotentialSolution,
-    eval_F,
-    eval_f_derivs,
-    eval_Z,
-    integral_identity_residuals,
-    load_solution,
-    ode_rhs,
-    solution_from_dict,
-    solve_potential,
-)
-from .tube_geometry import (
-    BoundaryClass,
-    Point,
-    RegionClass,
-    TubeAutomorphism,
-    apply,
-    classify_boundary,
-    in_cone,
-    in_domain,
-    jacobian,
-    jacobian_det,
-    normalizing_automorphism,
-    region,
-    x_invariant,
-)
-from .metric_tensor import (
-    MetricJet,
-    StackedJet,
-    XLDerivatives,
-    einstein_residual,
-    einstein_residual_batch,
-    metric_jet,
-    metric_jet_batch,
-    stacked_jet,
-    x_derivatives,
-)
-from .curvature import (
-    BisExtremes,
-    CurvatureTensor,
-    OriginValues,
-    TangentPair,
-    bis_extremes,
-    bis_extremes_from_jet,
-    bisectional,
-    bisectional_batch,
-    bisectional_from_jet,
-    boundary_limit_bis,
-    boundary_limit_batch,
-    curvature_tensor,
-    extremal_sectional_vector,
-    origin_closed_forms,
-    sectional,
-    sectional_max,
-    sectional_max_from_jet,
-    stacked_bisectional,
-    stacked_tensor,
-    tensor_from_jet,
-)
-from .diagnostics import SUITE_NAMES, CheckResult, SuiteReport, run_suite
-from .cli import SweepRow, axis_sweep
+import importlib.util
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "TubeParams",
-    "ShootingConfig",
-    "DomainError",
-    "BracketError",
-    "MaxStepsError",
-    "PotentialSolution",
-    "solve_potential",
-    "load_solution",
-    "solution_from_dict",
-    "ode_rhs",
-    "eval_F",
-    "eval_f_derivs",
-    "eval_Z",
-    "integral_identity_residuals",
-    "Point",
-    "TubeAutomorphism",
-    "BoundaryClass",
-    "RegionClass",
-    "in_domain",
-    "x_invariant",
-    "normalizing_automorphism",
-    "apply",
-    "jacobian",
-    "jacobian_det",
-    "classify_boundary",
-    "region",
-    "in_cone",
-    "XLDerivatives",
-    "MetricJet",
-    "StackedJet",
-    "x_derivatives",
-    "metric_jet",
-    "metric_jet_batch",
-    "stacked_jet",
-    "einstein_residual",
-    "einstein_residual_batch",
-    "CurvatureTensor",
-    "TangentPair",
-    "BisExtremes",
-    "OriginValues",
-    "curvature_tensor",
-    "tensor_from_jet",
-    "stacked_tensor",
-    "bisectional",
-    "bisectional_from_jet",
-    "bisectional_batch",
-    "stacked_bisectional",
-    "sectional",
-    "bis_extremes",
-    "bis_extremes_from_jet",
-    "sectional_max",
-    "sectional_max_from_jet",
-    "boundary_limit_bis",
-    "boundary_limit_batch",
-    "origin_closed_forms",
-    "extremal_sectional_vector",
-    "CheckResult",
-    "SuiteReport",
-    "SUITE_NAMES",
-    "run_suite",
-    "SweepRow",
-    "axis_sweep",
-]
+# submodule -> the public names it defines; the package's names resolve
+# through the submodule on each access, so a function replaced there (by
+# a tracer or a test) is seen here and nothing goes stale
+_EXPORTS = {
+    "params": ("TubeParams", "ShootingConfig", "SUITE_NAMES"),
+    "errors": ("DomainError", "BracketError", "MaxStepsError"),
+    "potential_solver": ("PotentialSolution", "solve_potential", "load_solution",
+                         "solution_from_dict", "ode_rhs", "eval_F", "eval_f_derivs",
+                         "eval_Z", "integral_identity_residuals"),
+    "tube_geometry": ("Point", "TubeAutomorphism", "BoundaryClass", "RegionClass",
+                      "in_domain", "x_invariant", "normalizing_automorphism", "apply",
+                      "jacobian", "jacobian_det", "classify_boundary", "region",
+                      "in_cone"),
+    "metric_tensor": ("XLDerivatives", "MetricJet", "StackedJet", "x_derivatives",
+                      "metric_jet", "metric_jet_batch", "stacked_jet",
+                      "einstein_residual", "einstein_residual_batch"),
+    "curvature": ("CurvatureTensor", "TangentPair", "BisExtremes", "OriginValues",
+                  "curvature_tensor", "tensor_from_jet", "stacked_tensor",
+                  "bisectional", "bisectional_from_jet", "bisectional_batch",
+                  "stacked_bisectional", "sectional", "bis_extremes",
+                  "bis_extremes_from_jet", "sectional_max", "sectional_max_from_jet",
+                  "boundary_limit_bis", "boundary_limit_batch", "origin_closed_forms",
+                  "extremal_sectional_vector"),
+    "diagnostics": ("CheckResult", "SuiteReport", "run_suite"),
+    "cli": ("SweepRow", "axis_sweep"),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+
+def _register(name: str):
+    """Put the submodule in sys.modules and return it, its body not yet run."""
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+for _name in _EXPORTS:
+    globals()[_name] = _register(_name)
+del _name
+_HOME = {name: globals()[module] for module, names in _EXPORTS.items() for name in names}
+
+
+def __getattr__(name: str):
+    try:
+        module = _HOME[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(module, name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

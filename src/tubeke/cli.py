@@ -24,23 +24,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# called through the modules, whose bodies run on first use: each verb
+# runs only the modules it needs
+from . import curvature, diagnostics, metric_tensor, tube_geometry
 from .errors import DomainError
-from .params import TubeParams, ShootingConfig
+from .params import SUITE_NAMES, TubeParams, ShootingConfig
 from .potential_solver import (
     PotentialSolution,
     load_solution,
     solve_potential,
 )
-from .tube_geometry import Point
-from .metric_tensor import metric_jet
-from .curvature import (
-    TangentPair,
-    bis_extremes_from_jet,
-    bisectional,
-    sectional_max_from_jet,
-    tensor_from_jet,
-)
-from .diagnostics import SUITE_NAMES, run_suite
 
 __all__ = ["SweepRow", "axis_sweep", "main"]
 
@@ -65,10 +58,10 @@ class SweepRow:
 
 def _row_at(sol: PotentialSolution, x: float, F: float, f: float, f1: float,
             f2: float, f3: float, Z: float) -> SweepRow:
-    jet = metric_jet(sol, Point(0j, complex(x)))
-    tensor = tensor_from_jet(jet)
-    ext = bis_extremes_from_jet(jet, tensor)
-    sm, _ = sectional_max_from_jet(jet, tensor)
+    jet = metric_tensor.metric_jet(sol, tube_geometry.Point(0j, complex(x)))
+    tensor = curvature.tensor_from_jet(jet)
+    ext = curvature.bis_extremes_from_jet(jet, tensor)
+    sm, _ = curvature.sectional_max_from_jet(jet, tensor)
     return SweepRow(x=x, F=F, f=f, f1=f1, f2=f2, f3=f3, Z=Z, det_g=jet.det,
                     bis_min=ext.min, bis_max=ext.max, sect_max=sm)
 
@@ -117,7 +110,7 @@ def _vector_reals(v) -> list:
     return [float(v[0].real), float(v[0].imag), float(v[1].real), float(v[1].imag)]
 
 
-def _point_reals(z: Point) -> list:
+def _point_reals(z: tube_geometry.Point) -> list:
     return [z.z1.real, z.z1.imag, z.z2.real, z.z2.imag]
 
 
@@ -187,8 +180,8 @@ def _cmd_metric(args) -> int:
     stages = _Stages()
     sol = load_solution(args.sol)
     stages.lap("load")
-    z = Point.parse(args.point)
-    jet = metric_jet(sol, z)
+    z = tube_geometry.Point.parse(args.point)
+    jet = metric_tensor.metric_jet(sol, z)
     stages.lap("jet")
     print(json.dumps({
         "point": _point_reals(z),
@@ -211,19 +204,19 @@ def _cmd_curvature(args) -> int:
     stages = _Stages()
     sol = load_solution(args.sol)
     stages.lap("load")
-    z = Point.parse(args.point)
-    jet = metric_jet(sol, z)
+    z = tube_geometry.Point.parse(args.point)
+    jet = metric_tensor.metric_jet(sol, z)
     stages.lap("jet")
-    tensor = tensor_from_jet(jet)
+    tensor = curvature.tensor_from_jet(jet)
     stages.lap("tensor")
     out = {"point": _point_reals(z), "X": jet.x_value, "tensor": tensor.as_dict()}
     if args.v is not None:
-        pair = TangentPair(v=_parse_vector(args.v), w=_parse_vector(args.w))
-        out["bis"] = bisectional(sol, z, pair)
+        pair = curvature.TangentPair(v=_parse_vector(args.v), w=_parse_vector(args.w))
+        out["bis"] = curvature.bisectional(sol, z, pair)
         stages.lap("bis")
     if args.extremes:
-        ext = bis_extremes_from_jet(jet, tensor)
-        sm, vstar = sectional_max_from_jet(jet, tensor)
+        ext = curvature.bis_extremes_from_jet(jet, tensor)
+        sm, vstar = curvature.sectional_max_from_jet(jet, tensor)
         out["extremes"] = {
             "min": ext.min,
             "argmin": {"v": _vector_reals(ext.argmin.v),
@@ -262,7 +255,7 @@ def _cmd_verify(args) -> int:
     sol = solve_potential(params)
     stages.lap("solve")
     timings = {}
-    report = run_suite(args.suite, params, sol, seed=args.seed, timings=timings)
+    report = diagnostics.run_suite(args.suite, params, sol, seed=args.seed, timings=timings)
     for line in report.lines():
         print(line)
     if args.report:

@@ -382,7 +382,7 @@ def bisectional_from_jet(jet: MetricJet, tensor: CurvatureTensor, v, w,
         C, gvec = _form(jet, tensor)
         return _bis_from_form(C, gvec, _features(v), _features(w))
     if formula == "direct":
-        return _bis_direct(jet, tensor, v, w)
+        return float(_bis_direct(jet, tensor, v, w))
     raise ValueError(f"unknown formula {formula!r} (expected 'tube' or 'direct')")
 
 

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .params import TubeParams
+from .params import SUITE_NAMES, TubeParams
 from .potential_solver import PotentialSolution
 from . import tube_geometry as geo
 from .tube_geometry import Point, RegionClass, BoundaryClass
@@ -81,9 +81,6 @@ from .curvature import (
 )
 
 __all__ = ["CheckResult", "SuiteReport", "SUITE_NAMES", "run_suite"]
-
-SUITE_NAMES = ("asymptotics", "origin", "invariance", "einstein",
-               "boundary_limit", "regions")
 
 # empirical residuals of the limit laws at x = 1 - 10^-k, worst over
 # p in {1,2,3}, are (k=2) 1.1e-2 / 3.4e-2 / 2.7e-4 / 1.1e-2 and shrink

@@ -112,13 +112,13 @@ def x_derivatives(params: TubeParams, z: Point, max_total_order: int = 4) -> XLD
     where the rising products c_a come from; X is affine in Re(z2), so two
     z2-type indices annihilate it, and L does not see z2 at all.
 
-    Raises DomainError unless 0 < r <= _R_MAX (see there).
+    Raises DomainError unless z lies in T_p (which makes r > 0) and
+    r <= _R_MAX (see there).
     """
     if not 0 <= max_total_order <= 4:
         raise ValueError(f"max_total_order must be in 0..4, got {max_total_order}")
+    require_domain(params, z)
     r = 1.0 - 4 * params.p * z.z1.real
-    if not r > 0.0:
-        raise DomainError(f"derivative tables undefined: Re(4p z1) is not below 1 at {z}")
     if not r <= _R_MAX:
         raise DomainError(_too_deep(z, r))
     x, dX, dL = _tables(params, r, z.z2.real, max_total_order, math.log)
@@ -258,7 +258,6 @@ def metric_jet(sol: PotentialSolution, z: Point) -> MetricJet:
     MetricJet
     """
     params = sol.params
-    require_domain(params, z)
     tab = x_derivatives(params, z, 4)
     f, f1, f2, f3 = sol.eval_f_derivs(tab.x_value, 3)
     (g11, g12, g22), val3, val4 = _chain(tab, f, f1, f2, f3)
@@ -342,7 +341,6 @@ def einstein_residual(sol: PotentialSolution, z: Point) -> float:
     cheapest end-to-end consistency probe for the metric path.
     """
     params = sol.params
-    require_domain(params, z)
     tab = x_derivatives(params, z, 2)
     f, f1 = sol.eval_f_derivs(tab.x_value, 1)
     (g11, g12, g22), _, _ = _chain(tab, f, f1)

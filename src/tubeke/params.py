@@ -1,4 +1,4 @@
-"""Domain parameters and solver configuration.
+"""Domain parameters, solver configuration and the verification suites' names.
 
 The family of tube domains treated by this package is
 
@@ -16,6 +16,11 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+# The verification suites by name, in the order "all" runs them; the
+# diagnostics module holds one suite function per name.  They live here so
+# that the CLI's parser can offer them without loading the suites.
+SUITE_NAMES = ("asymptotics", "origin", "invariance", "einstein",
+               "boundary_limit", "regions")
 
 @dataclass(frozen=True)
 class TubeParams:

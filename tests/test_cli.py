@@ -278,23 +278,85 @@ def test_tampered_solution_file_exits_two(sol1_file, tmp_path, capsys):
     assert "tampered" in capsys.readouterr().err
 
 
-def test_import_loads_neither_numpy_polynomial_nor_scipy():
-    # every CLI call pays the package import: scipy.optimize alone costs
-    # ~0.5 s, numpy.polynomial ~7 ms and 1.2 MB
-    code = ("import sys, tubeke; "
-            "print([m for m in ('numpy.polynomial', 'scipy') if m in sys.modules])")
+def run_fresh(*args):
+    """Run python3 with args in a new process that imports this tubeke."""
     src = os.path.dirname(os.path.dirname(tubeke.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def test_import_loads_neither_numpy_polynomial_nor_scipy():
+    # every CLI call pays the package import: scipy.optimize alone costs
+    # ~0.5 s, numpy.polynomial ~7 ms and 1.2 MB.  The submodules load on
+    # first use, so every public name is touched before looking
+    code = ("import sys, tubeke; [getattr(tubeke, name) for name in tubeke.__all__]; "
+            "print([m for m in ('numpy.polynomial', 'scipy') if m in sys.modules])")
+    out = run_fresh("-c", code)
+    assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
 
 
+MODULES = {"cli", "errors", "params", "potential_solver", "tube_geometry",
+           "metric_tensor", "curvature", "diagnostics"}
+# the submodules whose bodies a verb runs beyond cli, errors, params and
+# potential_solver, which every verb loads
+VERB_MODULES = {
+    "solve": set(),
+    "eval": set(),
+    "metric": {"tube_geometry", "metric_tensor"},
+    "curvature": {"tube_geometry", "metric_tensor", "curvature"},
+    "extremes": {"tube_geometry", "metric_tensor", "curvature"},
+    "sweep": {"tube_geometry", "metric_tensor", "curvature"},
+    "verify": {"tube_geometry", "metric_tensor", "curvature", "diagnostics"},
+}
+# runs one verb, then prints which tubeke submodules are registered and
+# which ran; a lazy module's type is importlib.util._LazyModule until its
+# first attribute access (vars() would count as one and load it)
+LOADED_CODE = """
+import json, sys, types
+from tubeke.cli import main
+code = main(sys.argv[1:])
+subs = {n[7:]: m for n, m in sys.modules.items() if n.startswith("tubeke.")}
+print(json.dumps([code, sorted(subs), sorted(n for n, m in subs.items()
+                                             if type(m) is types.ModuleType)]))
+"""
+
+
+def test_import_registers_every_submodule_and_runs_none():
+    code = ("import sys, types, tubeke.cli; subs = {n[7:]: m for n, m in sys.modules.items() "
+            "if n.startswith('tubeke.')}; print(sorted(subs)); "
+            "print(sorted(n for n, m in subs.items() if type(m) is types.ModuleType))")
+    out = run_fresh("-c", code)
+    assert out.returncode == 0, out.stderr
+    registered, loaded = out.stdout.splitlines()
+    assert registered == str(sorted(MODULES))
+    assert loaded == "[]"
+
+
+@pytest.mark.parametrize("verb", list(VERB_MODULES))
+def test_each_verb_runs_only_the_modules_it_uses(verb, sol_file, tmp_path):
+    point = "--point=0.01,0.1,0.3,-0.2"
+    argv = {
+        "solve": ["solve", "--p", "1", "--out", str(tmp_path / "s.json")],
+        "eval": ["eval", "--sol", str(sol_file), "--x", "0.3", "--derivs"],
+        "metric": ["metric", "--sol", str(sol_file), point],
+        "curvature": ["curvature", "--sol", str(sol_file), point,
+                      "--v=1,0,0.5,0", "--w=0,1,1,0"],
+        "extremes": ["curvature", "--sol", str(sol_file), point, "--extremes"],
+        "sweep": ["sweep", "--sol", str(sol_file), "--n", "3",
+                  "--out", str(tmp_path / "s.csv")],
+        "verify": ["verify", "--p", "1", "--suite", "origin"],
+    }[verb]
+    out = run_fresh("-c", LOADED_CODE, *argv)
+    assert out.returncode == 0, out.stderr
+    code, registered, loaded = json.loads(out.stdout.splitlines()[-1])
+    assert code == 0
+    assert set(registered) == MODULES
+    assert set(loaded) == {"cli", "errors", "params", "potential_solver"} | VERB_MODULES[verb]
+
+
 def test_python_dash_m_runs_the_cli():
-    src = os.path.dirname(os.path.dirname(tubeke.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-W", "default", "-m", "tubeke", "--help"],
-                         capture_output=True, text=True, env=env)
+    out = run_fresh("-W", "default", "-m", "tubeke", "--help")
     assert out.returncode == 0
     assert "usage: tubeke" in out.stdout
     assert "Warning" not in out.stderr

@@ -199,6 +199,7 @@ def test_bisectional_from_jet_equals_bisectional(sols, formula):
             jet = metric_jet(sol, axis)
             assert (bisectional_from_jet(jet, tensor_from_jet(jet), pv, pw, formula=formula)
                     == bisectional(sol, z, pair, formula=formula))
+            assert type(bisectional(sol, z, pair, formula=formula)) is float
             here = metric_jet(sol, z)
             assert (bisectional_from_jet(here, tensor_from_jet(here), v, w, formula=formula)
                     == bisectional(sol, z, pair, normalize=False, formula=formula))

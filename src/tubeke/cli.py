@@ -210,6 +210,7 @@ def _cmd_curvature(args) -> int:
     tensor = curvature.tensor_from_jet(jet)
     stages.lap("tensor")
     out = {"point": _point_reals(z), "X": jet.x_value, "tensor": tensor.as_dict()}
+    health = {}
     if args.v is not None:
         pair = curvature.TangentPair(v=_parse_vector(args.v), w=_parse_vector(args.w))
         out["bis"] = curvature.bisectional(sol, z, pair)
@@ -227,11 +228,12 @@ def _cmd_curvature(args) -> int:
             "sect_max": sm,
             "arg_sect_max": _vector_reals(vstar),
         }
+        health["einstein_defect"] = ext.einstein_defect
         stages.lap("extremes")
     print(json.dumps(out))
     stages.lap("write")
     if args.stats:
-        _print_stats(stages, sol)
+        _print_stats(stages, sol, **health)
     return 0
 
 
@@ -321,8 +323,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_curv.add_argument("--v", help=_reals_help("first tangent vector", "--v"))
     p_curv.add_argument("--w", help=_reals_help("second tangent vector", "--w"))
     p_curv.add_argument("--extremes", action="store_true",
-                        help="extremal bisectional/sectional values")
-    _add_stats(p_curv, "load, jet, tensor, then bis and/or extremes, write")
+                        help="extremal bisectional/sectional values (refused where "
+                             "the Einstein defect of the jet exceeds 1e-3)")
+    _add_stats(p_curv, "load, jet, tensor, then bis and/or extremes, write; with "
+                       "--extremes, einstein_defect follows")
     p_curv.set_defaults(func=_cmd_curvature)
 
     p_sweep = sub.add_parser("sweep", help="CSV sweep along the real-z2 axis")

@@ -21,18 +21,20 @@ points and stacked ones alike: stacked_tensor and stacked_bisectional
 evaluate them on a StackedJet (one array per count class) with one
 vector pair per point, which is how the invariance suite runs.
 
-The extremes are exact.  Write a g-unit vector through its Bloch vector
-n on the unit sphere, v v* = K (I + n.sigma) K^T / 2 with g = L L^T and
-K = L^{-T}; in that basis the form becomes
+The extremes and the boundary limit work in the g-orthonormal frame
+e1 = (alpha, beta), e2 = (0, gamma): alpha = sqrt(g22/det g), beta =
+-alpha g12/g22, gamma = 1/sqrt(g22).  With a g-unit v written through its
+Bloch vector n in the frame (v v* = (I + n.sigma)/2), real coefficients give
 
-    Bis(v, w) = a + b.(n + m) + n^T M m
+    Bis(v, w) = a + b.(n + m) + n^T M m,   b_y = M_xy = M_yz = 0,
 
-with M a symmetric 3x3 matrix.  The Einstein condition Ric = -3g fixes
-a = -3/2, b = 0 and tr M = -3/2, so bis_min/max = a -+ ||M||_2 at the
-top singular pair of M and sect_max = a + lambda_max(M) at its top
-eigenvector.  The computed b is not exactly 0: each reported value is
-the full form at the pair it reports, so it is attained, and lies within
-4||b|| of the true extreme (||b|| <= 7e-10 for |x| <= 0.99, p = 1, 2, 3).
+so M splits into a 1x1 and a 2x2 block with closed-form eigenpairs.  The
+Einstein condition Ric = -3g fixes a = -3/2, b = 0 and tr M = -3/2, and the
+reported values are the reduced bis_min/max = -3/2 -+ max|lambda| and
+sect_max = -3/2 + max lambda; their pairs attain them up to three times the
+Einstein defect max(|a + 3/2|, ||b||, |tr M + 3/2|).  The jet path's defect
+is about 1e-10 for |X| <= 0.99 and at most 1.3e-4 for 1 - |X| >= 1e-4; where
+it exceeds 1e-3 (p=1 from 1 - |X| = 5e-5) the extremes raise DomainError.
 """
 
 from __future__ import annotations
@@ -145,10 +147,13 @@ class TangentPair:
 
 @dataclass(frozen=True)
 class BisExtremes:
+    """Extremal Bis with attaining pairs, and the jet's Einstein defect (see above)."""
+
     min: float
     argmin: TangentPair
     max: float
     argmax: TangentPair
+    einstein_defect: float
 
 
 # ---------------------------------------------------------------------------
@@ -444,6 +449,23 @@ def sectional(sol: PotentialSolution, z: Point, v) -> float:
     return bisectional(sol, z, TangentPair(v=v, w=v))
 
 
+# ---------------------------------------------------------------------------
+# the g-orthonormal frame: boundary limit and exact extremes
+# ---------------------------------------------------------------------------
+
+def _frame(g11, g12, g22) -> tuple[float, float, float]:
+    """(alpha, beta, gamma) of the g-orthonormal frame e1 = (alpha, beta), e2 = (0, gamma).
+
+    det g is the exact value, in integers, rounded once: g11 g22 and g12^2
+    nearly cancel near the boundary.
+    """
+    (n11, d11), (n12, d12), (n22, d22) = (g11.as_integer_ratio(), g12.as_integer_ratio(),
+                                          g22.as_integer_ratio())
+    det = (n11 * n22 * d12 * d12 - n12 * n12 * d11 * d22) / (d11 * d22 * d12 * d12)
+    alpha = math.sqrt(g22 / det)
+    return alpha, -alpha * g12 / g22, 1.0 / math.sqrt(g22)
+
+
 def boundary_limit_batch(jet: MetricJet, vs, ws) -> np.ndarray:
     """The strictly pseudoconvex boundary limit of Bis for stacked pairs.
 
@@ -457,14 +479,17 @@ def boundary_limit_batch(jet: MetricJet, vs, ws) -> np.ndarray:
 
 
 def _boundary_limit(g, vs, ws) -> np.ndarray:
-    v0, v1, w0, w1 = vs[:, 0], vs[:, 1], ws[:, 0], ws[:, 1]
-    ip_vw = (g[0, 0] * v0 * np.conjugate(w0) + g[0, 1] * v0 * np.conjugate(w1)
-             + g[1, 0] * v1 * np.conjugate(w0) + g[1, 1] * v1 * np.conjugate(w1))
-    ip_vv = (g[0, 0] * np.abs(v0) ** 2 + g[1, 1] * np.abs(v1) ** 2
-             + 2.0 * (g[0, 1] * v0 * np.conjugate(v1)).real)
-    ip_ww = (g[0, 0] * np.abs(w0) ** 2 + g[1, 1] * np.abs(w1) ** 2
-             + 2.0 * (g[0, 1] * w0 * np.conjugate(w1)).real)
-    return -1.0 - np.abs(ip_vw) ** 2 / (ip_vv * ip_ww)
+    """The Gram ratio as the Euclidean one of the rows' frame coordinates."""
+    alpha, beta, gamma = _frame(float(g[0, 0]), float(g[0, 1]), float(g[1, 1]))
+    v0, w0 = vs[:, 0] / alpha, ws[:, 0] / alpha
+    v1, w1 = (vs[:, 1] - beta * v0) / gamma, (ws[:, 1] - beta * w0) / gamma
+    ip = v0 * np.conjugate(w0) + v1 * np.conjugate(w1)
+    return -1.0 - _sq(ip) / ((_sq(v0) + _sq(v1)) * (_sq(w0) + _sq(w1)))
+
+
+def _sq(u):
+    """|u|^2 of complex arrays, without hypot's extra rounding."""
+    return u.real * u.real + u.imag * u.imag
 
 
 def boundary_limit_bis(jet: MetricJet, pair: TangentPair) -> float:
@@ -472,56 +497,85 @@ def boundary_limit_bis(jet: MetricJet, pair: TangentPair) -> float:
     return float(_boundary_limit(jet.metric, pair.v[None], pair.w[None])[0])
 
 
-# ---------------------------------------------------------------------------
-# exact extremes
-# ---------------------------------------------------------------------------
-
-# the Pauli basis (I, sigma_x, sigma_y, sigma_z) of the Hermitian 2x2 matrices
-_PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
-                   [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+_DEFECT_TOL = 1e-3   # the largest Einstein defect the extremes accept
 
 
-def _bloch_form(jet: MetricJet, tensor: CurvatureTensor) -> tuple[float, np.ndarray, np.ndarray]:
-    """(a, b, M) with Bis(v, w) = a + b.(n + m) + n^T M m.
+def _bloch_split(jet: MetricJet, tensor: CurvatureTensor) -> tuple:
+    """(frame, a, b, M) with Bis(v, w) = a + b.(n + m) + n^T M m in the frame.
 
-    n and m are the Bloch vectors of g-unit v and w.  With g = L L^T and
-    K = L^{-T}, v v* = K (I + n.sigma) K^T / 2, so column k of P holds the
-    features of K sigma_k K^T / 2 and the 4x4 form P^T C P carries a in
-    its corner, b in its border and M in its 3x3 block.
+    b is (b_x, b_z) and M is (lam_y, Mxx, Mxz, Mzz): the 1x1 block and
+    the 2x2 (x, z) block of M; every other entry vanishes.
     """
-    C, gvec = _form(jet, tensor)
-    g12 = 0.5 * gvec[2]
-    K = np.linalg.inv(np.linalg.cholesky(np.array([[gvec[0], g12], [g12, gvec[1]]]))).T
-    H = 0.5 * (K @ _PAULI @ K.T)
-    P = np.array([H[:, 0, 0].real, H[:, 1, 1].real, H[:, 0, 1].real, H[:, 0, 1].imag])
-    T = P.T @ C @ P
-    return float(T[0, 0]), T[0, 1:], T[1:, 1:]
+    g11, g12, _, g22 = jet.metric.ravel().tolist()
+    al, be, ga = frame = _frame(g11, g12, g22)
+    t = tensor
+    R1111, R1112, R1122, R1212, R1222, R2222 = map(
+        float, (t.R1111, t.R1112, t.R1122, t.R1212, t.R1222, t.R2222))
+    Q2222 = ga ** 4 * R2222
+    Q1222 = ga ** 3 * (al * R1222 + be * R2222)
+    Q1122 = ga * ga * (al * al * R1122 + 2.0 * al * be * R1222 + be * be * R2222)
+    Q1212 = ga * ga * (al * al * R1212 + 2.0 * al * be * R1222 + be * be * R2222)
+    Q1112 = ga * (al ** 3 * R1112 + al * al * be * (2.0 * R1122 + R1212)
+                  + 3.0 * al * be * be * R1222 + be ** 3 * R2222)
+    Q1111 = (al ** 4 * R1111 + 4.0 * al ** 3 * be * R1112
+             + al * al * be * be * (4.0 * R1122 + 2.0 * R1212)
+             + 4.0 * al * be ** 3 * R1222 + be ** 4 * R2222)
+    a = 0.25 * (Q1111 + 2.0 * Q1122 + Q2222)
+    b = (0.5 * (Q1112 + Q1222), 0.25 * (Q1111 - Q2222))
+    M = (0.5 * (Q1122 - Q1212), 0.5 * (Q1122 + Q1212), 0.5 * (Q1112 - Q1222),
+         0.25 * (Q1111 - 2.0 * Q1122 + Q2222))
+    return frame, a, b, M
 
 
-def _unit_vector(jet: MetricJet, n: np.ndarray) -> np.ndarray:
-    """The g-unit vector L^{-T} (cos(t/2), e^{i phi} sin(t/2)) with Bloch vector n."""
-    theta = math.acos(min(1.0, max(-1.0, float(n[2]))))
-    phi = math.atan2(n[1], n[0])
-    unit = np.array([math.cos(0.5 * theta), cmath.exp(1j * phi) * math.sin(0.5 * theta)])
-    return np.linalg.solve(np.linalg.cholesky(jet.metric).T, unit)
+def _reduced_form(jet: MetricJet, tensor: CurvatureTensor) -> tuple:
+    """(frame, [(eigenvalue, unit eigenvector)] of M, Einstein defect), or DomainError.
+
+    The 2x2 block's eigenvalues are mean +- h, the larger one at the angle
+    phi in the (x, z) plane.
+    """
+    frame, a, b, (lam_y, mxx, mxz, mzz) = _bloch_split(jet, tensor)
+    defect = max(abs(a + 1.5), math.hypot(*b), abs(lam_y + mxx + mzz + 1.5))
+    if not defect <= _DEFECT_TOL:
+        raise DomainError(
+            f"curvature extremes at X = {jet.x_value!r} are refused: the jet path's "
+            f"Einstein defect {defect:.2g} exceeds {_DEFECT_TOL:g} (it is accurate, "
+            f"with defect <= 1.3e-4, for 1 - |X| >= 1e-4)")
+    mean, h = 0.5 * (mxx + mzz), math.hypot(0.5 * (mxx - mzz), mxz)
+    phi = 0.5 * math.atan2(2.0 * mxz, mxx - mzz)
+    c, s = math.cos(phi), math.sin(phi)
+    return frame, [(lam_y, (0.0, 1.0, 0.0)), (mean + h, (c, 0.0, s)),
+                   (mean - h, (-s, 0.0, c))], defect
+
+
+def _spinor_vector(frame, n) -> np.ndarray:
+    """The g-unit vector with Bloch vector n, in raw coordinates."""
+    nx, ny, nz = n
+    if nz >= 0.0:
+        v0 = math.sqrt(0.5 * (1.0 + nz))
+        v1 = complex(nx, ny) / (2.0 * v0)
+    else:
+        v1 = math.sqrt(0.5 * (1.0 - nz))
+        v0 = complex(nx, -ny) / (2.0 * v1)
+    alpha, beta, gamma = frame
+    return np.array([alpha * v0, beta * v0 + gamma * v1], dtype=complex)
 
 
 def bis_extremes_from_jet(jet: MetricJet, tensor: CurvatureTensor) -> BisExtremes:
     """Extremes of Bis over all nonzero pairs at a fixed point.
 
-    n^T M m ranges over [-s, s] for the top singular value s of M, reached
-    at n = -+u, m = v for the top singular pair; each value reported is
-    the form at the pair it reports, so it is attained exactly.
+    n^T M m ranges over [-|lam|, |lam|] for the eigenvalue lam of M of
+    largest modulus, reached at m = u, n = -+sign(lam) u for its
+    eigenvector u; the values reported are the Einstein-reduced -3/2 -+ |lam|.
     """
-    a, b, M = _bloch_form(jet, tensor)
-    U, _, Vt = np.linalg.svd(M)
-    m = Vt[0]
-    found = []
-    for n in (-U[:, 0], U[:, 0]):
-        value = float(a + b @ (n + m) + n @ M @ m)
-        found.append((value, TangentPair(v=_unit_vector(jet, n), w=_unit_vector(jet, m))))
-    (low, argmin), (high, argmax) = found
-    return BisExtremes(min=low, argmin=argmin, max=high, argmax=argmax)
+    frame, pairs, defect = _reduced_form(jet, tensor)
+    lam, u = max(pairs, key=lambda pair: abs(pair[0]))
+    # n^T M u = lam n.u: lam at n = u, -lam at n = -u
+    m = _spinor_vector(frame, u)
+    same = TangentPair(v=m, w=m)
+    flipped = TangentPair(v=_spinor_vector(frame, tuple(-c for c in u)), w=m)
+    argmin, argmax = (same, flipped) if lam < 0.0 else (flipped, same)
+    return BisExtremes(min=-1.5 - abs(lam), argmin=argmin, max=-1.5 + abs(lam),
+                       argmax=argmax, einstein_defect=defect)
 
 
 def bis_extremes(sol: PotentialSolution, z: Point) -> BisExtremes:
@@ -535,11 +589,12 @@ def bis_extremes(sol: PotentialSolution, z: Point) -> BisExtremes:
 def sectional_max_from_jet(jet: MetricJet, tensor: CurvatureTensor) -> tuple[float, np.ndarray]:
     """Maximum of S(v) = Bis(v, v) at a fixed point, with a maximizer.
 
-    n^T M n peaks at the top eigenvector of M, where S = a + 2 b.n + lambda_max.
+    n^T M n peaks at the top eigenvector of M; the reported value is the
+    Einstein-reduced -3/2 + lambda_max.
     """
-    a, b, M = _bloch_form(jet, tensor)
-    n = np.linalg.eigh(M)[1][:, -1]
-    return float(a + 2.0 * (b @ n) + n @ M @ n), _unit_vector(jet, n)
+    frame, pairs, _ = _reduced_form(jet, tensor)
+    lam, n = max(pairs, key=lambda pair: pair[0])
+    return -1.5 + lam, _spinor_vector(frame, n)
 
 
 def sectional_max(sol: PotentialSolution, z: Point) -> tuple[float, np.ndarray]:

@@ -117,6 +117,19 @@ def test_curvature_extremes_mode(sol1_file, capsys):
     assert len(ext["argmin"]["v"]) == 4 and len(ext["argmax"]["w"]) == 4
 
 
+def test_extremes_beyond_the_accurate_range_exit_2(sol1_file, tmp_path, capsys):
+    # p=1 at 1 - x = 1e-5: the jet path's Einstein defect reads 1.3, and
+    # the extremes it would give are min > max and sect_max = +3
+    for argv in (["curvature", "--sol", str(sol1_file), "--point=0,0,0.99999,0", "--extremes"],
+                 ["sweep", "--sol", str(sol1_file), "--x-min", "0.9", "--x-max", "0.99999",
+                  "--n", "3", "--out", str(tmp_path / "rows.csv")]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Einstein defect" in captured.err and "1 - |X| >= 1e-4" in captured.err
+    assert not (tmp_path / "rows.csv").exists()
+
+
 def test_curvature_requires_a_mode(sol_file, capsys):
     code = main(["curvature", "--sol", str(sol_file), "--point", "0,0,0,0"])
     assert code == 2
@@ -207,22 +220,26 @@ def test_verify_stats_leave_stdout_and_report_unchanged(tmp_path, capsys):
     assert stats["checks"] == len(json.loads(report)["checks"]) and stats["failed"] == 0
 
 
+# argv, stages and the verb's health entries after "solver"
 STATS_RUNS = {
-    "solve": (["solve", "--p", "1", "--out", "{tmp}/s.json"], ["solve", "write"]),
-    "eval": (["eval", "--sol", "{sol}", "--x", "0.3", "--derivs"], ["load", "eval", "write"]),
+    "solve": (["solve", "--p", "1", "--out", "{tmp}/s.json"], ["solve", "write"], []),
+    "eval": (["eval", "--sol", "{sol}", "--x", "0.3", "--derivs"], ["load", "eval", "write"], []),
     "metric": (["metric", "--sol", "{sol}", "--point=-0.3,0.8,0.7,-1.1"],
-               ["load", "jet", "write"]),
+               ["load", "jet", "write"], []),
     "curvature": (["curvature", "--sol", "{sol}", "--point=-0.3,0.8,0.7,-1.1",
                    "--v=-1,0.5,0,2", "--w", "0,0,1,0", "--extremes"],
-                  ["load", "jet", "tensor", "bis", "extremes", "write"]),
+                  ["load", "jet", "tensor", "bis", "extremes", "write"], ["einstein_defect"]),
+    "curvature_pair": (["curvature", "--sol", "{sol}", "--point=-0.3,0.8,0.7,-1.1",
+                        "--v=-1,0.5,0,2", "--w", "0,0,1,0"],
+                       ["load", "jet", "tensor", "bis", "write"], []),
     "sweep": (["sweep", "--sol", "{sol}", "--n", "5", "--out", "{tmp}/rows.csv"],
-              ["load", "sweep", "write"]),
+              ["load", "sweep", "write"], []),
 }
 
 
 @pytest.mark.parametrize("verb", list(STATS_RUNS))
 def test_stats_leave_stdout_unchanged_for_every_verb(verb, sol_file, tmp_path, capsys):
-    template, stages = STATS_RUNS[verb]
+    template, stages, health = STATS_RUNS[verb]
     argv = [a.format(sol=sol_file, tmp=tmp_path) for a in template]
     runs = []
     for extra in ([], ["--stats"]):
@@ -235,10 +252,13 @@ def test_stats_leave_stdout_unchanged_for_every_verb(verb, sol_file, tmp_path, c
     # stdout and the files written (solve's JSON, sweep's CSV) stay byte-identical
     assert out_s == out and written_s == written and err == ""
     stats = json.loads(err_s)
-    assert list(stats) == [f"{s}_s" for s in stages] + ["solver"]
+    assert list(stats) == [f"{s}_s" for s in stages] + ["solver"] + health
     assert all(stats[f"{s}_s"] >= 0.0 for s in stages)
     assert stats["solver"]["nodes"] > 1000
     assert stats["solver"]["integrations"] == (3 if verb == "solve" else 0)
+    if health:
+        # the raw jet at this point meets the Einstein reduction to rounding
+        assert 0.0 <= stats["einstein_defect"] <= 1e-8
 
 
 def test_verify_all_suites_p2():

@@ -7,6 +7,7 @@ automorphism invariance, agreement of two independent evaluation
 formulas, and the Cauchy-Schwarz shape of the boundary limit.
 """
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -32,15 +33,91 @@ from tubeke import (
     sectional,
     sectional_max,
     sectional_max_from_jet,
+    solve_potential,
     tensor_from_jet,
 )
-from tubeke.curvature import _bloch_form, _pull_to_axis
+from tubeke.curvature import (_bloch_split, _form, _frame, _pull_to_axis, _reduced_form,
+                              _spinor_vector)
 
 ORIGIN = Point(0j, 0j)
+EPS = np.finfo(float).eps
 
 
 def random_vectors(rng, n):
     return rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+
+
+@pytest.fixture(scope="module")
+def five_sols(sols):
+    return {**sols, 5: solve_potential(TubeParams(p=5)), 8: solve_potential(TubeParams(p=8))}
+
+
+# ---------------------------------------------------------------------------
+# the Cholesky/SVD/eigh extremes that the frame split replaced, kept
+# verbatim as the reference
+# ---------------------------------------------------------------------------
+
+# the Pauli basis (I, sigma_x, sigma_y, sigma_z) of the Hermitian 2x2 matrices
+_PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
+                   [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def _bloch_form(jet, tensor):
+    """(a, b, M) with Bis(v, w) = a + b.(n + m) + n^T M m.
+
+    n and m are the Bloch vectors of g-unit v and w.  With g = L L^T and
+    K = L^{-T}, v v* = K (I + n.sigma) K^T / 2, so column k of P holds the
+    features of K sigma_k K^T / 2 and the 4x4 form P^T C P carries a in
+    its corner, b in its border and M in its 3x3 block.
+    """
+    C, gvec = _form(jet, tensor)
+    g12 = 0.5 * gvec[2]
+    K = np.linalg.inv(np.linalg.cholesky(np.array([[gvec[0], g12], [g12, gvec[1]]]))).T
+    H = 0.5 * (K @ _PAULI @ K.T)
+    P = np.array([H[:, 0, 0].real, H[:, 1, 1].real, H[:, 0, 1].real, H[:, 0, 1].imag])
+    T = P.T @ C @ P
+    return float(T[0, 0]), T[0, 1:], T[1:, 1:]
+
+
+def _unit_vector(jet, n):
+    """The g-unit vector L^{-T} (cos(t/2), e^{i phi} sin(t/2)) with Bloch vector n."""
+    theta = math.acos(min(1.0, max(-1.0, float(n[2]))))
+    phi = math.atan2(n[1], n[0])
+    unit = np.array([math.cos(0.5 * theta), cmath.exp(1j * phi) * math.sin(0.5 * theta)])
+    return np.linalg.solve(np.linalg.cholesky(jet.metric).T, unit)
+
+
+def reference_bis_extremes(jet, tensor):
+    """(min, argmin, max, argmax), each value the full form at its pair."""
+    a, b, M = _bloch_form(jet, tensor)
+    U, _, Vt = np.linalg.svd(M)
+    m = Vt[0]
+    found = []
+    for n in (-U[:, 0], U[:, 0]):
+        value = float(a + b @ (n + m) + n @ M @ m)
+        found.append((value, TangentPair(v=_unit_vector(jet, n), w=_unit_vector(jet, m))))
+    (low, argmin), (high, argmax) = found
+    return low, argmin, high, argmax
+
+
+def reference_sectional_max(jet, tensor):
+    a, b, M = _bloch_form(jet, tensor)
+    n = np.linalg.eigh(M)[1][:, -1]
+    return float(a + 2.0 * (b @ n) + n @ M @ n), _unit_vector(jet, n)
+
+
+def random_point(p, rng):
+    """Off-axis point with |X| <= 0.99 (the shape of diagnostics' sampler)."""
+    x = rng.uniform(-0.99, 0.99)
+    r = rng.uniform(0.2, 3.0)
+    y1, y2 = rng.uniform(-2.0, 2.0, 2)
+    return Point(complex((1.0 - r) / (4 * p), y1), complex(x * r ** (1.0 / (2 * p)), y2))
+
+
+def g_norm_sq(jet, v):
+    g = jet.metric
+    return (g[0, 0] * abs(v[0]) ** 2 + g[1, 1] * abs(v[1]) ** 2
+            + 2.0 * (g[0, 1] * v[0] * np.conjugate(v[1])).real)
 
 
 def test_origin_closed_forms_are_exact_rationals():
@@ -259,13 +336,78 @@ def test_bloch_form_satisfies_the_einstein_reduction(sols):
     for sol in sols.values():
         for x in np.linspace(-0.99, 0.99, 41):
             jet = metric_jet(sol, Point(0j, complex(x)))
-            a, b, M = _bloch_form(jet, tensor_from_jet(jet))
+            _, a, b, (lam_y, mxx, _, mzz) = _bloch_split(jet, tensor_from_jet(jet))
             assert abs(a + 1.5) <= 1e-8
-            assert np.linalg.norm(b) <= 1e-8
-            assert abs(np.trace(M) + 1.5) <= 1e-8
+            assert math.hypot(*b) <= 1e-8
+            assert abs(lam_y + mxx + mzz + 1.5) <= 1e-8
     jet = metric_jet(sols[2], ORIGIN)
-    _, _, M = _bloch_form(jet, tensor_from_jet(jet))
-    assert np.allclose(np.linalg.eigvalsh(M), [-0.9, -0.45, -0.15], rtol=0.0, atol=1e-10)
+    _, pairs, _ = _reduced_form(jet, tensor_from_jet(jet))
+    assert np.allclose(sorted(lam for lam, _ in pairs), [-0.9, -0.45, -0.15],
+                       rtol=0.0, atol=1e-10)
+
+
+def test_frame_extremes_match_the_reference(five_sols):
+    # 1000 off-axis points: the reduced values agree with the Cholesky/SVD/
+    # eigh path, whose values carry the full form a + b.(n+m) + n^T M m
+    rng = np.random.default_rng(40)
+    for p, sol in five_sols.items():
+        for _ in range(200):
+            jet = metric_jet(sol, random_point(p, rng))
+            tensor = tensor_from_jet(jet)
+            ext = bis_extremes_from_jet(jet, tensor)
+            sect, vstar = sectional_max_from_jet(jet, tensor)
+            low, _, high, _ = reference_bis_extremes(jet, tensor)
+            ref_sect, _ = reference_sectional_max(jet, tensor)
+            assert type(ext.min) is type(ext.max) is type(sect) is float
+            for value, ref in ((ext.min, low), (ext.max, high), (sect, ref_sect)):
+                assert abs(value - ref) <= 1e-9 * abs(ref)
+            # the pairs are g-unit and attain the values up to |a + 3/2| +
+            # |b.(n+m)| <= 3 defect, plus the feature form's rounding
+            for (v, w), value in (((ext.argmin.v, ext.argmin.w), ext.min),
+                                  ((ext.argmax.v, ext.argmax.w), ext.max),
+                                  ((vstar, vstar), sect)):
+                assert abs(g_norm_sq(jet, v) - 1.0) <= 1e-13
+                assert abs(g_norm_sq(jet, w) - 1.0) <= 1e-13
+                attained = bisectional_from_jet(jet, tensor, v, w)
+                assert abs(attained - value) <= 3.0 * ext.einstein_defect + 1e-10 * abs(value)
+            lam_y, mxx, mxz, mzz = _bloch_split(jet, tensor)[3]
+            full = np.array([[mxx, 0.0, mxz], [0.0, lam_y, 0.0], [mxz, 0.0, mzz]])
+            split = sorted(lam for lam, _ in _reduced_form(jet, tensor)[1])
+            assert np.max(np.abs(np.array(split) - np.linalg.eigvalsh(full))) <= 1e-13
+
+
+def test_spinor_has_the_bloch_vector():
+    # in the identity frame v v* = (I + n.sigma)/2, on both branches (n_z >= 0, < 0)
+    rng = np.random.default_rng(41)
+    for n in [*rng.normal(size=(50, 3)), (0.0, 1.0, 0.0), (0.0, 0.0, -1.0)]:
+        n = np.asarray(n) / np.linalg.norm(n)
+        v = _spinor_vector((1.0, 0.0, 1.0), tuple(n))
+        rho = np.outer(v, np.conjugate(v))
+        expected = 0.5 * np.array([[1.0 + n[2], n[0] - 1j * n[1]], [n[0] + 1j * n[1], 1.0 - n[2]]])
+        assert np.max(np.abs(rho - expected)) <= 1e-15
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 5, 8])
+def test_extremes_refuse_a_large_einstein_defect(five_sols, p):
+    # at 1 - |x| = 1e-4 the jet path's defect is <= 1.3e-4 and the extremes
+    # answer; at 1e-6 it reads 0.13 (p=8) to 140 (p=1) and they refuse
+    sol = five_sols[p]
+    for x in (1.0 - 1e-4, -(1.0 - 1e-4)):
+        jet = metric_jet(sol, Point(0j, complex(x)))
+        tensor = tensor_from_jet(jet)
+        ext = bis_extremes_from_jet(jet, tensor)
+        assert ext.einstein_defect <= 1.3e-4
+        assert ext.min <= ext.max < 0.0
+        assert sectional_max_from_jet(jet, tensor)[0] < 0.0
+    refused = [1.0 - 1e-6, -(1.0 - 1e-6)] + ([1.0 - 3e-5, 1.0 - 1e-5] if p == 1 else [])
+    for x in refused:
+        jet = metric_jet(sol, Point(0j, complex(x)))
+        tensor = tensor_from_jet(jet)
+        for evaluate in (bis_extremes_from_jet, sectional_max_from_jet):
+            with pytest.raises(DomainError, match="Einstein defect .* accurate"):
+                evaluate(jet, tensor)
+        with pytest.raises(DomainError):
+            bis_extremes(sol, Point(0j, complex(x)))
 
 
 def test_origin_axis_pairs_hit_the_extremes(sols):
@@ -351,6 +493,50 @@ def test_boundary_limit_shape(sol_p2):
     w = random_vectors(rng, 1)[0]
     w = w - (ip(w, v) / ip(v, v)) * v
     assert abs(boundary_limit_bis(jet, TangentPair(v=v, w=w)) + 1.0) < 1e-12
+
+
+def exact_boundary_limit(g, v, w) -> float:
+    """-1 - |<v,w>_g|^2 / (|v|_g^2 |w|_g^2), exact on the float inputs, rounded once."""
+    g11, g12, g22 = (Fraction(float(e)) for e in (g[0, 0], g[0, 1], g[1, 1]))
+
+    def ip(a, b):
+        # sum g_ij a_i conj(b_j) as (real, imaginary) parts
+        ar, ai, br, bi = ([Fraction(getattr(c, part)) for c in u]
+                          for u, part in ((a, "real"), (a, "imag"), (b, "real"), (b, "imag")))
+        terms = ((g11, 0, 0), (g12, 0, 1), (g12, 1, 0), (g22, 1, 1))
+        return (sum(k * (ar[i] * br[j] + ai[i] * bi[j]) for k, i, j in terms),
+                sum(k * (ai[i] * br[j] - ar[i] * bi[j]) for k, i, j in terms))
+
+    re, im = ip(v, w)
+    return float(-1 - (re * re + im * im) / (ip(v, v)[0] * ip(w, w)[0]))
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_boundary_limit_is_exact_to_rounding(sols, p):
+    # in the frame the Gram ratio is a sum of squares: it is within 4 EPS
+    # of the exact value of the same float inputs, times 1 + kappa for the
+    # cancellation kappa = |v1| sqrt(g22) / |v|_g in the frame coordinate
+    # v1^ = (v1 + v0 g12/g22) sqrt(g22), at any cond(g) (up to 6e4 here).
+    # The raw-coordinate form loses 117 EPS at p=2, x = 0.999, and a det g
+    # rounded from g11 g22 - g12^2 216 EPS at p=1, x = 0.9999
+    rng = np.random.default_rng(28)
+    for x in (0.4, 0.99, 0.999, 0.9999):
+        for z in (Point(0j, complex(x)),
+                  Point(complex(-0.3, 0.7), complex(x * 1.3 ** (1.0 / (2 * p)), -0.4))):
+            jet = metric_jet(sols[p], z)
+            g = jet.metric
+            vs, ws = random_vectors(rng, 100), random_vectors(rng, 100)
+            # a tenth of the v rows close to e1, where v1^ cancels
+            vs[:10, 1] = -(g[0, 1] / g[1, 1]) * vs[:10, 0] * (1.0 + 1e-3 * rng.normal(size=10))
+            exact = [exact_boundary_limit(g, v, w) for v, w in zip(vs, ws)]
+            kappa = [max(abs(u[1]) * math.sqrt(g[1, 1] / g_norm_sq(jet, u)) for u in pair)
+                     for pair in zip(vs, ws)]
+            error = np.abs(boundary_limit_batch(jet, vs, ws) - exact)
+            assert np.all(error <= 4.0 * EPS * (1.0 + np.array(kappa)))
+            # the frame's det g is the exact one rounded: alpha^2 det / g22 = 1
+            g11, g12, g22 = (Fraction(float(e)) for e in (g[0, 0], g[0, 1], g[1, 1]))
+            alpha = Fraction(_frame(float(g11), float(g12), float(g22))[0])
+            assert abs(float(alpha ** 2 * (g11 * g22 - g12 * g12) / g22) - 1.0) <= 4.0 * EPS
 
 
 def test_domain_errors(sol_p1):

@@ -372,11 +372,13 @@ def test_boundary_limit_batch_matches_the_scalar_loop(sol_p2, x):
     loop = np.array([boundary_limit_bis(jet, TangentPair(v=vs[2 * i], w=vs[2 * i + 1]))
                      for i in range(1000)])
     assert np.max(np.abs(batch - loop)) <= 1e-15
-    # numpy's array loops round complex products and moduli differently
-    # from its scalar path; the Gram ratio amplifies that by up to cond(g)
+    # the batch forms the Gram ratio in the g-orthonormal frame, within
+    # 4 EPS (1 + kappa) of exact (test_boundary_limit_is_exact_to_rounding);
+    # the gap to this raw-coordinate loop is the loop's own rounding, which
+    # grows with cond(g) (0.23 cond(g) EPS at x = 0.4, 0.06 at 0.999)
     reference = np.array([reference_boundary_limit(jet, vs[2 * i], vs[2 * i + 1])
                           for i in range(1000)])
-    assert np.max(np.abs(batch - reference)) <= 4.0 * np.linalg.cond(jet.metric) * EPS
+    assert np.max(np.abs(batch - reference)) <= np.linalg.cond(jet.metric) * EPS
     assert np.all((batch >= -2.0 - 1e-12) & (batch <= -1.0 + 1e-12))
 
 

@@ -16,10 +16,10 @@ giving Bis(v, w) = u(v)^T C u(w) / ((u(v).gvec)(u(w).gvec)) for a fixed
 gvec = [g11, g22, 2 g12, 0].  The classical 16-term curvature sum is kept
 as an independent cross-check path.
 
-The tensor formula, the feature form and the 16-term sum serve single
-points and stacked ones alike: stacked_tensor and stacked_bisectional
-evaluate them on a StackedJet (one array per count class) with one
-vector pair per point, which is how the invariance suite runs.
+The tensor formula, the feature form, the 16-term sum and the extremes
+serve single points and stacked ones (a StackedJet, one array per count
+class) through one arithmetic: tensor_from_jet, the *_from_jet extremes
+and stacked_bisectional (one vector pair per point) then give arrays.
 
 The extremes and the boundary limit work in the g-orthonormal frame
 e1 = (alpha, beta), e2 = (0, gamma): alpha = sqrt(g22/det g), beta =
@@ -35,6 +35,8 @@ sect_max = -3/2 + max lambda; their pairs attain them up to three times the
 Einstein defect max(|a + 3/2|, ||b||, |tr M + 3/2|).  The jet path's defect
 is about 1e-10 for |X| <= 0.99 and at most 1.3e-4 for 1 - |X| >= 1e-4; where
 it exceeds 1e-3 (p=1 from 1 - |X| = 5e-5) the extremes raise DomainError.
+The split uses only +, -, *, / and sqrt (numpy's pow and hypot round unlike
+libm's), so stacked extremes equal the single point's bit for bit.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ import numpy as np
 from .params import TubeParams
 from .potential_solver import PotentialSolution
 from .errors import DomainError
-from .tube_geometry import Point, _all, _first_point, require_domain, x_invariant
+from .tube_geometry import Point, _all, _first, _first_point, require_domain, x_invariant
 from .metric_tensor import MetricJet, StackedJet, metric_jet
 
 __all__ = [
@@ -58,7 +60,6 @@ __all__ = [
     "BisExtremes",
     "curvature_tensor",
     "tensor_from_jet",
-    "stacked_tensor",
     "bisectional",
     "bisectional_from_jet",
     "bisectional_batch",
@@ -147,7 +148,9 @@ class TangentPair:
 
 @dataclass(frozen=True)
 class BisExtremes:
-    """Extremal Bis with attaining pairs, and the jet's Einstein defect (see above)."""
+    """Extremal Bis with attaining pairs and the jet's Einstein defect (see above);
+    a StackedJet gives arrays, and each pair as (v rows, w rows).
+    """
 
     min: float
     argmin: TangentPair
@@ -185,18 +188,15 @@ def _tensor(g11, g12, g22, d3, d4) -> CurvatureTensor:
     )
 
 
-def tensor_from_jet(jet: MetricJet) -> CurvatureTensor:
-    """Curvature coefficients from an already computed metric jet."""
+def tensor_from_jet(jet) -> CurvatureTensor:
+    """Curvature coefficients from a metric jet (arrays from a StackedJet)."""
+    if isinstance(jet, StackedJet):
+        return _tensor(*jet.metric, jet.d3, jet.d4)
     d3, d4, g = jet.d3, jet.d4, jet.metric
     return _tensor(g[0, 0], g[0, 1], g[1, 1],
                    [d3[(2, 2, 2)], d3[(1, 2, 2)], d3[(1, 1, 2)], d3[(1, 1, 1)]],
                    [d4[(2, 2, 2, 2)], d4[(1, 2, 2, 2)], d4[(1, 1, 2, 2)],
                     d4[(1, 1, 1, 2)], d4[(1, 1, 1, 1)]])
-
-
-def stacked_tensor(jet: StackedJet) -> CurvatureTensor:
-    """tensor_from_jet at stacked points: each coefficient is an array."""
-    return _tensor(*jet.metric, jet.d3, jet.d4)
 
 
 def curvature_tensor(sol: PotentialSolution, z: Point) -> CurvatureTensor:
@@ -425,7 +425,7 @@ def stacked_bisectional(jet: StackedJet, tensor: CurvatureTensor, vs, ws,
                         *, formula: str = "tube") -> np.ndarray:
     """Bis(vs[i], ws[i]) at point i of a stacked jet, for vectors given there.
 
-    tensor is stacked_tensor(jet); vs and ws are (n, 2) arrays with one
+    tensor is tensor_from_jet(jet); vs and ws are (n, 2) arrays with one
     pair per point.  formula is as in bisectional: "tube" applies the
     feature form, with its |x| > 0.999 rescaling point by point, and
     "direct" the 16-term sum.  No pull to the axis is made here.
@@ -500,26 +500,43 @@ def boundary_limit_bis(jet: MetricJet, pair: TangentPair) -> float:
 _DEFECT_TOL = 1e-3   # the largest Einstein defect the extremes accept
 
 
-def _bloch_split(jet: MetricJet, tensor: CurvatureTensor) -> tuple:
+# isinstance tells floats from arrays: np.ndim of a float costs more than the math
+def _pick(cond, a, b):
+    """a where cond holds, else b; elementwise for a bool array."""
+    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
+
+
+def _sqrt(x):
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
+def _bloch_split(jet, tensor: CurvatureTensor) -> tuple:
     """(frame, a, b, M) with Bis(v, w) = a + b.(n + m) + n^T M m in the frame.
 
     b is (b_x, b_z) and M is (lam_y, Mxx, Mxz, Mzz): the 1x1 block and
-    the 2x2 (x, z) block of M; every other entry vanishes.
+    the 2x2 (x, z) block of M; every other entry vanishes.  A StackedJet
+    gives arrays, with one _frame per point.
     """
-    g11, g12, _, g22 = jet.metric.ravel().tolist()
-    al, be, ga = frame = _frame(g11, g12, g22)
     t = tensor
-    R1111, R1112, R1122, R1212, R1222, R2222 = map(
-        float, (t.R1111, t.R1112, t.R1122, t.R1212, t.R1222, t.R2222))
-    Q2222 = ga ** 4 * R2222
-    Q1222 = ga ** 3 * (al * R1222 + be * R2222)
-    Q1122 = ga * ga * (al * al * R1122 + 2.0 * al * be * R1222 + be * be * R2222)
-    Q1212 = ga * ga * (al * al * R1212 + 2.0 * al * be * R1222 + be * be * R2222)
-    Q1112 = ga * (al ** 3 * R1112 + al * al * be * (2.0 * R1122 + R1212)
-                  + 3.0 * al * be * be * R1222 + be ** 3 * R2222)
-    Q1111 = (al ** 4 * R1111 + 4.0 * al ** 3 * be * R1112
-             + al * al * be * be * (4.0 * R1122 + 2.0 * R1212)
-             + 4.0 * al * be ** 3 * R1222 + be ** 4 * R2222)
+    R = (t.R1111, t.R1112, t.R1122, t.R1212, t.R1222, t.R2222)
+    if isinstance(jet, StackedJet):
+        frame = tuple(map(np.array, zip(*map(_frame, *(g.tolist() for g in jet.metric)))))
+    else:
+        g11, g12, _, g22 = jet.metric.ravel().tolist()
+        frame, R = _frame(g11, g12, g22), map(float, R)
+    al, be, ga = frame
+    R1111, R1112, R1122, R1212, R1222, R2222 = R
+    al2, be2, ga2 = al * al, be * be, ga * ga
+    al3, be3, two_ab_R1222 = al2 * al, be2 * be, 2.0 * al * be * R1222
+    Q2222 = ga2 * ga2 * R2222
+    Q1222 = ga2 * ga * (al * R1222 + be * R2222)
+    Q1122 = ga2 * (al2 * R1122 + two_ab_R1222 + be2 * R2222)
+    Q1212 = ga2 * (al2 * R1212 + two_ab_R1222 + be2 * R2222)
+    Q1112 = ga * (al3 * R1112 + al2 * be * (2.0 * R1122 + R1212)
+                  + 3.0 * al * be2 * R1222 + be3 * R2222)
+    Q1111 = (al2 * al2 * R1111 + 4.0 * al3 * be * R1112
+             + al2 * be2 * (4.0 * R1122 + 2.0 * R1212)
+             + 4.0 * al * be3 * R1222 + be2 * be2 * R2222)
     a = 0.25 * (Q1111 + 2.0 * Q1122 + Q2222)
     b = (0.5 * (Q1112 + Q1222), 0.25 * (Q1111 - Q2222))
     M = (0.5 * (Q1122 - Q1212), 0.5 * (Q1122 + Q1212), 0.5 * (Q1112 - Q1222),
@@ -527,40 +544,58 @@ def _bloch_split(jet: MetricJet, tensor: CurvatureTensor) -> tuple:
     return frame, a, b, M
 
 
-def _reduced_form(jet: MetricJet, tensor: CurvatureTensor) -> tuple:
+def _reduced_form(jet, tensor: CurvatureTensor) -> tuple:
     """(frame, [(eigenvalue, unit eigenvector)] of M, Einstein defect), or DomainError.
 
-    The 2x2 block's eigenvalues are mean +- h, the larger one at the angle
-    phi in the (x, z) plane.
+    The 2x2 block's eigenvalues are mean +- h, h = |(d, Mxz)| with d =
+    (Mxx - Mzz)/2; the larger one's eigenvector, x entry >= 0, lies along
+    (h + d, Mxz), or (|Mxz|, +-(h - d)) where d < 0 (no cancellation), or
+    (1, 0) for h = 0.  A refusal of stacked points names the first X.
     """
-    frame, a, b, (lam_y, mxx, mxz, mzz) = _bloch_split(jet, tensor)
-    defect = max(abs(a + 1.5), math.hypot(*b), abs(lam_y + mxx + mzz + 1.5))
-    if not defect <= _DEFECT_TOL:
+    frame, a, (bx, bz), (lam_y, mxx, mxz, mzz) = _bloch_split(jet, tensor)
+    larger = np.maximum if isinstance(a, np.ndarray) else max
+    defect = larger(larger(abs(a + 1.5), _sqrt(bx * bx + bz * bz)),
+                    abs(lam_y + mxx + mzz + 1.5))
+    ok = defect <= _DEFECT_TOL
+    if not _all(ok):
         raise DomainError(
-            f"curvature extremes at X = {jet.x_value!r} are refused: the jet path's "
-            f"Einstein defect {defect:.2g} exceeds {_DEFECT_TOL:g} (it is accurate, "
-            f"with defect <= 1.3e-4, for 1 - |X| >= 1e-4)")
-    mean, h = 0.5 * (mxx + mzz), math.hypot(0.5 * (mxx - mzz), mxz)
-    phi = 0.5 * math.atan2(2.0 * mxz, mxx - mzz)
-    c, s = math.cos(phi), math.sin(phi)
-    return frame, [(lam_y, (0.0, 1.0, 0.0)), (mean + h, (c, 0.0, s)),
-                   (mean - h, (-s, 0.0, c))], defect
+            f"curvature extremes at X = {_first(jet.x_value, ok)!r} are refused: the jet "
+            f"path's Einstein defect {_first(defect, ok):.2g} exceeds {_DEFECT_TOL:g} (it is "
+            f"accurate, with defect <= 1.3e-4, for 1 - |X| >= 1e-4)")
+    mean, d = 0.5 * (mxx + mzz), 0.5 * (mxx - mzz)
+    h = _sqrt(d * d + mxz * mxz)
+    ex = _pick(d < 0.0, abs(mxz), h + d) + (h == 0.0)
+    ez = _pick(d < 0.0, _pick(mxz < 0.0, d - h, h - d), mxz)
+    norm = _sqrt(ex * ex + ez * ez)
+    c, s, zero = ex / norm, ez / norm, 0.0 * h
+    return frame, [(lam_y, (zero, 1.0 + zero, zero)), (mean + h, (c, zero, s)),
+                   (mean - h, (-s, zero, c))], defect
+
+
+def _largest(pairs, key) -> tuple:
+    """The first (eigenvalue, eigenvector) of pairs with the largest key(eigenvalue)."""
+    lam, u = pairs[0]
+    for other, v in pairs[1:]:
+        keep = key(lam) >= key(other)
+        lam, u = _pick(keep, lam, other), tuple(_pick(keep, a, b) for a, b in zip(u, v))
+    return lam, u
 
 
 def _spinor_vector(frame, n) -> np.ndarray:
-    """The g-unit vector with Bloch vector n, in raw coordinates."""
+    """The g-unit vector with Bloch vector n, in raw coordinates (rows for arrays).
+
+    Its larger entry is real: v0 = sqrt((1 + n_z)/2) if n_z >= 0, else v1.
+    """
     nx, ny, nz = n
-    if nz >= 0.0:
-        v0 = math.sqrt(0.5 * (1.0 + nz))
-        v1 = complex(nx, ny) / (2.0 * v0)
-    else:
-        v1 = math.sqrt(0.5 * (1.0 - nz))
-        v0 = complex(nx, -ny) / (2.0 * v1)
+    top = _sqrt(0.5 * (1.0 + abs(nz)))
+    re, im, zero = nx / (2.0 * top), ny / (2.0 * top), 0.0 * top
+    v0r, v0i, v1r, v1i = _pick(nz >= 0.0, (top, zero, re, im), (re, -im, top, zero))
     alpha, beta, gamma = frame
-    return np.array([alpha * v0, beta * v0 + gamma * v1], dtype=complex)
+    return np.array([alpha * v0r + 1j * (alpha * v0i),
+                     beta * v0r + gamma * v1r + 1j * (beta * v0i + gamma * v1i)]).T
 
 
-def bis_extremes_from_jet(jet: MetricJet, tensor: CurvatureTensor) -> BisExtremes:
+def bis_extremes_from_jet(jet, tensor: CurvatureTensor) -> BisExtremes:
     """Extremes of Bis over all nonzero pairs at a fixed point.
 
     n^T M m ranges over [-|lam|, |lam|] for the eigenvalue lam of M of
@@ -568,12 +603,16 @@ def bis_extremes_from_jet(jet: MetricJet, tensor: CurvatureTensor) -> BisExtreme
     eigenvector u; the values reported are the Einstein-reduced -3/2 -+ |lam|.
     """
     frame, pairs, defect = _reduced_form(jet, tensor)
-    lam, u = max(pairs, key=lambda pair: abs(pair[0]))
+    lam, u = _largest(pairs, abs)
     # n^T M u = lam n.u: lam at n = u, -lam at n = -u
     m = _spinor_vector(frame, u)
-    same = TangentPair(v=m, w=m)
-    flipped = TangentPair(v=_spinor_vector(frame, tuple(-c for c in u)), w=m)
-    argmin, argmax = (same, flipped) if lam < 0.0 else (flipped, same)
+    flipped = _spinor_vector(frame, tuple(-c for c in u))
+    if isinstance(jet, StackedJet):
+        below = (lam < 0.0)[:, None]
+        argmin, argmax = (np.where(below, m, flipped), m), (np.where(below, flipped, m), m)
+    else:
+        same, flipped = TangentPair(v=m, w=m), TangentPair(v=flipped, w=m)
+        argmin, argmax = (same, flipped) if lam < 0.0 else (flipped, same)
     return BisExtremes(min=-1.5 - abs(lam), argmin=argmin, max=-1.5 + abs(lam),
                        argmax=argmax, einstein_defect=defect)
 
@@ -586,14 +625,14 @@ def bis_extremes(sol: PotentialSolution, z: Point) -> BisExtremes:
     return bis_extremes_from_jet(jet, tensor_from_jet(jet))
 
 
-def sectional_max_from_jet(jet: MetricJet, tensor: CurvatureTensor) -> tuple[float, np.ndarray]:
+def sectional_max_from_jet(jet, tensor: CurvatureTensor) -> tuple[float, np.ndarray]:
     """Maximum of S(v) = Bis(v, v) at a fixed point, with a maximizer.
 
     n^T M n peaks at the top eigenvector of M; the reported value is the
     Einstein-reduced -3/2 + lambda_max.
     """
     frame, pairs, _ = _reduced_form(jet, tensor)
-    lam, n = max(pairs, key=lambda pair: pair[0])
+    lam, n = _largest(pairs, lambda lam: lam)
     return -1.5 + lam, _spinor_vector(frame, n)
 
 

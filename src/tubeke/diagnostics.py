@@ -29,7 +29,8 @@ checks allow:
 * origin reads its tensor, extremes and Bis values off the one origin
   jet, and calls bisectional and bisectional_batch once each, which
   covers those entry points end to end;
-* the regions mini-sweep builds its jets with metric_jet_batch.
+* the regions mini-sweep runs its jet, tensor and extremes once on the
+  stacked axis points, as the axis sweep does.
 
 The invariance suite is array-native throughout: its points are stacked
 Points, the automorphisms carry array parameters, and its per-point random
@@ -53,12 +54,10 @@ from .tube_geometry import Point, RegionClass, BoundaryClass
 from .metric_tensor import (
     StackedJet,
     _einstein_defect,
-    _stacked_metric,
-    _stacked_tables,
+    _metric_pass,
     einstein_residual,
     metric_jet,
-    metric_jet_batch,
-    stacked_jet,
+    x_derivatives,
 )
 from .curvature import (
     CurvatureTensor,
@@ -76,7 +75,6 @@ from .curvature import (
     origin_closed_forms,
     sectional_max_from_jet,
     stacked_bisectional,
-    stacked_tensor,
     tensor_from_jet,
 )
 
@@ -355,7 +353,7 @@ def _suite_invariance(params, sol, rng):
     det = geo.jacobian_det(psi)
     worst_jac = np.max(np.abs(det - r ** (-(2 * p + 1) / (2 * p))))
     # potential transformation: g = g∘psi + (2/3) ln|det Jac(psi)|
-    tab = _stacked_tables(params, z, 0)
+    tab = x_derivatives(params, z, 0)
     g_z = sol.eval_F(tab.x_value) + tab.L()
     g_img = sol.eval_F(x0)
     worst_pot = np.max(np.abs(g_z - g_img - (2.0 / 3.0) * np.log(np.abs(det))))
@@ -366,7 +364,7 @@ def _suite_invariance(params, sol, rng):
     psi = geo.normalizing_automorphism(params, z)
     jac = geo.jacobian(psi)
     # z and its axis image in one order-2 pass
-    _, metric = _stacked_metric(sol, _joined(z, geo.apply(psi, z)))
+    _, metric = _metric_pass(sol, _joined(z, geo.apply(psi, z)))
     g_here, g_axis = np.split(_metric_matrices(metric), 2)
     pulled = (np.swapaxes(jac, 1, 2) @ g_axis @ np.conjugate(jac)).real
     worst_g = np.max(np.max(np.abs(pulled - g_here), axis=(1, 2))
@@ -377,7 +375,7 @@ def _suite_invariance(params, sol, rng):
     z = _random_stack(params, rng, 20)
     s1, s2 = _shift_draws(rng, 20)
     shifted = Point(z.z1 + 1j * s1, z.z2 + 1j * s2)
-    j1, j2 = stacked_jet(sol, z), stacked_jet(sol, shifted)
+    j1, j2 = metric_jet(sol, z), metric_jet(sol, shifted)
     exact = max(np.max(np.abs(np.array(a) - np.array(b)))
                 for a, b in ((j1.metric, j2.metric), (j1.d3, j2.d3), (j1.d4, j2.d4)))
     checks.append(_below("jets_translation_invariant", exact, 0.0))
@@ -388,8 +386,8 @@ def _suite_invariance(params, sol, rng):
     axis, (pv, pw, pcv, pdw) = _pull_to_axis(sol, z, (v.T, w.T, (c * v).T, (d * w).T))
     pv, pw, pcv, pdw = pv.T, pw.T, pcv.T, pdw.T
     # z and its axis points in one pass
-    jet = stacked_jet(sol, _joined(z, axis))
-    here, there = _split(jet, stacked_tensor(jet))
+    jet = metric_jet(sol, _joined(z, axis))
+    here, there = _split(jet, tensor_from_jet(jet))
     raw = stacked_bisectional(*here, v, w)
     normalized = stacked_bisectional(*there, pv, pw)
     scaled = stacked_bisectional(*there, pcv, pdw)
@@ -432,7 +430,7 @@ def _suite_einstein(params, sol, rng):
     n = 100
     # the residual sample and the metric sample in one order-2 pass
     z = _joined(_random_stack(params, rng, n), _random_stack(params, rng, n))
-    tab, metric = _stacked_metric(sol, z)
+    tab, metric = _metric_pass(sol, z)
     checks = []
     # the defect comes for both samples; the check reads the first
     worst = np.max(_einstein_defect(sol, tab, metric)[:n])
@@ -461,8 +459,8 @@ def _suite_boundary_limit(params, sol, rng):
     # Bis of the pairs against the limit from the metric at (0, x), and
     # (0, 0.4) serves the limit-value checks
     xs = (0.9, 0.99, 0.999, 0.4)
-    jet = stacked_jet(sol, Point(np.zeros(len(xs), complex), np.array(xs, complex)))
-    C, gvec = _form(jet, stacked_tensor(jet))
+    jet = metric_jet(sol, Point(np.zeros(len(xs), complex), np.array(xs, complex)))
+    C, gvec = _form(jet, tensor_from_jet(jet))
     gs = _metric_matrices(jet.metric)
     E = {}
     for i, x in enumerate(xs[:3]):
@@ -543,13 +541,10 @@ def _suite_regions(params, sol, rng):
     checks.append(_flag("cone_points_near_vertex_are_inner", all_inner))
     # pinching over a light axis sweep (the full 500-row version lives in
     # the acceptance tests)
-    worst_min, worst_max = 0.0, -math.inf
-    axis = [Point(0j, complex(x)) for x in np.linspace(0.0, 1.0 - 1e-4, 100)]
-    for jet in metric_jet_batch(sol, axis):
-        tensor = tensor_from_jet(jet)
-        ext = bis_extremes_from_jet(jet, tensor)
-        worst_min = min(worst_min, ext.min)
-        worst_max = max(worst_max, ext.max)
+    xs = np.linspace(0.0, 1.0 - 1e-4, 100)
+    jet = metric_jet(sol, Point(np.zeros(len(xs), complex), xs.astype(complex)))
+    ext = bis_extremes_from_jet(jet, tensor_from_jet(jet))
+    worst_min, worst_max = min(0.0, float(ext.min.min())), float(ext.max.max())
     checks.append(CheckResult("sweep_bis_min_bounded_below", -5.0, worst_min, 0.0,
                               worst_min >= -5.0))
     checks.append(CheckResult("sweep_bis_max_bounded_away_from_0", -0.1, worst_max, 0.0,

@@ -21,13 +21,13 @@ the contract: each formula adds its terms in the order of the
 index-word chain rule (metric_jet's docstring), so every value is
 bit-identical to that sum.
 
-One chain rule serves floats and arrays.  metric_jet and
-einstein_residual evaluate it at one point; that scalar path is the one
-single point queries use.  stacked_jet evaluates it once on stacked
-points (a Point of arrays, see tube_geometry) and keeps one array per
-count class; metric_jet_batch and einstein_residual_batch are built on
-the same pass, and the verification suites run their point loops
-through them.
+One chain rule serves floats and arrays.  x_derivatives and metric_jet
+take a single point, or stacked points (a Point of arrays, see
+tube_geometry): then the tables, the profile derivatives and the chain
+rule run once over all of them, and metric_jet returns a StackedJet with
+one array per count class.  einstein_residual_batch is built on the same
+pass, and the verification suites and the axis sweep run their point
+loops through it; single point queries take the scalar path.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import numpy as np
 from .errors import DomainError
 from .params import TubeParams
 from .potential_solver import PotentialSolution
-from .tube_geometry import Point, _first_point, require_domain
+from .tube_geometry import Point, _all, _first, _first_point, require_domain
 
 __all__ = [
     "XLDerivatives",
@@ -48,8 +48,6 @@ __all__ = [
     "StackedJet",
     "x_derivatives",
     "metric_jet",
-    "metric_jet_batch",
-    "stacked_jet",
     "einstein_residual",
     "einstein_residual_batch",
 ]
@@ -112,16 +110,18 @@ def x_derivatives(params: TubeParams, z: Point, max_total_order: int = 4) -> XLD
     where the rising products c_a come from; X is affine in Re(z2), so two
     z2-type indices annihilate it, and L does not see z2 at all.
 
-    Raises DomainError unless z lies in T_p (which makes r > 0) and
-    r <= _R_MAX (see there).
+    Stacked points give arrays.  Raises DomainError, naming the (first)
+    point, unless z lies in T_p (which makes r > 0) and r <= _R_MAX.
     """
     if not 0 <= max_total_order <= 4:
         raise ValueError(f"max_total_order must be in 0..4, got {max_total_order}")
     require_domain(params, z)
     r = 1.0 - 4 * params.p * z.z1.real
-    if not r <= _R_MAX:
-        raise DomainError(_too_deep(z, r))
-    x, dX, dL = _tables(params, r, z.z2.real, max_total_order, math.log)
+    ok = r <= _R_MAX
+    if not _all(ok):
+        raise DomainError(_too_deep(_first_point(z, ok), _first(r, ok)))
+    log = np.log if isinstance(r, np.ndarray) else math.log
+    x, dX, dL = _tables(params, r, z.z2.real, max_total_order, log)
     return XLDerivatives(x_value=x, r=r, dX=dX, dL=dL)
 
 
@@ -251,16 +251,20 @@ def metric_jet(sol: PotentialSolution, z: Point) -> MetricJet:
     sol : PotentialSolution
         Solved potential for the same p.
     z : Point
-        A point of T_p.
+        A point of T_p, or stacked points of T_p.
 
     Returns
     -------
-    MetricJet
+    MetricJet, or a StackedJet for stacked points
+        whose entries equal the MetricJet's at each point up to numpy's
+        vector log and pow (an ulp from libm's); on the axis, r = 1, exactly.
     """
-    params = sol.params
-    tab = x_derivatives(params, z, 4)
-    f, f1, f2, f3 = sol.eval_f_derivs(tab.x_value, 3)
-    (g11, g12, g22), val3, val4 = _chain(tab, f, f1, f2, f3)
+    tab = x_derivatives(sol.params, z, 4)
+    profile = sol.eval_f_derivs(tab.x_value, 3)
+    (g11, g12, g22), val3, val4 = _chain(tab, *profile)
+    if isinstance(tab.x_value, np.ndarray):
+        return StackedJet(point=z, x_value=tab.x_value, metric=(g11, g12, g22),
+                          d3=tuple(val3), d4=tuple(val4), profile=tuple(profile))
     return _assemble(z, tab.x_value, g11, g12, g22, val3, val4)
 
 
@@ -287,7 +291,8 @@ class StackedJet:
 
     metric is (g11, g12, g22); d3[m] and d4[m] are the third and fourth
     derivatives with m indices of z1 type, the count classes that a
-    MetricJet spreads over its 8 and 16 dict keys.
+    MetricJet spreads over its 8 and 16 dict keys; profile is the
+    (f, f', f'', f''') at x_value that the jet was built from.
     """
 
     point: Point
@@ -295,42 +300,12 @@ class StackedJet:
     metric: tuple
     d3: tuple
     d4: tuple
+    profile: tuple = ()
 
-
-def _stacked_tables(params: TubeParams, z: Point, order: int) -> XLDerivatives:
-    """Count tables of stacked points, each entry an array over the points."""
-    require_domain(params, z)
-    r = 1.0 - 4 * params.p * np.asarray(z.z1.real, dtype=float)
-    ok = r <= _R_MAX
-    if not ok.all():
-        raise DomainError(_too_deep(_first_point(z, ok), float(r[~ok][0])))
-    t = np.asarray(z.z2.real, dtype=float)
-    x, dX, dL = _tables(params, r, t, order, np.log)
-    return XLDerivatives(x_value=x, r=r, dX=dX, dL=dL)
-
-
-def stacked_jet(sol: PotentialSolution, z: Point) -> StackedJet:
-    """The metric jet at stacked points z, in one array pass.
-
-    The tables, the profile derivatives and the chain rule run once on
-    the stacked points; each entry equals metric_jet's at that point up
-    to rounding (numpy's vector log and pow may differ from libm's by an
-    ulp).
-    """
-    tab = _stacked_tables(sol.params, z, 4)
-    f, f1, f2, f3 = sol.eval_f_derivs(tab.x_value, 3)
-    metric, val3, val4 = _chain(tab, f, f1, f2, f3)
-    return StackedJet(point=z, x_value=tab.x_value, metric=metric,
-                      d3=tuple(val3), d4=tuple(val4))
-
-
-def metric_jet_batch(sol: PotentialSolution, points) -> list[MetricJet]:
-    """metric_jet at each of a sequence of points, from one stacked_jet."""
-    points = list(points)
-    jet = stacked_jet(sol, Point.stack(points))
-    rows = zip(*(col.tolist() for col in (jet.x_value, *jet.metric, *jet.d3, *jet.d4)))
-    return [_assemble(z, x, a, b, c, rest[:4], rest[4:])
-            for z, (x, a, b, c, *rest) in zip(points, rows)]
+    @property
+    def det(self) -> np.ndarray:
+        g11, g12, g22 = self.metric
+        return g11 * g22 - g12 * g12
 
 
 def einstein_residual(sol: PotentialSolution, z: Point) -> float:
@@ -338,34 +313,28 @@ def einstein_residual(sol: PotentialSolution, z: Point) -> float:
 
     The solver enforces this closure along the axis; evaluating it at an
     arbitrary point exercises the whole chain-rule assembly, so it is the
-    cheapest end-to-end consistency probe for the metric path.
+    cheapest end-to-end consistency probe for the metric path.  Stacked
+    points give an array.
     """
-    params = sol.params
-    tab = x_derivatives(params, z, 2)
-    f, f1 = sol.eval_f_derivs(tab.x_value, 1)
-    (g11, g12, g22), _, _ = _chain(tab, f, f1)
-    det = g11 * g22 - g12 * g12
-    potential = sol.eval_F(tab.x_value) + tab.L()
-    rhs = math.exp(3.0 * potential)
-    return abs(det - rhs) / rhs
+    return _einstein_defect(sol, *_metric_pass(sol, z))
 
 
 def einstein_residual_batch(sol: PotentialSolution, points) -> np.ndarray:
     """einstein_residual at each of a sequence of points, as one array."""
-    return _einstein_defect(sol, *_stacked_metric(sol, Point.stack(points)))
+    return _einstein_defect(sol, *_metric_pass(sol, Point.stack(points)))
 
 
-def _stacked_metric(sol: PotentialSolution, z: Point):
-    """(tables, (g11, g12, g22)) at stacked points, from one order-2 pass."""
-    tab = _stacked_tables(sol.params, z, 2)
-    f, f1 = sol.eval_f_derivs(tab.x_value, 1)
-    metric, _, _ = _chain(tab, f, f1)
+def _metric_pass(sol: PotentialSolution, z: Point):
+    """(tables, (g11, g12, g22)) at z, or at stacked points, from one order-2 pass."""
+    tab = x_derivatives(sol.params, z, 2)
+    metric, _, _ = _chain(tab, *sol.eval_f_derivs(tab.x_value, 1))
     return tab, metric
 
 
-def _einstein_defect(sol: PotentialSolution, tab: XLDerivatives, metric) -> np.ndarray:
-    """|det g - e^{3 g}| / e^{3 g} per point of an order-2 stacked pass."""
+def _einstein_defect(sol: PotentialSolution, tab: XLDerivatives, metric):
+    """|det g - e^{3 g}| / e^{3 g} from an order-2 pass (an array for stacked points)."""
     g11, g12, g22 = metric
     det = g11 * g22 - g12 * g12
-    rhs = np.exp(3.0 * (sol.eval_F(tab.x_value) + tab.L()))
-    return np.abs(det - rhs) / rhs
+    exp = np.exp if isinstance(det, np.ndarray) else math.exp
+    rhs = exp(3.0 * (sol.eval_F(tab.x_value) + tab.L()))
+    return abs(det - rhs) / rhs

@@ -420,10 +420,10 @@ class PotentialSolution:
         sgn = np.sign(np.asarray(x, dtype=float))
         sgn = np.where(sgn == 0.0, 1.0, sgn)
         F = self._interp_F(ax)
-        f = self._interp_f(ax)
         Z = np.exp(3.0 * F)
         out = [Z + 0.0 * sgn]
         if max_order >= 1:
+            f = self._interp_f(ax)
             Z1 = 3.0 * f * Z
             out.append(sgn * Z1)
         if max_order >= 2:

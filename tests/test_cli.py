@@ -12,7 +12,7 @@ import pytest
 
 import tubeke
 from tubeke import axis_sweep
-from tubeke.cli import main
+from tubeke.cli import SWEEP_COLUMNS, main
 
 
 @pytest.fixture(scope="module")
@@ -188,6 +188,43 @@ def test_axis_sweep_rows_match_cli(sol_p2, sol_file, tmp_path):
         assert float(csv_row["sect_max"]) == row.sect_max
 
 
+def reference_row_at(sol, x, F, f, f1, f2, f3, Z):
+    """One sweep row through the scalar chain, as the sweep ran it row by row."""
+    jet = tubeke.metric_jet(sol, tubeke.Point(0j, complex(x)))
+    tensor = tubeke.tensor_from_jet(jet)
+    ext = tubeke.bis_extremes_from_jet(jet, tensor)
+    sm, _ = tubeke.sectional_max_from_jet(jet, tensor)
+    return tubeke.SweepRow(x=x, F=F, f=f, f1=f1, f2=f2, f3=f3, Z=Z, det_g=jet.det,
+                           bis_min=ext.min, bis_max=ext.max, sect_max=sm)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 5, 8])
+def test_axis_sweep_equals_the_row_loop_bit_for_bit(p, five_sols):
+    sol = five_sols[p]
+    xs = np.linspace(0.0, 1.0 - 1e-4, 500)
+    columns = [xs, sol.eval_F(xs), *sol.eval_f_derivs(xs, 3), sol.eval_Z(xs, 0)[0]]
+    reference = [reference_row_at(sol, *values) for values in zip(*(c.tolist() for c in columns))]
+    rows = axis_sweep(sol, 0.0, 1.0 - 1e-4, 500)
+    # repr, as the CSV writes each value: equal bits, signed zeros included
+    assert ([[repr(getattr(row, c)) for c in SWEEP_COLUMNS] for row in rows]
+            == [[repr(getattr(row, c)) for c in SWEEP_COLUMNS] for row in reference])
+    assert all(type(getattr(row, c)) is float for row in rows for c in SWEEP_COLUMNS)
+
+
+def test_sweep_into_the_refused_range_raises_and_exits_2(sol_p1, tmp_path, capsys):
+    # p=1 at 1 - x = 1e-6: the jet path's defect is far above 1e-3
+    with pytest.raises(tubeke.DomainError, match="Einstein defect .* accurate"):
+        axis_sweep(sol_p1, 0.0, 1.0 - 1e-6, 50)
+    path = tmp_path / "p1.json"
+    sol_p1.save(path)
+    argv = ["sweep", "--sol", str(path), "--x-max", repr(1.0 - 1e-6), "--n", "50",
+            "--out", str(tmp_path / "rows.csv")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"at X = {1.0 - 1e-6!r} are refused" in captured.err
+    assert not (tmp_path / "rows.csv").exists()
+
+
 def test_verify_exit_zero_and_report(tmp_path, capsys):
     report_path = tmp_path / "report.json"
     code = main(["verify", "--p", "2", "--suite", "einstein",
@@ -233,7 +270,7 @@ STATS_RUNS = {
                         "--v=-1,0.5,0,2", "--w", "0,0,1,0"],
                        ["load", "jet", "tensor", "bis", "write"], []),
     "sweep": (["sweep", "--sol", "{sol}", "--n", "5", "--out", "{tmp}/rows.csv"],
-              ["load", "sweep", "write"], []),
+              ["load", "sweep", "write"], ["einstein_defect"]),
 }
 
 
@@ -256,7 +293,13 @@ def test_stats_leave_stdout_unchanged_for_every_verb(verb, sol_file, tmp_path, c
     assert all(stats[f"{s}_s"] >= 0.0 for s in stages)
     assert stats["solver"]["nodes"] > 1000
     assert stats["solver"]["integrations"] == (3 if verb == "solve" else 0)
-    if health:
+    if verb == "sweep":
+        # the largest defect over the rows, the one at x = 1 - 1e-4
+        found = {}
+        axis_sweep(tubeke.load_solution(sol_file), n=5, health=found)
+        assert stats["einstein_defect"] == found["einstein_defect"]
+        assert 1e-8 < stats["einstein_defect"] <= 1.3e-4
+    elif health:
         # the raw jet at this point meets the Einstein reduction to rounding
         assert 0.0 <= stats["einstein_defect"] <= 1e-8
 

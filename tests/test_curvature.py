@@ -33,7 +33,6 @@ from tubeke import (
     sectional,
     sectional_max,
     sectional_max_from_jet,
-    solve_potential,
     tensor_from_jet,
 )
 from tubeke.curvature import (_bloch_split, _form, _frame, _pull_to_axis, _reduced_form,
@@ -45,11 +44,6 @@ EPS = np.finfo(float).eps
 
 def random_vectors(rng, n):
     return rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
-
-
-@pytest.fixture(scope="module")
-def five_sols(sols):
-    return {**sols, 5: solve_potential(TubeParams(p=5)), 8: solve_potential(TubeParams(p=8))}
 
 
 # ---------------------------------------------------------------------------

@@ -26,13 +26,11 @@ from tubeke import (
     einstein_residual_batch,
     in_domain,
     metric_jet,
-    metric_jet_batch,
     solve_potential,
-    stacked_jet,
     tensor_from_jet,
     x_derivatives,
 )
-from tubeke.metric_tensor import _R_MAX, _chain, _stacked_tables, _tables
+from tubeke.metric_tensor import _R_MAX, StackedJet, _chain, _tables
 
 P2 = TubeParams(p=2)
 
@@ -383,7 +381,7 @@ def test_count_class_chain_is_bit_identical_to_the_index_word_chain(p, chain_sol
             new, ref = _chain_values(_chain(tab, *fs)), _chain_values(reference_chain(tab, *fs))
             assert len(new) == (12 if order == 4 else 3)
             assert new == ref, (z, order)
-        tab = _stacked_tables(sol.params, Point.stack(points), order)
+        tab = x_derivatives(sol.params, Point.stack(points), order)
         fs = sol.eval_f_derivs(tab.x_value, order - 1)
         new, ref = _chain_values(_chain(tab, *fs)), _chain_values(reference_chain(tab, *fs))
         assert len(new) == len(ref)
@@ -392,26 +390,34 @@ def test_count_class_chain_is_bit_identical_to_the_index_word_chain(p, chain_sol
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
-def test_metric_jet_batch_matches_the_scalar_jet(p, sols):
+def test_stacked_metric_jet_matches_the_scalar_jet(p, sols):
     sol = sols[p]
     points = sample_points(sol.params, np.random.default_rng(30 + p), 300, x_cap=0.99)
-    batch = metric_jet_batch(sol, points)
-    assert len(batch) == len(points)
-    for z, jet in zip(points, batch):
+    zs = Point.stack(points)
+    jet = metric_jet(sol, zs)
+    assert isinstance(jet, StackedJet) and jet.point is zs and len(jet.profile) == 4
+    assert all(np.shape(a) == (300,) for a in (jet.x_value, jet.det, *jet.metric, *jet.d3,
+                                               *jet.d4, *jet.profile))
+    for i, z in enumerate(points):
         ref = metric_jet(sol, z)
-        assert jet.point is z
-        assert abs(jet.x_value - ref.x_value) <= 1e-13
-        for name in ("metric", "inverse"):
-            a, b = getattr(jet, name), getattr(ref, name)
-            assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b)), name
-        assert abs(jet.det - ref.det) <= 1e-13 * abs(ref.det)
-        for name in ("d3", "d4"):
-            a, b = getattr(jet, name), getattr(ref, name)
-            assert list(a) == list(b)
-            scale = max(abs(v) for v in b.values())
-            assert max(abs(a[k] - b[k]) for k in b) <= 1e-13 * scale, name
-        # the batch mirrors its count classes exactly, as the scalar jet does
-        assert jet.d4[(1, 2, 1, 2)] == jet.d4[(2, 1, 1, 2)] == jet.d4[(1, 1, 2, 2)]
+        assert abs(jet.x_value[i] - ref.x_value) <= 1e-13
+        assert [a[i] for a in jet.profile] == sol.eval_f_derivs(jet.x_value[i], 3)
+        g = np.array([[jet.metric[0][i], jet.metric[1][i]], [jet.metric[1][i], jet.metric[2][i]]])
+        assert np.max(np.abs(g - ref.metric)) <= 1e-13 * np.max(np.abs(ref.metric))
+        assert abs(jet.det[i] - ref.det) <= 1e-13 * abs(ref.det)
+        # one array per count class: each index word reads its class's value
+        for table, ref_table in ((jet.d3, ref.d3), (jet.d4, ref.d4)):
+            scale = max(abs(v) for v in ref_table.values())
+            for key, value in ref_table.items():
+                assert abs(table[key.count(1)][i] - value) <= 1e-13 * scale, key
+    # on the axis (r = 1) the stacked jet is the scalar jet, bit for bit
+    xs = np.linspace(-0.999, 0.999, 41)
+    axis = metric_jet(sol, Point(np.zeros(41, complex), xs.astype(complex)))
+    for i, x in enumerate(xs.tolist()):
+        ref = metric_jet(sol, Point(0j, complex(x)))
+        assert axis.det[i] == ref.det
+        assert [a[i] for a in axis.metric] == [ref.metric[0, 0], ref.metric[0, 1], ref.metric[1, 1]]
+        assert all(axis.d4[key.count(1)][i] == value for key, value in ref.d4.items())
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
@@ -428,7 +434,7 @@ def test_batches_refuse_a_point_outside_the_domain(sol_p1):
     points = sample_points(sol_p1.params, np.random.default_rng(50), 5)
     bad = Point(0.25 + 0j, 0j)
     assert not in_domain(sol_p1.params, bad)
-    for batch in (metric_jet_batch, einstein_residual_batch):
+    for batch in (lambda sol, zs: metric_jet(sol, Point.stack(zs)), einstein_residual_batch):
         with pytest.raises(DomainError, match=re.escape(str(bad))):
             batch(sol_p1, points[:2] + [bad] + points[2:])
 
@@ -450,8 +456,8 @@ def test_points_too_deep_for_the_raw_jet_are_refused(p, sols):
     points = sample_points(sol.params, np.random.default_rng(60 + p), 4)
     first = Point(complex(-1e150, 0.5), 0.1j)
     points = points[:2] + [first, Point(complex(-1e300, 0.0), 0j)] + points[2:]
-    for evaluate in (lambda zs: stacked_jet(sol, Point.stack(zs)),
-                     lambda zs: metric_jet_batch(sol, zs),
+    for evaluate in (lambda zs: metric_jet(sol, Point.stack(zs)),
+                     lambda zs: x_derivatives(sol.params, Point.stack(zs), 0),
                      lambda zs: einstein_residual_batch(sol, zs)):
         with pytest.raises(DomainError, match=re.escape(str(first)) + ".*too deep"):
             evaluate(points)
@@ -474,7 +480,7 @@ def test_the_depth_bound_keeps_the_jet_in_normal_doubles(p, sols):
         warnings.simplefilter("error")
         jet = metric_jet(sol, inside)
         tensor = tensor_from_jet(jet)
-        stacked = stacked_jet(sol, Point.stack([inside, inside]))
+        stacked = metric_jet(sol, Point.stack([inside, inside]))
     values = [*jet.metric.ravel(), jet.det, *jet.inverse.ravel(), *jet.d3.values(),
               *jet.d4.values(), *tensor.as_dict().values()]
     assert all(math.isfinite(v) and abs(v) >= np.finfo(float).tiny for v in values)

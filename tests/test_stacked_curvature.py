@@ -2,22 +2,25 @@
 
 reference_tensor_from_jet is the earlier per-index form of
 tensor_from_jet, kept verbatim: the scalar path must reproduce it bit for
-bit, and the stacked tensor and Bis forms must reproduce the scalar ones
-point by point.
+bit, and the stacked tensor, Bis forms and extremes must reproduce the
+scalar ones point by point.
 """
+
+import re
 
 import numpy as np
 import pytest
 
 from tubeke import (
     CurvatureTensor,
+    DomainError,
     Point,
     StackedJet,
+    bis_extremes_from_jet,
     bisectional_from_jet,
     metric_jet,
+    sectional_max_from_jet,
     stacked_bisectional,
-    stacked_jet,
-    stacked_tensor,
     tensor_from_jet,
 )
 from tubeke.curvature import _form
@@ -92,9 +95,9 @@ def test_stacked_tensor_matches_the_scalar_tensor_per_point(p, sols):
     sol = sols[p]
     points = sample_points(p, np.random.default_rng(50 + p), 200)
     jets = [metric_jet(sol, z) for z in points]
-    tensor = stacked_tensor(stacked_jet(sol, Point.stack(points)))
+    tensor = tensor_from_jet(metric_jet(sol, Point.stack(points)))
     # the formula itself: on the scalar jets' own values it is exact
-    same_input = stacked_tensor(stack_of(jets))
+    same_input = tensor_from_jet(stack_of(jets))
     for i, jet in enumerate(jets):
         ref = as_array(reference_tensor_from_jet(jet))
         assert np.array_equal(as_array(same_input)[:, i], ref)
@@ -110,11 +113,11 @@ def test_stacked_bisectional_matches_bisectional_from_jet(p, sols):
     ws = rng.normal(size=(120, 2)) + 1j * rng.normal(size=(120, 2))
     jets = [metric_jet(sol, z) for z in points]
     # on the scalar jets' own values the forms agree to rounding; through
-    # stacked_jet the jets' own rounding differences come in as well,
+    # the stacked metric_jet the jets' own rounding differences come in as well,
     # amplified toward the boundary
     for stacked, near_tol in ((stack_of(jets), 1e-13),
-                              (stacked_jet(sol, Point.stack(points)), 1e-11)):
-        tensor = stacked_tensor(stacked)
+                              (metric_jet(sol, Point.stack(points)), 1e-11)):
+        tensor = tensor_from_jet(stacked)
         for formula in ("tube", "direct"):
             values = stacked_bisectional(stacked, tensor, vs, ws, formula=formula)
             assert values.shape == (120,)
@@ -131,7 +134,7 @@ def test_stacked_form_rescales_point_by_point(sol_p2):
     points = [Point(0j, complex(x)) for x in (0.5, 0.9989, 0.9991, -0.9995, 0.99995)]
     jets = [metric_jet(sol_p2, z) for z in points]
     stacked = stack_of(jets)
-    C, gvec = _form(stacked, stacked_tensor(stacked))
+    C, gvec = _form(stacked, tensor_from_jet(stacked))
     assert C.shape == (4, 4, 5) and gvec.shape == (4, 5)
     for i, jet in enumerate(jets):
         C_i, gvec_i = _form(jet, tensor_from_jet(jet))
@@ -140,8 +143,8 @@ def test_stacked_form_rescales_point_by_point(sol_p2):
 
 
 def test_stacked_bisectional_rejects_bad_input(sol_p2):
-    jet = stacked_jet(sol_p2, Point.stack([Point(0j, 0.3 + 0j), Point(0j, -0.2 + 0j)]))
-    tensor = stacked_tensor(jet)
+    jet = metric_jet(sol_p2, Point.stack([Point(0j, 0.3 + 0j), Point(0j, -0.2 + 0j)]))
+    tensor = tensor_from_jet(jet)
     v = np.array([[1.0 + 0j, 2.0], [0.5, 1j]])
     with pytest.raises(ValueError, match="unknown formula"):
         stacked_bisectional(jet, tensor, v, v, formula="bloch")
@@ -149,3 +152,71 @@ def test_stacked_bisectional_rejects_bad_input(sol_p2):
         stacked_bisectional(jet, tensor, v[:1], v[:1])
     with pytest.raises(ValueError, match="tangent vectors must be nonzero"):
         stacked_bisectional(jet, tensor, v, np.array([[1.0, 0.0], [0.0, 0.0]]))
+
+
+def axis_stack(xs):
+    xs = np.asarray(xs, dtype=float)
+    return Point(np.zeros(len(xs), complex), xs.astype(complex))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 5, 8])
+def test_stacked_extremes_equal_the_scalar_extremes_per_point(p, five_sols):
+    # the split is +, -, *, / and sqrt only, and each frame is the scalar
+    # _frame: the same inputs give the same bits, values and extremizers
+    sol = five_sols[p]
+    rng = np.random.default_rng(70 + p)
+    points = sample_points(p, rng, 60) + near_boundary_points(p, rng, 20)
+    axis = np.concatenate([np.linspace(-(1.0 - 1e-4), 1.0 - 1e-4, 61), [0.0, 0.5, 0.999]])
+    jets = [metric_jet(sol, z) for z in points]
+    axis_jets = [metric_jet(sol, Point(0j, complex(x))) for x in axis.tolist()]
+    for stacked, scalar in ((stack_of(jets), jets), (metric_jet(sol, axis_stack(axis)), axis_jets)):
+        tensor = tensor_from_jet(stacked)
+        ext = bis_extremes_from_jet(stacked, tensor)
+        sect, vstar = sectional_max_from_jet(stacked, tensor)
+        n = len(scalar)
+        assert ext.min.shape == ext.max.shape == ext.einstein_defect.shape == sect.shape == (n,)
+        assert all(rows.shape == (n, 2) for rows in (*ext.argmin, *ext.argmax, vstar))
+        for i, jet in enumerate(scalar):
+            ref = bis_extremes_from_jet(jet, tensor_from_jet(jet))
+            ref_sect, ref_vstar = sectional_max_from_jet(jet, tensor_from_jet(jet))
+            assert (ext.min[i], ext.max[i], ext.einstein_defect[i], sect[i]) == (
+                ref.min, ref.max, ref.einstein_defect, ref_sect), (p, i)
+            for rows, pair in ((ext.argmin, ref.argmin), (ext.argmax, ref.argmax)):
+                assert np.array_equal(rows[0][i], pair.v) and np.array_equal(rows[1][i], pair.w)
+            assert np.array_equal(vstar[i], ref_vstar)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 5, 8])
+def test_stacked_extremizers_attain_their_values(p, five_sols):
+    sol = five_sols[p]
+    rng = np.random.default_rng(80 + p)
+    # up to |X| = 0.999: nearer the boundary the feature form that checks
+    # the pairs loses more digits than the pairs do
+    points = sample_points(p, rng, 60)
+    points += [Point(0j, complex(x)) for x in (0.0, 0.9, 0.99, 0.999, -0.999)]
+    jet = metric_jet(sol, Point.stack(points))
+    tensor = tensor_from_jet(jet)
+    ext = bis_extremes_from_jet(jet, tensor)
+    sect, vstar = sectional_max_from_jet(jet, tensor)
+    for (vs, ws), values in ((ext.argmin, ext.min), (ext.argmax, ext.max), ((vstar, vstar), sect)):
+        attained = stacked_bisectional(jet, tensor, vs, ws)
+        tol = 3.0 * ext.einstein_defect + 1e-10 * np.abs(values)
+        assert np.all(np.abs(attained - values) <= tol), p
+    assert np.all(ext.min <= ext.max) and np.all(ext.max < 0.0) and np.all(sect < 0.0)
+
+
+@pytest.mark.parametrize("p", [1, 2, 8])
+def test_stacked_refusal_names_the_first_refused_x(p, five_sols):
+    # beyond 1 - |x| = 1e-6 every p is refused; the message names the
+    # first such row, not the worst one
+    sol = five_sols[p]
+    xs = [0.3, 1.0 - 1e-4, -(1.0 - 1e-6), 0.5, 1.0 - 1e-7]
+    jet = metric_jet(sol, axis_stack(xs))
+    tensor = tensor_from_jet(jet)
+    first = repr(float(jet.x_value[2]))
+    for evaluate in (bis_extremes_from_jet, sectional_max_from_jet):
+        with pytest.raises(DomainError, match=f"at X = {re.escape(first)} are refused"):
+            evaluate(jet, tensor)
+    # without the refused rows the same stack answers
+    kept = metric_jet(sol, axis_stack(xs[:2] + xs[3:4]))
+    assert np.all(bis_extremes_from_jet(kept, tensor_from_jet(kept)).einstein_defect <= 1.3e-4)

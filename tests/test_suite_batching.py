@@ -443,16 +443,21 @@ def test_invariance_suite_makes_no_per_point_scalar_calls(sol_p2, monkeypatch):
 
     counts = {}
 
-    def counted(name, fn):
+    def counted(name, fn, scalar=lambda *args: True):
+        # metric_jet and tensor_from_jet also take stacked points: count
+        # only their single-point calls
         def wrapper(*args, **kwargs):
-            counts[name] = counts.get(name, 0) + 1
+            counts[name] = counts.get(name, 0) + scalar(*args)
             return fn(*args, **kwargs)
         return wrapper
 
-    for name, holders in (("metric_jet", (metric_tensor, curvature, diagnostics)),
-                          ("tensor_from_jet", (curvature, diagnostics)),
-                          ("apply", (geo,))):
-        wrapper = counted(name, getattr(holders[0], name))
+    for name, holders, scalar in (
+            ("metric_jet", (metric_tensor, curvature, diagnostics),
+             lambda sol, z: np.ndim(z.z1) == 0),
+            ("tensor_from_jet", (curvature, diagnostics),
+             lambda jet: not isinstance(jet, metric_tensor.StackedJet)),
+            ("apply", (geo,), lambda *args: True)):
+        wrapper = counted(name, getattr(holders[0], name), scalar)
         for holder in holders:
             monkeypatch.setattr(holder, name, wrapper)
     monkeypatch.setattr(potential_solver.PotentialSolution, "eval_F",
@@ -476,17 +481,17 @@ def test_origin_suite_reads_its_values_off_one_jet(p, sols):
         assert new == old
 
 
-# scalar metric_jet calls, metric_jet_batch calls and stacked passes (one
-# per _stacked_tables call) of one run, whatever the sample sizes: the origin
+# scalar metric_jet calls and stacked passes (one per x_derivatives call
+# on stacked points) of one run, whatever the sample sizes: the origin
 # jet, bisectional's and bisectional_batch's; one order-2 pass over both
 # einstein samples; one order-4 pass over boundary_limit's four axis points;
 # and invariance's potential tables, metric-law pair, two translation stacks
 # and joint here/there stack
 JET_PASSES = {
-    "origin": (3, 0, 0),
-    "einstein": (0, 0, 1),
-    "boundary_limit": (0, 0, 1),
-    "invariance": (0, 0, 5),
+    "origin": (3, 0),
+    "einstein": (0, 1),
+    "boundary_limit": (0, 1),
+    "invariance": (0, 5),
 }
 
 
@@ -495,17 +500,18 @@ def test_suites_evaluate_their_jets_in_a_fixed_number_of_passes(name, sol_p2, mo
     from tubeke import curvature, metric_tensor
 
     counts = {}
-    for fn in ("metric_jet", "metric_jet_batch", "_stacked_tables"):
+    # which calls count: metric_jet on one point, x_derivatives on stacked points
+    for fn, stacked in (("metric_jet", False), ("x_derivatives", True)):
         original = getattr(metric_tensor, fn)
 
-        def wrapper(*args, _fn=fn, _original=original, **kwargs):
-            counts[_fn] += 1
-            return _original(*args, **kwargs)
+        def wrapper(first, z, *args, _fn=fn, _stacked=stacked, _original=original):
+            counts[_fn] += bool(np.ndim(z.z1)) == _stacked
+            return _original(first, z, *args)
         for holder in (metric_tensor, curvature, diagnostics):
             if getattr(holder, fn, None) is original:
                 monkeypatch.setattr(holder, fn, wrapper)
     for seed in range(2):
-        counts.update(dict.fromkeys(("metric_jet", "metric_jet_batch", "_stacked_tables"), 0))
+        counts.update(dict.fromkeys(("metric_jet", "x_derivatives"), 0))
         assert run_suite(name, sol_p2.params, sol_p2, seed=seed).overall
         assert tuple(counts.values()) == JET_PASSES[name], counts
 

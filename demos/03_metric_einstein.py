@@ -14,7 +14,6 @@ from tubeke import (
     Point,
     TubeParams,
     einstein_residual,
-    einstein_residual_batch,
     metric_jet,
     solve_potential,
 )
@@ -45,7 +44,7 @@ for _ in range(200):
     points.append(Point(complex((1.0 - r) / (4 * params.p), rng.uniform(-2, 2)),
                         complex(x * r ** (1.0 / (2 * params.p)), rng.uniform(-2, 2))))
 # one array pass over the stacked points
-worst = einstein_residual_batch(sol, points).max()
+worst = einstein_residual(sol, Point.stack(points)).max()
 print(f"worst residual over 200 random points: {worst:.2e}")
 
 # --- invariance and translation blindness -------------------------------

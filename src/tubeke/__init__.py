@@ -41,11 +41,10 @@ _EXPORTS = {
                       "jacobian", "jacobian_det", "classify_boundary", "region",
                       "in_cone"),
     "metric_tensor": ("XLDerivatives", "MetricJet", "StackedJet", "x_derivatives",
-                      "metric_jet", "einstein_residual", "einstein_residual_batch"),
+                      "metric_jet", "einstein_residual"),
     "curvature": ("CurvatureTensor", "TangentPair", "BisExtremes", "OriginValues",
                   "curvature_tensor", "tensor_from_jet", "bisectional",
-                  "bisectional_from_jet", "bisectional_batch", "stacked_bisectional",
-                  "sectional", "bis_extremes", "bis_extremes_from_jet", "sectional_max",
+                  "bisectional_from_jet", "bisectional_batch", "sectional", "bis_extremes", "bis_extremes_from_jet", "sectional_max",
                   "sectional_max_from_jet", "boundary_limit_bis", "boundary_limit_batch",
                   "origin_closed_forms", "extremal_sectional_vector"),
     "diagnostics": ("CheckResult", "SuiteReport", "run_suite"),

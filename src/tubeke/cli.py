@@ -78,7 +78,9 @@ def axis_sweep(sol: PotentialSolution, x_min: float = 0.0,
     tensor = curvature.tensor_from_jet(jet)
     ext = curvature.bis_extremes_from_jet(jet, tensor)
     sect_max, _ = curvature.sectional_max_from_jet(jet, tensor)
-    columns = np.array([xs, sol.eval_F(xs), *jet.profile, sol.eval_Z(xs, 0)[0], jet.det,
+    F = sol.eval_F(xs)
+    # Z = e^{3F} as eval_Z forms it, without a second interpolation of F
+    columns = np.array([xs, F, *jet.profile, np.exp(3.0 * F), jet.det,
                         ext.min, ext.max, sect_max])
     finite = np.isfinite(columns).all(axis=0)
     if not finite.all():

@@ -6,29 +6,22 @@ The curvature coefficients at a point follow from the metric jet as
                         + sum_{a,b} g_{i k abar} g^{abar b} g_{b jbar lbar},
 
 all real, with the symmetries i<->k, j<->l and pair exchange leaving six
-independent values.  The bisectional curvature of a vector pair then only
-sees each vector through four real features
-
-    u(v) = [|v1|^2, |v2|^2, Re(v1 conj(v2)), Im(v1 conj(v2))],
-
-giving Bis(v, w) = u(v)^T C u(w) / ((u(v).gvec)(u(w).gvec)) for a fixed
-4x4 symmetric matrix C built from the six coefficients and
-gvec = [g11, g22, 2 g12, 0].  The classical 16-term curvature sum is kept
-as an independent cross-check path.
-
-The tensor formula, the feature form, the 16-term sum and the extremes
-serve single points and stacked ones (a StackedJet, one array per count
-class) through one arithmetic: tensor_from_jet, the *_from_jet extremes
-and stacked_bisectional (one vector pair per point) then give arrays.
-
-The extremes and the boundary limit work in the g-orthonormal frame
-e1 = (alpha, beta), e2 = (0, gamma): alpha = sqrt(g22/det g), beta =
--alpha g12/g22, gamma = 1/sqrt(g22).  With a g-unit v written through its
-Bloch vector n in the frame (v v* = (I + n.sigma)/2), real coefficients give
+independent values.  Bisectional curvature is evaluated in the
+g-orthonormal frame e1 = (alpha, beta), e2 = (0, gamma): alpha =
+sqrt(g22/det g), beta = -alpha g12/g22, gamma = 1/sqrt(g22).  With a g-unit
+v written through its Bloch vector n in the frame (v v* = (I + n.sigma)/2),
+real coefficients give
 
     Bis(v, w) = a + b.(n + m) + n^T M m,   b_y = M_xy = M_yz = 0,
 
-so M splits into a 1x1 and a 2x2 block with closed-form eigenpairs.  The
+and every Bis value, the extremes and the boundary limit are read off this
+split.  The classical 16-term curvature sum is kept as an independent
+cross-check path.  The tensor formula, the split, the 16-term sum and the
+extremes serve single points and stacked ones (a StackedJet, one array per
+count class) through one arithmetic: tensor_from_jet, bisectional_from_jet
+(one vector pair per point) and the *_from_jet extremes then give arrays.
+
+M splits into a 1x1 and a 2x2 block with closed-form eigenpairs.  The
 Einstein condition Ric = -3g fixes a = -3/2, b = 0 and tr M = -3/2, and the
 reported values are the reduced bis_min/max = -3/2 -+ max|lambda| and
 sect_max = -3/2 + max lambda; their pairs attain them up to three times the
@@ -43,7 +36,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -63,7 +56,6 @@ __all__ = [
     "bisectional",
     "bisectional_from_jet",
     "bisectional_batch",
-    "stacked_bisectional",
     "sectional",
     "bis_extremes",
     "bis_extremes_from_jet",
@@ -118,17 +110,10 @@ class CurvatureTensor:
 
 @dataclass(frozen=True)
 class TangentPair:
-    """Two nonzero tangent vectors with their feature angles.
-
-    alpha (resp. beta) is an argument of v1*conj(v2) (resp. w1*conj(w2))
-    when that product is nonzero, else 0; only the features
-    (|v1|, |v2|, alpha) enter any curvature value.
-    """
+    """Two nonzero finite tangent vectors, each stored as a complex (2,) array."""
 
     v: np.ndarray
     w: np.ndarray
-    alpha: float = field(init=False)
-    beta: float = field(init=False)
 
     def __post_init__(self):
         v = np.asarray(self.v, dtype=complex).reshape(2)
@@ -142,8 +127,6 @@ class TangentPair:
             raise ValueError("tangent vectors must be nonzero")
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "w", w)
-        object.__setattr__(self, "alpha", cmath.phase(v0 * v1.conjugate()))
-        object.__setattr__(self, "beta", cmath.phase(w0 * w1.conjugate()))
 
 
 @dataclass(frozen=True)
@@ -208,59 +191,6 @@ def curvature_tensor(sol: PotentialSolution, z: Point) -> CurvatureTensor:
 # bisectional / sectional values
 # ---------------------------------------------------------------------------
 
-def _metric(jet) -> tuple:
-    """(g11, g12, g22) of a MetricJet, or arrays of them of a StackedJet."""
-    if isinstance(jet, StackedJet):
-        return jet.metric
-    g = jet.metric
-    return g[0, 0], g[0, 1], g[1, 1]
-
-
-def _features(v) -> np.ndarray:
-    """u(v) of a vector, or a (4, n) array of them for v of shape (2, n)."""
-    cross = v[0] * np.conjugate(v[1])
-    return np.array([abs(v[0]) ** 2, abs(v[1]) ** 2, cross.real, cross.imag])
-
-
-def _form(jet, tensor: CurvatureTensor) -> tuple[np.ndarray, np.ndarray]:
-    """(C, gvec) of the feature bilinear form, conditioned near x = 1.
-
-    Beyond |x| = 0.999 both are pre-scaled by powers of 1/g22 (the same
-    magnitude as the 1/f^2 normalization natural near the boundary); the
-    Bis ratio is invariant under this joint rescaling but the intermediate
-    products stay in comfortable double range.  A StackedJet with a
-    stacked tensor gives C of shape (4, 4, n) and gvec of shape (4, n),
-    scaled point by point.
-    """
-    g11, g12, g22 = _metric(jet)
-    x = jet.x_value
-    if np.ndim(x):
-        sc = np.where(np.abs(x) > 0.999, 1.0 / g22, 1.0)
-    else:
-        sc = 1.0 / g22 if abs(x) > 0.999 else 1.0
-    g11, g12, g22 = g11 * sc, g12 * sc, g22 * sc
-    sc2 = sc * sc
-    R1111 = tensor.R1111 * sc2
-    R1112 = tensor.R1112 * sc2
-    R1122 = tensor.R1122 * sc2
-    R1212 = tensor.R1212 * sc2
-    R1222 = tensor.R1222 * sc2
-    R2222 = tensor.R2222 * sc2
-    zero = 0.0 * sc
-    C = np.array([
-        [R1111,        R1122,        2.0 * R1112,           zero],
-        [R1122,        R2222,        2.0 * R1222,           zero],
-        [2.0 * R1112,  2.0 * R1222,  2.0 * (R1122 + R1212), zero],
-        [zero,         zero,         zero,                  2.0 * (R1122 - R1212)],
-    ])
-    gvec = np.array([g11, g22, 2.0 * g12, zero])
-    return C, gvec
-
-
-def _bis_from_form(C, gvec, uv, uw) -> float:
-    return float(uv @ C @ uw) / (float(uv @ gvec) * float(uw @ gvec))
-
-
 def _bis_direct(jet, tensor: CurvatureTensor, v, w) -> float:
     """Classical 16-term curvature sum; independent cross-check path.
 
@@ -274,7 +204,10 @@ def _bis_direct(jet, tensor: CurvatureTensor, v, w) -> float:
                     num += (tensor.coeff(i, j, k, l)
                             * v[i - 1] * np.conjugate(v[j - 1])
                             * w[k - 1] * np.conjugate(w[l - 1]))
-    g11, g12, g22 = _metric(jet)
+    if isinstance(jet, StackedJet):
+        g11, g12, g22 = jet.metric
+    else:
+        (g11, g12), (_, g22) = jet.metric
 
     def sq_norm(u):
         return (g11 * abs(u[0]) ** 2 + g22 * abs(u[1]) ** 2
@@ -315,8 +248,8 @@ def _pull_to_axis(sol: PotentialSolution, z: Point, vectors):
     Bis is also invariant under rescaling each vector, so each pushed
     vector is divided by the power of two that brings its larger entry
     into [0.5, 1).  That is exact in floating point, and it keeps the
-    features of deep points (lam -> 0, where lam and lam^{1/(2p)} part by
-    hundreds of decades) from underflowing.  A point whose depth
+    frame coordinates of deep points (lam -> 0, where lam and lam^{1/(2p)}
+    part by hundreds of decades) from underflowing.  A point whose depth
     1 - Re(4p z1) overflows (lam = 0) is refused.
     """
     p = sol.params.p
@@ -358,9 +291,10 @@ def bisectional(sol: PotentialSolution, z: Point, pair: TangentPair,
         exact by automorphism invariance.  False evaluates the raw jet
         at z itself — useful precisely for testing that invariance.
     formula : {"tube", "direct"}
-        "tube" uses the feature bilinear form; "direct" the 16-term
-        curvature sum.  They agree to ~1e-10 relative and exist so that
-        each can certify the other.
+        "tube" evaluates a + b.(n + m) + n^T M m in the g-orthonormal
+        frame (see the module docstring); "direct" the 16-term curvature
+        sum.  They agree to ~1e-13 relative and exist so that each can
+        certify the other.
 
     Returns
     -------
@@ -377,71 +311,44 @@ def bisectional(sol: PotentialSolution, z: Point, pair: TangentPair,
     return bisectional_from_jet(jet, tensor_from_jet(jet), v, w, formula=formula)
 
 
-def bisectional_from_jet(jet: MetricJet, tensor: CurvatureTensor, v, w,
-                         *, formula: str = "tube") -> float:
+def bisectional_from_jet(jet, tensor: CurvatureTensor, v, w, *, formula: str = "tube"):
     """Bis(v, w) at the jet's point, for vectors given at that point.
 
-    formula is as in bisectional; no pull to the axis is made here.
+    formula is as in bisectional; no pull to the axis is made here.  A
+    StackedJet, with its stacked tensor, takes (n, 2) arrays v and w
+    holding one vector pair per point and gives an array.
     """
+    if formula not in ("tube", "direct"):
+        raise ValueError(f"unknown formula {formula!r} (expected 'tube' or 'direct')")
+    if isinstance(jet, StackedJet):
+        vs, ws = _tangent_pairs(v, w)
+        if len(vs) != np.size(jet.x_value):
+            raise ValueError(f"expected one vector pair per point ({np.size(jet.x_value)}), "
+                             f"got {len(vs)}")
+        if formula == "tube":
+            return _bis_frame(_bloch_split(jet, tensor), vs.T, ws.T)
+        return _bis_direct(jet, tensor, vs.T, ws.T)
     if formula == "tube":
-        C, gvec = _form(jet, tensor)
-        return _bis_from_form(C, gvec, _features(v), _features(w))
-    if formula == "direct":
-        return float(_bis_direct(jet, tensor, v, w))
-    raise ValueError(f"unknown formula {formula!r} (expected 'tube' or 'direct')")
+        # Python complex entries: numpy scalars would cost most of the kernel
+        return _bis_frame(_bloch_split(jet, tensor), np.asarray(v, complex).tolist(),
+                          np.asarray(w, complex).tolist())
+    return float(_bis_direct(jet, tensor, v, w))
 
 
 def bisectional_batch(sol: PotentialSolution, z: Point, vs, ws,
                       *, normalize: bool = True) -> np.ndarray:
-    """Bis_z(v_i, w_i) for stacked vector pairs, via the feature form.
+    """Bis_z(v_i, w_i) for stacked vector pairs, from one frame split at z.
 
     vs, ws : (n, 2) complex arrays of nonzero finite vectors; other
     shapes, zero rows and non-finite rows raise ValueError.
     """
     vs, ws = _tangent_pairs(vs, ws)
     require_domain(sol.params, z)
+    vs, ws = vs.T, ws.T
     if normalize:
-        z, (vs, ws) = _pull_to_axis(sol, z, (vs.T, ws.T))
-        vs, ws = vs.T, ws.T
+        z, (vs, ws) = _pull_to_axis(sol, z, (vs, ws))
     jet = metric_jet(sol, z)
-    return _form_bisectional(*_form(jet, tensor_from_jet(jet)), vs, ws)
-
-
-def _form_bisectional(C, gvec, vs, ws) -> np.ndarray:
-    """Bis of the (n, 2) rows vs, ws from one point's feature form (C, gvec).
-
-    einsum's summation order follows the memory layout, so the features
-    are C-ordered rows and the form is made contiguous (a no-op for
-    _form's own output; a slice of a stacked form is copied).
-    """
-    C, gvec = np.ascontiguousarray(C), np.ascontiguousarray(gvec)
-    Uv = np.ascontiguousarray(_features(vs.T).T)
-    Uw = np.ascontiguousarray(_features(ws.T).T)
-    num = np.einsum("ij,jk,ik->i", Uv, C, Uw)
-    return num / ((Uv @ gvec) * (Uw @ gvec))
-
-
-def stacked_bisectional(jet: StackedJet, tensor: CurvatureTensor, vs, ws,
-                        *, formula: str = "tube") -> np.ndarray:
-    """Bis(vs[i], ws[i]) at point i of a stacked jet, for vectors given there.
-
-    tensor is tensor_from_jet(jet); vs and ws are (n, 2) arrays with one
-    pair per point.  formula is as in bisectional: "tube" applies the
-    feature form, with its |x| > 0.999 rescaling point by point, and
-    "direct" the 16-term sum.  No pull to the axis is made here.
-    """
-    vs, ws = _tangent_pairs(vs, ws)
-    if len(vs) != np.size(jet.x_value):
-        raise ValueError(f"expected one vector pair per point ({np.size(jet.x_value)}), "
-                         f"got {len(vs)}")
-    if formula == "tube":
-        C, gvec = _form(jet, tensor)
-        uv, uw = _features(vs.T), _features(ws.T)
-        num = np.einsum("in,ijn,jn->n", uv, C, uw)
-        return num / (np.einsum("in,in->n", uv, gvec) * np.einsum("in,in->n", uw, gvec))
-    if formula == "direct":
-        return _bis_direct(jet, tensor, vs.T, ws.T)
-    raise ValueError(f"unknown formula {formula!r} (expected 'tube' or 'direct')")
+    return _bis_frame(_bloch_split(jet, tensor_from_jet(jet)), vs, ws)
 
 
 def sectional(sol: PotentialSolution, z: Point, v) -> float:
@@ -450,7 +357,7 @@ def sectional(sol: PotentialSolution, z: Point, v) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the g-orthonormal frame: boundary limit and exact extremes
+# the g-orthonormal frame: Bis, boundary limit and exact extremes
 # ---------------------------------------------------------------------------
 
 def _frame(g11, g12, g22) -> tuple[float, float, float]:
@@ -475,26 +382,37 @@ def boundary_limit_batch(jet: MetricJet, vs, ws) -> np.ndarray:
     shapes, zero rows and non-finite rows raise ValueError.
     """
     vs, ws = _tangent_pairs(vs, ws)
-    return _boundary_limit(jet.metric, vs, ws)
+    return _boundary_limit(_metric_frame(jet), vs.T, ws.T)
 
 
-def _boundary_limit(g, vs, ws) -> np.ndarray:
-    """The Gram ratio as the Euclidean one of the rows' frame coordinates."""
-    alpha, beta, gamma = _frame(float(g[0, 0]), float(g[0, 1]), float(g[1, 1]))
-    v0, w0 = vs[:, 0] / alpha, ws[:, 0] / alpha
-    v1, w1 = (vs[:, 1] - beta * v0) / gamma, (ws[:, 1] - beta * w0) / gamma
+def _metric_frame(jet: MetricJet) -> tuple[float, float, float]:
+    """The _frame of a single point's jet."""
+    g11, g12, _, g22 = jet.metric.ravel().tolist()
+    return _frame(g11, g12, g22)
+
+
+def _frame_coords(frame, v) -> tuple:
+    """(v0, v1) with v = v0 e1 + v1 e2, for a vector or (2, n) columns."""
+    alpha, beta, gamma = frame
+    v0 = v[0] / alpha
+    return v0, (v[1] - beta * v0) / gamma
+
+
+def _boundary_limit(frame, v, w) -> np.ndarray:
+    """The Gram ratio of (2, n) columns as the Euclidean one of their frame coordinates."""
+    (v0, v1), (w0, w1) = _frame_coords(frame, v), _frame_coords(frame, w)
     ip = v0 * np.conjugate(w0) + v1 * np.conjugate(w1)
     return -1.0 - _sq(ip) / ((_sq(v0) + _sq(v1)) * (_sq(w0) + _sq(w1)))
 
 
 def _sq(u):
-    """|u|^2 of complex arrays, without hypot's extra rounding."""
+    """|u|^2 of complex values or arrays, without hypot's extra rounding."""
     return u.real * u.real + u.imag * u.imag
 
 
 def boundary_limit_bis(jet: MetricJet, pair: TangentPair) -> float:
     """boundary_limit_batch for a single pair (validated by TangentPair)."""
-    return float(_boundary_limit(jet.metric, pair.v[None], pair.w[None])[0])
+    return float(_boundary_limit(_metric_frame(jet), pair.v[:, None], pair.w[:, None])[0])
 
 
 _DEFECT_TOL = 1e-3   # the largest Einstein defect the extremes accept
@@ -522,8 +440,7 @@ def _bloch_split(jet, tensor: CurvatureTensor) -> tuple:
     if isinstance(jet, StackedJet):
         frame = tuple(map(np.array, zip(*map(_frame, *(g.tolist() for g in jet.metric)))))
     else:
-        g11, g12, _, g22 = jet.metric.ravel().tolist()
-        frame, R = _frame(g11, g12, g22), map(float, R)
+        frame, R = _metric_frame(jet), map(float, R)
     al, be, ga = frame
     R1111, R1112, R1122, R1212, R1222, R2222 = R
     al2, be2, ga2 = al * al, be * be, ga * ga
@@ -542,6 +459,26 @@ def _bloch_split(jet, tensor: CurvatureTensor) -> tuple:
     M = (0.5 * (Q1122 - Q1212), 0.5 * (Q1122 + Q1212), 0.5 * (Q1112 - Q1222),
          0.25 * (Q1111 - 2.0 * Q1122 + Q2222))
     return frame, a, b, M
+
+
+def _bloch(frame, v) -> tuple:
+    """The Bloch vector of v in the frame (arrays for (2, n) columns)."""
+    v0, v1 = _frame_coords(frame, v)
+    cross, s0, s1 = v0 * v1.conjugate(), _sq(v0), _sq(v1)
+    norm = s0 + s1
+    return 2.0 * cross.real / norm, -2.0 * cross.imag / norm, (s0 - s1) / norm
+
+
+def _bis_frame(split, v, w):
+    """Bis(v, w) = a + b.(n + m) + n^T M m from a _bloch_split.
+
+    v and w are vectors, or (2, n) columns; a stacked split takes one
+    column per point, or broadcasts as its arrays' shapes allow.
+    """
+    frame, a, (bx, bz), (lam_y, mxx, mxz, mzz) = split
+    (nx, ny, nz), (mx, my, mz) = _bloch(frame, v), _bloch(frame, w)
+    return (a + bx * (nx + mx) + bz * (nz + mz)
+            + nx * (mxx * mx + mxz * mz) + ny * lam_y * my + nz * (mxz * mx + mzz * mz))
 
 
 def _reduced_form(jet, tensor: CurvatureTensor) -> tuple:

@@ -20,12 +20,13 @@ checks allow:
 
 * einstein takes its residual sample and its metric sample (det, inverse,
   positivity) from one order-2 pass;
-* boundary_limit takes its four axis points from one order-4 pass; each
-  E(x) sets the feature-form Bis of the pairs against the limit from that
-  pass's metric;
+* boundary_limit takes its four axis points from one order-4 pass and
+  their frame splits at once; E(x) sets the Bis of the pairs against the
+  limit in the same frame, for the three x in one broadcast;
 * invariance evaluates z and its axis image in one pass, for the metric
-  law and for Bis; the translation check keeps two equal stacks, because
-  it demands bit equality;
+  law and for Bis, and reads the normalized and the scaled pairs off one
+  frame split; the translation check keeps two equal stacks, because it
+  demands bit equality;
 * origin reads its tensor, extremes and Bis values off the one origin
   jet, and calls bisectional and bisectional_batch once each, which
   covers those entry points end to end;
@@ -62,11 +63,11 @@ from .metric_tensor import (
 from .curvature import (
     CurvatureTensor,
     TangentPair,
+    _bis_direct,
+    _bis_frame,
+    _bloch_split,
     _boundary_limit,
-    _form,
-    _form_bisectional,
     _pull_to_axis,
-    _tangent_pairs,
     bis_extremes_from_jet,
     bisectional,
     bisectional_batch,
@@ -74,7 +75,6 @@ from .curvature import (
     extremal_sectional_vector,
     origin_closed_forms,
     sectional_max_from_jet,
-    stacked_bisectional,
     tensor_from_jet,
 )
 
@@ -383,15 +383,16 @@ def _suite_invariance(params, sol, rng):
     # vectors: normalized, scaled and direct share one axis tensor
     z = _random_stack(params, rng, 100)
     v, w, c, d = _pair_draws(rng, 100)
-    axis, (pv, pw, pcv, pdw) = _pull_to_axis(sol, z, (v.T, w.T, (c * v).T, (d * w).T))
-    pv, pw, pcv, pdw = pv.T, pw.T, pcv.T, pdw.T
+    v, w = v.T, w.T
+    axis, (pv, pw, pcv, pdw) = _pull_to_axis(sol, z, (v, w, c.T * v, d.T * w))
     # z and its axis points in one pass
     jet = metric_jet(sol, _joined(z, axis))
     here, there = _split(jet, tensor_from_jet(jet))
-    raw = stacked_bisectional(*here, v, w)
-    normalized = stacked_bisectional(*there, pv, pw)
-    scaled = stacked_bisectional(*there, pcv, pdw)
-    direct = stacked_bisectional(*there, pv, pw, formula="direct")
+    on_axis = _bloch_split(*there)
+    raw = _bis_frame(_bloch_split(*here), v, w)
+    normalized = _bis_frame(on_axis, pv, pw)
+    scaled = _bis_frame(on_axis, pcv, pdw)
+    direct = _bis_direct(*there, pv, pw)
     worst_bis = np.max(np.abs(raw - normalized) / np.abs(raw))
     worst_scale = np.max(np.abs(scaled - normalized) / np.abs(normalized))
     worst_formula = np.max(np.abs(direct - normalized) / np.abs(normalized))
@@ -408,15 +409,17 @@ def _joined(*zs) -> Point:
 
 def _split(jet: StackedJet, tensor: CurvatureTensor):
     """The two equal halves of a stacked jet, each as (jet, tensor)."""
-    def take(values, rows):
-        return tuple(a[rows] for a in values)
-
     n = np.size(jet.x_value) // 2
     return [(StackedJet(point=Point(jet.point.z1[rows], jet.point.z2[rows]),
-                        x_value=jet.x_value[rows], metric=take(jet.metric, rows),
-                        d3=take(jet.d3, rows), d4=take(jet.d4, rows)),
-             CurvatureTensor(*take(tensor.as_dict().values(), rows)))
+                        x_value=jet.x_value[rows], metric=_rows(jet.metric, rows),
+                        d3=_rows(jet.d3, rows), d4=_rows(jet.d4, rows)),
+             CurvatureTensor(*_rows(tuple(tensor.as_dict().values()), rows)))
             for rows in (slice(None, n), slice(n, None))]
+
+
+def _rows(values: tuple, rows) -> tuple:
+    """values[rows] of each array in a nested tuple of arrays, such as a frame split."""
+    return tuple(_rows(a, rows) if isinstance(a, tuple) else a[rows] for a in values)
 
 
 def _metric_matrices(metric) -> np.ndarray:
@@ -454,19 +457,17 @@ def _suite_einstein(params, sol, rng):
 def _suite_boundary_limit(params, sol, rng):
     checks = []
     vs = _random_vectors(rng, 2000)
-    v_rows, w_rows = _tangent_pairs(vs[::2], vs[1::2])
-    # one order-4 pass on the axis points: each E(x) sets the feature-form
-    # Bis of the pairs against the limit from the metric at (0, x), and
-    # (0, 0.4) serves the limit-value checks
+    v, w = vs[::2].T, vs[1::2].T
+    # one order-4 pass on the axis points and their frame splits: the
+    # splits of the first three, as (3, 1) columns, broadcast against the
+    # 1000 pairs, so row i of the gaps sets Bis at (0, x_i) against the
+    # limit in the same frame; (0, 0.4) serves the limit-value checks
     xs = (0.9, 0.99, 0.999, 0.4)
     jet = metric_jet(sol, Point(np.zeros(len(xs), complex), np.array(xs, complex)))
-    C, gvec = _form(jet, tensor_from_jet(jet))
-    gs = _metric_matrices(jet.metric)
-    E = {}
-    for i, x in enumerate(xs[:3]):
-        gaps = (_form_bisectional(C[..., i], gvec[:, i], v_rows, w_rows)
-                - _boundary_limit(gs[i], v_rows, w_rows))
-        E[x] = float(np.max(np.abs(gaps)))
+    split = _bloch_split(jet, tensor_from_jet(jet))
+    near = _rows(split, np.s_[:3, None])
+    gaps = _bis_frame(near, v, w) - _boundary_limit(near[0], v, w)
+    E = dict(zip(xs, np.max(np.abs(gaps), axis=1).tolist()))
     checks.append(_below("E(0.9)", E[0.9], 1.0))
     checks.append(_below("E(0.99)", E[0.99], 0.1))
     checks.append(_below("E(0.999)", E[0.999], 0.05))
@@ -478,13 +479,13 @@ def _suite_boundary_limit(params, sol, rng):
     degenerate = max(E.values()) <= 1e-8
     checks.append(_flag("E_strictly_decreasing_or_noise_floor",
                         (increase < 0.0) or degenerate, increase))
-    g = gs[3]
-    values = _boundary_limit(g, v_rows[:200], w_rows[:200])
+    frame, g = _rows(split[0], 3), _metric_matrices(jet.metric)[3]
+    values = _boundary_limit(frame, v[:, :200], w[:, :200])
     worst_range = max(float(np.max(-2.0 - values)), float(np.max(values + 1.0)), 0.0)
     checks.append(_below("limit_value_within_[-2,-1]", worst_range, 1e-12))
     v = vs[0]
     checks.append(_close("limit_at_parallel_pair", -2.0,
-                         _boundary_limit(g, v[None], v[None])[0], 1e-12))
+                         _boundary_limit(frame, v[:, None], v[:, None])[0], 1e-12))
     w = np.array([-np.conjugate(v[1]), np.conjugate(v[0])], complex)
     # make w exactly g-orthogonal to v via one Gram-Schmidt step
     def ip_g(a, b):
@@ -492,7 +493,7 @@ def _suite_boundary_limit(params, sol, rng):
                 + g[1, 0] * a[1] * np.conjugate(b[0]) + g[1, 1] * a[1] * np.conjugate(b[1]))
     w = w - (ip_g(w, v) / ip_g(v, v)) * v
     checks.append(_close("limit_at_orthogonal_pair", -1.0,
-                         _boundary_limit(g, v[None], w[None])[0], 1e-12))
+                         _boundary_limit(frame, v[:, None], w[:, None])[0], 1e-12))
     return checks
 
 

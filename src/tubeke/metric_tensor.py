@@ -25,9 +25,9 @@ One chain rule serves floats and arrays.  x_derivatives and metric_jet
 take a single point, or stacked points (a Point of arrays, see
 tube_geometry): then the tables, the profile derivatives and the chain
 rule run once over all of them, and metric_jet returns a StackedJet with
-one array per count class.  einstein_residual_batch is built on the same
-pass, and the verification suites and the axis sweep run their point
-loops through it; single point queries take the scalar path.
+one array per count class, and einstein_residual an array of defects.
+The verification suites and the axis sweep run their point loops through
+these passes; single point queries take the scalar path.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ __all__ = [
     "x_derivatives",
     "metric_jet",
     "einstein_residual",
-    "einstein_residual_batch",
 ]
 
 _IDX = (1, 2)
@@ -317,11 +316,6 @@ def einstein_residual(sol: PotentialSolution, z: Point) -> float:
     points give an array.
     """
     return _einstein_defect(sol, *_metric_pass(sol, z))
-
-
-def einstein_residual_batch(sol: PotentialSolution, points) -> np.ndarray:
-    """einstein_residual at each of a sequence of points, as one array."""
-    return _einstein_defect(sol, *_metric_pass(sol, Point.stack(points)))
 
 
 def _metric_pass(sol: PotentialSolution, z: Point):

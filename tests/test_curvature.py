@@ -35,8 +35,10 @@ from tubeke import (
     sectional_max_from_jet,
     tensor_from_jet,
 )
-from tubeke.curvature import (_bloch_split, _form, _frame, _pull_to_axis, _reduced_form,
+from tubeke.curvature import (_bloch_split, _frame, _pull_to_axis, _reduced_form,
                               _spinor_vector)
+
+from conftest import reference_form
 
 ORIGIN = Point(0j, 0j)
 EPS = np.finfo(float).eps
@@ -64,7 +66,7 @@ def _bloch_form(jet, tensor):
     features of K sigma_k K^T / 2 and the 4x4 form P^T C P carries a in
     its corner, b in its border and M in its 3x3 block.
     """
-    C, gvec = _form(jet, tensor)
+    C, gvec = reference_form(jet, tensor)
     g12 = 0.5 * gvec[2]
     K = np.linalg.inv(np.linalg.cholesky(np.array([[gvec[0], g12], [g12, gvec[1]]]))).T
     H = 0.5 * (K @ _PAULI @ K.T)
@@ -356,7 +358,7 @@ def test_frame_extremes_match_the_reference(five_sols):
             for value, ref in ((ext.min, low), (ext.max, high), (sect, ref_sect)):
                 assert abs(value - ref) <= 1e-9 * abs(ref)
             # the pairs are g-unit and attain the values up to |a + 3/2| +
-            # |b.(n+m)| <= 3 defect, plus the feature form's rounding
+            # |b.(n+m)| <= 3 defect, plus rounding
             for (v, w), value in (((ext.argmin.v, ext.argmin.w), ext.min),
                                   ((ext.argmax.v, ext.argmax.w), ext.max),
                                   ((vstar, vstar), sect)):
@@ -549,7 +551,7 @@ def test_domain_errors(sol_p1):
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_deep_points_agree_with_shallower_ones(p, sols):
     # at Re z1 = -1e300 the pull's Jacobian entries lam ~ 1e-300 and
-    # lam^{1/(2p)} part by up to 225 decades: unscaled, the features of a
+    # lam^{1/(2p)} part by up to 225 decades: unscaled, the frame coordinates of a
     # z1 direction underflow and Bis reads 0/0
     sol = sols[p]
     rng = np.random.default_rng(80 + p)

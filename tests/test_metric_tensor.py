@@ -23,7 +23,6 @@ from tubeke import (
     bis_extremes,
     bisectional,
     einstein_residual,
-    einstein_residual_batch,
     in_domain,
     metric_jet,
     solve_potential,
@@ -424,7 +423,7 @@ def test_stacked_metric_jet_matches_the_scalar_jet(p, sols):
 def test_einstein_residual_batch_matches_the_scalar_loop(p, sols):
     sol = sols[p]
     points = sample_points(sol.params, np.random.default_rng(40 + p), 300, x_cap=0.99)
-    batch = einstein_residual_batch(sol, points)
+    batch = einstein_residual(sol, Point.stack(points))
     loop = np.array([einstein_residual(sol, z) for z in points])
     assert batch.shape == (300,)
     assert np.max(np.abs(batch - loop)) <= 1e-14
@@ -434,7 +433,8 @@ def test_batches_refuse_a_point_outside_the_domain(sol_p1):
     points = sample_points(sol_p1.params, np.random.default_rng(50), 5)
     bad = Point(0.25 + 0j, 0j)
     assert not in_domain(sol_p1.params, bad)
-    for batch in (lambda sol, zs: metric_jet(sol, Point.stack(zs)), einstein_residual_batch):
+    for batch in (lambda sol, zs: metric_jet(sol, Point.stack(zs)),
+                  lambda sol, zs: einstein_residual(sol, Point.stack(zs))):
         with pytest.raises(DomainError, match=re.escape(str(bad))):
             batch(sol_p1, points[:2] + [bad] + points[2:])
 
@@ -458,7 +458,7 @@ def test_points_too_deep_for_the_raw_jet_are_refused(p, sols):
     points = points[:2] + [first, Point(complex(-1e300, 0.0), 0j)] + points[2:]
     for evaluate in (lambda zs: metric_jet(sol, Point.stack(zs)),
                      lambda zs: x_derivatives(sol.params, Point.stack(zs), 0),
-                     lambda zs: einstein_residual_batch(sol, zs)):
+                     lambda zs: einstein_residual(sol, Point.stack(zs))):
         with pytest.raises(DomainError, match=re.escape(str(first)) + ".*too deep"):
             evaluate(points)
     # bisectional and bis_extremes work on the axis, beyond the jet's depth

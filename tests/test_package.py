@@ -13,10 +13,10 @@ PUBLIC = [
     "x_invariant", "normalizing_automorphism", "apply", "jacobian", "jacobian_det",
     "classify_boundary", "region", "in_cone",
     "XLDerivatives", "MetricJet", "StackedJet", "x_derivatives", "metric_jet",
-    "einstein_residual", "einstein_residual_batch",
+    "einstein_residual",
     "CurvatureTensor", "TangentPair", "BisExtremes", "OriginValues", "curvature_tensor",
     "tensor_from_jet", "bisectional", "bisectional_from_jet",
-    "bisectional_batch", "stacked_bisectional", "sectional", "bis_extremes",
+    "bisectional_batch", "sectional", "bis_extremes",
     "bis_extremes_from_jet", "sectional_max", "sectional_max_from_jet",
     "boundary_limit_bis", "boundary_limit_batch", "origin_closed_forms",
     "extremal_sectional_vector",
@@ -25,7 +25,7 @@ PUBLIC = [
 
 
 def test_public_names_are_unchanged_and_all_resolve():
-    assert len(PUBLIC) == len(set(PUBLIC)) == 59
+    assert len(PUBLIC) == len(set(PUBLIC)) == 57
     assert len(tubeke.__all__) == len(set(tubeke.__all__))
     assert set(tubeke.__all__) == set(PUBLIC)
     namespace = {}

@@ -2,8 +2,9 @@
 
 reference_tensor_from_jet is the earlier per-index form of
 tensor_from_jet, kept verbatim: the scalar path must reproduce it bit for
-bit, and the stacked tensor, Bis forms and extremes must reproduce the
-scalar ones point by point.
+bit, and the stacked tensor, Bis values and extremes must reproduce the
+scalar ones point by point.  The frame Bis is checked against the
+feature form it replaced (conftest.reference_bis).
 """
 
 import re
@@ -20,10 +21,10 @@ from tubeke import (
     bisectional_from_jet,
     metric_jet,
     sectional_max_from_jet,
-    stacked_bisectional,
     tensor_from_jet,
 )
-from tubeke.curvature import _form
+
+from conftest import reference_bis
 
 _IDX = (1, 2)
 KEYS = ("R1111", "R1112", "R1122", "R1212", "R1222", "R2222")
@@ -55,7 +56,7 @@ def sample_points(p, rng, n, x_cap=0.99):
 
 
 def near_boundary_points(p, rng, n):
-    """Points on both sides of |X| = 0.999, where _form rescales."""
+    """Points with 0.99 <= |X| <= 0.9999."""
     xs = rng.uniform(0.99, 0.9999, n) * rng.choice([-1.0, 1.0], n)
     rs = rng.uniform(0.2, 3.0, n)
     return [Point(complex((1.0 - r) / (4 * p), 0.3), complex(x * r ** (1.0 / (2 * p)), -0.7))
@@ -119,27 +120,18 @@ def test_stacked_bisectional_matches_bisectional_from_jet(p, sols):
                               (metric_jet(sol, Point.stack(points)), 1e-11)):
         tensor = tensor_from_jet(stacked)
         for formula in ("tube", "direct"):
-            values = stacked_bisectional(stacked, tensor, vs, ws, formula=formula)
+            values = bisectional_from_jet(stacked, tensor, vs, ws, formula=formula)
             assert values.shape == (120,)
             for i, jet in enumerate(jets):
                 ref = bisectional_from_jet(jet, tensor_from_jet(jet), vs[i], ws[i],
                                            formula=formula)
                 tol = 1e-13 if abs(jet.x_value) <= 0.99 else near_tol
                 assert abs(values[i] - ref) <= tol * abs(ref), (formula, i, jet.x_value)
-
-
-def test_stacked_form_rescales_point_by_point(sol_p2):
-    # one stack across |x| = 0.999: each point's (C, gvec) is its own
-    # scalar form, scaled by its own 1/g22 or not at all
-    points = [Point(0j, complex(x)) for x in (0.5, 0.9989, 0.9991, -0.9995, 0.99995)]
-    jets = [metric_jet(sol_p2, z) for z in points]
-    stacked = stack_of(jets)
-    C, gvec = _form(stacked, tensor_from_jet(stacked))
-    assert C.shape == (4, 4, 5) and gvec.shape == (4, 5)
-    for i, jet in enumerate(jets):
-        C_i, gvec_i = _form(jet, tensor_from_jet(jet))
-        assert np.array_equal(C[:, :, i], C_i) and np.array_equal(gvec[:, i], gvec_i)
-    assert gvec[1, 1] == jets[1].metric[1, 1] and gvec[1, 2] == 1.0
+    # the frame split against the feature form it replaced
+    for i, jet in enumerate(jets[:80]):
+        tensor = tensor_from_jet(jet)
+        ref = reference_bis(jet, tensor, vs[i], ws[i])
+        assert abs(bisectional_from_jet(jet, tensor, vs[i], ws[i]) - ref) <= 1e-13 * abs(ref), i
 
 
 def test_stacked_bisectional_rejects_bad_input(sol_p2):
@@ -147,11 +139,11 @@ def test_stacked_bisectional_rejects_bad_input(sol_p2):
     tensor = tensor_from_jet(jet)
     v = np.array([[1.0 + 0j, 2.0], [0.5, 1j]])
     with pytest.raises(ValueError, match="unknown formula"):
-        stacked_bisectional(jet, tensor, v, v, formula="bloch")
+        bisectional_from_jet(jet, tensor, v, v, formula="bloch")
     with pytest.raises(ValueError, match="one vector pair per point"):
-        stacked_bisectional(jet, tensor, v[:1], v[:1])
+        bisectional_from_jet(jet, tensor, v[:1], v[:1])
     with pytest.raises(ValueError, match="tangent vectors must be nonzero"):
-        stacked_bisectional(jet, tensor, v, np.array([[1.0, 0.0], [0.0, 0.0]]))
+        bisectional_from_jet(jet, tensor, v, np.array([[1.0, 0.0], [0.0, 0.0]]))
 
 
 def axis_stack(xs):
@@ -190,17 +182,18 @@ def test_stacked_extremes_equal_the_scalar_extremes_per_point(p, five_sols):
 def test_stacked_extremizers_attain_their_values(p, five_sols):
     sol = five_sols[p]
     rng = np.random.default_rng(80 + p)
-    # up to |X| = 0.999: nearer the boundary the feature form that checks
-    # the pairs loses more digits than the pairs do
+    # up to 1 - |X| = 1e-4, where the frame Bis checks the pairs to
+    # rounding beyond three times the Einstein defect
     points = sample_points(p, rng, 60)
-    points += [Point(0j, complex(x)) for x in (0.0, 0.9, 0.99, 0.999, -0.999)]
+    points += [Point(0j, complex(x)) for x in (0.0, 0.9, 0.99, 0.999, -0.999, 0.9999, -0.9999,
+                                                1.0 - 2e-4, 1.0 - 1e-4)]
     jet = metric_jet(sol, Point.stack(points))
     tensor = tensor_from_jet(jet)
     ext = bis_extremes_from_jet(jet, tensor)
     sect, vstar = sectional_max_from_jet(jet, tensor)
     for (vs, ws), values in ((ext.argmin, ext.min), (ext.argmax, ext.max), ((vstar, vstar), sect)):
-        attained = stacked_bisectional(jet, tensor, vs, ws)
-        tol = 3.0 * ext.einstein_defect + 1e-10 * np.abs(values)
+        attained = bisectional_from_jet(jet, tensor, vs, ws)
+        tol = 3.0 * ext.einstein_defect + 1e-13 * np.abs(values)
         assert np.all(np.abs(attained - values) <= tol), p
     assert np.all(ext.min <= ext.max) and np.all(ext.max < 0.0) and np.all(sect < 0.0)
 

@@ -40,8 +40,8 @@ _EXPORTS = {
                       "in_domain", "x_invariant", "normalizing_automorphism", "apply",
                       "jacobian", "jacobian_det", "classify_boundary", "region",
                       "in_cone"),
-    "metric_tensor": ("XLDerivatives", "MetricJet", "StackedJet", "x_derivatives",
-                      "metric_jet", "einstein_residual"),
+    "metric_tensor": ("XLDerivatives", "MetricJet", "x_derivatives", "metric_jet",
+                      "einstein_residual"),
     "curvature": ("CurvatureTensor", "TangentPair", "BisExtremes", "OriginValues",
                   "curvature_tensor", "tensor_from_jet", "bisectional",
                   "bisectional_from_jet", "bisectional_batch", "sectional", "bis_extremes", "bis_extremes_from_jet", "sectional_max",

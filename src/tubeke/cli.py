@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
 import time
@@ -186,11 +187,10 @@ def _cmd_metric(args) -> int:
     print(json.dumps({
         "point": _point_reals(z),
         "X": jet.x_value,
-        "g": [[jet.metric[0, 0], jet.metric[0, 1]],
-              [jet.metric[1, 0], jet.metric[1, 1]]],
+        "g": jet.metric.tolist(),
         "det": jet.det,
-        "d3": {"".join(map(str, k)): v for k, v in jet.d3.items()},
-        "d4": {"".join(map(str, k)): v for k, v in jet.d4.items()},
+        **{f"d{n}": {"".join(map(str, word)): jet.deriv(*word)
+                     for word in itertools.product((1, 2), repeat=n)} for n in (3, 4)},
     }))
     stages.lap("write")
     if args.stats:

@@ -17,9 +17,9 @@ real coefficients give
 and every Bis value, the extremes and the boundary limit are read off this
 split.  The classical 16-term curvature sum is kept as an independent
 cross-check path.  The tensor formula, the split, the 16-term sum and the
-extremes serve single points and stacked ones (a StackedJet, one array per
-count class) through one arithmetic: tensor_from_jet, bisectional_from_jet
-(one vector pair per point) and the *_from_jet extremes then give arrays.
+extremes serve single points and 1-d stacks (a MetricJet of arrays) through
+one arithmetic: tensor_from_jet, bisectional_from_jet (one vector pair per
+point), bis_extremes, sectional_max and the *_from_jet forms give arrays.
 
 M splits into a 1x1 and a 2x2 block with closed-form eigenpairs.  The
 Einstein condition Ric = -3g fixes a = -3/2, b = 0 and tr M = -3/2, and the
@@ -45,7 +45,7 @@ from .params import TubeParams
 from .potential_solver import PotentialSolution
 from .errors import DomainError
 from .tube_geometry import Point, _all, _first, _first_point, require_domain, x_invariant
-from .metric_tensor import MetricJet, StackedJet, metric_jet
+from .metric_tensor import MetricJet, metric_jet
 
 __all__ = [
     "CurvatureTensor",
@@ -132,7 +132,7 @@ class TangentPair:
 @dataclass(frozen=True)
 class BisExtremes:
     """Extremal Bis with attaining pairs and the jet's Einstein defect (see above);
-    a StackedJet gives arrays, and each pair as (v rows, w rows).
+    stacked points give arrays, and each pair as (v rows, w rows).
     """
 
     min: float
@@ -171,15 +171,9 @@ def _tensor(g11, g12, g22, d3, d4) -> CurvatureTensor:
     )
 
 
-def tensor_from_jet(jet) -> CurvatureTensor:
-    """Curvature coefficients from a metric jet (arrays from a StackedJet)."""
-    if isinstance(jet, StackedJet):
-        return _tensor(*jet.metric, jet.d3, jet.d4)
-    d3, d4, g = jet.d3, jet.d4, jet.metric
-    return _tensor(g[0, 0], g[0, 1], g[1, 1],
-                   [d3[(2, 2, 2)], d3[(1, 2, 2)], d3[(1, 1, 2)], d3[(1, 1, 1)]],
-                   [d4[(2, 2, 2, 2)], d4[(1, 2, 2, 2)], d4[(1, 1, 2, 2)],
-                    d4[(1, 1, 1, 2)], d4[(1, 1, 1, 1)]])
+def tensor_from_jet(jet: MetricJet) -> CurvatureTensor:
+    """Curvature coefficients from a metric jet (arrays for stacked points)."""
+    return _tensor(*jet.g, jet.d3, jet.d4)
 
 
 def curvature_tensor(sol: PotentialSolution, z: Point) -> CurvatureTensor:
@@ -194,7 +188,7 @@ def curvature_tensor(sol: PotentialSolution, z: Point) -> CurvatureTensor:
 def _bis_direct(jet, tensor: CurvatureTensor, v, w) -> float:
     """Classical 16-term curvature sum; independent cross-check path.
 
-    v and w are vectors, or (2, n) arrays of them with a stacked jet.
+    v and w are vectors, or (2, n) columns of them with a stacked jet.
     """
     num = 0.0 + 0.0j
     for i in _IDX:
@@ -204,10 +198,7 @@ def _bis_direct(jet, tensor: CurvatureTensor, v, w) -> float:
                     num += (tensor.coeff(i, j, k, l)
                             * v[i - 1] * np.conjugate(v[j - 1])
                             * w[k - 1] * np.conjugate(w[l - 1]))
-    if isinstance(jet, StackedJet):
-        g11, g12, g22 = jet.metric
-    else:
-        (g11, g12), (_, g22) = jet.metric
+    g11, g12, g22 = jet.g
 
     def sq_norm(u):
         return (g11 * abs(u[0]) ** 2 + g22 * abs(u[1]) ** 2
@@ -216,14 +207,15 @@ def _bis_direct(jet, tensor: CurvatureTensor, v, w) -> float:
     return num.real / (sq_norm(v) * sq_norm(w))
 
 
-def _tangent_rows(vs) -> np.ndarray:
-    """vs as an (n, 2) complex array of nonzero finite vectors, or ValueError."""
+def _tangent_rows(vs, ndim: int = 2) -> np.ndarray:
+    """vs as (n, 2) rows, or for ndim 1 one (2,) vector, nonzero and finite; or ValueError."""
     vs = np.asarray(vs, dtype=complex)
-    if vs.ndim != 2 or vs.shape[1] != 2:
-        raise ValueError(f"tangent vectors must be stacked as (n, 2) rows, got shape {vs.shape}")
+    if vs.ndim != ndim or vs.shape[-1] != 2:
+        form = "stacked as (n, 2) rows" if ndim == 2 else "of shape (2,)"
+        raise ValueError(f"tangent vectors must be {form}, got shape {vs.shape}")
     if not np.isfinite(vs).all():
         raise ValueError("tangent vectors must be finite")
-    if ((vs[:, 0] == 0) & (vs[:, 1] == 0)).any():
+    if ((vs[..., 0] == 0) & (vs[..., 1] == 0)).any():
         raise ValueError("tangent vectors must be nonzero")
     return vs
 
@@ -261,9 +253,14 @@ def _pull_to_axis(sol: PotentialSolution, z: Point, vectors):
                           f"vectors to the axis: 1 - Re(4p z1) overflows")
     j1, j2 = lam, lam ** (1.0 / (2 * p))
     pushed = [_binade_scaled(np.array([j1 * u[0], j2 * u[1]])) for u in vectors]
+    return _on_axis(x), pushed
+
+
+def _on_axis(x) -> Point:
+    """The axis point (0, x), or the stacked axis points of an array x."""
     if np.ndim(x):
-        return Point(np.zeros(x.shape, dtype=complex), x.astype(complex)), pushed
-    return Point(0j, complex(x)), pushed
+        return Point(np.zeros(x.shape, dtype=complex), x.astype(complex))
+    return Point(0j, complex(x))
 
 
 def _binade_scaled(u: np.ndarray) -> np.ndarray:
@@ -300,7 +297,7 @@ def bisectional(sol: PotentialSolution, z: Point, pair: TangentPair,
     -------
     float
         The curvature value; invariant under nonzero complex rescaling
-        of either vector.
+        of either vector.  Stacked z give an array, one value per point.
     """
     require_domain(sol.params, z)
     if normalize:
@@ -308,31 +305,49 @@ def bisectional(sol: PotentialSolution, z: Point, pair: TangentPair,
     else:
         v, w = pair.v, pair.w
     jet = metric_jet(sol, z)
-    return bisectional_from_jet(jet, tensor_from_jet(jet), v, w, formula=formula)
+    return _bis(jet, tensor_from_jet(jet), v, w, formula)
 
 
-def bisectional_from_jet(jet, tensor: CurvatureTensor, v, w, *, formula: str = "tube"):
+def bisectional_from_jet(jet: MetricJet, tensor: CurvatureTensor, v, w,
+                         *, formula: str = "tube"):
     """Bis(v, w) at the jet's point, for vectors given at that point.
 
     formula is as in bisectional; no pull to the axis is made here.  A
-    StackedJet, with its stacked tensor, takes (n, 2) arrays v and w
-    holding one vector pair per point and gives an array.
+    single point takes (2,) vectors; a stacked jet, with its stacked
+    tensor, takes (n, 2) arrays v and w holding one vector pair per point
+    and gives an array.  Other shapes, zero and non-finite vectors raise
+    ValueError.
     """
-    if formula not in ("tube", "direct"):
-        raise ValueError(f"unknown formula {formula!r} (expected 'tube' or 'direct')")
-    if isinstance(jet, StackedJet):
-        vs, ws = _tangent_pairs(v, w)
-        if len(vs) != np.size(jet.x_value):
-            raise ValueError(f"expected one vector pair per point ({np.size(jet.x_value)}), "
-                             f"got {len(vs)}")
-        if formula == "tube":
-            return _bis_frame(_bloch_split(jet, tensor), vs.T, ws.T)
-        return _bis_direct(jet, tensor, vs.T, ws.T)
+    if not _stacked(jet):
+        return _bis(jet, tensor, _tangent_rows(v, 1), _tangent_rows(w, 1), formula)
+    vs, ws = _tangent_pairs(v, w)
+    if len(vs) != len(jet.x_value):
+        raise ValueError(f"expected one vector pair per point ({len(jet.x_value)}), "
+                         f"got {len(vs)}")
+    return _bis(jet, tensor, vs.T, ws.T, formula)
+
+
+def _bis(jet: MetricJet, tensor: CurvatureTensor, v, w, formula: str):
+    """Bis(v, w) for checked (2,) vectors, or (2, n) columns; arrays at stacked points."""
     if formula == "tube":
-        # Python complex entries: numpy scalars would cost most of the kernel
-        return _bis_frame(_bloch_split(jet, tensor), np.asarray(v, complex).tolist(),
-                          np.asarray(w, complex).tolist())
-    return float(_bis_direct(jet, tensor, v, w))
+        if v.ndim == 1:
+            # Python complex entries: numpy scalars would cost most of the kernel
+            v, w = v.tolist(), w.tolist()
+        return _bis_frame(_bloch_split(jet, tensor), v, w)
+    if formula != "direct":
+        raise ValueError(f"unknown formula {formula!r} (expected 'tube' or 'direct')")
+    bis = _bis_direct(jet, tensor, v, w)
+    return bis if isinstance(bis, np.ndarray) else float(bis)
+
+
+def _stacked(jet: MetricJet) -> bool:
+    """Whether the jet is over stacked points; ValueError unless they form a 1-d stack."""
+    x = jet.x_value
+    if not isinstance(x, np.ndarray):
+        return False
+    if x.ndim != 1:
+        raise ValueError(f"stacked points must form a 1-d stack, got shape {x.shape}")
+    return True
 
 
 def bisectional_batch(sol: PotentialSolution, z: Point, vs, ws,
@@ -382,13 +397,15 @@ def boundary_limit_batch(jet: MetricJet, vs, ws) -> np.ndarray:
     shapes, zero rows and non-finite rows raise ValueError.
     """
     vs, ws = _tangent_pairs(vs, ws)
-    return _boundary_limit(_metric_frame(jet), vs.T, ws.T)
+    return _boundary_limit(_point_frame(jet), vs.T, ws.T)
 
 
-def _metric_frame(jet: MetricJet) -> tuple[float, float, float]:
-    """The _frame of a single point's jet."""
-    g11, g12, _, g22 = jet.metric.ravel().tolist()
-    return _frame(g11, g12, g22)
+def _point_frame(jet: MetricJet) -> tuple[float, float, float]:
+    """The _frame of a single point's jet; stacked points raise ValueError."""
+    if isinstance(jet.x_value, np.ndarray):
+        raise ValueError(f"the boundary limit takes a single point's jet, got stacked "
+                         f"points of shape {jet.x_value.shape}")
+    return _frame(*jet.g)
 
 
 def _frame_coords(frame, v) -> tuple:
@@ -412,7 +429,7 @@ def _sq(u):
 
 def boundary_limit_bis(jet: MetricJet, pair: TangentPair) -> float:
     """boundary_limit_batch for a single pair (validated by TangentPair)."""
-    return float(_boundary_limit(_metric_frame(jet), pair.v[:, None], pair.w[:, None])[0])
+    return float(_boundary_limit(_point_frame(jet), pair.v[:, None], pair.w[:, None])[0])
 
 
 _DEFECT_TOL = 1e-3   # the largest Einstein defect the extremes accept
@@ -432,17 +449,17 @@ def _bloch_split(jet, tensor: CurvatureTensor) -> tuple:
     """(frame, a, b, M) with Bis(v, w) = a + b.(n + m) + n^T M m in the frame.
 
     b is (b_x, b_z) and M is (lam_y, Mxx, Mxz, Mzz): the 1x1 block and
-    the 2x2 (x, z) block of M; every other entry vanishes.  A StackedJet
+    the 2x2 (x, z) block of M; every other entry vanishes.  A stacked jet
     gives arrays, with one _frame per point.
     """
-    t = tensor
-    R = (t.R1111, t.R1112, t.R1122, t.R1212, t.R1222, t.R2222)
-    if isinstance(jet, StackedJet):
-        frame = tuple(map(np.array, zip(*map(_frame, *(g.tolist() for g in jet.metric)))))
+    if _stacked(jet):
+        frame = tuple(map(np.array, zip(*map(_frame, *(g.tolist() for g in jet.g)))))
     else:
-        frame, R = _metric_frame(jet), map(float, R)
+        frame = _frame(*jet.g)
     al, be, ga = frame
-    R1111, R1112, R1122, R1212, R1222, R2222 = R
+    t = tensor
+    R1111, R1112, R1122, R1212, R1222, R2222 = (t.R1111, t.R1112, t.R1122, t.R1212,
+                                                t.R1222, t.R2222)
     al2, be2, ga2 = al * al, be * be, ga * ga
     al3, be3, two_ab_R1222 = al2 * al, be2 * be, 2.0 * al * be * R1222
     Q2222 = ga2 * ga2 * R2222
@@ -544,7 +561,7 @@ def bis_extremes_from_jet(jet, tensor: CurvatureTensor) -> BisExtremes:
     # n^T M u = lam n.u: lam at n = u, -lam at n = -u
     m = _spinor_vector(frame, u)
     flipped = _spinor_vector(frame, tuple(-c for c in u))
-    if isinstance(jet, StackedJet):
+    if isinstance(jet.x_value, np.ndarray):
         below = (lam < 0.0)[:, None]
         argmin, argmax = (np.where(below, m, flipped), m), (np.where(below, flipped, m), m)
     else:
@@ -555,11 +572,23 @@ def bis_extremes_from_jet(jet, tensor: CurvatureTensor) -> BisExtremes:
 
 
 def bis_extremes(sol: PotentialSolution, z: Point) -> BisExtremes:
-    """Extremes of Bis_z over vector pairs; evaluated on the axis orbit."""
-    require_domain(sol.params, z)
-    axis = Point(0j, complex(x_invariant(sol.params, z)))
-    jet = metric_jet(sol, axis)
+    """Extremes of Bis_z over vector pairs, on the axis orbit (arrays for stacked z)."""
+    jet = _axis_jet(sol, z)
     return bis_extremes_from_jet(jet, tensor_from_jet(jet))
+
+
+def _axis_jet(sol: PotentialSolution, z: Point) -> MetricJet:
+    """The jet at z's axis point (0, X(z)), or at the axis points of stacked z.
+
+    Each stacked X is the single point's x_invariant, so that each row is
+    the single-point call's: numpy's vector pow can miss libm's by an ulp.
+    """
+    require_domain(sol.params, z)
+    if np.ndim(z.z1) == 0:
+        return metric_jet(sol, _on_axis(x_invariant(sol.params, z)))
+    x = [x_invariant(sol.params, Point(a, b))
+         for a, b in zip(z.z1.ravel().tolist(), z.z2.ravel().tolist())]
+    return metric_jet(sol, _on_axis(np.reshape(x, z.z1.shape)))
 
 
 def sectional_max_from_jet(jet, tensor: CurvatureTensor) -> tuple[float, np.ndarray]:
@@ -574,10 +603,8 @@ def sectional_max_from_jet(jet, tensor: CurvatureTensor) -> tuple[float, np.ndar
 
 
 def sectional_max(sol: PotentialSolution, z: Point) -> tuple[float, np.ndarray]:
-    """Maximum holomorphic sectional curvature at z, with a maximizer."""
-    require_domain(sol.params, z)
-    axis = Point(0j, complex(x_invariant(sol.params, z)))
-    jet = metric_jet(sol, axis)
+    """Maximum holomorphic sectional curvature at z, with a maximizer (rows for stacked z)."""
+    jet = _axis_jet(sol, z)
     return sectional_max_from_jet(jet, tensor_from_jet(jet))
 
 

@@ -35,9 +35,9 @@ checks allow:
 
 The invariance suite is array-native throughout: its points are stacked
 Points, the automorphisms carry array parameters, and its per-point random
-draws come in one block per loop.  The scalar metric_jet is the path that
-single point queries use.  The tests keep the scalar loops these replace
-as the reference.
+draws come in one block per loop.  Single point queries get a MetricJet of
+floats, and the stacked passes one of arrays.  The tests keep the scalar
+loops these replace as the reference.
 """
 
 from __future__ import annotations
@@ -53,8 +53,9 @@ from .potential_solver import PotentialSolution
 from . import tube_geometry as geo
 from .tube_geometry import Point, RegionClass, BoundaryClass
 from .metric_tensor import (
-    StackedJet,
+    MetricJet,
     _einstein_defect,
+    _matrix,
     _metric_pass,
     einstein_residual,
     metric_jet,
@@ -276,9 +277,9 @@ def _suite_origin(params, sol, rng):
     jet = metric_jet(sol, origin)
     f0, f1_0, f2_0, f3_0 = sol.eval_f_derivs(0.0, 3)
     closed = origin_closed_forms(params)
-    checks.append(_close("g11_is_4pK", 4 * p * K, jet.metric[0, 0], 1e-10))
-    checks.append(_close("g22_is_f1_over_4", f1_0 / 4.0, jet.metric[1, 1], 1e-12))
-    checks.append(_below("g12_vanishes", abs(jet.metric[0, 1]), 1e-12))
+    checks.append(_close("g11_is_4pK", 4 * p * K, jet.g[0], 1e-10))
+    checks.append(_close("g22_is_f1_over_4", f1_0 / 4.0, jet.g[2], 1e-12))
+    checks.append(_below("g12_vanishes", abs(jet.g[1]), 1e-12))
     tensor = tensor_from_jet(jet)
     scale1 = max(1.0, abs(float(closed.R1111)))
     checks.append(_below("R1111_closed_form",
@@ -365,7 +366,7 @@ def _suite_invariance(params, sol, rng):
     jac = geo.jacobian(psi)
     # z and its axis image in one order-2 pass
     _, metric = _metric_pass(sol, _joined(z, geo.apply(psi, z)))
-    g_here, g_axis = np.split(_metric_matrices(metric), 2)
+    g_here, g_axis = np.split(_matrix(*metric), 2)
     pulled = (np.swapaxes(jac, 1, 2) @ g_axis @ np.conjugate(jac)).real
     worst_g = np.max(np.max(np.abs(pulled - g_here), axis=(1, 2))
                      / np.max(np.abs(g_here), axis=(1, 2)))
@@ -377,7 +378,7 @@ def _suite_invariance(params, sol, rng):
     shifted = Point(z.z1 + 1j * s1, z.z2 + 1j * s2)
     j1, j2 = metric_jet(sol, z), metric_jet(sol, shifted)
     exact = max(np.max(np.abs(np.array(a) - np.array(b)))
-                for a, b in ((j1.metric, j2.metric), (j1.d3, j2.d3), (j1.d4, j2.d4)))
+                for a, b in ((j1.g, j2.g), (j1.d3, j2.d3), (j1.d4, j2.d4)))
     checks.append(_below("jets_translation_invariant", exact, 0.0))
     # Bis at z from the raw jet there, and on the axis orbit from pushed
     # vectors: normalized, scaled and direct share one axis tensor
@@ -407,12 +408,11 @@ def _joined(*zs) -> Point:
     return Point(np.concatenate([z.z1 for z in zs]), np.concatenate([z.z2 for z in zs]))
 
 
-def _split(jet: StackedJet, tensor: CurvatureTensor):
+def _split(jet: MetricJet, tensor: CurvatureTensor):
     """The two equal halves of a stacked jet, each as (jet, tensor)."""
     n = np.size(jet.x_value) // 2
-    return [(StackedJet(point=Point(jet.point.z1[rows], jet.point.z2[rows]),
-                        x_value=jet.x_value[rows], metric=_rows(jet.metric, rows),
-                        d3=_rows(jet.d3, rows), d4=_rows(jet.d4, rows)),
+    return [(MetricJet(Point(jet.point.z1[rows], jet.point.z2[rows]), jet.x_value[rows],
+                       *_rows((jet.g, jet.d3, jet.d4, jet.profile), rows)),
              CurvatureTensor(*_rows(tuple(tensor.as_dict().values()), rows)))
             for rows in (slice(None, n), slice(n, None))]
 
@@ -420,12 +420,6 @@ def _split(jet: StackedJet, tensor: CurvatureTensor):
 def _rows(values: tuple, rows) -> tuple:
     """values[rows] of each array in a nested tuple of arrays, such as a frame split."""
     return tuple(_rows(a, rows) if isinstance(a, tuple) else a[rows] for a in values)
-
-
-def _metric_matrices(metric) -> np.ndarray:
-    """The (n, 2, 2) metric matrices of stacked (g11, g12, g22)."""
-    g11, g12, g22 = metric
-    return np.stack([np.stack([g11, g12], -1), np.stack([g12, g22], -1)], -2)
 
 
 def _suite_einstein(params, sol, rng):
@@ -442,8 +436,8 @@ def _suite_einstein(params, sol, rng):
                          einstein_residual(sol, Point(0j, 0j)), 1e-12))
     g11, g12, g22 = (g[n:] for g in metric)
     det = g11 * g22 - g12 * g12
-    metrics = _metric_matrices((g11, g12, g22))
-    inverses = _metric_matrices((g22 / det, -g12 / det, g11 / det))
+    metrics = _matrix(g11, g12, g22)
+    inverses = _matrix(g22 / det, -g12 / det, g11 / det)
     det_formula = sol.eval_Z(tab.x_value[n:], 0)[0] / tab.r[n:] ** (3.0 * params.K_float / p)
     worst_det = np.max(np.abs(det - det_formula) / det_formula)
     worst_inv = np.max(np.abs(metrics @ inverses - np.eye(2)))
@@ -479,7 +473,7 @@ def _suite_boundary_limit(params, sol, rng):
     degenerate = max(E.values()) <= 1e-8
     checks.append(_flag("E_strictly_decreasing_or_noise_floor",
                         (increase < 0.0) or degenerate, increase))
-    frame, g = _rows(split[0], 3), _metric_matrices(jet.metric)[3]
+    frame, g = _rows(split[0], 3), jet.metric[3]
     values = _boundary_limit(frame, v[:, :200], w[:, :200])
     worst_range = max(float(np.max(-2.0 - values)), float(np.max(values + 1.0)), 0.0)
     checks.append(_below("limit_value_within_[-2,-1]", worst_range, 1e-12))

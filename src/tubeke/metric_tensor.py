@@ -12,22 +12,22 @@ makes every metric derivative a short chain-rule combination of
 (f, f', f'', f''') at X(z) with the table.
 
 The metric derivatives inherit the count classes: a derivative of order
-n depends only on m, its number of z1-type indices, so the jet holds
-3 metric values, 4 third-order and 5 fourth-order ones.  X is affine in
-Re z2 and L does not see z2, so only dX[(a, 0)], dX[(a, 1)] and
-dL[(a, 0)] can be nonzero, and _chain writes each of the 12 values out
-as a straight-line formula in those entries.  Its term order is part of
-the contract: each formula adds its terms in the order of the
-index-word chain rule (metric_jet's docstring), so every value is
-bit-identical to that sum.
+n depends only on m, its number of z1-type indices, so a MetricJet holds
+3 metric values, 4 third-order and 5 fourth-order ones, and its deriv
+reads any index word off them.  X is affine in Re z2 and L does not see
+z2, so only dX[(a, 0)], dX[(a, 1)] and dL[(a, 0)] can be nonzero, and
+_chain writes each of the 12 values out as a straight-line formula in
+those entries.  Its term order is part of the contract: each formula
+adds its terms in the order of the index-word chain rule (metric_jet's
+docstring), so every value is bit-identical to that sum.
 
-One chain rule serves floats and arrays.  x_derivatives and metric_jet
-take a single point, or stacked points (a Point of arrays, see
-tube_geometry): then the tables, the profile derivatives and the chain
-rule run once over all of them, and metric_jet returns a StackedJet with
-one array per count class, and einstein_residual an array of defects.
-The verification suites and the axis sweep run their point loops through
-these passes; single point queries take the scalar path.
+One chain rule and one MetricJet serve floats and arrays.
+x_derivatives and metric_jet take a single point, or stacked points (a
+Point of arrays, see tube_geometry): then the tables, the profile
+derivatives and the chain rule run once over all of them, every entry of
+the MetricJet is an array over the points, and einstein_residual returns
+an array of defects.  The verification suites and the axis sweep run
+their point loops through these passes; single point queries get floats.
 """
 
 from __future__ import annotations
@@ -45,19 +45,10 @@ from .tube_geometry import Point, _all, _first, _first_point, require_domain
 __all__ = [
     "XLDerivatives",
     "MetricJet",
-    "StackedJet",
     "x_derivatives",
     "metric_jet",
     "einstein_residual",
 ]
-
-_IDX = (1, 2)
-
-
-def _counts(indices) -> tuple[int, int]:
-    """(number of z1-family indices, number of z2-family indices)."""
-    a = sum(1 for i in indices if i == 1)
-    return a, len(indices) - a
 
 
 @dataclass(frozen=True)
@@ -76,10 +67,10 @@ class XLDerivatives:
     dL: dict = field(repr=False)
 
     def X(self, *indices) -> float:
-        return self.dX[_counts(indices)]
+        return self.dX[indices.count(1), len(indices) - indices.count(1)]
 
     def L(self, *indices) -> float:
-        return self.dL[_counts(indices)]
+        return self.dL[indices.count(1), len(indices) - indices.count(1)]
 
 
 # The smallest entries of the order-4 tables, and of the curvature built
@@ -181,13 +172,13 @@ def _chain(tab: XLDerivatives, f, f1, f2=None, f3=None):
     if f2 is None:
         return metric, None, None
     A3, A4, B2, B3 = dX[(3, 0)], dX[(4, 0)], dX[(2, 1)], dX[(3, 1)]
-    val3 = [
+    val3 = (
         f2 * B0 * B0 * B0,
         f2 * A1 * B0 * B0 + f1 * (B1 * B0 + B1 * B0),
         f2 * A1 * A1 * B0 + f1 * (A2 * B0 + B1 * A1 + B1 * A1) + f * B2,
         f2 * A1 * A1 * A1 + f1 * (A2 * A1 + A2 * A1 + A2 * A1) + f * A3 + dL[(3, 0)],
-    ]
-    val4 = [
+    )
+    val4 = (
         f3 * B0 * B0 * B0 * B0,
         f3 * A1 * B0 * B0 * B0 + f2 * (B1 * B0 * B0 + B1 * B0 * B0 + B1 * B0 * B0),
         (f3 * A1 * A1 * B0 * B0
@@ -204,32 +195,59 @@ def _chain(tab: XLDerivatives, f, f1, f2=None, f3=None):
          + f1 * (A3 * A1 + A3 * A1 + A3 * A1 + A3 * A1 + A2 * A2 + A2 * A2 + A2 * A2)
          + f * A4
          + dL[(4, 0)]),
-    ]
+    )
     return metric, val3, val4
 
 
 @dataclass(frozen=True)
 class MetricJet:
-    """Metric matrix at a point with the derivatives curvature needs.
+    """The metric and the derivatives curvature needs, at a point or at stacked points.
 
-    All entries are real: the potential depends only on (Re z1, Re z2),
-    so g and every complex derivative of it is real.  d3 maps (i, j, k)
-    to g_{i jbar k} (derivative of g_{i jbar} by z_k) and d4 maps
-    (i, j, k, l) to g_{i jbar k lbar}; both are symmetric in their
-    unbarred (i, k) and barred (j, l) slots.
+    All entries are real: the potential depends only on (Re z1, Re z2).
+    g is (g11, g12, g22); d3[m] and d4[m] are the third and fourth
+    derivatives with m indices of z1 type, which every index word of that
+    count shares (see deriv); profile is the (f, f', f'', f''') at x_value.
+    Each entry is a float at a single point and an array over stacked points.
     """
 
     point: Point
     x_value: float
-    metric: np.ndarray = field(repr=False)
-    inverse: np.ndarray = field(repr=False)
-    det: float = 0.0
-    d3: dict = field(repr=False, default_factory=dict)
-    d4: dict = field(repr=False, default_factory=dict)
+    g: tuple
+    d3: tuple = field(repr=False)
+    d4: tuple = field(repr=False)
+    profile: tuple = field(repr=False)
+
+    def deriv(self, *word) -> float:
+        """g_{i jbar k} or g_{i jbar k lbar} at a word of indices 1, 2 (bars, order immaterial)."""
+        if len(word) not in (3, 4) or not set(word) <= {1, 2}:
+            raise ValueError(f"expected a word of 3 or 4 indices in {{1, 2}}, got {word}")
+        return (self.d3 if len(word) == 3 else self.d4)[word.count(1)]
+
+    @property
+    def det(self) -> float:
+        g11, g12, g22 = self.g
+        return g11 * g22 - g12 * g12
+
+    @property
+    def metric(self) -> np.ndarray:
+        """The matrix g, of shape (2, 2), or (n, 2, 2) for stacked points."""
+        return _matrix(*self.g)
+
+    @property
+    def inverse(self) -> np.ndarray:
+        """The matrix g^{-1}, shaped as metric."""
+        g11, g12, g22 = self.g
+        det = self.det
+        return _matrix(g22 / det, -g12 / det, g11 / det)
+
+
+def _matrix(a, b, c) -> np.ndarray:
+    """The symmetric matrix [[a, b], [b, c]], stacked as (n, 2, 2) for arrays."""
+    return np.stack([np.stack([a, b], -1), np.stack([b, c], -1)], -2)
 
 
 def metric_jet(sol: PotentialSolution, z: Point) -> MetricJet:
-    """Evaluate g, its inverse/determinant and third/fourth derivatives.
+    """Evaluate g and its third and fourth derivatives.
 
     Chain rule on g = F(X) + L using the count tables:
 
@@ -254,57 +272,15 @@ def metric_jet(sol: PotentialSolution, z: Point) -> MetricJet:
 
     Returns
     -------
-    MetricJet, or a StackedJet for stacked points
-        whose entries equal the MetricJet's at each point up to numpy's
-        vector log and pow (an ulp from libm's); on the axis, r = 1, exactly.
+    MetricJet
+        Of floats, or of arrays for stacked points; those equal the
+        single point's values up to numpy's vector log and pow (an ulp
+        from libm's), and on the axis, r = 1, exactly.
     """
     tab = x_derivatives(sol.params, z, 4)
     profile = sol.eval_f_derivs(tab.x_value, 3)
-    (g11, g12, g22), val3, val4 = _chain(tab, *profile)
-    if isinstance(tab.x_value, np.ndarray):
-        return StackedJet(point=z, x_value=tab.x_value, metric=(g11, g12, g22),
-                          d3=tuple(val3), d4=tuple(val4), profile=tuple(profile))
-    return _assemble(z, tab.x_value, g11, g12, g22, val3, val4)
-
-
-_D3_CLASSES = tuple(((i, j, k), (i, j, k).count(1))
-                    for i in _IDX for j in _IDX for k in _IDX)
-_D4_CLASSES = tuple(((i, j, k, l), (i, j, k, l).count(1))
-                    for i in _IDX for j in _IDX for k in _IDX for l in _IDX)
-
-
-def _assemble(z, x, g11, g12, g22, val3, val4) -> MetricJet:
-    """The MetricJet at z from one point's _chain values (floats)."""
-    g = np.array([[g11, g12], [g12, g22]])
-    det = g11 * g22 - g12 * g12
-    inverse = np.array([[g22, -g12], [-g12, g11]]) / det
-    d3 = {key: val3[m] for key, m in _D3_CLASSES}
-    d4 = {key: val4[m] for key, m in _D4_CLASSES}
-    return MetricJet(point=z, x_value=x, metric=g, inverse=inverse,
-                     det=float(det), d3=d3, d4=d4)
-
-
-@dataclass(frozen=True)
-class StackedJet:
-    """metric_jet's values at stacked points, one array per entry.
-
-    metric is (g11, g12, g22); d3[m] and d4[m] are the third and fourth
-    derivatives with m indices of z1 type, the count classes that a
-    MetricJet spreads over its 8 and 16 dict keys; profile is the
-    (f, f', f'', f''') at x_value that the jet was built from.
-    """
-
-    point: Point
-    x_value: np.ndarray
-    metric: tuple
-    d3: tuple
-    d4: tuple
-    profile: tuple = ()
-
-    @property
-    def det(self) -> np.ndarray:
-        g11, g12, g22 = self.metric
-        return g11 * g22 - g12 * g12
+    g, d3, d4 = _chain(tab, *profile)
+    return MetricJet(point=z, x_value=tab.x_value, g=g, d3=d3, d4=d4, profile=tuple(profile))
 
 
 def einstein_residual(sol: PotentialSolution, z: Point) -> float:

@@ -10,7 +10,7 @@ gvec = [g11, g22, 2 g12, 0], Bis(v, w) = u(v)^T C u(w) / ((u(v).gvec)(u(w).gvec)
 import numpy as np
 import pytest
 
-from tubeke import CurvatureTensor, StackedJet, TubeParams, solve_potential
+from tubeke import CurvatureTensor, TubeParams, solve_potential
 
 
 @pytest.fixture(scope="session")
@@ -38,14 +38,6 @@ def five_sols(sols):
     return {**sols, 5: solve_potential(TubeParams(p=5)), 8: solve_potential(TubeParams(p=8))}
 
 
-def _metric(jet) -> tuple:
-    """(g11, g12, g22) of a MetricJet, or arrays of them of a StackedJet."""
-    if isinstance(jet, StackedJet):
-        return jet.metric
-    g = jet.metric
-    return g[0, 0], g[0, 1], g[1, 1]
-
-
 def _features(v) -> np.ndarray:
     """u(v) of a vector, or a (4, n) array of them for v of shape (2, n)."""
     cross = v[0] * np.conjugate(v[1])
@@ -58,11 +50,11 @@ def reference_form(jet, tensor: CurvatureTensor) -> tuple[np.ndarray, np.ndarray
     Beyond |x| = 0.999 both are pre-scaled by powers of 1/g22 (the same
     magnitude as the 1/f^2 normalization natural near the boundary); the
     Bis ratio is invariant under this joint rescaling but the intermediate
-    products stay in comfortable double range.  A StackedJet with a
+    products stay in comfortable double range.  A stacked jet with a
     stacked tensor gives C of shape (4, 4, n) and gvec of shape (4, n),
     scaled point by point.
     """
-    g11, g12, g22 = _metric(jet)
+    g11, g12, g22 = jet.g
     x = jet.x_value
     if np.ndim(x):
         sc = np.where(np.abs(x) > 0.999, 1.0 / g22, 1.0)

@@ -251,7 +251,7 @@ def test_criterion_10_jet_vs_finite_differences(sols):
                 fd3 = (g_at(d1, d2) - g_at(-d1, -d2)) / (4.0 * h)
                 for i in (1, 2):
                     for j in (1, 2):
-                        val = jet.d3[(i, j, k)]
+                        val = jet.deriv(i, j, k)
                         if abs(val) > 1e-8 * (1.0 + abs(fd3[i - 1, j - 1])):
                             worst = max(worst, abs(fd3[i - 1, j - 1] - val) / abs(val))
             for k, l in ((1, 1), (1, 2), (2, 2)):
@@ -262,7 +262,7 @@ def test_criterion_10_jet_vs_finite_differences(sols):
                        + g_at(-da[0] - db[0], -da[1] - db[1])) / (16.0 * h * h)
                 for i in (1, 2):
                     for j in (1, 2):
-                        val = jet.d4[(i, j, k, l)]
+                        val = jet.deriv(i, j, k, l)
                         if abs(val) > 1e-8 * (1.0 + abs(fd4[i - 1, j - 1])):
                             worst = max(worst, abs(fd4[i - 1, j - 1] - val) / abs(val))
     passed = worst <= 1e-4

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: shapes, exit codes, file formats."""
 
 import csv
+import itertools
 import json
 import math
 import os
@@ -94,6 +95,24 @@ def test_metric_json_shape(sol_file, capsys):
     assert set(out["d3"]) == {"111", "112", "121", "122", "211", "212", "221", "222"}
     assert len(out["d4"]) == 16
     assert abs(out["det"] - g[0][0] * g[1][1]) < 1e-12
+
+
+def test_metric_json_lists_every_index_word_in_order(sol_file, capsys):
+    # d3 and d4 hold the 8 and 16 index words in lexicographic order, each
+    # the value of its count class (the number of 1s), as the jet has it
+    z = tubeke.Point(complex(0.02, -0.4), complex(0.45, 0.8))
+    code, out = run_json(capsys, ["metric", "--sol", str(sol_file),
+                                  "--point=" + ",".join(map(repr, z.as_reals()))])
+    assert code == 0
+    jet = tubeke.metric_jet(tubeke.load_solution(sol_file), z)
+    assert list(out) == ["point", "X", "g", "det", "d3", "d4"]
+    assert out["g"] == [[jet.g[0], jet.g[1]], [jet.g[1], jet.g[2]]] and out["det"] == jet.det
+    for n, classes in ((3, jet.d3), (4, jet.d4)):
+        words = ["".join(w) for w in itertools.product("12", repeat=n)]
+        assert list(out[f"d{n}"]) == words
+        assert len(set(classes)) == n + 1
+        for word, value in out[f"d{n}"].items():
+            assert value == classes[word.count("1")], word
 
 
 def test_curvature_pair_mode(sol_file, capsys):

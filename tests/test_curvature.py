@@ -9,6 +9,7 @@ formulas, and the Cauchy-Schwarz shape of the boundary limit.
 
 import cmath
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -207,6 +208,32 @@ def test_batch_rows_are_validated(sol_p2, bad, message):
             bisectional_batch(sol_p2, z, vs, ws)
         with pytest.raises(ValueError, match=message):
             boundary_limit_batch(jet, vs, ws)
+
+
+@pytest.mark.parametrize("formula", ["tube", "direct"])
+@pytest.mark.parametrize("bad, message", [
+    (np.array([0.0, 0.0]), "tangent vectors must be nonzero"),
+    (np.array([np.nan, 1.0]), "tangent vectors must be finite"),
+    (np.array([1.0, complex(0.0, np.inf)]), "tangent vectors must be finite"),
+    (np.array([1.0, 2.0, 3.0]), "of shape \\(2,\\), got shape \\(3,\\)"),
+    (GOOD_ROWS, "of shape \\(2,\\), got shape \\(3, 2\\)"),
+])
+def test_single_point_vectors_are_validated(sol_p2, bad, message, formula):
+    # the stacked path's checks, for one vector at a single point's jet
+    jet = metric_jet(sol_p2, Point(0.01 + 0.2j, 0.3 - 0.1j))
+    tensor = tensor_from_jet(jet)
+    for v, w in ((bad, GOOD_ROWS[0]), (GOOD_ROWS[0], bad)):
+        with pytest.raises(ValueError, match=message):
+            bisectional_from_jet(jet, tensor, v, w, formula=formula)
+
+
+def test_boundary_limit_refuses_a_stacked_jet(sol_p2):
+    jet = metric_jet(sol_p2, Point(np.zeros(3, complex), np.array([0.1, 0.4, 0.9], complex)))
+    pair = TangentPair(v=GOOD_ROWS[0], w=GOOD_ROWS[1])
+    with pytest.raises(ValueError, match=re.escape("stacked points of shape (3,)")):
+        boundary_limit_batch(jet, GOOD_ROWS, GOOD_ROWS)
+    with pytest.raises(ValueError, match=re.escape("stacked points of shape (3,)")):
+        boundary_limit_bis(jet, pair)
 
 
 def test_batch_validation_keeps_the_arithmetic(sol_p2):

@@ -8,6 +8,7 @@ metric is checked against the Monge-Ampère equation det g = e^{3g},
 which none of the jet code enforces directly.
 """
 
+import itertools
 import math
 import re
 import warnings
@@ -29,7 +30,7 @@ from tubeke import (
     tensor_from_jet,
     x_derivatives,
 )
-from tubeke.metric_tensor import _R_MAX, StackedJet, _chain, _tables
+from tubeke.metric_tensor import _R_MAX, MetricJet, _chain, _tables
 
 P2 = TubeParams(p=2)
 
@@ -161,20 +162,27 @@ def test_jet_translation_invariance(sol_p2):
     assert j1.det == j2.det
     assert j1.d3 == j2.d3
     assert j1.d4 == j2.d4
+    assert j1.profile == j2.profile
 
 
 def test_derivative_dicts_are_fully_symmetric(sol_p2):
+    # the accessor reads every index word; with real tables the value
+    # depends only on how many indices equal 1
     jet = metric_jet(sol_p2, Point(complex(-0.1, 0.2), complex(0.5, 0.1)))
-    assert set(jet.d3) == {(i, j, k) for i in (1, 2) for j in (1, 2) for k in (1, 2)}
-    assert set(jet.d4) == {(i, j, k, l) for i in (1, 2) for j in (1, 2)
-                           for k in (1, 2) for l in (1, 2)}
-    # with real tables the value depends only on how many indices equal 1
-    for key, val in jet.d3.items():
+    d3 = {key: jet.deriv(*key) for key in itertools.product((1, 2), repeat=3)}
+    d4 = {key: jet.deriv(*key) for key in itertools.product((1, 2), repeat=4)}
+    assert set(d3) == {(i, j, k) for i in (1, 2) for j in (1, 2) for k in (1, 2)}
+    assert set(d4) == {(i, j, k, l) for i in (1, 2) for j in (1, 2)
+                       for k in (1, 2) for l in (1, 2)}
+    for key, val in d3.items():
         canon = tuple(sorted(key))
-        assert val == jet.d3[canon]
-    for key, val in jet.d4.items():
+        assert val == d3[canon]
+    for key, val in d4.items():
         canon = tuple(sorted(key))
-        assert val == jet.d4[canon]
+        assert val == d4[canon]
+    for word in ((), (1, 2), (1, 2, 1, 2, 1), (0, 1, 2), (1, 2, 3, 1)):
+        with pytest.raises(ValueError, match="3 or 4 indices"):
+            jet.deriv(*word)
 
 
 def test_einstein_residual_random(sols):
@@ -238,7 +246,7 @@ def test_d3_d4_match_finite_differences_of_the_metric(sol_p2):
         fd3 = (gp - gm) / (4.0 * h)
         for i in (1, 2):
             for j in (1, 2):
-                val = jet.d3[(i, j, k)]
+                val = jet.deriv(i, j, k)
                 assert abs(fd3[i - 1, j - 1] - val) < 1e-5 * (1.0 + abs(val))
     for (k, l), (da, db) in (((1, 1), ((h, 0.0), (h, 0.0))),
                              ((1, 2), ((h, 0.0), (0.0, h))),
@@ -250,7 +258,7 @@ def test_d3_d4_match_finite_differences_of_the_metric(sol_p2):
         fd4 = (gpp - gpm - gmp + gmm) / (16.0 * h * h)
         for i in (1, 2):
             for j in (1, 2):
-                val = jet.d4[(i, j, k, l)]
+                val = jet.deriv(i, j, k, l)
                 assert abs(fd4[i - 1, j - 1] - val) < 1e-4 * (1.0 + abs(val))
 
 
@@ -333,7 +341,10 @@ def reference_einstein_residual(sol, z):
 
 
 def _jet_fields(jet):
-    return jet.x_value, jet.metric, jet.inverse, jet.det, jet.d3, jet.d4
+    """The fields reference_metric_jet returns, with d3 and d4 as index-word dicts."""
+    d3 = {key: jet.deriv(*key) for key in itertools.product((1, 2), repeat=3)}
+    d4 = {key: jet.deriv(*key) for key in itertools.product((1, 2), repeat=4)}
+    return jet.x_value, jet.metric, jet.inverse, jet.det, d3, d4
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
@@ -394,29 +405,34 @@ def test_stacked_metric_jet_matches_the_scalar_jet(p, sols):
     points = sample_points(sol.params, np.random.default_rng(30 + p), 300, x_cap=0.99)
     zs = Point.stack(points)
     jet = metric_jet(sol, zs)
-    assert isinstance(jet, StackedJet) and jet.point is zs and len(jet.profile) == 4
-    assert all(np.shape(a) == (300,) for a in (jet.x_value, jet.det, *jet.metric, *jet.d3,
+    assert isinstance(jet, MetricJet) and jet.point is zs and len(jet.profile) == 4
+    assert all(np.shape(a) == (300,) for a in (jet.x_value, jet.det, *jet.g, *jet.d3,
                                                *jet.d4, *jet.profile))
+    assert jet.metric.shape == jet.inverse.shape == (300, 2, 2)
     for i, z in enumerate(points):
         ref = metric_jet(sol, z)
         assert abs(jet.x_value[i] - ref.x_value) <= 1e-13
         assert [a[i] for a in jet.profile] == sol.eval_f_derivs(jet.x_value[i], 3)
-        g = np.array([[jet.metric[0][i], jet.metric[1][i]], [jet.metric[1][i], jet.metric[2][i]]])
-        assert np.max(np.abs(g - ref.metric)) <= 1e-13 * np.max(np.abs(ref.metric))
+        assert np.max(np.abs(jet.metric[i] - ref.metric)) <= 1e-13 * np.max(np.abs(ref.metric))
+        assert np.max(np.abs(jet.inverse[i] - ref.inverse)) <= 1e-12 * np.max(np.abs(ref.inverse))
         assert abs(jet.det[i] - ref.det) <= 1e-13 * abs(ref.det)
         # one array per count class: each index word reads its class's value
-        for table, ref_table in ((jet.d3, ref.d3), (jet.d4, ref.d4)):
-            scale = max(abs(v) for v in ref_table.values())
-            for key, value in ref_table.items():
-                assert abs(table[key.count(1)][i] - value) <= 1e-13 * scale, key
+        for n in (3, 4):
+            words = list(itertools.product((1, 2), repeat=n))
+            scale = max(abs(ref.deriv(*key)) for key in words)
+            for key in words:
+                assert abs(jet.deriv(*key)[i] - ref.deriv(*key)) <= 1e-13 * scale, key
     # on the axis (r = 1) the stacked jet is the scalar jet, bit for bit
     xs = np.linspace(-0.999, 0.999, 41)
     axis = metric_jet(sol, Point(np.zeros(41, complex), xs.astype(complex)))
     for i, x in enumerate(xs.tolist()):
         ref = metric_jet(sol, Point(0j, complex(x)))
         assert axis.det[i] == ref.det
-        assert [a[i] for a in axis.metric] == [ref.metric[0, 0], ref.metric[0, 1], ref.metric[1, 1]]
-        assert all(axis.d4[key.count(1)][i] == value for key, value in ref.d4.items())
+        assert [a[i] for a in axis.g] == [ref.metric[0, 0], ref.metric[0, 1], ref.metric[1, 1]]
+        assert np.array_equal(axis.metric[i], ref.metric)
+        assert np.array_equal(axis.inverse[i], ref.inverse)
+        assert all(axis.deriv(*key)[i] == ref.deriv(*key)
+                   for key in itertools.product((1, 2), repeat=4))
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
@@ -481,10 +497,10 @@ def test_the_depth_bound_keeps_the_jet_in_normal_doubles(p, sols):
         jet = metric_jet(sol, inside)
         tensor = tensor_from_jet(jet)
         stacked = metric_jet(sol, Point.stack([inside, inside]))
-    values = [*jet.metric.ravel(), jet.det, *jet.inverse.ravel(), *jet.d3.values(),
-              *jet.d4.values(), *tensor.as_dict().values()]
+    values = [*jet.metric.ravel(), jet.det, *jet.inverse.ravel(), *jet.d3,
+              *jet.d4, *tensor.as_dict().values()]
     assert all(math.isfinite(v) and abs(v) >= np.finfo(float).tiny for v in values)
-    for a in (*stacked.metric, *stacked.d3, *stacked.d4):
+    for a in (*stacked.g, *stacked.d3, *stacked.d4):
         assert np.all(np.isfinite(a)) and np.all(np.abs(a) >= np.finfo(float).tiny)
     with pytest.raises(DomainError, match="too deep"):
         metric_jet(sol, at_depth(1.01 * _R_MAX))

@@ -1,10 +1,10 @@
 """The count-class tensor formula and the stacked curvature paths.
 
 reference_tensor_from_jet is the earlier per-index form of
-tensor_from_jet, kept verbatim: the scalar path must reproduce it bit for
-bit, and the stacked tensor, Bis values and extremes must reproduce the
-scalar ones point by point.  The frame Bis is checked against the
-feature form it replaced (conftest.reference_bis).
+tensor_from_jet, read through the index-word accessor: the scalar path
+must reproduce it bit for bit, and the stacked tensor, Bis values and
+extremes must reproduce the scalar ones point by point.  The frame Bis is
+checked against the feature form it replaced (conftest.reference_bis).
 """
 
 import re
@@ -15,11 +15,15 @@ import pytest
 from tubeke import (
     CurvatureTensor,
     DomainError,
+    MetricJet,
     Point,
-    StackedJet,
+    TangentPair,
+    bis_extremes,
     bis_extremes_from_jet,
+    bisectional,
     bisectional_from_jet,
     metric_jet,
+    sectional_max,
     sectional_max_from_jet,
     tensor_from_jet,
 )
@@ -32,14 +36,14 @@ KEYS = ("R1111", "R1112", "R1122", "R1212", "R1222", "R2222")
 
 def reference_tensor_from_jet(jet):
     """Curvature coefficients from an already computed metric jet."""
-    d3, d4, ginv = jet.d3, jet.d4, jet.inverse
+    ginv = jet.inverse.tolist()
 
     def R(i, j, k, l):
         s = 0.0
         for a in _IDX:
             for b in _IDX:
-                s += d3[(i, a, k)] * ginv[a - 1, b - 1] * d3[(b, j, l)]
-        return -d4[(i, j, k, l)] + s
+                s += jet.deriv(i, a, k) * ginv[a - 1][b - 1] * jet.deriv(b, j, l)
+        return -jet.deriv(i, j, k, l) + s
 
     return CurvatureTensor(
         R1111=R(1, 1, 1, 1), R1112=R(1, 1, 1, 2), R1122=R(1, 1, 2, 2),
@@ -63,17 +67,14 @@ def near_boundary_points(p, rng, n):
             for x, r in zip(xs, rs)]
 
 
-def stack_of(jets):
-    """The StackedJet holding exactly the values of scalar jets."""
-    def col(values):
-        return np.array(list(values), dtype=float)
-    return StackedJet(
-        point=Point.stack(jet.point for jet in jets),
-        x_value=col(jet.x_value for jet in jets),
-        metric=tuple(col(jet.metric[a, b] for jet in jets) for a, b in ((0, 0), (0, 1), (1, 1))),
-        d3=tuple(col(jet.d3[(1,) * m + (2,) * (3 - m)] for jet in jets) for m in range(4)),
-        d4=tuple(col(jet.d4[(1,) * m + (2,) * (4 - m)] for jet in jets) for m in range(5)),
-    )
+def rows_of(jet):
+    """The single-point MetricJets holding exactly the rows of a stacked jet."""
+    def row(values, i):
+        return tuple(a[i].item() for a in values)
+    return [MetricJet(point=Point(jet.point.z1[i].item(), jet.point.z2[i].item()),
+                      x_value=jet.x_value[i].item(), g=row(jet.g, i), d3=row(jet.d3, i),
+                      d4=row(jet.d4, i), profile=row(jet.profile, i))
+            for i in range(len(jet.x_value))]
 
 
 def as_array(tensor):
@@ -96,12 +97,13 @@ def test_stacked_tensor_matches_the_scalar_tensor_per_point(p, sols):
     sol = sols[p]
     points = sample_points(p, np.random.default_rng(50 + p), 200)
     jets = [metric_jet(sol, z) for z in points]
-    tensor = tensor_from_jet(metric_jet(sol, Point.stack(points)))
-    # the formula itself: on the scalar jets' own values it is exact
-    same_input = tensor_from_jet(stack_of(jets))
+    stacked = metric_jet(sol, Point.stack(points))
+    tensor = tensor_from_jet(stacked)
+    # the formula itself: on the stacked jet's own rows it is exact
+    for i, row in enumerate(rows_of(stacked)):
+        assert np.array_equal(as_array(tensor)[:, i], as_array(reference_tensor_from_jet(row)))
     for i, jet in enumerate(jets):
         ref = as_array(reference_tensor_from_jet(jet))
-        assert np.array_equal(as_array(same_input)[:, i], ref)
         assert np.max(np.abs(as_array(tensor)[:, i] - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
@@ -112,17 +114,17 @@ def test_stacked_bisectional_matches_bisectional_from_jet(p, sols):
     points = sample_points(p, rng, 80) + near_boundary_points(p, rng, 40)
     vs = rng.normal(size=(120, 2)) + 1j * rng.normal(size=(120, 2))
     ws = rng.normal(size=(120, 2)) + 1j * rng.normal(size=(120, 2))
+    stacked = metric_jet(sol, Point.stack(points))
     jets = [metric_jet(sol, z) for z in points]
-    # on the scalar jets' own values the forms agree to rounding; through
-    # the stacked metric_jet the jets' own rounding differences come in as well,
-    # amplified toward the boundary
-    for stacked, near_tol in ((stack_of(jets), 1e-13),
-                              (metric_jet(sol, Point.stack(points)), 1e-11)):
-        tensor = tensor_from_jet(stacked)
+    # on the stacked jet's own rows the forms agree to rounding; against the
+    # single-point metric_jet the jets' own rounding differences come in as
+    # well, amplified toward the boundary
+    tensor = tensor_from_jet(stacked)
+    for scalar, near_tol in ((rows_of(stacked), 1e-13), (jets, 1e-11)):
         for formula in ("tube", "direct"):
             values = bisectional_from_jet(stacked, tensor, vs, ws, formula=formula)
             assert values.shape == (120,)
-            for i, jet in enumerate(jets):
+            for i, jet in enumerate(scalar):
                 ref = bisectional_from_jet(jet, tensor_from_jet(jet), vs[i], ws[i],
                                            formula=formula)
                 tol = 1e-13 if abs(jet.x_value) <= 0.99 else near_tol
@@ -159,9 +161,10 @@ def test_stacked_extremes_equal_the_scalar_extremes_per_point(p, five_sols):
     rng = np.random.default_rng(70 + p)
     points = sample_points(p, rng, 60) + near_boundary_points(p, rng, 20)
     axis = np.concatenate([np.linspace(-(1.0 - 1e-4), 1.0 - 1e-4, 61), [0.0, 0.5, 0.999]])
-    jets = [metric_jet(sol, z) for z in points]
+    stacked = metric_jet(sol, Point.stack(points))
     axis_jets = [metric_jet(sol, Point(0j, complex(x))) for x in axis.tolist()]
-    for stacked, scalar in ((stack_of(jets), jets), (metric_jet(sol, axis_stack(axis)), axis_jets)):
+    for stacked, scalar in ((stacked, rows_of(stacked)),
+                            (metric_jet(sol, axis_stack(axis)), axis_jets)):
         tensor = tensor_from_jet(stacked)
         ext = bis_extremes_from_jet(stacked, tensor)
         sect, vstar = sectional_max_from_jet(stacked, tensor)
@@ -213,3 +216,55 @@ def test_stacked_refusal_names_the_first_refused_x(p, five_sols):
     # without the refused rows the same stack answers
     kept = metric_jet(sol, axis_stack(xs[:2] + xs[3:4]))
     assert np.all(bis_extremes_from_jet(kept, tensor_from_jet(kept)).einstein_defect <= 1.3e-4)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_bis_extremes_and_sectional_max_take_stacked_points(p, sols):
+    # off-axis points, whose X the stacked call takes point by point: each
+    # row is the single-point call, bit for bit
+    sol = sols[p]
+    rng = np.random.default_rng(90 + p)
+    points = sample_points(p, rng, 100) + near_boundary_points(p, rng, 20) + [Point(0j, 0j)]
+    z = Point.stack(points)
+    ext = bis_extremes(sol, z)
+    sect, vstar = sectional_max(sol, z)
+    assert ext.min.shape == sect.shape == (len(points),) and vstar.shape == (len(points), 2)
+    for i, point in enumerate(points):
+        ref = bis_extremes(sol, point)
+        ref_sect, ref_vstar = sectional_max(sol, point)
+        assert (ext.min[i], ext.max[i], ext.einstein_defect[i], sect[i]) == (
+            ref.min, ref.max, ref.einstein_defect, ref_sect), (p, i)
+        for rows, pair in ((ext.argmin, ref.argmin), (ext.argmax, ref.argmax)):
+            assert np.array_equal(rows[0][i], pair.v) and np.array_equal(rows[1][i], pair.w)
+        assert np.array_equal(vstar[i], ref_vstar)
+
+
+def test_a_stack_of_more_than_one_dimension_is_refused(sol_p2):
+    # the jet and the tensor are elementwise, but the frame split takes a
+    # 1-d stack: it names the shape rather than failing inside _frame
+    z = Point(np.zeros((2, 2), complex), np.full((2, 2), 0.3 + 0j))
+    jet = metric_jet(sol_p2, z)
+    tensor = tensor_from_jet(jet)
+    vs = np.array([[1.0 + 0j, 2.0]] * 4)
+    for evaluate in (lambda: bis_extremes_from_jet(jet, tensor),
+                     lambda: sectional_max_from_jet(jet, tensor),
+                     lambda: bisectional_from_jet(jet, tensor, vs, vs),
+                     lambda: bisectional_from_jet(jet, tensor, vs, vs, formula="direct"),
+                     lambda: bis_extremes(sol_p2, z),
+                     lambda: sectional_max(sol_p2, z)):
+        with pytest.raises(ValueError, match=re.escape("1-d stack, got shape (2, 2)")):
+            evaluate()
+
+
+def test_bisectional_at_stacked_points_pairs_one_vector_pair_with_each(sol_p2):
+    # the pushed vectors are (2, n) columns, one per point, in every mode
+    points = sample_points(2, np.random.default_rng(95), 2) + [Point(0j, 0.5 + 0j)]
+    z = Point.stack(points)
+    pair = TangentPair(v=np.array([1.0, 1j]), w=np.array([0.5, 2.0]))
+    for normalize in (True, False):
+        for formula in ("tube", "direct"):
+            values = bisectional(sol_p2, z, pair, normalize=normalize, formula=formula)
+            ref = [bisectional(sol_p2, point, pair, normalize=normalize, formula=formula)
+                   for point in points]
+            assert values.shape == (3,)
+            assert np.allclose(values, ref, rtol=1e-12, atol=0.0), (normalize, formula)

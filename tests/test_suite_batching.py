@@ -217,7 +217,7 @@ def reference_invariance(params, sol, rng):
         shifted = Point(z.z1 + 1j * rng.uniform(-5, 5), z.z2 + 1j * rng.uniform(-5, 5))
         j1, j2 = metric_jet(sol, z), metric_jet(sol, shifted)
         exact = max(exact, float(np.max(np.abs(j1.metric - j2.metric))),
-                    max(abs(j1.d4[k] - j2.d4[k]) for k in j1.d4))
+                    max(abs(a - b) for a, b in zip(j1.d4, j2.d4)))
     checks.append(_below("jets_translation_invariant", exact, 0.0))
     worst_bis = worst_scale = worst_formula = 0.0
     for z in reference_random_points(params, rng, 100):
@@ -455,7 +455,7 @@ def test_invariance_suite_makes_no_per_point_scalar_calls(sol_p2, monkeypatch):
             ("metric_jet", (metric_tensor, curvature, diagnostics),
              lambda sol, z: np.ndim(z.z1) == 0),
             ("tensor_from_jet", (curvature, diagnostics),
-             lambda jet: not isinstance(jet, metric_tensor.StackedJet)),
+             lambda jet: not isinstance(jet.x_value, np.ndarray)),
             ("apply", (geo,), lambda *args: True)):
         wrapper = counted(name, getattr(holders[0], name), scalar)
         for holder in holders:

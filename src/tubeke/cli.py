@@ -214,6 +214,8 @@ def _cmd_curvature(args) -> int:
     if args.v is not None:
         pair = curvature.TangentPair(v=_parse_vector(args.v), w=_parse_vector(args.w))
         out["bis"] = curvature.bisectional(sol, z, pair)
+        if args.stats:
+            health["einstein_defect"] = curvature._pair_defect(sol, z)
         stages.lap("bis")
     if args.extremes:
         ext = curvature.bis_extremes_from_jet(jet, tensor)
@@ -228,7 +230,7 @@ def _cmd_curvature(args) -> int:
             "sect_max": sm,
             "arg_sect_max": _vector_reals(vstar),
         }
-        health["einstein_defect"] = ext.einstein_defect
+        health["einstein_defect"] = max(health.get("einstein_defect", 0.0), ext.einstein_defect)
         stages.lap("extremes")
     print(json.dumps(out))
     stages.lap("write")
@@ -326,8 +328,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_curv.add_argument("--extremes", action="store_true",
                         help="extremal bisectional/sectional values (refused where "
                              "the Einstein defect of the jet exceeds 1e-3)")
-    _add_stats(p_curv, "load, jet, tensor, then bis and/or extremes, write; with "
-                       "--extremes, einstein_defect follows")
+    _add_stats(p_curv, "load, jet, tensor, then bis and/or extremes, write; "
+                       "einstein_defect follows, the larger one with both modes")
     p_curv.set_defaults(func=_cmd_curvature)
 
     p_sweep = sub.add_parser("sweep", help="CSV sweep along the real-z2 axis")

@@ -27,17 +27,25 @@ reported values are the reduced bis_min/max = -3/2 -+ max|lambda| and
 sect_max = -3/2 + max lambda; their pairs attain them up to three times the
 Einstein defect max(|a + 3/2|, ||b||, |tr M + 3/2|).  The jet path's defect
 is about 1e-10 for |X| <= 0.99 and at most 1.3e-4 for 1 - |X| >= 1e-4; where
-it exceeds 1e-3 (p=1 from 1 - |X| = 5e-5) the extremes raise DomainError.
-The split uses only +, -, *, / and sqrt (numpy's pow and hypot round unlike
-libm's), so stacked extremes equal the single point's bit for bit.
+it exceeds 1e-3 (p=1 from 1 - |X| = 5e-5) the extremes and every tube-formula
+Bis raise DomainError.  The split uses only +, -, *, / and sqrt (numpy's pow
+and hypot round unlike libm's), so stacked extremes equal the single point's
+bit for bit.
+
+The extremes make one split per (jet, tensor): the tensor keeps the reduced
+form (frame, eigenpairs, defect) of the last jet it was split with, so
+sectional_max_from_jet after bis_extremes_from_jet splits nothing again.
+bis_extremes_from_jet computes the values alone, and BisExtremes builds its
+attaining pairs from the kept frame and eigenpairs when they are first read.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -131,15 +139,39 @@ class TangentPair:
 
 @dataclass(frozen=True)
 class BisExtremes:
-    """Extremal Bis with attaining pairs and the jet's Einstein defect (see above);
-    stacked points give arrays, and each pair as (v rows, w rows).
+    """Extremal Bis, the jet's Einstein defect (see above) and the attaining pairs.
+
+    The values come from the one split of their (jet, tensor); argmin and
+    argmax are built from the frame and eigenpairs kept here on first
+    read, then kept.  Stacked points give arrays, and each pair as (v rows,
+    w rows).
     """
 
     min: float
-    argmin: TangentPair
     max: float
-    argmax: TangentPair
     einstein_defect: float
+    _form: tuple = field(repr=False, compare=False)   # (frame, eigenpairs of M)
+
+    @property
+    def argmin(self):
+        return self._extremizers[0]
+
+    @property
+    def argmax(self):
+        return self._extremizers[1]
+
+    @cached_property
+    def _extremizers(self) -> tuple:
+        """(argmin, argmax): n^T M u = lam n.u is lam at n = u, -lam at n = -u."""
+        frame, pairs = self._form
+        lam, u = _largest(pairs, abs)
+        m = _spinor_vector(frame, u)
+        flipped = _spinor_vector(frame, tuple(-c for c in u))
+        if isinstance(lam, np.ndarray):
+            below = (lam < 0.0)[:, None]
+            return (np.where(below, m, flipped), m), (np.where(below, flipped, m), m)
+        same, flipped = TangentPair(v=m, w=m), TangentPair(v=flipped, w=m)
+        return (same, flipped) if lam < 0.0 else (flipped, same)
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +321,12 @@ def bisectional(sol: PotentialSolution, z: Point, pair: TangentPair,
         at z itself — useful precisely for testing that invariance.
     formula : {"tube", "direct"}
         "tube" evaluates a + b.(n + m) + n^T M m in the g-orthonormal
-        frame (see the module docstring); "direct" the 16-term curvature
-        sum.  They agree to ~1e-13 relative and exist so that each can
-        certify the other.
+        frame (see the module docstring) and raises DomainError, naming
+        X, where the jet's Einstein defect exceeds 1e-3; "direct" the
+        16-term curvature sum, which refuses nothing and is accurate,
+        like the jet it reads, for 1 - |X| >= 1e-4.  They agree to ~1e-13
+        relative for |X| <= 0.99 and exist so that each can certify the
+        other.
 
     Returns
     -------
@@ -333,7 +368,7 @@ def _bis(jet: MetricJet, tensor: CurvatureTensor, v, w, formula: str):
         if v.ndim == 1:
             # Python complex entries: numpy scalars would cost most of the kernel
             v, w = v.tolist(), w.tolist()
-        return _bis_frame(_bloch_split(jet, tensor), v, w)
+        return _bis_frame(_checked_split(jet, tensor, "Bis values")[0], v, w)
     if formula != "direct":
         raise ValueError(f"unknown formula {formula!r} (expected 'tube' or 'direct')")
     bis = _bis_direct(jet, tensor, v, w)
@@ -363,7 +398,7 @@ def bisectional_batch(sol: PotentialSolution, z: Point, vs, ws,
     if normalize:
         z, (vs, ws) = _pull_to_axis(sol, z, (vs, ws))
     jet = metric_jet(sol, z)
-    return _bis_frame(_bloch_split(jet, tensor_from_jet(jet)), vs, ws)
+    return _bis_frame(_checked_split(jet, tensor_from_jet(jet), "Bis values")[0], vs, ws)
 
 
 def sectional(sol: PotentialSolution, z: Point, v) -> float:
@@ -432,7 +467,7 @@ def boundary_limit_bis(jet: MetricJet, pair: TangentPair) -> float:
     return float(_boundary_limit(_point_frame(jet), pair.v[:, None], pair.w[:, None])[0])
 
 
-_DEFECT_TOL = 1e-3   # the largest Einstein defect the extremes accept
+_DEFECT_TOL = 1e-3   # the largest Einstein defect the tube formula accepts
 
 
 # isinstance tells floats from arrays: np.ndim of a float costs more than the math
@@ -445,6 +480,10 @@ def _sqrt(x):
     return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
 
 
+def _larger(a, b):
+    return np.maximum(a, b) if isinstance(a, np.ndarray) else max(a, b)
+
+
 def _bloch_split(jet, tensor: CurvatureTensor) -> tuple:
     """(frame, a, b, M) with Bis(v, w) = a + b.(n + m) + n^T M m in the frame.
 
@@ -453,7 +492,8 @@ def _bloch_split(jet, tensor: CurvatureTensor) -> tuple:
     gives arrays, with one _frame per point.
     """
     if _stacked(jet):
-        frame = tuple(map(np.array, zip(*map(_frame, *(g.tolist() for g in jet.g)))))
+        frames = zip(*map(_frame, *(g.tolist() for g in jet.g)))
+        frame = tuple(map(np.array, frames)) or (np.empty(0),) * 3
     else:
         frame = _frame(*jet.g)
     al, be, ga = frame
@@ -498,32 +538,51 @@ def _bis_frame(split, v, w):
             + nx * (mxx * mx + mxz * mz) + ny * lam_y * my + nz * (mxz * mx + mzz * mz))
 
 
+def _checked_split(jet, tensor: CurvatureTensor, what: str) -> tuple:
+    """(_bloch_split, Einstein defect), or DomainError where the defect exceeds _DEFECT_TOL.
+
+    The defect is max(|a + 3/2|, ||b||, |tr M + 3/2|).  what names the
+    refused values; a refusal of stacked points names the first X.
+    """
+    split = _bloch_split(jet, tensor)
+    _, a, (bx, bz), (lam_y, mxx, _, mzz) = split
+    defect = _larger(_larger(abs(a + 1.5), _sqrt(bx * bx + bz * bz)),
+                     abs(lam_y + mxx + mzz + 1.5))
+    ok = defect <= _DEFECT_TOL
+    if not _all(ok):
+        raise DomainError(
+            f"{what} at X = {_first(jet.x_value, ok)!r} are refused: the jet "
+            f"path's Einstein defect {_first(defect, ok):.2g} exceeds {_DEFECT_TOL:g} (it is "
+            f"accurate, with defect <= 1.3e-4, for 1 - |X| >= 1e-4)")
+    return split, defect
+
+
 def _reduced_form(jet, tensor: CurvatureTensor) -> tuple:
-    """(frame, [(eigenvalue, unit eigenvector)] of M, Einstein defect), or DomainError.
+    """(frame, ((eigenvalue, unit eigenvector), ...) of M, Einstein defect), or DomainError.
 
     The 2x2 block's eigenvalues are mean +- h, h = |(d, Mxz)| with d =
     (Mxx - Mzz)/2; the larger one's eigenvector, x entry >= 0, lies along
     (h + d, Mxz), or (|Mxz|, +-(h - d)) where d < 0 (no cancellation), or
-    (1, 0) for h = 0.  A refusal of stacked points names the first X.
+    (1, 0) for h = 0.  The tensor keeps the form of the last jet it was
+    split with (a refusal is not kept), so a second call with the same
+    jet and tensor makes no second split.
     """
-    frame, a, (bx, bz), (lam_y, mxx, mxz, mzz) = _bloch_split(jet, tensor)
-    larger = np.maximum if isinstance(a, np.ndarray) else max
-    defect = larger(larger(abs(a + 1.5), _sqrt(bx * bx + bz * bz)),
-                    abs(lam_y + mxx + mzz + 1.5))
-    ok = defect <= _DEFECT_TOL
-    if not _all(ok):
-        raise DomainError(
-            f"curvature extremes at X = {_first(jet.x_value, ok)!r} are refused: the jet "
-            f"path's Einstein defect {_first(defect, ok):.2g} exceeds {_DEFECT_TOL:g} (it is "
-            f"accurate, with defect <= 1.3e-4, for 1 - |X| >= 1e-4)")
+    kept = getattr(tensor, "_reduced", None)
+    if kept is not None and kept[0] is jet:
+        return kept[1]
+    (frame, _, _, (lam_y, mxx, mxz, mzz)), defect = _checked_split(
+        jet, tensor, "curvature extremes")
     mean, d = 0.5 * (mxx + mzz), 0.5 * (mxx - mzz)
     h = _sqrt(d * d + mxz * mxz)
     ex = _pick(d < 0.0, abs(mxz), h + d) + (h == 0.0)
     ez = _pick(d < 0.0, _pick(mxz < 0.0, d - h, h - d), mxz)
     norm = _sqrt(ex * ex + ez * ez)
     c, s, zero = ex / norm, ez / norm, 0.0 * h
-    return frame, [(lam_y, (zero, 1.0 + zero, zero)), (mean + h, (c, zero, s)),
-                   (mean - h, (-s, zero, c))], defect
+    form = frame, ((lam_y, (zero, 1.0 + zero, zero)), (mean + h, (c, zero, s)),
+                   (mean - h, (-s, zero, c))), defect
+    # not a field: the tensor's eq and repr stay its six coefficients
+    object.__setattr__(tensor, "_reduced", (jet, form))
+    return form
 
 
 def _largest(pairs, key) -> tuple:
@@ -555,20 +614,19 @@ def bis_extremes_from_jet(jet, tensor: CurvatureTensor) -> BisExtremes:
     n^T M m ranges over [-|lam|, |lam|] for the eigenvalue lam of M of
     largest modulus, reached at m = u, n = -+sign(lam) u for its
     eigenvector u; the values reported are the Einstein-reduced -3/2 -+ |lam|.
+    The attaining pairs are built when first read (see BisExtremes).
     """
     frame, pairs, defect = _reduced_form(jet, tensor)
-    lam, u = _largest(pairs, abs)
-    # n^T M u = lam n.u: lam at n = u, -lam at n = -u
-    m = _spinor_vector(frame, u)
-    flipped = _spinor_vector(frame, tuple(-c for c in u))
-    if isinstance(jet.x_value, np.ndarray):
-        below = (lam < 0.0)[:, None]
-        argmin, argmax = (np.where(below, m, flipped), m), (np.where(below, flipped, m), m)
-    else:
-        same, flipped = TangentPair(v=m, w=m), TangentPair(v=flipped, w=m)
-        argmin, argmax = (same, flipped) if lam < 0.0 else (flipped, same)
-    return BisExtremes(min=-1.5 - abs(lam), argmin=argmin, max=-1.5 + abs(lam),
-                       argmax=argmax, einstein_defect=defect)
+    (lam_y, _), (upper, _), (lower, _) = pairs
+    top = _larger(_larger(abs(lam_y), abs(upper)), abs(lower))
+    return BisExtremes(min=-1.5 - top, max=-1.5 + top, einstein_defect=defect,
+                       _form=(frame, pairs))
+
+
+def _pair_defect(sol: PotentialSolution, z: Point) -> float:
+    """The Einstein defect of the jet that bisectional(sol, z, ...) evaluates, at z's axis point."""
+    jet = _axis_jet(sol, z)
+    return _checked_split(jet, tensor_from_jet(jet), "Bis values")[1]
 
 
 def bis_extremes(sol: PotentialSolution, z: Point) -> BisExtremes:

@@ -187,12 +187,6 @@ def _random_stack(params: TubeParams, rng, n, x_cap=0.99) -> Point:
     return Point(z1, z2)
 
 
-def _random_points(params: TubeParams, rng, n, x_cap=0.99) -> list[Point]:
-    """_random_stack's points as a list."""
-    z = _random_stack(params, rng, n, x_cap)
-    return [Point(z1, z2) for z1, z2 in zip(z.z1.tolist(), z.z2.tolist())]
-
-
 def _random_vectors(rng, n):
     return rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
 

@@ -5,12 +5,16 @@ below is the curvature module's earlier Bis path, kept verbatim as the
 reference that the g-orthonormal frame split replaced: with
 u(v) = [|v1|^2, |v2|^2, Re(v1 conj(v2)), Im(v1 conj(v2))] and
 gvec = [g11, g22, 2 g12, 0], Bis(v, w) = u(v)^T C u(w) / ((u(v).gvec)(u(w).gvec)).
+reference_extremes is bis_extremes_from_jet as it built the attaining
+pairs eagerly, kept as the reference for the pairs BisExtremes now builds
+on first read.
 """
 
 import numpy as np
 import pytest
 
-from tubeke import CurvatureTensor, TubeParams, solve_potential
+from tubeke import CurvatureTensor, TangentPair, TubeParams, curvature, solve_potential
+from tubeke.curvature import _largest, _reduced_form, _spinor_vector
 
 
 @pytest.fixture(scope="session")
@@ -87,3 +91,33 @@ def reference_bis(jet, tensor: CurvatureTensor, v, w) -> float:
     """The feature form's Bis(v, w) at a single point's jet."""
     C, gvec = reference_form(jet, tensor)
     return _bis_from_form(C, gvec, _features(v), _features(w))
+
+
+def reference_extremes(jet, tensor: CurvatureTensor) -> tuple:
+    """(min, argmin, max, argmax), the pairs built eagerly; stacked pairs as (v rows, w rows)."""
+    frame, pairs, _ = _reduced_form(jet, tensor)
+    lam, u = _largest(pairs, abs)
+    # n^T M u = lam n.u: lam at n = u, -lam at n = -u
+    m = _spinor_vector(frame, u)
+    flipped = _spinor_vector(frame, tuple(-c for c in u))
+    if isinstance(jet.x_value, np.ndarray):
+        below = (lam < 0.0)[:, None]
+        argmin, argmax = (np.where(below, m, flipped), m), (np.where(below, flipped, m), m)
+    else:
+        same, flipped = TangentPair(v=m, w=m), TangentPair(v=flipped, w=m)
+        argmin, argmax = (same, flipped) if lam < 0.0 else (flipped, same)
+    return -1.5 - abs(lam), argmin, -1.5 + abs(lam), argmax
+
+
+@pytest.fixture
+def split_calls(monkeypatch):
+    """The jets curvature._bloch_split is called with, one entry per split."""
+    calls = []
+    split = curvature._bloch_split
+
+    def counted(jet, tensor):
+        calls.append(jet)
+        return split(jet, tensor)
+
+    monkeypatch.setattr(curvature, "_bloch_split", counted)
+    return calls

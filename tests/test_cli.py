@@ -14,6 +14,7 @@ import pytest
 import tubeke
 from tubeke import axis_sweep
 from tubeke.cli import SWEEP_COLUMNS, main
+from tubeke.curvature import _frame
 
 
 @pytest.fixture(scope="module")
@@ -147,6 +148,27 @@ def test_extremes_beyond_the_accurate_range_exit_2(sol1_file, tmp_path, capsys):
         assert captured.out == ""
         assert "Einstein defect" in captured.err and "1 - |X| >= 1e-4" in captured.err
     assert not (tmp_path / "rows.csv").exists()
+
+
+def test_a_pair_beyond_the_accurate_range_exits_2(sol1_file, capsys):
+    # p=1 at 1 - x = 1e-5, along the frame vector e1 = (alpha, beta): the
+    # tube formula would print 3.0126 where the exact Bis is -2
+    jet = tubeke.metric_jet(tubeke.load_solution(sol1_file), tubeke.Point(0j, 0.99999 + 0j))
+    alpha, beta, _ = _frame(*jet.g)
+    e1 = f"{alpha!r},0,{beta!r},0"
+    for stats in ([], ["--stats"]):
+        code = main(["curvature", "--sol", str(sol1_file), "--point=0,0,0.99999,0",
+                     f"--v={e1}", f"--w={e1}", *stats])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "Bis values at X = 0.99999 are refused" in captured.err
+
+
+def test_axis_sweep_makes_one_split_per_call(sol_p2, split_calls):
+    axis_sweep(sol_p2, n=10)
+    assert len(split_calls) == 1
+    axis_sweep(sol_p2, n=500)
+    assert len(split_calls) == 2
 
 
 def test_curvature_requires_a_mode(sol_file, capsys):
@@ -287,7 +309,7 @@ STATS_RUNS = {
                   ["load", "jet", "tensor", "bis", "extremes", "write"], ["einstein_defect"]),
     "curvature_pair": (["curvature", "--sol", "{sol}", "--point=-0.3,0.8,0.7,-1.1",
                         "--v=-1,0.5,0,2", "--w", "0,0,1,0"],
-                       ["load", "jet", "tensor", "bis", "write"], []),
+                       ["load", "jet", "tensor", "bis", "write"], ["einstein_defect"]),
     "sweep": (["sweep", "--sol", "{sol}", "--n", "5", "--out", "{tmp}/rows.csv"],
               ["load", "sweep", "write"], ["einstein_defect"]),
 }
@@ -319,7 +341,8 @@ def test_stats_leave_stdout_unchanged_for_every_verb(verb, sol_file, tmp_path, c
         assert stats["einstein_defect"] == found["einstein_defect"]
         assert 1e-8 < stats["einstein_defect"] <= 1.3e-4
     elif health:
-        # the raw jet at this point meets the Einstein reduction to rounding
+        # the raw jet at this point, and the axis jet of the pair path, meet
+        # the Einstein reduction to rounding
         assert 0.0 <= stats["einstein_defect"] <= 1e-8
 
 

@@ -36,6 +36,7 @@ from tubeke import (
     sectional_max_from_jet,
     tensor_from_jet,
 )
+from tubeke import curvature
 from tubeke.curvature import (_bloch_split, _frame, _pull_to_axis, _reduced_form,
                               _spinor_vector)
 
@@ -431,6 +432,80 @@ def test_extremes_refuse_a_large_einstein_defect(five_sols, p):
                 evaluate(jet, tensor)
         with pytest.raises(DomainError):
             bis_extremes(sol, Point(0j, complex(x)))
+
+
+def test_the_pair_path_refuses_a_large_einstein_defect(sol_p1):
+    # p=1 at 1 - x = 1e-5: the split's defect reads 1.3, and along the frame
+    # vector e1 = (alpha, beta) the tube formula would give 3.0126 where the
+    # exact Bis is -2; random raw vectors sit near a Bloch pole and hide it
+    z = Point(0j, complex(1.0 - 1e-5))
+    jet = metric_jet(sol_p1, z)
+    tensor = tensor_from_jet(jet)
+    alpha, beta, _ = _frame(*jet.g)
+    e1 = np.array([alpha, beta], dtype=complex)
+    pair = TangentPair(v=e1, w=e1)
+    refused = f"Bis values at X = {re.escape(repr(jet.x_value))} are refused: .* Einstein defect"
+    for evaluate in (lambda: bisectional(sol_p1, z, pair),
+                     lambda: bisectional(sol_p1, z, pair, normalize=False),
+                     lambda: sectional(sol_p1, z, e1),
+                     lambda: bisectional_from_jet(jet, tensor, e1, e1),
+                     lambda: bisectional_batch(sol_p1, z, [e1], [e1]),
+                     lambda: bisectional_batch(sol_p1, z, [e1], [e1], normalize=False)):
+        with pytest.raises(DomainError, match=refused):
+            evaluate()
+    # the 16-term sum refuses nothing: it is the independent path, accurate
+    # for 1 - |X| >= 1e-4 as its docstring states
+    assert math.isfinite(bisectional(sol_p1, z, pair, formula="direct"))
+    # a stack is refused as a whole, naming its first refused X
+    stack = metric_jet(sol_p1, Point(np.zeros(3, complex), np.array([0.3, 1.0 - 1e-5, 0.5]) + 0j))
+    rows = np.array([e1] * 3)
+    with pytest.raises(DomainError, match=refused):
+        bisectional_from_jet(stack, tensor_from_jet(stack), rows, rows)
+    # at 1 - x = 1e-4 the pair path answers, near the exact -2
+    z = Point(0j, complex(1.0 - 1e-4))
+    alpha, beta, _ = _frame(*metric_jet(sol_p1, z).g)
+    e1 = np.array([alpha, beta], dtype=complex)
+    assert abs(bisectional(sol_p1, z, TangentPair(v=e1, w=e1)) + 2.0) <= 1e-3
+
+
+def test_both_extremes_share_one_split(sols, split_calls):
+    z = Point(0j, 0.6 + 0j)
+    jet = metric_jet(sols[2], z)
+    tensor = tensor_from_jet(jet)
+    ext = bis_extremes_from_jet(jet, tensor)
+    sectional_max_from_jet(jet, tensor)
+    ext.argmin, ext.argmax
+    bis_extremes_from_jet(jet, tensor)
+    assert split_calls == [jet]
+    # a new jet for the same tensor, or a new tensor for the same jet, splits again
+    other = metric_jet(sols[2], z)
+    sectional_max_from_jet(other, tensor)
+    bis_extremes_from_jet(jet, tensor_from_jet(jet))
+    assert split_calls == [jet, other, jet]
+    # the tensor keeps the form outside its fields: eq, hash and repr are its coefficients
+    fresh = tensor_from_jet(jet)
+    assert tensor == fresh and hash(tensor) == hash(fresh) and repr(tensor) == repr(fresh)
+    # a refusal is not kept: each call splits and refuses again
+    refused = metric_jet(sols[1], Point(0j, complex(1.0 - 1e-5)))
+    tensor = tensor_from_jet(refused)
+    for evaluate in (bis_extremes_from_jet, sectional_max_from_jet):
+        with pytest.raises(DomainError, match="curvature extremes at X = 0.99999 are refused"):
+            evaluate(refused, tensor)
+    assert split_calls[3:] == [refused, refused]
+
+
+def test_extremizers_are_built_on_first_read(sol_p2, monkeypatch):
+    built = []
+    spinor = curvature._spinor_vector
+    monkeypatch.setattr(curvature, "_spinor_vector",
+                        lambda frame, n: built.append(n) or spinor(frame, n))
+    jet = metric_jet(sol_p2, Point(0j, 0.6 + 0j))
+    ext = bis_extremes_from_jet(jet, tensor_from_jet(jet))
+    assert built == [] and "argmin" not in repr(ext)
+    argmin = ext.argmin
+    assert len(built) == 2
+    ext.argmax
+    assert ext.argmin is argmin and len(built) == 2
 
 
 def test_origin_axis_pairs_hit_the_extremes(sols):

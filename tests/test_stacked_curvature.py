@@ -28,7 +28,7 @@ from tubeke import (
     tensor_from_jet,
 )
 
-from conftest import reference_bis
+from conftest import reference_bis, reference_extremes
 
 _IDX = (1, 2)
 KEYS = ("R1111", "R1112", "R1122", "R1212", "R1222", "R2222")
@@ -237,6 +237,40 @@ def test_bis_extremes_and_sectional_max_take_stacked_points(p, sols):
         for rows, pair in ((ext.argmin, ref.argmin), (ext.argmax, ref.argmax)):
             assert np.array_equal(rows[0][i], pair.v) and np.array_equal(rows[1][i], pair.w)
         assert np.array_equal(vstar[i], ref_vstar)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 5, 8])
+def test_extremes_equal_the_eager_reference(p, five_sols):
+    # the values, and the pairs built on first read, bit for bit; stacked
+    # and at each row as a single point
+    sol = five_sols[p]
+    rng = np.random.default_rng(100 + p)
+    points = sample_points(p, rng, 40) + near_boundary_points(p, rng, 10)
+    points += [Point(0j, 0j), Point(0j, complex(1.0 - 1e-4))]
+    stacked = metric_jet(sol, Point.stack(points))
+    for jet in (stacked, *rows_of(stacked)):
+        ext = bis_extremes_from_jet(jet, tensor_from_jet(jet))
+        low, argmin, high, argmax = reference_extremes(jet, tensor_from_jet(jet))
+        assert np.array_equal(ext.min, low) and np.array_equal(ext.max, high)
+        for lazy, eager in ((ext.argmin, argmin), (ext.argmax, argmax)):
+            assert type(lazy) is type(eager)
+            if jet is not stacked:
+                lazy, eager = (lazy.v, lazy.w), (eager.v, eager.w)
+            assert all(map(np.array_equal, lazy, eager))
+
+
+def test_an_empty_stack_gives_empty_results(sol_p2):
+    z = Point(np.zeros(0, complex), np.zeros(0, complex))
+    ext = bis_extremes(sol_p2, z)
+    assert ext.min.shape == ext.max.shape == ext.einstein_defect.shape == (0,)
+    assert all(rows.shape == (0, 2) for rows in (*ext.argmin, *ext.argmax))
+    sect, vstar = sectional_max(sol_p2, z)
+    assert sect.shape == (0,) and vstar.shape == (0, 2)
+    jet = metric_jet(sol_p2, z)
+    none = np.empty((0, 2), complex)
+    for formula in ("tube", "direct"):
+        assert bisectional_from_jet(jet, tensor_from_jet(jet), none, none,
+                                    formula=formula).shape == (0,)
 
 
 def test_a_stack_of_more_than_one_dimension_is_refused(sol_p2):

@@ -388,7 +388,7 @@ def test_random_points_match_the_per_point_loop(p):
     for seed in range(3):
         rng_loop, rng_block = np.random.default_rng(seed), np.random.default_rng(seed)
         loop = np.array([z.as_reals() for z in reference_random_points(params, rng_loop, 334)])
-        block = np.array([z.as_reals() for z in diagnostics._random_points(params, rng_block, 334)])
+        block = np.array(diagnostics._random_stack(params, rng_block, 334).as_reals()).T
         assert np.all(np.abs(block - loop) <= np.spacing(np.abs(loop)))
         assert rng_block.random() == rng_loop.random()
 
@@ -397,7 +397,6 @@ def test_random_points_match_the_per_point_loop(p):
 def test_batched_suites_report_the_scalar_loops_checks(p, sols, monkeypatch):
     sol, params = sols[p], TubeParams(p=p)
     batched = [run_suite("all", params, sol, seed=seed) for seed in range(5)]
-    monkeypatch.setattr(diagnostics, "_random_points", reference_random_points)
     monkeypatch.setitem(diagnostics._SUITES, "asymptotics", reference_asymptotics)
     monkeypatch.setitem(diagnostics._SUITES, "invariance", reference_invariance)
     monkeypatch.setitem(diagnostics._SUITES, "boundary_limit", reference_boundary_limit_suite)

@@ -31,7 +31,7 @@ __version__ = "0.1.0"
 # through the submodule on each access, so a function replaced there (by
 # a tracer or a test) is seen here and nothing goes stale
 _EXPORTS = {
-    "params": ("TubeParams", "ShootingConfig", "SUITE_NAMES"),
+    "params": ("TubeParams", "SUITE_NAMES"),
     "errors": ("DomainError", "BracketError", "MaxStepsError"),
     "potential_solver": ("PotentialSolution", "solve_potential", "load_solution",
                          "solution_from_dict", "ode_rhs", "eval_F", "eval_f_derivs",

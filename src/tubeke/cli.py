@@ -29,7 +29,7 @@ import numpy as np
 # runs only the modules it needs
 from . import curvature, diagnostics, metric_tensor, tube_geometry
 from .errors import DomainError
-from .params import SUITE_NAMES, TubeParams, ShootingConfig
+from .params import SUITE_NAMES, TubeParams
 from .potential_solver import (
     PotentialSolution,
     load_solution,
@@ -142,8 +142,7 @@ def _print_stats(stages: _Stages, sol: PotentialSolution, **extra) -> None:
 def _cmd_solve(args) -> int:
     stages = _Stages()
     params = TubeParams(p=args.p)
-    config = ShootingConfig(f_blowup_threshold=args.f_max, step_tolerance=args.tol)
-    sol = solve_potential(params, config)
+    sol = solve_potential(params)
     stages.lap("solve")
     sol.save(args.out)
     print(json.dumps({
@@ -295,12 +294,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="shoot for the potential and cache it")
     p_solve.add_argument("--p", type=int, required=True, help="domain parameter (>= 1)")
-    p_solve.add_argument("--tol", type=float, default=1e-12,
-                         help="local error target of the integrator (at most 1e-7), "
-                              "recorded as the solution's tolerance; the blow-up "
-                              "must lie within 10*sqrt(tol) of x=1")
-    p_solve.add_argument("--f-max", type=float, default=1e8,
-                         help="slope threshold treated as blow-up")
     p_solve.add_argument("--out", required=True, help="output JSON path")
     _add_stats(p_solve, "solve, write")
     p_solve.set_defaults(func=_cmd_solve)

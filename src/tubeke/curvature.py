@@ -323,10 +323,10 @@ def bisectional(sol: PotentialSolution, z: Point, pair: TangentPair,
         "tube" evaluates a + b.(n + m) + n^T M m in the g-orthonormal
         frame (see the module docstring) and raises DomainError, naming
         X, where the jet's Einstein defect exceeds 1e-3; "direct" the
-        16-term curvature sum, which refuses nothing and is accurate,
-        like the jet it reads, for 1 - |X| >= 1e-4.  They agree to ~1e-13
-        relative for |X| <= 0.99 and exist so that each can certify the
-        other.
+        16-term curvature sum, which is accurate, like the jet it reads,
+        for 1 - |X| >= 1e-4 and raises DomainError, naming X, closer to
+        the boundary.  They agree to ~1e-13 relative for |X| <= 0.99 and
+        exist so that each can certify the other.
 
     Returns
     -------
@@ -371,6 +371,10 @@ def _bis(jet: MetricJet, tensor: CurvatureTensor, v, w, formula: str):
         return _bis_frame(_checked_split(jet, tensor, "Bis values")[0], v, w)
     if formula != "direct":
         raise ValueError(f"unknown formula {formula!r} (expected 'tube' or 'direct')")
+    ok = abs(jet.x_value) <= 1.0 - 1e-4   # the 16-term sum's accurate range
+    if not _all(ok):
+        raise DomainError(f"direct Bis values at X = {_first(jet.x_value, ok)!r} are "
+                          f"refused: the 16-term sum is accurate for 1 - |X| >= 1e-4")
     bis = _bis_direct(jet, tensor, v, w)
     return bis if isinstance(bis, np.ndarray) else float(bis)
 

@@ -32,11 +32,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BracketError, DomainError, MaxStepsError
-from .params import ShootingConfig, TubeParams
+from .params import TubeParams
 
 __all__ = [
     "TubeParams",
-    "ShootingConfig",
     "PotentialSolution",
     "ode_rhs",
     "solve_potential",
@@ -60,8 +59,12 @@ _C_START = 2.0
 _X_END_COARSE = 2.0
 _X_END_FINE = 1.02
 
-# bound on the tail error |1 - blowup_x| f_last, per unit of tolerance
-_TAIL_ERROR_PER_TOL = 1e9
+# the one accuracy of every solve: the fine shots' local error target
+# (recorded as the solution's tolerance), the slope f at which a shot
+# counts as blown up, and the accepted steps one integration may take
+_TOLERANCE = 1e-12
+_F_CAP = 1e8
+_MAX_STEPS = 500_000
 
 # 5-point Gauss-Legendre rule on [0,1]; exact for the degree-9 integrand
 # (cubic interpolant cubed) used by the integral-identity validator.  The
@@ -98,15 +101,15 @@ def ode_rhs(x: float, F: float, f: float, params: TubeParams) -> tuple[float, fl
     return f, (4.0 * math.exp(3.0 * F) + f * f) / den
 
 
-def _integrate(p, c, x_end, rtol, f_cap, max_steps, record=False):
+def _integrate(p, c, x_end, rtol, record=False):
     """Adaptive Cash-Karp 4(5) march of (F, f) from x=0, F=c, f=0.
 
-    Stops when f crosses f_cap or x reaches x_end.  Returns (blowup_x,
+    Stops when f crosses _F_CAP or x reaches x_end.  Returns (blowup_x,
     accepted, rejected, xs, Fs, fs): blowup_x is x + 1/f at the crossing
     (f ~ 1/(x_b - x) below the singularity, so this is x_b up to
-    O(1/f_cap^2)) or None if x_end came first; accepted and rejected count
+    O(1/_F_CAP^2)) or None if x_end came first; accepted and rejected count
     the steps; the node lists are populated only when record=True.
-    max_steps caps the accepted steps; a rejected step is retried with a
+    _MAX_STEPS caps the accepted steps; a rejected step is retried with a
     smaller h until it is accepted or h underflows.
 
     The right-hand side is inlined for speed: one integration is worth a
@@ -115,6 +118,7 @@ def _integrate(p, c, x_end, rtol, f_cap, max_steps, record=False):
     p2m1 = 2.0 * p - 1.0
     pK4 = 4.0 * p * (2.0 * p + 1.0) / 3.0
     exp = math.exp
+    f_cap, budget = _F_CAP, _MAX_STEPS
     x, F, f = 0.0, c, 0.0
     h = 1e-3
     xs, Fs, fs = [0.0], [c], [0.0]
@@ -127,8 +131,8 @@ def _integrate(p, c, x_end, rtol, f_cap, max_steps, record=False):
         if x >= x_end:
             return None, nsteps, rejected, xs, Fs, fs
         nsteps += 1
-        if nsteps > max_steps:
-            raise MaxStepsError(f"exceeded {max_steps} steps at x={x:.12f}")
+        if nsteps > budget:
+            raise MaxStepsError(f"exceeded {budget} steps at x={x:.12f}")
         if record:
             # keep recorded nodes dense relative to the distance from the
             # singularity; beyond x=1 (possible for a near-critical c) the
@@ -490,7 +494,7 @@ def integral_identity_residuals(params: TubeParams, F0: float, xs, Fs, fs) -> np
     return np.abs(Z_implied - Z_true) / Z_true
 
 
-def _validate_solution_data(params, F0, xs, Fs, fs, blowup_x, tolerance):
+def _validate_solution_data(params, F0, xs, Fs, fs, blowup_x):
     """Invariant checks shared by the solver and the cache loader.
 
     Returns the largest integral-identity residual over the nodes.
@@ -503,17 +507,15 @@ def _validate_solution_data(params, F0, xs, Fs, fs, blowup_x, tolerance):
         raise ValueError("first node F value disagrees with F0")
     # near the blow-up f is 1/(x_b - x) to leading order, so against the
     # exact law 1/(1 - x) the last node carries the relative error
-    # |1 - x_b| f_last.  |1 - x_b| grows in proportion to the step
-    # tolerance (0.17-0.4 tol for p = 1..8), so the bound does too; at the
-    # default 1e-12 it is 1e-3, and the default cap 1e8 reads 2e-5.  A cap
-    # beyond the bound also piles the last steps onto equal abscissae,
-    # which is why this comes before the monotonicity checks.
+    # |1 - x_b| f_last; |1 - x_b| is 1.7e-13 to 2.5e-13 for p = 1..8, so
+    # the cap 1e8 reads at most 2.5e-5 against the bound.  A cap far beyond
+    # it also piles the last steps onto equal abscissae, which is why this
+    # comes before the monotonicity checks.
     tail = abs(1.0 - blowup_x) * fs[-1]
-    if not tail <= _TAIL_ERROR_PER_TOL * tolerance:
+    if not tail <= 1e-3:
         raise ValueError(
             f"tail error |1 - blowup_x| f = {tail:.2e} at the last node (f={fs[-1]:.3g}) "
-            f"exceeds {_TAIL_ERROR_PER_TOL * tolerance:g}: the grid does not resolve "
-            f"the blow-up there; lower f_max"
+            f"exceeds 1e-3: the grid does not resolve the blow-up there"
         )
     if not np.all(np.diff(xs) > 0.0):
         raise ValueError("node abscissae must be strictly increasing")
@@ -527,16 +529,13 @@ def _validate_solution_data(params, F0, xs, Fs, fs, blowup_x, tolerance):
     p = params.p
     d_Z = ((2 * p - 1) / (4.0 * math.exp(3.0 * Fs[-1]))) ** (1.0 / 3.0)
     estimate_err = 0.5 * abs(d_Z - 1.0 / fs[-1])
-    if estimate_err > tolerance:
+    if estimate_err > 1e-12:
         raise ValueError(
             f"blow-up estimate error {estimate_err:.2e} at the last node (f={fs[-1]:.3g}) "
-            f"exceeds the tolerance {tolerance:g}: raise f_max"
+            f"exceeds 1e-12"
         )
-    envelope = 10.0 * math.sqrt(tolerance)
-    if abs(blowup_x - 1.0) > envelope:
-        raise ValueError(
-            f"blow-up abscissa {blowup_x!r} misses 1 by more than {envelope:g}"
-        )
+    if abs(blowup_x - 1.0) > 1e-5:
+        raise ValueError(f"blow-up abscissa {blowup_x!r} misses 1 by more than 1e-5")
     resid = integral_identity_residuals(params, F0, xs, Fs, fs)
     worst = float(resid.max())
     if worst > 1e-8:
@@ -547,30 +546,30 @@ def _validate_solution_data(params, F0, xs, Fs, fs, blowup_x, tolerance):
     return worst
 
 
-def solve_potential(params: TubeParams, config: ShootingConfig | None = None) -> PotentialSolution:
+def solve_potential(params: TubeParams) -> PotentialSolution:
     """Find F(0) by the dilation law of the ODE and record the profile.
 
     The dilation F(x) -> F(lambda x) + (2/3) ln(lambda) maps solutions to
     solutions, so a shot from F(0) = c that blows up at x_b yields the
-    critical value c + (2/3) ln(x_b) exactly.  Three integrations:
+    critical value c + (2/3) ln(x_b) exactly.  Every solve has one
+    accuracy: a shot counts as blown up once f crosses 1e8, and one
+    integration may take 500,000 accepted steps.  Three integrations:
 
     1. a coarse shot (rtol 1e-9) from F(0) = 2; while it does not blow up
        by x = 2 (from p = 38 on), F(0) is raised by (2/3) ln 2, which
        halves x_b, and the shot is repeated;
-    2. a shot at config.step_tolerance from the corrected c, whose blow-up
-       x_b ~ 1 gives F0 = c + (2/3) ln(x_b);
-    3. the recorded pass at F0, with node spacing min(0.008, 0.012*(1-x));
-       its own blow-up estimate is stored as achieved_blowup_x and must lie
-       within 10*sqrt(config.step_tolerance) of 1, the estimate's error
-       bound at the last node must not exceed config.step_tolerance, and
-       the tail error |1 - x_b| f at the last node must not exceed
-       1e9 * config.step_tolerance.
+    2. a shot at rtol 1e-12 from the corrected c, whose blow-up x_b ~ 1
+       gives F0 = c + (2/3) ln(x_b);
+    3. the recorded pass at F0 and rtol 1e-12, with node spacing
+       min(0.008, 0.012*(1-x)); its own blow-up estimate is stored as
+       achieved_blowup_x and must lie within 1e-5 of 1, the estimate's
+       error at the last node must not exceed 1e-12, and the tail error
+       |1 - x_b| f at the last node must not exceed 1e-3.  The solution's
+       tolerance is 1e-12.
 
     Parameters
     ----------
     params : TubeParams
-    config : ShootingConfig, optional
-        Defaults to ShootingConfig().
 
     Returns
     -------
@@ -582,17 +581,13 @@ def solve_potential(params: TubeParams, config: ShootingConfig | None = None) ->
     BracketError
         If a shot fails to blow up where the dilation law says it must.
     MaxStepsError
-        If a single integration exceeds config.max_steps accepted steps.
+        If a single integration exceeds 500,000 accepted steps.
     """
-    if config is None:
-        config = ShootingConfig()
     p = params.p
     stats = {"integrations": 0, "accepted_steps": 0, "rejected_steps": 0}
 
     def shoot(c, rtol, x_end, record=False):
-        blowup_x, accepted, rejected, *nodes = _integrate(
-            p, c, x_end, rtol, config.f_blowup_threshold, config.max_steps, record
-        )
+        blowup_x, accepted, rejected, *nodes = _integrate(p, c, x_end, rtol, record)
         stats["integrations"] += 1
         stats["accepted_steps"] += accepted
         stats["rejected_steps"] += rejected
@@ -608,19 +603,17 @@ def solve_potential(params: TubeParams, config: ShootingConfig | None = None) ->
     else:
         raise BracketError(f"no blow-up by x={_X_END_COARSE} even from F(0)={c!r}")
     c += 2.0 / 3.0 * math.log(blowup_x)
-    blowup_x, *_ = shoot(c, config.step_tolerance, _X_END_FINE)
+    blowup_x, *_ = shoot(c, _TOLERANCE, _X_END_FINE)
     if blowup_x is not None:
         F0 = c + 2.0 / 3.0 * math.log(blowup_x)
-        blowup_x, xs, Fs, fs = shoot(F0, config.step_tolerance, _X_END_FINE, record=True)
+        blowup_x, xs, Fs, fs = shoot(F0, _TOLERANCE, _X_END_FINE, record=True)
     if blowup_x is None:
         raise BracketError(f"near-critical trajectory failed to blow up by x={_X_END_FINE}")
     xs = np.asarray(xs)
     Fs = np.asarray(Fs)
     fs = np.asarray(fs)
     stats["nodes"] = len(xs)
-    stats["identity_residual"] = _validate_solution_data(
-        params, F0, xs, Fs, fs, blowup_x, config.step_tolerance
-    )
+    stats["identity_residual"] = _validate_solution_data(params, F0, xs, Fs, fs, blowup_x)
     return PotentialSolution(
         params=params,
         F0=F0,
@@ -628,7 +621,7 @@ def solve_potential(params: TubeParams, config: ShootingConfig | None = None) ->
         Fs=Fs,
         fs=fs,
         achieved_blowup_x=blowup_x,
-        tolerance=config.step_tolerance,
+        tolerance=_TOLERANCE,
         stats=stats,
     )
 
@@ -654,7 +647,8 @@ def solution_from_dict(data: dict) -> PotentialSolution:
     """Rebuild a solution from its to_dict form, re-validating every invariant.
 
     Corrupt or hand-edited data fails loudly here rather than producing
-    silently wrong metrics downstream.
+    silently wrong metrics downstream.  The validator's bounds hold at the
+    solver's one accuracy, so data whose tolerance is not 1e-12 is refused.
     """
     try:
         params = TubeParams(p=data["p"])
@@ -670,7 +664,10 @@ def solution_from_dict(data: dict) -> PotentialSolution:
         raise ValueError(f"malformed solution data: {exc}") from exc
     if K != params.K:
         raise ValueError(f"stored K={K} does not equal (2p+1)/3 for p={params.p}")
-    resid = _validate_solution_data(params, F0, xs, Fs, fs, blowup_x, tolerance)
+    if tolerance != _TOLERANCE:
+        raise ValueError(f"tolerance {tolerance!r} is not the solver's {_TOLERANCE:g}, "
+                         f"the only accuracy whose profile this loader can check")
+    resid = _validate_solution_data(params, F0, xs, Fs, fs, blowup_x)
     return PotentialSolution(
         params=params,
         F0=F0,

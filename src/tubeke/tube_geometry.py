@@ -233,11 +233,12 @@ def classify_boundary(params: TubeParams, q: Point, tol: float = 1e-9) -> Bounda
     pseudoconvex exactly when Re(q2) = 0 (the distinguished orbit of
     (1/(4p), 0) + iR^2); every other boundary point is strictly
     pseudoconvex.  The Re(q2) comparison uses tol^{1/(2p)} so that the
-    two tests resolve the same displacement scale.
+    two tests resolve the same displacement scale.  A point with an
+    infinite or NaN coordinate is not on the boundary.
     """
     p = params.p
     defect = abs(4 * p * q.z1.real + q.z2.real ** (2 * p) - 1.0)
-    if defect > tol:
+    if not (defect <= tol and _finite(q.z1, q.z2)):
         return BoundaryClass.NOT_BOUNDARY
     if abs(q.z2.real) <= tol ** (1.0 / (2 * p)):
         return BoundaryClass.WEAKLY_PSEUDOCONVEX

@@ -5,15 +5,18 @@ import itertools
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import tubeke
 from tubeke import axis_sweep
-from tubeke.cli import SWEEP_COLUMNS, main
+from tubeke.cli import SWEEP_COLUMNS, _build_parser, main
 from tubeke.curvature import _frame
 
 
@@ -47,27 +50,49 @@ def test_solve_reports_center_value(tmp_path, capsys):
     assert stored["p"] == 1 and stored["K"] == "1"
 
 
-def test_solve_tol_sets_the_step_tolerance(tmp_path, sol1_file, capsys):
-    path = tmp_path / "s.json"
-    code, out = run_json(capsys, ["solve", "--p", "1", "--tol", "1e-8", "--out", str(path)])
-    assert code == 0
-    assert json.loads(path.read_text())["tolerance"] == 1e-8
-    # the looser target changes the computed profile, within that target
-    assert out["F0"] != json.loads(sol1_file.read_text())["F0"]
-    assert abs(out["F0"] - math.log(2.0) / 3.0) < 1e-8
-
-
-def test_solve_refuses_a_blowup_cap_too_low(tmp_path, capsys):
-    assert main(["solve", "--p", "2", "--f-max", "1e3", "--out", str(tmp_path / "s.json")]) == 2
-    assert "f_max" in capsys.readouterr().err
+def test_solve_has_no_accuracy_options(tmp_path, capsys):
+    # every solve runs at the one accuracy; the old knobs are usage errors
+    for option in (["--tol", "1e-8"], ["--f-max", "1e3"]):
+        with pytest.raises(SystemExit) as exit_:
+            main(["solve", "--p", "1", *option, "--out", str(tmp_path / "s.json")])
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
     assert not (tmp_path / "s.json").exists()
 
 
-@pytest.mark.parametrize("f_max, message", [("inf", "finite"), ("1e16", "tail error")])
-def test_solve_refuses_a_blowup_cap_the_grid_cannot_resolve(tmp_path, capsys, f_max, message):
-    assert main(["solve", "--p", "2", "--f-max", f_max, "--out", str(tmp_path / "s.json")]) == 2
-    assert message in capsys.readouterr().err
+def test_solve_refuses_a_blowup_cap_too_low(tmp_path, capsys, monkeypatch):
+    # a profile the validator refuses is not written, and the verb exits 2
+    monkeypatch.setattr(tubeke.potential_solver, "_F_CAP", 1e3)
+    assert main(["solve", "--p", "2", "--out", str(tmp_path / "s.json")]) == 2
+    assert "blow-up estimate error" in capsys.readouterr().err
     assert not (tmp_path / "s.json").exists()
+
+
+def test_readme_command_lines_parse():
+    # every tubeke line in README's code blocks parses (nothing runs), so
+    # a deleted option cannot linger in the docs
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```.*?\n(.*?)^```", readme, re.S | re.M)
+    lines = [line for block in blocks for line in block.splitlines()
+             if line.startswith("tubeke ")]
+    parser = _build_parser()
+    verbs = set()
+    for line in lines:
+        try:
+            args = parser.parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README command line does not parse: {line}")
+        verbs.add(args.command)
+    assert verbs == {"solve", "eval", "metric", "curvature", "sweep", "verify"}
+
+
+def test_a_file_at_another_tolerance_is_refused(tmp_path, sol_file, capsys):
+    data = json.loads(sol_file.read_text())
+    data["tolerance"] = 1e-8
+    path = tmp_path / "loose.json"
+    path.write_text(json.dumps(data))
+    assert main(["eval", "--sol", str(path), "--x", "0.5"]) == 2
+    assert "tolerance 1e-08 is not the solver's 1e-12" in capsys.readouterr().err
 
 
 def test_eval_basic_and_derivs(sol1_file, capsys):

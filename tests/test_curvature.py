@@ -453,19 +453,26 @@ def test_the_pair_path_refuses_a_large_einstein_defect(sol_p1):
                      lambda: bisectional_batch(sol_p1, z, [e1], [e1], normalize=False)):
         with pytest.raises(DomainError, match=refused):
             evaluate()
-    # the 16-term sum refuses nothing: it is the independent path, accurate
-    # for 1 - |X| >= 1e-4 as its docstring states
-    assert math.isfinite(bisectional(sol_p1, z, pair, formula="direct"))
+    # the 16-term sum, accurate for 1 - |X| >= 1e-4, is refused closer in
+    # (here it would read 3.0127), whatever the defect
+    direct = f"direct Bis values at X = {re.escape(repr(jet.x_value))} are refused"
+    for evaluate in (lambda: bisectional(sol_p1, z, pair, formula="direct"),
+                     lambda: bisectional_from_jet(jet, tensor, e1, e1, formula="direct")):
+        with pytest.raises(DomainError, match=direct):
+            evaluate()
     # a stack is refused as a whole, naming its first refused X
     stack = metric_jet(sol_p1, Point(np.zeros(3, complex), np.array([0.3, 1.0 - 1e-5, 0.5]) + 0j))
     rows = np.array([e1] * 3)
-    with pytest.raises(DomainError, match=refused):
-        bisectional_from_jet(stack, tensor_from_jet(stack), rows, rows)
-    # at 1 - x = 1e-4 the pair path answers, near the exact -2
+    for formula, message in (("tube", refused), ("direct", direct)):
+        with pytest.raises(DomainError, match=message):
+            bisectional_from_jet(stack, tensor_from_jet(stack), rows, rows, formula=formula)
+    # at 1 - x = 1e-4 both paths answer, near the exact -2
     z = Point(0j, complex(1.0 - 1e-4))
     alpha, beta, _ = _frame(*metric_jet(sol_p1, z).g)
     e1 = np.array([alpha, beta], dtype=complex)
-    assert abs(bisectional(sol_p1, z, TangentPair(v=e1, w=e1)) + 2.0) <= 1e-3
+    for formula in ("tube", "direct"):
+        bis = bisectional(sol_p1, z, TangentPair(v=e1, w=e1), formula=formula)
+        assert abs(bis + 2.0) <= 1e-3
 
 
 def test_both_extremes_share_one_split(sols, split_calls):

@@ -1,10 +1,10 @@
-"""Parameter and configuration validation."""
+"""Parameter validation."""
 
 from fractions import Fraction
 
 import pytest
 
-from tubeke import ShootingConfig, TubeParams
+from tubeke import TubeParams
 
 
 def test_ricci_normalization_constant_is_exact():
@@ -31,24 +31,3 @@ def test_p_must_be_a_plain_integer(bad):
     with pytest.raises((TypeError, ValueError)):
         TubeParams(p=bad)
 
-
-def test_shooting_config_defaults():
-    config = ShootingConfig()
-    assert config.f_blowup_threshold == 1e8
-    assert config.step_tolerance == 1e-12
-    assert config.max_steps == 500_000
-
-
-@pytest.mark.parametrize("kwargs", [
-    dict(f_blowup_threshold=0.0),
-    dict(f_blowup_threshold=-1.0),
-    dict(step_tolerance=-1e-9),
-    dict(step_tolerance=1e-5),
-    dict(step_tolerance=0.0),
-    dict(max_steps=0),
-    # the smallest value measured to fail the identity gate for nearly every p
-    dict(step_tolerance=1.5e-7),
-])
-def test_shooting_config_rejects_bad_values(kwargs):
-    with pytest.raises(ValueError):
-        ShootingConfig(**kwargs)

@@ -21,7 +21,6 @@ from tubeke import (
     DomainError,
     MaxStepsError,
     PotentialSolution,
-    ShootingConfig,
     TubeParams,
     eval_F,
     eval_Z,
@@ -32,6 +31,7 @@ from tubeke import (
     solution_from_dict,
     solve_potential,
 )
+from tubeke import potential_solver
 from tubeke.potential_solver import (
     _GAUSS_W,
     _GAUSS_X,
@@ -128,9 +128,7 @@ def test_solution_invariants(sols):
         assert np.all(np.diff(xs) > 0)
         assert np.all(np.diff(fs) > 0)      # f strictly increasing
         assert xs[-1] < 1.0
-        envelope = 10.0 * math.sqrt(sol.tolerance)
-        assert abs(sol.achieved_blowup_x - 1.0) <= envelope
-        assert abs(sol.achieved_blowup_x - 1.0) <= 1e-9   # far inside the envelope
+        assert abs(sol.achieved_blowup_x - 1.0) <= 1e-9   # far inside the 1e-5 envelope
 
 
 def test_integral_identity_residuals(sols):
@@ -257,19 +255,18 @@ def test_ode_rhs_rejects_non_finite():
         ode_rhs(0.0, float("inf"), 0.0, params)
 
 
-def test_step_budget_is_enforced():
-    with pytest.raises(MaxStepsError):
-        solve_potential(TubeParams(p=1), ShootingConfig(max_steps=1000))
+def test_step_budget_is_enforced(monkeypatch):
+    monkeypatch.setattr(potential_solver, "_MAX_STEPS", 1000)
+    with pytest.raises(MaxStepsError, match="exceeded 1000 steps"):
+        solve_potential(TubeParams(p=1))
 
 
 def test_dilation_law_moves_the_blowup(sols):
     # F(lambda x) + (2/3) ln(lambda) is again a solution, so shifting F(0)
     # by s moves the blow-up from 1 to exp(-3s/2)
-    config = ShootingConfig()
     for sol in sols.values():
         for shift in (0.1, -0.1):
-            blowup_x, *_ = _integrate(sol.params.p, sol.F0 + shift, 2.0, config.step_tolerance,
-                                      config.f_blowup_threshold, config.max_steps)
+            blowup_x, *_ = _integrate(sol.params.p, sol.F0 + shift, 2.0, 1e-12)
             assert abs(blowup_x - math.exp(-1.5 * shift)) < 1e-9
 
 
@@ -312,59 +309,72 @@ def test_solution_tolerance_recorded(sol_p1):
     assert sol_p1.tolerance == 1e-12
 
 
-def test_loose_tolerance_still_valid():
-    config = ShootingConfig(step_tolerance=1e-8)
-    sol = solve_potential(TubeParams(p=1), config)
-    assert abs(sol.F0 - LN2_OVER_3) < 1e-7
-    assert abs(sol.achieved_blowup_x - 1.0) <= 10.0 * math.sqrt(1e-8)
-
-
 @pytest.mark.parametrize("p", range(1, 9))
 def test_loosest_accepted_tolerance_solves(p):
-    # 1e-7 is the largest step_tolerance ShootingConfig accepts; every p it
-    # is meant for must then pass the 1e-8 integral-identity gate
-    sol = solve_potential(TubeParams(p=p), ShootingConfig(step_tolerance=1e-7))
-    assert sol.tolerance == 1e-7
+    # the solver's one tolerance, 1e-12, is also the loosest the loader
+    # accepts: every p solves at it and loads back, and the same profile
+    # stamped with a looser 1e-7 is refused
+    sol = solve_potential(TubeParams(p=p))
+    assert sol.tolerance == 1e-12
     assert sol.stats["identity_residual"] < 1e-8
-    assert abs(sol.achieved_blowup_x - 1.0) <= 10.0 * math.sqrt(1e-7)
+    assert abs(sol.achieved_blowup_x - 1.0) <= 1e-5
+    data = sol.to_dict()
+    assert solution_from_dict(data).to_dict() == data
+    data["tolerance"] = 1e-7
+    with pytest.raises(ValueError, match="tolerance 1e-07 is not the solver's 1e-12"):
+        solution_from_dict(data)
 
 
-def test_blowup_cap_too_low_for_the_tolerance_is_refused(sol_p2):
+def test_load_refuses_another_tolerance(tmp_path, sol_p2):
+    # the bounds the loader checks hold at 1e-12 only: a profile solved at
+    # 1e-8 could pass them and still be off by far more
+    data = sol_p2.to_dict()
+    data["tolerance"] = 1e-8
+    with pytest.raises(ValueError, match="tolerance 1e-08 is not the solver's 1e-12"):
+        solution_from_dict(data)
+    path = tmp_path / "sol.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match=f"solution file {path}: tolerance 1e-08"):
+        load_solution(path)
+
+
+def test_blowup_cap_too_low_for_the_tolerance_is_refused(sol_p2, monkeypatch):
     # half |d_Z - 1/f| at the last node reads 7.7e-7 and 7.6e-9 for these
-    # caps, the true errors of the blow-up estimate; the tolerance is 1e-12
-    for f_max in (1e3, 1e4):
-        with pytest.raises(ValueError, match="f_max"):
-            solve_potential(TubeParams(p=2), ShootingConfig(f_blowup_threshold=f_max))
-    sol = solve_potential(TubeParams(p=2), ShootingConfig(f_blowup_threshold=1e8))
-    assert sol.F0 == sol_p2.F0
+    # caps, the true errors of the blow-up estimate; the bound is 1e-12
+    for f_cap in (1e3, 1e4):
+        monkeypatch.setattr(potential_solver, "_F_CAP", f_cap)
+        with pytest.raises(ValueError, match="blow-up estimate error .* exceeds 1e-12"):
+            solve_potential(TubeParams(p=2))
+    monkeypatch.undo()
+    assert solve_potential(TubeParams(p=2)).F0 == sol_p2.F0
 
 
-def test_blowup_cap_the_grid_cannot_resolve_is_refused(sol_p2):
-    with pytest.raises(ValueError, match="finite"):
-        ShootingConfig(f_blowup_threshold=math.inf)
+def test_blowup_cap_the_grid_cannot_resolve_is_refused(sol_p2, monkeypatch):
     # the blow-up lands at 1 - 2e-13 whatever the cap, so |1 - x_b| f at the
     # last node reads 2e3 and 2e-2 for these caps, against the bound 1e-3
-    for f_max in (1e16, 1e11):
-        with pytest.raises(ValueError, match="tail error"):
-            solve_potential(TubeParams(p=2), ShootingConfig(f_blowup_threshold=f_max))
+    for f_cap in (1e16, 1e11):
+        monkeypatch.setattr(potential_solver, "_F_CAP", f_cap)
+        with pytest.raises(ValueError, match="tail error .* exceeds 1e-3"):
+            solve_potential(TubeParams(p=2))
     # 1e9 reads 2e-4 and is accepted, with F0 at rounding distance
-    sol = solve_potential(TubeParams(p=2), ShootingConfig(f_blowup_threshold=1e9))
+    monkeypatch.setattr(potential_solver, "_F_CAP", 1e9)
+    sol = solve_potential(TubeParams(p=2))
     assert abs(1.0 - sol.achieved_blowup_x) * sol.fs[-1] <= 1e-3
     assert abs(sol.F0 - sol_p2.F0) <= 1e-14
     assert abs(1.0 - sol_p2.achieved_blowup_x) * sol_p2.fs[-1] <= 3e-5
 
 
 def test_load_rejects_a_blowup_the_tail_does_not_resolve(sol_p2):
-    # 1 - 1e-9 lies inside the 10 sqrt(tol) envelope, but f ~ 1e8 at the last
-    # node puts the tail error at 0.1
+    # 1 - 1e-9 lies inside the 1e-5 envelope, but f ~ 1e8 at the last node
+    # puts the tail error at 0.1
     data = sol_p2.to_dict()
     data["blowup_x"] = 1.0 - 1e-9
-    with pytest.raises(ValueError, match="tail error"):
+    with pytest.raises(ValueError, match="tail error .* exceeds 1e-3"):
         solution_from_dict(data)
 
 
 def test_load_rejects_a_grid_cut_short_of_the_blowup(sol_p2):
     data = sol_p2.to_dict()
     data["nodes"] = [node for node in data["nodes"] if node["f"] < 1e4]
-    with pytest.raises(ValueError, match="f_max"):
+    with pytest.raises(ValueError, match="blow-up estimate error .* exceeds 1e-12"):
         solution_from_dict(data)

@@ -163,6 +163,13 @@ def test_classify_boundary():
         is BoundaryClass.STRICTLY_PSEUDOCONVEX
     assert classify_boundary(P2, Point(0j, 0j)) is BoundaryClass.NOT_BOUNDARY
     assert classify_boundary(P2, Point(1 + 0j, 1 + 0j)) is BoundaryClass.NOT_BOUNDARY
+    # a non-finite coordinate anywhere puts the point off the boundary, as
+    # in_domain puts it outside T_p; a NaN defect compares false with tol
+    nan, inf = math.nan, math.inf
+    for bad in (Point(nan, 0j), Point(0.25, nan), Point(complex(0.125, nan), 0j),
+                Point(0.125 + 0j, complex(0.0, nan)), Point(inf, 0j), Point(-inf, 0j),
+                Point(0.125 + 0j, inf), Point(0.125 + 0j, complex(0.0, -inf))):
+        assert classify_boundary(P2, bad) is BoundaryClass.NOT_BOUNDARY, bad
 
 
 def test_region_classification():

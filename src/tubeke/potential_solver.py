@@ -13,12 +13,15 @@ from any F(0) = c that blows up at x_b is carried onto the critical one by
 lambda = x_b: the critical value is c + (2/3) ln(x_b).  The solver finds it
 with a coarse shot and one corrective shot, then records a dense grid of
 (x, F, f = F') with analytic evaluators for F, f, f', f'', f''' and
-Z = e^{3F}.
+Z = e^{3F}.  The march guards its Runge-Kutta stages with one overflow
+check, which rejects the step like a NaN error.
 
 Higher f-derivatives are never obtained by differentiating the
-interpolant; they are recomputed exactly from the ODE at the interpolated
-(F, f), which is what keeps f''' accurate enough for curvature work near
-the boundary.
+interpolant; one chain, _ode_chain, recomputes Z and its derivatives and
+f', f'', f''' exactly from the ODE at the interpolated (F, f), which is
+what keeps f''' accurate enough for curvature work near the boundary.
+Every evaluator, the interpolant's node slopes and the integral-identity
+check read that chain.
 """
 
 from __future__ import annotations
@@ -40,9 +43,6 @@ __all__ = [
     "ode_rhs",
     "solve_potential",
     "solution_from_dict",
-    "eval_F",
-    "eval_f_derivs",
-    "eval_Z",
     "integral_identity_residuals",
     "load_solution",
 ]
@@ -110,10 +110,12 @@ def _integrate(p, c, x_end, rtol, record=False):
     O(1/_F_CAP^2)) or None if x_end came first; accepted and rejected count
     the steps; the node lists are populated only when record=True.
     _MAX_STEPS caps the accepted steps; a rejected step is retried with a
-    smaller h until it is accepted or h underflows.
+    smaller h until it is accepted or h underflows.  A step whose error
+    estimate is NaN, or whose stages 2-6 overflow e^{3F}, is retried at
+    h/4; an overflow at the first stage, where the step starts, raises.
 
     The right-hand side is inlined for speed: one integration is worth a
-    few thousand steps x 6 stages.
+    few thousand steps x 6 stages, and the F-slope of each stage is its f.
     """
     p2m1 = 2.0 * p - 1.0
     pK4 = 4.0 * p * (2.0 * p + 1.0) / 3.0
@@ -146,77 +148,44 @@ def _integrate(p, c, x_end, rtol, record=False):
                 h = _H_MAX_RECORD
         if h > x_end - x:
             h = x_end - x
-        e1 = 3.0 * F
-        if e1 > 690.0:
-            bad = True  # e^{3F} would overflow; force step rejection
-        else:
-            bad = False
-            k1F = f
-            k1f = (4.0 * exp(e1) + f * f) / (p2m1 * x * f + pK4)
+        k1f = (4.0 * exp(3.0 * F) + f * f) / (p2m1 * x * f + pK4)
         while True:
-            if not bad:
+            try:
                 x2 = x + 0.2 * h
-                F2 = F + h * 0.2 * k1F
+                F2 = F + h * 0.2 * f
                 f2 = f + h * 0.2 * k1f
-                e2 = 3.0 * F2
-                if e2 > 690.0 or f2 != f2:
-                    bad = True
-                else:
-                    k2F = f2
-                    k2f = (4.0 * exp(e2) + f2 * f2) / (p2m1 * x2 * f2 + pK4)
-            if not bad:
+                k2f = (4.0 * exp(3.0 * F2) + f2 * f2) / (p2m1 * x2 * f2 + pK4)
                 x3 = x + 0.3 * h
-                F3 = F + h * (0.075 * k1F + 0.225 * k2F)
+                F3 = F + h * (0.075 * f + 0.225 * f2)
                 f3 = f + h * (0.075 * k1f + 0.225 * k2f)
-                e3 = 3.0 * F3
-                if e3 > 690.0 or f3 != f3:
-                    bad = True
-                else:
-                    k3F = f3
-                    k3f = (4.0 * exp(e3) + f3 * f3) / (p2m1 * x3 * f3 + pK4)
-            if not bad:
+                k3f = (4.0 * exp(3.0 * F3) + f3 * f3) / (p2m1 * x3 * f3 + pK4)
                 x4 = x + 0.6 * h
-                F4 = F + h * (0.3 * k1F - 0.9 * k2F + 1.2 * k3F)
+                F4 = F + h * (0.3 * f - 0.9 * f2 + 1.2 * f3)
                 f4 = f + h * (0.3 * k1f - 0.9 * k2f + 1.2 * k3f)
-                e4 = 3.0 * F4
-                if e4 > 690.0 or f4 != f4:
-                    bad = True
-                else:
-                    k4F = f4
-                    k4f = (4.0 * exp(e4) + f4 * f4) / (p2m1 * x4 * f4 + pK4)
-            if not bad:
+                k4f = (4.0 * exp(3.0 * F4) + f4 * f4) / (p2m1 * x4 * f4 + pK4)
                 x5 = x + h
-                F5 = F + h * (-11.0 / 54.0 * k1F + 2.5 * k2F - 70.0 / 27.0 * k3F + 35.0 / 27.0 * k4F)
+                F5 = F + h * (-11.0 / 54.0 * f + 2.5 * f2 - 70.0 / 27.0 * f3 + 35.0 / 27.0 * f4)
                 f5 = f + h * (-11.0 / 54.0 * k1f + 2.5 * k2f - 70.0 / 27.0 * k3f + 35.0 / 27.0 * k4f)
-                e5 = 3.0 * F5
-                if e5 > 690.0 or f5 != f5:
-                    bad = True
-                else:
-                    k5F = f5
-                    k5f = (4.0 * exp(e5) + f5 * f5) / (p2m1 * x5 * f5 + pK4)
-            if not bad:
+                k5f = (4.0 * exp(3.0 * F5) + f5 * f5) / (p2m1 * x5 * f5 + pK4)
                 x6 = x + 0.875 * h
-                F6 = F + h * (1631.0 / 55296.0 * k1F + 175.0 / 512.0 * k2F + 575.0 / 13824.0 * k3F
-                              + 44275.0 / 110592.0 * k4F + 253.0 / 4096.0 * k5F)
+                F6 = F + h * (1631.0 / 55296.0 * f + 175.0 / 512.0 * f2 + 575.0 / 13824.0 * f3
+                              + 44275.0 / 110592.0 * f4 + 253.0 / 4096.0 * f5)
                 f6 = f + h * (1631.0 / 55296.0 * k1f + 175.0 / 512.0 * k2f + 575.0 / 13824.0 * k3f
                               + 44275.0 / 110592.0 * k4f + 253.0 / 4096.0 * k5f)
-                e6 = 3.0 * F6
-                if e6 > 690.0 or f6 != f6:
-                    bad = True
-                else:
-                    k6F = f6
-                    k6f = (4.0 * exp(e6) + f6 * f6) / (p2m1 * x6 * f6 + pK4)
-            if not bad:
-                Fn = F + h * (37.0 / 378.0 * k1F + 250.0 / 621.0 * k3F + 125.0 / 594.0 * k4F
-                              + 512.0 / 1771.0 * k6F)
+                k6f = (4.0 * exp(3.0 * F6) + f6 * f6) / (p2m1 * x6 * f6 + pK4)
+            except OverflowError:
+                err = math.nan
+            else:
+                Fn = F + h * (37.0 / 378.0 * f + 250.0 / 621.0 * f3 + 125.0 / 594.0 * f4
+                              + 512.0 / 1771.0 * f6)
                 fn = f + h * (37.0 / 378.0 * k1f + 250.0 / 621.0 * k3f + 125.0 / 594.0 * k4f
                               + 512.0 / 1771.0 * k6f)
                 # embedded 4th-order error estimate
-                eF = h * ((37.0 / 378.0 - 2825.0 / 27648.0) * k1F
-                          + (250.0 / 621.0 - 18575.0 / 48384.0) * k3F
-                          + (125.0 / 594.0 - 13525.0 / 55296.0) * k4F
-                          + (-277.0 / 14336.0) * k5F
-                          + (512.0 / 1771.0 - 0.25) * k6F)
+                eF = h * ((37.0 / 378.0 - 2825.0 / 27648.0) * f
+                          + (250.0 / 621.0 - 18575.0 / 48384.0) * f3
+                          + (125.0 / 594.0 - 13525.0 / 55296.0) * f4
+                          + (-277.0 / 14336.0) * f5
+                          + (512.0 / 1771.0 - 0.25) * f6)
                 ef = h * ((37.0 / 378.0 - 2825.0 / 27648.0) * k1f
                           + (250.0 / 621.0 - 18575.0 / 48384.0) * k3f
                           + (125.0 / 594.0 - 13525.0 / 55296.0) * k4f
@@ -228,12 +197,9 @@ def _integrate(p, c, x_end, rtol, record=False):
                 errf = abs(ef) / scf
                 if errf > err:
                     err = errf
-                if err != err:
-                    bad = True
-            if bad:
+            if err != err:
                 rejected += 1
                 h *= 0.25
-                bad = False
                 if h < 1e-15:
                     raise MaxStepsError(f"step size underflow at x={x:.12f}")
                 continue
@@ -287,6 +253,46 @@ class _Hermite:
         return self.ys[i] + u * (self.ds[i] + u * (self.c2[i] + u * self.c3[i]))
 
 
+def _ode_chain(params, ax, F, f, n):
+    """The first n of [Z, f', Z', f'', Z'', f'''] at |x| = ax, from the ODE.
+
+    With Z = e^{3F} and D = (2p-1)xf + 4pK, in the order formed:
+
+        f'   = (4Z + f^2)/D,                        Z'  = 3fZ,
+        f''  = (4Z' - f'D' + 2ff')/D,               Z'' = 3(f'Z + fZ'),
+        f''' = (4Z'' - 2f''D' - f'D'' + 2f'^2 + 2ff'')/D,
+
+    where D' and D'' follow from the product rule.  f is not read when
+    n = 1.  The node slopes of the f interpolant are this chain's f' at
+    the nodes.
+    """
+    Z = np.exp(3.0 * F)
+    if n == 1:
+        return [Z]
+    p = params.p
+    p2m1 = 2.0 * p - 1.0
+    D = p2m1 * ax * f + 4.0 * p * params.K_float
+    f1 = (4.0 * Z + f * f) / D
+    if n == 2:
+        return [Z, f1]
+    Z1 = 3.0 * f * Z
+    D1 = p2m1 * (f + ax * f1)
+    f2 = (4.0 * Z1 - f1 * D1 + 2.0 * f * f1) / D
+    if n <= 4:
+        return [Z, f1, Z1, f2][:n]
+    Z2 = 3.0 * (f1 * Z + f * Z1)
+    D2 = p2m1 * (2.0 * f1 + ax * f2)
+    f3 = (4.0 * Z2 - 2.0 * f2 * D1 - f1 * D2 + 2.0 * f1 * f1 + 2.0 * f * f2) / D
+    return [Z, f1, Z1, f2, Z2, f3][:n]
+
+
+def _floats_for_scalar(x, values):
+    """values as Python floats when x is a scalar or 0-d array, else unchanged."""
+    if np.isscalar(x) or np.ndim(x) == 0:
+        return list(map(float, values))
+    return values
+
+
 # ---------------------------------------------------------------------------
 # solution object
 # ---------------------------------------------------------------------------
@@ -297,9 +303,9 @@ class PotentialSolution:
 
     Stores the node grid (x, F, f) on [0, x_blowup) together with F(0) and
     the achieved blow-up abscissa; evaluation anywhere in (-x_last, x_last)
-    goes through cubic Hermite interpolation of (F, f) and the exact ODE
-    recurrence for the higher derivatives, with the parity of F (even) and
-    f (odd) applied up front.
+    goes through cubic Hermite interpolation of (F, f) at |x| and the ODE
+    chain (_ode_chain) for Z and the higher derivatives, with parity
+    carrying each odd quantity to negative x.
 
     stats records how the solution was obtained: "integrations",
     "accepted_steps" and "rejected_steps" (summed over all integrations;
@@ -318,19 +324,11 @@ class PotentialSolution:
     stats: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        p = self.params.p
-        f1 = (4.0 * np.exp(3.0 * self.Fs) + self.fs**2) / (
-            (2 * p - 1) * self.xs * self.fs + 4 * p * self.params.K_float
-        )
+        f1 = _ode_chain(self.params, self.xs, self.Fs, self.fs, 2)[1]
         object.__setattr__(self, "_interp_F", _Hermite(self.xs, self.Fs, self.fs))
         object.__setattr__(self, "_interp_f", _Hermite(self.xs, self.fs, f1))
 
     # -- bookkeeping --------------------------------------------------------
-
-    @property
-    def nodes(self):
-        """Node triples (x, F, f) as an (n, 3) array view."""
-        return np.column_stack([self.xs, self.Fs, self.fs])
 
     @property
     def x_max(self) -> float:
@@ -345,7 +343,7 @@ class PotentialSolution:
             raise DomainError("|x| must be < 1")
         if np.any(ax > self.xs[-1]):
             raise DomainError(
-                f"|x| exceeds the solved range [0, {self.xs[-1]!r}] "
+                f"|x| exceeds the solved range [0, {self.x_max!r}] "
                 "(the grid stops where f crosses the blow-up threshold)"
             )
         return ax
@@ -354,23 +352,14 @@ class PotentialSolution:
 
     def eval_F(self, x):
         """Potential profile F at x (scalar or array), |x| < 1 by parity."""
-        ax = self._abs_x(x)
-        out = self._interp_F(ax)
-        return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
+        return _floats_for_scalar(x, [self._interp_F(self._abs_x(x))])[0]
 
     def eval_f_derivs(self, x, max_order: int = 3):
         """[f, f', f'', f'''] at x, truncated to max_order+1 entries.
 
-        Orders above the first are recomputed from the ODE: with
-        Z = e^{3F} and D = (2p-1)xf + 4pK,
-
-            f'   = (4Z + f^2)/D,
-            f''  = (4Z' - f'D' + 2ff')/D,
-            f''' = (4Z'' - 2f''D' - f'D'' + 2f'^2 + 2ff'')/D,
-
-        where Z' = 3fZ, Z'' = 3(f'Z + fZ') and D', D'' follow from the
-        product rule.  Parity (f, f'' odd; f', f''' even) extends the
-        stored half-line grid to negative x.
+        f is interpolated; f', f'' and f''' come from the ODE at the
+        interpolated (F, f) through _ode_chain.  Parity (f, f'' odd; f',
+        f''' even) extends the stored half-line grid to negative x.
 
         Parameters
         ----------
@@ -389,55 +378,28 @@ class PotentialSolution:
         ax = self._abs_x(x)
         sgn = np.sign(np.asarray(x, dtype=float))
         sgn = np.where(sgn == 0.0, 1.0, sgn)
-        F = self._interp_F(ax)
         f = self._interp_f(ax)
         out = [sgn * f]
-        if max_order >= 1:
-            p = self.params.p
-            p2m1 = 2.0 * p - 1.0
-            Z = np.exp(3.0 * F)
-            D = p2m1 * ax * f + 4.0 * p * self.params.K_float
-            f1 = (4.0 * Z + f * f) / D
-            out.append(f1 + 0.0 * sgn)
+        if max_order:
+            out += _ode_chain(self.params, ax, self._interp_F(ax), f, 2 * max_order)[1::2]
         if max_order >= 2:
-            Z1 = 3.0 * f * Z
-            D1 = p2m1 * (f + ax * f1)
-            f2 = (4.0 * Z1 - f1 * D1 + 2.0 * f * f1) / D
-            out.append(sgn * f2)
-        if max_order >= 3:
-            Z2 = 3.0 * (f1 * Z + f * Z1)
-            D2 = p2m1 * (2.0 * f1 + ax * f2)
-            f3 = (4.0 * Z2 - 2.0 * f2 * D1 - f1 * D2 + 2.0 * f1 * f1 + 2.0 * f * f2) / D
-            out.append(f3 + 0.0 * sgn)
-        if np.isscalar(x) or np.ndim(x) == 0:
-            return [float(v) for v in out]
-        return out
+            out[2] = sgn * out[2]
+        return _floats_for_scalar(x, out)
 
     def eval_Z(self, x, max_order: int = 2):
         """[Z, Z', Z''] with Z = e^{3F}, truncated to max_order+1 entries.
 
-        Z' = 3fZ and Z'' = 3(f'Z + fZ'); Z and Z'' are even, Z' odd.
+        All three come from _ode_chain; Z and Z'' are even, Z' odd.
         """
         if not 0 <= max_order <= 2:
             raise ValueError(f"max_order must be in 0..2, got {max_order}")
         ax = self._abs_x(x)
-        sgn = np.sign(np.asarray(x, dtype=float))
-        sgn = np.where(sgn == 0.0, 1.0, sgn)
-        F = self._interp_F(ax)
-        Z = np.exp(3.0 * F)
-        out = [Z + 0.0 * sgn]
-        if max_order >= 1:
-            f = self._interp_f(ax)
-            Z1 = 3.0 * f * Z
-            out.append(sgn * Z1)
-        if max_order >= 2:
-            p = self.params.p
-            D = (2.0 * p - 1.0) * ax * f + 4.0 * p * self.params.K_float
-            f1 = (4.0 * Z + f * f) / D
-            out.append(3.0 * (f1 * Z + f * Z1) + 0.0 * sgn)
-        if np.isscalar(x) or np.ndim(x) == 0:
-            return [float(v) for v in out]
-        return out
+        f = self._interp_f(ax) if max_order else None
+        out = _ode_chain(self.params, ax, self._interp_F(ax), f, 2 * max_order + 1)[::2]
+        if max_order:
+            sgn = np.sign(np.asarray(x, dtype=float))
+            out[1] = np.where(sgn == 0.0, 1.0, sgn) * out[1]
+        return _floats_for_scalar(x, out)
 
     # -- persistence --------------------------------------------------------
 
@@ -481,7 +443,7 @@ def integral_identity_residuals(params: TubeParams, F0: float, xs, Fs, fs) -> np
     xs = np.asarray(xs, dtype=float)
     Fs = np.asarray(Fs, dtype=float)
     fs = np.asarray(fs, dtype=float)
-    f1 = (4.0 * np.exp(3.0 * Fs) + fs**2) / ((2 * p - 1) * xs * fs + 4 * p * K)
+    Z_true, f1 = _ode_chain(params, xs, Fs, fs, 2)
     interp_f = _Hermite(xs, fs, f1)
     h = np.diff(xs)
     pts = xs[:-1, None] + h[:, None] * _GAUSS_X[None, :]
@@ -490,7 +452,6 @@ def integral_identity_residuals(params: TubeParams, F0: float, xs, Fs, fs) -> np
     rhs = ((2 * p - 1) * xs * fs**3 + (6 * p * K + 1) * fs**2
            - 2 * (p + 1) * integral + 4.0 * math.exp(3.0 * F0))
     Z_implied = (rhs - fs**2) / 4.0
-    Z_true = np.exp(3.0 * Fs)
     return np.abs(Z_implied - Z_true) / Z_true
 
 
@@ -501,6 +462,13 @@ def _validate_solution_data(params, F0, xs, Fs, fs, blowup_x):
     """
     if len(xs) < 4:
         raise ValueError("solution grid has fewer than 4 nodes")
+    for name, value in (("F0", F0), ("blowup_x", blowup_x)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} = {value} is not finite")
+    finite = np.isfinite(xs) & np.isfinite(Fs) & np.isfinite(fs)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"node {i} is not finite: x={xs[i]}, F={Fs[i]}, f={fs[i]}")
     if xs[0] != 0.0 or fs[0] != 0.0:
         raise ValueError("grid must start at x=0 with f(0)=0 (F is even)")
     if Fs[0] != F0:
@@ -529,7 +497,7 @@ def _validate_solution_data(params, F0, xs, Fs, fs, blowup_x):
     p = params.p
     d_Z = ((2 * p - 1) / (4.0 * math.exp(3.0 * Fs[-1]))) ** (1.0 / 3.0)
     estimate_err = 0.5 * abs(d_Z - 1.0 / fs[-1])
-    if estimate_err > 1e-12:
+    if not estimate_err <= 1e-12:
         raise ValueError(
             f"blow-up estimate error {estimate_err:.2e} at the last node (f={fs[-1]:.3g}) "
             f"exceeds 1e-12"
@@ -538,10 +506,10 @@ def _validate_solution_data(params, F0, xs, Fs, fs, blowup_x):
         raise ValueError(f"blow-up abscissa {blowup_x!r} misses 1 by more than 1e-5")
     resid = integral_identity_residuals(params, F0, xs, Fs, fs)
     worst = float(resid.max())
-    if worst > 1e-8:
+    if not worst <= 1e-8:
         raise ValueError(
             f"integral-identity residual {worst:.3e} exceeds 1e-8 "
-            f"at node x={xs[int(resid.argmax())]!r}"
+            f"at node x={float(xs[resid.argmax()])!r}"
         )
     return worst
 
@@ -624,23 +592,6 @@ def solve_potential(params: TubeParams) -> PotentialSolution:
         tolerance=_TOLERANCE,
         stats=stats,
     )
-
-
-# -- module-level evaluation fronts (thin wrappers over the methods) --------
-
-def eval_F(sol: PotentialSolution, x):
-    """F at x; see PotentialSolution.eval_F."""
-    return sol.eval_F(x)
-
-
-def eval_f_derivs(sol: PotentialSolution, x, max_order: int = 3):
-    """[f, f', f'', f'''] at x; see PotentialSolution.eval_f_derivs."""
-    return sol.eval_f_derivs(x, max_order)
-
-
-def eval_Z(sol: PotentialSolution, x, max_order: int = 2):
-    """[Z, Z', Z''] at x; see PotentialSolution.eval_Z."""
-    return sol.eval_Z(x, max_order)
 
 
 def solution_from_dict(data: dict) -> PotentialSolution:

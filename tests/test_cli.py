@@ -385,6 +385,11 @@ def test_verify_custom_seed_recorded(tmp_path):
 def test_usage_errors_exit_two(sol_file, tmp_path, capsys):
     assert main(["eval", "--sol", "no-such-file.json", "--x", "0"]) == 2
     assert main(["eval", "--sol", str(sol_file), "--x", "1.5"]) == 2
+    capsys.readouterr()
+    # beyond the last node: the range is printed as a plain float
+    assert main(["eval", "--sol", str(sol_file), "--x", "0.999999999999"]) == 2
+    x_max = repr(json.loads(sol_file.read_text())["nodes"][-1]["x"])
+    assert f"error: |x| exceeds the solved range [0, {x_max}] (" in capsys.readouterr().err
     assert main(["metric", "--sol", str(sol_file), "--point", "9,0,0,0"]) == 2
     assert main(["metric", "--sol", str(sol_file), "--point", "1,2,3"]) == 2
     assert main(["solve", "--p", "0", "--out", str(tmp_path / "x.json")]) == 2
@@ -406,6 +411,23 @@ def test_tampered_solution_file_exits_two(sol1_file, tmp_path, capsys):
     bad.write_text(json.dumps(data))
     assert main(["eval", "--sol", str(bad), "--x", "0.25"]) == 2
     assert "tampered" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_a_non_finite_solution_file_exits_two(sol_file, tmp_path, capsys, value):
+    # json writes and reads NaN and Infinity, so a file can carry them; the
+    # verbs must refuse it rather than print "F": NaN
+    data = json.loads(sol_file.read_text())
+    data["nodes"][700]["F"] = value
+    bad = tmp_path / "non_finite.json"
+    bad.write_text(json.dumps(data))
+    x = repr(0.5 * (data["nodes"][700]["x"] + data["nodes"][701]["x"]))
+    for argv in (["eval", "--sol", str(bad), f"--x={x}", "--derivs"],
+                 ["metric", "--sol", str(bad), f"--point=0,0,{x},0"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "node 700 is not finite" in captured.err
 
 
 def run_fresh(*args):

@@ -13,6 +13,8 @@ the asymptotic laws, and frozen regression values.
 
 import json
 import math
+import re
+import time
 
 import numpy as np
 import pytest
@@ -22,9 +24,6 @@ from tubeke import (
     MaxStepsError,
     PotentialSolution,
     TubeParams,
-    eval_F,
-    eval_Z,
-    eval_f_derivs,
     integral_identity_residuals,
     load_solution,
     ode_rhs,
@@ -77,12 +76,6 @@ def test_p1_profile_matches_closed_form(sol_p1):
     assert np.max(np.abs(Z - exact["Z"]) / exact["Z"]) < 1e-8
     assert np.max(np.abs(Z1 - z1_exact) / (np.abs(z1_exact) + exact["Z"])) < 1e-8
     assert np.max(np.abs(Z2 - z2_exact) / z2_exact) < 1e-8
-
-
-def test_module_level_wrappers_delegate(sol_p1):
-    assert eval_F(sol_p1, 0.25) == sol_p1.eval_F(0.25)
-    assert np.array_equal(eval_f_derivs(sol_p1, 0.25), sol_p1.eval_f_derivs(0.25, 3))
-    assert np.array_equal(eval_Z(sol_p1, 0.25), sol_p1.eval_Z(0.25, 2))
 
 
 def test_scalar_evaluation_returns_scalars(sol_p2):
@@ -182,8 +175,29 @@ def test_load_rejects_tampered_nodes(tmp_path, sol_p1):
     data["nodes"][len(data["nodes"]) // 2]["F"] += 1e-5
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
-    with pytest.raises(ValueError):
+    # the node is printed as a plain float, not a numpy repr
+    with pytest.raises(ValueError, match=r"exceeds 1e-8 at node x=0\.\d+$"):
         load_solution(path)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("node, key", [(700, "F"), (-1, "F"), (700, "f"), (700, "x")])
+def test_load_rejects_a_non_finite_node(sol_p2, node, key, value):
+    # NaN > 1e-8 is false, so a NaN can pass a gate written as a bound; a
+    # non-finite node is refused by name before any gate runs
+    data = sol_p2.to_dict()
+    data["nodes"][node][key] = value
+    index = node % len(data["nodes"])
+    with pytest.raises(ValueError, match=f"node {index} is not finite: .*{key}={value}"):
+        solution_from_dict(data)
+
+
+@pytest.mark.parametrize("key", ["F0", "blowup_x"])
+def test_load_rejects_a_non_finite_scalar(sol_p2, key):
+    data = sol_p2.to_dict()
+    data[key] = math.nan
+    with pytest.raises(ValueError, match=f"{key} = nan is not finite"):
+        solution_from_dict(data)
 
 
 def test_load_rejects_wrong_K(tmp_path, sol_p1):
@@ -229,7 +243,8 @@ def test_eval_domain_errors(sol_p1):
             sol_p1.eval_F(bad)
     # just beyond the last recorded node but still inside (-1, 1)
     beyond = 0.5 * (sol_p1.x_max + 1.0)
-    with pytest.raises(DomainError):
+    message = re.escape(f"|x| exceeds the solved range [0, {sol_p1.x_max!r}] (")
+    with pytest.raises(DomainError, match=message):
         sol_p1.eval_f_derivs(beyond, 2)
 
 
@@ -259,6 +274,20 @@ def test_step_budget_is_enforced(monkeypatch):
     monkeypatch.setattr(potential_solver, "_MAX_STEPS", 1000)
     with pytest.raises(MaxStepsError, match="exceeded 1000 steps"):
         solve_potential(TubeParams(p=1))
+
+
+def test_a_nan_or_overflowing_step_is_rejected_until_h_underflows(sol_p2, monkeypatch):
+    # from F(0) = 236, e^{3F} overflows in stage 3 at every h; with no
+    # blow-up cap the march runs into the pole, where f^2 overflows and the
+    # error estimate reads NaN.  Either way the step is rejected and h
+    # quartered until it underflows.
+    with pytest.raises(MaxStepsError, match="step size underflow at x=0.000000000000"):
+        _integrate(2, 236.0, 1.0, 1e-12)
+    monkeypatch.setattr(potential_solver, "_F_CAP", math.inf)
+    start = time.perf_counter()
+    with pytest.raises(MaxStepsError, match="step size underflow at x=1.000000000000"):
+        _integrate(2, sol_p2.F0, 1.02, 1e-12)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_dilation_law_moves_the_blowup(sols):

@@ -268,13 +268,7 @@ def _pull_to_axis(sol: PotentialSolution, z: Point, vectors):
     curvature is invariant under it, so evaluating on the axis loses
     nothing and keeps the potential evaluators at their best-conditioned
     abscissa.  A stacked z takes vectors of shape (2, n), one per point.
-
-    Bis is also invariant under rescaling each vector, so each pushed
-    vector is divided by the power of two that brings its larger entry
-    into [0.5, 1).  That is exact in floating point, and it keeps the
-    frame coordinates of deep points (lam -> 0, where lam and lam^{1/(2p)}
-    part by hundreds of decades) from underflowing.  A point whose depth
-    1 - Re(4p z1) overflows (lam = 0) is refused.
+    A point whose depth 1 - Re(4p z1) overflows (lam = 0) is refused.
     """
     p = sol.params.p
     lam = 1.0 / (1.0 - 4 * p * z.z1.real)
@@ -284,8 +278,7 @@ def _pull_to_axis(sol: PotentialSolution, z: Point, vectors):
         raise DomainError(f"point {_first_point(z, ok)} is too deep to pull tangent "
                           f"vectors to the axis: 1 - Re(4p z1) overflows")
     j1, j2 = lam, lam ** (1.0 / (2 * p))
-    pushed = [_binade_scaled(np.array([j1 * u[0], j2 * u[1]])) for u in vectors]
-    return _on_axis(x), pushed
+    return _on_axis(x), [np.array([j1 * u[0], j2 * u[1]]) for u in vectors]
 
 
 def _on_axis(x) -> Point:
@@ -299,7 +292,11 @@ def _binade_scaled(u: np.ndarray) -> np.ndarray:
     """u times the power of two that brings max |u_i| into [0.5, 1).
 
     u is one vector, or vectors stacked as the columns of a (2, n) array,
-    each scaled by its own power.
+    each scaled by its own power.  Bis and the boundary limit are invariant
+    under rescaling each vector, and the scale is exact in floating point;
+    it keeps squares of entries far from 1 from over- or underflowing, as
+    in the pushed vectors of deep points (lam -> 0, where lam and
+    lam^{1/(2p)} part by hundreds of decades).
     """
     if u.ndim == 1:
         return u * math.ldexp(1.0, -math.frexp(max(abs(u[0]), abs(u[1])))[1])
@@ -363,7 +360,11 @@ def bisectional_from_jet(jet: MetricJet, tensor: CurvatureTensor, v, w,
 
 
 def _bis(jet: MetricJet, tensor: CurvatureTensor, v, w, formula: str):
-    """Bis(v, w) for checked (2,) vectors, or (2, n) columns; arrays at stacked points."""
+    """Bis(v, w) for checked (2,) vectors, or (2, n) columns, each _binade_scaled first.
+
+    Stacked points give arrays.
+    """
+    v, w = _binade_scaled(v), _binade_scaled(w)
     if formula == "tube":
         if v.ndim == 1:
             # Python complex entries: numpy scalars would cost most of the kernel
@@ -402,7 +403,7 @@ def bisectional_batch(sol: PotentialSolution, z: Point, vs, ws,
     if normalize:
         z, (vs, ws) = _pull_to_axis(sol, z, (vs, ws))
     jet = metric_jet(sol, z)
-    return _bis_frame(_checked_split(jet, tensor_from_jet(jet), "Bis values")[0], vs, ws)
+    return _bis(jet, tensor_from_jet(jet), vs, ws, "tube")
 
 
 def sectional(sol: PotentialSolution, z: Point, v) -> float:
@@ -455,8 +456,8 @@ def _frame_coords(frame, v) -> tuple:
 
 
 def _boundary_limit(frame, v, w) -> np.ndarray:
-    """The Gram ratio of (2, n) columns as the Euclidean one of their frame coordinates."""
-    (v0, v1), (w0, w1) = _frame_coords(frame, v), _frame_coords(frame, w)
+    """The Gram ratio of _binade_scaled (2, n) columns, as a Euclidean one in the frame."""
+    (v0, v1), (w0, w1) = (_frame_coords(frame, _binade_scaled(u)) for u in (v, w))
     ip = v0 * np.conjugate(w0) + v1 * np.conjugate(w1)
     return -1.0 - _sq(ip) / ((_sq(v0) + _sq(v1)) * (_sq(w0) + _sq(w1)))
 

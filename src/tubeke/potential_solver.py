@@ -40,7 +40,6 @@ from .params import TubeParams
 __all__ = [
     "TubeParams",
     "PotentialSolution",
-    "ode_rhs",
     "solve_potential",
     "solution_from_dict",
     "integral_identity_residuals",
@@ -60,7 +59,7 @@ _X_END_COARSE = 2.0
 _X_END_FINE = 1.02
 
 # the one accuracy of every solve: the fine shots' local error target
-# (recorded as the solution's tolerance), the slope f at which a shot
+# (the "tolerance" key of a solution file), the slope f at which a shot
 # counts as blown up, and the accepted steps one integration may take
 _TOLERANCE = 1e-12
 _F_CAP = 1e8
@@ -77,28 +76,6 @@ _LEGGAUSS5_W = (0.23692688505618928, 0.4786286704993663, 0.5688888888888887,
                 0.4786286704993663, 0.23692688505618928)
 _GAUSS_X = 0.5 * (np.array(_LEGGAUSS5_X) + 1.0)
 _GAUSS_W = 0.5 * np.array(_LEGGAUSS5_W)
-
-
-def ode_rhs(x: float, F: float, f: float, params: TubeParams) -> tuple[float, float]:
-    """Right-hand side of the first-order system (F', f').
-
-    Parameters
-    ----------
-    x, F, f : float
-        Current abscissa, potential value and slope.
-    params : TubeParams
-        Domain parameters supplying p and K.
-
-    Returns
-    -------
-    (dF, df) : tuple of float
-        dF = f and df = (4 e^{3F} + f^2) / ((2p-1) x f + 4pK).
-    """
-    if not (math.isfinite(x) and math.isfinite(F) and math.isfinite(f)):
-        raise ValueError(f"non-finite ODE state: x={x}, F={F}, f={f}")
-    p = params.p
-    den = (2 * p - 1) * x * f + 4 * p * params.K_float
-    return f, (4.0 * math.exp(3.0 * F) + f * f) / den
 
 
 def _integrate(p, c, x_end, rtol, record=False):
@@ -307,11 +284,15 @@ class PotentialSolution:
     chain (_ode_chain) for Z and the higher derivatives, with parity
     carrying each odd quantity to negative x.
 
+    The constructor is the one gate for a profile: it keeps read-only float
+    copies of xs, Fs and fs and raises ValueError unless they pass every
+    check of _validate_solution_data, however the solution is built.
+
     stats records how the solution was obtained: "integrations",
     "accepted_steps" and "rejected_steps" (summed over all integrations;
-    all 0 for a loaded solution), "nodes" and the largest
-    integral-identity residual "identity_residual".  It is not part of
-    to_dict().
+    all 0 by default, as for a loaded solution), then "nodes" and the
+    largest integral-identity residual "identity_residual", which the
+    constructor adds.  It is not part of to_dict().
     """
 
     params: TubeParams
@@ -320,10 +301,18 @@ class PotentialSolution:
     Fs: np.ndarray = field(repr=False)
     fs: np.ndarray = field(repr=False)
     achieved_blowup_x: float
-    tolerance: float
-    stats: dict = field(default_factory=dict, repr=False, compare=False)
+    stats: dict = field(repr=False, compare=False, default_factory=lambda: {
+        "integrations": 0, "accepted_steps": 0, "rejected_steps": 0})
 
     def __post_init__(self):
+        for name in ("xs", "Fs", "fs"):
+            nodes = np.array(getattr(self, name), dtype=float)
+            nodes.flags.writeable = False
+            object.__setattr__(self, name, nodes)
+        resid = _validate_solution_data(self.params, self.F0, self.xs, self.Fs, self.fs,
+                                        self.achieved_blowup_x)
+        object.__setattr__(self, "stats", {**self.stats, "nodes": len(self.xs),
+                                           "identity_residual": resid})
         f1 = _ode_chain(self.params, self.xs, self.Fs, self.fs, 2)[1]
         object.__setattr__(self, "_interp_F", _Hermite(self.xs, self.Fs, self.fs))
         object.__setattr__(self, "_interp_f", _Hermite(self.xs, self.fs, f1))
@@ -409,7 +398,7 @@ class PotentialSolution:
             "p": self.params.p,
             "K": str(self.params.K),
             "F0": self.F0,
-            "tolerance": self.tolerance,
+            "tolerance": _TOLERANCE,
             "blowup_x": self.achieved_blowup_x,
             "nodes": [
                 {"x": float(x), "F": float(F), "f": float(f)}
@@ -456,10 +445,14 @@ def integral_identity_residuals(params: TubeParams, F0: float, xs, Fs, fs) -> np
 
 
 def _validate_solution_data(params, F0, xs, Fs, fs, blowup_x):
-    """Invariant checks shared by the solver and the cache loader.
+    """Every invariant of a solution, checked once by PotentialSolution's constructor.
 
-    Returns the largest integral-identity residual over the nodes.
+    xs, Fs and fs are float arrays.  Returns the largest integral-identity
+    residual over the nodes.
     """
+    if not (xs.ndim == 1 and xs.shape == Fs.shape == fs.shape):
+        raise ValueError(f"node arrays must be 1-d of one length, got shapes "
+                         f"{xs.shape}, {Fs.shape} and {fs.shape}")
     if len(xs) < 4:
         raise ValueError("solution grid has fewer than 4 nodes")
     for name, value in (("F0", F0), ("blowup_x", blowup_x)):
@@ -532,17 +525,10 @@ def solve_potential(params: TubeParams) -> PotentialSolution:
        min(0.008, 0.012*(1-x)); its own blow-up estimate is stored as
        achieved_blowup_x and must lie within 1e-5 of 1, the estimate's
        error at the last node must not exceed 1e-12, and the tail error
-       |1 - x_b| f at the last node must not exceed 1e-3.  The solution's
-       tolerance is 1e-12.
+       |1 - x_b| f at the last node must not exceed 1e-3.
 
-    Parameters
-    ----------
-    params : TubeParams
-
-    Returns
-    -------
-    PotentialSolution
-        With stats filled in (see PotentialSolution).
+    The PotentialSolution constructor checks these and every other
+    invariant, raising ValueError; its stats hold the integration counts.
 
     Raises
     ------
@@ -577,29 +563,17 @@ def solve_potential(params: TubeParams) -> PotentialSolution:
         blowup_x, xs, Fs, fs = shoot(F0, _TOLERANCE, _X_END_FINE, record=True)
     if blowup_x is None:
         raise BracketError(f"near-critical trajectory failed to blow up by x={_X_END_FINE}")
-    xs = np.asarray(xs)
-    Fs = np.asarray(Fs)
-    fs = np.asarray(fs)
-    stats["nodes"] = len(xs)
-    stats["identity_residual"] = _validate_solution_data(params, F0, xs, Fs, fs, blowup_x)
-    return PotentialSolution(
-        params=params,
-        F0=F0,
-        xs=xs,
-        Fs=Fs,
-        fs=fs,
-        achieved_blowup_x=blowup_x,
-        tolerance=_TOLERANCE,
-        stats=stats,
-    )
+    return PotentialSolution(params=params, F0=F0, xs=xs, Fs=Fs, fs=fs,
+                             achieved_blowup_x=blowup_x, stats=stats)
 
 
 def solution_from_dict(data: dict) -> PotentialSolution:
     """Rebuild a solution from its to_dict form, re-validating every invariant.
 
     Corrupt or hand-edited data fails loudly here rather than producing
-    silently wrong metrics downstream.  The validator's bounds hold at the
-    solver's one accuracy, so data whose tolerance is not 1e-12 is refused.
+    silently wrong metrics downstream.  This checks the file format: its
+    keys, K and the tolerance, refused unless 1e-12, the one accuracy at
+    which the bounds of the PotentialSolution constructor hold.
     """
     try:
         params = TubeParams(p=data["p"])
@@ -618,18 +592,8 @@ def solution_from_dict(data: dict) -> PotentialSolution:
     if tolerance != _TOLERANCE:
         raise ValueError(f"tolerance {tolerance!r} is not the solver's {_TOLERANCE:g}, "
                          f"the only accuracy whose profile this loader can check")
-    resid = _validate_solution_data(params, F0, xs, Fs, fs, blowup_x)
-    return PotentialSolution(
-        params=params,
-        F0=F0,
-        xs=xs,
-        Fs=Fs,
-        fs=fs,
-        achieved_blowup_x=blowup_x,
-        tolerance=tolerance,
-        stats={"integrations": 0, "accepted_steps": 0, "rejected_steps": 0,
-               "nodes": len(xs), "identity_residual": resid},
-    )
+    return PotentialSolution(params=params, F0=F0, xs=xs, Fs=Fs, fs=fs,
+                             achieved_blowup_x=blowup_x)
 
 
 def load_solution(path) -> PotentialSolution:

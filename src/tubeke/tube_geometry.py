@@ -268,10 +268,13 @@ def in_cone(params: TubeParams, z: Point, theta: float) -> bool:
     """Membership in the half cone of vertex (1/(4p), 0), axis R x {0}.
 
     The cone aperture condition is
-    sqrt(Im(z1)^2 + |z2|^2) / (1/(4p) - Re(z1)) <= tan(theta).
+    sqrt(Im(z1)^2 + |z2|^2) / (1/(4p) - Re(z1)) <= tan(theta).  A point
+    with an infinite or NaN coordinate is not in the cone, as not in T_p.
     """
     if not 0.0 < theta < math.pi / 2:
         raise ValueError(f"theta must lie in (0, pi/2), got {theta!r}")
+    if not _finite(z.z1, z.z2):
+        return False
     depth = 1.0 / (4 * params.p) - z.z1.real
     if depth <= 0.0:
         raise DomainError(f"cone undefined: Re(z1) = {z.z1.real!r} >= 1/(4p)")

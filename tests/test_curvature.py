@@ -258,6 +258,38 @@ def test_bisectional_scale_invariance(sol_p2):
         assert abs(scaled - base) < 1e-10 * abs(base)
 
 
+RAW_ENTRIES = {
+    "bisectional_tube": lambda sol, z, jet, t, v, w: bisectional(
+        sol, z, TangentPair(v=v, w=w), normalize=False),
+    "bisectional_direct": lambda sol, z, jet, t, v, w: bisectional(
+        sol, z, TangentPair(v=v, w=w), normalize=False, formula="direct"),
+    "from_jet_tube": lambda sol, z, jet, t, v, w: bisectional_from_jet(jet, t, v, w),
+    "from_jet_direct": lambda sol, z, jet, t, v, w: bisectional_from_jet(
+        jet, t, v, w, formula="direct"),
+    "batch": lambda sol, z, jet, t, v, w: bisectional_batch(
+        sol, z, v[None], w[None], normalize=False)[0],
+    "boundary_limit_bis": lambda sol, z, jet, t, v, w: boundary_limit_bis(
+        jet, TangentPair(v=v, w=w)),
+    "boundary_limit_batch": lambda sol, z, jet, t, v, w: boundary_limit_batch(
+        jet, v[None], w[None])[0],
+}
+
+
+@pytest.mark.parametrize("entry", RAW_ENTRIES)
+def test_raw_paths_are_scale_invariant_far_from_unit_vectors(sol_p2, entry):
+    # |v|^2 overflows beyond about 1e154 and underflows below 1e-162; each
+    # vector is brought into the binade [0.5, 1) first, as the pull to the
+    # axis does, where these used to read NaN or raise ZeroDivisionError
+    z = Point(0.01 + 0.2j, 0.5 - 0.1j)
+    v, w = np.array([1 + 1j, 0.5 - 2j]), np.array([0.3, 1j])
+    jet = metric_jet(sol_p2, z)
+    tensor = tensor_from_jet(jet)
+    value = RAW_ENTRIES[entry]
+    base = value(sol_p2, z, jet, tensor, v, w)
+    for s in (1e-200, 1e-170, 1e160, 1e200):
+        assert abs(value(sol_p2, z, jet, tensor, s * v, w) - base) <= 1e-14 * abs(base), s
+
+
 def test_bisectional_symmetry_in_the_pair(sol_p2):
     rng = np.random.default_rng(21)
     z = Point(0j, 0.45 + 0j)

@@ -26,7 +26,6 @@ from tubeke import (
     TubeParams,
     integral_identity_residuals,
     load_solution,
-    ode_rhs,
     solution_from_dict,
     solve_potential,
 )
@@ -200,6 +199,70 @@ def test_load_rejects_a_non_finite_scalar(sol_p2, key):
         solution_from_dict(data)
 
 
+def _built(sol, **changes):
+    """PotentialSolution(...) from sol's fields, with changes applied."""
+    fields = dict(params=sol.params, F0=sol.F0, xs=sol.xs, Fs=sol.Fs, fs=sol.fs,
+                  achieved_blowup_x=sol.achieved_blowup_x)
+    return PotentialSolution(**{**fields, **changes})
+
+
+def _with(nodes, index, value):
+    nodes = np.array(nodes)
+    nodes[index] = value
+    return nodes
+
+
+def test_direct_construction_checks_and_rebuilds_the_solution(sol_p2):
+    built = _built(sol_p2, xs=list(sol_p2.xs))
+    assert built.to_dict() == sol_p2.to_dict()
+    assert built.stats == {"integrations": 0, "accepted_steps": 0, "rejected_steps": 0,
+                           "nodes": len(sol_p2.xs),
+                           "identity_residual": sol_p2.stats["identity_residual"]}
+    assert built.eval_F(0.99971) == sol_p2.eval_F(0.99971)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("key", ["xs", "Fs", "fs"])
+def test_direct_construction_refuses_a_non_finite_node(sol_p2, key, value):
+    # before the constructor checked, a NaN F at node 700 built a solution
+    # whose eval_F read NaN at x = 0.99971
+    with pytest.raises(ValueError, match=f"node 700 is not finite: .*{key[0]}={value}"):
+        _built(sol_p2, **{key: _with(getattr(sol_p2, key), 700, value)})
+
+
+@pytest.mark.parametrize("changes, message", [
+    (lambda s: {"Fs": s.Fs[:-1]}, "node arrays must be 1-d of one length"),
+    (lambda s: {"xs": s.xs[None]}, "node arrays must be 1-d of one length"),
+    (lambda s: {"xs": s.xs[:3], "Fs": s.Fs[:3], "fs": s.fs[:3]}, "fewer than 4 nodes"),
+    (lambda s: {"F0": math.inf}, "F0 = inf is not finite"),
+    (lambda s: {"achieved_blowup_x": math.nan}, "blowup_x = nan is not finite"),
+    (lambda s: {"xs": _with(s.xs, 0, 1e-9)}, "grid must start at x=0"),
+    (lambda s: {"F0": s.F0 + 1e-9}, "first node F value disagrees with F0"),
+    (lambda s: {"achieved_blowup_x": 1.0 - 1e-9}, "tail error .* exceeds 1e-3"),
+    (lambda s: {"xs": _with(s.xs, 700, s.xs[699])}, "abscissae must be strictly increasing"),
+    (lambda s: {"xs": _with(s.xs, -1, 1.0)}, "nodes must stay below x=1"),
+    (lambda s: {"fs": _with(s.fs, 700, s.fs[699])}, "f must be strictly increasing"),
+    (lambda s: {"xs": s.xs[s.fs < 1e4], "Fs": s.Fs[s.fs < 1e4], "fs": s.fs[s.fs < 1e4]},
+     "blow-up estimate error .* exceeds 1e-12"),
+    (lambda s: {"Fs": _with(s.Fs, 350, s.Fs[350] + 1e-5)}, "integral-identity residual"),
+])
+def test_direct_construction_refuses_a_broken_invariant(sol_p2, changes, message):
+    with pytest.raises(ValueError, match=message):
+        _built(sol_p2, **changes(sol_p2))
+
+
+def test_a_solution_holds_read_only_copies_of_its_nodes(sol_p2):
+    xs = sol_p2.xs.copy()
+    built = _built(sol_p2, xs=xs)
+    xs[700] = math.nan   # the caller's array, not the solution's
+    assert np.isfinite(built.xs).all()
+    for sol in (built, sol_p2):
+        for key in ("xs", "Fs", "fs"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(sol, key)[700] = math.nan
+    assert np.isfinite(sol_p2.Fs).all()
+
+
 def test_load_rejects_wrong_K(tmp_path, sol_p1):
     data = sol_p1.to_dict()
     data["K"] = "5/3"
@@ -253,21 +316,6 @@ def test_eval_near_endpoint_works(sols):
         assert sol.x_max > 0.999999
         f = sol.eval_f_derivs(0.99999, 0)[0]
         assert f > 1e4
-
-
-def test_ode_rhs_center_value():
-    params = TubeParams(p=2)
-    dF, df = ode_rhs(0.0, 0.5, 0.0, params)
-    assert dF == 0.0
-    assert abs(df - math.exp(1.5) / (2 * params.K_float)) < 1e-15
-
-
-def test_ode_rhs_rejects_non_finite():
-    params = TubeParams(p=1)
-    with pytest.raises(ValueError):
-        ode_rhs(float("nan"), 0.0, 0.0, params)
-    with pytest.raises(ValueError):
-        ode_rhs(0.0, float("inf"), 0.0, params)
 
 
 def test_step_budget_is_enforced(monkeypatch):
@@ -335,7 +383,10 @@ def test_stats_stay_out_of_the_solution_file(tmp_path, sol_p2):
 
 
 def test_solution_tolerance_recorded(sol_p1):
-    assert sol_p1.tolerance == 1e-12
+    # the solver's one accuracy is a key of the file, not a field
+    assert sol_p1.to_dict()["tolerance"] == 1e-12
+    assert not hasattr(sol_p1, "tolerance")
+    assert "tolerance" not in repr(sol_p1)
 
 
 @pytest.mark.parametrize("p", range(1, 9))
@@ -344,7 +395,6 @@ def test_loosest_accepted_tolerance_solves(p):
     # accepts: every p solves at it and loads back, and the same profile
     # stamped with a looser 1e-7 is refused
     sol = solve_potential(TubeParams(p=p))
-    assert sol.tolerance == 1e-12
     assert sol.stats["identity_residual"] < 1e-8
     assert abs(sol.achieved_blowup_x - 1.0) <= 1e-5
     data = sol.to_dict()

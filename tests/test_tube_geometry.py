@@ -216,6 +216,14 @@ def test_cone_validation():
         in_cone(P1, Point(0.3 + 0j, 0j), 0.3)  # beyond the vertex plane
 
 
+@pytest.mark.parametrize("z", [Point(complex(-math.inf, 0.0), 0j),
+                               Point(complex(math.nan, 0.0), 0j),
+                               Point(0j, complex(math.inf, 0.0))])
+def test_a_non_finite_point_is_not_in_the_cone(z):
+    # Re z1 = -inf read as depth inf and ratio 0, inside every cone
+    assert in_cone(P2, z, 0.3) is False
+
+
 def test_in_domain_respects_automorphisms():
     rng = np.random.default_rng(9)
     for z in random_points(P2, rng, 100):

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -269,6 +270,8 @@ def _pull_to_axis(sol: PotentialSolution, z: Point, vectors):
     nothing and keeps the potential evaluators at their best-conditioned
     abscissa.  A stacked z takes vectors of shape (2, n), one per point.
     A point whose depth 1 - Re(4p z1) overflows (lam = 0) is refused.
+    Each vector is _binade_scaled before the push, so that a subnormal one
+    is pushed at full precision.
     """
     p = sol.params.p
     lam = 1.0 / (1.0 - 4 * p * z.z1.real)
@@ -278,7 +281,7 @@ def _pull_to_axis(sol: PotentialSolution, z: Point, vectors):
         raise DomainError(f"point {_first_point(z, ok)} is too deep to pull tangent "
                           f"vectors to the axis: 1 - Re(4p z1) overflows")
     j1, j2 = lam, lam ** (1.0 / (2 * p))
-    return _on_axis(x), [np.array([j1 * u[0], j2 * u[1]]) for u in vectors]
+    return _on_axis(x), [np.array([j1 * u[0], j2 * u[1]]) for u in map(_binade_scaled, vectors)]
 
 
 def _on_axis(x) -> Point:
@@ -286,6 +289,10 @@ def _on_axis(x) -> Point:
     if np.ndim(x):
         return Point(np.zeros(x.shape, dtype=complex), x.astype(complex))
     return Point(0j, complex(x))
+
+
+_MIN_NORMAL = sys.float_info.min
+_SUBNORMAL_LIFT = 2.0 ** 64
 
 
 def _binade_scaled(u: np.ndarray) -> np.ndarray:
@@ -296,11 +303,21 @@ def _binade_scaled(u: np.ndarray) -> np.ndarray:
     under rescaling each vector, and the scale is exact in floating point;
     it keeps squares of entries far from 1 from over- or underflowing, as
     in the pushed vectors of deep points (lam -> 0, where lam and
-    lam^{1/(2p)} part by hundreds of decades).
+    lam^{1/(2p)} part by hundreds of decades).  A vector whose max |u_i| is
+    subnormal, where 2^{-e} can overflow, is first lifted by 2^64, exactly.
     """
     if u.ndim == 1:
-        return u * math.ldexp(1.0, -math.frexp(max(abs(u[0]), abs(u[1])))[1])
-    return u * np.ldexp(1.0, -np.frexp(np.abs(u).max(axis=0))[1])
+        m = max(abs(u[0]), abs(u[1]))
+        if m < _MIN_NORMAL:
+            return _binade_scaled(u * _SUBNORMAL_LIFT)
+        return u * math.ldexp(1.0, -math.frexp(m)[1])
+    m = np.abs(u).max(axis=0)
+    tiny = m < _MIN_NORMAL
+    if tiny.any():
+        u = u.copy()
+        u[:, tiny] *= _SUBNORMAL_LIFT
+        return _binade_scaled(u)
+    return u * np.ldexp(1.0, -np.frexp(m)[1])
 
 
 def bisectional(sol: PotentialSolution, z: Point, pair: TangentPair,

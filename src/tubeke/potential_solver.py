@@ -22,6 +22,11 @@ f', f'', f''' exactly from the ODE at the interpolated (F, f), which is
 what keeps f''' accurate enough for curvature work near the boundary.
 Every evaluator, the interpolant's node slopes and the integral-identity
 check read that chain.
+
+An evaluator call, at a scalar or an array, makes one domain check (one
+reduction, max |x|) and one interval lookup (_locate), whose (interval,
+offset) pair the F and f interpolants share, and one parity step for the
+odd quantities.  A scalar's results come back as Python floats.
 """
 
 from __future__ import annotations
@@ -206,28 +211,39 @@ def _integrate(p, c, x_end, rtol, record=False):
 class _Hermite:
     """Piecewise cubic with prescribed values and slopes at the nodes.
 
-    Coefficients are precomputed per interval so that evaluation is a
-    searchsorted plus one fused polynomial, and so that the value at a
-    node equals the stored node value exactly.
+    Coefficients are precomputed per interval so that evaluation is one
+    fused polynomial at the (interval, offset) pair of _locate, and so that
+    the value at a node equals the stored node value exactly.  Cubics on
+    one grid share that pair: a solution's F and f interpolants read it
+    from one lookup per evaluation.
     """
 
-    __slots__ = ("xs", "ys", "ds", "c2", "c3")
+    __slots__ = ("ys", "ds", "c2", "c3")
 
     def __init__(self, xs, ys, ds):
         h = np.diff(xs)
         slope = np.diff(ys) / h
         d0, d1 = ds[:-1], ds[1:]
-        self.xs = xs
         self.ys = ys
         self.ds = ds
         self.c2 = (3.0 * slope - 2.0 * d0 - d1) / h
         self.c3 = (d0 + d1 - 2.0 * slope) / (h * h)
 
-    def __call__(self, t):
-        i = np.searchsorted(self.xs, t, side="right") - 1
-        i = np.clip(i, 0, len(self.xs) - 2)
-        u = t - self.xs[i]
+    def at(self, i, u):
+        """The cubic of interval i at offset u from its left node."""
         return self.ys[i] + u * (self.ds[i] + u * (self.c2[i] + u * self.c3[i]))
+
+
+def _locate(xs, t):
+    """(i, u): the interval i of the grid xs that holds t, and u = t - xs[i].
+
+    t below the grid falls in the first interval, t at or beyond the last
+    node in the last one.  The ndarray method and the ufuncs stand in for
+    np.searchsorted and np.clip, whose Python wrappers cost more than the
+    lookup itself at a scalar.
+    """
+    i = np.minimum(np.maximum(xs.searchsorted(t, side="right") - 1, 0), len(xs) - 2)
+    return i, t - xs[i]
 
 
 def _ode_chain(params, ax, F, f, n):
@@ -264,8 +280,8 @@ def _ode_chain(params, ax, F, f, n):
 
 
 def _floats_for_scalar(x, values):
-    """values as Python floats when x is a scalar or 0-d array, else unchanged."""
-    if np.isscalar(x) or np.ndim(x) == 0:
+    """values as Python floats when the float array x is 0-d, else unchanged."""
+    if x.ndim == 0:
         return list(map(float, values))
     return values
 
@@ -274,7 +290,7 @@ def _floats_for_scalar(x, values):
 # solution object
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PotentialSolution:
     """Dense shooting result for one value of p.
 
@@ -293,6 +309,9 @@ class PotentialSolution:
     all 0 by default, as for a loaded solution), then "nodes" and the
     largest integral-identity residual "identity_residual", which the
     constructor adds.  It is not part of to_dict().
+
+    Equality and hash are those of identity: a solution equals only
+    itself.  Compare to_dict() forms to ask whether two hold one profile.
     """
 
     params: TubeParams
@@ -301,7 +320,7 @@ class PotentialSolution:
     Fs: np.ndarray = field(repr=False)
     fs: np.ndarray = field(repr=False)
     achieved_blowup_x: float
-    stats: dict = field(repr=False, compare=False, default_factory=lambda: {
+    stats: dict = field(repr=False, default_factory=lambda: {
         "integrations": 0, "accepted_steps": 0, "rejected_steps": 0})
 
     def __post_init__(self):
@@ -324,31 +343,41 @@ class PotentialSolution:
         """Largest abscissa covered by the grid (just below 1)."""
         return float(self.xs[-1])
 
-    def _abs_x(self, x):
-        ax = np.abs(np.asarray(x, dtype=float))
-        if not np.all(np.isfinite(ax)):
-            raise DomainError("x must be finite")
-        if np.any(ax >= 1.0):
-            raise DomainError("|x| must be < 1")
-        if np.any(ax > self.xs[-1]):
+    def _at(self, x):
+        """(x, |x|, i, u): the one domain check and interval lookup of an evaluation.
+
+        x comes back as a float array and (i, u) is the _locate pair of |x|,
+        which the F and f interpolants share.  One reduction, max |x|,
+        admits the abscissae; only a refusal looks further, to name its
+        reason.
+        """
+        x = np.asarray(x, dtype=float)
+        ax = np.abs(x)
+        if not ax.max(initial=0.0) <= self.xs[-1]:   # false for NaN
+            if not np.isfinite(ax).all():
+                raise DomainError("x must be finite")
+            if (ax >= 1.0).any():
+                raise DomainError("|x| must be < 1")
             raise DomainError(
                 f"|x| exceeds the solved range [0, {self.x_max!r}] "
                 "(the grid stops where f crosses the blow-up threshold)"
             )
-        return ax
+        return x, ax, *_locate(self.xs, ax)
 
     # -- evaluation ---------------------------------------------------------
 
     def eval_F(self, x):
         """Potential profile F at x (scalar or array), |x| < 1 by parity."""
-        return _floats_for_scalar(x, [self._interp_F(self._abs_x(x))])[0]
+        x, _, i, u = self._at(x)
+        return _floats_for_scalar(x, [self._interp_F.at(i, u)])[0]
 
     def eval_f_derivs(self, x, max_order: int = 3):
         """[f, f', f'', f'''] at x, truncated to max_order+1 entries.
 
         f is interpolated; f', f'' and f''' come from the ODE at the
         interpolated (F, f) through _ode_chain.  Parity (f, f'' odd; f',
-        f''' even) extends the stored half-line grid to negative x.
+        f''' even) extends the stored half-line grid to negative x; -0.0
+        takes the sign of +0.0.
 
         Parameters
         ----------
@@ -364,13 +393,12 @@ class PotentialSolution:
         """
         if not 0 <= max_order <= 3:
             raise ValueError(f"max_order must be in 0..3, got {max_order}")
-        ax = self._abs_x(x)
-        sgn = np.sign(np.asarray(x, dtype=float))
-        sgn = np.where(sgn == 0.0, 1.0, sgn)
-        f = self._interp_f(ax)
+        x, ax, i, u = self._at(x)
+        sgn = np.where(x < 0.0, -1.0, 1.0)
+        f = self._interp_f.at(i, u)
         out = [sgn * f]
         if max_order:
-            out += _ode_chain(self.params, ax, self._interp_F(ax), f, 2 * max_order)[1::2]
+            out += _ode_chain(self.params, ax, self._interp_F.at(i, u), f, 2 * max_order)[1::2]
         if max_order >= 2:
             out[2] = sgn * out[2]
         return _floats_for_scalar(x, out)
@@ -382,12 +410,11 @@ class PotentialSolution:
         """
         if not 0 <= max_order <= 2:
             raise ValueError(f"max_order must be in 0..2, got {max_order}")
-        ax = self._abs_x(x)
-        f = self._interp_f(ax) if max_order else None
-        out = _ode_chain(self.params, ax, self._interp_F(ax), f, 2 * max_order + 1)[::2]
+        x, ax, i, u = self._at(x)
+        f = self._interp_f.at(i, u) if max_order else None
+        out = _ode_chain(self.params, ax, self._interp_F.at(i, u), f, 2 * max_order + 1)[::2]
         if max_order:
-            sgn = np.sign(np.asarray(x, dtype=float))
-            out[1] = np.where(sgn == 0.0, 1.0, sgn) * out[1]
+            out[1] = np.where(x < 0.0, -1.0, 1.0) * out[1]
         return _floats_for_scalar(x, out)
 
     # -- persistence --------------------------------------------------------
@@ -436,7 +463,7 @@ def integral_identity_residuals(params: TubeParams, F0: float, xs, Fs, fs) -> np
     interp_f = _Hermite(xs, fs, f1)
     h = np.diff(xs)
     pts = xs[:-1, None] + h[:, None] * _GAUSS_X[None, :]
-    seg = (interp_f(pts) ** 3 @ _GAUSS_W) * h
+    seg = (interp_f.at(*_locate(xs, pts)) ** 3 @ _GAUSS_W) * h
     integral = np.concatenate([[0.0], np.cumsum(seg)])
     rhs = ((2 * p - 1) * xs * fs**3 + (6 * p * K + 1) * fs**2
            - 2 * (p + 1) * integral + 4.0 * math.exp(3.0 * F0))

@@ -151,6 +151,16 @@ def test_curvature_pair_mode(sol_file, capsys):
     assert abs(out["tensor"]["R1111"] + 32 * 8 * 5 / 3) < 1e-5
 
 
+def test_curvature_pair_mode_takes_a_subnormal_vector(sol_file, capsys):
+    # 1e-320 is subnormal and 2^1074 times it an exact integer: one direction
+    tiny = 1e-320
+    runs = [run_json(capsys, ["curvature", "--sol", str(sol_file), "--point=0,0,0.5,0",
+                              f"--v={v!r},0,0,0", "--w=1,0,0,0"])
+            for v in (tiny, math.ldexp(tiny, 1074))]
+    assert [code for code, _ in runs] == [0, 0]
+    assert runs[0][1]["bis"] == runs[1][1]["bis"]
+
+
 def test_curvature_extremes_mode(sol1_file, capsys):
     code, out = run_json(capsys, [
         "curvature", "--sol", str(sol1_file), "--point", "0,0,0,0",

@@ -290,6 +290,36 @@ def test_raw_paths_are_scale_invariant_far_from_unit_vectors(sol_p2, entry):
         assert abs(value(sol_p2, z, jet, tensor, s * v, w) - base) <= 1e-14 * abs(base), s
 
 
+SUBNORMAL_ENTRIES = {
+    "bisectional_tube_normalized": lambda sol, z, jet, t, v, w: bisectional(
+        sol, z, TangentPair(v=v, w=w)),
+    "bisectional_direct_normalized": lambda sol, z, jet, t, v, w: bisectional(
+        sol, z, TangentPair(v=v, w=w), formula="direct"),
+    "sectional": lambda sol, z, jet, t, v, w: sectional(sol, z, v),
+    "batch_normalized": lambda sol, z, jet, t, v, w: bisectional_batch(
+        sol, z, np.stack([v, w]), np.stack([w, v])),
+    **RAW_ENTRIES,
+}
+
+
+@pytest.mark.parametrize("s", [1e-310, 5e-324])
+@pytest.mark.parametrize("entry", SUBNORMAL_ENTRIES)
+def test_subnormal_vectors_give_the_bits_of_their_normal_scaling(sol_p2, entry, s):
+    # s v is subnormal and 2^1080 s v, scaled in two exact steps, is normal;
+    # the power of two that brings a subnormal vector into [0.5, 1) overflows
+    # on its own, and the pull to the axis must not round the subnormal parts
+    z = Point(0.01 + 0.2j, 0.5 - 0.1j)
+    v, w = s * np.array([1 + 1j, 0.5 - 2j]), np.array([0.3, 1j])
+    normal = v * 2.0 ** 540 * 2.0 ** 540
+    assert np.array_equal(normal / 2.0 ** 540 / 2.0 ** 540, v)
+    jet = metric_jet(sol_p2, z)
+    tensor = tensor_from_jet(jet)
+    value = SUBNORMAL_ENTRIES[entry]
+    tiny = np.asarray(value(sol_p2, z, jet, tensor, v, w))
+    assert np.isfinite(tiny).all()
+    assert tiny.tobytes() == np.asarray(value(sol_p2, z, jet, tensor, normal, w)).tobytes()
+
+
 def test_bisectional_symmetry_in_the_pair(sol_p2):
     rng = np.random.default_rng(21)
     z = Point(0j, 0.45 + 0j)

@@ -301,14 +301,60 @@ def test_solution_from_dict_round_trip(sol_p3):
 
 
 def test_eval_domain_errors(sol_p1):
-    for bad in (1.0, -1.0, 1.5, float("nan"), float("inf")):
-        with pytest.raises(DomainError):
-            sol_p1.eval_F(bad)
     # just beyond the last recorded node but still inside (-1, 1)
     beyond = 0.5 * (sol_p1.x_max + 1.0)
-    message = re.escape(f"|x| exceeds the solved range [0, {sol_p1.x_max!r}] (")
-    with pytest.raises(DomainError, match=message):
-        sol_p1.eval_f_derivs(beyond, 2)
+    refusals = [(bad, "x must be finite") for bad in (math.nan, math.inf, -math.inf)]
+    refusals += [(bad, re.escape("|x| must be < 1")) for bad in (1.0, -1.0, 1.5)]
+    refusals += [(bad, re.escape(f"|x| exceeds the solved range [0, {sol_p1.x_max!r}] ("))
+                 for bad in (beyond, -beyond)]
+    evaluators = (sol_p1.eval_F, sol_p1.eval_f_derivs, sol_p1.eval_Z,
+                  lambda x: sol_p1.eval_f_derivs(x, 0), lambda x: sol_p1.eval_Z(x, 0))
+    for bad, message in refusals:
+        # a scalar, a 0-d array, and a stacked array whose bad entry is not the first
+        for x in (bad, np.array(bad), np.array([[0.1, -0.2, 0.3], [0.4, bad, 0.0]])):
+            for evaluate in evaluators:
+                with pytest.raises(DomainError, match=message):
+                    evaluate(x)
+    # the first reason in the order above names the refusal, wherever it sits
+    with pytest.raises(DomainError, match="finite"):
+        sol_p1.eval_F(np.array([0.5, 1.5, beyond, math.nan]))
+    with pytest.raises(DomainError, match=re.escape("< 1")):
+        sol_p1.eval_F(np.array([0.5, beyond, -1.0]))
+    empty = np.empty(0)
+    for out in (sol_p1.eval_F(empty), *sol_p1.eval_f_derivs(empty), *sol_p1.eval_Z(empty)):
+        assert isinstance(out, np.ndarray) and out.shape == (0,)
+
+
+EVALUATORS = {
+    "F": lambda sol, x: [sol.eval_F(x)],
+    **{f"f_derivs{k}": lambda sol, x, k=k: sol.eval_f_derivs(x, k) for k in range(4)},
+    **{f"Z{k}": lambda sol, x, k=k: sol.eval_Z(x, k) for k in range(3)},
+}
+
+
+@pytest.mark.parametrize("evaluator", EVALUATORS)
+def test_every_argument_form_gives_the_same_bits(sol_p2, evaluator):
+    # seeded x, both zeros, every node, the ends of the range and the last
+    # intervals' midpoints; a Python float, np.float64 and a 0-d array each
+    # give Python floats with the bits of a row of a stacked array
+    sol, evaluate = sol_p2, EVALUATORS[evaluator]
+    mids = 0.5 * (sol.xs[-4:-1] + sol.xs[-3:])
+    xs = np.concatenate([np.random.default_rng(21).uniform(-sol.x_max, sol.x_max, 40),
+                         [0.0, -0.0, sol.x_max, -sol.x_max], mids, -mids, sol.xs])
+    rows = np.asarray(evaluate(sol, np.stack([xs[::-1], xs])))[:, 1]
+    for form in (float, np.float64, np.array):
+        values = [evaluate(sol, form(x)) for x in xs.tolist()]
+        assert all(type(v) is float for vs in values for v in vs)
+        assert np.array(values).T.tobytes() == rows.tobytes(), form
+
+
+def test_a_solution_equals_only_itself(sol_p2):
+    # identity equality: comparing the node arrays raised on ambiguous truth values
+    rebuilt = solution_from_dict(sol_p2.to_dict())
+    assert (sol_p2 == rebuilt) is False and (sol_p2 != rebuilt) is True
+    assert (sol_p2 == sol_p2) is True
+    assert hash(sol_p2) == hash(sol_p2) and len({sol_p2, rebuilt, sol_p2}) == 2
+    assert rebuilt.to_dict() == sol_p2.to_dict()
 
 
 def test_eval_near_endpoint_works(sols):

@@ -28,6 +28,8 @@ jet = metric_jet(sol, z)
 print(f"at z = {z} (X = {jet.x_value:.6f}):")
 print("g =")
 print(np.array2string(jet.metric, precision=8))
+# the jet's det g is the closure value Z(X) / r^{(2p+1)/p}, r = 1 - 4p Re z1;
+# the residual below forms det g from the entries of g and checks that closure
 print(f"det g          = {jet.det:.10f}")
 print(f"g . g^(-1) - I = {np.max(np.abs(jet.metric @ jet.inverse - np.eye(2))):.2e}")
 eigs = np.linalg.eigvalsh(jet.metric)

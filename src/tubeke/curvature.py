@@ -8,9 +8,9 @@ The curvature coefficients at a point follow from the metric jet as
 all real, with the symmetries i<->k, j<->l and pair exchange leaving six
 independent values.  Bisectional curvature is evaluated in the
 g-orthonormal frame e1 = (alpha, beta), e2 = (0, gamma): alpha =
-sqrt(g22/det g), beta = -alpha g12/g22, gamma = 1/sqrt(g22).  With a g-unit
-v written through its Bloch vector n in the frame (v v* = (I + n.sigma)/2),
-real coefficients give
+sqrt(g22/det g), beta = -alpha g12/g22, gamma = 1/sqrt(g22), det g the
+jet's closure value (MetricJet.det).  With a g-unit v written through its
+Bloch vector n in the frame (v v* = (I + n.sigma)/2), real coefficients give
 
     Bis(v, w) = a + b.(n + m) + n^T M m,   b_y = M_xy = M_yz = 0,
 
@@ -28,9 +28,9 @@ sect_max = -3/2 + max lambda; their pairs attain them up to three times the
 Einstein defect max(|a + 3/2|, ||b||, |tr M + 3/2|).  The jet path's defect
 is about 1e-10 for |X| <= 0.99 and at most 1.3e-4 for 1 - |X| >= 1e-4; where
 it exceeds 1e-3 (p=1 from 1 - |X| = 5e-5) the extremes and every tube-formula
-Bis raise DomainError.  The split uses only +, -, *, / and sqrt (numpy's pow
-and hypot round unlike libm's), so stacked extremes equal the single point's
-bit for bit.
+Bis raise DomainError.  The frame and the split use only +, -, *, / and
+sqrt, and X has one pow for floats and arrays, so stacked extremes equal the
+single point's bit for bit.
 
 The extremes make one split per (jet, tensor): the tensor keeps the reduced
 form (frame, eigenpairs, defect) of the last jet it was split with, so
@@ -187,6 +187,7 @@ def _tensor(g11, g12, g22, d3, d4) -> CurvatureTensor:
     same value.  Floats give a tensor of floats, arrays over stacked
     points a tensor of arrays, through the same arithmetic.
     """
+    # R takes the inverse of the computed g: the jet's closure det triples its error
     det = g11 * g22 - g12 * g12
     inv = ((g22 / det, -g12 / det), (-g12 / det, g11 / det))
 
@@ -432,17 +433,15 @@ def sectional(sol: PotentialSolution, z: Point, v) -> float:
 # the g-orthonormal frame: Bis, boundary limit and exact extremes
 # ---------------------------------------------------------------------------
 
-def _frame(g11, g12, g22) -> tuple[float, float, float]:
+def _frame(jet: MetricJet) -> tuple[float, float, float]:
     """(alpha, beta, gamma) of the g-orthonormal frame e1 = (alpha, beta), e2 = (0, gamma).
 
-    det g is the exact value, in integers, rounded once: g11 g22 and g12^2
-    nearly cancel near the boundary.
+    det g is the jet's closure det: g11 g22 and g12^2 nearly cancel near
+    the boundary.  A stacked jet gives arrays, through the same arithmetic.
     """
-    (n11, d11), (n12, d12), (n22, d22) = (g11.as_integer_ratio(), g12.as_integer_ratio(),
-                                          g22.as_integer_ratio())
-    det = (n11 * n22 * d12 * d12 - n12 * n12 * d11 * d22) / (d11 * d22 * d12 * d12)
-    alpha = math.sqrt(g22 / det)
-    return alpha, -alpha * g12 / g22, 1.0 / math.sqrt(g22)
+    _, g12, g22 = jet.g
+    alpha = _sqrt(g22 / jet.det)
+    return alpha, -alpha * g12 / g22, 1.0 / _sqrt(g22)
 
 
 def boundary_limit_batch(jet: MetricJet, vs, ws) -> np.ndarray:
@@ -462,7 +461,7 @@ def _point_frame(jet: MetricJet) -> tuple[float, float, float]:
     if isinstance(jet.x_value, np.ndarray):
         raise ValueError(f"the boundary limit takes a single point's jet, got stacked "
                          f"points of shape {jet.x_value.shape}")
-    return _frame(*jet.g)
+    return _frame(jet)
 
 
 def _frame_coords(frame, v) -> tuple:
@@ -511,14 +510,10 @@ def _bloch_split(jet, tensor: CurvatureTensor) -> tuple:
 
     b is (b_x, b_z) and M is (lam_y, Mxx, Mxz, Mzz): the 1x1 block and
     the 2x2 (x, z) block of M; every other entry vanishes.  A stacked jet
-    gives arrays, with one _frame per point.
+    (a 1-d stack, or ValueError) gives arrays.
     """
-    if _stacked(jet):
-        frames = zip(*map(_frame, *(g.tolist() for g in jet.g)))
-        frame = tuple(map(np.array, frames)) or (np.empty(0),) * 3
-    else:
-        frame = _frame(*jet.g)
-    al, be, ga = frame
+    _stacked(jet)
+    al, be, ga = frame = _frame(jet)
     t = tensor
     R1111, R1112, R1122, R1212, R1222, R2222 = (t.R1111, t.R1112, t.R1122, t.R1212,
                                                 t.R1222, t.R2222)
@@ -658,17 +653,9 @@ def bis_extremes(sol: PotentialSolution, z: Point) -> BisExtremes:
 
 
 def _axis_jet(sol: PotentialSolution, z: Point) -> MetricJet:
-    """The jet at z's axis point (0, X(z)), or at the axis points of stacked z.
-
-    Each stacked X is the single point's x_invariant, so that each row is
-    the single-point call's: numpy's vector pow can miss libm's by an ulp.
-    """
+    """The jet at z's axis point (0, X(z)), or at the axis points of stacked z."""
     require_domain(sol.params, z)
-    if np.ndim(z.z1) == 0:
-        return metric_jet(sol, _on_axis(x_invariant(sol.params, z)))
-    x = [x_invariant(sol.params, Point(a, b))
-         for a, b in zip(z.z1.ravel().tolist(), z.z2.ravel().tolist())]
-    return metric_jet(sol, _on_axis(np.reshape(x, z.z1.shape)))
+    return metric_jet(sol, _on_axis(x_invariant(sol.params, z)))
 
 
 def sectional_max_from_jet(jet, tensor: CurvatureTensor) -> tuple[float, np.ndarray]:

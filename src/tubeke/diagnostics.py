@@ -171,9 +171,8 @@ def _random_stack(params: TubeParams, rng, n, x_cap=0.99) -> Point:
 
     The four uniforms (x, r, y1, y2) of every point come from one block,
     mapped with Generator.uniform's own low + (high - low) u, so the
-    generator ends where drawing them point by point leaves it.  The
-    power stays in Python floats, whose pow numpy's vector loop can miss
-    by an ulp.
+    generator ends where drawing them point by point leaves it.  The root
+    is numpy's pow, as in x_invariant.
     """
     p = params.p
     u = rng.random((n, 4))
@@ -182,7 +181,7 @@ def _random_stack(params: TubeParams, rng, n, x_cap=0.99) -> Point:
     ys = -2.0 + 4.0 * u[:, 2:]
     e = 1.0 / (2 * p)
     z1 = ((1.0 - rs) / (4 * p)).astype(complex)
-    z2 = np.array([x * r ** e for x, r in zip(xs.tolist(), rs.tolist())], dtype=complex)
+    z2 = (xs * np.power(rs, e)).astype(complex)
     z1.imag, z2.imag = ys[:, 0], ys[:, 1]
     return Point(z1, z2)
 
@@ -406,7 +405,7 @@ def _split(jet: MetricJet, tensor: CurvatureTensor):
     """The two equal halves of a stacked jet, each as (jet, tensor)."""
     n = np.size(jet.x_value) // 2
     return [(MetricJet(Point(jet.point.z1[rows], jet.point.z2[rows]), jet.x_value[rows],
-                       *_rows((jet.g, jet.d3, jet.d4, jet.profile), rows)),
+                       *_rows((jet.g, jet.det, jet.d3, jet.d4, jet.profile), rows)),
              CurvatureTensor(*_rows(tuple(tensor.as_dict().values()), rows)))
             for rows in (slice(None, n), slice(n, None))]
 
@@ -429,6 +428,7 @@ def _suite_einstein(params, sol, rng):
     checks.append(_below("einstein_residual_origin",
                          einstein_residual(sol, Point(0j, 0j)), 1e-12))
     g11, g12, g22 = (g[n:] for g in metric)
+    # det from the entries, not the jet's closure det: this checks the closure
     det = g11 * g22 - g12 * g12
     metrics = _matrix(g11, g12, g22)
     inverses = _matrix(g22 / det, -g12 / det, g11 / det)

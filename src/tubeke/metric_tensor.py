@@ -40,7 +40,7 @@ import numpy as np
 from .errors import DomainError
 from .params import TubeParams
 from .potential_solver import PotentialSolution
-from .tube_geometry import Point, _all, _first, _first_point, require_domain
+from .tube_geometry import Point, _all, _first, _first_point, require_domain, x_invariant
 
 __all__ = [
     "XLDerivatives",
@@ -111,19 +111,19 @@ def x_derivatives(params: TubeParams, z: Point, max_total_order: int = 4) -> XLD
     if not _all(ok):
         raise DomainError(_too_deep(_first_point(z, ok), _first(r, ok)))
     log = np.log if isinstance(r, np.ndarray) else math.log
-    x, dX, dL = _tables(params, r, z.z2.real, max_total_order, log)
+    x = x_invariant(params, z)
+    dX, dL = _tables(params, r, x, max_total_order, log)
     return XLDerivatives(x_value=x, r=r, dX=dX, dL=dL)
 
 
-def _tables(params: TubeParams, r, t, order: int, log):
-    """(X, dX, dL) of x_derivatives from r = 1 - 4p Re(z1) and t = Re(z2).
+def _tables(params: TubeParams, r, x, order: int, log):
+    """(dX, dL) of x_derivatives from r = 1 - 4p Re(z1) and X.
 
-    r and t are floats, or arrays of one shape for stacked points; log is
+    r and x are floats, or arrays of one shape for stacked points; log is
     math.log for floats and np.log for arrays.
     """
     p = params.p
     s = 1.0 / (2 * p)
-    x = t / r**s
     c = [1.0, 1.0]
     for a in range(2, order + 1):
         c.append(c[-1] * (1.0 + 2 * p * (a - 1)))
@@ -143,7 +143,7 @@ def _tables(params: TubeParams, r, t, order: int, log):
                 dL[(a, b)] = 2.0 * K * math.factorial(a - 1) * (2 * p) ** (a - 1) / r**a
             else:
                 dL[(a, b)] = 0.0
-    return x, dX, dL
+    return dX, dL
 
 
 def _chain(tab: XLDerivatives, f, f1, f2=None, f3=None):
@@ -204,7 +204,8 @@ class MetricJet:
     """The metric and the derivatives curvature needs, at a point or at stacked points.
 
     All entries are real: the potential depends only on (Re z1, Re z2).
-    g is (g11, g12, g22); d3[m] and d4[m] are the third and fourth
+    g is (g11, g12, g22), det the closure det g of metric_jet, which
+    inverse reads; d3[m] and d4[m] are the third and fourth
     derivatives with m indices of z1 type, which every index word of that
     count shares (see deriv); profile is the (f, f', f'', f''') at x_value.
     Each entry is a float at a single point and an array over stacked points.
@@ -213,6 +214,7 @@ class MetricJet:
     point: Point
     x_value: float
     g: tuple
+    det: float
     d3: tuple = field(repr=False)
     d4: tuple = field(repr=False)
     profile: tuple = field(repr=False)
@@ -222,11 +224,6 @@ class MetricJet:
         if len(word) not in (3, 4) or not set(word) <= {1, 2}:
             raise ValueError(f"expected a word of 3 or 4 indices in {{1, 2}}, got {word}")
         return (self.d3 if len(word) == 3 else self.d4)[word.count(1)]
-
-    @property
-    def det(self) -> float:
-        g11, g12, g22 = self.g
-        return g11 * g22 - g12 * g12
 
     @property
     def metric(self) -> np.ndarray:
@@ -263,6 +260,9 @@ def metric_jet(sol: PotentialSolution, z: Point) -> MetricJet:
 
     with every X/L factor taken from the tables (bars immaterial).
 
+    det is the Monge-Ampere closure Z(X)/r^{(2p+1)/p}, Z = (f'D - f^2)/4
+    with D = (2p-1)Xf + 4pK, free of g11 g22 - g12^2's cancellation.
+
     Parameters
     ----------
     sol : PotentialSolution
@@ -274,13 +274,17 @@ def metric_jet(sol: PotentialSolution, z: Point) -> MetricJet:
     -------
     MetricJet
         Of floats, or of arrays for stacked points; those equal the
-        single point's values up to numpy's vector log and pow (an ulp
-        from libm's), and on the axis, r = 1, exactly.
+        single point's values up to the vector log and pow of _tables
+        and det (an ulp from libm's), and on the axis, r = 1, exactly.
     """
+    p = sol.params.p
     tab = x_derivatives(sol.params, z, 4)
-    profile = sol.eval_f_derivs(tab.x_value, 3)
+    f, f1, _, _ = profile = sol.eval_f_derivs(tab.x_value, 3)
+    D = (2.0 * p - 1.0) * tab.x_value * f + 4.0 * p * sol.params.K_float
+    det = 0.25 * (f1 * D - f * f) / tab.r ** ((2 * p + 1) / p)
     g, d3, d4 = _chain(tab, *profile)
-    return MetricJet(point=z, x_value=tab.x_value, g=g, d3=d3, d4=d4, profile=tuple(profile))
+    return MetricJet(point=z, x_value=tab.x_value, g=g, det=det, d3=d3, d4=d4,
+                     profile=tuple(profile))
 
 
 def einstein_residual(sol: PotentialSolution, z: Point) -> float:
@@ -304,6 +308,7 @@ def _metric_pass(sol: PotentialSolution, z: Point):
 def _einstein_defect(sol: PotentialSolution, tab: XLDerivatives, metric):
     """|det g - e^{3 g}| / e^{3 g} from an order-2 pass (an array for stacked points)."""
     g11, g12, g22 = metric
+    # det from the entries, not the jet's closure det: this is the closure's check
     det = g11 * g22 - g12 * g12
     exp = np.exp if isinstance(det, np.ndarray) else math.exp
     rhs = exp(3.0 * (sol.eval_F(tab.x_value) + tab.L()))

@@ -189,7 +189,7 @@ def test_a_pair_beyond_the_accurate_range_exits_2(sol1_file, capsys):
     # p=1 at 1 - x = 1e-5, along the frame vector e1 = (alpha, beta): the
     # tube formula would print 3.0126 where the exact Bis is -2
     jet = tubeke.metric_jet(tubeke.load_solution(sol1_file), tubeke.Point(0j, 0.99999 + 0j))
-    alpha, beta, _ = _frame(*jet.g)
+    alpha, beta, _ = _frame(jet)
     e1 = f"{alpha!r},0,{beta!r},0"
     for stats in ([], ["--stats"]):
         code = main(["curvature", "--sol", str(sol1_file), "--point=0,0,0.99999,0",

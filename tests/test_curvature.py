@@ -503,7 +503,7 @@ def test_the_pair_path_refuses_a_large_einstein_defect(sol_p1):
     z = Point(0j, complex(1.0 - 1e-5))
     jet = metric_jet(sol_p1, z)
     tensor = tensor_from_jet(jet)
-    alpha, beta, _ = _frame(*jet.g)
+    alpha, beta, _ = _frame(jet)
     e1 = np.array([alpha, beta], dtype=complex)
     pair = TangentPair(v=e1, w=e1)
     refused = f"Bis values at X = {re.escape(repr(jet.x_value))} are refused: .* Einstein defect"
@@ -530,7 +530,7 @@ def test_the_pair_path_refuses_a_large_einstein_defect(sol_p1):
             bisectional_from_jet(stack, tensor_from_jet(stack), rows, rows, formula=formula)
     # at 1 - x = 1e-4 both paths answer, near the exact -2
     z = Point(0j, complex(1.0 - 1e-4))
-    alpha, beta, _ = _frame(*metric_jet(sol_p1, z).g)
+    alpha, beta, _ = _frame(metric_jet(sol_p1, z))
     e1 = np.array([alpha, beta], dtype=complex)
     for formula in ("tube", "direct"):
         bis = bisectional(sol_p1, z, TangentPair(v=e1, w=e1), formula=formula)
@@ -700,10 +700,9 @@ def test_boundary_limit_is_exact_to_rounding(sols, p):
                      for pair in zip(vs, ws)]
             error = np.abs(boundary_limit_batch(jet, vs, ws) - exact)
             assert np.all(error <= 4.0 * EPS * (1.0 + np.array(kappa)))
-            # the frame's det g is the exact one rounded: alpha^2 det / g22 = 1
-            g11, g12, g22 = (Fraction(float(e)) for e in (g[0, 0], g[0, 1], g[1, 1]))
-            alpha = Fraction(_frame(float(g11), float(g12), float(g22))[0])
-            assert abs(float(alpha ** 2 * (g11 * g22 - g12 * g12) / g22) - 1.0) <= 4.0 * EPS
+            # the frame reads the jet's closure det g: alpha^2 det / g22 = 1
+            alpha = Fraction(_frame(jet)[0])
+            assert abs(float(alpha ** 2 * Fraction(jet.det) / Fraction(jet.g[2])) - 1.0) <= 4.0 * EPS
 
 
 def test_domain_errors(sol_p1):

@@ -35,8 +35,13 @@ KEYS = ("R1111", "R1112", "R1122", "R1212", "R1222", "R2222")
 
 
 def reference_tensor_from_jet(jet):
-    """Curvature coefficients from an already computed metric jet."""
-    ginv = jet.inverse.tolist()
+    """Curvature coefficients from an already computed metric jet.
+
+    The inverse is formed from g's own det, as tensor_from_jet forms it.
+    """
+    g11, g12, g22 = jet.g
+    det = g11 * g22 - g12 * g12
+    ginv = [[g22 / det, -g12 / det], [-g12 / det, g11 / det]]
 
     def R(i, j, k, l):
         s = 0.0
@@ -72,7 +77,8 @@ def rows_of(jet):
     def row(values, i):
         return tuple(a[i].item() for a in values)
     return [MetricJet(point=Point(jet.point.z1[i].item(), jet.point.z2[i].item()),
-                      x_value=jet.x_value[i].item(), g=row(jet.g, i), d3=row(jet.d3, i),
+                      x_value=jet.x_value[i].item(), g=row(jet.g, i),
+                      det=jet.det[i].item(), d3=row(jet.d3, i),
                       d4=row(jet.d4, i), profile=row(jet.profile, i))
             for i in range(len(jet.x_value))]
 
@@ -155,8 +161,8 @@ def axis_stack(xs):
 
 @pytest.mark.parametrize("p", [1, 2, 3, 5, 8])
 def test_stacked_extremes_equal_the_scalar_extremes_per_point(p, five_sols):
-    # the split is +, -, *, / and sqrt only, and each frame is the scalar
-    # _frame: the same inputs give the same bits, values and extremizers
+    # the frame and the split are +, -, *, / and sqrt only: the same
+    # inputs give the same bits, values and extremizers
     sol = five_sols[p]
     rng = np.random.default_rng(70 + p)
     points = sample_points(p, rng, 60) + near_boundary_points(p, rng, 20)
@@ -220,8 +226,8 @@ def test_stacked_refusal_names_the_first_refused_x(p, five_sols):
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_bis_extremes_and_sectional_max_take_stacked_points(p, sols):
-    # off-axis points, whose X the stacked call takes point by point: each
-    # row is the single-point call, bit for bit
+    # off-axis points: X has one pow for single and stacked points, so
+    # each row is the single-point call, bit for bit
     sol = sols[p]
     rng = np.random.default_rng(90 + p)
     points = sample_points(p, rng, 100) + near_boundary_points(p, rng, 20) + [Point(0j, 0j)]

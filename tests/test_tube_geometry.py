@@ -281,6 +281,18 @@ def test_stacked_geometry_matches_the_scalar_geometry(params):
     assert psi.lam.shape == (n,) and psi.u[0].shape == psi.u[1].shape == (n,)
 
 
+@pytest.mark.parametrize("p", [1, 2, 3, 5, 8])
+def test_x_invariant_has_one_pow_for_single_and_stacked_points(p):
+    # the root is numpy's pow for both, so each stacked X is the single
+    # point's bit for bit; libm's ** misses numpy's vector loop on ~5% of points
+    params = TubeParams(p=p)
+    points = random_points(params, np.random.default_rng(60 + p), 400)
+    stacked = x_invariant(params, Point.stack(points))
+    single = [x_invariant(params, q) for q in points]
+    assert all(type(x) is float for x in single)
+    assert stacked.tolist() == single
+
+
 def test_stacked_refusals_name_the_first_bad_point():
     good, bad = Point(0j, 0.5 + 0j), Point(0.3 + 0j, 0.1 + 2j)
     z = Point.stack([good, good, bad, Point(0.4 + 0j, 0j)])

@@ -12,10 +12,11 @@ import numpy as np
 
 from tubeke import (
     Point,
+    TangentPair,
     TubeParams,
     bis_extremes,
-    bisectional_batch,
-    boundary_limit_batch,
+    bisectional,
+    boundary_limit_bis,
     metric_jet,
     origin_closed_forms,
     sectional_max,
@@ -53,11 +54,12 @@ for x in (0.0, 0.5, 0.9, 0.99, 0.999):
 # --- convergence to the boundary limit ----------------------------------
 
 rng = np.random.default_rng(1)
-vs = rng.normal(size=(300, 2)) + 1j * rng.normal(size=(300, 2))
-ws = rng.normal(size=(300, 2)) + 1j * rng.normal(size=(300, 2))
+# 300 stacked pairs: one TangentPair of (300, 2) rows, one value per pair
+pairs = TangentPair(v=rng.normal(size=(300, 2)) + 1j * rng.normal(size=(300, 2)),
+                    w=rng.normal(size=(300, 2)) + 1j * rng.normal(size=(300, 2)))
 print("\nsup |Bis - boundary limit| over 300 pairs:")
 for x in (0.9, 0.99, 0.999):
     z = Point(0j, complex(x))
-    gaps = bisectional_batch(sol, z, vs, ws) - boundary_limit_batch(metric_jet(sol, z), vs, ws)
+    gaps = bisectional(sol, z, pairs) - boundary_limit_bis(metric_jet(sol, z), pairs)
     gap = np.abs(gaps).max()
     print(f"  x = {x:5.3f}: {gap:.3e}")

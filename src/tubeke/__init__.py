@@ -42,9 +42,9 @@ _EXPORTS = {
     "metric_tensor": ("XLDerivatives", "MetricJet", "x_derivatives", "metric_jet",
                       "einstein_residual"),
     "curvature": ("CurvatureTensor", "TangentPair", "BisExtremes", "OriginValues",
-                  "curvature_tensor", "tensor_from_jet", "bisectional",
-                  "bisectional_from_jet", "bisectional_batch", "sectional", "bis_extremes", "bis_extremes_from_jet", "sectional_max",
-                  "sectional_max_from_jet", "boundary_limit_bis", "boundary_limit_batch",
+                  "tensor_from_jet", "bisectional", "bisectional_from_jet",
+                  "bisectional_batch", "bis_extremes", "bis_extremes_from_jet",
+                  "sectional_max", "sectional_max_from_jet", "boundary_limit_bis",
                   "origin_closed_forms", "extremal_sectional_vector"),
     "diagnostics": ("CheckResult", "SuiteReport", "run_suite"),
     "cli": ("SweepRow", "axis_sweep"),

@@ -139,19 +139,24 @@ def _print_stats(stages: _Stages, sol: PotentialSolution, **extra) -> None:
                       "solver": sol.stats, **extra}), file=sys.stderr)
 
 
+def _print_json(obj) -> None:
+    """A verb's result as one JSON line on stdout; a NaN or inf in it is a ValueError."""
+    print(json.dumps(obj, allow_nan=False))
+
+
 def _cmd_solve(args) -> int:
     stages = _Stages()
     params = TubeParams(p=args.p)
     sol = solve_potential(params)
     stages.lap("solve")
     sol.save(args.out)
-    print(json.dumps({
+    _print_json({
         "p": params.p,
         "F0": sol.F0,
         "blowup_x": sol.achieved_blowup_x,
         "nodes": len(sol.xs),
         "out": str(args.out),
-    }))
+    })
     stages.lap("write")
     if args.stats:
         _print_stats(stages, sol)
@@ -169,7 +174,7 @@ def _cmd_eval(args) -> int:
         out.update({"f1": f1, "f2": f2, "f3": f3,
                     "Z": float(sol.eval_Z(args.x, 0)[0])})
     stages.lap("eval")
-    print(json.dumps(out))
+    _print_json(out)
     stages.lap("write")
     if args.stats:
         _print_stats(stages, sol)
@@ -183,14 +188,14 @@ def _cmd_metric(args) -> int:
     z = tube_geometry.Point.parse(args.point)
     jet = metric_tensor.metric_jet(sol, z)
     stages.lap("jet")
-    print(json.dumps({
+    _print_json({
         "point": _point_reals(z),
         "X": jet.x_value,
         "g": jet.metric.tolist(),
         "det": jet.det,
         **{f"d{n}": {"".join(map(str, word)): jet.deriv(*word)
                      for word in itertools.product((1, 2), repeat=n)} for n in (3, 4)},
-    }))
+    })
     stages.lap("write")
     if args.stats:
         _print_stats(stages, sol)
@@ -231,7 +236,7 @@ def _cmd_curvature(args) -> int:
         }
         health["einstein_defect"] = max(health.get("einstein_defect", 0.0), ext.einstein_defect)
         stages.lap("extremes")
-    print(json.dumps(out))
+    _print_json(out)
     stages.lap("write")
     if args.stats:
         _print_stats(stages, sol, **health)

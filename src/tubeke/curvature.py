@@ -18,8 +18,17 @@ and every Bis value, the extremes and the boundary limit are read off this
 split.  The classical 16-term curvature sum is kept as an independent
 cross-check path.  The tensor formula, the split, the 16-term sum and the
 extremes serve single points and 1-d stacks (a MetricJet of arrays) through
-one arithmetic: tensor_from_jet, bisectional_from_jet (one vector pair per
-point), bis_extremes, sectional_max and the *_from_jet forms give arrays.
+one arithmetic: tensor_from_jet, bis_extremes, sectional_max and the
+*_from_jet forms give arrays at stacked points.
+
+Tangent vectors come as a TangentPair: one pair, v and w of shape (2,), or
+n stacked pairs, v and w of shape (n, 2).  The three doors that take one,
+bisectional, bisectional_from_jet and boundary_limit_bis, apply one
+broadcast rule.  A single point takes one pair (the value is a float) or n
+pairs (an array of n values).  n stacked points take one pair, which goes
+with every point, or n pairs, row i with point i (an array of n values).
+Any other count raises ValueError naming both.  A sectional curvature is
+the pair TangentPair(v=v, w=v).
 
 M splits into a 1x1 and a 2x2 block with closed-form eigenpairs.  The
 Einstein condition Ric = -3g fixes a = -3/2, b = 0 and tr M = -3/2, and the
@@ -60,18 +69,15 @@ __all__ = [
     "CurvatureTensor",
     "TangentPair",
     "BisExtremes",
-    "curvature_tensor",
     "tensor_from_jet",
     "bisectional",
     "bisectional_from_jet",
     "bisectional_batch",
-    "sectional",
     "bis_extremes",
     "bis_extremes_from_jet",
     "sectional_max",
     "sectional_max_from_jet",
     "boundary_limit_bis",
-    "boundary_limit_batch",
     "origin_closed_forms",
     "OriginValues",
     "extremal_sectional_vector",
@@ -119,20 +125,34 @@ class CurvatureTensor:
 
 @dataclass(frozen=True)
 class TangentPair:
-    """Two nonzero finite tangent vectors, each stored as a complex (2,) array."""
+    """One pair of tangent vectors, v and w of shape (2,), or n pairs as (n, 2) rows.
+
+    The only validator of tangent vectors: v and w must have one shape,
+    (2,) or (n, 2) with n >= 0, and every vector must be finite and
+    nonzero, or ValueError.  Both are stored as complex arrays.
+    """
 
     v: np.ndarray
     w: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.v, dtype=complex).reshape(2)
-        w = np.asarray(self.w, dtype=complex).reshape(2)
-        # checked on Python complex entries: numpy reductions over two
-        # length-2 arrays would cost most of the construction
-        (v0, v1), (w0, w1) = v.tolist(), w.tolist()
-        if not all(map(cmath.isfinite, (v0, v1, w0, w1))):
+        v = np.asarray(self.v, dtype=complex)
+        w = np.asarray(self.w, dtype=complex)
+        if v.shape != w.shape or v.shape[-1:] != (2,) or v.ndim > 2:
+            raise ValueError(f"tangent vectors must be one pair of shape (2,) or n pairs "
+                             f"of shape (n, 2), alike for v and w; got {v.shape} and {w.shape}")
+        if v.ndim == 1:
+            # checked on Python complex entries: numpy reductions over two
+            # length-2 arrays would cost most of the construction
+            (v0, v1), (w0, w1) = v.tolist(), w.tolist()
+            finite = all(map(cmath.isfinite, (v0, v1, w0, w1)))
+            zero = (v0 == 0 and v1 == 0) or (w0 == 0 and w1 == 0)
+        else:
+            both = np.stack([v, w])
+            finite, zero = np.isfinite(both).all(), (both == 0).all(axis=-1).any()
+        if not finite:
             raise ValueError("tangent vectors must be finite")
-        if (v0 == 0 and v1 == 0) or (w0 == 0 and w1 == 0):
+        if zero:
             raise ValueError("tangent vectors must be nonzero")
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "w", w)
@@ -143,9 +163,9 @@ class BisExtremes:
     """Extremal Bis, the jet's Einstein defect (see above) and the attaining pairs.
 
     The values come from the one split of their (jet, tensor); argmin and
-    argmax are built from the frame and eigenpairs kept here on first
-    read, then kept.  Stacked points give arrays, and each pair as (v rows,
-    w rows).
+    argmax are TangentPairs built from the frame and eigenpairs kept here
+    on first read, then kept.  Stacked points give arrays, and pairs of
+    (n, 2) rows.
     """
 
     min: float
@@ -168,11 +188,11 @@ class BisExtremes:
         lam, u = _largest(pairs, abs)
         m = _spinor_vector(frame, u)
         flipped = _spinor_vector(frame, tuple(-c for c in u))
-        if isinstance(lam, np.ndarray):
-            below = (lam < 0.0)[:, None]
-            return (np.where(below, m, flipped), m), (np.where(below, flipped, m), m)
-        same, flipped = TangentPair(v=m, w=m), TangentPair(v=flipped, w=m)
-        return (same, flipped) if lam < 0.0 else (flipped, same)
+        below = lam < 0.0
+        if isinstance(below, np.ndarray):
+            below = below[:, None]
+        return (TangentPair(v=_pick(below, m, flipped), w=m),
+                TangentPair(v=_pick(below, flipped, m), w=m))
 
 
 # ---------------------------------------------------------------------------
@@ -210,11 +230,6 @@ def tensor_from_jet(jet: MetricJet) -> CurvatureTensor:
     return _tensor(*jet.g, jet.d3, jet.d4)
 
 
-def curvature_tensor(sol: PotentialSolution, z: Point) -> CurvatureTensor:
-    """The six curvature coefficients of the metric at z."""
-    return tensor_from_jet(metric_jet(sol, z))
-
-
 # ---------------------------------------------------------------------------
 # bisectional / sectional values
 # ---------------------------------------------------------------------------
@@ -241,25 +256,18 @@ def _bis_direct(jet, tensor: CurvatureTensor, v, w) -> float:
     return num.real / (sq_norm(v) * sq_norm(w))
 
 
-def _tangent_rows(vs, ndim: int = 2) -> np.ndarray:
-    """vs as (n, 2) rows, or for ndim 1 one (2,) vector, nonzero and finite; or ValueError."""
-    vs = np.asarray(vs, dtype=complex)
-    if vs.ndim != ndim or vs.shape[-1] != 2:
-        form = "stacked as (n, 2) rows" if ndim == 2 else "of shape (2,)"
-        raise ValueError(f"tangent vectors must be {form}, got shape {vs.shape}")
-    if not np.isfinite(vs).all():
-        raise ValueError("tangent vectors must be finite")
-    if ((vs[..., 0] == 0) & (vs[..., 1] == 0)).any():
-        raise ValueError("tangent vectors must be nonzero")
-    return vs
+def _columns(pair: TangentPair, x) -> tuple:
+    """The pair's vectors by the broadcast rule: (2,) for one pair, (2, n) columns for n.
 
-
-def _tangent_pairs(vs, ws) -> tuple[np.ndarray, np.ndarray]:
-    vs, ws = _tangent_rows(vs), _tangent_rows(ws)
-    if vs.shape != ws.shape:
-        raise ValueError(f"vs and ws must hold the same number of vectors, "
-                         f"got {len(vs)} and {len(ws)}")
-    return vs, ws
+    x is the X of the point, or the array of X of stacked points (a 1-d
+    stack, or ValueError); n pairs at stacked points must be one per
+    point, or ValueError naming both counts.
+    """
+    v, w = pair.v, pair.w
+    if _stacked(x) and v.ndim == 2 and len(v) != len(x):
+        raise ValueError(f"{len(v)} vector pairs cannot go with {len(x)} stacked points: "
+                         f"give one pair, or one pair per point")
+    return (v, w) if v.ndim == 1 else (v.T, w.T)
 
 
 def _pull_to_axis(sol: PotentialSolution, z: Point, vectors):
@@ -269,7 +277,7 @@ def _pull_to_axis(sol: PotentialSolution, z: Point, vectors):
     diag(lam, lam^{1/(2p)}) with lam = 1/(1 - Re(4p z1)); bisectional
     curvature is invariant under it, so evaluating on the axis loses
     nothing and keeps the potential evaluators at their best-conditioned
-    abscissa.  A stacked z takes vectors of shape (2, n), one per point.
+    abscissa.  The vectors are (2,) or (2, n) columns, as _columns gives them.
     A point whose depth 1 - Re(4p z1) overflows (lam = 0) is refused.
     Each vector is _binade_scaled before the push, so that a subnormal one
     is pushed at full precision.
@@ -322,13 +330,14 @@ def _binade_scaled(u: np.ndarray) -> np.ndarray:
 
 
 def bisectional(sol: PotentialSolution, z: Point, pair: TangentPair,
-                *, normalize: bool = True, formula: str = "tube") -> float:
-    """Holomorphic bisectional curvature Bis_z(v, w).
+                *, normalize: bool = True, formula: str = "tube"):
+    """Holomorphic bisectional curvature Bis_z(v, w); Bis_z(v, v) is the sectional one.
 
     Parameters
     ----------
     sol, z, pair
-        Solved potential, evaluation point in T_p, and the vector pair.
+        Solved potential, evaluation point in T_p (single or stacked), and
+        the vector pair or pairs, taken by the module's broadcast rule.
     normalize : bool
         When true (default) the evaluation is moved to the axis
         representative (0, X(z)) with push-forward vectors, which is
@@ -345,36 +354,28 @@ def bisectional(sol: PotentialSolution, z: Point, pair: TangentPair,
 
     Returns
     -------
-    float
-        The curvature value; invariant under nonzero complex rescaling
-        of either vector.  Stacked z give an array, one value per point.
+    float or array
+        The curvature value, invariant under nonzero complex rescaling of
+        either vector: a float for one point and one pair, else an array.
     """
     require_domain(sol.params, z)
+    v, w = _columns(pair, z.z1)
     if normalize:
-        z, (v, w) = _pull_to_axis(sol, z, (pair.v, pair.w))
-    else:
-        v, w = pair.v, pair.w
+        z, (v, w) = _pull_to_axis(sol, z, (v, w))
     jet = metric_jet(sol, z)
     return _bis(jet, tensor_from_jet(jet), v, w, formula)
 
 
-def bisectional_from_jet(jet: MetricJet, tensor: CurvatureTensor, v, w,
+def bisectional_from_jet(jet: MetricJet, tensor: CurvatureTensor, pair: TangentPair,
                          *, formula: str = "tube"):
-    """Bis(v, w) at the jet's point, for vectors given at that point.
+    """Bis(v, w) at the jet's point or points, for vectors given there.
 
     formula is as in bisectional; no pull to the axis is made here.  A
-    single point takes (2,) vectors; a stacked jet, with its stacked
-    tensor, takes (n, 2) arrays v and w holding one vector pair per point
-    and gives an array.  Other shapes, zero and non-finite vectors raise
-    ValueError.
+    stacked jet takes its stacked tensor, and the pair goes by the
+    module's broadcast rule.
     """
-    if not _stacked(jet):
-        return _bis(jet, tensor, _tangent_rows(v, 1), _tangent_rows(w, 1), formula)
-    vs, ws = _tangent_pairs(v, w)
-    if len(vs) != len(jet.x_value):
-        raise ValueError(f"expected one vector pair per point ({len(jet.x_value)}), "
-                         f"got {len(vs)}")
-    return _bis(jet, tensor, vs.T, ws.T, formula)
+    v, w = _columns(pair, jet.x_value)
+    return _bis(jet, tensor, v, w, formula)
 
 
 def _bis(jet: MetricJet, tensor: CurvatureTensor, v, w, formula: str):
@@ -398,9 +399,8 @@ def _bis(jet: MetricJet, tensor: CurvatureTensor, v, w, formula: str):
     return bis if isinstance(bis, np.ndarray) else float(bis)
 
 
-def _stacked(jet: MetricJet) -> bool:
-    """Whether the jet is over stacked points; ValueError unless they form a 1-d stack."""
-    x = jet.x_value
+def _stacked(x) -> bool:
+    """Whether x, a point's value, is stacked; ValueError unless a 1-d stack."""
     if not isinstance(x, np.ndarray):
         return False
     if x.ndim != 1:
@@ -410,23 +410,13 @@ def _stacked(jet: MetricJet) -> bool:
 
 def bisectional_batch(sol: PotentialSolution, z: Point, vs, ws,
                       *, normalize: bool = True) -> np.ndarray:
-    """Bis_z(v_i, w_i) for stacked vector pairs, from one frame split at z.
+    """bisectional at z for the stacked pairs TangentPair(v=vs, w=ws).
 
-    vs, ws : (n, 2) complex arrays of nonzero finite vectors; other
-    shapes, zero rows and non-finite rows raise ValueError.
+    Kept only for the benchmark: bench/tracer.py wraps it by name, and the
+    verify_suites workload expects its span from the origin suite.  It
+    goes when the benchmark names bisectional alone.
     """
-    vs, ws = _tangent_pairs(vs, ws)
-    require_domain(sol.params, z)
-    vs, ws = vs.T, ws.T
-    if normalize:
-        z, (vs, ws) = _pull_to_axis(sol, z, (vs, ws))
-    jet = metric_jet(sol, z)
-    return _bis(jet, tensor_from_jet(jet), vs, ws, "tube")
-
-
-def sectional(sol: PotentialSolution, z: Point, v) -> float:
-    """Holomorphic sectional curvature S_z(v) = Bis_z(v, v)."""
-    return bisectional(sol, z, TangentPair(v=v, w=v))
+    return bisectional(sol, z, TangentPair(v=vs, w=ws), normalize=normalize)
 
 
 # ---------------------------------------------------------------------------
@@ -442,26 +432,6 @@ def _frame(jet: MetricJet) -> tuple[float, float, float]:
     _, g12, g22 = jet.g
     alpha = _sqrt(g22 / jet.det)
     return alpha, -alpha * g12 / g22, 1.0 / _sqrt(g22)
-
-
-def boundary_limit_batch(jet: MetricJet, vs, ws) -> np.ndarray:
-    """The strictly pseudoconvex boundary limit of Bis for stacked pairs.
-
-    Value -1 - |<v,w>_g|^2 / (|v|_g^2 |w|_g^2) for each row pair of the
-    (n, 2) complex arrays vs, ws, always in [-2, -1]: -2 at proportional
-    vectors (Cauchy-Schwarz equality), -1 at g-orthogonal ones.  Other
-    shapes, zero rows and non-finite rows raise ValueError.
-    """
-    vs, ws = _tangent_pairs(vs, ws)
-    return _boundary_limit(_point_frame(jet), vs.T, ws.T)
-
-
-def _point_frame(jet: MetricJet) -> tuple[float, float, float]:
-    """The _frame of a single point's jet; stacked points raise ValueError."""
-    if isinstance(jet.x_value, np.ndarray):
-        raise ValueError(f"the boundary limit takes a single point's jet, got stacked "
-                         f"points of shape {jet.x_value.shape}")
-    return _frame(jet)
 
 
 def _frame_coords(frame, v) -> tuple:
@@ -483,9 +453,16 @@ def _sq(u):
     return u.real * u.real + u.imag * u.imag
 
 
-def boundary_limit_bis(jet: MetricJet, pair: TangentPair) -> float:
-    """boundary_limit_batch for a single pair (validated by TangentPair)."""
-    return float(_boundary_limit(_point_frame(jet), pair.v[:, None], pair.w[:, None])[0])
+def boundary_limit_bis(jet: MetricJet, pair: TangentPair):
+    """The strictly pseudoconvex boundary limit of Bis at the jet's point or points.
+
+    Value -1 - |<v,w>_g|^2 / (|v|_g^2 |w|_g^2), always in [-2, -1]: -2 at
+    proportional vectors (Cauchy-Schwarz equality), -1 at g-orthogonal
+    ones.  The pair goes by the module's broadcast rule.
+    """
+    v, w = _columns(pair, jet.x_value)
+    limit = _boundary_limit(_frame(jet), v.reshape(2, -1), w.reshape(2, -1))
+    return float(limit[0]) if v.ndim == 1 and not _stacked(jet.x_value) else limit
 
 
 _DEFECT_TOL = 1e-3   # the largest Einstein defect the tube formula accepts
@@ -512,7 +489,7 @@ def _bloch_split(jet, tensor: CurvatureTensor) -> tuple:
     the 2x2 (x, z) block of M; every other entry vanishes.  A stacked jet
     (a 1-d stack, or ValueError) gives arrays.
     """
-    _stacked(jet)
+    _stacked(jet.x_value)
     al, be, ga = frame = _frame(jet)
     t = tensor
     R1111, R1112, R1122, R1212, R1222, R2222 = (t.R1111, t.R1112, t.R1122, t.R1212,

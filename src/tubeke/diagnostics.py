@@ -304,10 +304,11 @@ def _suite_origin(params, sol, rng):
     checks.append(_close("bis_e1_e1", float(closed.bis_min),
                          bisectional(sol, origin, TangentPair(v=e1, w=e1)), 1e-10))
     checks.append(_close("bis_e1_e2", float(closed.bis_max),
-                         bisectional_from_jet(jet, tensor, e1, e2), 1e-10))
+                         bisectional_from_jet(jet, tensor, TangentPair(v=e1, w=e2)), 1e-10))
     vstar = extremal_sectional_vector(sol)
     checks.append(_close("sect_at_balanced_vector", float(closed.sect_max),
-                         bisectional_from_jet(jet, tensor, vstar, vstar), 1e-9))
+                         bisectional_from_jet(jet, tensor, TangentPair(v=vstar, w=vstar)),
+                         1e-9))
     vs = _random_vectors(rng, 4000)
     values = bisectional_batch(sol, origin, vs[:2000], vs[2000:])
     violation = max(float(closed.bis_min) - values.min(),

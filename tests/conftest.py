@@ -94,7 +94,7 @@ def reference_bis(jet, tensor: CurvatureTensor, v, w) -> float:
 
 
 def reference_extremes(jet, tensor: CurvatureTensor) -> tuple:
-    """(min, argmin, max, argmax), the pairs built eagerly; stacked pairs as (v rows, w rows)."""
+    """(min, argmin, max, argmax), the pairs built eagerly as TangentPairs."""
     frame, pairs, _ = _reduced_form(jet, tensor)
     lam, u = _largest(pairs, abs)
     # n^T M u = lam n.u: lam at n = u, -lam at n = -u
@@ -102,7 +102,8 @@ def reference_extremes(jet, tensor: CurvatureTensor) -> tuple:
     flipped = _spinor_vector(frame, tuple(-c for c in u))
     if isinstance(jet.x_value, np.ndarray):
         below = (lam < 0.0)[:, None]
-        argmin, argmax = (np.where(below, m, flipped), m), (np.where(below, flipped, m), m)
+        argmin = TangentPair(v=np.where(below, m, flipped), w=m)
+        argmax = TangentPair(v=np.where(below, flipped, m), w=m)
     else:
         same, flipped = TangentPair(v=m, w=m), TangentPair(v=flipped, w=m)
         argmin, argmax = (same, flipped) if lam < 0.0 else (flipped, same)

@@ -25,13 +25,10 @@ from tubeke import (
     bisectional,
     bisectional_batch,
     bisectional_from_jet,
-    boundary_limit_batch,
     boundary_limit_bis,
-    curvature_tensor,
     extremal_sectional_vector,
     metric_jet,
     origin_closed_forms,
-    sectional,
     sectional_max,
     sectional_max_from_jet,
     tensor_from_jet,
@@ -137,7 +134,7 @@ def test_tensor_at_origin_matches_closed_forms(sols):
     for p, sol in sols.items():
         vals = origin_closed_forms(sol.params)
         f1_0 = sol.eval_f_derivs(0.0, 1)[1]
-        tensor = curvature_tensor(sol, ORIGIN)
+        tensor = tensor_from_jet(metric_jet(sol, ORIGIN))
         assert abs(tensor.R1111 - float(vals.R1111)) < 1e-8 * abs(float(vals.R1111))
         assert abs(tensor.R1122 - float(vals.R1122) * f1_0) < 1e-10 * f1_0
         assert abs(tensor.R1212 - float(vals.R1212) * f1_0) < 1e-10 * f1_0
@@ -155,7 +152,7 @@ def test_center_third_derivative_identity(sols):
 
 
 def test_coeff_lookup_symmetries(sol_p2):
-    tensor = curvature_tensor(sol_p2, Point(0j, 0.37 + 0j))
+    tensor = tensor_from_jet(metric_jet(sol_p2, Point(0j, 0.37 + 0j)))
     idx = (1, 2)
     for i in idx:
         for j in idx:
@@ -173,14 +170,6 @@ def test_coeff_lookup_symmetries(sol_p2):
     assert tensor.coeff(2, 2, 2, 1) == tensor.R1222
 
 
-def test_tensor_from_jet_equals_wrapper(sol_p2):
-    z = Point(complex(0.02, 0.5), complex(0.3, -0.9))
-    jet = metric_jet(sol_p2, z)
-    t1 = tensor_from_jet(jet)
-    t2 = curvature_tensor(sol_p2, z)
-    assert t1 == t2
-
-
 def test_tangent_pair_validation():
     with pytest.raises(ValueError):
         TangentPair(v=np.array([0.0, 0.0]), w=np.array([1.0, 0.0]))
@@ -190,58 +179,76 @@ def test_tangent_pair_validation():
         TangentPair(v=np.array([1.0, 0.0, 0.0]), w=np.array([1.0, 0.0]))
 
 
+@pytest.mark.parametrize("shape", [(), (1,), (3,), (2, 1), (2, 3), (1, 2, 2), (0,)])
+def test_tangent_pair_refuses_every_other_shape(shape):
+    # (1, 2) is one stacked pair, but (2, 1) and a 0-d value are neither form
+    # (reshape(2) used to read (1, 2) and (2, 1) as one pair)
+    bad = np.ones(shape, complex)
+    for v, w in ((bad, bad), (bad, np.array([1.0, 2.0])), (np.array([1.0, 2.0]), bad)):
+        with pytest.raises(ValueError, match=re.escape(f"got {np.shape(v)} and {np.shape(w)}")):
+            TangentPair(v=v, w=w)
+    with pytest.raises(ValueError, match="alike for v and w"):
+        TangentPair(v=np.ones((3, 2)), w=np.ones((2, 2)))
+    for rows in (np.ones((1, 2)), np.ones((0, 2)), [[1.0, 2j]] * 4):
+        pair = TangentPair(v=rows, w=rows)
+        assert pair.v.shape == np.shape(rows) and pair.v.dtype == complex
+
+
 GOOD_ROWS = np.array([[1.0 + 0.5j, -0.3], [0.2j, 2.0], [1.0, 1.0j]])
 
 
 @pytest.mark.parametrize("bad, message", [
-    (np.array([[1.0, 2.0, 3.0], [0.5, 1.0, 0.0], [1.0, 0.0, 1.0]]), "stacked as \\(n, 2\\) rows"),
-    (np.array([1.0, 2.0]), "stacked as \\(n, 2\\) rows"),
+    (np.array([[1.0, 2.0, 3.0], [0.5, 1.0, 0.0], [1.0, 0.0, 1.0]]), "one pair of shape \\(2,\\) or n pairs of shape \\(n, 2\\)"),
+    (np.array([1.0, 2.0]), "one pair of shape \\(2,\\) or n pairs of shape \\(n, 2\\)"),
     (np.array([[1.0, 2.0], [0.0, 0.0], [1.0, 1.0]]), "tangent vectors must be nonzero"),
     (np.array([[1.0, 2.0], [np.nan, 1.0], [1.0, 1.0]]), "tangent vectors must be finite"),
     (np.array([[1.0, 2.0], [1.0, complex(0.0, np.inf)], [1.0, 1.0]]), "tangent vectors must be finite"),
-    (GOOD_ROWS[:2], "same number of vectors"),
+    (GOOD_ROWS[:2], "alike for v and w"),
 ])
-def test_batch_rows_are_validated(sol_p2, bad, message):
-    jet = metric_jet(sol_p2, Point(0j, 0.4 + 0j))
+def test_stacked_pairs_are_validated(sol_p2, bad, message):
     z = Point(0.01 + 0.2j, 0.3 - 0.1j)
     for vs, ws in ((bad, GOOD_ROWS), (GOOD_ROWS, bad)):
         with pytest.raises(ValueError, match=message):
-            bisectional_batch(sol_p2, z, vs, ws)
+            TangentPair(v=vs, w=ws)
         with pytest.raises(ValueError, match=message):
-            boundary_limit_batch(jet, vs, ws)
+            bisectional_batch(sol_p2, z, vs, ws)
 
 
-@pytest.mark.parametrize("formula", ["tube", "direct"])
 @pytest.mark.parametrize("bad, message", [
     (np.array([0.0, 0.0]), "tangent vectors must be nonzero"),
     (np.array([np.nan, 1.0]), "tangent vectors must be finite"),
     (np.array([1.0, complex(0.0, np.inf)]), "tangent vectors must be finite"),
-    (np.array([1.0, 2.0, 3.0]), "of shape \\(2,\\), got shape \\(3,\\)"),
-    (GOOD_ROWS, "of shape \\(2,\\), got shape \\(3, 2\\)"),
+    (np.array([1.0, 2.0, 3.0]), "one pair of shape \\(2,\\) or n pairs"),
+    (GOOD_ROWS, "alike for v and w"),
 ])
-def test_single_point_vectors_are_validated(sol_p2, bad, message, formula):
-    # the stacked path's checks, for one vector at a single point's jet
-    jet = metric_jet(sol_p2, Point(0.01 + 0.2j, 0.3 - 0.1j))
-    tensor = tensor_from_jet(jet)
+def test_single_pairs_are_validated(bad, message):
     for v, w in ((bad, GOOD_ROWS[0]), (GOOD_ROWS[0], bad)):
         with pytest.raises(ValueError, match=message):
-            bisectional_from_jet(jet, tensor, v, w, formula=formula)
+            TangentPair(v=v, w=w)
 
 
-def test_boundary_limit_refuses_a_stacked_jet(sol_p2):
-    jet = metric_jet(sol_p2, Point(np.zeros(3, complex), np.array([0.1, 0.4, 0.9], complex)))
-    pair = TangentPair(v=GOOD_ROWS[0], w=GOOD_ROWS[1])
-    with pytest.raises(ValueError, match=re.escape("stacked points of shape (3,)")):
-        boundary_limit_batch(jet, GOOD_ROWS, GOOD_ROWS)
-    with pytest.raises(ValueError, match=re.escape("stacked points of shape (3,)")):
-        boundary_limit_bis(jet, pair)
+def test_boundary_limit_takes_stacked_jets(sol_p2):
+    # row i of a stacked jet with n pairs is the single point's call with
+    # pair i; one pair goes with every point; other counts are refused
+    xs = np.array([0.1, 0.4, 0.9])
+    jet = metric_jet(sol_p2, Point(np.zeros(3, complex), xs.astype(complex)))
+    singles = [metric_jet(sol_p2, Point(0j, complex(x))) for x in xs.tolist()]
+    stacked = boundary_limit_bis(jet, TangentPair(v=GOOD_ROWS, w=GOOD_ROWS[::-1]))
+    broadcast = boundary_limit_bis(jet, TangentPair(v=GOOD_ROWS[0], w=GOOD_ROWS[1]))
+    assert stacked.shape == broadcast.shape == (3,)
+    for i, single in enumerate(singles):
+        assert stacked[i] == boundary_limit_bis(
+            single, TangentPair(v=GOOD_ROWS[i], w=GOOD_ROWS[2 - i]))
+        assert broadcast[i] == boundary_limit_bis(
+            single, TangentPair(v=GOOD_ROWS[0], w=GOOD_ROWS[1]))
+    with pytest.raises(ValueError, match="2 vector pairs cannot go with 3 stacked points"):
+        boundary_limit_bis(jet, TangentPair(v=GOOD_ROWS[:2], w=GOOD_ROWS[:2]))
 
 
-def test_batch_validation_keeps_the_arithmetic(sol_p2):
-    # valid rows keep their values: boundary_limit_bis, which skips the
-    # row checks, agrees with the validated batch
+def test_stacked_pairs_keep_the_arithmetic(sol_p2):
+    # n pairs at one point: row i is the one-pair call with pair i
     jet = metric_jet(sol_p2, Point(0j, 0.999 + 0j))
-    batch = boundary_limit_batch(jet, GOOD_ROWS, GOOD_ROWS[::-1])
+    batch = boundary_limit_bis(jet, TangentPair(v=GOOD_ROWS, w=GOOD_ROWS[::-1]))
     for i in range(3):
         single = boundary_limit_bis(jet, TangentPair(v=GOOD_ROWS[i], w=GOOD_ROWS[2 - i]))
         assert abs(batch[i] - single) <= 1e-15
@@ -263,15 +270,16 @@ RAW_ENTRIES = {
         sol, z, TangentPair(v=v, w=w), normalize=False),
     "bisectional_direct": lambda sol, z, jet, t, v, w: bisectional(
         sol, z, TangentPair(v=v, w=w), normalize=False, formula="direct"),
-    "from_jet_tube": lambda sol, z, jet, t, v, w: bisectional_from_jet(jet, t, v, w),
+    "from_jet_tube": lambda sol, z, jet, t, v, w: bisectional_from_jet(
+        jet, t, TangentPair(v=v, w=w)),
     "from_jet_direct": lambda sol, z, jet, t, v, w: bisectional_from_jet(
-        jet, t, v, w, formula="direct"),
+        jet, t, TangentPair(v=v, w=w), formula="direct"),
     "batch": lambda sol, z, jet, t, v, w: bisectional_batch(
         sol, z, v[None], w[None], normalize=False)[0],
     "boundary_limit_bis": lambda sol, z, jet, t, v, w: boundary_limit_bis(
         jet, TangentPair(v=v, w=w)),
-    "boundary_limit_batch": lambda sol, z, jet, t, v, w: boundary_limit_batch(
-        jet, v[None], w[None])[0],
+    "boundary_limit_stacked": lambda sol, z, jet, t, v, w: boundary_limit_bis(
+        jet, TangentPair(v=v[None], w=w[None]))[0],
 }
 
 
@@ -295,7 +303,7 @@ SUBNORMAL_ENTRIES = {
         sol, z, TangentPair(v=v, w=w)),
     "bisectional_direct_normalized": lambda sol, z, jet, t, v, w: bisectional(
         sol, z, TangentPair(v=v, w=w), formula="direct"),
-    "sectional": lambda sol, z, jet, t, v, w: sectional(sol, z, v),
+    "sectional": lambda sol, z, jet, t, v, w: bisectional(sol, z, TangentPair(v=v, w=v)),
     "batch_normalized": lambda sol, z, jet, t, v, w: bisectional_batch(
         sol, z, np.stack([v, w]), np.stack([w, v])),
     **RAW_ENTRIES,
@@ -360,22 +368,23 @@ def test_bisectional_from_jet_equals_bisectional(sols, formula):
             pair = TangentPair(v=v, w=w)
             axis, (pv, pw) = _pull_to_axis(sol, z, (v, w))
             jet = metric_jet(sol, axis)
-            assert (bisectional_from_jet(jet, tensor_from_jet(jet), pv, pw, formula=formula)
+            pushed = TangentPair(v=pv, w=pw)
+            assert (bisectional_from_jet(jet, tensor_from_jet(jet), pushed, formula=formula)
                     == bisectional(sol, z, pair, formula=formula))
             assert type(bisectional(sol, z, pair, formula=formula)) is float
             here = metric_jet(sol, z)
-            assert (bisectional_from_jet(here, tensor_from_jet(here), v, w, formula=formula)
+            assert (bisectional_from_jet(here, tensor_from_jet(here), pair, formula=formula)
                     == bisectional(sol, z, pair, normalize=False, formula=formula))
     jet = metric_jet(sols[1], ORIGIN)
     with pytest.raises(ValueError):
-        bisectional_from_jet(jet, tensor_from_jet(jet), v, w, formula="bogus")
+        bisectional_from_jet(jet, tensor_from_jet(jet), pair, formula="bogus")
 
 
-def test_batch_matches_single(sol_p2):
+def test_stacked_pairs_match_single(sol_p2):
     rng = np.random.default_rng(23)
     z = Point(complex(0.0, -0.3), complex(0.52, 0.9))
     vs, ws = random_vectors(rng, 8), random_vectors(rng, 8)
-    batch = bisectional_batch(sol_p2, z, vs, ws)
+    batch = bisectional(sol_p2, z, TangentPair(v=vs, w=ws))
     for i in range(8):
         single = bisectional(sol_p2, z, TangentPair(v=vs[i], w=ws[i]))
         assert abs(batch[i] - single) < 1e-12 * abs(single)
@@ -449,12 +458,11 @@ def test_frame_extremes_match_the_reference(five_sols):
                 assert abs(value - ref) <= 1e-9 * abs(ref)
             # the pairs are g-unit and attain the values up to |a + 3/2| +
             # |b.(n+m)| <= 3 defect, plus rounding
-            for (v, w), value in (((ext.argmin.v, ext.argmin.w), ext.min),
-                                  ((ext.argmax.v, ext.argmax.w), ext.max),
-                                  ((vstar, vstar), sect)):
-                assert abs(g_norm_sq(jet, v) - 1.0) <= 1e-13
-                assert abs(g_norm_sq(jet, w) - 1.0) <= 1e-13
-                attained = bisectional_from_jet(jet, tensor, v, w)
+            for pair, value in ((ext.argmin, ext.min), (ext.argmax, ext.max),
+                                (TangentPair(v=vstar, w=vstar), sect)):
+                assert abs(g_norm_sq(jet, pair.v) - 1.0) <= 1e-13
+                assert abs(g_norm_sq(jet, pair.w) - 1.0) <= 1e-13
+                attained = bisectional_from_jet(jet, tensor, pair)
                 assert abs(attained - value) <= 3.0 * ext.einstein_defect + 1e-10 * abs(value)
             lam_y, mxx, mxz, mzz = _bloch_split(jet, tensor)[3]
             full = np.array([[mxx, 0.0, mxz], [0.0, lam_y, 0.0], [mxz, 0.0, mzz]])
@@ -509,8 +517,7 @@ def test_the_pair_path_refuses_a_large_einstein_defect(sol_p1):
     refused = f"Bis values at X = {re.escape(repr(jet.x_value))} are refused: .* Einstein defect"
     for evaluate in (lambda: bisectional(sol_p1, z, pair),
                      lambda: bisectional(sol_p1, z, pair, normalize=False),
-                     lambda: sectional(sol_p1, z, e1),
-                     lambda: bisectional_from_jet(jet, tensor, e1, e1),
+                     lambda: bisectional_from_jet(jet, tensor, pair),
                      lambda: bisectional_batch(sol_p1, z, [e1], [e1]),
                      lambda: bisectional_batch(sol_p1, z, [e1], [e1], normalize=False)):
         with pytest.raises(DomainError, match=refused):
@@ -519,7 +526,7 @@ def test_the_pair_path_refuses_a_large_einstein_defect(sol_p1):
     # (here it would read 3.0127), whatever the defect
     direct = f"direct Bis values at X = {re.escape(repr(jet.x_value))} are refused"
     for evaluate in (lambda: bisectional(sol_p1, z, pair, formula="direct"),
-                     lambda: bisectional_from_jet(jet, tensor, e1, e1, formula="direct")):
+                     lambda: bisectional_from_jet(jet, tensor, pair, formula="direct")):
         with pytest.raises(DomainError, match=direct):
             evaluate()
     # a stack is refused as a whole, naming its first refused X
@@ -527,7 +534,8 @@ def test_the_pair_path_refuses_a_large_einstein_defect(sol_p1):
     rows = np.array([e1] * 3)
     for formula, message in (("tube", refused), ("direct", direct)):
         with pytest.raises(DomainError, match=message):
-            bisectional_from_jet(stack, tensor_from_jet(stack), rows, rows, formula=formula)
+            bisectional_from_jet(stack, tensor_from_jet(stack), TangentPair(v=rows, w=rows),
+                                 formula=formula)
     # at 1 - x = 1e-4 both paths answer, near the exact -2
     z = Point(0j, complex(1.0 - 1e-4))
     alpha, beta, _ = _frame(metric_jet(sol_p1, z))
@@ -593,7 +601,7 @@ def test_random_pairs_respect_origin_pinching(sols):
     for sol in sols.values():
         vals = origin_closed_forms(sol.params)
         vs, ws = random_vectors(rng, 500), random_vectors(rng, 500)
-        values = bisectional_batch(sol, ORIGIN, vs, ws)
+        values = bisectional(sol, ORIGIN, TangentPair(v=vs, w=ws))
         assert values.min() >= float(vals.bis_min) - 1e-9
         assert values.max() <= float(vals.bis_max) + 1e-9
 
@@ -603,9 +611,10 @@ def test_sectional_max_and_extremal_vector(sols):
         vals = origin_closed_forms(sol.params)
         sm, argmax = sectional_max(sol, ORIGIN)
         assert abs(sm - float(vals.sect_max)) < 1e-7
-        assert abs(sectional(sol, ORIGIN, argmax) - sm) < 1e-10
+        assert abs(bisectional(sol, ORIGIN, TangentPair(v=argmax, w=argmax)) - sm) < 1e-10
         vstar = extremal_sectional_vector(sol)
-        assert abs(sectional(sol, ORIGIN, vstar) - float(vals.sect_max)) < 1e-9
+        sect = bisectional(sol, ORIGIN, TangentPair(v=vstar, w=vstar))
+        assert abs(sect - float(vals.sect_max)) < 1e-9
 
 
 def test_extremal_vector_is_metric_balanced(sols):
@@ -635,7 +644,7 @@ def test_extremes_bracket_random_samples(sol_p3):
     z = Point(0j, 0.62 + 0j)
     ext = bis_extremes(sol_p3, z)
     vs, ws = random_vectors(rng, 400), random_vectors(rng, 400)
-    values = bisectional_batch(sol_p3, z, vs, ws)
+    values = bisectional(sol_p3, z, TangentPair(v=vs, w=ws))
     assert values.min() >= ext.min - 1e-9
     assert values.max() <= ext.max + 1e-9
 
@@ -698,7 +707,7 @@ def test_boundary_limit_is_exact_to_rounding(sols, p):
             exact = [exact_boundary_limit(g, v, w) for v, w in zip(vs, ws)]
             kappa = [max(abs(u[1]) * math.sqrt(g[1, 1] / g_norm_sq(jet, u)) for u in pair)
                      for pair in zip(vs, ws)]
-            error = np.abs(boundary_limit_batch(jet, vs, ws) - exact)
+            error = np.abs(boundary_limit_bis(jet, TangentPair(v=vs, w=ws)) - exact)
             assert np.all(error <= 4.0 * EPS * (1.0 + np.array(kappa)))
             # the frame reads the jet's closure det g: alpha^2 det / g22 = 1
             alpha = Fraction(_frame(jet)[0])
@@ -713,7 +722,7 @@ def test_domain_errors(sol_p1):
     with pytest.raises(DomainError):
         bis_extremes(sol_p1, outside)
     with pytest.raises(DomainError):
-        curvature_tensor(sol_p1, outside)
+        tensor_from_jet(metric_jet(sol_p1, outside))
     with pytest.raises(DomainError):
         sectional_max(sol_p1, outside)
 
@@ -733,8 +742,8 @@ def test_deep_points_agree_with_shallower_ones(p, sols):
         pairs = [TangentPair(v=v, w=w) for v, w in zip(vs, ws)]
         values[re1] = np.array([*(bisectional(sol, z, pair) for pair in pairs),
                                 *(bisectional(sol, z, pair, formula="direct") for pair in pairs),
-                                *(sectional(sol, z, v) for v in vs),
-                                *bisectional_batch(sol, z, vs, ws)])
+                                *(bisectional(sol, z, TangentPair(v=v, w=v)) for v in vs),
+                                *bisectional(sol, z, TangentPair(v=vs, w=ws))])
     assert np.all(np.isfinite(values[-1e300]))
     assert np.max(np.abs(values[-1e300] - values[-1e100])) <= 1e-12
 
@@ -747,7 +756,7 @@ def test_non_finite_points_are_refused(sols):
             for evaluate in (lambda: bisectional(sol, z, pair),
                              lambda: bisectional(sol, z, pair, normalize=False),
                              lambda: bisectional_batch(sol, z, [pair.v], [pair.w]),
-                             lambda: sectional(sol, z, pair.v),
+                             lambda: bisectional(sol, z, TangentPair(v=[pair.v], w=[pair.w])),
                              lambda: bis_extremes(sol, z),
                              lambda: sectional_max(sol, z),
                              lambda: metric_jet(sol, z)):

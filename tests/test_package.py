@@ -14,18 +14,18 @@ PUBLIC = [
     "classify_boundary", "region", "in_cone",
     "XLDerivatives", "MetricJet", "x_derivatives", "metric_jet",
     "einstein_residual",
-    "CurvatureTensor", "TangentPair", "BisExtremes", "OriginValues", "curvature_tensor",
+    "CurvatureTensor", "TangentPair", "BisExtremes", "OriginValues",
     "tensor_from_jet", "bisectional", "bisectional_from_jet",
-    "bisectional_batch", "sectional", "bis_extremes",
+    "bisectional_batch", "bis_extremes",
     "bis_extremes_from_jet", "sectional_max", "sectional_max_from_jet",
-    "boundary_limit_bis", "boundary_limit_batch", "origin_closed_forms",
+    "boundary_limit_bis", "origin_closed_forms",
     "extremal_sectional_vector",
     "CheckResult", "SuiteReport", "SUITE_NAMES", "run_suite", "SweepRow", "axis_sweep",
 ]
 
 
 def test_public_names_are_unchanged_and_all_resolve():
-    assert len(PUBLIC) == len(set(PUBLIC)) == 51
+    assert len(PUBLIC) == len(set(PUBLIC)) == 48
     assert len(tubeke.__all__) == len(set(tubeke.__all__))
     assert set(tubeke.__all__) == set(PUBLIC)
     namespace = {}

@@ -128,18 +128,20 @@ def test_stacked_bisectional_matches_bisectional_from_jet(p, sols):
     tensor = tensor_from_jet(stacked)
     for scalar, near_tol in ((rows_of(stacked), 1e-13), (jets, 1e-11)):
         for formula in ("tube", "direct"):
-            values = bisectional_from_jet(stacked, tensor, vs, ws, formula=formula)
+            values = bisectional_from_jet(stacked, tensor, TangentPair(v=vs, w=ws),
+                                          formula=formula)
             assert values.shape == (120,)
             for i, jet in enumerate(scalar):
-                ref = bisectional_from_jet(jet, tensor_from_jet(jet), vs[i], ws[i],
-                                           formula=formula)
+                ref = bisectional_from_jet(jet, tensor_from_jet(jet),
+                                           TangentPair(v=vs[i], w=ws[i]), formula=formula)
                 tol = 1e-13 if abs(jet.x_value) <= 0.99 else near_tol
                 assert abs(values[i] - ref) <= tol * abs(ref), (formula, i, jet.x_value)
     # the frame split against the feature form it replaced
     for i, jet in enumerate(jets[:80]):
         tensor = tensor_from_jet(jet)
         ref = reference_bis(jet, tensor, vs[i], ws[i])
-        assert abs(bisectional_from_jet(jet, tensor, vs[i], ws[i]) - ref) <= 1e-13 * abs(ref), i
+        pair = TangentPair(v=vs[i], w=ws[i])
+        assert abs(bisectional_from_jet(jet, tensor, pair) - ref) <= 1e-13 * abs(ref), i
 
 
 def test_stacked_bisectional_rejects_bad_input(sol_p2):
@@ -147,11 +149,12 @@ def test_stacked_bisectional_rejects_bad_input(sol_p2):
     tensor = tensor_from_jet(jet)
     v = np.array([[1.0 + 0j, 2.0], [0.5, 1j]])
     with pytest.raises(ValueError, match="unknown formula"):
-        bisectional_from_jet(jet, tensor, v, v, formula="bloch")
-    with pytest.raises(ValueError, match="one vector pair per point"):
-        bisectional_from_jet(jet, tensor, v[:1], v[:1])
+        bisectional_from_jet(jet, tensor, TangentPair(v=v, w=v), formula="bloch")
+    with pytest.raises(ValueError, match="1 vector pairs cannot go with 2 stacked points"):
+        bisectional_from_jet(jet, tensor, TangentPair(v=v[:1], w=v[:1]))
     with pytest.raises(ValueError, match="tangent vectors must be nonzero"):
-        bisectional_from_jet(jet, tensor, v, np.array([[1.0, 0.0], [0.0, 0.0]]))
+        bisectional_from_jet(jet, tensor,
+                             TangentPair(v=v, w=np.array([[1.0, 0.0], [0.0, 0.0]])))
 
 
 def axis_stack(xs):
@@ -176,14 +179,15 @@ def test_stacked_extremes_equal_the_scalar_extremes_per_point(p, five_sols):
         sect, vstar = sectional_max_from_jet(stacked, tensor)
         n = len(scalar)
         assert ext.min.shape == ext.max.shape == ext.einstein_defect.shape == sect.shape == (n,)
-        assert all(rows.shape == (n, 2) for rows in (*ext.argmin, *ext.argmax, vstar))
+        assert all(rows.shape == (n, 2) for rows in (ext.argmin.v, ext.argmin.w,
+                                                     ext.argmax.v, ext.argmax.w, vstar))
         for i, jet in enumerate(scalar):
             ref = bis_extremes_from_jet(jet, tensor_from_jet(jet))
             ref_sect, ref_vstar = sectional_max_from_jet(jet, tensor_from_jet(jet))
             assert (ext.min[i], ext.max[i], ext.einstein_defect[i], sect[i]) == (
                 ref.min, ref.max, ref.einstein_defect, ref_sect), (p, i)
             for rows, pair in ((ext.argmin, ref.argmin), (ext.argmax, ref.argmax)):
-                assert np.array_equal(rows[0][i], pair.v) and np.array_equal(rows[1][i], pair.w)
+                assert np.array_equal(rows.v[i], pair.v) and np.array_equal(rows.w[i], pair.w)
             assert np.array_equal(vstar[i], ref_vstar)
 
 
@@ -200,8 +204,9 @@ def test_stacked_extremizers_attain_their_values(p, five_sols):
     tensor = tensor_from_jet(jet)
     ext = bis_extremes_from_jet(jet, tensor)
     sect, vstar = sectional_max_from_jet(jet, tensor)
-    for (vs, ws), values in ((ext.argmin, ext.min), (ext.argmax, ext.max), ((vstar, vstar), sect)):
-        attained = bisectional_from_jet(jet, tensor, vs, ws)
+    for pair, values in ((ext.argmin, ext.min), (ext.argmax, ext.max),
+                         (TangentPair(v=vstar, w=vstar), sect)):
+        attained = bisectional_from_jet(jet, tensor, pair)
         tol = 3.0 * ext.einstein_defect + 1e-13 * np.abs(values)
         assert np.all(np.abs(attained - values) <= tol), p
     assert np.all(ext.min <= ext.max) and np.all(ext.max < 0.0) and np.all(sect < 0.0)
@@ -241,7 +246,7 @@ def test_bis_extremes_and_sectional_max_take_stacked_points(p, sols):
         assert (ext.min[i], ext.max[i], ext.einstein_defect[i], sect[i]) == (
             ref.min, ref.max, ref.einstein_defect, ref_sect), (p, i)
         for rows, pair in ((ext.argmin, ref.argmin), (ext.argmax, ref.argmax)):
-            assert np.array_equal(rows[0][i], pair.v) and np.array_equal(rows[1][i], pair.w)
+            assert np.array_equal(rows.v[i], pair.v) and np.array_equal(rows.w[i], pair.w)
         assert np.array_equal(vstar[i], ref_vstar)
 
 
@@ -259,23 +264,22 @@ def test_extremes_equal_the_eager_reference(p, five_sols):
         low, argmin, high, argmax = reference_extremes(jet, tensor_from_jet(jet))
         assert np.array_equal(ext.min, low) and np.array_equal(ext.max, high)
         for lazy, eager in ((ext.argmin, argmin), (ext.argmax, argmax)):
-            assert type(lazy) is type(eager)
-            if jet is not stacked:
-                lazy, eager = (lazy.v, lazy.w), (eager.v, eager.w)
-            assert all(map(np.array_equal, lazy, eager))
+            assert type(lazy) is type(eager) is TangentPair
+            assert np.array_equal(lazy.v, eager.v) and np.array_equal(lazy.w, eager.w)
 
 
 def test_an_empty_stack_gives_empty_results(sol_p2):
     z = Point(np.zeros(0, complex), np.zeros(0, complex))
     ext = bis_extremes(sol_p2, z)
     assert ext.min.shape == ext.max.shape == ext.einstein_defect.shape == (0,)
-    assert all(rows.shape == (0, 2) for rows in (*ext.argmin, *ext.argmax))
+    assert all(rows.shape == (0, 2) for rows in (ext.argmin.v, ext.argmin.w,
+                                                 ext.argmax.v, ext.argmax.w))
     sect, vstar = sectional_max(sol_p2, z)
     assert sect.shape == (0,) and vstar.shape == (0, 2)
     jet = metric_jet(sol_p2, z)
     none = np.empty((0, 2), complex)
     for formula in ("tube", "direct"):
-        assert bisectional_from_jet(jet, tensor_from_jet(jet), none, none,
+        assert bisectional_from_jet(jet, tensor_from_jet(jet), TangentPair(v=none, w=none),
                                     formula=formula).shape == (0,)
 
 
@@ -288,8 +292,9 @@ def test_a_stack_of_more_than_one_dimension_is_refused(sol_p2):
     vs = np.array([[1.0 + 0j, 2.0]] * 4)
     for evaluate in (lambda: bis_extremes_from_jet(jet, tensor),
                      lambda: sectional_max_from_jet(jet, tensor),
-                     lambda: bisectional_from_jet(jet, tensor, vs, vs),
-                     lambda: bisectional_from_jet(jet, tensor, vs, vs, formula="direct"),
+                     lambda: bisectional_from_jet(jet, tensor, TangentPair(v=vs, w=vs)),
+                     lambda: bisectional_from_jet(jet, tensor, TangentPair(v=vs, w=vs),
+                                                  formula="direct"),
                      lambda: bis_extremes(sol_p2, z),
                      lambda: sectional_max(sol_p2, z)):
         with pytest.raises(ValueError, match=re.escape("1-d stack, got shape (2, 2)")):

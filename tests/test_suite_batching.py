@@ -22,14 +22,12 @@ from tubeke import (
     bis_extremes_from_jet,
     bisectional,
     bisectional_batch,
-    boundary_limit_batch,
     boundary_limit_bis,
     einstein_residual,
     extremal_sectional_vector,
     metric_jet,
     origin_closed_forms,
     run_suite,
-    sectional,
     sectional_max_from_jet,
     tensor_from_jet,
 )
@@ -154,7 +152,7 @@ def reference_origin(params, sol, rng):
                          bisectional(sol, origin, TangentPair(v=e1, w=e2)), 1e-10))
     vstar = extremal_sectional_vector(sol)
     checks.append(_close("sect_at_balanced_vector", float(closed.sect_max),
-                         sectional(sol, origin, vstar), 1e-9))
+                         bisectional(sol, origin, TangentPair(v=vstar, w=vstar)), 1e-9))
     vs = diagnostics._random_vectors(rng, 4000)
     values = bisectional_batch(sol, origin, vs[:2000], vs[2000:])
     violation = max(float(closed.bis_min) - values.min(),
@@ -244,7 +242,7 @@ def reference_boundary_limit_suite(params, sol, rng):
     for x in (0.9, 0.99, 0.999):
         z = Point(0j, complex(x))
         jet = metric_jet(sol, z)
-        values = bisectional_batch(sol, z, vs[::2], vs[1::2])
+        values = bisectional(sol, z, TangentPair(v=vs[::2], w=vs[1::2]))
         gap = 0.0
         for i in range(1000):
             gap = max(gap, abs(values[i] - reference_boundary_limit(jet, vs[2 * i], vs[2 * i + 1])))
@@ -364,11 +362,11 @@ def reference_regions(params, sol, rng):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("x", [0.4, 0.999])
-def test_boundary_limit_batch_matches_the_scalar_loop(sol_p2, x):
+def test_stacked_boundary_limit_matches_the_scalar_loop(sol_p2, x):
     rng = np.random.default_rng(11)
     vs = rng.normal(size=(2000, 2)) + 1j * rng.normal(size=(2000, 2))
     jet = metric_jet(sol_p2, Point(0j, complex(x)))
-    batch = boundary_limit_batch(jet, vs[::2], vs[1::2])
+    batch = boundary_limit_bis(jet, TangentPair(v=vs[::2], w=vs[1::2]))
     loop = np.array([boundary_limit_bis(jet, TangentPair(v=vs[2 * i], w=vs[2 * i + 1]))
                      for i in range(1000)])
     assert np.max(np.abs(batch - loop)) <= 1e-15

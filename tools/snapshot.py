@@ -14,7 +14,9 @@ It imports ``tubeke`` from the checkout on PYTHONPATH and writes into OUTDIR:
 - the output files, stdout, stderr and exit code of these CLI calls, run in
   process through ``tubeke.cli.main`` from OUTDIR: ``sweep`` (500 rows) for
   p = 1, 2, 3, ``verify --p 2 --report``, ``eval --derivs`` at x = 0,
-  +-0.5, +-0.99 and ``curvature --extremes`` at four points.
+  +-0.5, +-0.99, and ``curvature --extremes`` at four points and
+  ``curvature --v --w`` there for p = 1, 2, 3 with fixed vector pairs
+  (among them vectors scaled by 2^600 and 2^-600, and a subnormal one).
 
 ``--stats``, whose timings vary from run to run, is left out.  Two
 checkouts give the same outputs exactly when ``diff -r`` between their
@@ -24,6 +26,7 @@ suite does not run it.
 
 import contextlib
 import io
+import math
 import os
 import sys
 from pathlib import Path
@@ -38,6 +41,17 @@ EVAL_PS = (1, 2, 3, 5, 8)
 EVAL_XS = ("0", "0.5", "-0.5", "0.99", "-0.99")
 EXTREME_POINTS = ("0.01,0.2,0.5,-0.1", "-0.1,0.3,0.9,0.0", "0.0,0.0,0.0,0.0",
                   "0.05,-1.0,-0.7,0.4")
+# (v, w) as re1,im1,re2,im2: plain, scaled far out of and into the double
+# range by exact powers of two, and subnormal
+_V, _W = (0.3, -1.2, 0.7, 0.5), (-0.4, 0.9, 1.1, -0.2)
+VECTOR_PAIRS = tuple(
+    (",".join(map(repr, v)), ",".join(map(repr, w))) for v, w in (
+        ((1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0)),
+        (_V, _W),
+        (tuple(math.ldexp(c, 600) for c in _V), _W),
+        (_V, tuple(math.ldexp(c, -600) for c in _W)),
+        ((5e-324, 0.0, 0.0, -1e-320), _W),
+    ))
 
 
 def _evaluator_lines(sol):
@@ -86,6 +100,10 @@ def main(outdir):
     for i, point in enumerate(EXTREME_POINTS):
         _cli(f"extremes{i}", "curvature", "--sol", "p3.json", f"--point={point}",
              "--extremes")
+        for p in (1, 2, 3):
+            for j, (v, w) in enumerate(VECTOR_PAIRS):
+                _cli(f"pair{i}_p{p}_{j}", "curvature", "--sol", f"p{p}.json",
+                     f"--point={point}", f"--v={v}", f"--w={w}")
 
 
 if __name__ == "__main__":

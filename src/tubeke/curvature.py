@@ -39,7 +39,10 @@ is about 1e-10 for |X| <= 0.99 and at most 1.3e-4 for 1 - |X| >= 1e-4; where
 it exceeds 1e-3 (p=1 from 1 - |X| = 5e-5) the extremes and every tube-formula
 Bis raise DomainError.  The frame and the split use only +, -, *, / and
 sqrt, and X has one pow for floats and arrays, so stacked extremes equal the
-single point's bit for bit.
+single point's bit for bit.  The pull to the axis has the same one pow, and
+the Bloch vectors round alike on Python complex and on numpy columns, so
+bisectional (normalized, tube) at stacked points equals the single point's
+bit for bit too.
 
 The extremes make one split per (jet, tensor): the tensor keeps the reduced
 form (frame, eigenpairs, defect) of the last jet it was split with, so
@@ -280,7 +283,8 @@ def _pull_to_axis(sol: PotentialSolution, z: Point, vectors):
     abscissa.  The vectors are (2,) or (2, n) columns, as _columns gives them.
     A point whose depth 1 - Re(4p z1) overflows (lam = 0) is refused.
     Each vector is _binade_scaled before the push, so that a subnormal one
-    is pushed at full precision.
+    is pushed at full precision.  lam^{1/(2p)} is numpy's pow for one point
+    and for stacked points alike, as X is.
     """
     p = sol.params.p
     lam = 1.0 / (1.0 - 4 * p * z.z1.real)
@@ -289,7 +293,7 @@ def _pull_to_axis(sol: PotentialSolution, z: Point, vectors):
     if not _all(ok):
         raise DomainError(f"point {_first_point(z, ok)} is too deep to pull tangent "
                           f"vectors to the axis: 1 - Re(4p z1) overflows")
-    j1, j2 = lam, lam ** (1.0 / (2 * p))
+    j1, j2 = lam, np.power(lam, 1.0 / (2 * p))
     return _on_axis(x), [np.array([j1 * u[0], j2 * u[1]]) for u in map(_binade_scaled, vectors)]
 
 
@@ -305,22 +309,25 @@ _SUBNORMAL_LIFT = 2.0 ** 64
 
 
 def _binade_scaled(u: np.ndarray) -> np.ndarray:
-    """u times the power of two that brings max |u_i| into [0.5, 1).
+    """u times the power of two that brings its largest real or imaginary part into [0.5, 1).
 
     u is one vector, or vectors stacked as the columns of a (2, n) array,
     each scaled by its own power.  Bis and the boundary limit are invariant
     under rescaling each vector, and the scale is exact in floating point;
     it keeps squares of entries far from 1 from over- or underflowing, as
     in the pushed vectors of deep points (lam -> 0, where lam and
-    lam^{1/(2p)} part by hundreds of decades).  A vector whose max |u_i| is
-    subnormal, where 2^{-e} can overflow, is first lifted by 2^64, exactly.
+    lam^{1/(2p)} part by hundreds of decades).  The scale is read off the
+    parts, not the moduli: a finite entry's modulus can overflow, as
+    |1.7e308 (1 + i)| does.  A vector whose largest part is subnormal,
+    where 2^{-e} can overflow, is first lifted by 2^64, exactly.
     """
     if u.ndim == 1:
-        m = max(abs(u[0]), abs(u[1]))
+        a, b = u.tolist()
+        m = max(abs(a.real), abs(a.imag), abs(b.real), abs(b.imag))
         if m < _MIN_NORMAL:
             return _binade_scaled(u * _SUBNORMAL_LIFT)
         return u * math.ldexp(1.0, -math.frexp(m)[1])
-    m = np.abs(u).max(axis=0)
+    m = np.maximum(np.abs(u.real), np.abs(u.imag)).max(axis=0)
     tiny = m < _MIN_NORMAL
     if tiny.any():
         u = u.copy()
@@ -435,10 +442,14 @@ def _frame(jet: MetricJet) -> tuple[float, float, float]:
 
 
 def _frame_coords(frame, v) -> tuple:
-    """(v0, v1) with v = v0 e1 + v1 e2, for a vector or (2, n) columns."""
+    """(v0, v1) with v = v0 e1 + v1 e2, for a vector or (2, n) columns.
+
+    Times the reciprocals, as numpy divides a complex array by a real one,
+    so that Python complex entries round as numpy columns do.
+    """
     alpha, beta, gamma = frame
-    v0 = v[0] / alpha
-    return v0, (v[1] - beta * v0) / gamma
+    v0 = v[0] * (1.0 / alpha)
+    return v0, (v[1] - beta * v0) * (1.0 / gamma)
 
 
 def _boundary_limit(frame, v, w) -> np.ndarray:
@@ -513,11 +524,16 @@ def _bloch_split(jet, tensor: CurvatureTensor) -> tuple:
 
 
 def _bloch(frame, v) -> tuple:
-    """The Bloch vector of v in the frame (arrays for (2, n) columns)."""
+    """The Bloch vector of v in the frame (arrays for (2, n) columns).
+
+    v0 conj(v1) is formed from real products: numpy's complex product may
+    fuse a multiply-add where Python's does not.
+    """
     v0, v1 = _frame_coords(frame, v)
-    cross, s0, s1 = v0 * v1.conjugate(), _sq(v0), _sq(v1)
+    a, b, c, d = v0.real, v0.imag, v1.real, v1.imag
+    s0, s1 = _sq(v0), _sq(v1)
     norm = s0 + s1
-    return 2.0 * cross.real / norm, -2.0 * cross.imag / norm, (s0 - s1) / norm
+    return 2.0 * (a * c + b * d) / norm, -2.0 * (b * c - a * d) / norm, (s0 - s1) / norm
 
 
 def _bis_frame(split, v, w):

@@ -161,6 +161,27 @@ def test_curvature_pair_mode_takes_a_subnormal_vector(sol_file, capsys):
     assert runs[0][1]["bis"] == runs[1][1]["bis"]
 
 
+def test_curvature_pair_mode_takes_a_vector_whose_modulus_overflows(sol_file, capsys):
+    # |1.7e308 (1 + i)| is inf although both parts are finite: the value is
+    # its 2^-1000 scaling's, where it used to print "bis": NaN with exit 0
+    runs = [run_json(capsys, ["curvature", "--sol", str(sol_file), "--point=0.01,0.2,0.5,-0.1",
+                              f"--v={re1!r},{re1!r},0,0", "--w=0.3,0,0,1"])
+            for re1 in (1.7e308, 1.7e308 / 2.0 ** 1000)]
+    assert [code for code, _ in runs] == [0, 0]
+    assert math.isfinite(runs[0][1]["bis"]) and runs[0][1]["bis"] == runs[1][1]["bis"]
+
+
+def test_no_verb_prints_a_non_finite_value(sol_file, capsys, monkeypatch):
+    # stdout is strict JSON: a NaN or inf result exits 2 with one line on
+    # stderr instead of printing NaN with exit 0
+    monkeypatch.setattr(tubeke.curvature, "bisectional", lambda *args, **kwargs: math.nan)
+    code = main(["curvature", "--sol", str(sol_file), "--point=0,0,0,0",
+                 "--v=1,0,0,0", "--w=1,0,0,0"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1 and "not JSON compliant" in captured.err
+
+
 def test_curvature_extremes_mode(sol1_file, capsys):
     code, out = run_json(capsys, [
         "curvature", "--sol", str(sol1_file), "--point", "0,0,0,0",

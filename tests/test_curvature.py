@@ -328,6 +328,23 @@ def test_subnormal_vectors_give_the_bits_of_their_normal_scaling(sol_p2, entry, 
     assert tiny.tobytes() == np.asarray(value(sol_p2, z, jet, tensor, normal, w)).tobytes()
 
 
+@pytest.mark.parametrize("entry", SUBNORMAL_ENTRIES)
+def test_vectors_whose_modulus_overflows_give_the_bits_of_their_scaling(sol_p2, entry):
+    # each part of 1.7e308 (1 + i) is finite but its modulus is inf: the
+    # binade scale is read off the parts, where a scale read off the moduli
+    # left the vector unscaled and every door read NaN
+    z = Point(0.01 + 0.2j, 0.5 - 0.1j)
+    v, w = np.array([1.7e308 + 1.7e308j, 0.0]), np.array([0.3, 1j])
+    assert np.isinf(abs(v[0]))
+    jet = metric_jet(sol_p2, z)
+    tensor = tensor_from_jet(jet)
+    value = SUBNORMAL_ENTRIES[entry]
+    big = np.asarray(value(sol_p2, z, jet, tensor, v, w))
+    assert np.isfinite(big).all()
+    scaled = np.asarray(value(sol_p2, z, jet, tensor, v / 2.0 ** 1000, w))
+    assert big.tobytes() == scaled.tobytes()
+
+
 def test_bisectional_symmetry_in_the_pair(sol_p2):
     rng = np.random.default_rng(21)
     z = Point(0j, 0.45 + 0j)

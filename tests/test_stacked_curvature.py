@@ -22,6 +22,7 @@ from tubeke import (
     bis_extremes_from_jet,
     bisectional,
     bisectional_from_jet,
+    boundary_limit_bis,
     metric_jet,
     sectional_max,
     sectional_max_from_jet,
@@ -313,3 +314,52 @@ def test_bisectional_at_stacked_points_pairs_one_vector_pair_with_each(sol_p2):
                    for point in points]
             assert values.shape == (3,)
             assert np.allclose(values, ref, rtol=1e-12, atol=0.0), (normalize, formula)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 5])
+def test_bisectional_at_stacked_points_equals_the_single_calls_bit_for_bit(p, five_sols):
+    # row i of n pairs at n stacked points is the single call at point i
+    # with pair i: lam^{1/(2p)} is one pow, and the Bloch vectors round
+    # alike on Python complex and on numpy columns
+    sol = five_sols[p]
+    rng = np.random.default_rng(110 + p)
+    points = sample_points(p, rng, 100) + near_boundary_points(p, rng, 20)
+    vs = rng.normal(size=(120, 2)) + 1j * rng.normal(size=(120, 2))
+    ws = rng.normal(size=(120, 2)) + 1j * rng.normal(size=(120, 2))
+    values = bisectional(sol, Point.stack(points), TangentPair(v=vs, w=ws))
+    single = [bisectional(sol, z, TangentPair(v=v, w=w)) for z, v, w in zip(points, vs, ws)]
+    assert values.shape == (120,)
+    assert values.tobytes() == np.array(single).tobytes()
+
+
+def test_the_broadcast_rule(sol_p2):
+    # a single point takes one pair (a float) or n pairs (n values); n
+    # stacked points take one pair or n pairs, row with row; every door
+    # applies the rule, and refuses other counts naming both
+    points = sample_points(2, np.random.default_rng(120), 3)
+    z, one = Point.stack(points), TangentPair(v=[1.0, 1j], w=[0.5, 2.0])
+    rows = TangentPair(v=[[1.0, 1j], [0.3, -1.0], [2j, 1.0]], w=[[0.5, 2.0], [1.0, 0.0], [1j, 1j]])
+    jet, jets = metric_jet(sol_p2, z), [metric_jet(sol_p2, point) for point in points]
+    doors = (lambda z, jet, pair: bisectional(sol_p2, z, pair),
+             lambda z, jet, pair: bisectional(sol_p2, z, pair, normalize=False),
+             lambda z, jet, pair: bisectional_from_jet(jet, tensor_from_jet(jet), pair),
+             lambda z, jet, pair: boundary_limit_bis(jet, pair))
+    for door in doors:
+        assert type(door(points[0], jets[0], one)) is float
+        at_one = door(points[0], jets[0], rows)
+        assert at_one.shape == (3,)
+        for i in range(3):
+            row = TangentPair(v=rows.v[i], w=rows.w[i])
+            assert at_one[i] == door(points[0], jets[0], row)
+        for pair in (one, rows):
+            stacked = door(z, jet, pair)
+            assert stacked.shape == (3,)
+            ref = [door(point, single, pair if pair is one else
+                        TangentPair(v=pair.v[i], w=pair.w[i]))
+                   for i, (point, single) in enumerate(zip(points, jets))]
+            assert np.allclose(stacked, ref, rtol=1e-13, atol=0.0)
+        two = TangentPair(v=rows.v[:2], w=rows.w[:2])
+        with pytest.raises(ValueError, match="2 vector pairs cannot go with 3 stacked points"):
+            door(z, jet, two)
+        none = TangentPair(v=np.empty((0, 2)), w=np.empty((0, 2)))
+        assert door(points[0], jets[0], none).shape == (0,)

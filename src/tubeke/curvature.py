@@ -260,11 +260,9 @@ def _bis_direct(jet, tensor: CurvatureTensor, v, w) -> float:
 
 
 def _columns(pair: TangentPair, x) -> tuple:
-    """The pair's vectors by the broadcast rule: (2,) for one pair, (2, n) columns for n.
+    """The pair's (2,) vectors, or (2, n) columns of n pairs, by the module's broadcast rule.
 
-    x is the X of the point, or the array of X of stacked points (a 1-d
-    stack, or ValueError); n pairs at stacked points must be one per
-    point, or ValueError naming both counts.
+    x is the points' X: a float, or a 1-d stack (else ValueError).
     """
     v, w = pair.v, pair.w
     if _stacked(x) and v.ndim == 2 and len(v) != len(x):
@@ -417,11 +415,10 @@ def _stacked(x) -> bool:
 
 def bisectional_batch(sol: PotentialSolution, z: Point, vs, ws,
                       *, normalize: bool = True) -> np.ndarray:
-    """bisectional at z for the stacked pairs TangentPair(v=vs, w=ws).
+    """bisectional(sol, z, TangentPair(v=vs, w=ws), normalize=normalize).
 
-    Kept only for the benchmark: bench/tracer.py wraps it by name, and the
-    verify_suites workload expects its span from the origin suite.  It
-    goes when the benchmark names bisectional alone.
+    Kept while the benchmark names it: bench/tracer.py wraps it, and
+    verify_suites expects its span from the origin suite.
     """
     return bisectional(sol, z, TangentPair(v=vs, w=ws), normalize=normalize)
 

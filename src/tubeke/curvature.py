@@ -132,15 +132,16 @@ class TangentPair:
 
     The only validator of tangent vectors: v and w must have one shape,
     (2,) or (n, 2) with n >= 0, and every vector must be finite and
-    nonzero, or ValueError.  Both are stored as complex arrays.
+    nonzero, or ValueError.  Both are stored as read-only complex copies,
+    so a later write to the caller's arrays cannot undo the checks.
     """
 
     v: np.ndarray
     w: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.v, dtype=complex)
-        w = np.asarray(self.w, dtype=complex)
+        v = np.array(self.v, dtype=complex)
+        w = np.array(self.w, dtype=complex)
         if v.shape != w.shape or v.shape[-1:] != (2,) or v.ndim > 2:
             raise ValueError(f"tangent vectors must be one pair of shape (2,) or n pairs "
                              f"of shape (n, 2), alike for v and w; got {v.shape} and {w.shape}")
@@ -157,6 +158,7 @@ class TangentPair:
             raise ValueError("tangent vectors must be finite")
         if zero:
             raise ValueError("tangent vectors must be nonzero")
+        v.flags.writeable = w.flags.writeable = False
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "w", w)
 

@@ -35,8 +35,8 @@ Z = Point(0.01 + 0.2j, 0.5 - 0.1j)
 
 
 def draw_vector(rng):
-    parts = [HARD[rng.integers(len(HARD))] if rng.random() < 0.4 else PLAIN[rng.integers(len(PLAIN))]
-             for _ in range(4)]
+    parts = [HARD[rng.integers(len(HARD))] if rng.random() < 0.4
+             else PLAIN[rng.integers(len(PLAIN))] for _ in range(4)]
     return np.array([complex(parts[0], parts[1]), complex(parts[2], parts[3])])
 
 
@@ -128,7 +128,8 @@ def test_containers_are_right_or_refused(sol_p2, container):
     calls = doors(sol_p2, jet, tensor_from_jet(jet))
     for _ in range(10):
         v, w = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        v[int(rng.integers(2))] = complex(HARD[int(rng.integers(2, 6))], HARD[int(rng.integers(2, 6))])
+        # one entry subnormal or at the 1.7e308 scale in both parts
+        v[int(rng.integers(2))] = complex(*(HARD[int(k)] for k in rng.integers(2, 6, 2)))
         single = TangentPair(v=v, w=w)
         if container == "list":
             pair = TangentPair(v=list(v), w=list(w))

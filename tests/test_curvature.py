@@ -179,6 +179,17 @@ def test_tangent_pair_validation():
         TangentPair(v=np.array([1.0, 0.0, 0.0]), w=np.array([1.0, 0.0]))
 
 
+def test_a_pair_keeps_the_vectors_it_checked():
+    # the pair holds read-only copies: writing NaN into the caller's
+    # arrays afterwards used to reach the checked pair
+    for v in (np.array([1.0 + 2j, 0.5]), np.array([[1.0 + 2j, 0.5], [0.3, 1j]])):
+        pair = TangentPair(v=v, w=v)
+        v[...] = np.nan
+        assert np.isfinite(pair.v).all() and np.isfinite(pair.w).all()
+        with pytest.raises(ValueError, match="read-only"):
+            pair.v[0] = 0.0
+
+
 @pytest.mark.parametrize("shape", [(), (1,), (3,), (2, 1), (2, 3), (1, 2, 2), (0,)])
 def test_tangent_pair_refuses_every_other_shape(shape):
     # (1, 2) is one stacked pair, but (2, 1) and a 0-d value are neither form
@@ -195,11 +206,12 @@ def test_tangent_pair_refuses_every_other_shape(shape):
 
 
 GOOD_ROWS = np.array([[1.0 + 0.5j, -0.3], [0.2j, 2.0], [1.0, 1.0j]])
+SHAPE = re.escape("one pair of shape (2,) or n pairs of shape (n, 2)")
 
 
 @pytest.mark.parametrize("bad, message", [
-    (np.array([[1.0, 2.0, 3.0], [0.5, 1.0, 0.0], [1.0, 0.0, 1.0]]), "one pair of shape \\(2,\\) or n pairs of shape \\(n, 2\\)"),
-    (np.array([1.0, 2.0]), "one pair of shape \\(2,\\) or n pairs of shape \\(n, 2\\)"),
+    (np.array([[1.0, 2.0, 3.0], [0.5, 1.0, 0.0], [1.0, 0.0, 1.0]]), SHAPE),
+    (np.array([1.0, 2.0]), SHAPE),
     (np.array([[1.0, 2.0], [0.0, 0.0], [1.0, 1.0]]), "tangent vectors must be nonzero"),
     (np.array([[1.0, 2.0], [np.nan, 1.0], [1.0, 1.0]]), "tangent vectors must be finite"),
     (np.array([[1.0, 2.0], [1.0, complex(0.0, np.inf)], [1.0, 1.0]]), "tangent vectors must be finite"),
@@ -218,7 +230,7 @@ def test_stacked_pairs_are_validated(sol_p2, bad, message):
     (np.array([0.0, 0.0]), "tangent vectors must be nonzero"),
     (np.array([np.nan, 1.0]), "tangent vectors must be finite"),
     (np.array([1.0, complex(0.0, np.inf)]), "tangent vectors must be finite"),
-    (np.array([1.0, 2.0, 3.0]), "one pair of shape \\(2,\\) or n pairs"),
+    (np.array([1.0, 2.0, 3.0]), SHAPE),
     (GOOD_ROWS, "alike for v and w"),
 ])
 def test_single_pairs_are_validated(bad, message):
@@ -773,7 +785,8 @@ def test_non_finite_points_are_refused(sols):
             for evaluate in (lambda: bisectional(sol, z, pair),
                              lambda: bisectional(sol, z, pair, normalize=False),
                              lambda: bisectional_batch(sol, z, [pair.v], [pair.w]),
-                             lambda: bisectional(sol, z, TangentPair(v=[pair.v], w=[pair.w])),
+                             lambda: bisectional(sol, z, TangentPair(v=[pair.v],
+                                                                     w=[pair.w])),
                              lambda: bis_extremes(sol, z),
                              lambda: sectional_max(sol, z),
                              lambda: metric_jet(sol, z)):

@@ -163,7 +163,7 @@ def test_curvature_pair_mode_takes_a_subnormal_vector(sol_file, capsys):
 
 def test_curvature_pair_mode_takes_a_vector_whose_modulus_overflows(sol_file, capsys):
     # |1.7e308 (1 + i)| is inf although both parts are finite: the value is
-    # its 2^-1000 scaling's, where it used to print "bis": NaN with exit 0
+    # its 2^-1000 scaling's, printed as strict JSON
     runs = [run_json(capsys, ["curvature", "--sol", str(sol_file), "--point=0.01,0.2,0.5,-0.1",
                               f"--v={re1!r},{re1!r},0,0", "--w=0.3,0,0,1"])
             for re1 in (1.7e308, 1.7e308 / 2.0 ** 1000)]

@@ -181,7 +181,7 @@ def test_tangent_pair_validation():
 
 def test_a_pair_keeps_the_vectors_it_checked():
     # the pair holds read-only copies: writing NaN into the caller's
-    # arrays afterwards used to reach the checked pair
+    # arrays afterwards cannot reach the checked pair
     for v in (np.array([1.0 + 2j, 0.5]), np.array([[1.0 + 2j, 0.5], [0.3, 1j]])):
         pair = TangentPair(v=v, w=v)
         v[...] = np.nan
@@ -192,8 +192,8 @@ def test_a_pair_keeps_the_vectors_it_checked():
 
 @pytest.mark.parametrize("shape", [(), (1,), (3,), (2, 1), (2, 3), (1, 2, 2), (0,)])
 def test_tangent_pair_refuses_every_other_shape(shape):
-    # (1, 2) is one stacked pair, but (2, 1) and a 0-d value are neither form
-    # (reshape(2) used to read (1, 2) and (2, 1) as one pair)
+    # (1, 2) is one stacked pair, but (2, 1) and a 0-d value are neither
+    # form, and neither is read as one pair
     bad = np.ones(shape, complex)
     for v, w in ((bad, bad), (bad, np.array([1.0, 2.0])), (np.array([1.0, 2.0]), bad)):
         with pytest.raises(ValueError, match=re.escape(f"got {np.shape(v)} and {np.shape(w)}")):
@@ -343,8 +343,8 @@ def test_subnormal_vectors_give_the_bits_of_their_normal_scaling(sol_p2, entry, 
 @pytest.mark.parametrize("entry", SUBNORMAL_ENTRIES)
 def test_vectors_whose_modulus_overflows_give_the_bits_of_their_scaling(sol_p2, entry):
     # each part of 1.7e308 (1 + i) is finite but its modulus is inf: the
-    # binade scale is read off the parts, where a scale read off the moduli
-    # left the vector unscaled and every door read NaN
+    # binade scale is read off the parts, since one read off the moduli
+    # would leave the vector unscaled and every door would read NaN
     z = Point(0.01 + 0.2j, 0.5 - 0.1j)
     v, w = np.array([1.7e308 + 1.7e308j, 0.0]), np.array([0.3, 1j])
     assert np.isinf(abs(v[0]))

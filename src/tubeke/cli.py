@@ -167,12 +167,10 @@ def _cmd_eval(args) -> int:
     stages = _Stages()
     sol = load_solution(args.sol)
     stages.lap("load")
-    out = {"x": args.x, "F": float(sol.eval_F(args.x)),
-           "f": float(sol.eval_f_derivs(args.x, 0)[0])}
+    f = [float(v) for v in sol.eval_f_derivs(args.x, 3 if args.derivs else 0)]
+    out = {"x": args.x, "F": float(sol.eval_F(args.x)), "f": f[0]}
     if args.derivs:
-        _, f1, f2, f3 = (float(v) for v in sol.eval_f_derivs(args.x, 3))
-        out.update({"f1": f1, "f2": f2, "f3": f3,
-                    "Z": float(sol.eval_Z(args.x, 0)[0])})
+        out.update({"f1": f[1], "f2": f[2], "f3": f[3], "Z": float(sol.eval_Z(args.x, 0)[0])})
     stages.lap("eval")
     _print_json(out)
     stages.lap("write")

@@ -42,7 +42,10 @@ sqrt, and X has one pow for floats and arrays, so stacked extremes equal the
 single point's bit for bit.  The pull to the axis has the same one pow, and
 the Bloch vectors round alike on Python complex and on numpy columns, so
 bisectional (normalized, tube) at stacked points equals the single point's
-bit for bit too.
+bit for bit too.  So does the raw jet (metric_tensor), and with it raw
+(normalize=False) tube Bis and the extremes of a raw stacked jet.
+formula="direct" is the one door whose stacked rows match only to
+rounding: numpy's complex products round differently on arrays.
 
 The extremes make one split per (jet, tensor): the tensor keeps the reduced
 form (frame, eigenpairs, defect) of the last jet it was split with, so

@@ -15,9 +15,10 @@ The metric derivatives inherit the count classes: a derivative of order
 n depends only on m, its number of z1-type indices, so a MetricJet holds
 3 metric values, 4 third-order and 5 fourth-order ones, and its deriv
 reads any index word off them.  X is affine in Re z2 and L does not see
-z2, so only dX[(a, 0)], dX[(a, 1)] and dL[(a, 0)] can be nonzero, and
+z2, so the tables are three sequences over the z1 count a: X's
+derivatives with no z2-type index (dX0), with one (dX1), and L's (dL).
 _chain writes each of the 12 values out as a straight-line formula in
-those entries.  Its term order is part of the contract: each formula
+their entries.  Its term order is part of the contract: each formula
 adds its terms in the order of the index-word chain rule (metric_jet's
 docstring), so every value is bit-identical to that sum.
 
@@ -28,6 +29,9 @@ derivatives and the chain rule run once over all of them, every entry of
 the MetricJet is an array over the points, and einstein_residual returns
 an array of defects.  The verification suites and the axis sweep run
 their point loops through these passes; single point queries get floats.
+The tables' one root and one log, det's factors and the defect's exp are
+numpy's for floats and arrays alike, so a stacked row equals the single
+point's values bit for bit.
 """
 
 from __future__ import annotations
@@ -55,28 +59,34 @@ __all__ = [
 class XLDerivatives:
     """Closed-form derivative tables of X and L at a fixed point.
 
-    dX[(a, b)] is the common value of every order-(a+b) Wirtinger
-    derivative of X with a indices from {z1, conj(z1)} and b from
-    {z2, conj(z2)}; likewise dL for L.  Index helpers look entries up
-    from an index word (values 1 or 2; bars are irrelevant).
+    Every order-(a+b) Wirtinger derivative of X with a indices from
+    {z1, conj(z1)} and b from {z2, conj(z2)} shares one value; it is
+    dX0[a] for b = 0 (a = 0..order), dX1[a] for b = 1 (a = 0..order-1),
+    and 0 for b >= 2.  Likewise dL[a] (a = 0..order) for L, which is 0
+    for b >= 1.  X and L read the value of an index word (values 1 or 2;
+    bars are irrelevant) off these sequences.
     """
 
     x_value: float
     r: float  # 1 - 4p Re(z1)
-    dX: dict = field(repr=False)
-    dL: dict = field(repr=False)
+    dX0: tuple = field(repr=False)
+    dX1: tuple = field(repr=False)
+    dL: tuple = field(repr=False)
 
     def X(self, *indices) -> float:
-        return self.dX[indices.count(1), len(indices) - indices.count(1)]
+        a = indices.count(1)
+        b = len(indices) - a
+        return self.dX0[a] if b == 0 else self.dX1[a] if b == 1 else 0.0
 
     def L(self, *indices) -> float:
-        return self.dL[indices.count(1), len(indices) - indices.count(1)]
+        return 0.0 if 2 in indices else self.dL[len(indices)]
 
 
 # The smallest entries of the order-4 tables, and of the curvature built
-# from them, are the fourth z1-derivatives: r^-4 times constants >= 1 (dL
-# has 2K 3! (2p)^3 / r^4).  They stay normal doubles, and r^4 itself stays
-# finite, while r^4 <= 1/tiny; deeper points, or r = inf, are refused.
+# from them, are the fourth z1-derivatives: (1/r)^4 times constants >= 1
+# (dL has 2K 3! (2p)^3 / r^4).  They stay normal doubles while (1/r)^4 is
+# one, that is while r^4 <= 1/tiny; deeper points, or r = inf, are
+# refused.  At 2 _R_MAX, (1/r)^4 is subnormal; nothing overflows.
 _R_MAX = float(np.finfo(float).tiny) ** -0.25
 
 
@@ -91,10 +101,8 @@ def x_derivatives(params: TubeParams, z: Point, max_total_order: int = 4) -> XLD
 
     With r = 1 - 4p Re(z1), s = 1/(2p) and c_a = prod_{j<a} (1 + 2pj):
 
-        dX[(a, 0)] = c_a X / r^a        dX[(a, 1)] = c_a / (2 r^{s+a})
-        dX[(a, b>=2)] = 0
-        dL[(0, 0)] = (K/p) ln(1/r)      dL[(a>=1, 0)] = 2K (a-1)! (2p)^{a-1} / r^a
-        dL[(a, b>=1)] = 0
+        dX0[a] = c_a X / r^a            dX1[a] = c_a / (2 r^{s+a})
+        dL[0] = (K/p) ln(1/r)           dL[a>=1] = 2K (a-1)! (2p)^{a-1} / r^a
 
     Each z1-type derivative of r^{-q} contributes a factor 2pq/r, which is
     where the rising products c_a come from; X is affine in Re(z2), so two
@@ -110,40 +118,33 @@ def x_derivatives(params: TubeParams, z: Point, max_total_order: int = 4) -> XLD
     ok = r <= _R_MAX
     if not _all(ok):
         raise DomainError(_too_deep(_first_point(z, ok), _first(r, ok)))
-    log = np.log if isinstance(r, np.ndarray) else math.log
     x = x_invariant(params, z)
-    dX, dL = _tables(params, r, x, max_total_order, log)
-    return XLDerivatives(x_value=x, r=r, dX=dX, dL=dL)
+    return XLDerivatives(x, r, *_tables(params, r, x, max_total_order))
 
 
-def _tables(params: TubeParams, r, x, order: int, log):
-    """(dX, dL) of x_derivatives from r = 1 - 4p Re(z1) and X.
+def _tables(params: TubeParams, r, x, order: int):
+    """(dX0, dX1, dL) of x_derivatives from r = 1 - 4p Re(z1) and X.
 
-    r and x are floats, or arrays of one shape for stacked points; log is
-    math.log for floats and np.log for arrays.
+    r and x are floats, or arrays of one shape for stacked points.  The
+    powers (1/r)^a are products, r^{-s} is one np.power and ln(1/r) one
+    np.log, for floats and arrays alike (a float comes back as a Python
+    float), so a stacked row is the single point's table bit for bit.
     """
     p = params.p
-    s = 1.0 / (2 * p)
-    c = [1.0, 1.0]
-    for a in range(2, order + 1):
-        c.append(c[-1] * (1.0 + 2 * p * (a - 1)))
     K = params.K_float
-    dX, dL = {}, {}
-    for a in range(order + 1):
-        for b in range(order + 1 - a):
-            if b == 0:
-                dX[(a, b)] = c[a] * x / r**a
-            elif b == 1:
-                dX[(a, b)] = c[a] / (2.0 * r ** (s + a))
-            else:
-                dX[(a, b)] = 0.0
-            if a == 0 and b == 0:
-                dL[(a, b)] = (K / p) * log(1.0 / r)
-            elif b == 0:
-                dL[(a, b)] = 2.0 * K * math.factorial(a - 1) * (2 * p) ** (a - 1) / r**a
-            else:
-                dL[(a, b)] = 0.0
-    return dX, dL
+    inv = 1.0 / r
+    root, log = np.power(r, -1.0 / (2 * p)), np.log(inv)
+    if not isinstance(r, np.ndarray):
+        root, log = float(root), float(log)
+    c, q = [1.0], [1.0]  # c_a and (1/r)^a
+    for a in range(1, order + 1):
+        c.append(c[-1] * (1.0 + 2 * p * (a - 1)))
+        q.append(q[-1] * inv)
+    dX0 = tuple(c[a] * x * q[a] for a in range(order + 1))
+    dX1 = tuple(0.5 * c[a] * root * q[a] for a in range(order))
+    dL = ((K / p) * log, *(2.0 * K * math.factorial(a - 1) * (2 * p) ** (a - 1) * q[a]
+                           for a in range(1, order + 1)))
+    return dX0, dX1, dL
 
 
 def _chain(tab: XLDerivatives, f, f1, f2=None, f3=None):
@@ -155,28 +156,28 @@ def _chain(tab: XLDerivatives, f, f1, f2=None, f3=None):
     Floats and stacked arrays go through the same arithmetic.
 
     Each value is the chain rule of metric_jet's docstring at the
-    representative word (1,)*m + (2,)*(n-m), written out with the only
-    table entries that can be nonzero: A_a = dX[(a, 0)], B_a = dX[(a, 1)]
-    and L_a = dL[(a, 0)].  The terms stand in the order the index-word
+    representative word (1,)*m + (2,)*(n-m), written out with the table
+    entries A_a = dX0[a], B_a = dX1[a] and L_a = dL[a], the only ones
+    that can be nonzero.  The terms stand in the order the index-word
     sum adds them, with the factors in its order; only the terms holding
-    an exact zero (dX[(a, b>=2)], dL[(a, b>=1)]) are left out.  That
+    an exact zero (X with two z2-type indices, L with one) are left out.  That
     order is part of the contract: it keeps every value bit-identical to
     the index-word sum, which the tests keep as the reference.  Do not
     regroup or merge terms.
     """
-    dX, dL = tab.dX, tab.dL
-    A1, A2, B0, B1 = dX[(1, 0)], dX[(2, 0)], dX[(0, 1)], dX[(1, 1)]
-    metric = (f1 * A1 * A1 + f * A2 + dL[(2, 0)],
+    A, B, L = tab.dX0, tab.dX1, tab.dL
+    A1, A2, B0, B1 = A[1], A[2], B[0], B[1]
+    metric = (f1 * A1 * A1 + f * A2 + L[2],
               f1 * A1 * B0 + f * B1,
               f1 * B0 * B0)
     if f2 is None:
         return metric, None, None
-    A3, A4, B2, B3 = dX[(3, 0)], dX[(4, 0)], dX[(2, 1)], dX[(3, 1)]
+    A3, A4, B2, B3 = A[3], A[4], B[2], B[3]
     val3 = (
         f2 * B0 * B0 * B0,
         f2 * A1 * B0 * B0 + f1 * (B1 * B0 + B1 * B0),
         f2 * A1 * A1 * B0 + f1 * (A2 * B0 + B1 * A1 + B1 * A1) + f * B2,
-        f2 * A1 * A1 * A1 + f1 * (A2 * A1 + A2 * A1 + A2 * A1) + f * A3 + dL[(3, 0)],
+        f2 * A1 * A1 * A1 + f1 * (A2 * A1 + A2 * A1 + A2 * A1) + f * A3 + L[3],
     )
     val4 = (
         f3 * B0 * B0 * B0 * B0,
@@ -194,7 +195,7 @@ def _chain(tab: XLDerivatives, f, f1, f2=None, f3=None):
                  + A2 * A1 * A1 + A2 * A1 * A1 + A2 * A1 * A1)
          + f1 * (A3 * A1 + A3 * A1 + A3 * A1 + A3 * A1 + A2 * A2 + A2 * A2 + A2 * A2)
          + f * A4
-         + dL[(4, 0)]),
+         + L[4]),
     )
     return metric, val3, val4
 
@@ -261,7 +262,9 @@ def metric_jet(sol: PotentialSolution, z: Point) -> MetricJet:
     with every X/L factor taken from the tables (bars immaterial).
 
     det is the Monge-Ampere closure Z(X)/r^{(2p+1)/p}, Z = (f'D - f^2)/4
-    with D = (2p-1)Xf + 4pK, free of g11 g22 - g12^2's cancellation.
+    with D = (2p-1)Xf + 4pK, free of g11 g22 - g12^2's cancellation.  It
+    takes r^{-(2p+1)/p} = (1/r)^2 (r^{-1/(2p)})^2 from the tables' factors:
+    1/r, and r^{-1/(2p)} = 2 X_2, so det = (f'D - f^2) (1/r)^2 X_2^2.
 
     Parameters
     ----------
@@ -273,15 +276,15 @@ def metric_jet(sol: PotentialSolution, z: Point) -> MetricJet:
     Returns
     -------
     MetricJet
-        Of floats, or of arrays for stacked points; those equal the
-        single point's values up to the vector log and pow of _tables
-        and det (an ulp from libm's), and on the axis, r = 1, exactly.
+        Of floats, or of arrays for stacked points, whose rows equal the
+        single point's values bit for bit.
     """
     p = sol.params.p
     tab = x_derivatives(sol.params, z, 4)
     f, f1, _, _ = profile = sol.eval_f_derivs(tab.x_value, 3)
     D = (2.0 * p - 1.0) * tab.x_value * f + 4.0 * p * sol.params.K_float
-    det = 0.25 * (f1 * D - f * f) / tab.r ** ((2 * p + 1) / p)
+    inv, half_root = 1.0 / tab.r, tab.dX1[0]
+    det = (f1 * D - f * f) * ((inv * inv) * (half_root * half_root))
     g, d3, d4 = _chain(tab, *profile)
     return MetricJet(point=z, x_value=tab.x_value, g=g, det=det, d3=d3, d4=d4,
                      profile=tuple(profile))
@@ -310,6 +313,6 @@ def _einstein_defect(sol: PotentialSolution, tab: XLDerivatives, metric):
     g11, g12, g22 = metric
     # det from the entries, not the jet's closure det: this is the closure's check
     det = g11 * g22 - g12 * g12
-    exp = np.exp if isinstance(det, np.ndarray) else math.exp
-    rhs = exp(3.0 * (sol.eval_F(tab.x_value) + tab.L()))
-    return abs(det - rhs) / rhs
+    rhs = np.exp(3.0 * (sol.eval_F(tab.x_value) + tab.L()))
+    defect = abs(det - rhs) / rhs
+    return defect if isinstance(defect, np.ndarray) else float(defect)

@@ -157,10 +157,29 @@ def in_domain(params: TubeParams, z: Point) -> bool:
     A point with an infinite or NaN coordinate is not in T_p, although
     Re(z1) = -inf satisfies the inequality.
     """
-    inside = z.z2.real ** (2 * params.p) < 1.0 - 4 * params.p * z.z1.real
-    if type(inside) is bool:
-        return inside and _finite(z.z1, z.z2)
-    return inside & np.isfinite(z.z1) & np.isfinite(z.z2)
+    return _and_finite(_even_power(z.z2.real, 2 * params.p) < 1.0 - 4 * params.p * z.z1.real, z)
+
+
+def _and_finite(cond, z: Point):
+    """cond where z's coordinates are finite, else False (an array for stacked points)."""
+    if type(cond) is bool:
+        return cond and _finite(z.z1, z.z2)
+    return cond & np.isfinite(z.z1) & np.isfinite(z.z2)
+
+
+def _even_power(t, n: int):
+    """t^n for an even n, inf where it passes the double range, as numpy gives it."""
+    try:
+        return t ** n
+    except OverflowError:  # a Python float's power raises instead
+        return math.inf
+
+
+def _require_single(z: Point, door: str) -> None:
+    """Raise ValueError for stacked points at a door that takes one point."""
+    if np.ndim(z.z1) or np.ndim(z.z2):
+        raise ValueError(f"{door} takes a single point, got stacked points of shape "
+                         f"{np.broadcast(z.z1, z.z2).shape}")
 
 
 def _finite(z1: complex, z2: complex) -> bool:
@@ -172,17 +191,26 @@ def x_invariant(params: TubeParams, z: Point) -> float:
 
     Defined wherever Re(4p z1) < 1; takes values in (-1, 1) exactly on
     T_p and is constant along orbits of translations and dilations (the
-    axis flip negates it).  A NaN Re(z1) is refused like Re(4p z1) >= 1.
+    axis flip negates it).  DomainError where X is no finite double: at
+    Re(4p z1) >= 1 or NaN, at an infinite or NaN coordinate, where
+    1 - Re(4p z1) overflows and Re(z2) != 0, or where the quotient does.
     The root is numpy's pow for single and stacked points alike (libm's
     misses it by an ulp on ~5% of inputs), so stacked X are bit-equal.
     """
     r = 1.0 - 4 * params.p * z.z1.real
-    ok = r > 0.0
+    t = z.z2.real
+    # at r = inf the quotient reads 0, which is X only for Re(z2) = 0
+    ok = _and_finite((r > 0.0) & ((r < math.inf) | (t == 0.0)), z)
+    if _all(ok):
+        root = np.power(r, 1.0 / (2 * params.p))
+        # a Python float's quotient may overflow without a numpy warning
+        x = t / (root if isinstance(root, np.ndarray) else float(root))
+        ok = abs(x) < math.inf
     if not _all(ok):
         bad = _first_point(z, ok)
-        raise DomainError(f"X undefined: Re(4p z1) = {4 * params.p * bad.z1.real!r} "
-                          f"is not below 1 at {bad}")
-    x = z.z2.real / np.power(r, 1.0 / (2 * params.p))
+        raise DomainError(f"X undefined at {bad}: it takes finite coordinates with Re(4p z1) "
+                          f"below 1, 1 - Re(4p z1) finite unless Re(z2) = 0, and "
+                          f"Re(z2)/(1 - Re(4p z1))^(1/(2p)) a finite double")
     return x if isinstance(x, np.ndarray) else float(x)
 
 
@@ -237,10 +265,11 @@ def classify_boundary(params: TubeParams, q: Point, tol: float = 1e-9) -> Bounda
     (1/(4p), 0) + iR^2); every other boundary point is strictly
     pseudoconvex.  The Re(q2) comparison uses tol^{1/(2p)} so that the
     two tests resolve the same displacement scale.  A point with an
-    infinite or NaN coordinate is not on the boundary.
+    infinite or NaN coordinate is not on the boundary.  Takes one point.
     """
+    _require_single(q, "classify_boundary")
     p = params.p
-    defect = abs(4 * p * q.z1.real + q.z2.real ** (2 * p) - 1.0)
+    defect = abs(4 * p * q.z1.real + _even_power(q.z2.real, 2 * p) - 1.0)
     if not (defect <= tol and _finite(q.z1, q.z2)):
         return BoundaryClass.NOT_BOUNDARY
     if abs(q.z2.real) <= tol ** (1.0 / (2 * p)):
@@ -254,8 +283,9 @@ def region(params: TubeParams, z: Point, alpha: float) -> RegionClass:
     The ratio equals X(z)^{2p}, so "inner" (ratio <= alpha) is a
     neighborhood of the axis orbit and "outer" (ratio >= 1-alpha) hugs
     the strictly pseudoconvex orbits.  For alpha >= 1/2 the two overlap;
-    inner wins.
+    inner wins.  Takes one point.
     """
+    _require_single(z, "region")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0,1), got {alpha!r}")
     require_domain(params, z)
@@ -273,7 +303,9 @@ def in_cone(params: TubeParams, z: Point, theta: float) -> bool:
     The cone aperture condition is
     sqrt(Im(z1)^2 + |z2|^2) / (1/(4p) - Re(z1)) <= tan(theta).  A point
     with an infinite or NaN coordinate is not in the cone, as not in T_p.
+    Takes one point.
     """
+    _require_single(z, "in_cone")
     if not 0.0 < theta < math.pi / 2:
         raise ValueError(f"theta must lie in (0, pi/2), got {theta!r}")
     if not _finite(z.z1, z.z2):
@@ -281,5 +313,6 @@ def in_cone(params: TubeParams, z: Point, theta: float) -> bool:
     depth = 1.0 / (4 * params.p) - z.z1.real
     if depth <= 0.0:
         raise DomainError(f"cone undefined: Re(z1) = {z.z1.real!r} >= 1/(4p)")
-    spread = math.hypot(z.z1.imag, abs(z.z2))
-    return spread / depth <= math.tan(theta)
+    # each part over the depth first: |z2| itself may pass the double range
+    ratio = math.hypot(z.z1.imag / depth, z.z2.real / depth, z.z2.imag / depth)
+    return ratio <= math.tan(theta)

@@ -253,6 +253,15 @@ def test_points_too_deep_for_the_jet_exit_two(sol_file, capsys, re1):
         assert captured.err.startswith("error: point ") and reason in captured.err
 
 
+def test_a_point_whose_power_overflows_exits_two(sol_file, capsys):
+    # Re(z2)^4 = 1e1200 passes the double range: the point is outside T_2
+    for argv in (["metric"], ["curvature", "--extremes"]):
+        code = main([*argv, "--sol", str(sol_file), "--point=0,0,1e300,0"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: point ") and "is not in T_2" in captured.err
+
+
 def test_sweep_csv_format(sol_file, tmp_path, capsys):
     out_csv = tmp_path / "rows.csv"
     code = main(["sweep", "--sol", str(sol_file), "--x-min", "0",

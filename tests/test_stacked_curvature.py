@@ -106,12 +106,9 @@ def test_stacked_tensor_matches_the_scalar_tensor_per_point(p, sols):
     jets = [metric_jet(sol, z) for z in points]
     stacked = metric_jet(sol, Point.stack(points))
     tensor = tensor_from_jet(stacked)
-    # the formula itself: on the stacked jet's own rows it is exact
-    for i, row in enumerate(rows_of(stacked)):
-        assert np.array_equal(as_array(tensor)[:, i], as_array(reference_tensor_from_jet(row)))
+    # the stacked jet's rows are the single jets, and the formula is exact
     for i, jet in enumerate(jets):
-        ref = as_array(reference_tensor_from_jet(jet))
-        assert np.max(np.abs(as_array(tensor)[:, i] - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert np.array_equal(as_array(tensor)[:, i], as_array(reference_tensor_from_jet(jet)))
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
@@ -123,20 +120,19 @@ def test_stacked_bisectional_matches_bisectional_from_jet(p, sols):
     ws = rng.normal(size=(120, 2)) + 1j * rng.normal(size=(120, 2))
     stacked = metric_jet(sol, Point.stack(points))
     jets = [metric_jet(sol, z) for z in points]
-    # on the stacked jet's own rows the forms agree to rounding; against the
-    # single-point metric_jet the jets' own rounding differences come in as
-    # well, amplified toward the boundary
+    # the stacked jet's rows are the single jets: the tube formula gives
+    # their values bit for bit, the 16-term sum (whose complex products
+    # round differently on arrays) to rounding
     tensor = tensor_from_jet(stacked)
-    for scalar, near_tol in ((rows_of(stacked), 1e-13), (jets, 1e-11)):
-        for formula in ("tube", "direct"):
-            values = bisectional_from_jet(stacked, tensor, TangentPair(v=vs, w=ws),
-                                          formula=formula)
-            assert values.shape == (120,)
-            for i, jet in enumerate(scalar):
-                ref = bisectional_from_jet(jet, tensor_from_jet(jet),
-                                           TangentPair(v=vs[i], w=ws[i]), formula=formula)
-                tol = 1e-13 if abs(jet.x_value) <= 0.99 else near_tol
-                assert abs(values[i] - ref) <= tol * abs(ref), (formula, i, jet.x_value)
+    for formula in ("tube", "direct"):
+        values = bisectional_from_jet(stacked, tensor, TangentPair(v=vs, w=ws), formula=formula)
+        assert values.shape == (120,)
+        refs = np.array([bisectional_from_jet(jet, tensor_from_jet(jet),
+                                              TangentPair(v=vs[i], w=ws[i]), formula=formula)
+                         for i, jet in enumerate(jets)])
+        if formula == "tube":
+            assert values.tobytes() == refs.tobytes()
+        assert np.all(np.abs(values - refs) <= 1e-13 * np.abs(refs)), formula
     # the frame split against the feature form it replaced
     for i, jet in enumerate(jets[:80]):
         tensor = tensor_from_jet(jet)
@@ -173,7 +169,7 @@ def test_stacked_extremes_equal_the_scalar_extremes_per_point(p, five_sols):
     axis = np.concatenate([np.linspace(-(1.0 - 1e-4), 1.0 - 1e-4, 61), [0.0, 0.5, 0.999]])
     stacked = metric_jet(sol, Point.stack(points))
     axis_jets = [metric_jet(sol, Point(0j, complex(x))) for x in axis.tolist()]
-    for stacked, scalar in ((stacked, rows_of(stacked)),
+    for stacked, scalar in ((stacked, [metric_jet(sol, z) for z in points]),
                             (metric_jet(sol, axis_stack(axis)), axis_jets)):
         tensor = tensor_from_jet(stacked)
         ext = bis_extremes_from_jet(stacked, tensor)
@@ -313,23 +309,29 @@ def test_bisectional_at_stacked_points_pairs_one_vector_pair_with_each(sol_p2):
             ref = [bisectional(sol_p2, point, pair, normalize=normalize, formula=formula)
                    for point in points]
             assert values.shape == (3,)
+            if formula == "tube":
+                assert values.tobytes() == np.array(ref).tobytes(), normalize
             assert np.allclose(values, ref, rtol=1e-12, atol=0.0), (normalize, formula)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 5])
 def test_bisectional_at_stacked_points_equals_the_single_calls_bit_for_bit(p, five_sols):
     # row i of n pairs at n stacked points is the single call at point i
-    # with pair i: lam^{1/(2p)} is one pow, and the Bloch vectors round
-    # alike on Python complex and on numpy columns
+    # with pair i: lam^{1/(2p)} is one pow, the Bloch vectors round alike
+    # on Python complex and on numpy columns, and the raw jet's tables take
+    # one root and one log for both
     sol = five_sols[p]
     rng = np.random.default_rng(110 + p)
     points = sample_points(p, rng, 100) + near_boundary_points(p, rng, 20)
     vs = rng.normal(size=(120, 2)) + 1j * rng.normal(size=(120, 2))
     ws = rng.normal(size=(120, 2)) + 1j * rng.normal(size=(120, 2))
-    values = bisectional(sol, Point.stack(points), TangentPair(v=vs, w=ws))
-    single = [bisectional(sol, z, TangentPair(v=v, w=w)) for z, v, w in zip(points, vs, ws)]
-    assert values.shape == (120,)
-    assert values.tobytes() == np.array(single).tobytes()
+    for normalize in (True, False):
+        values = bisectional(sol, Point.stack(points), TangentPair(v=vs, w=ws),
+                             normalize=normalize)
+        single = [bisectional(sol, z, TangentPair(v=v, w=w), normalize=normalize)
+                  for z, v, w in zip(points, vs, ws)]
+        assert values.shape == (120,)
+        assert values.tobytes() == np.array(single).tobytes(), normalize
 
 
 def test_the_broadcast_rule(sol_p2):
@@ -357,7 +359,7 @@ def test_the_broadcast_rule(sol_p2):
             ref = [door(point, single, pair if pair is one else
                         TangentPair(v=pair.v[i], w=pair.w[i]))
                    for i, (point, single) in enumerate(zip(points, jets))]
-            assert np.allclose(stacked, ref, rtol=1e-13, atol=0.0)
+            assert stacked.tobytes() == np.array(ref).tobytes()
         two = TangentPair(v=rows.v[:2], w=rows.w[:2])
         with pytest.raises(ValueError, match="2 vector pairs cannot go with 3 stacked points"):
             door(z, jet, two)

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -332,3 +333,49 @@ def test_non_finite_points_are_not_in_the_domain(z):
     assert in_domain(P1, stacked).tolist() == [True, False, True]
     with pytest.raises(DomainError, match=re.escape(str(z)) + ".*must be finite"):
         require_domain(P1, stacked)
+
+
+def test_a_point_whose_power_overflows_is_outside():
+    # Re(z2)^4 = 1e400 raises OverflowError as a Python float power; the
+    # point is outside T_2, as numpy's inf reads it in a stack
+    far = Point(0j, 1e100 + 0j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert in_domain(P2, far) is False
+        assert classify_boundary(P2, far) is BoundaryClass.NOT_BOUNDARY
+        with pytest.raises(DomainError, match="is not in T_2"):
+            region(P2, far, 0.5)
+    with np.errstate(over="ignore"):
+        assert in_domain(P2, Point.stack([far, Point(0j, 0j)])).tolist() == [False, True]
+
+
+def test_x_is_refused_where_it_is_no_finite_double():
+    # 1 - 8 Re z1 overflows at Re z1 = -1.7e308: the quotient would read 0,
+    # which is X only for Re z2 = 0; Re z2 = 1.7e308 over (1.1e-16)^(1/4)
+    # overflows; an infinite or NaN part makes no point
+    deep = -1.7e308
+    assert x_invariant(P2, Point(complex(deep), 0j)) == 0.0
+    for z in (Point(complex(deep), 0.5 + 0j), Point(complex(0.125 - 1e-17), 1.7e308 + 0j),
+              Point(complex(0.0, math.inf), 0.5 + 0j), Point(0j, complex(math.nan))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=re.escape(f"X undefined at {z}")):
+                x_invariant(P2, z)
+        with np.errstate(over="ignore"):
+            with pytest.raises(DomainError, match=re.escape(f"X undefined at {z}")):
+                x_invariant(P2, Point.stack([Point(0j, 0.5 + 0j), z]))
+
+
+def test_single_point_doors_refuse_stacked_points():
+    for zs in (Point.stack([Point(0j, 0.5 + 0j)] * 2), Point(np.empty(0, complex), 0j)):
+        for door in (lambda z: region(P2, z, 0.3), lambda z: classify_boundary(P2, z),
+                     lambda z: in_cone(P2, z, 0.5)):
+            with pytest.raises(ValueError, match="takes a single point, got stacked points"):
+                door(zs)
+
+
+def test_in_cone_takes_a_point_whose_modulus_overflows():
+    # |z2| = 1.7e308 sqrt 2 passes the double range; its ratio to the
+    # depth 1.7e308 + 1/8, about sqrt 2 = tan(0.9553), does not
+    z = Point(complex(-1.7e308, 0.0), complex(1.7e308, 1.7e308))
+    assert in_cone(P2, z, 0.96) is True and in_cone(P2, z, 0.95) is False

@@ -14,9 +14,10 @@ It imports ``tubeke`` from the checkout on PYTHONPATH and writes into OUTDIR:
 - the output files, stdout, stderr and exit code of these CLI calls, run in
   process through ``tubeke.cli.main`` from OUTDIR: ``sweep`` (500 rows) for
   p = 1, 2, 3, ``verify --p 2 --report``, ``eval --derivs`` at x = 0,
-  +-0.5, +-0.99, and ``curvature --extremes`` at four points and
-  ``curvature --v --w`` there for p = 1, 2, 3 with fixed vector pairs
-  (among them vectors scaled by 2^600 and 2^-600, and a subnormal one).
+  +-0.5, +-0.99, and ``curvature --extremes`` at four points, ``metric``
+  (the raw jet) there for p = 1, 2, 3, and ``curvature --v --w`` there for
+  p = 1, 2, 3 with fixed vector pairs (among them vectors scaled by 2^600
+  and 2^-600, and a subnormal one).
 
 ``--stats``, whose timings vary from run to run, is left out.  Two
 checkouts give the same outputs exactly when ``diff -r`` between their
@@ -101,6 +102,7 @@ def main(outdir):
         _cli(f"extremes{i}", "curvature", "--sol", "p3.json", f"--point={point}",
              "--extremes")
         for p in (1, 2, 3):
+            _cli(f"metric{i}_p{p}", "metric", "--sol", f"p{p}.json", f"--point={point}")
             for j, (v, w) in enumerate(VECTOR_PAIRS):
                 _cli(f"pair{i}_p{p}_{j}", "curvature", "--sol", f"p{p}.json",
                      f"--point={point}", f"--v={v}", f"--w={w}")

@@ -57,6 +57,12 @@ class SweepRow:
     sect_max: float
 
 
+# The most rows one sweep takes.  A sweep's arrays and rows peak at about
+# 1.3 KB per row (1e5 rows: +121 MB resident, p=2), so this bounds one call
+# to about 1.3 GB.
+_MAX_SWEEP_ROWS = 10 ** 6
+
+
 def axis_sweep(sol: PotentialSolution, x_min: float = 0.0,
                x_max: float = 1.0 - 1e-4, n: int = 500, health: dict | None = None) -> list:
     """Tabulate profile and curvature quantities at n points of [x_min, x_max].
@@ -65,10 +71,11 @@ def axis_sweep(sol: PotentialSolution, x_min: float = 0.0,
     group with X >= 0, so this one table captures the whole geometry.
     The jet, tensor and extremes run once on the stacked axis points.
     Rows come back in x order and are checked to be finite.  A health dict,
-    if given, receives the rows' largest Einstein defect.
+    if given, receives the rows' largest Einstein defect.  n is at most
+    10^6 (_MAX_SWEEP_ROWS), checked before anything is allocated.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    if not 1 <= n <= _MAX_SWEEP_ROWS:
+        raise ValueError(f"need 1 <= n <= {_MAX_SWEEP_ROWS}, got {n}")
     if not (-1.0 < x_min < 1.0) or not (-1.0 < x_max < 1.0):
         raise ValueError("sweep endpoints must lie in (-1, 1)")
     if n > 1 and not x_min < x_max:

@@ -68,8 +68,8 @@ import numpy as np
 from .params import TubeParams
 from .potential_solver import PotentialSolution
 from .errors import DomainError
-from .tube_geometry import Point, _all, _first, _first_point, require_domain, x_invariant
-from .metric_tensor import MetricJet, metric_jet
+from .tube_geometry import Point, _all, _first, _first_point, _orbit_x, require_domain
+from .metric_tensor import MetricJet, _admitted_tables, _jet, metric_jet
 
 __all__ = [
     "CurvatureTensor",
@@ -276,27 +276,26 @@ def _columns(pair: TangentPair, x) -> tuple:
     return (v, w) if v.ndim == 1 else (v.T, w.T)
 
 
-def _pull_to_axis(sol: PotentialSolution, z: Point, vectors):
-    """Axis representative (0, X(z)) and the push-forwards of the vectors.
+def _pull_to_axis(sol: PotentialSolution, z: Point, r, vectors):
+    """Axis representative (0, X(z)) and the push-forwards of the vectors, for z of depth r.
 
     The normalizing automorphism has the diagonal Jacobian
-    diag(lam, lam^{1/(2p)}) with lam = 1/(1 - Re(4p z1)); bisectional
+    diag(lam, lam^{1/(2p)}) with lam = 1/r, r = 1 - Re(4p z1); bisectional
     curvature is invariant under it, so evaluating on the axis loses
     nothing and keeps the potential evaluators at their best-conditioned
     abscissa.  The vectors are (2,) or (2, n) columns, as _columns gives them.
-    A point whose depth 1 - Re(4p z1) overflows (lam = 0) is refused.
+    A point whose depth r overflows (lam = 0) is refused.
     Each vector is _binade_scaled before the push, so that a subnormal one
     is pushed at full precision.  lam^{1/(2p)} is numpy's pow for one point
     and for stacked points alike, as X is.
     """
-    p = sol.params.p
-    lam = 1.0 / (1.0 - 4 * p * z.z1.real)
-    x = x_invariant(sol.params, z)
+    lam = 1.0 / r
+    x = _orbit_x(sol.params, z, r)
     ok = lam > 0.0
     if not _all(ok):
         raise DomainError(f"point {_first_point(z, ok)} is too deep to pull tangent "
                           f"vectors to the axis: 1 - Re(4p z1) overflows")
-    j1, j2 = lam, np.power(lam, 1.0 / (2 * p))
+    j1, j2 = lam, np.power(lam, 1.0 / (2 * sol.params.p))
     return _on_axis(x), [np.array([j1 * u[0], j2 * u[1]]) for u in map(_binade_scaled, vectors)]
 
 
@@ -368,11 +367,13 @@ def bisectional(sol: PotentialSolution, z: Point, pair: TangentPair,
         The curvature value, invariant under nonzero complex rescaling of
         either vector: a float for one point and one pair, else an array.
     """
-    require_domain(sol.params, z)
+    r = require_domain(sol.params, z)
     v, w = _columns(pair, z.z1)
     if normalize:
-        z, (v, w) = _pull_to_axis(sol, z, (v, w))
-    jet = metric_jet(sol, z)
+        z, (v, w) = _pull_to_axis(sol, z, r, (v, w))
+        jet = metric_jet(sol, z)
+    else:
+        jet = _jet(sol, z, _admitted_tables(sol.params, z, r, 4))
     return _bis(jet, tensor_from_jet(jet), v, w, formula)
 
 
@@ -649,8 +650,7 @@ def bis_extremes(sol: PotentialSolution, z: Point) -> BisExtremes:
 
 def _axis_jet(sol: PotentialSolution, z: Point) -> MetricJet:
     """The jet at z's axis point (0, X(z)), or at the axis points of stacked z."""
-    require_domain(sol.params, z)
-    return metric_jet(sol, _on_axis(x_invariant(sol.params, z)))
+    return metric_jet(sol, _on_axis(_orbit_x(sol.params, z, require_domain(sol.params, z))))
 
 
 def sectional_max_from_jet(jet, tensor: CurvatureTensor) -> tuple[float, np.ndarray]:

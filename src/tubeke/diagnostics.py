@@ -180,7 +180,7 @@ def _random_stack(params: TubeParams, rng, n, x_cap=0.99) -> Point:
     rs = 0.2 + (3.0 - 0.2) * u[:, 1]
     ys = -2.0 + 4.0 * u[:, 2:]
     e = 1.0 / (2 * p)
-    z1 = ((1.0 - rs) / (4 * p)).astype(complex)
+    z1 = geo._re1_at_depth(p, rs).astype(complex)
     z2 = (xs * np.power(rs, e)).astype(complex)
     z1.imag, z2.imag = ys[:, 0], ys[:, 1]
     return Point(z1, z2)
@@ -344,7 +344,7 @@ def _suite_invariance(params, sol, rng):
     img = geo.apply(psi, z)
     x0 = geo.x_invariant(params, z)
     worst_norm = max(np.max(np.abs(img.z1)), np.max(np.abs(img.z2 - x0)))
-    r = 1.0 - 4 * p * z.z1.real
+    r = geo._depth(p, z.z1.real)
     det = geo.jacobian_det(psi)
     worst_jac = np.max(np.abs(det - r ** (-(2 * p + 1) / (2 * p))))
     # potential transformation: g = g∘psi + (2/3) ln|det Jac(psi)|
@@ -379,7 +379,8 @@ def _suite_invariance(params, sol, rng):
     z = _random_stack(params, rng, 100)
     v, w, c, d = _pair_draws(rng, 100)
     v, w = v.T, w.T
-    axis, (pv, pw, pcv, pdw) = _pull_to_axis(sol, z, (v, w, c.T * v, d.T * w))
+    axis, (pv, pw, pcv, pdw) = _pull_to_axis(sol, z, geo._depth(p, z.z1.real),
+                                              (v, w, c.T * v, d.T * w))
     # z and its axis points in one pass
     jet = metric_jet(sol, _joined(z, axis))
     here, there = _split(jet, tensor_from_jet(jet))

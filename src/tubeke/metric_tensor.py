@@ -44,7 +44,7 @@ import numpy as np
 from .errors import DomainError
 from .params import TubeParams
 from .potential_solver import PotentialSolution
-from .tube_geometry import Point, _all, _first, _first_point, require_domain, x_invariant
+from .tube_geometry import Point, _all, _first, _first_point, _orbit_x, require_domain
 
 __all__ = [
     "XLDerivatives",
@@ -68,7 +68,7 @@ class XLDerivatives:
     """
 
     x_value: float
-    r: float  # 1 - 4p Re(z1)
+    r: float  # the depth 1 - 4p Re(z1), as tube_geometry forms it
     dX0: tuple = field(repr=False)
     dX1: tuple = field(repr=False)
     dL: tuple = field(repr=False)
@@ -113,13 +113,16 @@ def x_derivatives(params: TubeParams, z: Point, max_total_order: int = 4) -> XLD
     """
     if not 0 <= max_total_order <= 4:
         raise ValueError(f"max_total_order must be in 0..4, got {max_total_order}")
-    require_domain(params, z)
-    r = 1.0 - 4 * params.p * z.z1.real
+    return _admitted_tables(params, z, require_domain(params, z), max_total_order)
+
+
+def _admitted_tables(params: TubeParams, z: Point, r, order: int) -> XLDerivatives:
+    """x_derivatives at z in T_p of depth r: refuses r > _R_MAX, then takes X and the tables."""
     ok = r <= _R_MAX
     if not _all(ok):
         raise DomainError(_too_deep(_first_point(z, ok), _first(r, ok)))
-    x = x_invariant(params, z)
-    return XLDerivatives(x, r, *_tables(params, r, x, max_total_order))
+    x = _orbit_x(params, z, r)
+    return XLDerivatives(x, r, *_tables(params, r, x, order))
 
 
 def _tables(params: TubeParams, r, x, order: int):
@@ -279,8 +282,12 @@ def metric_jet(sol: PotentialSolution, z: Point) -> MetricJet:
         Of floats, or of arrays for stacked points, whose rows equal the
         single point's values bit for bit.
     """
+    return _jet(sol, z, x_derivatives(sol.params, z, 4))
+
+
+def _jet(sol: PotentialSolution, z: Point, tab: XLDerivatives) -> MetricJet:
+    """metric_jet at z from its order-4 tables."""
     p = sol.params.p
-    tab = x_derivatives(sol.params, z, 4)
     f, f1, _, _ = profile = sol.eval_f_derivs(tab.x_value, 3)
     D = (2.0 * p - 1.0) * tab.x_value * f + 4.0 * p * sol.params.K_float
     inv, half_root = 1.0 / tab.r, tab.dX1[0]

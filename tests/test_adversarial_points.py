@@ -7,7 +7,11 @@ each real and imaginary part, and over the containers a point can come in
 (Python complex, numpy scalar, 0-d array, a stack, an empty stack).  Each
 call either gives the bits of its clean equivalent, or raises DomainError
 or ValueError with a message; `tubeke metric` exits 2 with one line on
-stderr.  A point with an infinite or NaN coordinate is no point of T_p:
+stderr.  The automorphism doors take the same points with automorphisms
+drawn from the same floats: an automorphism is refused unless lam is
+positive and finite and u finite, an image is a point of T_p with finite
+coordinates or a refusal, and a Jacobian determinant a finite nonzero
+double or a refusal.  A point with an infinite or NaN coordinate is no point of T_p:
 the predicates read False and every other door refuses it.  The clean
 equivalent of a finite point is the point with its imaginary parts
 translated away, since every door but in_cone reads the real parts alone;
@@ -30,18 +34,25 @@ from tubeke import (
     DomainError,
     MetricJet,
     Point,
+    TubeAutomorphism,
+    TubeParams,
     XLDerivatives,
+    apply,
     classify_boundary,
     einstein_residual,
     in_cone,
     in_domain,
+    jacobian,
+    jacobian_det,
     metric_jet,
+    normalizing_automorphism,
     region,
     x_derivatives,
     x_invariant,
 )
 from tubeke.cli import main
 from tubeke.metric_tensor import _R_MAX
+from tubeke.tube_geometry import _depth
 
 ULPS = (math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0),
         math.nextafter(_R_MAX, 0.0), math.nextafter(_R_MAX, math.inf))
@@ -190,3 +201,112 @@ def test_hard_points_are_right_or_refused(sol_p2, tmp_path, capsys):
             assert code == 0, captured.err
             out = json.loads(captured.out)
             assert (out["X"], out["det"], out["g"]) == (jet.x_value, jet.det, jet.metric.tolist())
+
+
+def draw_automorphism(rng):
+    """(lam, u, flip) from the hard and plain floats, lam also at 1e-300 and 1e300."""
+    def part(extra=()):
+        pool = HARD + extra if rng.random() < 0.4 else PLAIN
+        return pool[rng.integers(len(pool))]
+    lam = part((1e-300, 1e300)) if rng.random() < 0.7 else 2.0 ** rng.uniform(-8.0, 8.0)
+    return lam, (part(), part()), bool(rng.random() < 0.5)
+
+
+def point_bits(value):
+    """An image's coordinates as bytes, or the class of its refusal."""
+    if isinstance(value, Exception):
+        return type(value)
+    return np.array([value.z1, value.z2], dtype=complex).tobytes()
+
+
+def test_automorphism_doors_are_right_or_refused():
+    params = TubeParams(p=P)
+    rng = np.random.default_rng(2026)
+    points, images, accepted = [], [], []
+    for _ in range(600):
+        z = draw_point(rng)
+        lam, u, flip = draw_automorphism(rng)
+        a = outcome(lambda: TubeAutomorphism(params=params, lam=lam, u=u, flip=flip))
+        if not (lam > 0.0 and math.isfinite(lam) and math.isfinite(u[0]) and math.isfinite(u[1])):
+            assert isinstance(a, ValueError), (lam, u)
+            continue
+        assert isinstance(a, TubeAutomorphism), (lam, u)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # Python floats take no numpy warning
+            jac = jacobian(a)
+            det = outcome(lambda: jacobian_det(a))
+            image = outcome(lambda: apply(a, z))
+            psi = outcome(lambda: normalizing_automorphism(params, z))
+        # the Jacobian is diag(lam, +-lam^{1/(2p)}), finite for every finite lam
+        assert np.isfinite(jac).all() and jac[0, 0] == lam and jac[0, 1] == jac[1, 0] == 0.0
+        assert bool(jac[1, 1].real < 0.0) is flip
+        diagonal = lam * abs(float(jac[1, 1].real))
+        if isinstance(det, Exception):
+            assert not 1e-300 < diagonal < 1e300, lam
+        else:
+            assert math.isfinite(det) and det != 0.0 and (det < 0.0) is flip
+            if 1e-300 < diagonal < 1e300:
+                assert abs(abs(det) - diagonal) <= 4 * np.finfo(float).eps * diagonal, lam
+        # an image is a finite point of T_p; a non-finite point has none
+        if isinstance(image, Exception):
+            assert isinstance(image, ValueError) and "is not a point of T_2" in str(image)
+        else:
+            assert finite(image) and in_domain(params, image) is True, (lam, u, z)
+        if not finite(z):
+            assert isinstance(image, ValueError) and isinstance(psi, DomainError), z
+            continue
+        # the real parts of an image follow from z's real parts alone, and
+        # the flip negates z2; both are exact in floats.  Only an imaginary
+        # part that overflows refuses z where its clean point has an image.
+        clean = Point(complex(z.z1.real), complex(z.z2.real))
+        clean_image = outcome(lambda: apply(a, clean))
+        if isinstance(clean_image, Exception):
+            assert isinstance(image, ValueError), (lam, u, z)
+        elif isinstance(image, Exception):
+            root = abs(float(jac[1, 1].real))
+            assert not (math.isfinite(lam * (z.z1.imag + u[0]))
+                        and math.isfinite(root * (z.z2.imag + u[1]))), (lam, u, z)
+        else:
+            assert (image.z1.real, image.z2.real) == (clean_image.z1.real, clean_image.z2.real)
+            flipped = apply(TubeAutomorphism(params=params, lam=lam, u=u, flip=not flip), z)
+            assert point_bits(flipped) == point_bits(Point(image.z1, -image.z2))
+            points.append((a, z))
+            images.append(image)
+        with np.errstate(all="ignore"):
+            for kind, zc in containers(z).items():
+                assert point_bits(outcome(lambda: apply(a, zc))) == point_bits(image), (kind, z)
+        # the normalizing automorphism: dilation by 1/r and the translation
+        # killing the imaginary parts, or a refusal as for the clean point
+        clean_psi = outcome(lambda: normalizing_automorphism(params, clean))
+        assert type(psi) is type(clean_psi), z
+        if isinstance(psi, TubeAutomorphism):
+            assert psi.lam == clean_psi.lam == 1.0 / _depth(P, z.z1.real)
+            assert psi.u == (-z.z1.imag, -z.z2.imag) and not psi.flip
+            axis = outcome(lambda: apply(psi, z))
+            if not isinstance(axis, Exception):
+                assert axis.z1.imag == axis.z2.imag == 0.0
+                assert abs(axis.z2.real - x_invariant(params, z)) <= 1e-12
+            accepted.append(z)
+    # the draw mixes answers and refusals
+    assert 60 <= len(points) <= 480 and 60 <= len(accepted) <= 480
+
+    # stacked: points and automorphisms in rows; a row is the single call
+    # and a refused row refuses the stack, naming the first one
+    zs = Point.stack([z for _, z in points])
+    a = TubeAutomorphism(params=params, lam=np.array([a.lam for a, _ in points]),
+                         u=(np.array([a.u[0] for a, _ in points]),
+                            np.array([a.u[1] for a, _ in points])),
+                         flip=False)
+    with np.errstate(all="ignore"):
+        rows = apply(a, zs)
+    for i, ((single_a, z), image) in enumerate(zip(points, images)):
+        row = Point(rows.z1[i], rows.z2[i] if not single_a.flip else -rows.z2[i])
+        assert point_bits(row) == point_bits(image), (single_a, z)
+    jacs = jacobian(a)
+    for i, (single_a, _) in enumerate(points):
+        assert jacs[i, 0, 0] == single_a.lam and jacs[i, 1, 1] == abs(jacobian(single_a)[1, 1])
+    bad = Point(complex(0.3, 0.0), 0j)
+    with pytest.raises(ValueError, match=re.escape(f"of {bad} is not a point of T_2")):
+        apply(TubeAutomorphism(params=params), Point.stack([Point(0j, 0j), bad, bad]))
+    with pytest.raises(ValueError, match="at lam = 1e[+]300 is no finite nonzero double"):
+        jacobian_det(TubeAutomorphism(params=params, lam=np.array([2.0, 1e300, 1e301])))

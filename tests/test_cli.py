@@ -16,7 +16,7 @@ import pytest
 
 import tubeke
 from tubeke import axis_sweep
-from tubeke.cli import SWEEP_COLUMNS, _build_parser, main
+from tubeke.cli import _MAX_SWEEP_ROWS, SWEEP_COLUMNS, _build_parser, main
 from tubeke.curvature import _frame
 
 
@@ -328,6 +328,23 @@ def test_sweep_into_the_refused_range_raises_and_exits_2(sol_p1, tmp_path, capsy
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and f"at X = {1.0 - 1e-6!r} are refused" in captured.err
+    assert not (tmp_path / "rows.csv").exists()
+
+
+def test_a_sweep_above_the_row_cap_is_refused_before_anything_is_allocated(
+        sol1_file, tmp_path, capsys, monkeypatch):
+    # 1e11 rows would take about 745 GiB of arrays; the count is refused
+    # before np.linspace runs, so nothing is allocated
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the grid was allocated")
+    monkeypatch.setattr(np, "linspace", no_grid)
+    for n in (_MAX_SWEEP_ROWS + 1, 10 ** 11):
+        with pytest.raises(ValueError, match=f"need 1 <= n <= {_MAX_SWEEP_ROWS}, got {n}"):
+            axis_sweep(tubeke.load_solution(sol1_file), n=n)
+        code = main(["sweep", "--sol", str(sol1_file), "--n", str(n),
+                     "--out", str(tmp_path / "rows.csv")])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and captured.err.count("\n") == 1
     assert not (tmp_path / "rows.csv").exists()
 
 

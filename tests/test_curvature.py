@@ -36,6 +36,7 @@ from tubeke import (
 from tubeke import curvature
 from tubeke.curvature import (_bloch_split, _frame, _pull_to_axis, _reduced_form,
                               _spinor_vector)
+from tubeke.tube_geometry import require_domain
 
 from conftest import reference_form
 
@@ -395,7 +396,7 @@ def test_bisectional_from_jet_equals_bisectional(sols, formula):
         for _ in range(10):
             v, w = random_vectors(rng, 2)
             pair = TangentPair(v=v, w=w)
-            axis, (pv, pw) = _pull_to_axis(sol, z, (v, w))
+            axis, (pv, pw) = _pull_to_axis(sol, z, require_domain(sol.params, z), (v, w))
             jet = metric_jet(sol, axis)
             pushed = TangentPair(v=pv, w=pw)
             assert (bisectional_from_jet(jet, tensor_from_jet(jet), pushed, formula=formula)

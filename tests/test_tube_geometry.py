@@ -146,6 +146,28 @@ def test_normalizing_jacobian_det_closed_form():
             assert abs(jacobian_det(psi) - expected) <= 1e-12 * expected
 
 
+def test_automorphisms_at_the_ends_of_the_double_range_are_right_or_refused():
+    z = Point(0.01 + 0.2j, 0.5 - 0.1j)
+    # a finite translation or dilation with a finite image answers it
+    img = apply(TubeAutomorphism(params=P2, u=(1.7e308, 0.0)), z)
+    assert img.z1.imag == 1.7e308 and abs(img.z1.real - 0.01) <= 1e-17 and img.z2 == z.z2
+    img = apply(TubeAutomorphism(params=P2, lam=1.7e308), z)
+    assert img.z1.imag == 1.7e308 * 0.2 and abs(img.z1.real + 1.7e308 * 0.92 / 8) <= 1e293
+    assert in_domain(P2, img) and abs(x_invariant(P2, img) - x_invariant(P2, z)) <= 1e-15
+    # lam = 1e-300 would round the image onto the vertex plane Re z1 = 1/8
+    with pytest.raises(ValueError, match=r"the image .*\(0\.125.* of .* is not a point of T_2"):
+        apply(TubeAutomorphism(params=P2, lam=1e-300), z)
+    # a point outside T_p has no image in it
+    with pytest.raises(ValueError, match="is not a point of T_2"):
+        apply(TubeAutomorphism(params=P2, lam=2.0), Point(0.2 + 0j, 0j))
+    # lam^{5/4} overflows at lam = 1e300 and underflows at 1e-320
+    for lam in (1e300, 1e-320):
+        message = re.escape(f"lam = {lam!r} is no finite nonzero double")
+        with pytest.raises(ValueError, match=message):
+            jacobian_det(TubeAutomorphism(params=P2, lam=lam))
+    assert jacobian_det(TubeAutomorphism(params=P2, lam=1e240)) == np.power(1e240, 1.25)
+
+
 def test_automorphism_validation():
     for bad in (0.0, -2.0, math.inf, math.nan):
         with pytest.raises(ValueError):
@@ -243,7 +265,7 @@ def _close(got, ref, rel=4 * np.finfo(float).eps):
     return abs(got - ref) <= rel * max(abs(ref), 1.0)
 
 
-@pytest.mark.parametrize("params", [P1, P2, TubeParams(p=3)])
+@pytest.mark.parametrize("params", [P1, P2, TubeParams(p=3), TubeParams(p=5)])
 def test_stacked_geometry_matches_the_scalar_geometry(params):
     rng = np.random.default_rng(20 + params.p)
     points = random_points(params, rng, 200) + [Point(0.3 + 1j, 0.1 + 0j), Point(0j, 1.5 + 0j)]
@@ -271,13 +293,15 @@ def test_stacked_geometry_matches_the_scalar_geometry(params):
                   TubeAutomorphism(params=params, lam=2.6),
                   normalizing_automorphism(params, q)]
         for a_stacked, a in zip(stacked, single):
+            # apply and the Jacobian take numpy's pow for one lam and for
+            # arrays alike, so a row is the single call bit for bit
             img, ref = apply(a_stacked, z), apply(a, q)
-            assert _close(img.z1[i], ref.z1) and _close(img.z2[i], ref.z2)
+            assert (img.z1[i], img.z2[i]) == (ref.z1, ref.z2)
             # an automorphism with a scalar lam holds one Jacobian for all points
             det = np.broadcast_to(jacobian_det(a_stacked), (n,))[i]
             jac = np.broadcast_to(jacobian(a_stacked), (n, 2, 2))[i]
-            assert _close(det, jacobian_det(a))
-            assert np.all(np.abs(jac - jacobian(a)) <= 4 * np.finfo(float).eps * np.abs(jacobian(a)))
+            assert det == jacobian_det(a)
+            assert np.array_equal(jac, jacobian(a))
     psi = stacked[-1]
     assert psi.lam.shape == (n,) and psi.u[0].shape == psi.u[1].shape == (n,)
 

@@ -11,6 +11,11 @@ It imports ``tubeke`` from the checkout on PYTHONPATH and writes into OUTDIR:
 - ``evaluators.txt``: ``repr`` of eval_F, eval_f_derivs (orders 0..3) and
   eval_Z (orders 0..2) for p = 1, 2, 3, 5, 8 at every float of a fixed
   grid, then at scalar, 0-d and array arguments;
+- ``depth.txt``: ``in_domain``, ``x_invariant`` and ``bis_extremes`` (min,
+  max) at seeded points of depth r = 10^-k, k = 1..16, for p = 3 and 5
+  (values or the refusal), and ``apply.txt``: ``apply`` of fixed
+  automorphisms at fixed points for p = 1, 2, 3 (the image or the
+  refusal);
 - the output files, stdout, stderr and exit code of these CLI calls, run in
   process through ``tubeke.cli.main`` from OUTDIR: ``sweep`` (500 rows) for
   p = 1, 2, 3, ``verify --p 2 --report``, ``eval --derivs`` at x = 0,
@@ -67,6 +72,45 @@ def _evaluator_lines(sol):
             yield f"Z{k} {x!r}: {sol.eval_Z(x, k)!r}"
 
 
+DEPTH_PS = (3, 5)
+APPLY_PS = (1, 2, 3)
+# (lam, u, flip): plain, the generators, and lam or u at the ends of the double range
+AUTOMORPHISMS = ((0.35, (0.0, 0.0), False), (2.6, (1.3, -0.4), True), (1.0, (1.3, -0.4), False),
+                 (1e-300, (0.0, 0.0), False), (1.7e308, (0.0, 0.0), False),
+                 (1.0, (1.7e308, 0.0), False))
+
+
+def _outcome(call):
+    """repr of the call's value, or the class and message of its refusal."""
+    try:
+        return repr(call())
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _depth_lines(sol):
+    params, p = sol.params, sol.params.p
+    rng = np.random.default_rng(p)
+    for k in range(1, 17):
+        x, y1, y2 = rng.uniform(-0.9, 0.9), *rng.uniform(-2.0, 2.0, 2)
+        r = 10.0 ** -k
+        z = tubeke.Point(complex((1.0 - r) / (4 * p), y1), complex(x * r ** (1.0 / (2 * p)), y2))
+        yield f"{z}"
+        yield f"  in_domain: {_outcome(lambda: tubeke.in_domain(params, z))}"
+        yield f"  X: {_outcome(lambda: tubeke.x_invariant(params, z))}"
+        ext = _outcome(lambda: (lambda e: (e.min, e.max))(tubeke.bis_extremes(sol, z)))
+        yield f"  bis_extremes: {ext}"
+
+
+def _apply_lines(p):
+    params = tubeke.TubeParams(p=p)
+    for point in EXTREME_POINTS:
+        z = tubeke.Point.parse(point)
+        for lam, u, flip in AUTOMORPHISMS:
+            a = tubeke.TubeAutomorphism(params=params, lam=lam, u=u, flip=flip)
+            yield f"{z} lam={lam!r} u={u!r} flip={flip}: {_outcome(lambda: tubeke.apply(a, z))}"
+
+
 def _cli(name, *argv):
     """Run one CLI call and write its stdout, stderr and exit code to name.txt."""
     out, err = io.StringIO(), io.StringIO()
@@ -93,6 +137,14 @@ def main(outdir):
         for p in EVAL_PS:
             fh.write(f"# p = {p}\n")
             fh.writelines(line + "\n" for line in _evaluator_lines(sols[p]))
+    with open("depth.txt", "w") as fh:
+        for p in DEPTH_PS:
+            fh.write(f"# p = {p}\n")
+            fh.writelines(line + "\n" for line in _depth_lines(sols[p]))
+    with open("apply.txt", "w") as fh:
+        for p in APPLY_PS:
+            fh.write(f"# p = {p}\n")
+            fh.writelines(line + "\n" for line in _apply_lines(p))
     for p in (1, 2, 3):
         _cli(f"sweep{p}", "sweep", "--sol", f"p{p}.json", "--out", f"sweep{p}.csv")
     _cli("verify", "verify", "--p", "2", "--report", "verify.json")

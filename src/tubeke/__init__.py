@@ -34,7 +34,7 @@ _EXPORTS = {
     "params": ("TubeParams", "SUITE_NAMES"),
     "errors": ("DomainError", "BracketError", "MaxStepsError"),
     "potential_solver": ("PotentialSolution", "solve_potential", "load_solution",
-                         "solution_from_dict", "integral_identity_residuals"),
+                         "integral_identity_residuals"),
     "tube_geometry": ("Point", "TubeAutomorphism", "BoundaryClass", "RegionClass",
                       "in_domain", "x_invariant", "normalizing_automorphism", "apply",
                       "jacobian", "jacobian_det", "classify_boundary", "region",

@@ -2,7 +2,7 @@
 
 Subcommands
 -----------
-solve      shoot for the center value and cache the radial profile as JSON
+solve      shoot for the center value and record the solve as JSON
 eval       evaluate the profile (and optionally its derivatives) at one x
 metric     metric tensor, determinant, and derivative jet at a point
 curvature  curvature tensor plus either one bisectional value or extremes
@@ -30,11 +30,7 @@ import numpy as np
 from . import curvature, diagnostics, metric_tensor, tube_geometry
 from .errors import DomainError
 from .params import SUITE_NAMES, TubeParams
-from .potential_solver import (
-    PotentialSolution,
-    load_solution,
-    solve_potential,
-)
+from .potential_solver import _P_MAX, PotentialSolution, load_solution, solve_potential
 
 __all__ = ["SweepRow", "axis_sweep", "main"]
 
@@ -153,17 +149,10 @@ def _print_json(obj) -> None:
 
 def _cmd_solve(args) -> int:
     stages = _Stages()
-    params = TubeParams(p=args.p)
-    sol = solve_potential(params)
+    sol = solve_potential(TubeParams(p=args.p))
     stages.lap("solve")
     sol.save(args.out)
-    _print_json({
-        "p": params.p,
-        "F0": sol.F0,
-        "blowup_x": sol.achieved_blowup_x,
-        "nodes": len(sol.xs),
-        "out": str(args.out),
-    })
+    _print_json({**sol.to_dict(), "out": str(args.out)})
     stages.lap("write")
     if args.stats:
         _print_stats(stages, sol)
@@ -294,6 +283,12 @@ def _add_stats(parser: argparse.ArgumentParser, stages: str) -> None:
                              f"unchanged")
 
 
+def _add_sol(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--sol", required=True,
+                        help="solution JSON from solve: its p is solved again (about "
+                             "12 ms), and the file is refused unless it records that solve")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tubeke",
@@ -302,14 +297,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = sub.add_parser("solve", help="shoot for the potential and cache it")
-    p_solve.add_argument("--p", type=int, required=True, help="domain parameter (>= 1)")
-    p_solve.add_argument("--out", required=True, help="output JSON path")
+    p_solve = sub.add_parser("solve", help="solve for the potential and record the solve")
+    p_solve.add_argument("--p", type=int, required=True,
+                         help=f"domain parameter, 1 to {_P_MAX}")
+    p_solve.add_argument("--out", required=True,
+                         help="output JSON path for the record {p, F0, blowup_x, nodes}")
     _add_stats(p_solve, "solve, write")
     p_solve.set_defaults(func=_cmd_solve)
 
-    p_eval = sub.add_parser("eval", help="evaluate the cached profile at one x")
-    p_eval.add_argument("--sol", required=True, help="solution JSON from solve")
+    p_eval = sub.add_parser("eval", help="evaluate the profile at one x")
+    _add_sol(p_eval)
     p_eval.add_argument("--x", type=float, required=True)
     p_eval.add_argument("--derivs", action="store_true",
                         help="include f', f'', f''' and Z = e^{3F}")
@@ -317,14 +314,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=_cmd_eval)
 
     p_metric = sub.add_parser("metric", help="metric tensor and jet at a point")
-    p_metric.add_argument("--sol", required=True)
+    _add_sol(p_metric)
     p_metric.add_argument("--point", required=True, help=_reals_help("z", "--point"))
     _add_stats(p_metric, "load, jet, write")
     p_metric.set_defaults(func=_cmd_metric)
 
     p_curv = sub.add_parser("curvature",
                             help="curvature tensor, bisectional values, extremes")
-    p_curv.add_argument("--sol", required=True)
+    _add_sol(p_curv)
     p_curv.add_argument("--point", required=True, help=_reals_help("z", "--point"))
     p_curv.add_argument("--v", help=_reals_help("first tangent vector", "--v"))
     p_curv.add_argument("--w", help=_reals_help("second tangent vector", "--w"))
@@ -336,7 +333,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_curv.set_defaults(func=_cmd_curvature)
 
     p_sweep = sub.add_parser("sweep", help="CSV sweep along the real-z2 axis")
-    p_sweep.add_argument("--sol", required=True)
+    _add_sol(p_sweep)
     p_sweep.add_argument("--x-min", type=float, default=0.0)
     p_sweep.add_argument("--x-max", type=float, default=1.0 - 1e-4)
     p_sweep.add_argument("--n", type=int, default=500)

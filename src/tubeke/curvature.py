@@ -267,10 +267,10 @@ def _bis_direct(jet, tensor: CurvatureTensor, v, w) -> float:
 def _columns(pair: TangentPair, x) -> tuple:
     """The pair's (2,) vectors, or (2, n) columns of n pairs, by the module's broadcast rule.
 
-    x is the points' X: a float, or a 1-d stack (else ValueError).
+    x is the points' X: a float, or a 1-d stack.
     """
     v, w = pair.v, pair.w
-    if _stacked(x) and v.ndim == 2 and len(v) != len(x):
+    if isinstance(x, np.ndarray) and v.ndim == 2 and len(v) != len(x):
         raise ValueError(f"{len(v)} vector pairs cannot go with {len(x)} stacked points: "
                          f"give one pair, or one pair per point")
     return (v, w) if v.ndim == 1 else (v.T, w.T)
@@ -410,15 +410,6 @@ def _bis(jet: MetricJet, tensor: CurvatureTensor, v, w, formula: str):
     return bis if isinstance(bis, np.ndarray) else float(bis)
 
 
-def _stacked(x) -> bool:
-    """Whether x, a point's value, is stacked; ValueError unless a 1-d stack."""
-    if not isinstance(x, np.ndarray):
-        return False
-    if x.ndim != 1:
-        raise ValueError(f"stacked points must form a 1-d stack, got shape {x.shape}")
-    return True
-
-
 def bisectional_batch(sol: PotentialSolution, z: Point, vs, ws,
                       *, normalize: bool = True) -> np.ndarray:
     """bisectional(sol, z, TangentPair(v=vs, w=ws), normalize=normalize).
@@ -476,7 +467,7 @@ def boundary_limit_bis(jet: MetricJet, pair: TangentPair):
     """
     v, w = _columns(pair, jet.x_value)
     limit = _boundary_limit(_frame(jet), v.reshape(2, -1), w.reshape(2, -1))
-    return float(limit[0]) if v.ndim == 1 and not _stacked(jet.x_value) else limit
+    return float(limit[0]) if v.ndim == 1 and not isinstance(jet.x_value, np.ndarray) else limit
 
 
 _DEFECT_TOL = 1e-3   # the largest Einstein defect the tube formula accepts
@@ -501,9 +492,8 @@ def _bloch_split(jet, tensor: CurvatureTensor) -> tuple:
 
     b is (b_x, b_z) and M is (lam_y, Mxx, Mxz, Mzz): the 1x1 block and
     the 2x2 (x, z) block of M; every other entry vanishes.  A stacked jet
-    (a 1-d stack, or ValueError) gives arrays.
+    gives arrays.
     """
-    _stacked(jet.x_value)
     al, be, ga = frame = _frame(jet)
     t = tensor
     R1111, R1112, R1122, R1212, R1222, R2222 = (t.R1111, t.R1112, t.R1122, t.R1212,

@@ -18,7 +18,7 @@ where 4p is a power of two.  A door that takes a point of T_p admits it
 once: require_domain forms r, checks it through in_domain and returns it.
 
 Points may be stacked: a Point whose z1 and z2 are complex arrays of one
-shape stands for the points (z1[i], z2[i]).  in_domain, x_invariant,
+length stands for the points (z1[i], z2[i]).  in_domain, x_invariant,
 normalizing_automorphism, apply, jacobian and jacobian_det take stacked
 points, and an automorphism may carry arrays lam and u (one element per
 point), with the same code as for single points, so a stacked row equals
@@ -57,10 +57,29 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Point:
-    """A point of C^2."""
+    """A point of C^2, or stacked points.
+
+    The coordinates are held in double precision, converted once here.
+    Two Python complex values pass untouched; any other scalar (a numpy
+    scalar, a 0-d array, a float) becomes a Python complex, and an array
+    becomes a 1-d complex128 stack.  A scalar coordinate goes with every
+    point of a stack in the other.  ValueError, naming the shapes, for a
+    stack of more than one dimension or two stacks of different lengths.
+    """
 
     z1: complex
     z2: complex
+
+    def __post_init__(self):
+        if type(self.z1) is complex and type(self.z2) is complex:
+            return
+        z1, z2 = (np.asarray(c, dtype=complex) for c in (self.z1, self.z2))
+        stacks = {c.shape for c in (z1, z2) if c.ndim}
+        if len(stacks) > 1 or any(len(shape) > 1 for shape in stacks):
+            raise ValueError(f"a Point takes scalars or 1-d stacks of one length, got "
+                             f"coordinates of shapes {z1.shape} and {z2.shape}")
+        object.__setattr__(self, "z1", z1 if z1.ndim else complex(z1))
+        object.__setattr__(self, "z2", z2 if z2.ndim else complex(z2))
 
     @classmethod
     def parse(cls, text: str) -> "Point":
@@ -261,7 +280,7 @@ def _even_power(t, n: int):
 
 def _require_single(z: Point, door: str) -> None:
     """Raise ValueError for stacked points at a door that takes one point."""
-    if np.ndim(z.z1) or np.ndim(z.z2):
+    if type(z.z1) is not complex or type(z.z2) is not complex:
         raise ValueError(f"{door} takes a single point, got stacked points of shape "
                          f"{np.broadcast(z.z1, z.z2).shape}")
 
@@ -318,7 +337,8 @@ def apply(a: TubeAutomorphism, z: Point) -> Point:
     """Evaluate the automorphism at a point, or points.
 
     It acts on depth: r' = lam r, Im z1' = lam (Im z1 + u1) and
-    z2' = lam^{1/(2p)} (z2 + i u2), then Re z1' = (1 - r')/(4p); the
+    z2' = lam^{1/(2p)} (z2 + i u2), then Re z1' = Re z1 + (r - r')/(4p),
+    from the change of depth, so that lam = 1 keeps Re z1 bit for bit; the
     parts are real products, so no infinity meets a zero, and
     lam^{1/(2p)} is numpy's pow, so stacked rows equal single calls bit
     for bit.  ValueError, naming the (first) point, where the image is no
@@ -330,8 +350,8 @@ def apply(a: TubeAutomorphism, z: Point) -> Point:
     root = _real(np.power(lam, 1.0 / (2 * p)))
     if a.flip:
         root = -root
-    image = Point(_complex(_re1_at_depth(p, lam * _depth(p, z.z1.real)),
-                           lam * (z.z1.imag + a.u[0])),
+    r = _depth(p, z.z1.real)
+    image = Point(_complex(z.z1.real + (r - lam * r) / (4 * p), lam * (z.z1.imag + a.u[0])),
                   _complex(root * z.z2.real, root * (z.z2.imag + a.u[1])))
     ok = in_domain(a.params, image)
     if not _all(ok):

@@ -46,8 +46,8 @@ def test_solve_reports_center_value(tmp_path, capsys):
     assert code == 0
     assert abs(out["F0"] - math.log(2.0) / 3.0) < 1e-9
     assert path.exists()
-    stored = json.loads(path.read_text())
-    assert stored["p"] == 1 and stored["K"] == "1"
+    # the file holds the record that stdout prints, without "out"
+    assert json.loads(path.read_text()) == {k: v for k, v in out.items() if k != "out"}
 
 
 def test_solve_has_no_accuracy_options(tmp_path, capsys):
@@ -92,7 +92,7 @@ def test_a_file_at_another_tolerance_is_refused(tmp_path, sol_file, capsys):
     path = tmp_path / "loose.json"
     path.write_text(json.dumps(data))
     assert main(["eval", "--sol", str(path), "--x", "0.5"]) == 2
-    assert "tolerance 1e-08 is not the solver's 1e-12" in capsys.readouterr().err
+    assert "differs from the solve for p = 2 at 'tolerance'" in capsys.readouterr().err
 
 
 def test_eval_basic_and_derivs(sol1_file, capsys):
@@ -415,7 +415,8 @@ def test_stats_leave_stdout_unchanged_for_every_verb(verb, sol_file, tmp_path, c
     assert list(stats) == [f"{s}_s" for s in stages] + ["solver"] + health
     assert all(stats[f"{s}_s"] >= 0.0 for s in stages)
     assert stats["solver"]["nodes"] > 1000
-    assert stats["solver"]["integrations"] == (3 if verb == "solve" else 0)
+    # every verb solves: a file records a solve and loading repeats it
+    assert stats["solver"]["integrations"] == 3
     if verb == "sweep":
         # the largest defect over the rows, the one at x = 1 - 1e-4
         found = {}
@@ -445,7 +446,7 @@ def test_usage_errors_exit_two(sol_file, tmp_path, capsys):
     capsys.readouterr()
     # beyond the last node: the range is printed as a plain float
     assert main(["eval", "--sol", str(sol_file), "--x", "0.999999999999"]) == 2
-    x_max = repr(json.loads(sol_file.read_text())["nodes"][-1]["x"])
+    x_max = repr(tubeke.solve_potential(tubeke.TubeParams(p=2)).x_max)
     assert f"error: |x| exceeds the solved range [0, {x_max}] (" in capsys.readouterr().err
     assert main(["metric", "--sol", str(sol_file), "--point", "9,0,0,0"]) == 2
     assert main(["metric", "--sol", str(sol_file), "--point", "1,2,3"]) == 2
@@ -463,11 +464,14 @@ def test_argparse_rejects_unknown_subcommand():
 
 def test_tampered_solution_file_exits_two(sol1_file, tmp_path, capsys):
     data = json.loads(sol1_file.read_text())
-    data["nodes"][5]["f"] += 1e-4
+    data["F0"] += 1e-4
     bad = tmp_path / "tampered.json"
     bad.write_text(json.dumps(data))
     assert main(["eval", "--sol", str(bad), "--x", "0.25"]) == 2
-    assert "tampered" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: solution file {bad}: the record differs from the solve " \
+                           f"for p = 1 at 'F0'\n"
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -475,16 +479,15 @@ def test_a_non_finite_solution_file_exits_two(sol_file, tmp_path, capsys, value)
     # json writes and reads NaN and Infinity, so a file can carry them; the
     # verbs must refuse it rather than print "F": NaN
     data = json.loads(sol_file.read_text())
-    data["nodes"][700]["F"] = value
+    data["F0"] = value
     bad = tmp_path / "non_finite.json"
     bad.write_text(json.dumps(data))
-    x = repr(0.5 * (data["nodes"][700]["x"] + data["nodes"][701]["x"]))
-    for argv in (["eval", "--sol", str(bad), f"--x={x}", "--derivs"],
-                 ["metric", "--sol", str(bad), f"--point=0,0,{x},0"]):
+    for argv in (["eval", "--sol", str(bad), "--x=0.5", "--derivs"],
+                 ["metric", "--sol", str(bad), "--point=0,0,0.5,0"]):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "node 700 is not finite" in captured.err
+        assert "differs from the solve for p = 2 at 'F0'" in captured.err
 
 
 def run_fresh(*args):

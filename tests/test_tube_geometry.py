@@ -9,6 +9,7 @@ import pytest
 
 from tubeke import (
     BoundaryClass,
+    bis_extremes,
     DomainError,
     Point,
     RegionClass,
@@ -20,6 +21,7 @@ from tubeke import (
     in_domain,
     jacobian,
     jacobian_det,
+    metric_jet,
     normalizing_automorphism,
     region,
     x_invariant,
@@ -52,6 +54,55 @@ def test_point_parse():
 def test_point_parse_rejects(bad):
     with pytest.raises(ValueError):
         Point.parse(bad)
+
+
+def test_point_holds_double_precision_coordinates(sol_p3):
+    # complex64 coordinates, scalar or stacked, are widened once (exactly)
+    # by the constructor, so the point computes as its double twin; before,
+    # X was formed in single precision, 5.9e-8 (relative) off
+    z1, z2 = np.complex64(0.01 + 0.2j), np.complex64(0.5 - 0.1j)
+    twin = Point(complex(z1), complex(z2))
+    params = sol_p3.params
+    for z in (Point(z1, z2), Point(np.array(z1), np.array(z2)),
+              Point(np.float32(z1.real) + 1j * np.float32(z1.imag), z2)):
+        assert type(z.z1) is complex and type(z.z2) is complex
+        assert (z.z1, z.z2) == (twin.z1, twin.z2)
+        assert x_invariant(params, z) == x_invariant(params, twin)
+    stack = Point(np.array([z1] * 3), np.array([z2] * 3))
+    assert stack.z1.dtype == stack.z2.dtype == np.complex128
+    jet, twin_jet = metric_jet(sol_p3, stack), metric_jet(sol_p3, twin)
+    assert np.array_equal(jet.det, [twin_jet.det] * 3)
+    ext, twin_ext = bis_extremes(sol_p3, stack), bis_extremes(sol_p3, twin)
+    assert np.array_equal(ext.min, [twin_ext.min] * 3)
+    assert np.array_equal(ext.max, [twin_ext.max] * 3)
+
+
+def test_point_keeps_python_complex_values_and_broadcasts_a_scalar():
+    z1, z2 = 0.01 + 0.2j, 0.5 - 0.1j
+    z = Point(z1, z2)
+    assert z.z1 is z1 and z.z2 is z2
+    assert Point(0.25, 1).z1 == 0.25 + 0j and type(Point(0.25, 1).z2) is complex
+    stack = Point(0j, [0.1, 0.2])
+    assert stack.z1 == 0j and stack.z2.dtype == np.complex128 and stack.z2.shape == (2,)
+    assert np.array_equal(in_domain(P2, stack), [True, True])
+
+
+@pytest.mark.parametrize("p", range(1, 6))
+def test_identity_and_translations_keep_the_real_parts(p):
+    # Re z1' comes from the change of depth, 0 for lam = 1, so the real
+    # parts pass bit for bit; (1 - r')/(4p) moved them by rounding
+    params = TubeParams(p=p)
+    rng = np.random.default_rng(700 + p)
+    points = [Point(0.01 + 0.2j, 0.5 - 0.1j)]
+    draws = (rng.uniform(-0.5, 0.99 / (4 * p), 50), rng.uniform(-0.99, 0.99, 50),
+             *rng.uniform(-3.0, 3.0, (2, 50)))
+    for re1, x, im1, im2 in zip(*draws):
+        points.append(Point(complex(re1, im1), complex(x * (1.0 - 4 * p * re1) ** (0.5 / p), im2)))
+    for z in points:
+        for u in ((0.0, 0.0), tuple(rng.uniform(-5.0, 5.0, 2))):
+            image = apply(TubeAutomorphism(params, u=u), z)
+            assert image.z1.real.hex() == z.z1.real.hex(), (z, u)
+            assert image.z2.real.hex() == z.z2.real.hex(), (z, u)
 
 
 def test_in_domain_examples():

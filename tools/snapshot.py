@@ -6,8 +6,10 @@ Usage::
 
 It imports ``tubeke`` from the checkout on PYTHONPATH and writes into OUTDIR:
 
-- ``p{p}.json`` (the saved solution) and ``stats{p}.txt`` (``repr`` of its
-  stats) for p = 1..8 and 1000;
+- ``p{p}.json`` (the saved record of the solve), ``nodes{p}.txt``
+  (``repr`` of the node lists xs, Fs and fs, so that a change of the
+  profile shows) and ``stats{p}.txt`` (``repr`` of its stats) for
+  p = 1..8 and 1000;
 - ``evaluators.txt``: ``repr`` of eval_F, eval_f_derivs (orders 0..3) and
   eval_Z (orders 0..2) for p = 1, 2, 3, 5, 8 at every float of a fixed
   grid, then at scalar, 0-d and array arguments;
@@ -132,6 +134,8 @@ def main(outdir):
     for p in SOLVE_PS:
         sols[p] = tubeke.solve_potential(tubeke.TubeParams(p=p))
         sols[p].save(f"p{p}.json")
+        Path(f"nodes{p}.txt").write_text(
+            "".join(f"{key} = {getattr(sols[p], key).tolist()!r}\n" for key in ("xs", "Fs", "fs")))
         Path(f"stats{p}.txt").write_text(repr(sols[p].stats) + "\n")
     with open("evaluators.txt", "w") as fh:
         for p in EVAL_PS:

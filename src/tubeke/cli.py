@@ -29,7 +29,7 @@ import numpy as np
 # runs only the modules it needs
 from . import curvature, diagnostics, metric_tensor, tube_geometry
 from .errors import DomainError
-from .params import SUITE_NAMES, TubeParams
+from .params import SUITE_NAMES, TubeParams, as_integer
 from .potential_solver import _P_MAX, PotentialSolution, load_solution, solve_potential
 
 __all__ = ["SweepRow", "axis_sweep", "main"]
@@ -67,9 +67,11 @@ def axis_sweep(sol: PotentialSolution, x_min: float = 0.0,
     group with X >= 0, so this one table captures the whole geometry.
     The jet, tensor and extremes run once on the stacked axis points.
     Rows come back in x order and are checked to be finite.  A health dict,
-    if given, receives the rows' largest Einstein defect.  n is at most
-    10^6 (_MAX_SWEEP_ROWS), checked before anything is allocated.
+    if given, receives the rows' largest Einstein defect.  n is an integer
+    (bools refused) from 1 to 10^6 (_MAX_SWEEP_ROWS), checked before
+    anything is allocated.
     """
+    n = as_integer("n", n)
     if not 1 <= n <= _MAX_SWEEP_ROWS:
         raise ValueError(f"need 1 <= n <= {_MAX_SWEEP_ROWS}, got {n}")
     if not (-1.0 < x_min < 1.0) or not (-1.0 < x_max < 1.0):
@@ -112,10 +114,6 @@ def _parse_vector(text: str) -> np.ndarray:
 
 def _vector_reals(v) -> list:
     return [float(v[0].real), float(v[0].imag), float(v[1].real), float(v[1].imag)]
-
-
-def _point_reals(z: tube_geometry.Point) -> list:
-    return [z.z1.real, z.z1.imag, z.z2.real, z.z2.imag]
 
 
 class _Stages:
@@ -183,7 +181,7 @@ def _cmd_metric(args) -> int:
     jet = metric_tensor.metric_jet(sol, z)
     stages.lap("jet")
     _print_json({
-        "point": _point_reals(z),
+        "point": z.as_reals(),
         "X": jet.x_value,
         "g": jet.metric.tolist(),
         "det": jet.det,
@@ -207,7 +205,7 @@ def _cmd_curvature(args) -> int:
     stages.lap("jet")
     tensor = curvature.tensor_from_jet(jet)
     stages.lap("tensor")
-    out = {"point": _point_reals(z), "X": jet.x_value, "tensor": tensor.as_dict()}
+    out = {"point": z.as_reals(), "X": jet.x_value, "tensor": tensor.as_dict()}
     health = {}
     if args.v is not None:
         pair = curvature.TangentPair(v=_parse_vector(args.v), w=_parse_vector(args.w))

@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .params import SUITE_NAMES, TubeParams
+from .params import SUITE_NAMES, TubeParams, as_integer
 from .potential_solver import PotentialSolution
 from . import tube_geometry as geo
 from .tube_geometry import Point, RegionClass, BoundaryClass
@@ -567,7 +567,8 @@ def run_suite(name: str, params: TubeParams, sol: PotentialSolution,
         explicit about what it certified).
     sol : PotentialSolution
     seed : int
-        Seed of the reproducible sampling; recorded in the report.
+        Seed of the reproducible sampling, a non-negative integer (bools
+        refused); recorded in the report as a Python int.
     timings : dict, optional
         If given, receives the wall seconds of each suite run, by name.
 
@@ -577,6 +578,9 @@ def run_suite(name: str, params: TubeParams, sol: PotentialSolution,
     """
     if params.p != sol.params.p:
         raise ValueError(f"params p={params.p} does not match solution p={sol.params.p}")
+    seed = as_integer("seed", seed)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     if name != "all" and name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; expected one of "
                          f"{', '.join(SUITE_NAMES)} or 'all'")

@@ -5,9 +5,5 @@ class DomainError(ValueError):
     """A point or parameter lies outside the mathematical domain of an operation."""
 
 
-class BracketError(RuntimeError):
-    """The shooting bracket could not be made to straddle the target even after widening."""
-
-
 class MaxStepsError(RuntimeError):
     """The adaptive integrator exceeded its step budget."""

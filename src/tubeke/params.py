@@ -21,6 +21,21 @@ from fractions import Fraction
 SUITE_NAMES = ("asymptotics", "origin", "invariance", "einstein",
                "boundary_limit", "regions")
 
+
+def as_integer(name: str, value) -> int:
+    """value as a Python int, or a ValueError that names it.
+
+    operator.index admits every integer type, numpy's among them, and
+    refuses floats, strings and None; a bool is refused too.
+    """
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TubeParams:
     """Parameters of the tube domain T_p.
@@ -36,11 +51,8 @@ class TubeParams:
     p: int
 
     def __post_init__(self):
-        try:
-            p = operator.index(self.p)
-        except TypeError:
-            raise ValueError(f"p must be an integer, got {self.p!r}") from None
-        if isinstance(self.p, bool) or p < 1:
+        p = as_integer("p", self.p)
+        if p < 1:
             raise ValueError(f"p must be a positive integer, got {self.p!r}")
         object.__setattr__(self, "p", p)
 

@@ -10,11 +10,14 @@ with F'(0) = 0 and F(x) -> +infinity as x -> 1.  The free initial value
 F(0) is pinned down by the blow-up condition.  The equation is invariant
 under the dilation F(x) -> F(lambda x) + (2/3) ln(lambda), so a trajectory
 from any F(0) = c that blows up at x_b is carried onto the critical one by
-lambda = x_b: the critical value is c + (2/3) ln(x_b).  The solver finds it
-with a coarse shot and one corrective shot, then records a dense grid of
-(x, F, f = F') with analytic evaluators for F, f, f', f'', f''' and
-Z = e^{3F}.  The march guards its Runge-Kutta stages with one overflow
-check, which rejects the step like a NaN error.
+lambda = x_b: the critical value is c + (2/3) ln(x_b).  Read backwards, the
+law says that every shot blows up, at x_b = exp(-3(c - F0)/2) for the
+critical value F0, so a march runs until f crosses the blow-up cap and
+needs no end point.  The solver finds F0 with a coarse shot and one
+corrective shot, then records a dense grid of (x, F, f = F') with
+analytic evaluators for F, f, f', f'', f''' and Z = e^{3F}.  The march
+guards its Runge-Kutta stages with one overflow check, which rejects the
+step like a NaN error.
 
 Higher f-derivatives are never obtained by differentiating the
 interpolant; one chain, _ode_chain, recomputes Z and its derivatives and
@@ -42,7 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BracketError, DomainError, MaxStepsError
+from .errors import DomainError, MaxStepsError
 from .params import TubeParams
 
 __all__ = [
@@ -58,12 +61,10 @@ __all__ = [
 _H_MAX_RECORD = 0.008
 _ETA_RECORD = 0.012
 
-# dilation solve: the coarse shot starts at F(0) = _C_START and runs to
-# _X_END_COARSE; the fine shot and the recorded pass start within ~1e-9 of
-# the critical value and run to _X_END_FINE
+# dilation solve: the coarse shot starts at F(0) = _C_START, which blows up
+# at 0.0704 for p = 1 and near 1040 for p = 20000; the fine shot and the
+# recorded pass start within ~1e-9 of the critical value
 _C_START = 2.0
-_X_END_COARSE = 2.0
-_X_END_FINE = 1.02
 
 # the one accuracy of every solve: the fine shots' local error target,
 # the slope f at which a shot counts as blown up, and the accepted steps
@@ -89,18 +90,19 @@ _GAUSS_X = 0.5 * (np.array(_LEGGAUSS5_X) + 1.0)
 _GAUSS_W = 0.5 * np.array(_LEGGAUSS5_W)
 
 
-def _integrate(p, c, x_end, rtol, record=False):
+def _integrate(p, c, rtol, record=False):
     """Adaptive Cash-Karp 4(5) march of (F, f) from x=0, F=c, f=0.
 
-    Stops when f crosses _F_CAP or x reaches x_end.  Returns (blowup_x,
-    accepted, rejected, xs, Fs, fs): blowup_x is x + 1/f at the crossing
-    (f ~ 1/(x_b - x) below the singularity, so this is x_b up to
-    O(1/_F_CAP^2)) or None if x_end came first; accepted and rejected count
-    the steps; the node lists are populated only when record=True.
+    Stops only when f crosses _F_CAP: by the dilation law every F(0) = c
+    blows up, at a finite x_b.  Returns (blowup_x, accepted, rejected, xs,
+    Fs, fs): blowup_x is x + 1/f at the crossing (f ~ 1/(x_b - x) below the
+    singularity, so this is x_b up to O(1/_F_CAP^2)); accepted and rejected
+    count the steps; the node lists are populated only when record=True.
     _MAX_STEPS caps the accepted steps; a rejected step is retried with a
-    smaller h until it is accepted or h underflows.  A step whose error
-    estimate is NaN, or whose stages 2-6 overflow e^{3F}, is retried at
-    h/4; an overflow at the first stage, where the step starts, raises.
+    smaller h until it is accepted or h underflows, so the march ends.  A
+    step whose error estimate is NaN, or whose stages 2-6 overflow e^{3F},
+    is retried at h/4; an overflow at the first stage, where the step
+    starts, raises.
 
     The right-hand side is inlined for speed: one integration is worth a
     few thousand steps x 6 stages, and the F-slope of each stage is its f.
@@ -118,8 +120,6 @@ def _integrate(p, c, x_end, rtol, record=False):
     while True:
         if f >= f_cap:
             return x + 1.0 / f, nsteps, rejected, xs, Fs, fs
-        if x >= x_end:
-            return None, nsteps, rejected, xs, Fs, fs
         nsteps += 1
         if nsteps > budget:
             raise MaxStepsError(f"exceeded {budget} steps at x={x:.12f}")
@@ -134,8 +134,6 @@ def _integrate(p, c, x_end, rtol, record=False):
                     h = cap
             if h > _H_MAX_RECORD:
                 h = _H_MAX_RECORD
-        if h > x_end - x:
-            h = x_end - x
         k1f = (4.0 * exp(3.0 * F) + f * f) / (p2m1 * x * f + pK4)
         while True:
             try:
@@ -536,13 +534,14 @@ def solve_potential(params: TubeParams) -> PotentialSolution:
 
     The dilation F(x) -> F(lambda x) + (2/3) ln(lambda) maps solutions to
     solutions, so a shot from F(0) = c that blows up at x_b yields the
-    critical value c + (2/3) ln(x_b) exactly.  Every solve has one
+    critical value c + (2/3) ln(x_b) exactly, and every shot blows up
+    somewhere: no shot misses and none is repeated.  Every solve has one
     accuracy: a shot counts as blown up once f crosses 1e8, and one
-    integration may take 500,000 accepted steps.  Three integrations:
+    integration may take 500,000 accepted steps.  Three integrations, for
+    every p:
 
-    1. a coarse shot (rtol 1e-9) from F(0) = 2; while it does not blow up
-       by x = 2 (from p = 38 on), F(0) is raised by (2/3) ln 2, which
-       halves x_b, and the shot is repeated;
+    1. a coarse shot (rtol 1e-9) from F(0) = 2, which blows up between
+       x = 0.07 (p = 1) and x = 1040 (p = 20000);
     2. a shot at rtol 1e-12 from the corrected c, whose blow-up x_b ~ 1
        gives F0 = c + (2/3) ln(x_b);
     3. the recorded pass at F0 and rtol 1e-12, with node spacing
@@ -558,8 +557,6 @@ def solve_potential(params: TubeParams) -> PotentialSolution:
     ------
     ValueError
         If p exceeds _P_MAX, before any integration.
-    BracketError
-        If a shot fails to blow up where the dilation law says it must.
     MaxStepsError
         If a single integration exceeds 500,000 accepted steps.
     """
@@ -568,29 +565,16 @@ def solve_potential(params: TubeParams) -> PotentialSolution:
         raise ValueError(f"p = {p} is not supported: the solver takes p from 1 to {_P_MAX}")
     stats = {"integrations": 0, "accepted_steps": 0, "rejected_steps": 0}
 
-    def shoot(c, rtol, x_end, record=False):
-        blowup_x, accepted, rejected, *nodes = _integrate(p, c, x_end, rtol, record)
+    def shoot(c, rtol, record=False):
+        blowup_x, accepted, rejected, *nodes = _integrate(p, c, rtol, record)
         stats["integrations"] += 1
         stats["accepted_steps"] += accepted
         stats["rejected_steps"] += rejected
         return blowup_x, *nodes
 
-    c = _C_START
-    for _ in range(64):
-        blowup_x, *_ = shoot(c, 1e-9, _X_END_COARSE)
-        if blowup_x is not None:
-            break
-        # divides the blow-up abscissa by exactly _X_END_COARSE
-        c += 2.0 / 3.0 * math.log(_X_END_COARSE)
-    else:
-        raise BracketError(f"no blow-up by x={_X_END_COARSE} even from F(0)={c!r}")
-    c += 2.0 / 3.0 * math.log(blowup_x)
-    blowup_x, *_ = shoot(c, _TOLERANCE, _X_END_FINE)
-    if blowup_x is not None:
-        F0 = c + 2.0 / 3.0 * math.log(blowup_x)
-        blowup_x, xs, Fs, fs = shoot(F0, _TOLERANCE, _X_END_FINE, record=True)
-    if blowup_x is None:
-        raise BracketError(f"near-critical trajectory failed to blow up by x={_X_END_FINE}")
+    c = _C_START + 2.0 / 3.0 * math.log(shoot(_C_START, 1e-9)[0])
+    F0 = c + 2.0 / 3.0 * math.log(shoot(c, _TOLERANCE)[0])
+    blowup_x, xs, Fs, fs = shoot(F0, _TOLERANCE, record=True)
     return PotentialSolution(params=params, F0=F0, xs=xs, Fs=Fs, fs=fs,
                              achieved_blowup_x=blowup_x, stats=stats)
 

@@ -356,25 +356,33 @@ def test_a_nan_or_overflowing_step_is_rejected_until_h_underflows(sol_p2, monkey
     # error estimate reads NaN.  Either way the step is rejected and h
     # quartered until it underflows.
     with pytest.raises(MaxStepsError, match="step size underflow at x=0.000000000000"):
-        _integrate(2, 236.0, 1.0, 1e-12)
+        _integrate(2, 236.0, 1e-12)
     monkeypatch.setattr(potential_solver, "_F_CAP", math.inf)
     start = time.perf_counter()
     with pytest.raises(MaxStepsError, match="step size underflow at x=1.000000000000"):
-        _integrate(2, sol_p2.F0, 1.02, 1e-12)
+        _integrate(2, sol_p2.F0, 1e-12)
     assert time.perf_counter() - start < 2.0
 
 
 def test_dilation_law_moves_the_blowup(sols):
     # F(lambda x) + (2/3) ln(lambda) is again a solution, so shifting F(0)
-    # by s moves the blow-up from 1 to exp(-3s/2)
+    # by s moves the blow-up from 1 to exp(-3s/2): every shot blows up, the
+    # one lowered by 4 at e^6 ~ 403, which is held to 1e-9 relative
     for sol in sols.values():
-        for shift in (0.1, -0.1):
-            blowup_x, *_ = _integrate(sol.params.p, sol.F0 + shift, 2.0, 1e-12)
-            assert abs(blowup_x - math.exp(-1.5 * shift)) < 1e-9
+        for shift, tol in ((0.1, 1e-9), (-0.1, 1e-9), (-4.0, 1e-9 * math.exp(6.0))):
+            blowup_x, *_ = _integrate(sol.params.p, sol.F0 + shift, 1e-12)
+            assert abs(blowup_x - math.exp(-1.5 * shift)) < tol
 
 
-def test_default_solve_takes_three_integrations(sols):
-    for sol in sols.values():
+@pytest.fixture(scope="module")
+def far_sols():
+    # 37 is the last p whose coarse shot from F(0) = 2 blows up before x = 2,
+    # and 20000 the largest supported p, whose shot blows up near 1040
+    return [solve_potential(TubeParams(p=p)) for p in (37, 38, 1000, potential_solver._P_MAX)]
+
+
+def test_default_solve_takes_three_integrations(sols, far_sols):
+    for sol in [*sols.values(), *far_sols]:
         stats = sol.stats
         assert set(stats) == {"integrations", "accepted_steps", "rejected_steps",
                               "nodes", "identity_residual"}

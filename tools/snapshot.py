@@ -9,7 +9,9 @@ It imports ``tubeke`` from the checkout on PYTHONPATH and writes into OUTDIR:
 - ``p{p}.json`` (the saved record of the solve), ``nodes{p}.txt``
   (``repr`` of the node lists xs, Fs and fs, so that a change of the
   profile shows) and ``stats{p}.txt`` (``repr`` of its stats) for
-  p = 1..8 and 1000;
+  p = 1..8, 37, 38, 1000 and 20000: 37 is the last p whose coarse shot
+  from F(0) = 2 blows up before x = 2, 38 the first that blows up beyond
+  it, and 20000 the largest p solved;
 - ``evaluators.txt``: ``repr`` of eval_F, eval_f_derivs (orders 0..3) and
   eval_Z (orders 0..2) for p = 1, 2, 3, 5, 8 at every float of a fixed
   grid, then at scalar, 0-d and array arguments;
@@ -44,7 +46,7 @@ import numpy as np
 import tubeke
 from tubeke.cli import main as cli_main
 
-SOLVE_PS = (*range(1, 9), 1000)
+SOLVE_PS = (*range(1, 9), 37, 38, 1000, 20000)
 EVAL_PS = (1, 2, 3, 5, 8)
 EVAL_XS = ("0", "0.5", "-0.5", "0.99", "-0.99")
 EXTREME_POINTS = ("0.01,0.2,0.5,-0.1", "-0.1,0.3,0.9,0.0", "0.0,0.0,0.0,0.0",

@@ -7,8 +7,8 @@ with F'(0) = 0 and F' blowing up at x = 1.  The equation is invariant
 under F(x) -> F(lambda x) + (2/3) ln(lambda), so one shot from any F(0) = c
 that blows up at x_b gives the critical value c + (2/3) ln(x_b), and every
 shot blows up somewhere.  The solver applies this correction to a coarse
-shot and then to a fine one, and records the profile from the result:
-three integrations in all, for every p.
+shot, then records a fine shot from the corrected value and maps it onto
+the profile by the same law: two integrations in all, for every p.
 Everything else in the library is evaluated from the stored profile.
 """
 

@@ -29,7 +29,7 @@ import numpy as np
 # runs only the modules it needs
 from . import curvature, diagnostics, metric_tensor, tube_geometry
 from .errors import DomainError
-from .params import SUITE_NAMES, TubeParams, as_integer
+from .params import SUITE_NAMES, TubeParams, as_integer, as_seed
 from .potential_solver import _P_MAX, PotentialSolution, load_solution, solve_potential
 
 __all__ = ["SweepRow", "axis_sweep", "main"]
@@ -252,11 +252,12 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_verify(args) -> int:
     params = TubeParams(p=args.p)
+    seed = as_seed(args.seed)
     stages = _Stages()
     sol = solve_potential(params)
     stages.lap("solve")
     timings = {}
-    report = diagnostics.run_suite(args.suite, params, sol, seed=args.seed, timings=timings)
+    report = diagnostics.run_suite(args.suite, params, sol, seed=seed, timings=timings)
     for line in report.lines():
         print(line)
     if args.report:
@@ -284,7 +285,7 @@ def _add_stats(parser: argparse.ArgumentParser, stages: str) -> None:
 def _add_sol(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sol", required=True,
                         help="solution JSON from solve: its p is solved again (about "
-                             "12 ms), and the file is refused unless it records that solve")
+                             "8 ms), and the file is refused unless it records that solve")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -324,8 +325,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_curv.add_argument("--v", help=_reals_help("first tangent vector", "--v"))
     p_curv.add_argument("--w", help=_reals_help("second tangent vector", "--w"))
     p_curv.add_argument("--extremes", action="store_true",
-                        help="extremal bisectional/sectional values (refused where "
-                             "the Einstein defect of the jet exceeds 1e-3)")
+                        help="extremal bisectional/sectional values: at an axis point "
+                             "(z1 = 0, Im z2 = 0) from closed forms, up to the grid end; "
+                             "at any other point from the raw jet, refused where its "
+                             "Einstein defect exceeds 1e-3")
     _add_stats(p_curv, "load, jet, tensor, then bis and/or extremes, write; "
                        "einstein_defect follows, the larger one with both modes")
     p_curv.set_defaults(func=_cmd_curvature)

@@ -35,10 +35,22 @@ Einstein condition Ric = -3g fixes a = -3/2, b = 0 and tr M = -3/2, and the
 reported values are the reduced bis_min/max = -3/2 -+ max|lambda| and
 sect_max = -3/2 + max lambda; their pairs attain them up to three times the
 Einstein defect max(|a + 3/2|, ||b||, |tr M + 3/2|).  The jet path's defect
-is about 1e-10 for |X| <= 0.99 and at most 1.3e-4 for 1 - |X| >= 1e-4; where
-it exceeds 1e-3 (p=1 from 1 - |X| = 5e-5) the extremes and every tube-formula
-Bis raise DomainError.  The frame and the split use only +, -, *, / and
-sqrt, and X has one pow for floats and arrays, so stacked extremes equal the
+is about 1e-10 for |X| <= 0.99; for 1 - |X| >= 1e-4 it stays below 1e-4 for
+p >= 2 and reads up to 1.5e-3 for p = 1, near 1 - |X| = 1e-4.  Where it
+exceeds 1e-3 (p=1 from about 1 - |X| = 1e-4, every p tested by 1e-6) every
+tube-formula Bis, and the extremes of a jet off the axis, raise DomainError.
+
+On the axis (0, X) the extremes read M off closed forms instead: every
+frame component of R there is a ratio of polynomials in s = f^2/Z and
+u = Xf (_axis_components; tools/derive_axis_curvature.py derives them with
+p symbolic), a = -3/2 and b = 0 hold identically, and the defect reported
+is |Q1111 + Q1122 + 3|, at rounding level.  They answer up to the grid
+end: for p = 1 within 1e-8 of the ball's (-2, -1, -2).  bis_extremes and
+sectional_max always evaluate on the axis; the *_from_jet forms do for a
+jet whose every point has z1 = 0 and Im z2 = 0.
+
+The frame, the split and the closed forms use only +, -, *, / and sqrt,
+and X has one pow for floats and arrays, so stacked extremes equal the
 single point's bit for bit.  The pull to the axis has the same one pow, and
 the Bloch vectors round alike on Python complex and on numpy columns, so
 bisectional (normalized, tube) at stacked points equals the single point's
@@ -47,9 +59,10 @@ bit for bit too.  So does the raw jet (metric_tensor), and with it raw
 formula="direct" is the one door whose stacked rows match only to
 rounding: numpy's complex products round differently on arrays.
 
-The extremes make one split per (jet, tensor): the tensor keeps the reduced
-form (frame, eigenpairs, defect) of the last jet it was split with, so
-sectional_max_from_jet after bis_extremes_from_jet splits nothing again.
+The extremes make one split, or one closed-form evaluation on the axis, per
+(jet, tensor): the tensor keeps the reduced form (frame, eigenpairs,
+defect) of the last jet it was split with, so sectional_max_from_jet after
+bis_extremes_from_jet splits nothing again.
 bis_extremes_from_jet computes the values alone, and BisExtremes builds its
 attaining pairs from the kept frame and eigenpairs when they are first read.
 """
@@ -61,7 +74,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -70,6 +83,7 @@ from .potential_solver import PotentialSolution
 from .errors import DomainError
 from .tube_geometry import Point, _all, _first, _first_point, _orbit_x, require_domain
 from .metric_tensor import MetricJet, _admitted_tables, _jet, metric_jet
+from ._axis_coefficients import NUMERATORS
 
 __all__ = [
     "CurvatureTensor",
@@ -556,12 +570,90 @@ def _checked_split(jet, tensor: CurvatureTensor, what: str) -> tuple:
         raise DomainError(
             f"{what} at X = {_first(jet.x_value, ok)!r} are refused: the jet "
             f"path's Einstein defect {_first(defect, ok):.2g} exceeds {_DEFECT_TOL:g} (it is "
-            f"accurate, with defect <= 1.3e-4, for 1 - |X| >= 1e-4)")
+            f"accurate for 1 - |X| >= 1e-4, with defect below 1e-4 for p >= 2 and 1.5e-3 "
+            f"for p = 1)")
     return split, defect
+
+
+_AXIS_COMPONENTS = ("Q1111", "Q1112", "Q1212", "Q1122")
+
+
+@lru_cache(maxsize=64)
+def _axis_tables(p: int) -> np.ndarray:
+    """The polynomials in u of NUMERATORS at p, as one array of coefficients.
+
+    Entry [k, q, i] is the coefficient of u^k in the row of s^i of
+    component q (_AXIS_COMPONENTS order), and [k, q, -1] that of u^k in
+    its n0; absent rows and powers hold 0.  Each integer polynomial in p
+    is summed exactly, then rounded once.
+    """
+    def at(poly):
+        return float(sum(c * p ** k for k, c in enumerate(poly)))
+
+    tables = [NUMERATORS[name] for name in _AXIS_COMPONENTS]
+    n_s = max(len(N) for N, _ in tables)
+    rows = [[*N, *[()] * (n_s - len(N)), n0] for N, n0 in tables]
+    n_u = max(len(row) for q in rows for row in q)
+    return np.array([[[at(row[k]) if k < len(row) else 0.0 for row in q] for q in rows]
+                     for k in range(n_u)])
+
+
+def _axis_components(p: int, x, f, Z) -> tuple:
+    """(Q1111, Q1112, Q1212, Q1122) at the axis points (0, x) from f and Z = e^{3F}.
+
+    The closed forms of tools/derive_axis_curvature.py, in s = f^2/Z and
+    u = xf (see _axis_coefficients).  The terms free of s are taken in
+    x^2 Z and x sqrt(Z), which stay finite at x = 0.  Every polynomial in
+    u is one Horner pass over _axis_tables, then each component one Horner
+    pass in s; a padded 0 adds nothing.  The arithmetic is elementwise, so
+    each row of an array equals its float.
+    """
+    c = _axis_tables(p)
+    stacked = isinstance(x, np.ndarray)
+    if stacked:
+        c = c[..., None]
+    root = _sqrt(Z)
+    s, u = f * f / Z, x * f
+    P = float(8 * p * p + 4 * p) + float(6 * p - 3) * u
+    t = s + 4.0
+    den = 2.0 * (t * t) * (P * P * P)
+    rows = c[-1]
+    for ck in c[-2::-1]:
+        rows = rows * u + ck
+    N, n0 = rows[:, -2], rows[:, -1]
+    for i in range(rows.shape[1] - 3, -1, -1):
+        N = N * s + rows[:, i]
+    q = (N + (x * x * Z) * n0) / den
+    q1112 = ((f / root) * N[1] + (x * root) * n0[1]) / den
+    if not stacked:
+        return float(q[0]), float(q1112), float(q[2]), float(q[3])
+    return q[0], q1112, q[2], q[3]
+
+
+def _axis_form(jet: MetricJet) -> tuple:
+    """(frame, M, Einstein defect) of an axis jet from _axis_components (see _reduced_form)."""
+    q1111, q1112, q1212, own = _axis_components(jet.p, jet.x_value, jet.profile[0], jet.det)
+    q1122 = -3.0 - q1111
+    M = (0.5 * (q1122 - q1212), 0.5 * (q1122 + q1212), q1112, q1111 + 1.5)
+    return _frame(jet), M, abs(q1111 + own + 3.0)
+
+
+def _on_axis_jet(jet: MetricJet) -> bool:
+    """Whether every point of the jet lies on the axis: z1 = 0 and Im z2 = 0."""
+    z = jet.point
+    return _all((z.z1 == 0) & (z.z2.imag == 0))
 
 
 def _reduced_form(jet, tensor: CurvatureTensor) -> tuple:
     """(frame, ((eigenvalue, unit eigenvector), ...) of M, Einstein defect), or DomainError.
+
+    On the axis (every point of the jet with z1 = 0 and Im z2 = 0) M comes
+    from the closed forms of _axis_components in (x, f, Z), Z the jet's
+    closure det (_axis_form): with Q2222 = Q1111, Q1122 = -3 - Q1111 and
+    Q1222 = -Q1112, which hold identically, M = ((Q1122 - Q1212)/2,
+    (Q1122 + Q1212)/2, Q1112, Q1111 + 3/2), and the defect is |Q1111 +
+    Q1122 + 3| with Q1122 from its own closed form.  At any other jet the
+    tensor is split (_checked_split), with its refusal.
 
     The 2x2 block's eigenvalues are mean +- h, h = |(d, Mxz)| with d =
     (Mxx - Mzz)/2; the larger one's eigenvector, x entry >= 0, lies along
@@ -573,8 +665,11 @@ def _reduced_form(jet, tensor: CurvatureTensor) -> tuple:
     kept = getattr(tensor, "_reduced", None)
     if kept is not None and kept[0] is jet:
         return kept[1]
-    (frame, _, _, (lam_y, mxx, mxz, mzz)), defect = _checked_split(
-        jet, tensor, "curvature extremes")
+    if _on_axis_jet(jet):
+        frame, (lam_y, mxx, mxz, mzz), defect = _axis_form(jet)
+    else:
+        (frame, _, _, (lam_y, mxx, mxz, mzz)), defect = _checked_split(
+            jet, tensor, "curvature extremes")
     mean, d = 0.5 * (mxx + mzz), 0.5 * (mxx - mzz)
     h = _sqrt(d * d + mxz * mxz)
     ex = _pick(d < 0.0, abs(mxz), h + d) + (h == 0.0)

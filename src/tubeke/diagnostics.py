@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .params import SUITE_NAMES, TubeParams, as_integer
+from .params import SUITE_NAMES, TubeParams, as_seed
 from .potential_solver import PotentialSolution
 from . import tube_geometry as geo
 from .tube_geometry import Point, RegionClass, BoundaryClass
@@ -406,7 +406,8 @@ def _joined(*zs) -> Point:
 def _split(jet: MetricJet, tensor: CurvatureTensor):
     """The two equal halves of a stacked jet, each as (jet, tensor)."""
     n = np.size(jet.x_value) // 2
-    return [(MetricJet(Point(jet.point.z1[rows], jet.point.z2[rows]), jet.x_value[rows],
+    return [(MetricJet(jet.p, Point(jet.point.z1[rows], jet.point.z2[rows]),
+                       jet.x_value[rows],
                        *_rows((jet.g, jet.det, jet.d3, jet.d4, jet.profile), rows)),
              CurvatureTensor(*_rows(tuple(tensor.as_dict().values()), rows)))
             for rows in (slice(None, n), slice(n, None))]
@@ -578,9 +579,7 @@ def run_suite(name: str, params: TubeParams, sol: PotentialSolution,
     """
     if params.p != sol.params.p:
         raise ValueError(f"params p={params.p} does not match solution p={sol.params.p}")
-    seed = as_integer("seed", seed)
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    seed = as_seed(seed)
     if name != "all" and name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; expected one of "
                          f"{', '.join(SUITE_NAMES)} or 'all'")

@@ -207,14 +207,16 @@ def _chain(tab: XLDerivatives, f, f1, f2=None, f3=None):
 class MetricJet:
     """The metric and the derivatives curvature needs, at a point or at stacked points.
 
-    All entries are real: the potential depends only on (Re z1, Re z2).
-    g is (g11, g12, g22), det the closure det g of metric_jet, which
-    inverse reads; d3[m] and d4[m] are the third and fourth
-    derivatives with m indices of z1 type, which every index word of that
-    count shares (see deriv); profile is the (f, f', f'', f''') at x_value.
-    Each entry is a float at a single point and an array over stacked points.
+    p is the domain parameter the jet was built for.  All entries are
+    real: the potential depends only on (Re z1, Re z2).  g is (g11, g12,
+    g22), det the closure det g of metric_jet, which inverse reads; d3[m]
+    and d4[m] are the third and fourth derivatives with m indices of z1
+    type, which every index word of that count shares (see deriv); profile
+    is the (f, f', f'', f''') at x_value.  Each entry is a float at a
+    single point and an array over stacked points.
     """
 
+    p: int
     point: Point
     x_value: float
     g: tuple
@@ -293,7 +295,7 @@ def _jet(sol: PotentialSolution, z: Point, tab: XLDerivatives) -> MetricJet:
     inv, half_root = 1.0 / tab.r, tab.dX1[0]
     det = (f1 * D - f * f) * ((inv * inv) * (half_root * half_root))
     g, d3, d4 = _chain(tab, *profile)
-    return MetricJet(point=z, x_value=tab.x_value, g=g, det=det, d3=d3, d4=d4,
+    return MetricJet(p=p, point=z, x_value=tab.x_value, g=g, det=det, d3=d3, d4=d4,
                      profile=tuple(profile))
 
 

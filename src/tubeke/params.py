@@ -36,6 +36,14 @@ def as_integer(name: str, value) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def as_seed(value) -> int:
+    """A verification suite's seed: a non-negative integer as a Python int, or a ValueError."""
+    seed = as_integer("seed", value)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    return seed
+
+
 @dataclass(frozen=True)
 class TubeParams:
     """Parameters of the tube domain T_p.

@@ -13,11 +13,12 @@ from any F(0) = c that blows up at x_b is carried onto the critical one by
 lambda = x_b: the critical value is c + (2/3) ln(x_b).  Read backwards, the
 law says that every shot blows up, at x_b = exp(-3(c - F0)/2) for the
 critical value F0, so a march runs until f crosses the blow-up cap and
-needs no end point.  The solver finds F0 with a coarse shot and one
-corrective shot, then records a dense grid of (x, F, f = F') with
-analytic evaluators for F, f, f', f'', f''' and Z = e^{3F}.  The march
-guards its Runge-Kutta stages with one overflow check, which rejects the
-step like a NaN error.
+needs no end point.  The solver makes a coarse shot and one recorded
+corrective shot, whose blow-up x_b gives F0; the law maps the corrective
+shot's nodes onto the critical profile, a dense grid of (x, F, f = F')
+with analytic evaluators for F, f, f', f'', f''' and Z = e^{3F}.  The
+march guards its Runge-Kutta stages with one overflow check, which
+rejects the step like a NaN error.
 
 Higher f-derivatives are never obtained by differentiating the
 interpolant; one chain, _ode_chain, recomputes Z and its derivatives and
@@ -62,8 +63,8 @@ _H_MAX_RECORD = 0.008
 _ETA_RECORD = 0.012
 
 # dilation solve: the coarse shot starts at F(0) = _C_START, which blows up
-# at 0.0704 for p = 1 and near 1040 for p = 20000; the fine shot and the
-# recorded pass start within ~1e-9 of the critical value
+# at 0.0704 for p = 1 and near 1040 for p = 20000; the recorded fine shot
+# starts within ~1e-9 of the critical value
 _C_START = 2.0
 
 # the one accuracy of every solve: the fine shots' local error target,
@@ -299,7 +300,8 @@ class PotentialSolution:
     """Dense shooting result for one value of p.
 
     Stores the node grid (x, F, f) on [0, x_blowup) together with F(0) and
-    the achieved blow-up abscissa; evaluation anywhere in (-x_last, x_last)
+    the achieved blow-up abscissa, the grid's own estimate x_last +
+    1/f_last of where f blows up; evaluation anywhere in (-x_last, x_last)
     goes through cubic Hermite interpolation of (F, f) at |x| and the ODE
     chain (_ode_chain) for Z and the higher derivatives, with parity
     carrying each odd quantity to negative x.
@@ -490,10 +492,9 @@ def _validate_solution_data(params, F0, xs, Fs, fs, blowup_x):
         raise ValueError("first node F value disagrees with F0")
     # near the blow-up f is 1/(x_b - x) to leading order, so against the
     # exact law 1/(1 - x) the last node carries the relative error
-    # |1 - x_b| f_last; |1 - x_b| is 1.7e-13 to 2.5e-13 for p = 1..8, so
-    # the cap 1e8 reads at most 2.5e-5 against the bound.  A cap far beyond
-    # it also piles the last steps onto equal abscissae, which is why this
-    # comes before the monotonicity checks.
+    # |1 - x_b| f_last.  solve_potential's dilation map puts x_b at 1 up to
+    # rounding, so its grids read about 1e-16 f_last here; at the cap 1e8,
+    # a recorded blow-up that misses 1 by more than 1e-11 is refused.
     tail = abs(1.0 - blowup_x) * fs[-1]
     if not tail <= 1e-3:
         raise ValueError(
@@ -537,16 +538,17 @@ def solve_potential(params: TubeParams) -> PotentialSolution:
     critical value c + (2/3) ln(x_b) exactly, and every shot blows up
     somewhere: no shot misses and none is repeated.  Every solve has one
     accuracy: a shot counts as blown up once f crosses 1e8, and one
-    integration may take 500,000 accepted steps.  Three integrations, for
+    integration may take 500,000 accepted steps.  Two integrations, for
     every p:
 
     1. a coarse shot (rtol 1e-9) from F(0) = 2, which blows up between
        x = 0.07 (p = 1) and x = 1040 (p = 20000);
-    2. a shot at rtol 1e-12 from the corrected c, whose blow-up x_b ~ 1
-       gives F0 = c + (2/3) ln(x_b);
-    3. the recorded pass at F0 and rtol 1e-12, with node spacing
-       min(0.008, 0.012*(1-x)); its own blow-up estimate is stored as
-       achieved_blowup_x and must lie within 1e-5 of 1, the estimate's
+    2. a recorded shot at rtol 1e-12 from the corrected c, with node
+       spacing min(0.008, 0.012*(1-x)), whose blow-up x_b ~ 1 gives
+       F0 = c + (2/3) ln(x_b).  The same law maps its nodes onto the
+       critical profile: x -> x/x_b, F -> F + (2/3) ln(x_b), f -> x_b f.
+       The mapped grid's own blow-up estimate x_last + 1/f_last is stored
+       as achieved_blowup_x and must lie within 1e-5 of 1, the estimate's
        error at the last node must not exceed 1e-12, and the tail error
        |1 - x_b| f at the last node must not exceed 1e-3.
 
@@ -573,10 +575,13 @@ def solve_potential(params: TubeParams) -> PotentialSolution:
         return blowup_x, *nodes
 
     c = _C_START + 2.0 / 3.0 * math.log(shoot(_C_START, 1e-9)[0])
-    F0 = c + 2.0 / 3.0 * math.log(shoot(c, _TOLERANCE)[0])
-    blowup_x, xs, Fs, fs = shoot(F0, _TOLERANCE, record=True)
-    return PotentialSolution(params=params, F0=F0, xs=xs, Fs=Fs, fs=fs,
-                             achieved_blowup_x=blowup_x, stats=stats)
+    x_b, xs, Fs, fs = shoot(c, _TOLERANCE, record=True)
+    shift = 2.0 / 3.0 * math.log(x_b)
+    xs = np.array(xs) / x_b
+    fs = np.array(fs) * x_b
+    Fs = np.array(Fs) + shift
+    return PotentialSolution(params=params, F0=c + shift, xs=xs, Fs=Fs, fs=fs,
+                             achieved_blowup_x=float(xs[-1] + 1.0 / fs[-1]), stats=stats)
 
 
 def load_solution(path) -> PotentialSolution:

@@ -122,3 +122,17 @@ def split_calls(monkeypatch):
 
     monkeypatch.setattr(curvature, "_bloch_split", counted)
     return calls
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The jets curvature._axis_form evaluates the axis closed forms for, one entry per call."""
+    calls = []
+    form = curvature._axis_form
+
+    def counted(jet):
+        calls.append(jet)
+        return form(jet)
+
+    monkeypatch.setattr(curvature, "_axis_form", counted)
+    return calls

@@ -6,7 +6,7 @@ among them) is taken as the Python int it equals; anything else is
 refused with a ValueError that names the argument, before a suite runs or
 a grid is allocated.  A seed must be non-negative, and the report records
 it as a Python int, so the report is strict JSON.  Through the CLI,
-`verify --seed -1` exits 2 with one line on stderr.
+`verify --seed -1` exits 2 with one line on stderr, before it solves.
 """
 
 import io
@@ -17,7 +17,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
-from tubeke import axis_sweep, run_suite
+from tubeke import axis_sweep, cli, run_suite
 from tubeke.cli import _MAX_SWEEP_ROWS, main
 
 
@@ -36,7 +36,7 @@ def _hostile(rng):
             yield kind(k), "integer"
 
 
-def test_seed_and_n_are_integers_or_refused(sol_p1, tmp_path):
+def test_seed_and_n_are_integers_or_refused(sol_p1, tmp_path, monkeypatch):
     rng = np.random.default_rng(28)
     plain = run_suite("origin", sol_p1.params, sol_p1, seed=3).to_dict()
     for value, kind in _hostile(rng):
@@ -62,6 +62,9 @@ def test_seed_and_n_are_integers_or_refused(sol_p1, tmp_path):
             with pytest.raises(ValueError, match=message):
                 axis_sweep(sol_p1, 0.0, 0.5, value)
 
+    # the CLI checks the seed before it solves
+    solves = []
+    monkeypatch.setattr(cli, "solve_potential", solves.append)
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(["verify", "--p", "1", "--suite", "origin", "--seed", "-1",
@@ -69,3 +72,4 @@ def test_seed_and_n_are_integers_or_refused(sol_p1, tmp_path):
     assert code == 2 and out.getvalue() == ""
     assert err.getvalue() == "error: seed must be a non-negative integer, got -1\n"
     assert not (tmp_path / "report.json").exists()
+    assert solves == []

@@ -511,27 +511,35 @@ def test_spinor_has_the_bloch_vector():
         assert np.max(np.abs(rho - expected)) <= 1e-15
 
 
+def off_axis(x) -> Point:
+    """A translate of the axis point (0, x) off the axis: its raw jet is the axis jet's."""
+    return Point(0.25j, complex(x, 0.5))
+
+
 @pytest.mark.parametrize("p", [1, 2, 3, 5, 8])
 def test_extremes_refuse_a_large_einstein_defect(five_sols, p):
-    # at 1 - |x| = 1e-4 the jet path's defect is <= 1.3e-4 and the extremes
-    # answer; at 1e-6 it reads 0.13 (p=8) to 140 (p=1) and they refuse
+    # at 1 - |x| = 1e-4 the extremes answer, on the axis from the closed
+    # forms and off it from the jet path, whose defect reads up to 2.1e-4
+    # (p=1); at 1e-6 the jet path's reads 0.13 (p=8) to 140 (p=1), and off
+    # the axis they refuse.  On the axis the closed forms answer there too.
     sol = five_sols[p]
     for x in (1.0 - 1e-4, -(1.0 - 1e-4)):
-        jet = metric_jet(sol, Point(0j, complex(x)))
-        tensor = tensor_from_jet(jet)
-        ext = bis_extremes_from_jet(jet, tensor)
-        assert ext.einstein_defect <= 1.3e-4
-        assert ext.min <= ext.max < 0.0
-        assert sectional_max_from_jet(jet, tensor)[0] < 0.0
+        for z in (Point(0j, complex(x)), off_axis(x)):
+            jet = metric_jet(sol, z)
+            tensor = tensor_from_jet(jet)
+            ext = bis_extremes_from_jet(jet, tensor)
+            assert ext.einstein_defect <= (1.3e-4 if z.z1 == 0 else 1e-3)
+            assert ext.min <= ext.max < 0.0
+            assert sectional_max_from_jet(jet, tensor)[0] < 0.0
     refused = [1.0 - 1e-6, -(1.0 - 1e-6)] + ([1.0 - 3e-5, 1.0 - 1e-5] if p == 1 else [])
     for x in refused:
-        jet = metric_jet(sol, Point(0j, complex(x)))
+        jet = metric_jet(sol, off_axis(x))
         tensor = tensor_from_jet(jet)
         for evaluate in (bis_extremes_from_jet, sectional_max_from_jet):
             with pytest.raises(DomainError, match="Einstein defect .* accurate"):
                 evaluate(jet, tensor)
-        with pytest.raises(DomainError):
-            bis_extremes(sol, Point(0j, complex(x)))
+        ext = bis_extremes(sol, Point(0j, complex(x)))
+        assert ext.min <= ext.max < 0.0 and ext.einstein_defect <= 1e-14
 
 
 def test_the_pair_path_refuses_a_large_einstein_defect(sol_p1):
@@ -575,25 +583,27 @@ def test_the_pair_path_refuses_a_large_einstein_defect(sol_p1):
         assert abs(bis + 2.0) <= 1e-3
 
 
-def test_both_extremes_share_one_split(sols, split_calls):
-    z = Point(0j, 0.6 + 0j)
-    jet = metric_jet(sols[2], z)
-    tensor = tensor_from_jet(jet)
-    ext = bis_extremes_from_jet(jet, tensor)
-    sectional_max_from_jet(jet, tensor)
-    ext.argmin, ext.argmax
-    bis_extremes_from_jet(jet, tensor)
-    assert split_calls == [jet]
-    # a new jet for the same tensor, or a new tensor for the same jet, splits again
-    other = metric_jet(sols[2], z)
-    sectional_max_from_jet(other, tensor)
-    bis_extremes_from_jet(jet, tensor_from_jet(jet))
-    assert split_calls == [jet, other, jet]
-    # the tensor keeps the form outside its fields: eq, hash and repr are its coefficients
-    fresh = tensor_from_jet(jet)
-    assert tensor == fresh and hash(tensor) == hash(fresh) and repr(tensor) == repr(fresh)
+def test_both_extremes_share_one_split(sols, split_calls, kernel_calls):
+    # on the axis the closed forms are evaluated once, off it the tensor is split once
+    for z, calls in ((Point(0j, 0.6 + 0j), kernel_calls), (off_axis(0.6), split_calls)):
+        jet = metric_jet(sols[2], z)
+        tensor = tensor_from_jet(jet)
+        ext = bis_extremes_from_jet(jet, tensor)
+        sectional_max_from_jet(jet, tensor)
+        ext.argmin, ext.argmax
+        bis_extremes_from_jet(jet, tensor)
+        assert calls == [jet]
+        # a new jet for the same tensor, or a new tensor for the same jet, splits again
+        other = metric_jet(sols[2], z)
+        sectional_max_from_jet(other, tensor)
+        bis_extremes_from_jet(jet, tensor_from_jet(jet))
+        assert calls == [jet, other, jet]
+        # the tensor keeps the form outside its fields: eq, hash and repr are its coefficients
+        fresh = tensor_from_jet(jet)
+        assert tensor == fresh and hash(tensor) == hash(fresh) and repr(tensor) == repr(fresh)
+    assert len(kernel_calls) == len(split_calls) == 3
     # a refusal is not kept: each call splits and refuses again
-    refused = metric_jet(sols[1], Point(0j, complex(1.0 - 1e-5)))
+    refused = metric_jet(sols[1], off_axis(1.0 - 1e-5))
     tensor = tensor_from_jet(refused)
     for evaluate in (bis_extremes_from_jet, sectional_max_from_jet):
         with pytest.raises(DomainError, match="curvature extremes at X = 0.99999 are refused"):

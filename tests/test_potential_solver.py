@@ -99,6 +99,19 @@ def test_frozen_center_values(sols):
         assert abs(sol.F0 - frozen[p]) < 5e-11
 
 
+# F0 from an mpmath Taylor shot at 30 digits whose tail is integrated in
+# u = e^{-F} to the blow-up, with the dilation law (ROADMAP item 2); p = 1
+# is the closed form ln(2)/3
+REFERENCE_F0 = {1: LN2_OVER_3, 2: 0.6385331333837224062, 3: 0.8775358133419155934,
+                5: 1.185149818030512957}
+
+
+@pytest.mark.parametrize("p", sorted(REFERENCE_F0))
+def test_center_value_against_the_reference(p, five_sols):
+    # the solve reads 1.1e-13 (p=1) to 7.7e-14 (p=5) off the reference
+    assert abs(five_sols[p].F0 - REFERENCE_F0[p]) <= 1.5e-13
+
+
 def test_parity(sols):
     xs = np.linspace(0.0, 0.995, 200)
     for sol in sols.values():
@@ -262,7 +275,8 @@ def test_load_rejects_wrong_K(tmp_path, sol_p1):
     (lambda d: d.pop("nodes"), "'nodes'"),
     (lambda d: d.__setitem__("F0", "not a number"), "'F0'"),
     (lambda d: d.__setitem__("nodes", 2), "'nodes'"),
-    (lambda d: d.update(F0=0.0, blowup_x=1.0), "'F0', 'blowup_x'"),
+    # a blowup_x 1.7e-13 below 1; the solve's own estimate reads 1 at p = 1
+    (lambda d: d.update(F0=0.0, blowup_x=1.0 - 1.7e-13), "'F0', 'blowup_x'"),
 ])
 def test_load_rejects_malformed_data(tmp_path, sol_p1, mutate, keys):
     data = sol_p1.to_dict()
@@ -381,12 +395,12 @@ def far_sols():
     return [solve_potential(TubeParams(p=p)) for p in (37, 38, 1000, potential_solver._P_MAX)]
 
 
-def test_default_solve_takes_three_integrations(sols, far_sols):
+def test_default_solve_takes_two_integrations(sols, far_sols):
     for sol in [*sols.values(), *far_sols]:
         stats = sol.stats
         assert set(stats) == {"integrations", "accepted_steps", "rejected_steps",
                               "nodes", "identity_residual"}
-        assert stats["integrations"] == 3
+        assert stats["integrations"] == 2
         assert stats["nodes"] == len(sol.xs)
         # the recorded pass alone accepts one step per node after the first
         assert stats["accepted_steps"] >= stats["nodes"] - 1
@@ -409,7 +423,7 @@ def test_stats_stay_out_of_the_solution_file(tmp_path, sol_p2):
     path = tmp_path / "sol.json"
     sol_p2.save(path)
     loaded = load_solution(path)
-    assert loaded.stats == sol_p2.stats and loaded.stats["integrations"] == 3
+    assert loaded.stats == sol_p2.stats and loaded.stats["integrations"] == 2
     assert path.read_text() == json.dumps(loaded.to_dict()) + "\n"
 
 
@@ -444,18 +458,24 @@ def test_blowup_cap_too_low_for_the_tolerance_is_refused(sol_p2, monkeypatch):
 
 
 def test_blowup_cap_the_grid_cannot_resolve_is_refused(sol_p2, monkeypatch):
-    # the blow-up lands at 1 - 2e-13 whatever the cap, so |1 - x_b| f at the
-    # last node reads 2e3 and 2e-2 for these caps, against the bound 1e-3
-    for f_cap in (1e16, 1e11):
+    # the dilation map carries the recorded shot's blow-up onto 1, so the
+    # mapped grid's estimate x_last + 1/f_last is 1 up to rounding and the
+    # tail error |1 - x_b| f at the last node reads 0 for caps up to 1e14;
+    # from 1e15 on the last steps pile onto equal abscissae
+    for f_cap in (1e16, 1e15):
         monkeypatch.setattr(potential_solver, "_F_CAP", f_cap)
-        with pytest.raises(ValueError, match="tail error .* exceeds 1e-3"):
+        with pytest.raises(ValueError, match="node abscissae must be strictly increasing"):
             solve_potential(TubeParams(p=2))
-    # 1e9 reads 2e-4 and is accepted, with F0 at rounding distance
-    monkeypatch.setattr(potential_solver, "_F_CAP", 1e9)
+    # 1e11 is accepted, with F0 at rounding distance
+    monkeypatch.setattr(potential_solver, "_F_CAP", 1e11)
     sol = solve_potential(TubeParams(p=2))
     assert abs(1.0 - sol.achieved_blowup_x) * sol.fs[-1] <= 1e-3
     assert abs(sol.F0 - sol_p2.F0) <= 1e-14
     assert abs(1.0 - sol_p2.achieved_blowup_x) * sol_p2.fs[-1] <= 3e-5
+    # the gate reads the recorded estimate: one 2e-11 off 1 reads 2e-3 at
+    # the last node (f = 1e8) and is refused
+    with pytest.raises(ValueError, match="tail error .* exceeds 1e-3"):
+        _built(sol_p2, achieved_blowup_x=1.0 - 2e-11)
 
 
 def test_the_largest_supported_p_solves():

@@ -77,7 +77,7 @@ def rows_of(jet):
     """The single-point MetricJets holding exactly the rows of a stacked jet."""
     def row(values, i):
         return tuple(a[i].item() for a in values)
-    return [MetricJet(point=Point(jet.point.z1[i].item(), jet.point.z2[i].item()),
+    return [MetricJet(p=jet.p, point=Point(jet.point.z1[i].item(), jet.point.z2[i].item()),
                       x_value=jet.x_value[i].item(), g=row(jet.g, i),
                       det=jet.det[i].item(), d3=row(jet.d3, i),
                       d4=row(jet.d4, i), profile=row(jet.profile, i))
@@ -209,21 +209,33 @@ def test_stacked_extremizers_attain_their_values(p, five_sols):
     assert np.all(ext.min <= ext.max) and np.all(ext.max < 0.0) and np.all(sect < 0.0)
 
 
+def off_axis_stack(xs):
+    """Translates of the axis points (0, x) off the axis, whose raw jets are the axis jets."""
+    xs = np.asarray(xs, dtype=float)
+    return Point(np.full(len(xs), 0.25j), xs + 0.5j)
+
+
 @pytest.mark.parametrize("p", [1, 2, 8])
 def test_stacked_refusal_names_the_first_refused_x(p, five_sols):
-    # beyond 1 - |x| = 1e-6 every p is refused; the message names the
-    # first such row, not the worst one
+    # off the axis, beyond 1 - |x| = 1e-6, every p is refused; the message
+    # names the first such row, not the worst one
     sol = five_sols[p]
     xs = [0.3, 1.0 - 1e-4, -(1.0 - 1e-6), 0.5, 1.0 - 1e-7]
-    jet = metric_jet(sol, axis_stack(xs))
+    jet = metric_jet(sol, off_axis_stack(xs))
     tensor = tensor_from_jet(jet)
     first = repr(float(jet.x_value[2]))
     for evaluate in (bis_extremes_from_jet, sectional_max_from_jet):
         with pytest.raises(DomainError, match=f"at X = {re.escape(first)} are refused"):
             evaluate(jet, tensor)
     # without the refused rows the same stack answers
-    kept = metric_jet(sol, axis_stack(xs[:2] + xs[3:4]))
-    assert np.all(bis_extremes_from_jet(kept, tensor_from_jet(kept)).einstein_defect <= 1.3e-4)
+    kept = metric_jet(sol, off_axis_stack(xs[:2] + xs[3:4]))
+    assert np.all(bis_extremes_from_jet(kept, tensor_from_jet(kept)).einstein_defect <= 1e-3)
+    # on the axis the closed forms answer every row
+    for rows in (xs[:2] + xs[3:4], xs):
+        jet = metric_jet(sol, axis_stack(rows))
+        ext = bis_extremes_from_jet(jet, tensor_from_jet(jet))
+        assert np.all(ext.einstein_defect <= 1.3e-4)
+        assert np.all(ext.min <= ext.max) and np.all(ext.max < 0.0)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])

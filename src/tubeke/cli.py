@@ -325,10 +325,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_curv.add_argument("--v", help=_reals_help("first tangent vector", "--v"))
     p_curv.add_argument("--w", help=_reals_help("second tangent vector", "--w"))
     p_curv.add_argument("--extremes", action="store_true",
-                        help="extremal bisectional/sectional values: at an axis point "
-                             "(z1 = 0, Im z2 = 0) from closed forms, up to the grid end; "
-                             "at any other point from the raw jet, refused where its "
-                             "Einstein defect exceeds 1e-3")
+                        help="extremal bisectional/sectional values, from closed forms "
+                             "at the point's X, up to the grid end")
     _add_stats(p_curv, "load, jet, tensor, then bis and/or extremes, write; "
                        "einstein_defect follows, the larger one with both modes")
     p_curv.set_defaults(func=_cmd_curvature)

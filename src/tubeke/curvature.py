@@ -15,7 +15,8 @@ Bloch vector n in the frame (v v* = (I + n.sigma)/2), real coefficients give
     Bis(v, w) = a + b.(n + m) + n^T M m,   b_y = M_xy = M_yz = 0,
 
 and every Bis value, the extremes and the boundary limit are read off this
-split.  The classical 16-term curvature sum is kept as an independent
+form: Bis values and the boundary limit split the jet's tensor, the
+extremes read M off closed forms.  The classical 16-term curvature sum is kept as an independent
 cross-check path.  The tensor formula, the split, the 16-term sum and the
 extremes serve single points and 1-d stacks (a MetricJet of arrays) through
 one arithmetic: tensor_from_jet, bis_extremes, sectional_max and the
@@ -33,21 +34,23 @@ the pair TangentPair(v=v, w=v).
 M splits into a 1x1 and a 2x2 block with closed-form eigenpairs.  The
 Einstein condition Ric = -3g fixes a = -3/2, b = 0 and tr M = -3/2, and the
 reported values are the reduced bis_min/max = -3/2 -+ max|lambda| and
-sect_max = -3/2 + max lambda; their pairs attain them up to three times the
-Einstein defect max(|a + 3/2|, ||b||, |tr M + 3/2|).  The jet path's defect
-is about 1e-10 for |X| <= 0.99; for 1 - |X| >= 1e-4 it stays below 1e-4 for
-p >= 2 and reads up to 1.5e-3 for p = 1, near 1 - |X| = 1e-4.  Where it
-exceeds 1e-3 (p=1 from about 1 - |X| = 1e-4, every p tested by 1e-6) every
-tube-formula Bis, and the extremes of a jet off the axis, raise DomainError.
+sect_max = -3/2 + max lambda.  The extremes read M off closed forms at the
+point's X: every frame component of R on the axis (0, X) is a ratio of
+polynomials in s = f^2/Z and u = Xf (_axis_components;
+tools/derive_axis_curvature.py derives them with p symbolic), a = -3/2 and
+b = 0 hold identically, and the frame components at any point equal those
+at its axis point (see _reduced_form).  The defect reported is |Q1111 +
+Q1122 + 3|, at rounding level, and they answer up to the grid end: for
+p = 1 within 1e-8 of the ball's (-2, -1, -2).  Their pairs attain them in
+this form to rounding; a pair door, which reads the jet path, agrees to
+that path's accuracy.
 
-On the axis (0, X) the extremes read M off closed forms instead: every
-frame component of R there is a ratio of polynomials in s = f^2/Z and
-u = Xf (_axis_components; tools/derive_axis_curvature.py derives them with
-p symbolic), a = -3/2 and b = 0 hold identically, and the defect reported
-is |Q1111 + Q1122 + 3|, at rounding level.  They answer up to the grid
-end: for p = 1 within 1e-8 of the ball's (-2, -1, -2).  bis_extremes and
-sectional_max always evaluate on the axis; the *_from_jet forms do for a
-jet whose every point has z1 = 0 and Im z2 = 0.
+The pair doors split the jet's tensor instead; their Einstein defect is
+max(|a + 3/2|, ||b||, |tr M + 3/2|).  It is about 1e-10 for |X| <= 0.99;
+for 1 - |X| >= 1e-4 it stays below 1e-4 for p >= 2 and reads up to 1.5e-3
+for p = 1, near 1 - |X| = 1e-4.  Where it exceeds 1e-3 (p=1 from about
+1 - |X| = 1e-4, every p tested by 1e-6) every tube-formula Bis raises
+DomainError.
 
 The frame, the split and the closed forms use only +, -, *, / and sqrt,
 and X has one pow for floats and arrays, so stacked extremes equal the
@@ -59,10 +62,10 @@ bit for bit too.  So does the raw jet (metric_tensor), and with it raw
 formula="direct" is the one door whose stacked rows match only to
 rounding: numpy's complex products round differently on arrays.
 
-The extremes make one split, or one closed-form evaluation on the axis, per
-(jet, tensor): the tensor keeps the reduced form (frame, eigenpairs,
-defect) of the last jet it was split with, so sectional_max_from_jet after
-bis_extremes_from_jet splits nothing again.
+The extremes make one closed-form evaluation per (jet, tensor): the tensor
+keeps the reduced form (frame, eigenpairs, defect) of the last jet it was
+evaluated with, so sectional_max_from_jet after bis_extremes_from_jet
+evaluates nothing again.
 bis_extremes_from_jet computes the values alone, and BisExtremes builds its
 attaining pairs from the kept frame and eigenpairs when they are first read.
 """
@@ -82,7 +85,7 @@ from .params import TubeParams
 from .potential_solver import PotentialSolution
 from .errors import DomainError
 from .tube_geometry import Point, _all, _first, _first_point, _orbit_x, require_domain
-from .metric_tensor import MetricJet, _admitted_tables, _jet, metric_jet
+from .metric_tensor import MetricJet, _admitted_tables, _four_z, _jet, metric_jet
 from ._axis_coefficients import NUMERATORS
 
 __all__ = [
@@ -182,12 +185,12 @@ class TangentPair:
 
 @dataclass(frozen=True)
 class BisExtremes:
-    """Extremal Bis, the jet's Einstein defect (see above) and the attaining pairs.
+    """Extremal Bis, the closed forms' Einstein defect (see above) and the attaining pairs.
 
-    The values come from the one split of their (jet, tensor); argmin and
-    argmax are TangentPairs built from the frame and eigenpairs kept here
-    on first read, then kept.  Stacked points give arrays, and pairs of
-    (n, 2) rows.
+    The values come from the one closed-form evaluation of their (jet,
+    tensor); argmin and argmax are TangentPairs built from the frame and
+    eigenpairs kept here on first read, then kept.  Stacked points give
+    arrays, and pairs of (n, 2) rows.
     """
 
     min: float
@@ -413,7 +416,7 @@ def _bis(jet: MetricJet, tensor: CurvatureTensor, v, w, formula: str):
         if v.ndim == 1:
             # Python complex entries: numpy scalars would cost most of the kernel
             v, w = v.tolist(), w.tolist()
-        return _bis_frame(_checked_split(jet, tensor, "Bis values")[0], v, w)
+        return _bis_frame(_checked_split(jet, tensor)[0], v, w)
     if formula != "direct":
         raise ValueError(f"unknown formula {formula!r} (expected 'tube' or 'direct')")
     ok = abs(jet.x_value) <= 1.0 - 1e-4   # the 16-term sum's accurate range
@@ -555,11 +558,11 @@ def _bis_frame(split, v, w):
             + nx * (mxx * mx + mxz * mz) + ny * lam_y * my + nz * (mxz * mx + mzz * mz))
 
 
-def _checked_split(jet, tensor: CurvatureTensor, what: str) -> tuple:
+def _checked_split(jet, tensor: CurvatureTensor) -> tuple:
     """(_bloch_split, Einstein defect), or DomainError where the defect exceeds _DEFECT_TOL.
 
-    The defect is max(|a + 3/2|, ||b||, |tr M + 3/2|).  what names the
-    refused values; a refusal of stacked points names the first X.
+    The defect is max(|a + 3/2|, ||b||, |tr M + 3/2|); a refusal of
+    stacked points names the first X.
     """
     split = _bloch_split(jet, tensor)
     _, a, (bx, bz), (lam_y, mxx, _, mzz) = split
@@ -568,7 +571,7 @@ def _checked_split(jet, tensor: CurvatureTensor, what: str) -> tuple:
     ok = defect <= _DEFECT_TOL
     if not _all(ok):
         raise DomainError(
-            f"{what} at X = {_first(jet.x_value, ok)!r} are refused: the jet "
+            f"Bis values at X = {_first(jet.x_value, ok)!r} are refused: the jet "
             f"path's Einstein defect {_first(defect, ok):.2g} exceeds {_DEFECT_TOL:g} (it is "
             f"accurate for 1 - |X| >= 1e-4, with defect below 1e-4 for p >= 2 and 1.5e-3 "
             f"for p = 1)")
@@ -576,26 +579,33 @@ def _checked_split(jet, tensor: CurvatureTensor, what: str) -> tuple:
 
 
 _AXIS_COMPONENTS = ("Q1111", "Q1112", "Q1212", "Q1122")
+_AXIS_DEGREE = 3   # the largest power of s, and of u, in any row of NUMERATORS
 
 
 @lru_cache(maxsize=64)
-def _axis_tables(p: int) -> np.ndarray:
-    """The polynomials in u of NUMERATORS at p, as one array of coefficients.
+def _axis_tables(p: int) -> tuple:
+    """The polynomials in u of NUMERATORS at p, padded to one shape, as tuples and as an array.
 
-    Entry [k, q, i] is the coefficient of u^k in the row of s^i of
-    component q (_AXIS_COMPONENTS order), and [k, q, -1] that of u^k in
-    its n0; absent rows and powers hold 0.  Each integer polynomial in p
-    is summed exactly, then rounded once.
+    Per component (_AXIS_COMPONENTS order) come its rows of s, highest
+    power first, padded with zero rows to _AXIS_DEGREE + 1, then its n0;
+    each is a polynomial in u, padded with zero coefficients to
+    _AXIS_DEGREE + 1, highest power first.  The tuples hold that flat,
+    20 polynomials of 4 coefficients; the array's entry [k, q, j, 0] is
+    the coefficient k of polynomial j of component q.  Each integer
+    polynomial in p is summed exactly, then rounded once.
     """
     def at(poly):
         return float(sum(c * p ** k for k, c in enumerate(poly)))
 
-    tables = [NUMERATORS[name] for name in _AXIS_COMPONENTS]
-    n_s = max(len(N) for N, _ in tables)
-    rows = [[*N, *[()] * (n_s - len(N)), n0] for N, n0 in tables]
-    n_u = max(len(row) for q in rows for row in q)
-    return np.array([[[at(row[k]) if k < len(row) else 0.0 for row in q] for q in rows]
-                     for k in range(n_u)])
+    def padded(rows):
+        return [()] * (_AXIS_DEGREE + 1 - len(rows)) + list(rows)
+
+    polys = [padded([at(c) for c in reversed(row)])
+             for name in _AXIS_COMPONENTS
+             for row in [*padded(NUMERATORS[name][0][::-1]), NUMERATORS[name][1]]]
+    flat = tuple(tuple(0.0 if c == () else c for c in poly) for poly in polys)
+    array = np.array(flat).T.reshape(_AXIS_DEGREE + 1, len(_AXIS_COMPONENTS), -1, 1)
+    return flat, array
 
 
 def _axis_components(p: int, x, f, Z) -> tuple:
@@ -603,73 +613,76 @@ def _axis_components(p: int, x, f, Z) -> tuple:
 
     The closed forms of tools/derive_axis_curvature.py, in s = f^2/Z and
     u = xf (see _axis_coefficients).  The terms free of s are taken in
-    x^2 Z and x sqrt(Z), which stay finite at x = 0.  Every polynomial in
-    u is one Horner pass over _axis_tables, then each component one Horner
-    pass in s; a padded 0 adds nothing.  The arithmetic is elementwise, so
-    each row of an array equals its float.
+    x^2 Z and x sqrt(Z), which stay finite at x = 0.  Every padded
+    polynomial of _axis_tables is one Horner pass in u, then each
+    component one Horner pass in s; a padded 0 adds nothing.  Floats take
+    Python arithmetic, arrays numpy's, in the same order of operations,
+    so each row of an array equals its float bit for bit.
     """
-    c = _axis_tables(p)
-    stacked = isinstance(x, np.ndarray)
-    if stacked:
-        c = c[..., None]
-    root = _sqrt(Z)
+    flat, table = _axis_tables(p)
     s, u = f * f / Z, x * f
     P = float(8 * p * p + 4 * p) + float(6 * p - 3) * u
     t = s + 4.0
     den = 2.0 * (t * t) * (P * P * P)
-    rows = c[-1]
-    for ck in c[-2::-1]:
-        rows = rows * u + ck
-    N, n0 = rows[:, -2], rows[:, -1]
-    for i in range(rows.shape[1] - 3, -1, -1):
-        N = N * s + rows[:, i]
-    q = (N + (x * x * Z) * n0) / den
-    q1112 = ((f / root) * N[1] + (x * root) * n0[1]) / den
-    if not stacked:
-        return float(q[0]), float(q1112), float(q[2]), float(q[3])
-    return q[0], q1112, q[2], q[3]
+    xxZ, root = (x * x) * Z, _sqrt(Z)
+    if isinstance(x, np.ndarray):
+        rows = table[0] * u + table[1]
+        for ck in table[2:]:
+            rows *= u
+            rows += ck
+        N = rows[:, 0] * s + rows[:, 1]
+        for j in range(2, _AXIS_DEGREE + 1):
+            N *= s
+            N += rows[:, j]
+        n0 = rows[:, -1]
+        q = (N + xxZ * n0) / den
+        return q[0], ((f / root) * N[1] + (x * root) * n0[1]) / den, q[2], q[3]
+    r = [((a * u + b) * u + c) * u + d for a, b, c, d in flat]
+    N = [((r[j] * s + r[j + 1]) * s + r[j + 2]) * s + r[j + 3]
+         for j in range(0, len(r), _AXIS_DEGREE + 2)]
+    return ((N[0] + xxZ * r[4]) / den, ((f / root) * N[1] + (x * root) * r[9]) / den,
+            (N[2] + xxZ * r[14]) / den, (N[3] + xxZ * r[19]) / den)
 
 
 def _axis_form(jet: MetricJet) -> tuple:
-    """(frame, M, Einstein defect) of an axis jet from _axis_components (see _reduced_form)."""
-    q1111, q1112, q1212, own = _axis_components(jet.p, jet.x_value, jet.profile[0], jet.det)
+    """(frame, M, Einstein defect) of a jet from _axis_components at its X (see _reduced_form).
+
+    Z is read off the jet's profile (metric_tensor._four_z), so a jet off
+    the axis gives the form of its axis point; on the axis this Z is the
+    jet's closure det.
+    """
+    p, x = jet.p, jet.x_value
+    f, f1 = jet.profile[:2]
+    q1111, q1112, q1212, own = _axis_components(p, x, f, 0.25 * _four_z(p, x, f, f1))
     q1122 = -3.0 - q1111
     M = (0.5 * (q1122 - q1212), 0.5 * (q1122 + q1212), q1112, q1111 + 1.5)
     return _frame(jet), M, abs(q1111 + own + 3.0)
 
 
-def _on_axis_jet(jet: MetricJet) -> bool:
-    """Whether every point of the jet lies on the axis: z1 = 0 and Im z2 = 0."""
-    z = jet.point
-    return _all((z.z1 == 0) & (z.z2.imag == 0))
-
-
 def _reduced_form(jet, tensor: CurvatureTensor) -> tuple:
-    """(frame, ((eigenvalue, unit eigenvector), ...) of M, Einstein defect), or DomainError.
+    """(frame, ((eigenvalue, unit eigenvector), ...) of M, Einstein defect) of a jet.
 
-    On the axis (every point of the jet with z1 = 0 and Im z2 = 0) M comes
-    from the closed forms of _axis_components in (x, f, Z), Z the jet's
-    closure det (_axis_form): with Q2222 = Q1111, Q1122 = -3 - Q1111 and
-    Q1222 = -Q1112, which hold identically, M = ((Q1122 - Q1212)/2,
-    (Q1122 + Q1212)/2, Q1112, Q1111 + 3/2), and the defect is |Q1111 +
-    Q1122 + 3| with Q1122 from its own closed form.  At any other jet the
-    tensor is split (_checked_split), with its refusal.
+    M comes from the closed forms of _axis_components at the jet's X
+    (_axis_form), at any point: the pull to the axis is diagonal and the
+    translations have the identity differential, so both keep the jet's
+    triangular frame, and M in it is M at the axis point (0, X).  With
+    Q2222 = Q1111, Q1122 = -3 - Q1111 and Q1222 = -Q1112, which hold
+    identically, M = ((Q1122 - Q1212)/2, (Q1122 + Q1212)/2, Q1112,
+    Q1111 + 3/2), and the defect is |Q1111 + Q1122 + 3| with Q1122 from
+    its own closed form.  The frame is the jet's own, for the attaining
+    pairs at its point.
 
     The 2x2 block's eigenvalues are mean +- h, h = |(d, Mxz)| with d =
     (Mxx - Mzz)/2; the larger one's eigenvector, x entry >= 0, lies along
     (h + d, Mxz), or (|Mxz|, +-(h - d)) where d < 0 (no cancellation), or
     (1, 0) for h = 0.  The tensor keeps the form of the last jet it was
-    split with (a refusal is not kept), so a second call with the same
-    jet and tensor makes no second split.
+    evaluated with, so a second call with the same jet and tensor
+    evaluates nothing again.
     """
     kept = getattr(tensor, "_reduced", None)
     if kept is not None and kept[0] is jet:
         return kept[1]
-    if _on_axis_jet(jet):
-        frame, (lam_y, mxx, mxz, mzz), defect = _axis_form(jet)
-    else:
-        (frame, _, _, (lam_y, mxx, mxz, mzz)), defect = _checked_split(
-            jet, tensor, "curvature extremes")
+    frame, (lam_y, mxx, mxz, mzz), defect = _axis_form(jet)
     mean, d = 0.5 * (mxx + mzz), 0.5 * (mxx - mzz)
     h = _sqrt(d * d + mxz * mxz)
     ex = _pick(d < 0.0, abs(mxz), h + d) + (h == 0.0)
@@ -724,7 +737,7 @@ def bis_extremes_from_jet(jet, tensor: CurvatureTensor) -> BisExtremes:
 def _pair_defect(sol: PotentialSolution, z: Point) -> float:
     """The Einstein defect of the jet that bisectional(sol, z, ...) evaluates, at z's axis point."""
     jet = _axis_jet(sol, z)
-    return _checked_split(jet, tensor_from_jet(jet), "Bis values")[1]
+    return _checked_split(jet, tensor_from_jet(jet))[1]
 
 
 def bis_extremes(sol: PotentialSolution, z: Point) -> BisExtremes:

@@ -406,9 +406,8 @@ def _joined(*zs) -> Point:
 def _split(jet: MetricJet, tensor: CurvatureTensor):
     """The two equal halves of a stacked jet, each as (jet, tensor)."""
     n = np.size(jet.x_value) // 2
-    return [(MetricJet(jet.p, Point(jet.point.z1[rows], jet.point.z2[rows]),
-                       jet.x_value[rows],
-                       *_rows((jet.g, jet.det, jet.d3, jet.d4, jet.profile), rows)),
+    return [(MetricJet(Point(jet.point.z1[rows], jet.point.z2[rows]), jet.x_value[rows],
+                       *_rows((jet.g, jet.det, jet.d3, jet.d4, jet.profile), rows), jet.p),
              CurvatureTensor(*_rows(tuple(tensor.as_dict().values()), rows)))
             for rows in (slice(None, n), slice(n, None))]
 

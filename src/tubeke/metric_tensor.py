@@ -207,16 +207,15 @@ def _chain(tab: XLDerivatives, f, f1, f2=None, f3=None):
 class MetricJet:
     """The metric and the derivatives curvature needs, at a point or at stacked points.
 
-    p is the domain parameter the jet was built for.  All entries are
-    real: the potential depends only on (Re z1, Re z2).  g is (g11, g12,
-    g22), det the closure det g of metric_jet, which inverse reads; d3[m]
-    and d4[m] are the third and fourth derivatives with m indices of z1
-    type, which every index word of that count shares (see deriv); profile
-    is the (f, f', f'', f''') at x_value.  Each entry is a float at a
-    single point and an array over stacked points.
+    All entries are real: the potential depends only on (Re z1, Re z2).
+    g is (g11, g12, g22), det the closure det g of metric_jet, which
+    inverse reads; d3[m] and d4[m] are the third and fourth derivatives
+    with m indices of z1 type, which every index word of that count shares
+    (see deriv); profile is the (f, f', f'', f''') at x_value.  Each entry
+    is a float at a single point and an array over stacked points.  p is
+    the domain parameter the jet was built for.
     """
 
-    p: int
     point: Point
     x_value: float
     g: tuple
@@ -224,6 +223,7 @@ class MetricJet:
     d3: tuple = field(repr=False)
     d4: tuple = field(repr=False)
     profile: tuple = field(repr=False)
+    p: int
 
     def deriv(self, *word) -> float:
         """g_{i jbar k} or g_{i jbar k lbar} at a word of indices 1, 2 (bars, order immaterial)."""
@@ -291,12 +291,20 @@ def _jet(sol: PotentialSolution, z: Point, tab: XLDerivatives) -> MetricJet:
     """metric_jet at z from its order-4 tables."""
     p = sol.params.p
     f, f1, _, _ = profile = sol.eval_f_derivs(tab.x_value, 3)
-    D = (2.0 * p - 1.0) * tab.x_value * f + 4.0 * p * sol.params.K_float
     inv, half_root = 1.0 / tab.r, tab.dX1[0]
-    det = (f1 * D - f * f) * ((inv * inv) * (half_root * half_root))
+    det = _four_z(p, tab.x_value, f, f1) * ((inv * inv) * (half_root * half_root))
     g, d3, d4 = _chain(tab, *profile)
-    return MetricJet(p=p, point=z, x_value=tab.x_value, g=g, det=det, d3=d3, d4=d4,
-                     profile=tuple(profile))
+    return MetricJet(point=z, x_value=tab.x_value, g=g, det=det, d3=d3, d4=d4,
+                     profile=tuple(profile), p=p)
+
+
+def _four_z(p: int, x, f, f1):
+    """4 Z(x) = f'D - f^2 with D = (2p - 1)xf + 4pK, from the profile at x (floats or arrays).
+
+    det g is Z/r^{(2p+1)/p}; on the axis (r = 1) it is Z itself.
+    """
+    D = (2.0 * p - 1.0) * x * f + 4.0 * p * ((2 * p + 1) / 3.0)
+    return f1 * D - f * f
 
 
 def einstein_residual(sol: PotentialSolution, z: Point) -> float:

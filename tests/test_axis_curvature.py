@@ -2,7 +2,7 @@
 
 On the axis z = (0, x) the g-orthonormal frame components of R are closed
 forms in (x, f, Z = e^{3F}) (tools/derive_axis_curvature.py), and the
-extremes read them there up to the grid end.  The oracles: the p=1 ball,
+extremes at any point read them at its X, up to the grid end.  The oracles: the p=1 ball,
 M = -I/2, with the exact profile injected; the jet path's split on
 |x| <= 0.99; the center's closed forms; and the large-p limit of bis_min
 at x = 1 - 1/p (ROADMAP item 13's Phi(1) = -2.23188...).

@@ -34,8 +34,8 @@ from tubeke import (
     tensor_from_jet,
 )
 from tubeke import curvature
-from tubeke.curvature import (_bloch_split, _frame, _pull_to_axis, _reduced_form,
-                              _spinor_vector)
+from tubeke.curvature import (_axis_form, _bloch_split, _frame, _pair_defect, _pull_to_axis,
+                              _reduced_form, _spinor_vector)
 from tubeke.tube_geometry import require_domain
 
 from conftest import reference_form
@@ -494,7 +494,7 @@ def test_frame_extremes_match_the_reference(five_sols):
                 assert abs(g_norm_sq(jet, pair.w) - 1.0) <= 1e-13
                 attained = bisectional_from_jet(jet, tensor, pair)
                 assert abs(attained - value) <= 3.0 * ext.einstein_defect + 1e-10 * abs(value)
-            lam_y, mxx, mxz, mzz = _bloch_split(jet, tensor)[3]
+            lam_y, mxx, mxz, mzz = _axis_form(jet)[1]
             full = np.array([[mxx, 0.0, mxz], [0.0, lam_y, 0.0], [mxz, 0.0, mzz]])
             split = sorted(lam for lam, _ in _reduced_form(jet, tensor)[1])
             assert np.max(np.abs(np.array(split) - np.linalg.eigvalsh(full))) <= 1e-13
@@ -517,29 +517,29 @@ def off_axis(x) -> Point:
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 5, 8])
-def test_extremes_refuse_a_large_einstein_defect(five_sols, p):
-    # at 1 - |x| = 1e-4 the extremes answer, on the axis from the closed
-    # forms and off it from the jet path, whose defect reads up to 2.1e-4
-    # (p=1); at 1e-6 the jet path's reads 0.13 (p=8) to 140 (p=1), and off
-    # the axis they refuse.  On the axis the closed forms answer there too.
+def test_extremes_answer_where_the_jet_path_defect_is_large(five_sols, p):
+    # the extremes read the closed forms at X, on the axis and off it alike:
+    # at 1 - |x| = 1e-4 their defect is at rounding level, and at 1e-6,
+    # where the jet path's reads 0.13 (p=8) to 140 (p=1) and its Bis values
+    # are refused, they answer too
     sol = five_sols[p]
-    for x in (1.0 - 1e-4, -(1.0 - 1e-4)):
+    refused = [1.0 - 1e-6, -(1.0 - 1e-6)] + ([1.0 - 3e-5, 1.0 - 1e-5] if p == 1 else [])
+    for x in [1.0 - 1e-4, -(1.0 - 1e-4)] + refused:
+        values = []
         for z in (Point(0j, complex(x)), off_axis(x)):
             jet = metric_jet(sol, z)
             tensor = tensor_from_jet(jet)
             ext = bis_extremes_from_jet(jet, tensor)
-            assert ext.einstein_defect <= (1.3e-4 if z.z1 == 0 else 1e-3)
-            assert ext.min <= ext.max < 0.0
-            assert sectional_max_from_jet(jet, tensor)[0] < 0.0
-    refused = [1.0 - 1e-6, -(1.0 - 1e-6)] + ([1.0 - 3e-5, 1.0 - 1e-5] if p == 1 else [])
-    for x in refused:
-        jet = metric_jet(sol, off_axis(x))
-        tensor = tensor_from_jet(jet)
-        for evaluate in (bis_extremes_from_jet, sectional_max_from_jet):
+            sect = sectional_max_from_jet(jet, tensor)[0]
+            assert ext.einstein_defect <= 1.3e-4
+            assert ext.min <= ext.max < 0.0 and sect < 0.0
+            values.append((ext.min, ext.max, ext.einstein_defect, sect))
+        assert values[0] == values[1]
+        assert (bis_extremes(sol, off_axis(x)).min, sectional_max(sol, off_axis(x))[0]) == (
+            values[0][0], values[0][3])
+        if x in refused:
             with pytest.raises(DomainError, match="Einstein defect .* accurate"):
-                evaluate(jet, tensor)
-        ext = bis_extremes(sol, Point(0j, complex(x)))
-        assert ext.min <= ext.max < 0.0 and ext.einstein_defect <= 1e-14
+                _pair_defect(sol, off_axis(x))
 
 
 def test_the_pair_path_refuses_a_large_einstein_defect(sol_p1):
@@ -584,31 +584,31 @@ def test_the_pair_path_refuses_a_large_einstein_defect(sol_p1):
 
 
 def test_both_extremes_share_one_split(sols, split_calls, kernel_calls):
-    # on the axis the closed forms are evaluated once, off it the tensor is split once
-    for z, calls in ((Point(0j, 0.6 + 0j), kernel_calls), (off_axis(0.6), split_calls)):
+    # the closed forms are evaluated once per (jet, tensor), on the axis and
+    # off it; the tensor is never split for the extremes
+    for z in (Point(0j, 0.6 + 0j), off_axis(0.6)):
+        kernel_calls.clear()
         jet = metric_jet(sols[2], z)
         tensor = tensor_from_jet(jet)
         ext = bis_extremes_from_jet(jet, tensor)
         sectional_max_from_jet(jet, tensor)
         ext.argmin, ext.argmax
         bis_extremes_from_jet(jet, tensor)
-        assert calls == [jet]
-        # a new jet for the same tensor, or a new tensor for the same jet, splits again
+        assert kernel_calls == [jet]
+        # a new jet for the same tensor, or a new tensor for the same jet, evaluates again
         other = metric_jet(sols[2], z)
         sectional_max_from_jet(other, tensor)
         bis_extremes_from_jet(jet, tensor_from_jet(jet))
-        assert calls == [jet, other, jet]
+        assert kernel_calls == [jet, other, jet]
         # the tensor keeps the form outside its fields: eq, hash and repr are its coefficients
         fresh = tensor_from_jet(jet)
         assert tensor == fresh and hash(tensor) == hash(fresh) and repr(tensor) == repr(fresh)
-    assert len(kernel_calls) == len(split_calls) == 3
-    # a refusal is not kept: each call splits and refuses again
-    refused = metric_jet(sols[1], off_axis(1.0 - 1e-5))
-    tensor = tensor_from_jet(refused)
+    # where the jet path's Bis values are refused the extremes answer, with no split
+    far = metric_jet(sols[1], off_axis(1.0 - 1e-5))
+    tensor = tensor_from_jet(far)
     for evaluate in (bis_extremes_from_jet, sectional_max_from_jet):
-        with pytest.raises(DomainError, match="curvature extremes at X = 0.99999 are refused"):
-            evaluate(refused, tensor)
-    assert split_calls[3:] == [refused, refused]
+        evaluate(far, tensor)
+    assert kernel_calls[3:] == [far] and split_calls == []
 
 
 def test_extremizers_are_built_on_first_read(sol_p2, monkeypatch):

@@ -29,6 +29,8 @@ from tubeke import (
     tensor_from_jet,
 )
 
+from tubeke.curvature import _axis_form, _bis_frame
+
 from conftest import reference_bis, reference_extremes
 
 _IDX = (1, 2)
@@ -161,11 +163,13 @@ def axis_stack(xs):
 
 @pytest.mark.parametrize("p", [1, 2, 3, 5, 8])
 def test_stacked_extremes_equal_the_scalar_extremes_per_point(p, five_sols):
-    # the frame and the split are +, -, *, / and sqrt only: the same
-    # inputs give the same bits, values and extremizers
+    # the frame and the closed forms are +, -, *, / and sqrt only: the same
+    # inputs give the same bits, values and extremizers, in a stack that
+    # mixes points off the axis with axis points, one beyond 1 - |X| = 1e-4
     sol = five_sols[p]
     rng = np.random.default_rng(70 + p)
     points = sample_points(p, rng, 60) + near_boundary_points(p, rng, 20)
+    points += [Point(0j, complex(x)) for x in (0.0, 0.5, 1.0 - 1e-5)]
     axis = np.concatenate([np.linspace(-(1.0 - 1e-4), 1.0 - 1e-4, 61), [0.0, 0.5, 0.999]])
     stacked = metric_jet(sol, Point.stack(points))
     axis_jets = [metric_jet(sol, Point(0j, complex(x))) for x in axis.tolist()]
@@ -188,12 +192,18 @@ def test_stacked_extremes_equal_the_scalar_extremes_per_point(p, five_sols):
             assert np.array_equal(vstar[i], ref_vstar)
 
 
+def extremes_form_bis(jet, pair):
+    """Bis at stacked pairs from the extremes' own form: a = -3/2, b = 0, M of the closed forms."""
+    frame, M, _ = _axis_form(jet)
+    return _bis_frame((frame, -1.5, (0.0, 0.0), M), pair.v.T, pair.w.T)
+
+
 @pytest.mark.parametrize("p", [1, 2, 3, 5, 8])
 def test_stacked_extremizers_attain_their_values(p, five_sols):
     sol = five_sols[p]
     rng = np.random.default_rng(80 + p)
-    # up to 1 - |X| = 1e-4, where the frame Bis checks the pairs to
-    # rounding beyond three times the Einstein defect
+    # up to 1 - |X| = 1e-4: the pairs attain the values in the form they
+    # come from, to rounding beyond three times its Einstein defect
     points = sample_points(p, rng, 60)
     points += [Point(0j, complex(x)) for x in (0.0, 0.9, 0.99, 0.999, -0.999, 0.9999, -0.9999,
                                                 1.0 - 2e-4, 1.0 - 1e-4)]
@@ -203,39 +213,31 @@ def test_stacked_extremizers_attain_their_values(p, five_sols):
     sect, vstar = sectional_max_from_jet(jet, tensor)
     for pair, values in ((ext.argmin, ext.min), (ext.argmax, ext.max),
                          (TangentPair(v=vstar, w=vstar), sect)):
-        attained = bisectional_from_jet(jet, tensor, pair)
+        attained = extremes_form_bis(jet, pair)
         tol = 3.0 * ext.einstein_defect + 1e-13 * np.abs(values)
         assert np.all(np.abs(attained - values) <= tol), p
     assert np.all(ext.min <= ext.max) and np.all(ext.max < 0.0) and np.all(sect < 0.0)
 
 
-def off_axis_stack(xs):
-    """Translates of the axis points (0, x) off the axis, whose raw jets are the axis jets."""
-    xs = np.asarray(xs, dtype=float)
-    return Point(np.full(len(xs), 0.25j), xs + 0.5j)
-
-
 @pytest.mark.parametrize("p", [1, 2, 8])
 def test_stacked_refusal_names_the_first_refused_x(p, five_sols):
-    # off the axis, beyond 1 - |x| = 1e-6, every p is refused; the message
+    # beyond 1 - |x| = 1e-6 every p's Bis values are refused; the message
     # names the first such row, not the worst one
     sol = five_sols[p]
     xs = [0.3, 1.0 - 1e-4, -(1.0 - 1e-6), 0.5, 1.0 - 1e-7]
-    jet = metric_jet(sol, off_axis_stack(xs))
+    jet = metric_jet(sol, axis_stack(xs))
     tensor = tensor_from_jet(jet)
     first = repr(float(jet.x_value[2]))
-    for evaluate in (bis_extremes_from_jet, sectional_max_from_jet):
-        with pytest.raises(DomainError, match=f"at X = {re.escape(first)} are refused"):
-            evaluate(jet, tensor)
+    pair = TangentPair(v=np.array([1.0, 0.5j]), w=np.array([0.3, 1.0]))
+    with pytest.raises(DomainError, match=f"Bis values at X = {re.escape(first)} are refused"):
+        bisectional_from_jet(jet, tensor, pair)
     # without the refused rows the same stack answers
-    kept = metric_jet(sol, off_axis_stack(xs[:2] + xs[3:4]))
-    assert np.all(bis_extremes_from_jet(kept, tensor_from_jet(kept)).einstein_defect <= 1e-3)
-    # on the axis the closed forms answer every row
-    for rows in (xs[:2] + xs[3:4], xs):
-        jet = metric_jet(sol, axis_stack(rows))
-        ext = bis_extremes_from_jet(jet, tensor_from_jet(jet))
-        assert np.all(ext.einstein_defect <= 1.3e-4)
-        assert np.all(ext.min <= ext.max) and np.all(ext.max < 0.0)
+    kept = metric_jet(sol, axis_stack(xs[:2] + xs[3:4]))
+    assert np.all(bisectional_from_jet(kept, tensor_from_jet(kept), pair) < 0.0)
+    # the extremes answer every row, from the closed forms
+    ext = bis_extremes_from_jet(jet, tensor)
+    assert np.all(ext.einstein_defect <= 1.3e-4)
+    assert np.all(ext.min <= ext.max) and np.all(ext.max < 0.0)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])

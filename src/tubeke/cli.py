@@ -206,12 +206,9 @@ def _cmd_curvature(args) -> int:
     tensor = curvature.tensor_from_jet(jet)
     stages.lap("tensor")
     out = {"point": z.as_reals(), "X": jet.x_value, "tensor": tensor.as_dict()}
-    health = {}
     if args.v is not None:
         pair = curvature.TangentPair(v=_parse_vector(args.v), w=_parse_vector(args.w))
         out["bis"] = curvature.bisectional(sol, z, pair)
-        if args.stats:
-            health["einstein_defect"] = curvature._pair_defect(sol, z)
         stages.lap("bis")
     if args.extremes:
         ext = curvature.bis_extremes_from_jet(jet, tensor)
@@ -226,12 +223,13 @@ def _cmd_curvature(args) -> int:
             "sect_max": sm,
             "arg_sect_max": _vector_reals(vstar),
         }
-        health["einstein_defect"] = max(health.get("einstein_defect", 0.0), ext.einstein_defect)
         stages.lap("extremes")
     _print_json(out)
     stages.lap("write")
     if args.stats:
-        _print_stats(stages, sol, **health)
+        # the closed forms' defect at X, which both modes read; kept on the tensor
+        defect = curvature.bis_extremes_from_jet(jet, tensor).einstein_defect
+        _print_stats(stages, sol, einstein_defect=defect)
     return 0
 
 
@@ -253,6 +251,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_verify(args) -> int:
     params = TubeParams(p=args.p)
     seed = as_seed(args.seed)
+    diagnostics._suite_names(args.suite, params.p)   # refused before the solve, as the seed is
     stages = _Stages()
     sol = solve_potential(params)
     stages.lap("solve")
@@ -328,7 +327,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="extremal bisectional/sectional values, from closed forms "
                              "at the point's X, up to the grid end")
     _add_stats(p_curv, "load, jet, tensor, then bis and/or extremes, write; "
-                       "einstein_defect follows, the larger one with both modes")
+                       "einstein_defect follows, that of the closed forms at X")
     p_curv.set_defaults(func=_cmd_curvature)
 
     p_sweep = sub.add_parser("sweep", help="CSV sweep along the real-z2 axis")

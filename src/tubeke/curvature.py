@@ -14,13 +14,15 @@ Bloch vector n in the frame (v v* = (I + n.sigma)/2), real coefficients give
 
     Bis(v, w) = a + b.(n + m) + n^T M m,   b_y = M_xy = M_yz = 0,
 
-and every Bis value, the extremes and the boundary limit are read off this
-form: Bis values and the boundary limit split the jet's tensor, the
-extremes read M off closed forms.  The classical 16-term curvature sum is kept as an independent
-cross-check path.  The tensor formula, the split, the 16-term sum and the
-extremes serve single points and 1-d stacks (a MetricJet of arrays) through
-one arithmetic: tensor_from_jet, bis_extremes, sectional_max and the
-*_from_jet forms give arrays at stacked points.
+and every Bis value and the extremes are read off this form.  The Einstein
+condition Ric = -3g fixes a = -3/2, b = 0 and tr M = -3/2, and M is read
+off closed forms at the point's X (below), so a tube-formula Bis needs no
+curvature tensor.  The boundary limit reads the same frame.  The classical
+16-term curvature sum is kept as an independent cross-check path; it alone
+reads the jet's tensor.  The tensor formula, the frame form, the 16-term
+sum and the extremes serve single points and 1-d stacks (a MetricJet of
+arrays) through one arithmetic: tensor_from_jet, bis_extremes,
+sectional_max and the *_from_jet forms give arrays at stacked points.
 
 Tangent vectors come as a TangentPair: one pair, v and w of shape (2,), or
 n stacked pairs, v and w of shape (n, 2).  The three doors that take one,
@@ -32,27 +34,18 @@ Any other count raises ValueError naming both.  A sectional curvature is
 the pair TangentPair(v=v, w=v).
 
 M splits into a 1x1 and a 2x2 block with closed-form eigenpairs.  The
-Einstein condition Ric = -3g fixes a = -3/2, b = 0 and tr M = -3/2, and the
 reported values are the reduced bis_min/max = -3/2 -+ max|lambda| and
-sect_max = -3/2 + max lambda.  The extremes read M off closed forms at the
-point's X: every frame component of R on the axis (0, X) is a ratio of
-polynomials in s = f^2/Z and u = Xf (_axis_components;
-tools/derive_axis_curvature.py derives them with p symbolic), a = -3/2 and
-b = 0 hold identically, and the frame components at any point equal those
-at its axis point (see _reduced_form).  The defect reported is |Q1111 +
-Q1122 + 3|, at rounding level, and they answer up to the grid end: for
-p = 1 within 1e-8 of the ball's (-2, -1, -2).  Their pairs attain them in
-this form to rounding; a pair door, which reads the jet path, agrees to
-that path's accuracy.
+sect_max = -3/2 + max lambda.  Every frame component of R on the axis
+(0, X) is a ratio of polynomials in s = f^2/Z and u = Xf
+(_axis_components; tools/derive_axis_curvature.py derives them with p
+symbolic), a = -3/2 and b = 0 hold identically, and the frame components
+at any point equal those at its axis point (see _reduced_form).  The
+defect reported is |Q1111 + Q1122 + 3|, at rounding level, and Bis values
+and extremes answer up to the grid end: for p = 1 within 1e-8 of the
+ball's (-2, -1, -2).  The extremes' pairs attain them at the pair doors to
+rounding.
 
-The pair doors split the jet's tensor instead; their Einstein defect is
-max(|a + 3/2|, ||b||, |tr M + 3/2|).  It is about 1e-10 for |X| <= 0.99;
-for 1 - |X| >= 1e-4 it stays below 1e-4 for p >= 2 and reads up to 1.5e-3
-for p = 1, near 1 - |X| = 1e-4.  Where it exceeds 1e-3 (p=1 from about
-1 - |X| = 1e-4, every p tested by 1e-6) every tube-formula Bis raises
-DomainError.
-
-The frame, the split and the closed forms use only +, -, *, / and sqrt,
+The frame and the closed forms use only +, -, *, / and sqrt,
 and X has one pow for floats and arrays, so stacked extremes equal the
 single point's bit for bit.  The pull to the axis has the same one pow, and
 the Bloch vectors round alike on Python complex and on numpy columns, so
@@ -369,14 +362,16 @@ def bisectional(sol: PotentialSolution, z: Point, pair: TangentPair,
         representative (0, X(z)) with push-forward vectors, which is
         exact by automorphism invariance.  False evaluates the raw jet
         at z itself — useful precisely for testing that invariance.
+        For "tube" it only chooses where the frame is read: M is the
+        closed forms' at X either way.
     formula : {"tube", "direct"}
-        "tube" evaluates a + b.(n + m) + n^T M m in the g-orthonormal
-        frame (see the module docstring) and raises DomainError, naming
-        X, where the jet's Einstein defect exceeds 1e-3; "direct" the
-        16-term curvature sum, which is accurate, like the jet it reads,
-        for 1 - |X| >= 1e-4 and raises DomainError, naming X, closer to
-        the boundary.  They agree to ~1e-13 relative for |X| <= 0.99 and
-        exist so that each can certify the other.
+        "tube" evaluates -3/2 + n^T M m in the g-orthonormal frame with M
+        from the closed forms at X (see the module docstring), up to the
+        grid end; "direct" the 16-term curvature sum, the one formula
+        that reads the curvature tensor, which is accurate, like the jet
+        it reads, for 1 - |X| >= 1e-4 and raises DomainError, naming X,
+        closer to the boundary.  They agree to ~5e-12 relative for
+        |X| <= 0.99 and exist so that each can certify the other.
 
     Returns
     -------
@@ -391,16 +386,16 @@ def bisectional(sol: PotentialSolution, z: Point, pair: TangentPair,
         jet = metric_jet(sol, z)
     else:
         jet = _jet(sol, z, _admitted_tables(sol.params, z, r, 4))
-    return _bis(jet, tensor_from_jet(jet), v, w, formula)
+    return _bis(jet, None, v, w, formula)
 
 
 def bisectional_from_jet(jet: MetricJet, tensor: CurvatureTensor, pair: TangentPair,
                          *, formula: str = "tube"):
     """Bis(v, w) at the jet's point or points, for vectors given there.
 
-    formula is as in bisectional; no pull to the axis is made here.  A
-    stacked jet takes its stacked tensor, and the pair goes by the
-    module's broadcast rule.
+    formula is as in bisectional; the tensor is read by "direct" only.  No
+    pull to the axis is made here.  A stacked jet takes its stacked
+    tensor, and the pair goes by the module's broadcast rule.
     """
     v, w = _columns(pair, jet.x_value)
     return _bis(jet, tensor, v, w, formula)
@@ -409,21 +404,22 @@ def bisectional_from_jet(jet: MetricJet, tensor: CurvatureTensor, pair: TangentP
 def _bis(jet: MetricJet, tensor: CurvatureTensor, v, w, formula: str):
     """Bis(v, w) for checked (2,) vectors, or (2, n) columns, each _binade_scaled first.
 
-    Stacked points give arrays.
+    "tube" reads the jet's _kernel_split; "direct" reads the tensor, built
+    from the jet where it is None.  Stacked points give arrays.
     """
     v, w = _binade_scaled(v), _binade_scaled(w)
     if formula == "tube":
         if v.ndim == 1:
             # Python complex entries: numpy scalars would cost most of the kernel
             v, w = v.tolist(), w.tolist()
-        return _bis_frame(_checked_split(jet, tensor)[0], v, w)
+        return _bis_frame(_kernel_split(jet), v, w)
     if formula != "direct":
         raise ValueError(f"unknown formula {formula!r} (expected 'tube' or 'direct')")
     ok = abs(jet.x_value) <= 1.0 - 1e-4   # the 16-term sum's accurate range
     if not _all(ok):
         raise DomainError(f"direct Bis values at X = {_first(jet.x_value, ok)!r} are "
                           f"refused: the 16-term sum is accurate for 1 - |X| >= 1e-4")
-    bis = _bis_direct(jet, tensor, v, w)
+    bis = _bis_direct(jet, tensor_from_jet(jet) if tensor is None else tensor, v, w)
     return bis if isinstance(bis, np.ndarray) else float(bis)
 
 
@@ -487,9 +483,6 @@ def boundary_limit_bis(jet: MetricJet, pair: TangentPair):
     return float(limit[0]) if v.ndim == 1 and not isinstance(jet.x_value, np.ndarray) else limit
 
 
-_DEFECT_TOL = 1e-3   # the largest Einstein defect the tube formula accepts
-
-
 # isinstance tells floats from arrays: np.ndim of a float costs more than the math
 def _pick(cond, a, b):
     """a where cond holds, else b; elementwise for a bool array."""
@@ -509,7 +502,9 @@ def _bloch_split(jet, tensor: CurvatureTensor) -> tuple:
 
     b is (b_x, b_z) and M is (lam_y, Mxx, Mxz, Mzz): the 1x1 block and
     the 2x2 (x, z) block of M; every other entry vanishes.  A stacked jet
-    gives arrays.
+    gives arrays.  The split of the jet's tensor: no door reads it; it is
+    the jet-path reference the closed forms (_kernel_split) are tested
+    against.
     """
     al, be, ga = frame = _frame(jet)
     t = tensor
@@ -547,7 +542,7 @@ def _bloch(frame, v) -> tuple:
 
 
 def _bis_frame(split, v, w):
-    """Bis(v, w) = a + b.(n + m) + n^T M m from a _bloch_split.
+    """Bis(v, w) = a + b.(n + m) + n^T M m from a _kernel_split or a _bloch_split.
 
     v and w are vectors, or (2, n) columns; a stacked split takes one
     column per point, or broadcasts as its arrays' shapes allow.
@@ -556,26 +551,6 @@ def _bis_frame(split, v, w):
     (nx, ny, nz), (mx, my, mz) = _bloch(frame, v), _bloch(frame, w)
     return (a + bx * (nx + mx) + bz * (nz + mz)
             + nx * (mxx * mx + mxz * mz) + ny * lam_y * my + nz * (mxz * mx + mzz * mz))
-
-
-def _checked_split(jet, tensor: CurvatureTensor) -> tuple:
-    """(_bloch_split, Einstein defect), or DomainError where the defect exceeds _DEFECT_TOL.
-
-    The defect is max(|a + 3/2|, ||b||, |tr M + 3/2|); a refusal of
-    stacked points names the first X.
-    """
-    split = _bloch_split(jet, tensor)
-    _, a, (bx, bz), (lam_y, mxx, _, mzz) = split
-    defect = _larger(_larger(abs(a + 1.5), _sqrt(bx * bx + bz * bz)),
-                     abs(lam_y + mxx + mzz + 1.5))
-    ok = defect <= _DEFECT_TOL
-    if not _all(ok):
-        raise DomainError(
-            f"Bis values at X = {_first(jet.x_value, ok)!r} are refused: the jet "
-            f"path's Einstein defect {_first(defect, ok):.2g} exceeds {_DEFECT_TOL:g} (it is "
-            f"accurate for 1 - |X| >= 1e-4, with defect below 1e-4 for p >= 2 and 1.5e-3 "
-            f"for p = 1)")
-    return split, defect
 
 
 _AXIS_COMPONENTS = ("Q1111", "Q1112", "Q1212", "Q1122")
@@ -659,6 +634,12 @@ def _axis_form(jet: MetricJet) -> tuple:
     return _frame(jet), M, abs(q1111 + own + 3.0)
 
 
+def _kernel_split(jet: MetricJet) -> tuple:
+    """_bloch_split's (frame, a, b, M) from _axis_form: a = -3/2 and b = 0 hold identically."""
+    frame, M, _ = _axis_form(jet)
+    return frame, -1.5, (0.0, 0.0), M
+
+
 def _reduced_form(jet, tensor: CurvatureTensor) -> tuple:
     """(frame, ((eigenvalue, unit eigenvector), ...) of M, Einstein defect) of a jet.
 
@@ -732,12 +713,6 @@ def bis_extremes_from_jet(jet, tensor: CurvatureTensor) -> BisExtremes:
     top = _larger(_larger(abs(lam_y), abs(upper)), abs(lower))
     return BisExtremes(min=-1.5 - top, max=-1.5 + top, einstein_defect=defect,
                        _form=(frame, pairs))
-
-
-def _pair_defect(sol: PotentialSolution, z: Point) -> float:
-    """The Einstein defect of the jet that bisectional(sol, z, ...) evaluates, at z's axis point."""
-    jet = _axis_jet(sol, z)
-    return _checked_split(jet, tensor_from_jet(jet))[1]
 
 
 def bis_extremes(sol: PotentialSolution, z: Point) -> BisExtremes:

@@ -21,12 +21,13 @@ checks allow:
 * einstein takes its residual sample and its metric sample (det, inverse,
   positivity) from one order-2 pass;
 * boundary_limit takes its four axis points from one order-4 pass and
-  their frame splits at once; E(x) sets the Bis of the pairs against the
-  limit in the same frame, for the three x in one broadcast;
+  their frame forms (the closed forms' M in the jet's frame) at once; E(x)
+  sets the Bis of the pairs against the limit in the same frame, for the
+  three x in one broadcast;
 * invariance evaluates z and its axis image in one pass, for the metric
   law and for Bis, and reads the normalized and the scaled pairs off one
-  frame split; the translation check keeps two equal stacks, because it
-  demands bit equality;
+  frame form, the raw ones off z's; the translation check keeps two equal
+  stacks, because it demands bit equality;
 * origin reads its tensor, extremes and Bis values off the one origin
   jet, and calls bisectional and bisectional_batch once each, which
   covers those entry points end to end;
@@ -38,6 +39,11 @@ Points, the automorphisms carry array parameters, and its per-point random
 draws come in one block per loop.  Single point queries get a MetricJet of
 floats, and the stacked passes one of arrays.  The tests keep the scalar
 loops these replace as the reference.
+
+The limit-law suites (asymptotics, boundary_limit, regions, and so "all")
+are refused for p > 5: their thresholds are pinned on p = 1..3, and from
+p = 6 on asymptotics/deriv_laws_k2 fails on every seed.  origin, invariance
+and einstein check identities and run at every p.
 """
 
 from __future__ import annotations
@@ -66,8 +72,8 @@ from .curvature import (
     TangentPair,
     _bis_direct,
     _bis_frame,
-    _bloch_split,
     _boundary_limit,
+    _kernel_split,
     _pull_to_axis,
     bis_extremes_from_jet,
     bisectional,
@@ -374,8 +380,8 @@ def _suite_invariance(params, sol, rng):
     exact = max(np.max(np.abs(np.array(a) - np.array(b)))
                 for a, b in ((j1.g, j2.g), (j1.d3, j2.d3), (j1.d4, j2.d4)))
     checks.append(_below("jets_translation_invariant", exact, 0.0))
-    # Bis at z from the raw jet there, and on the axis orbit from pushed
-    # vectors: normalized, scaled and direct share one axis tensor
+    # Bis at z in the raw jet's frame there, and on the axis orbit from
+    # pushed vectors: normalized, scaled and direct share one axis jet
     z = _random_stack(params, rng, 100)
     v, w, c, d = _pair_draws(rng, 100)
     v, w = v.T, w.T
@@ -384,8 +390,8 @@ def _suite_invariance(params, sol, rng):
     # z and its axis points in one pass
     jet = metric_jet(sol, _joined(z, axis))
     here, there = _split(jet, tensor_from_jet(jet))
-    on_axis = _bloch_split(*there)
-    raw = _bis_frame(_bloch_split(*here), v, w)
+    on_axis = _kernel_split(there[0])
+    raw = _bis_frame(_kernel_split(here[0]), v, w)
     normalized = _bis_frame(on_axis, pv, pw)
     scaled = _bis_frame(on_axis, pcv, pdw)
     direct = _bis_direct(*there, pv, pw)
@@ -413,8 +419,9 @@ def _split(jet: MetricJet, tensor: CurvatureTensor):
 
 
 def _rows(values: tuple, rows) -> tuple:
-    """values[rows] of each array in a nested tuple of arrays, such as a frame split."""
-    return tuple(_rows(a, rows) if isinstance(a, tuple) else a[rows] for a in values)
+    """values[rows] of each array in a nested tuple, such as a frame split; floats stay."""
+    return tuple(_rows(a, rows) if isinstance(a, tuple)
+                 else a[rows] if isinstance(a, np.ndarray) else a for a in values)
 
 
 def _suite_einstein(params, sol, rng):
@@ -448,13 +455,13 @@ def _suite_boundary_limit(params, sol, rng):
     checks = []
     vs = _random_vectors(rng, 2000)
     v, w = vs[::2].T, vs[1::2].T
-    # one order-4 pass on the axis points and their frame splits: the
-    # splits of the first three, as (3, 1) columns, broadcast against the
+    # one order-4 pass on the axis points and their frame forms: the
+    # forms of the first three, as (3, 1) columns, broadcast against the
     # 1000 pairs, so row i of the gaps sets Bis at (0, x_i) against the
     # limit in the same frame; (0, 0.4) serves the limit-value checks
     xs = (0.9, 0.99, 0.999, 0.4)
     jet = metric_jet(sol, Point(np.zeros(len(xs), complex), np.array(xs, complex)))
-    split = _bloch_split(jet, tensor_from_jet(jet))
+    split = _kernel_split(jet)
     near = _rows(split, np.s_[:3, None])
     gaps = _bis_frame(near, v, w) - _boundary_limit(near[0], v, w)
     E = dict(zip(xs, np.max(np.abs(gaps), axis=1).tolist()))
@@ -543,6 +550,9 @@ def _suite_regions(params, sol, rng):
     return checks
 
 
+_P_LIMIT_LAWS = 5   # the largest p the limit-law suites run for (module docstring)
+_LIMIT_LAW_SUITES = ("asymptotics", "boundary_limit", "regions")
+
 _SUITES = {
     "asymptotics": _suite_asymptotics,
     "origin": _suite_origin,
@@ -553,6 +563,18 @@ _SUITES = {
 }
 
 
+def _suite_names(name: str, p: int) -> tuple:
+    """The suites that name runs, in order, or a ValueError for an unknown name or too large a p."""
+    if name != "all" and name not in _SUITES:
+        raise ValueError(f"unknown suite {name!r}; expected one of "
+                         f"{', '.join(SUITE_NAMES)} or 'all'")
+    if p > _P_LIMIT_LAWS and (name == "all" or name in _LIMIT_LAW_SUITES):
+        raise ValueError(f"suite {name!r} runs for p = 1..{_P_LIMIT_LAWS}, got p = {p}: "
+                         f"{', '.join(_LIMIT_LAW_SUITES)} check limit laws pinned on p = 1..3; "
+                         f"origin, invariance and einstein run at every p")
+    return SUITE_NAMES if name == "all" else (name,)
+
+
 def run_suite(name: str, params: TubeParams, sol: PotentialSolution,
               seed: int = 0, timings: dict | None = None) -> SuiteReport:
     """Run one named verification suite (or "all") against a solution.
@@ -561,7 +583,9 @@ def run_suite(name: str, params: TubeParams, sol: PotentialSolution,
     ----------
     name : str
         One of asymptotics, origin, invariance, einstein, boundary_limit,
-        regions, or "all" for their concatenation.
+        regions, or "all" for their concatenation.  For p > 5 only
+        origin, invariance and einstein run; the others, and "all", raise
+        ValueError (module docstring).
     params : TubeParams
         Must agree with sol.params (passed separately so a report is
         explicit about what it certified).
@@ -579,11 +603,8 @@ def run_suite(name: str, params: TubeParams, sol: PotentialSolution,
     if params.p != sol.params.p:
         raise ValueError(f"params p={params.p} does not match solution p={sol.params.p}")
     seed = as_seed(seed)
-    if name != "all" and name not in _SUITES:
-        raise ValueError(f"unknown suite {name!r}; expected one of "
-                         f"{', '.join(SUITE_NAMES)} or 'all'")
     checks = []
-    for sub in SUITE_NAMES if name == "all" else (name,):
+    for sub in _suite_names(name, params.p):
         rng = np.random.default_rng(seed)
         start = time.perf_counter()
         found = _SUITES[sub](params, sol, rng)

@@ -208,9 +208,10 @@ def test_extremes_answer_beyond_the_jet_paths_range(sol1_file, capsys):
         (e["min"], e["max"], e["sect_max"]) for e in found[1:]]
 
 
-def test_a_pair_beyond_the_accurate_range_exits_2(sol1_file, capsys):
+def test_a_pair_beyond_the_jet_paths_range_answers(sol1_file, capsys):
     # p=1 at 1 - x = 1e-5, along the frame vector e1 = (alpha, beta): the
-    # tube formula would print 3.0126 where the exact Bis is -2
+    # closed forms give the ball's -2, where the jet path's split would
+    # print 3.0126
     jet = tubeke.metric_jet(tubeke.load_solution(sol1_file), tubeke.Point(0j, 0.99999 + 0j))
     alpha, beta, _ = _frame(jet)
     e1 = f"{alpha!r},0,{beta!r},0"
@@ -218,8 +219,10 @@ def test_a_pair_beyond_the_accurate_range_exits_2(sol1_file, capsys):
         code = main(["curvature", "--sol", str(sol1_file), "--point=0,0,0.99999,0",
                      f"--v={e1}", f"--w={e1}", *stats])
         captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        assert "Bis values at X = 0.99999 are refused" in captured.err
+        assert code == 0
+        assert abs(json.loads(captured.out)["bis"] + 2.0) <= 1e-8
+        if stats:
+            assert json.loads(captured.err)["einstein_defect"] <= 1e-14
 
 
 def test_axis_sweep_makes_one_split_per_call(sol_p2, split_calls, kernel_calls):
@@ -434,6 +437,35 @@ def test_stats_leave_stdout_unchanged_for_every_verb(verb, sol_file, tmp_path, c
         # the raw jet at this point, and the axis jet of the pair path, meet
         # the Einstein reduction to rounding
         assert 0.0 <= stats["einstein_defect"] <= 1e-8
+
+
+def test_verify_refuses_the_limit_law_suites_above_p5(capsys, monkeypatch):
+    # refused before the solve, with one line; the identity suites run
+    def no_solve(params):
+        raise AssertionError("solved before refusing")
+    monkeypatch.setattr(tubeke.cli, "solve_potential", no_solve)
+    for suite in ([], ["--suite", "asymptotics"], ["--suite", "all"]):
+        assert main(["verify", "--p", "6", *suite]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert "runs for p = 1..5, got p = 6" in captured.err
+    monkeypatch.undo()
+    assert main(["verify", "--p", "6", "--suite", "origin"]) == 0
+    assert "[PASS] suite=origin p=6" in capsys.readouterr().out
+
+
+def test_curvature_stats_report_the_closed_forms_defect_in_both_modes(sol_file, capsys):
+    # one einstein_defect, the extremes', whichever mode runs
+    point = "--point=-0.3,0.8,0.7,-1.1"
+    found = []
+    for mode in (["--v=-1,0.5,0,2", "--w", "0,0,1,0"], ["--extremes"],
+                 ["--v=-1,0.5,0,2", "--w", "0,0,1,0", "--extremes"]):
+        assert main(["curvature", "--sol", str(sol_file), point, *mode, "--stats"]) == 0
+        found.append(json.loads(capsys.readouterr().err)["einstein_defect"])
+    sol = tubeke.load_solution(sol_file)
+    jet = tubeke.metric_jet(sol, tubeke.Point.parse("-0.3,0.8,0.7,-1.1"))
+    expected = tubeke.bis_extremes_from_jet(jet, tubeke.tensor_from_jet(jet)).einstein_defect
+    assert found == [expected] * 3
 
 
 def test_verify_all_suites_p2():

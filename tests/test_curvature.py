@@ -520,11 +520,10 @@ def off_axis(x) -> Point:
 def test_extremes_answer_where_the_jet_path_defect_is_large(five_sols, p):
     # the extremes read the closed forms at X, on the axis and off it alike:
     # at 1 - |x| = 1e-4 their defect is at rounding level, and at 1e-6,
-    # where the jet path's reads 0.13 (p=8) to 140 (p=1) and its Bis values
-    # are refused, they answer too
+    # where the jet path's reads 0.13 (p=8) to 140 (p=1), they answer too
     sol = five_sols[p]
-    refused = [1.0 - 1e-6, -(1.0 - 1e-6)] + ([1.0 - 3e-5, 1.0 - 1e-5] if p == 1 else [])
-    for x in [1.0 - 1e-4, -(1.0 - 1e-4)] + refused:
+    far = [1.0 - 1e-6, -(1.0 - 1e-6)] + ([1.0 - 3e-5, 1.0 - 1e-5] if p == 1 else [])
+    for x in [1.0 - 1e-4, -(1.0 - 1e-4)] + far:
         values = []
         for z in (Point(0j, complex(x)), off_axis(x)):
             jet = metric_jet(sol, z)
@@ -534,33 +533,33 @@ def test_extremes_answer_where_the_jet_path_defect_is_large(five_sols, p):
             assert ext.einstein_defect <= 1.3e-4
             assert ext.min <= ext.max < 0.0 and sect < 0.0
             values.append((ext.min, ext.max, ext.einstein_defect, sect))
-            if x in refused:
-                # the raw jet's pair door, on the axis and off it, still refuses
-                with pytest.raises(DomainError, match="Bis values .* Einstein defect"):
-                    bisectional_from_jet(jet, tensor, ext.argmin)
+            if x in far:
+                # the raw jet's pair door, on the axis and off it, reads the
+                # same closed forms: argmin attains min
+                attained = bisectional_from_jet(jet, tensor, ext.argmin)
+                assert abs(attained - ext.min) <= 1e-13 * abs(ext.min)
         assert values[0] == values[1]
         assert (bis_extremes(sol, off_axis(x)).min, sectional_max(sol, off_axis(x))[0]) == (
             values[0][0], values[0][3])
 
 
-def test_the_pair_path_refuses_a_large_einstein_defect(sol_p1):
-    # p=1 at 1 - x = 1e-5: the split's defect reads 1.3, and along the frame
-    # vector e1 = (alpha, beta) the tube formula would give 3.0126 where the
-    # exact Bis is -2; random raw vectors sit near a Bloch pole and hide it
+def test_the_pair_doors_answer_where_the_jet_path_defect_is_large(sol_p1):
+    # p=1 at 1 - x = 1e-5: the jet path's split has defect 1.3, and along the
+    # frame vector e1 = (alpha, beta) it would give 3.0126; the tube doors
+    # read the closed forms and give the exact -2.  Random raw vectors sit
+    # near a Bloch pole and would hide a wrong M
     z = Point(0j, complex(1.0 - 1e-5))
     jet = metric_jet(sol_p1, z)
     tensor = tensor_from_jet(jet)
     alpha, beta, _ = _frame(jet)
     e1 = np.array([alpha, beta], dtype=complex)
     pair = TangentPair(v=e1, w=e1)
-    refused = f"Bis values at X = {re.escape(repr(jet.x_value))} are refused: .* Einstein defect"
     for evaluate in (lambda: bisectional(sol_p1, z, pair),
                      lambda: bisectional(sol_p1, z, pair, normalize=False),
                      lambda: bisectional_from_jet(jet, tensor, pair),
                      lambda: bisectional_batch(sol_p1, z, [e1], [e1]),
                      lambda: bisectional_batch(sol_p1, z, [e1], [e1], normalize=False)):
-        with pytest.raises(DomainError, match=refused):
-            evaluate()
+        assert np.all(np.abs(evaluate() + 2.0) <= 1e-8)
     # the 16-term sum, accurate for 1 - |X| >= 1e-4, is refused closer in
     # (here it would read 3.0127), whatever the defect
     direct = f"direct Bis values at X = {re.escape(repr(jet.x_value))} are refused"
@@ -568,13 +567,15 @@ def test_the_pair_path_refuses_a_large_einstein_defect(sol_p1):
                      lambda: bisectional_from_jet(jet, tensor, pair, formula="direct")):
         with pytest.raises(DomainError, match=direct):
             evaluate()
-    # a stack is refused as a whole, naming its first refused X
+    # a stack answers every row by the tube formula; by the direct one it is
+    # refused as a whole, naming its first refused X
     stack = metric_jet(sol_p1, Point(np.zeros(3, complex), np.array([0.3, 1.0 - 1e-5, 0.5]) + 0j))
     rows = np.array([e1] * 3)
-    for formula, message in (("tube", refused), ("direct", direct)):
-        with pytest.raises(DomainError, match=message):
-            bisectional_from_jet(stack, tensor_from_jet(stack), TangentPair(v=rows, w=rows),
-                                 formula=formula)
+    values = bisectional_from_jet(stack, tensor_from_jet(stack), TangentPair(v=rows, w=rows))
+    assert abs(values[1] + 2.0) <= 1e-8 and np.all(values < 0.0)
+    with pytest.raises(DomainError, match=direct):
+        bisectional_from_jet(stack, tensor_from_jet(stack), TangentPair(v=rows, w=rows),
+                             formula="direct")
     # at 1 - x = 1e-4 both paths answer, near the exact -2
     z = Point(0j, complex(1.0 - 1e-4))
     alpha, beta, _ = _frame(metric_jet(sol_p1, z))
@@ -582,6 +583,61 @@ def test_the_pair_path_refuses_a_large_einstein_defect(sol_p1):
     for formula in ("tube", "direct"):
         bis = bisectional(sol_p1, z, TangentPair(v=e1, w=e1), formula=formula)
         assert abs(bis + 2.0) <= 1e-3
+
+
+def in_frame_pairs(jet, rng, n):
+    """n seeded pairs drawn in the jet's g-orthonormal frame, given in raw coordinates.
+
+    Raw vectors drawn at random sit near a Bloch pole close to the boundary;
+    frame coordinates spread the Bloch vectors over the sphere.
+    """
+    alpha, beta, gamma = _frame(jet)
+    c = random_vectors(rng, 2 * n)
+    raw = np.stack([alpha * c[:, 0], beta * c[:, 0] + gamma * c[:, 1]], axis=-1)
+    return raw[:n], raw[n:]
+
+
+def test_the_pair_doors_give_the_ball_up_to_the_grid_end(sol_p1):
+    # p=1 is the complex ball: Bis equals the boundary limit of its jet at
+    # every point.  The normalized and raw doors, single and stacked, on the
+    # axis and at depth r = 2.5 off it, up to the grid end
+    rng = np.random.default_rng(91)
+    xs = [1.0 - 1e-4, 1.0 - 1e-6, 1.0 - 1e-8, sol_p1.x_max]
+    points = [Point(0j, complex(x)) for x in xs]
+    points += [Point(complex(-0.375, 0.7), complex(x * math.sqrt(2.5), -1.2)) for x in xs]
+    pairs = [in_frame_pairs(metric_jet(sol_p1, z), rng, 3) for z in points]
+    stack = Point.stack(points)
+    jet = metric_jet(sol_p1, stack)
+    for k in range(3):
+        v = np.array([vs[k] for vs, _ in pairs])
+        w = np.array([ws[k] for _, ws in pairs])
+        limits = boundary_limit_bis(jet, TangentPair(v=v, w=w))
+        assert np.all(limits < -1.0)
+        for normalize in (True, False):
+            stacked = bisectional(sol_p1, stack, TangentPair(v=v, w=w), normalize=normalize)
+            assert np.all(np.abs(stacked - limits) <= 1e-8), normalize
+            for i, z in enumerate(points):
+                single = bisectional(sol_p1, z, TangentPair(v=v[i], w=w[i]), normalize=normalize)
+                assert abs(single - limits[i]) <= 1e-8, (normalize, i)
+        from_jet = bisectional_from_jet(jet, tensor_from_jet(jet), TangentPair(v=v, w=w))
+        assert np.all(np.abs(from_jet - limits) <= 1e-8)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 8])
+def test_the_pair_doors_attain_the_extremes_up_to_the_grid_end(five_sols, p):
+    # the extremes' pairs, through bisectional at the same X, give min and
+    # max to rounding: one closed-form M serves both
+    sol = five_sols[p]
+    xs = [0.0, 0.5, -0.9, 0.99, 1.0 - 1e-4, -(1.0 - 1e-6), 1.0 - 1e-8, sol.x_max]
+    for x in xs:
+        z = Point(0j, complex(x))
+        ext = bis_extremes(sol, z)
+        for pair, value in ((ext.argmin, ext.min), (ext.argmax, ext.max)):
+            assert abs(bisectional(sol, z, pair) - value) <= 1e-12 * abs(value), (p, x)
+    stack = Point(np.zeros(len(xs), complex), np.array(xs, complex))
+    ext = bis_extremes(sol, stack)
+    for pair, values in ((ext.argmin, ext.min), (ext.argmax, ext.max)):
+        assert np.all(np.abs(bisectional(sol, stack, pair) - values) <= 1e-12 * np.abs(values))
 
 
 def test_both_extremes_share_one_split(sols, split_calls, kernel_calls):
@@ -604,7 +660,7 @@ def test_both_extremes_share_one_split(sols, split_calls, kernel_calls):
         # the tensor keeps the form outside its fields: eq, hash and repr are its coefficients
         fresh = tensor_from_jet(jet)
         assert tensor == fresh and hash(tensor) == hash(fresh) and repr(tensor) == repr(fresh)
-    # where the jet path's Bis values are refused the extremes answer, with no split
+    # where the jet path's defect is large the extremes answer, with no split
     far = metric_jet(sols[1], off_axis(1.0 - 1e-5))
     tensor = tensor_from_jet(far)
     for evaluate in (bis_extremes_from_jet, sectional_max_from_jet):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from tubeke import SUITE_NAMES, TubeParams, run_suite
+from tubeke import SUITE_NAMES, TubeParams, run_suite, solve_potential
 
 
 def test_suite_names():
@@ -85,3 +85,16 @@ def test_unknown_suite_rejected(sol_p1):
 def test_mismatched_params_rejected(sol_p1):
     with pytest.raises(ValueError, match="does not match"):
         run_suite("origin", TubeParams(p=2), sol_p1)
+
+
+def test_limit_law_suites_are_refused_above_p5():
+    # their thresholds are pinned on p = 1..3: from p = 6 on deriv_laws_k2
+    # fails on every seed, and from p = 15 the regions sweep's bis_max <= -0.1
+    # is false outright; the identity suites run at every p
+    sol = solve_potential(TubeParams(p=6))
+    for name in ("asymptotics", "boundary_limit", "regions", "all"):
+        with pytest.raises(ValueError, match=(r"runs for p = 1\.\.5, got p = 6: .*; origin, "
+                                              r"invariance and einstein run at every p")):
+            run_suite(name, sol.params, sol)
+    for name in ("origin", "invariance", "einstein"):
+        assert run_suite(name, sol.params, sol).overall, name

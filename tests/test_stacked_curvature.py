@@ -221,19 +221,25 @@ def test_stacked_extremizers_attain_their_values(p, five_sols):
 
 @pytest.mark.parametrize("p", [1, 2, 8])
 def test_stacked_refusal_names_the_first_refused_x(p, five_sols):
-    # beyond 1 - |x| = 1e-6 every p's Bis values are refused; the message
-    # names the first such row, not the worst one
+    # the tube formula answers every row, as the row's single point does
     sol = five_sols[p]
     xs = [0.3, 1.0 - 1e-4, -(1.0 - 1e-6), 0.5, 1.0 - 1e-7]
     jet = metric_jet(sol, axis_stack(xs))
     tensor = tensor_from_jet(jet)
-    first = repr(float(jet.x_value[2]))
     pair = TangentPair(v=np.array([1.0, 0.5j]), w=np.array([0.3, 1.0]))
-    with pytest.raises(DomainError, match=f"Bis values at X = {re.escape(first)} are refused"):
-        bisectional_from_jet(jet, tensor, pair)
+    values = bisectional_from_jet(jet, tensor, pair)
+    single = [bisectional_from_jet(j, tensor_from_jet(j), pair)
+              for j in (metric_jet(sol, Point(0j, complex(x))) for x in xs)]
+    assert values.tolist() == single and np.all(values < 0.0)
+    # beyond 1 - |x| = 1e-4 the direct formula's values are refused; the
+    # message names the first such row, not the worst one
+    first = repr(float(jet.x_value[2]))
+    with pytest.raises(DomainError,
+                       match=f"direct Bis values at X = {re.escape(first)} are refused"):
+        bisectional_from_jet(jet, tensor, pair, formula="direct")
     # without the refused rows the same stack answers
     kept = metric_jet(sol, axis_stack(xs[:2] + xs[3:4]))
-    assert np.all(bisectional_from_jet(kept, tensor_from_jet(kept), pair) < 0.0)
+    assert np.all(bisectional_from_jet(kept, tensor_from_jet(kept), pair, formula="direct") < 0.0)
     # the extremes answer every row, from the closed forms
     ext = bis_extremes_from_jet(jet, tensor)
     assert np.all(ext.einstein_defect <= 1.3e-4)

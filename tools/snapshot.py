@@ -26,7 +26,9 @@ It imports ``tubeke`` from the checkout on PYTHONPATH and writes into OUTDIR:
   +-0.5, +-0.99, and ``curvature --extremes`` at four points, ``metric``
   (the raw jet) there for p = 1, 2, 3, and ``curvature --v --w`` there for
   p = 1, 2, 3 with fixed vector pairs (among them vectors scaled by 2^600
-  and 2^-600, and a subnormal one).
+  and 2^-600, and a subnormal one); ``curvature --v --w`` with the same
+  pairs for p = 1, 2 on the axis at 1 - X = 1e-5 and at the grid end
+  (``edge*``).
 
 ``--stats``, whose timings vary from run to run, is left out.  Two
 checkouts give the same outputs exactly when ``diff -r`` between their
@@ -49,6 +51,7 @@ from tubeke.cli import main as cli_main
 SOLVE_PS = (*range(1, 9), 37, 38, 1000, 20000)
 EVAL_PS = (1, 2, 3, 5, 8)
 EVAL_XS = ("0", "0.5", "-0.5", "0.99", "-0.99")
+EDGE_PS = (1, 2)
 EXTREME_POINTS = ("0.01,0.2,0.5,-0.1", "-0.1,0.3,0.9,0.0", "0.0,0.0,0.0,0.0",
                   "0.05,-1.0,-0.7,0.4")
 # (v, w) as re1,im1,re2,im2: plain, scaled far out of and into the double
@@ -164,6 +167,11 @@ def main(outdir):
             for j, (v, w) in enumerate(VECTOR_PAIRS):
                 _cli(f"pair{i}_p{p}_{j}", "curvature", "--sol", f"p{p}.json",
                      f"--point={point}", f"--v={v}", f"--w={w}")
+    for p in EDGE_PS:
+        for i, x in enumerate((1.0 - 1e-5, sols[p].x_max)):
+            for j, (v, w) in enumerate(VECTOR_PAIRS):
+                _cli(f"edge{i}_p{p}_{j}", "curvature", "--sol", f"p{p}.json",
+                     f"--point=0,0,{x!r},0", f"--v={v}", f"--w={w}")
 
 
 if __name__ == "__main__":

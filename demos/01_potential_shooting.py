@@ -1,15 +1,16 @@
 """
-Solving the reduced potential equation by shooting
-===================================================
+Solving the reduced potential equation by one Taylor march
+==========================================================
 
 The radial profile F solves F'' = (4 e^{3F} + F'^2) / ((2p-1) x F' + 4pK)
 with F'(0) = 0 and F' blowing up at x = 1.  The equation is invariant
-under F(x) -> F(lambda x) + (2/3) ln(lambda), so one shot from any F(0) = c
-that blows up at x_b gives the critical value c + (2/3) ln(x_b), and every
-shot blows up somewhere.  The solver applies this correction to a coarse
-shot, then records a fine shot from the corrected value and maps it onto
-the profile by the same law: two integrations in all, for every p.
-Everything else in the library is evaluated from the stored profile.
+under F(x) -> F(lambda x) + (2/3) ln(lambda), so one march from any
+F(0) = c that blows up at x_b gives the critical value c + (2/3) ln(x_b),
+and every march blows up somewhere.  The solver marches once from
+F(0) = 2 with order-24 Taylor series, in steps and up to a stop that the
+dilation leaves unchanged, and maps the march's nodes onto the profile by
+the same law: 79 steps for every p.  Everything else in the library is
+evaluated from the nodes' series.
 """
 
 import math
@@ -22,9 +23,9 @@ from tubeke import TubeParams, solve_potential
 
 for p in (1, 2):
     sol = solve_potential(TubeParams(p=p))
-    print(f"p={p}: F(0) = {sol.F0:.12f}, blow-up at x = "
+    print(f"p={p}: F(0) = {sol.F0:.15f}, blow-up at x = "
           f"{sol.achieved_blowup_x:.12f}, {len(sol.xs)} nodes, "
-          f"{sol.stats['integrations']} integrations")
+          f"{sol.stats['accepted_steps']} Taylor steps")
 
 # --- the p=1 profile has a closed form --------------------------------
 # F(x) = ln(2)/3 - ln(1 - x^2), so F(0) = ln(2)/3 and f = 2x/(1-x^2).
@@ -50,8 +51,8 @@ print(f"  (1-x)^3 e^(3F)   = {d**3 * Z:.6f}   (-> (2p-1)/4 = 0.75)")
 print(f"  f'' (1-x)^3 / 2  = {f2 * d**3 / 2.0:.6f}   (-> 1)")
 
 # --- determinism -------------------------------------------------------
-# The shooting loop uses no randomness: a second solve reproduces the
-# stored nodes bit for bit.
+# The march uses no randomness: a second solve reproduces the stored
+# nodes bit for bit.
 
 again = solve_potential(TubeParams(p=2))
 print(f"\nre-solve reproduces nodes exactly: "

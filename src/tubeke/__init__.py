@@ -32,7 +32,7 @@ __version__ = "0.1.0"
 # a tracer or a test) is seen here and nothing goes stale
 _EXPORTS = {
     "params": ("TubeParams", "SUITE_NAMES"),
-    "errors": ("DomainError", "MaxStepsError"),
+    "errors": ("DomainError",),
     "potential_solver": ("PotentialSolution", "solve_potential", "load_solution",
                          "integral_identity_residuals"),
     "tube_geometry": ("Point", "TubeAutomorphism", "BoundaryClass", "RegionClass",

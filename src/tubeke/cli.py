@@ -284,7 +284,7 @@ def _add_stats(parser: argparse.ArgumentParser, stages: str) -> None:
 def _add_sol(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sol", required=True,
                         help="solution JSON from solve: its p is solved again (about "
-                             "8 ms), and the file is refused unless it records that solve")
+                             "6 ms), and the file is refused unless it records that solve")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -381,7 +381,8 @@ def _suite_invariance(params, sol, rng):
                 for a, b in ((j1.g, j2.g), (j1.d3, j2.d3), (j1.d4, j2.d4)))
     checks.append(_below("jets_translation_invariant", exact, 0.0))
     # Bis at z in the raw jet's frame there, and on the axis orbit from
-    # pushed vectors: normalized, scaled and direct share one axis jet
+    # pushed vectors: normalized, scaled and direct share one axis jet, and
+    # the 16-term sum reads the raw jet's tensor at z
     z = _random_stack(params, rng, 100)
     v, w, c, d = _pair_draws(rng, 100)
     v, w = v.T, w.T
@@ -395,12 +396,15 @@ def _suite_invariance(params, sol, rng):
     normalized = _bis_frame(on_axis, pv, pw)
     scaled = _bis_frame(on_axis, pcv, pdw)
     direct = _bis_direct(*there, pv, pw)
+    raw_direct = _bis_direct(*here, v, w)
     worst_bis = np.max(np.abs(raw - normalized) / np.abs(raw))
     worst_scale = np.max(np.abs(scaled - normalized) / np.abs(normalized))
     worst_formula = np.max(np.abs(direct - normalized) / np.abs(normalized))
+    worst_raw_formula = np.max(np.abs(raw_direct - raw) / np.abs(raw))
     checks.append(_below("bis_automorphism_invariance_rel", worst_bis, 1e-7))
     checks.append(_below("bis_scale_invariance_rel", worst_scale, 1e-10))
     checks.append(_below("bis_formula_agreement_rel", worst_formula, 1e-10))
+    checks.append(_below("bis_raw_formula_agreement_rel", worst_raw_formula, 1e-10))
     return checks
 
 

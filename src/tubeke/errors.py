@@ -3,7 +3,3 @@
 
 class DomainError(ValueError):
     """A point or parameter lies outside the mathematical domain of an operation."""
-
-
-class MaxStepsError(RuntimeError):
-    """The adaptive integrator exceeded its step budget."""

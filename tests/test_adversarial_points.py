@@ -30,6 +30,7 @@ import numpy as np
 import pytest
 
 from tubeke import (
+    BisExtremes,
     BoundaryClass,
     DomainError,
     MetricJet,
@@ -38,6 +39,7 @@ from tubeke import (
     TubeParams,
     XLDerivatives,
     apply,
+    bis_extremes,
     classify_boundary,
     einstein_residual,
     in_cone,
@@ -47,6 +49,7 @@ from tubeke import (
     metric_jet,
     normalizing_automorphism,
     region,
+    sectional_max,
     x_derivatives,
     x_invariant,
 )
@@ -201,6 +204,80 @@ def test_hard_points_are_right_or_refused(sol_p2, tmp_path, capsys):
             assert code == 0, captured.err
             out = json.loads(captured.out)
             assert (out["X"], out["det"], out["g"]) == (jet.x_value, jet.det, jet.metric.tolist())
+
+
+EVALUATORS = {
+    "F": (lambda sol, x: [sol.eval_F(x)], (1,)),
+    "f_derivs": (lambda sol, x: sol.eval_f_derivs(x, 3), (-1, 1, -1, 1)),
+    "Z": (lambda sol, x: sol.eval_Z(x, 2), (1, -1, 1)),
+}
+
+
+def test_profile_and_extremes_are_right_or_refused(sol_p2):
+    """The profile evaluators and the extremes at hard floats, and at the grid end.
+
+    The hard abscissae add the ulp neighbours of x_max.  An evaluator gives
+    finite values with the parity of each quantity (the exact symmetry
+    x -> -x), or a DomainError; the extremes at a hard point give the bits
+    of its clean equivalent (imaginary parts translated away), or a
+    DomainError.  A stacked row is held to the single call, and a stack
+    that holds a refused point is refused.
+    """
+    sol = sol_p2
+    ends = (np.nextafter(sol.x_max, 1.0), sol.x_max, np.nextafter(sol.x_max, -1.0))
+    xs = np.array([*HARD, *ends, *(-x for x in ends)])
+    with np.errstate(all="ignore"):
+        for name, (evaluate, parity) in EVALUATORS.items():
+            kept = []
+            for x in xs:
+                values = outcome(lambda: evaluate(sol, x))
+                if math.isfinite(x) and abs(x) <= sol.x_max:
+                    mirrored = evaluate(sol, -x)
+                    assert np.isfinite(values).all(), (name, x)
+                    assert np.array_equal(np.multiply(parity, mirrored), values), (name, x)
+                    kept.append((x, values))
+                else:
+                    assert isinstance(values, DomainError), (name, x)
+            rows = np.asarray(evaluate(sol, np.array([x for x, _ in kept])))
+            assert rows.T.tobytes() == np.array([v for _, v in kept]).tobytes(), name
+            with pytest.raises(DomainError):
+                evaluate(sol, xs)
+    assert [x for x in ends if x <= sol.x_max] == list(ends[1:])
+
+    def extremes(z):
+        ext, (sect, vector) = bis_extremes(sol, z), sectional_max(sol, z)
+        assert isinstance(ext, BisExtremes)
+        vector = np.asarray(vector)   # (2,), or (n, 2) rows for stacked points
+        return [ext.min, ext.max, ext.einstein_defect, sect, *vector.real.T, *vector.imag.T]
+
+    rng = np.random.default_rng(2031)
+
+    def part(extra=()):
+        pool = HARD + extra if rng.random() < 0.4 else PLAIN
+        return pool[rng.integers(len(pool))]
+
+    points = [Point(complex(part(DEPTHS), part()), complex(part(ends), part()))
+              for _ in range(200)]
+    single = []
+    with np.errstate(all="ignore"):
+        for z in points:
+            values = outcome(lambda: extremes(z))
+            single.append(values)
+            if isinstance(values, Exception):
+                assert isinstance(values, DomainError), z
+                if finite(z):
+                    clean = Point(complex(z.z1.real), complex(z.z2.real))
+                    assert isinstance(outcome(lambda: extremes(clean)), DomainError), z
+                continue
+            clean = Point(complex(z.z1.real), complex(z.z2.real))
+            assert np.isfinite(values).all(), z
+            assert np.array(values).tobytes() == np.array(extremes(clean)).tobytes(), z
+        kept = [(z, v) for z, v in zip(points, single) if not isinstance(v, Exception)]
+        assert 60 <= len(kept) <= 180   # the draw mixes accepted and refused points
+        rows = np.array(extremes(Point.stack([z for z, _ in kept])), dtype=float).T
+        assert rows.tobytes() == np.array([v for _, v in kept]).tobytes()
+        with pytest.raises(DomainError):
+            extremes(Point.stack(points))
 
 
 def draw_automorphism(rng):

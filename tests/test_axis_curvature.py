@@ -80,6 +80,17 @@ def test_the_kernel_gives_the_center_closed_forms(p, five_sols, sol_p1000):
     assert abs(sect - float(closed.sect_max)) <= 1e-15
 
 
+def test_the_solved_p1_profile_gives_the_ball_up_to_the_grid_end(sol_p1):
+    # at every node, between nodes, and log-spaced up to x_max, on both sides
+    xs = sol_p1.xs
+    tail = 1.0 - np.logspace(-1.0, np.log10(1.0 - sol_p1.x_max), 200)
+    x = np.concatenate([xs, 0.5 * (xs[1:] + xs[:-1]), tail[tail <= sol_p1.x_max]])
+    x = np.concatenate([x, -x])
+    ext, (sect, _) = bis_extremes(sol_p1, axis(x)), sectional_max(sol_p1, axis(x))
+    assert max(np.max(np.abs(ext.min + 2.0)), np.max(np.abs(ext.max + 1.0)),
+               np.max(np.abs(sect + 2.0))) <= 1e-12
+
+
 def test_extremes_answer_the_ball_where_the_jet_path_refused(sol_p1):
     # p=1 at 1 - x = 1e-5: the jet path's defect reads 1.3 there
     z = Point(0j, complex(1.0 - 1e-5))

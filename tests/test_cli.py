@@ -62,7 +62,7 @@ def test_solve_has_no_accuracy_options(tmp_path, capsys):
 
 def test_solve_refuses_a_blowup_cap_too_low(tmp_path, capsys, monkeypatch):
     # a profile the validator refuses is not written, and the verb exits 2
-    monkeypatch.setattr(tubeke.potential_solver, "_F_CAP", 1e3)
+    monkeypatch.setattr(tubeke.potential_solver, "_U_CAP", 1e3)
     assert main(["solve", "--p", "2", "--out", str(tmp_path / "s.json")]) == 2
     assert "blow-up estimate error" in capsys.readouterr().err
     assert not (tmp_path / "s.json").exists()
@@ -385,7 +385,7 @@ def test_verify_stats_leave_stdout_and_report_unchanged(tmp_path, capsys):
     assert set(stats) == {"solve_s", "solver", "suite_s", "checks", "failed"}
     assert list(stats["suite_s"]) == list(tubeke.SUITE_NAMES)
     assert all(t > 0.0 for t in [stats["solve_s"], *stats["suite_s"].values()])
-    assert stats["solver"]["integrations"] == 2 and stats["solver"]["nodes"] > 1000
+    assert stats["solver"]["integrations"] == 1 and stats["solver"]["nodes"] == 80
     assert stats["checks"] == len(json.loads(report)["checks"]) and stats["failed"] == 0
 
 
@@ -423,9 +423,9 @@ def test_stats_leave_stdout_unchanged_for_every_verb(verb, sol_file, tmp_path, c
     stats = json.loads(err_s)
     assert list(stats) == [f"{s}_s" for s in stages] + ["solver"] + health
     assert all(stats[f"{s}_s"] >= 0.0 for s in stages)
-    assert stats["solver"]["nodes"] > 1000
+    assert stats["solver"]["nodes"] == 80
     # every verb solves: a file records a solve and loading repeats it
-    assert stats["solver"]["integrations"] == 2
+    assert stats["solver"]["integrations"] == 1
     if verb == "sweep":
         # the largest defect over the rows: on the axis, the closed forms'
         # |Q1111 + Q1122 + 3|, at rounding level

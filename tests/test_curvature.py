@@ -448,11 +448,13 @@ def test_origin_extremes_match_closed_forms(sols):
 
 def test_bis_max_reaches_a_known_pair_near_the_boundary(sol_p2):
     # this pair, evaluated by the independent 16-term sum, bounds the maximum
-    # from below; a local search from a coarse grid stops 1.27e-6 short of it
+    # from below; a local search from a coarse grid stops 1.27e-6 short of it.
+    # The value is the one a 30-digit mpmath profile (F, f) at x = 0.975 gives
+    # through the same formula
     z = Point(0j, 0.975 + 0j)
     pair = TangentPair(v=np.array([0.465695, -1.0]), w=np.array([1.0, 0.146903]))
     direct = bisectional(sol_p2, z, pair, formula="direct")
-    assert abs(direct + 0.99953216337) < 1e-10
+    assert abs(direct + 0.99953216430) < 1e-10
     assert bis_extremes(sol_p2, z).max >= direct - 1e-10
 
 

@@ -33,25 +33,26 @@ from tubeke.curvature import _axis_form, _bis_frame
 
 from conftest import reference_bis, reference_extremes
 
-_IDX = (1, 2)
 KEYS = ("R1111", "R1112", "R1122", "R1212", "R1222", "R2222")
 
 
 def reference_tensor_from_jet(jet):
     """Curvature coefficients from an already computed metric jet.
 
-    The inverse is formed from g's own det, as tensor_from_jet forms it.
+    The inverse is the adjugate over g's own det, and the sums run in
+    np.longdouble and round once, as tensor_from_jet forms them.
     """
-    g11, g12, g22 = jet.g
+    double = float if np.ndim(jet.g[0]) == 0 else (lambda v: v.astype(float))
+    one = np.longdouble(1.0)
+    g11, g12, g22 = (one * v for v in jet.g)
     det = g11 * g22 - g12 * g12
-    ginv = [[g22 / det, -g12 / det], [-g12 / det, g11 / det]]
 
     def R(i, j, k, l):
-        s = 0.0
-        for a in _IDX:
-            for b in _IDX:
-                s += jet.deriv(i, a, k) * ginv[a - 1][b - 1] * jet.deriv(b, j, l)
-        return -jet.deriv(i, j, k, l) + s
+        def d(*word):
+            return one * jet.deriv(*word)
+        u = g22 * d(1, j, l) - g12 * d(2, j, l)
+        w = g11 * d(2, j, l) - g12 * d(1, j, l)
+        return double((d(i, 1, k) * u + d(i, 2, k) * w) / det - jet.deriv(i, j, k, l))
 
     return CurvatureTensor(
         R1111=R(1, 1, 1, 1), R1112=R(1, 1, 1, 2), R1122=R(1, 1, 2, 2),

@@ -217,7 +217,7 @@ def reference_invariance(params, sol, rng):
         exact = max(exact, float(np.max(np.abs(j1.metric - j2.metric))),
                     max(abs(a - b) for a, b in zip(j1.d4, j2.d4)))
     checks.append(_below("jets_translation_invariant", exact, 0.0))
-    worst_bis = worst_scale = worst_formula = 0.0
+    worst_bis = worst_scale = worst_formula = worst_raw_formula = 0.0
     for z in reference_random_points(params, rng, 100):
         v, w = diagnostics._random_vectors(rng, 2)
         pair = TangentPair(v=v, w=w)
@@ -229,9 +229,12 @@ def reference_invariance(params, sol, rng):
         worst_scale = max(worst_scale, abs(scaled - normalized) / abs(normalized))
         direct = bisectional(sol, z, pair, formula="direct")
         worst_formula = max(worst_formula, abs(direct - normalized) / abs(normalized))
+        raw_direct = bisectional(sol, z, pair, normalize=False, formula="direct")
+        worst_raw_formula = max(worst_raw_formula, abs(raw_direct - raw) / abs(raw))
     checks.append(_below("bis_automorphism_invariance_rel", worst_bis, 1e-7))
     checks.append(_below("bis_scale_invariance_rel", worst_scale, 1e-10))
     checks.append(_below("bis_formula_agreement_rel", worst_formula, 1e-10))
+    checks.append(_below("bis_raw_formula_agreement_rel", worst_raw_formula, 1e-10))
     return checks
 
 

@@ -231,7 +231,7 @@ def _tensor(g11, g12, g22, d3, d4) -> CurvatureTensor:
     once to a double: in doubles each kept 5e-14 relative error there,
     which _bloch_split and the 16-term sum amplified to 2e-9.
     """
-    double = float if np.ndim(g11) == 0 else (lambda v: v.astype(float))
+    double = (lambda v: v.astype(float)) if isinstance(g11, np.ndarray) and g11.ndim else float
     g11, g12, g22 = (_LD_ONE * v for v in (g11, g12, g22))
     d3 = [_LD_ONE * v for v in d3]
     # R takes the inverse of the computed g: the jet's closure det triples its error
@@ -318,7 +318,7 @@ def _pull_to_axis(sol: PotentialSolution, z: Point, r, vectors):
 
 def _on_axis(x) -> Point:
     """The axis point (0, x), or the stacked axis points of an array x."""
-    if np.ndim(x):
+    if isinstance(x, np.ndarray) and x.ndim:
         return Point(np.zeros(x.shape, dtype=complex), x.astype(complex))
     return Point(0j, complex(x))
 

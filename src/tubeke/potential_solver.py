@@ -35,11 +35,17 @@ and its derivatives and f', f'', f''' exactly from the ODE at the
 interpolated (F, f).  The integral-identity check integrates the same
 polynomials exactly.
 
-An evaluator call, at a scalar or an array, makes one domain check (one
-reduction, all |x| <= x_max), one node lookup and one series evaluation,
-which F and f share, and one parity step for the odd quantities.  A
-scalar's results come back as Python floats, with the bits of a row of a
-stacked call.
+An evaluator call makes one domain check (|x| <= x_max), one node lookup
+and one series evaluation, which F and f share, and one parity step for the
+odd quantities, on one of two paths.  One value (any 0-d input) takes the
+float path: it is converted once with float(), its node found with
+bisect_right on a list of the nodes, and its offset and ODE chain formed
+in Python floats; its running powers and their sum with the node's
+coefficients are the stacked path's accumulate and einsum on one row.  An
+array takes the stacked path, which does the same on whole arrays.
+Python floats round as numpy's float64 does, so a single value's results
+are Python floats with the bits of its row in a stacked call.  A value
+either path refuses gets one message, from _refuse.
 
 The profile is a function of p alone (1 <= p <= _P_MAX), and
 solve_potential is its one source: a solution file records a solve, and
@@ -50,6 +56,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from operator import mul
 from pathlib import Path
@@ -158,6 +165,8 @@ def _ode_chain(params, ax, F, f, n):
     n = 1.
     """
     Z = np.exp(3.0 * F)
+    if type(F) is float:   # one point's chain runs in Python floats
+        Z = float(Z)
     if n == 1:
         return [Z]
     p = params.p
@@ -177,11 +186,18 @@ def _ode_chain(params, ax, F, f, n):
     return [Z, f1, Z1, f2, Z2, f3][:n]
 
 
-def _floats_for_scalar(x, values):
-    """values as Python floats when the float array x is 0-d, else unchanged."""
-    if x.ndim == 0:
-        return list(map(float, values))
-    return values
+def _single(x):
+    """x as a Python float when it is one value (any 0-d input), else None."""
+    if isinstance(x, float | int) or np.ndim(x) == 0:
+        return float(x)
+    return None
+
+
+def _sign(x):
+    """-1.0 where x < 0, else 1.0 (also at -0.0), for a float or a float array."""
+    if isinstance(x, np.ndarray):
+        return np.where(x < 0.0, -1.0, 1.0)
+    return -1.0 if x < 0.0 else 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +253,10 @@ class PotentialSolution:
         object.__setattr__(self, "_inner", self.xs[1:-1])
         object.__setattr__(self, "_h", np.diff(self.xs))
         object.__setattr__(self, "_coeffs", coeffs)
+        # the float path's copies: Python lists of the nodes and widths, and
+        # each interval's (2, _ORDER + 1) row of coefficients
+        object.__setattr__(self, "_lists", (self._inner.tolist(), self.xs.tolist(),
+                                            self._h.tolist(), list(coeffs.transpose(1, 0, 2))))
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -248,22 +268,54 @@ class PotentialSolution:
     def _at(self, x):
         """(x, |x|, F, f): the one domain check and the profile at |x|.
 
-        x comes back as a float array.  One reduction, all(|x| <= x_max),
-        admits the abscissae; only a refusal looks further, to name its
-        reason.
+        One value (any 0-d input) takes the float path: x comes back as a
+        Python float and |x|, F and f as Python floats, with the bits of a
+        row of a stacked call (_point).  Anything else comes back as float
+        arrays (_profile).  One comparison per path, |x| <= x_max, admits
+        the abscissae; only a refusal looks further, to name its reason.
         """
+        single = _single(x)
+        if single is not None:
+            return single, *self._point(single)
         x = np.asarray(x, dtype=float)
         ax = np.abs(x)
         if not (ax <= self.xs[-1]).all():   # false for NaN
-            if not np.isfinite(ax).all():
-                raise DomainError("x must be finite")
-            if (ax >= 1.0).any():
-                raise DomainError("|x| must be < 1")
-            raise DomainError(
-                f"|x| exceeds the solved range [0, {self.x_max!r}] "
-                "(the grid stops where f crosses the blow-up threshold)"
-            )
+            self._refuse(ax)
         return x, ax, *self._profile(ax)
+
+    def _refuse(self, ax):
+        """Raise the DomainError for ax (a float or an array) that is not all admitted.
+
+        It names the first reason that holds, in this order: a non-finite
+        value, |x| >= 1, |x| beyond x_max.
+        """
+        if not np.all(np.isfinite(ax)):
+            raise DomainError("x must be finite")
+        if np.any(ax >= 1.0):
+            raise DomainError("|x| must be < 1")
+        raise DomainError(
+            f"|x| exceeds the solved range [0, {self.x_max!r}] "
+            "(the grid stops where f crosses the blow-up threshold)"
+        )
+
+    def _point(self, x):
+        """(|x|, F, f) at one float x, as _profile's row for it in Python floats.
+
+        The same node and offset, formed in Python floats, which round as
+        numpy's do, and the same running powers and einsum over the node's
+        row of coefficients, so the bits are those of the stacked row.
+        """
+        inner, xs, h, rows = self._lists
+        ax = abs(x)
+        if not ax <= xs[-1]:   # false for NaN
+            self._refuse(ax)
+        i = bisect_right(inner, ax)   # searchsorted(side="right")
+        t = (ax - xs[i]) / h[i]
+        powers = np.full(_ORDER + 1, t)
+        powers[0] = 1.0
+        np.multiply.accumulate(powers, out=powers)
+        F, f = np.einsum("...k,...k->...", rows[i], powers).tolist()
+        return ax, F, f
 
     def _profile(self, ax):
         """(F, f) at the abscissae 0 <= ax <= x_max, each shaped like ax.
@@ -288,8 +340,7 @@ class PotentialSolution:
 
     def eval_F(self, x):
         """Potential profile F at x (scalar or array), |x| < 1 by parity."""
-        x, _, F, _ = self._at(x)
-        return _floats_for_scalar(x, [F])[0]
+        return self._at(x)[2]
 
     def eval_f_derivs(self, x, max_order: int = 3):
         """[f, f', f'', f'''] at x, truncated to max_order+1 entries.
@@ -314,13 +365,13 @@ class PotentialSolution:
         if not 0 <= max_order <= 3:
             raise ValueError(f"max_order must be in 0..3, got {max_order}")
         x, ax, F, f = self._at(x)
-        sgn = np.where(x < 0.0, -1.0, 1.0)
+        sgn = _sign(x)
         out = [sgn * f]
         if max_order:
             out += _ode_chain(self.params, ax, F, f, 2 * max_order)[1::2]
         if max_order >= 2:
             out[2] = sgn * out[2]
-        return _floats_for_scalar(x, out)
+        return out
 
     def eval_Z(self, x, max_order: int = 2):
         """[Z, Z', Z''] with Z = e^{3F}, truncated to max_order+1 entries.
@@ -332,8 +383,8 @@ class PotentialSolution:
         x, ax, F, f = self._at(x)
         out = _ode_chain(self.params, ax, F, f, 2 * max_order + 1)[::2]
         if max_order:
-            out[1] = np.where(x < 0.0, -1.0, 1.0) * out[1]
-        return _floats_for_scalar(x, out)
+            out[1] = _sign(x) * out[1]
+        return out
 
     # -- persistence --------------------------------------------------------
 

@@ -153,12 +153,14 @@ def _all(cond) -> bool:
 
 def _real(value):
     """A float, or a float array for stacked values."""
-    return np.asarray(value, dtype=float) if np.ndim(value) else float(value)
+    if isinstance(value, float | int) or np.ndim(value) == 0:
+        return float(value)
+    return np.asarray(value, dtype=float)
 
 
 def _first(values, ok):
     """The single value, or the first stacked one where ok fails."""
-    if np.ndim(ok) == 0:
+    if not (isinstance(ok, np.ndarray) and ok.ndim):
         return values
     index = np.unravel_index(np.argmin(ok), np.shape(ok))
     return np.broadcast_to(values, np.shape(ok))[index].item()
@@ -166,7 +168,7 @@ def _first(values, ok):
 
 def _first_point(z: Point, ok) -> Point:
     """z itself, or the first stacked point where ok fails."""
-    if np.ndim(ok) == 0:
+    if not (isinstance(ok, np.ndarray) and ok.ndim):
         return z
     return Point(complex(_first(z.z1, ok)), complex(_first(z.z2, ok)))
 

@@ -770,9 +770,15 @@ def test_boundary_limit_shape(sol_p2):
     assert abs(boundary_limit_bis(jet, TangentPair(v=v, w=w)) + 1.0) < 1e-12
 
 
-def exact_boundary_limit(g, v, w) -> float:
-    """-1 - |<v,w>_g|^2 / (|v|_g^2 |w|_g^2), exact on the float inputs, rounded once."""
-    g11, g12, g22 = (Fraction(float(e)) for e in (g[0, 0], g[0, 1], g[1, 1]))
+def exact_boundary_limit(jet, v, w) -> float:
+    """-1 - |<v,w>_g|^2 / (|v|_g^2 |w|_g^2), exact on the float inputs, rounded once.
+
+    g is the metric the frame is built from: g12, g22 and the jet's closure
+    det, so g11 = (det + g12^2)/g22 exactly.  The rounded g11 differs from it
+    by up to 8.6e-13 relative at x = 0.9999 (g11 g22 and g12^2 cancel).
+    """
+    _, g12, g22 = (Fraction(float(e)) for e in jet.g)
+    g11 = (Fraction(float(jet.det)) + g12 * g12) / g22
 
     def ip(a, b):
         # sum g_ij a_i conj(b_j) as (real, imaginary) parts
@@ -789,9 +795,11 @@ def exact_boundary_limit(g, v, w) -> float:
 @pytest.mark.parametrize("p", [1, 2])
 def test_boundary_limit_is_exact_to_rounding(sols, p):
     # in the frame the Gram ratio is a sum of squares: it is within 4 EPS
-    # of the exact value of the same float inputs, times 1 + kappa for the
-    # cancellation kappa = |v1| sqrt(g22) / |v|_g in the frame coordinate
+    # of the exact value on the frame's float inputs (g12, g22 and the
+    # closure det), times 1 + kappa for the cancellation
+    # kappa = |v1| sqrt(g22) / |v|_g in the frame coordinate
     # v1^ = (v1 + v0 g12/g22) sqrt(g22), at any cond(g) (up to 6e4 here).
+    # Over seeds 1000-1039 the largest error is 3.4 EPS (1 + kappa).
     # The raw-coordinate form loses 117 EPS at p=2, x = 0.999, and a det g
     # rounded from g11 g22 - g12^2 216 EPS at p=1, x = 0.9999
     rng = np.random.default_rng(28)
@@ -803,7 +811,7 @@ def test_boundary_limit_is_exact_to_rounding(sols, p):
             vs, ws = random_vectors(rng, 100), random_vectors(rng, 100)
             # a tenth of the v rows close to e1, where v1^ cancels
             vs[:10, 1] = -(g[0, 1] / g[1, 1]) * vs[:10, 0] * (1.0 + 1e-3 * rng.normal(size=10))
-            exact = [exact_boundary_limit(g, v, w) for v, w in zip(vs, ws)]
+            exact = [exact_boundary_limit(jet, v, w) for v, w in zip(vs, ws)]
             kappa = [max(abs(u[1]) * math.sqrt(g[1, 1] / g_norm_sq(jet, u)) for u in pair)
                      for pair in zip(vs, ws)]
             error = np.abs(boundary_limit_bis(jet, TangentPair(v=vs, w=ws)) - exact)

@@ -349,19 +349,40 @@ EVALUATORS = {
 
 
 @pytest.mark.parametrize("evaluator", EVALUATORS)
-def test_every_argument_form_gives_the_same_bits(sol_p2, evaluator):
-    # seeded x, both zeros, every node, the ends of the range and the last
-    # intervals' midpoints; a Python float, np.float64 and a 0-d array each
-    # give Python floats with the bits of a row of a stacked array
-    sol, evaluate = sol_p2, EVALUATORS[evaluator]
+@pytest.mark.parametrize("p", [1, 2, 3, 5])
+def test_every_argument_form_gives_the_same_bits(five_sols, p, evaluator):
+    # seeded x, both zeros and -0's neighbour, every node and its two
+    # neighbours inside the range (x_max's lower one among them), the ends
+    # of the range and the last intervals' midpoints; an int, a Python
+    # float, np.float64 and a 0-d array each take the float path and give
+    # Python floats with the bits of a row of a stacked array
+    sol, evaluate = five_sols[p], EVALUATORS[evaluator]
     mids = 0.5 * (sol.xs[-4:-1] + sol.xs[-3:])
+    around = np.concatenate([np.nextafter(sol.xs[1:], 0.0), np.nextafter(sol.xs[:-1], 1.0)])
     xs = np.concatenate([np.random.default_rng(21).uniform(-sol.x_max, sol.x_max, 40),
-                         [0.0, -0.0, sol.x_max, -sol.x_max], mids, -mids, sol.xs])
+                         [0.0, -0.0, np.nextafter(-0.0, -1.0), sol.x_max, -sol.x_max],
+                         mids, -mids, sol.xs, around, -around])
     rows = np.asarray(evaluate(sol, np.stack([xs[::-1], xs])))[:, 1]
     for form in (float, np.float64, np.array):
         values = [evaluate(sol, form(x)) for x in xs.tolist()]
         assert all(type(v) is float for vs in values for v in vs)
         assert np.array(values).T.tobytes() == rows.tobytes(), form
+    assert np.array(evaluate(sol, 0)).tobytes() == rows[:, 40].tobytes()
+
+
+@pytest.mark.parametrize("evaluator", EVALUATORS)
+@pytest.mark.parametrize("p", [1, 2])
+def test_a_single_value_is_refused_as_a_stacked_one(five_sols, p, evaluator):
+    # the float path admits |x| <= x_max and hands anything else to the
+    # array path's refusal, so one value and a stack holding it read alike
+    sol, evaluate = five_sols[p], EVALUATORS[evaluator]
+    for bad in (math.nan, math.inf, -math.inf, 1.0, -1.0, np.nextafter(sol.x_max, 1.0)):
+        with pytest.raises(DomainError) as stacked:
+            evaluate(sol, np.array([0.3, bad]))
+        for form in (float, np.float64, np.array):
+            with pytest.raises(DomainError) as single:
+                evaluate(sol, form(bad))
+            assert str(single.value) == str(stacked.value), (bad, form)
 
 
 def test_a_solution_equals_only_itself(sol_p2):

@@ -227,6 +227,20 @@ def test_automorphism_validation():
             TubeAutomorphism(params=P1, lam=np.array([1.0, bad, 2.0]))
 
 
+def test_an_automorphism_reads_any_scalar_form_alike():
+    # a float, a numpy scalar and a 0-d array give float translations and
+    # the same Jacobian determinant and image
+    z = Point(-0.2 + 0.3j, 0.4 - 0.1j)
+    results = []
+    for form in (float, np.float64, np.array):
+        a = TubeAutomorphism(params=P2, lam=form(2.0), u=(form(0.1), form(-0.2)))
+        assert all(type(u) is float for u in a.u)
+        results.append((a.u, jacobian_det(a), apply(a, z)))
+        with pytest.raises(ValueError, match="dilation factor must be positive"):
+            TubeAutomorphism(params=P2, lam=form(-1.0))
+    assert results[0] == results[1] == results[2]
+
+
 def test_classify_boundary():
     # the weakly pseudoconvex set is the vertical plane through (1/(4p), 0)
     assert classify_boundary(P2, Point(0.125 + 3j, 7j)) \

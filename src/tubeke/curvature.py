@@ -51,16 +51,21 @@ single point's bit for bit.  The pull to the axis has the same one pow, and
 the Bloch vectors round alike on Python complex and on numpy columns, so
 bisectional (normalized, tube) at stacked points equals the single point's
 bit for bit too.  So does the raw jet (metric_tensor), and with it raw
-(normalize=False) tube Bis and the extremes of a raw stacked jet.
-formula="direct" is the one door whose stacked rows match only to
-rounding: numpy's complex products round differently on arrays.
+(normalize=False) tube Bis and the extremes of a raw stacked jet, and so
+does formula="direct", whose 16-term sum is formed from real parts.
 
-The extremes make one closed-form evaluation per (jet, tensor): the tensor
-keeps the reduced form (frame, eigenpairs, defect) of the last jet it was
-evaluated with, so sectional_max_from_jet after bis_extremes_from_jet
-evaluates nothing again.
+Each door builds only the jet entries it reads.  The tube formula and the
+extremes read g, det and (f, f'), so bisectional (tube, either mode),
+bis_extremes and sectional_max build an order-2 jet and no tensor; on the
+axis that jet comes from per-p constants with no admission, pow or log
+(metric_tensor._axis_jet), with metric_jet's bits.  formula="direct" alone
+builds the order-4 jet and its tensor.  The *_from_jet extremes make one
+closed-form evaluation per (jet, tensor): a tensor keeps the reduced form
+(frame, eigenpairs, defect) of the last jet it was evaluated with, so
+sectional_max_from_jet after bis_extremes_from_jet evaluates nothing again.
+They read the tensor for nothing else, and a tensor of None keeps nothing.
 bis_extremes_from_jet computes the values alone, and BisExtremes builds its
-attaining pairs from the kept frame and eigenpairs when they are first read.
+attaining pairs from the frame and eigenpairs when they are first read.
 """
 
 from __future__ import annotations
@@ -78,7 +83,7 @@ from .params import TubeParams
 from .potential_solver import PotentialSolution
 from .errors import DomainError
 from .tube_geometry import Point, _all, _first, _first_point, _orbit_x, require_domain
-from .metric_tensor import MetricJet, _admitted_tables, _four_z, _jet, metric_jet
+from .metric_tensor import MetricJet, _admitted_tables, _axis_jet, _four_z, _jet
 from ._axis_coefficients import NUMERATORS
 
 __all__ = [
@@ -229,7 +234,8 @@ def _tensor(g11, g12, g22, d3, d4) -> CurvatureTensor:
     d3 g^{-1} d3 cancels against d4 near the boundary (by 1e4 at
     |x| = 0.99), so it runs in np.longdouble and each coefficient rounds
     once to a double: in doubles each kept 5e-14 relative error there,
-    which _bloch_split and the 16-term sum amplified to 2e-9.
+    which the tensor's frame split (tests/conftest.py) and the 16-term
+    sum amplified to 2e-9.
     """
     double = (lambda v: v.astype(float)) if isinstance(g11, np.ndarray) and g11.ndim else float
     g11, g12, g22 = (_LD_ONE * v for v in (g11, g12, g22))
@@ -262,23 +268,36 @@ def tensor_from_jet(jet: MetricJet) -> CurvatureTensor:
 def _bis_direct(jet, tensor: CurvatureTensor, v, w) -> float:
     """Classical 16-term curvature sum; independent cross-check path.
 
-    v and w are vectors, or (2, n) columns of them with a stacked jet.
+    v and w are vectors, or (2, n) columns of them with a stacked jet.  The
+    sum of R_{i jbar k lbar} v_i conj(v_j) w_k conj(w_l) is real: its 16
+    terms, in (i, j, k, l) order, are R Re(P_ij Q_kl) with P_ij =
+    v_i conj(v_j) and Q_kl = w_k conj(w_l), all formed from real parts
+    (numpy's complex product may fuse a multiply-add where Python's does
+    not), so a stacked row equals the single call bit for bit.
     """
-    num = 0.0 + 0.0j
+    if v.ndim == 1:
+        v, w = v.tolist(), w.tolist()
+    P, Q = _outer_parts(v), _outer_parts(w)
+    num = 0.0
     for i in _IDX:
         for j in _IDX:
             for k in _IDX:
                 for l in _IDX:
-                    num += (tensor.coeff(i, j, k, l)
-                            * v[i - 1] * np.conjugate(v[j - 1])
-                            * w[k - 1] * np.conjugate(w[l - 1]))
+                    (pr, pi), (qr, qi) = P[i - 1][j - 1], Q[k - 1][l - 1]
+                    num = num + tensor.coeff(i, j, k, l) * (pr * qr - pi * qi)
     g11, g12, g22 = jet.g
 
-    def sq_norm(u):
-        return (g11 * abs(u[0]) ** 2 + g22 * abs(u[1]) ** 2
-                + 2.0 * (g12 * u[0] * np.conjugate(u[1])).real)
+    def sq_norm(U):
+        return g11 * U[0][0][0] + g22 * U[1][1][0] + 2.0 * (g12 * U[0][1][0])
 
-    return num.real / (sq_norm(v) * sq_norm(w))
+    return num / (sq_norm(P) * sq_norm(Q))
+
+
+def _outer_parts(u) -> tuple:
+    """(Re, Im) of u_i conj(u_j), indexed [i - 1][j - 1], of a vector or (2, n) columns."""
+    a, b, c, d = u[0].real, u[0].imag, u[1].real, u[1].imag
+    re, im = a * c + b * d, b * c - a * d   # u_1 conj(u_2)
+    return (((a * a + b * b, 0.0), (re, im)), ((re, -im), (c * c + d * d, 0.0)))
 
 
 def _columns(pair: TangentPair, x) -> tuple:
@@ -388,11 +407,12 @@ def bisectional(sol: PotentialSolution, z: Point, pair: TangentPair,
     """
     r = require_domain(sol.params, z)
     v, w = _columns(pair, z.z1)
+    order = 2 if formula == "tube" else 4   # the tube formula reads g, det and (f, f')
     if normalize:
-        z, (v, w) = _pull_to_axis(sol, z, r, (v, w))
-        jet = metric_jet(sol, z)
+        axis, (v, w) = _pull_to_axis(sol, z, r, (v, w))
+        jet = _axis_jet(sol, axis, order)
     else:
-        jet = _jet(sol, z, _admitted_tables(sol.params, z, r, 4))
+        jet = _jet(sol, z, _admitted_tables(sol.params, z, r, order))
     return _bis(jet, None, v, w, formula)
 
 
@@ -504,37 +524,6 @@ def _larger(a, b):
     return np.maximum(a, b) if isinstance(a, np.ndarray) else max(a, b)
 
 
-def _bloch_split(jet, tensor: CurvatureTensor) -> tuple:
-    """(frame, a, b, M) with Bis(v, w) = a + b.(n + m) + n^T M m in the frame.
-
-    b is (b_x, b_z) and M is (lam_y, Mxx, Mxz, Mzz): the 1x1 block and
-    the 2x2 (x, z) block of M; every other entry vanishes.  A stacked jet
-    gives arrays.  The split of the jet's tensor: no door reads it; it is
-    the jet-path reference the closed forms (_kernel_split) are tested
-    against.
-    """
-    al, be, ga = frame = _frame(jet)
-    t = tensor
-    R1111, R1112, R1122, R1212, R1222, R2222 = (t.R1111, t.R1112, t.R1122, t.R1212,
-                                                t.R1222, t.R2222)
-    al2, be2, ga2 = al * al, be * be, ga * ga
-    al3, be3, two_ab_R1222 = al2 * al, be2 * be, 2.0 * al * be * R1222
-    Q2222 = ga2 * ga2 * R2222
-    Q1222 = ga2 * ga * (al * R1222 + be * R2222)
-    Q1122 = ga2 * (al2 * R1122 + two_ab_R1222 + be2 * R2222)
-    Q1212 = ga2 * (al2 * R1212 + two_ab_R1222 + be2 * R2222)
-    Q1112 = ga * (al3 * R1112 + al2 * be * (2.0 * R1122 + R1212)
-                  + 3.0 * al * be2 * R1222 + be3 * R2222)
-    Q1111 = (al2 * al2 * R1111 + 4.0 * al3 * be * R1112
-             + al2 * be2 * (4.0 * R1122 + 2.0 * R1212)
-             + 4.0 * al * be3 * R1222 + be2 * be2 * R2222)
-    a = 0.25 * (Q1111 + 2.0 * Q1122 + Q2222)
-    b = (0.5 * (Q1112 + Q1222), 0.25 * (Q1111 - Q2222))
-    M = (0.5 * (Q1122 - Q1212), 0.5 * (Q1122 + Q1212), 0.5 * (Q1112 - Q1222),
-         0.25 * (Q1111 - 2.0 * Q1122 + Q2222))
-    return frame, a, b, M
-
-
 def _bloch(frame, v) -> tuple:
     """The Bloch vector of v in the frame (arrays for (2, n) columns).
 
@@ -549,7 +538,7 @@ def _bloch(frame, v) -> tuple:
 
 
 def _bis_frame(split, v, w):
-    """Bis(v, w) = a + b.(n + m) + n^T M m from a _kernel_split or a _bloch_split.
+    """Bis(v, w) = a + b.(n + m) + n^T M m from a _kernel_split, or a tensor's split in the tests.
 
     v and w are vectors, or (2, n) columns; a stacked split takes one
     column per point, or broadcasts as its arrays' shapes allow.
@@ -642,12 +631,16 @@ def _axis_form(jet: MetricJet) -> tuple:
 
 
 def _kernel_split(jet: MetricJet) -> tuple:
-    """_bloch_split's (frame, a, b, M) from _axis_form: a = -3/2 and b = 0 hold identically."""
+    """(frame, a, b, M) of the Bloch form from _axis_form: a = -3/2 and b = 0 hold identically.
+
+    b is (b_x, b_z) and M is (lam_y, Mxx, Mxz, Mzz): the 1x1 block and the
+    2x2 (x, z) block of M; every other entry vanishes.
+    """
     frame, M, _ = _axis_form(jet)
     return frame, -1.5, (0.0, 0.0), M
 
 
-def _reduced_form(jet, tensor: CurvatureTensor) -> tuple:
+def _reduced_form(jet, tensor: CurvatureTensor | None) -> tuple:
     """(frame, ((eigenvalue, unit eigenvector), ...) of M, Einstein defect) of a jet.
 
     M comes from the closed forms of _axis_components at the jet's X
@@ -665,7 +658,7 @@ def _reduced_form(jet, tensor: CurvatureTensor) -> tuple:
     (h + d, Mxz), or (|Mxz|, +-(h - d)) where d < 0 (no cancellation), or
     (1, 0) for h = 0.  The tensor keeps the form of the last jet it was
     evaluated with, so a second call with the same jet and tensor
-    evaluates nothing again.
+    evaluates nothing again; with tensor None nothing is kept.
     """
     kept = getattr(tensor, "_reduced", None)
     if kept is not None and kept[0] is jet:
@@ -679,8 +672,9 @@ def _reduced_form(jet, tensor: CurvatureTensor) -> tuple:
     c, s, zero = ex / norm, ez / norm, 0.0 * h
     form = frame, ((lam_y, (zero, 1.0 + zero, zero)), (mean + h, (c, zero, s)),
                    (mean - h, (-s, zero, c))), defect
-    # not a field: the tensor's eq and repr stay its six coefficients
-    object.__setattr__(tensor, "_reduced", (jet, form))
+    if tensor is not None:
+        # not a field: the tensor's eq and repr stay its six coefficients
+        object.__setattr__(tensor, "_reduced", (jet, form))
     return form
 
 
@@ -707,13 +701,15 @@ def _spinor_vector(frame, n) -> np.ndarray:
                      beta * v0r + gamma * v1r + 1j * (beta * v0i + gamma * v1i)]).T
 
 
-def bis_extremes_from_jet(jet, tensor: CurvatureTensor) -> BisExtremes:
+def bis_extremes_from_jet(jet, tensor: CurvatureTensor | None) -> BisExtremes:
     """Extremes of Bis over all nonzero pairs at a fixed point.
 
     n^T M m ranges over [-|lam|, |lam|] for the eigenvalue lam of M of
     largest modulus, reached at m = u, n = -+sign(lam) u for its
     eigenvector u; the values reported are the Einstein-reduced -3/2 -+ |lam|.
-    The attaining pairs are built when first read (see BisExtremes).
+    The attaining pairs are built when first read (see BisExtremes).  The
+    tensor's coefficients are not read: it keeps the reduced form for a
+    later call with the same jet (see _reduced_form), and None keeps nothing.
     """
     frame, pairs, defect = _reduced_form(jet, tensor)
     (lam_y, _), (upper, _), (lower, _) = pairs
@@ -724,20 +720,23 @@ def bis_extremes_from_jet(jet, tensor: CurvatureTensor) -> BisExtremes:
 
 def bis_extremes(sol: PotentialSolution, z: Point) -> BisExtremes:
     """Extremes of Bis_z over vector pairs, on the axis orbit (arrays for stacked z)."""
-    jet = _axis_jet(sol, z)
-    return bis_extremes_from_jet(jet, tensor_from_jet(jet))
+    return bis_extremes_from_jet(_extremes_jet(sol, z), None)
 
 
-def _axis_jet(sol: PotentialSolution, z: Point) -> MetricJet:
-    """The jet at z's axis point (0, X(z)), or at the axis points of stacked z."""
-    return metric_jet(sol, _on_axis(_orbit_x(sol.params, z, require_domain(sol.params, z))))
+def _extremes_jet(sol: PotentialSolution, z: Point) -> MetricJet:
+    """The order-2 jet at z's axis point (0, X(z)), or at the axis points of stacked z.
+
+    The extremes read its g, det and (f, f'), and no tensor.
+    """
+    return _axis_jet(sol, _on_axis(_orbit_x(sol.params, z, require_domain(sol.params, z))), 2)
 
 
-def sectional_max_from_jet(jet, tensor: CurvatureTensor) -> tuple[float, np.ndarray]:
+def sectional_max_from_jet(jet, tensor: CurvatureTensor | None) -> tuple[float, np.ndarray]:
     """Maximum of S(v) = Bis(v, v) at a fixed point, with a maximizer.
 
     n^T M n peaks at the top eigenvector of M; the reported value is the
-    Einstein-reduced -3/2 + lambda_max.
+    Einstein-reduced -3/2 + lambda_max.  The tensor is as in
+    bis_extremes_from_jet.
     """
     frame, pairs, _ = _reduced_form(jet, tensor)
     lam, n = _largest(pairs, lambda lam: lam)
@@ -746,8 +745,7 @@ def sectional_max_from_jet(jet, tensor: CurvatureTensor) -> tuple[float, np.ndar
 
 def sectional_max(sol: PotentialSolution, z: Point) -> tuple[float, np.ndarray]:
     """Maximum holomorphic sectional curvature at z, with a maximizer (rows for stacked z)."""
-    jet = _axis_jet(sol, z)
-    return sectional_max_from_jet(jet, tensor_from_jet(jet))
+    return sectional_max_from_jet(_extremes_jet(sol, z), None)
 
 
 # ---------------------------------------------------------------------------

@@ -365,7 +365,7 @@ def _suite_invariance(params, sol, rng):
     psi = geo.normalizing_automorphism(params, z)
     jac = geo.jacobian(psi)
     # z and its axis image in one order-2 pass
-    _, metric = _metric_pass(sol, _joined(z, geo.apply(psi, z)))
+    _, metric, _ = _metric_pass(sol, _joined(z, geo.apply(psi, z)))
     g_here, g_axis = np.split(_matrix(*metric), 2)
     pulled = (np.swapaxes(jac, 1, 2) @ g_axis @ np.conjugate(jac)).real
     worst_g = np.max(np.max(np.abs(pulled - g_here), axis=(1, 2))
@@ -433,10 +433,10 @@ def _suite_einstein(params, sol, rng):
     n = 100
     # the residual sample and the metric sample in one order-2 pass
     z = _joined(_random_stack(params, rng, n), _random_stack(params, rng, n))
-    tab, metric = _metric_pass(sol, z)
+    tab, metric, F = _metric_pass(sol, z)
     checks = []
     # the defect comes for both samples; the check reads the first
-    worst = np.max(_einstein_defect(sol, tab, metric)[:n])
+    worst = np.max(_einstein_defect(tab, metric, F)[:n])
     checks.append(_below("einstein_residual_random_points", worst, 1e-8))
     checks.append(_below("einstein_residual_origin",
                          einstein_residual(sol, Point(0j, 0j)), 1e-12))

@@ -32,18 +32,24 @@ their point loops through these passes; single point queries get floats.
 The tables' one root and one log, det's factors and the defect's exp are
 numpy's for floats and arrays alike, so a stacked row equals the single
 point's values bit for bit.
+
+The curvature doors build no more than they read.  On the axis (0, X),
+where r = 1, the tables are per-p constants times X or 1 (_axis_jet: no
+admission, pow or log, the same bits), and a jet of order 2 holds only g,
+det and (f, f').
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError
 from .params import TubeParams
-from .potential_solver import PotentialSolution
+from .potential_solver import PotentialSolution, _ode_chain, _sign
 from .tube_geometry import Point, _all, _first, _first_point, _orbit_x, require_domain
 
 __all__ = [
@@ -125,6 +131,23 @@ def _admitted_tables(params: TubeParams, z: Point, r, order: int) -> XLDerivativ
     return XLDerivatives(x, r, *_tables(params, r, x, order))
 
 
+@lru_cache(maxsize=64)
+def _factors(p: int) -> tuple:
+    """The per-p factors of the order-4 tables: (c_a, c_a/2, dL's, K/p).
+
+    c_a = prod_{j<a} (1 + 2pj) and c_a/2 for a = 0..4, and dL's
+    2K (a-1)! (2p)^{a-1} for a = 1..4.  Each is the left part of its
+    table entry's product, formed left to right, so that _tables' product
+    with X, r^{-s} and (1/r)^a rounds as the whole product written out does.
+    """
+    K = (2 * p + 1) / 3.0
+    c = [1.0]
+    for a in range(1, 5):
+        c.append(c[-1] * (1.0 + 2 * p * (a - 1)))
+    dL = tuple(2.0 * K * math.factorial(a - 1) * (2 * p) ** (a - 1) for a in range(1, 5))
+    return tuple(c), tuple(0.5 * ca for ca in c), dL, K / p
+
+
 def _tables(params: TubeParams, r, x, order: int):
     """(dX0, dX1, dL) of x_derivatives from r = 1 - 4p Re(z1) and X.
 
@@ -133,21 +156,29 @@ def _tables(params: TubeParams, r, x, order: int):
     np.log, for floats and arrays alike (a float comes back as a Python
     float), so a stacked row is the single point's table bit for bit.
     """
-    p = params.p
-    K = params.K_float
+    c, half, dL, k_over_p = _factors(params.p)
     inv = 1.0 / r
-    root, log = np.power(r, -1.0 / (2 * p)), np.log(inv)
+    root, log = np.power(r, -1.0 / (2 * params.p)), np.log(inv)
     if not isinstance(r, np.ndarray):
         root, log = float(root), float(log)
-    c, q = [1.0], [1.0]  # c_a and (1/r)^a
-    for a in range(1, order + 1):
-        c.append(c[-1] * (1.0 + 2 * p * (a - 1)))
+    q = [1.0]  # (1/r)^a
+    for _ in range(order):
         q.append(q[-1] * inv)
-    dX0 = tuple(c[a] * x * q[a] for a in range(order + 1))
-    dX1 = tuple(0.5 * c[a] * root * q[a] for a in range(order))
-    dL = ((K / p) * log, *(2.0 * K * math.factorial(a - 1) * (2 * p) ** (a - 1) * q[a]
-                           for a in range(1, order + 1)))
-    return dX0, dX1, dL
+    return (tuple(c[a] * x * q[a] for a in range(order + 1)),
+            tuple(half[a] * root * q[a] for a in range(order)),
+            (k_over_p * log, *(dL[a - 1] * q[a] for a in range(1, order + 1))))
+
+
+def _axis_tables(p: int, x, order: int):
+    """_tables at axis points (0, x), where r = 1: no pow, no log, the same bits.
+
+    r^{-s} and (1/r)^a are 1 and ln(1/r) is 0 there, exactly, so each
+    entry is its factor times x or 1.  The factors of dX1 and dL are
+    floats for stacked x too; every metric value _chain forms from them
+    holds a profile array, so its rows keep the bits of stacked tables.
+    """
+    c, half, dL, _ = _factors(p)
+    return tuple(c[a] * x for a in range(order + 1)), half[:order], (0.0, *dL[:order])
 
 
 def _chain(tab: XLDerivatives, f, f1, f2=None, f3=None):
@@ -213,7 +244,9 @@ class MetricJet:
     with m indices of z1 type, which every index word of that count shares
     (see deriv); profile is the (f, f', f'', f''') at x_value.  Each entry
     is a float at a single point and an array over stacked points.  p is
-    the domain parameter the jet was built for.
+    the domain parameter the jet was built for.  metric_jet builds the
+    whole jet; the curvature doors' order-2 jets have profile (f, f') and
+    d3 = d4 = None.
     """
 
     point: Point
@@ -288,14 +321,30 @@ def metric_jet(sol: PotentialSolution, z: Point) -> MetricJet:
 
 
 def _jet(sol: PotentialSolution, z: Point, tab: XLDerivatives) -> MetricJet:
-    """metric_jet at z from its order-4 tables."""
+    """metric_jet at z from its tables, of order 4 or 2.
+
+    Order-2 tables read (f, f') alone and give g, det and profile (f, f'),
+    with d3 and d4 None: all that the tube formula and the extremes read.
+    """
     p = sol.params.p
-    f, f1, _, _ = profile = sol.eval_f_derivs(tab.x_value, 3)
+    profile = sol.eval_f_derivs(tab.x_value, len(tab.dX0) - 2)
+    f, f1 = profile[:2]
     inv, half_root = 1.0 / tab.r, tab.dX1[0]
     det = _four_z(p, tab.x_value, f, f1) * ((inv * inv) * (half_root * half_root))
     g, d3, d4 = _chain(tab, *profile)
     return MetricJet(point=z, x_value=tab.x_value, g=g, det=det, d3=d3, d4=d4,
                      profile=tuple(profile), p=p)
+
+
+def _axis_jet(sol: PotentialSolution, axis: Point, order: int) -> MetricJet:
+    """metric_jet(sol, axis) at axis points (0, X), bit for bit, from order-4 or order-2 tables.
+
+    X is Re(z2) as given: the axis is in T_p wherever the profile covers
+    X, so there is no admission, and _axis_tables take no pow or log.  An
+    X beyond the profile's range is refused by its evaluator.
+    """
+    x = axis.z2.real
+    return _jet(sol, axis, XLDerivatives(x, 1.0, *_axis_tables(sol.params.p, x, order)))
 
 
 def _four_z(p: int, x, f, f1):
@@ -315,21 +364,26 @@ def einstein_residual(sol: PotentialSolution, z: Point) -> float:
     cheapest end-to-end consistency probe for the metric path.  Stacked
     points give an array.
     """
-    return _einstein_defect(sol, *_metric_pass(sol, z))
+    return _einstein_defect(*_metric_pass(sol, z))
 
 
 def _metric_pass(sol: PotentialSolution, z: Point):
-    """(tables, (g11, g12, g22)) at z, or at stacked points, from one order-2 pass."""
+    """(tables, (g11, g12, g22), F) at z, or at stacked points, from one order-2 pass.
+
+    The profile is read once: (F, f) at |X|, f' from the ODE chain, with
+    eval_f_derivs's parity, so g has the bits of eval_f_derivs(X, 1)'s.
+    """
     tab = x_derivatives(sol.params, z, 2)
-    metric, _, _ = _chain(tab, *sol.eval_f_derivs(tab.x_value, 1))
-    return tab, metric
+    x, ax, F, f = sol._at(tab.x_value)
+    metric, _, _ = _chain(tab, _sign(x) * f, _ode_chain(sol.params, ax, F, f, 2)[1])
+    return tab, metric, F
 
 
-def _einstein_defect(sol: PotentialSolution, tab: XLDerivatives, metric):
+def _einstein_defect(tab: XLDerivatives, metric, F):
     """|det g - e^{3 g}| / e^{3 g} from an order-2 pass (an array for stacked points)."""
     g11, g12, g22 = metric
     # det from the entries, not the jet's closure det: this is the closure's check
     det = g11 * g22 - g12 * g12
-    rhs = np.exp(3.0 * (sol.eval_F(tab.x_value) + tab.L()))
+    rhs = np.exp(3.0 * (F + tab.L()))
     defect = abs(det - rhs) / rhs
     return defect if isinstance(defect, np.ndarray) else float(defect)

@@ -159,11 +159,17 @@ def _real(value):
 
 
 def _first(values, ok):
-    """The single value, or the first stacked one where ok fails."""
-    if not (isinstance(ok, np.ndarray) and ok.ndim):
-        return values
-    index = np.unravel_index(np.argmin(ok), np.shape(ok))
-    return np.broadcast_to(values, np.shape(ok))[index].item()
+    """The single value, or the first stacked one where ok fails, for a message.
+
+    A numpy scalar or a 0-d array comes back as its Python scalar, so that
+    a message prints every form of one value alike.
+    """
+    if isinstance(ok, np.ndarray) and ok.ndim:
+        index = np.unravel_index(np.argmin(ok), np.shape(ok))
+        return np.broadcast_to(values, np.shape(ok))[index].item()
+    if isinstance(values, np.generic | np.ndarray) and values.ndim == 0:
+        return values.item()
+    return values
 
 
 def _first_point(z: Point, ok) -> Point:

@@ -5,9 +5,11 @@ below is the curvature module's earlier Bis path, kept verbatim as the
 reference that the g-orthonormal frame split replaced: with
 u(v) = [|v1|^2, |v2|^2, Re(v1 conj(v2)), Im(v1 conj(v2))] and
 gvec = [g11, g22, 2 g12, 0], Bis(v, w) = u(v)^T C u(w) / ((u(v).gvec)(u(w).gvec)).
-reference_extremes is bis_extremes_from_jet as it built the attaining
-pairs eagerly, kept as the reference for the pairs BisExtremes now builds
-on first read.
+bloch_split is the frame split of the jet's curvature tensor, which the
+curvature module read before the closed forms replaced it, kept as their
+jet-path reference.  reference_extremes is bis_extremes_from_jet as it
+built the attaining pairs eagerly, kept as the reference for the pairs
+BisExtremes now builds on first read.
 """
 
 import numpy as np
@@ -93,6 +95,37 @@ def reference_bis(jet, tensor: CurvatureTensor, v, w) -> float:
     return _bis_from_form(C, gvec, _features(v), _features(w))
 
 
+def bloch_split(jet, tensor: CurvatureTensor) -> tuple:
+    """(frame, a, b, M) with Bis(v, w) = a + b.(n + m) + n^T M m in the frame.
+
+    b is (b_x, b_z) and M is (lam_y, Mxx, Mxz, Mzz): the 1x1 block and
+    the 2x2 (x, z) block of M; every other entry vanishes.  A stacked jet
+    gives arrays.  The split of the jet's tensor, which no door reads: it
+    is the jet-path reference the closed forms (curvature._kernel_split)
+    are tested against.
+    """
+    al, be, ga = frame = curvature._frame(jet)
+    t = tensor
+    R1111, R1112, R1122, R1212, R1222, R2222 = (t.R1111, t.R1112, t.R1122, t.R1212,
+                                                t.R1222, t.R2222)
+    al2, be2, ga2 = al * al, be * be, ga * ga
+    al3, be3, two_ab_R1222 = al2 * al, be2 * be, 2.0 * al * be * R1222
+    Q2222 = ga2 * ga2 * R2222
+    Q1222 = ga2 * ga * (al * R1222 + be * R2222)
+    Q1122 = ga2 * (al2 * R1122 + two_ab_R1222 + be2 * R2222)
+    Q1212 = ga2 * (al2 * R1212 + two_ab_R1222 + be2 * R2222)
+    Q1112 = ga * (al3 * R1112 + al2 * be * (2.0 * R1122 + R1212)
+                  + 3.0 * al * be2 * R1222 + be3 * R2222)
+    Q1111 = (al2 * al2 * R1111 + 4.0 * al3 * be * R1112
+             + al2 * be2 * (4.0 * R1122 + 2.0 * R1212)
+             + 4.0 * al * be3 * R1222 + be2 * be2 * R2222)
+    a = 0.25 * (Q1111 + 2.0 * Q1122 + Q2222)
+    b = (0.5 * (Q1112 + Q1222), 0.25 * (Q1111 - Q2222))
+    M = (0.5 * (Q1122 - Q1212), 0.5 * (Q1122 + Q1212), 0.5 * (Q1112 - Q1222),
+         0.25 * (Q1111 - 2.0 * Q1122 + Q2222))
+    return frame, a, b, M
+
+
 def reference_extremes(jet, tensor: CurvatureTensor) -> tuple:
     """(min, argmin, max, argmax), the pairs built eagerly as TangentPairs."""
     frame, pairs, _ = _reduced_form(jet, tensor)
@@ -111,16 +144,16 @@ def reference_extremes(jet, tensor: CurvatureTensor) -> tuple:
 
 
 @pytest.fixture
-def split_calls(monkeypatch):
-    """The jets curvature._bloch_split is called with, one entry per split."""
+def tensor_calls(monkeypatch):
+    """The jets curvature's doors build a tensor for (curvature.tensor_from_jet), one entry per call."""
     calls = []
-    split = curvature._bloch_split
+    build = curvature.tensor_from_jet
 
-    def counted(jet, tensor):
+    def counted(jet):
         calls.append(jet)
-        return split(jet, tensor)
+        return build(jet)
 
-    monkeypatch.setattr(curvature, "_bloch_split", counted)
+    monkeypatch.setattr(curvature, "tensor_from_jet", counted)
     return calls
 
 

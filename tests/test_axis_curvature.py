@@ -21,7 +21,9 @@ from tubeke import (
     solve_potential,
     tensor_from_jet,
 )
-from tubeke.curvature import _axis_components, _axis_form, _bloch_split
+from tubeke.curvature import _axis_components, _axis_form
+
+from conftest import bloch_split
 
 
 def axis(xs) -> Point:
@@ -65,7 +67,7 @@ def test_the_kernel_agrees_with_the_jet_path(p, tol, five_sols, sol_p1000):
     sol = sol_p1000 if p == 1000 else five_sols[p]
     jet = metric_jet(sol, axis(np.linspace(-0.99, 0.99, 199)))
     kernel = _axis_form(jet)[1]
-    split = _bloch_split(jet, tensor_from_jet(jet))[3]
+    split = bloch_split(jet, tensor_from_jet(jet))[3]
     assert max(np.max(np.abs(a - b)) for a, b in zip(kernel, split)) <= tol
 
 

@@ -34,11 +34,10 @@ from tubeke import (
     tensor_from_jet,
 )
 from tubeke import curvature
-from tubeke.curvature import (_axis_form, _bloch_split, _frame, _pull_to_axis, _reduced_form,
-                              _spinor_vector)
+from tubeke.curvature import _axis_form, _frame, _pull_to_axis, _reduced_form, _spinor_vector
 from tubeke.tube_geometry import require_domain
 
-from conftest import reference_form
+from conftest import bloch_split, reference_form
 
 ORIGIN = Point(0j, 0j)
 EPS = np.finfo(float).eps
@@ -463,7 +462,7 @@ def test_bloch_form_satisfies_the_einstein_reduction(sols):
     for sol in sols.values():
         for x in np.linspace(-0.99, 0.99, 41):
             jet = metric_jet(sol, Point(0j, complex(x)))
-            _, a, b, (lam_y, mxx, _, mzz) = _bloch_split(jet, tensor_from_jet(jet))
+            _, a, b, (lam_y, mxx, _, mzz) = bloch_split(jet, tensor_from_jet(jet))
             assert abs(a + 1.5) <= 1e-8
             assert math.hypot(*b) <= 1e-8
             assert abs(lam_y + mxx + mzz + 1.5) <= 1e-8
@@ -642,9 +641,9 @@ def test_the_pair_doors_attain_the_extremes_up_to_the_grid_end(five_sols, p):
         assert np.all(np.abs(bisectional(sol, stack, pair) - values) <= 1e-12 * np.abs(values))
 
 
-def test_both_extremes_share_one_split(sols, split_calls, kernel_calls):
+def test_both_extremes_share_one_split(sols, tensor_calls, kernel_calls):
     # the closed forms are evaluated once per (jet, tensor), on the axis and
-    # off it; the tensor is never split for the extremes
+    # off it; the extremes build no tensor of their own
     for z in (Point(0j, 0.6 + 0j), off_axis(0.6)):
         kernel_calls.clear()
         jet = metric_jet(sols[2], z)
@@ -662,12 +661,12 @@ def test_both_extremes_share_one_split(sols, split_calls, kernel_calls):
         # the tensor keeps the form outside its fields: eq, hash and repr are its coefficients
         fresh = tensor_from_jet(jet)
         assert tensor == fresh and hash(tensor) == hash(fresh) and repr(tensor) == repr(fresh)
-    # where the jet path's defect is large the extremes answer, with no split
+    # where the jet path's defect is large the extremes answer, and build no tensor
     far = metric_jet(sols[1], off_axis(1.0 - 1e-5))
     tensor = tensor_from_jet(far)
     for evaluate in (bis_extremes_from_jet, sectional_max_from_jet):
         evaluate(far, tensor)
-    assert kernel_calls[3:] == [far] and split_calls == []
+    assert kernel_calls[3:] == [far] and tensor_calls == []
 
 
 def test_extremizers_are_built_on_first_read(sol_p2, monkeypatch):

@@ -434,26 +434,26 @@ def test_invariance_block_draws_equal_the_per_point_draws(seed):
 def test_invariance_suite_makes_no_per_point_scalar_calls(sol_p2, monkeypatch):
     """The invariance suite's point loops stay array calls.
 
-    Its samples hold 20 to 334 points; the scalar metric_jet,
-    tensor_from_jet, apply and eval_F are each allowed a fixed handful of
-    calls (the generators' images, the two potential lookups), far fewer
-    than the smallest sample.
+    Its samples hold 20 to 334 points; scalar jets (metric_jet's and the
+    curvature doors', all built by metric_tensor._jet), tensor_from_jet,
+    apply and eval_F are each allowed a fixed handful of calls (the
+    generators' images, the two potential lookups), far fewer than the
+    smallest sample.
     """
     from tubeke import curvature, metric_tensor, potential_solver
 
     counts = {}
 
     def counted(name, fn, scalar=lambda *args: True):
-        # metric_jet and tensor_from_jet also take stacked points: count
-        # only their single-point calls
+        # jets and tensors also come for stacked points: count only the
+        # single-point ones
         def wrapper(*args, **kwargs):
             counts[name] = counts.get(name, 0) + scalar(*args)
             return fn(*args, **kwargs)
         return wrapper
 
     for name, holders, scalar in (
-            ("metric_jet", (metric_tensor, curvature, diagnostics),
-             lambda sol, z: np.ndim(z.z1) == 0),
+            ("_jet", (metric_tensor, curvature), lambda sol, z, tab: np.ndim(z.z1) == 0),
             ("tensor_from_jet", (curvature, diagnostics),
              lambda jet: not isinstance(jet.x_value, np.ndarray)),
             ("apply", (geo,), lambda *args: True)):
@@ -464,7 +464,7 @@ def test_invariance_suite_makes_no_per_point_scalar_calls(sol_p2, monkeypatch):
                         counted("eval_F", potential_solver.PotentialSolution.eval_F))
     report = run_suite("invariance", sol_p2.params, sol_p2, seed=3)
     assert report.overall
-    assert counts.get("metric_jet", 0) == 0
+    assert counts.get("_jet", 0) == 0
     assert counts.get("tensor_from_jet", 0) == 0
     assert counts.get("apply", 0) <= 9
     assert counts.get("eval_F", 0) <= 2
@@ -483,12 +483,13 @@ def test_origin_suite_reads_its_values_off_one_jet(p, sols):
 
 # scalar metric_jet calls and stacked passes (one per x_derivatives call
 # on stacked points) of one run, whatever the sample sizes: the origin
-# jet, bisectional's and bisectional_batch's; one order-2 pass over both
+# jet (bisectional and bisectional_batch build their axis jets without
+# metric_jet or its tables); one order-2 pass over both
 # einstein samples; one order-4 pass over boundary_limit's four axis points;
 # and invariance's potential tables, metric-law pair, two translation stacks
 # and joint here/there stack
 JET_PASSES = {
-    "origin": (3, 0),
+    "origin": (1, 0),
     "einstein": (0, 1),
     "boundary_limit": (0, 1),
     "invariance": (0, 5),

@@ -241,6 +241,22 @@ def test_an_automorphism_reads_any_scalar_form_alike():
     assert results[0] == results[1] == results[2]
 
 
+def test_refusals_print_every_scalar_form_of_a_value_alike():
+    def message(**kwargs):
+        with pytest.raises(ValueError) as info:
+            TubeAutomorphism(params=P2, **kwargs)
+        return str(info.value)
+
+    floats = (float, np.float64, np.float32, np.array, lambda v: np.array(v, dtype=np.float32))
+    for value, forms in ((-1.0, floats), (-1, (int, np.int64, np.array))):
+        texts = {message(lam=form(value)) for form in forms}
+        assert texts == {f"dilation factor must be positive and finite, got {value!r}"}
+    texts = {message(u=(form(0.5), form(math.inf))) for form in floats}
+    assert texts == {"translation must be finite, got u = (0.5, inf)"}
+    # a stacked value names its first bad entry the same way
+    assert message(lam=np.array([2.0, -1.0])) == message(lam=-1.0)
+
+
 def test_classify_boundary():
     # the weakly pseudoconvex set is the vertical plane through (1/(4p), 0)
     assert classify_boundary(P2, Point(0.125 + 3j, 7j)) \

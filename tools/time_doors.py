@@ -1,0 +1,144 @@
+"""Time the single-point curvature doors in process, interleaved against a parent commit.
+
+Usage::
+
+    python3 tools/time_doors.py --label pr33 --parent HEAD~1 --rounds 15 --queries 300
+
+Each round runs one fresh process per side: the working tree as it stands
+(uncommitted edits included) and a ``git archive`` export of ``--parent``,
+the parent first in even rounds and the working tree first in odd ones.  A
+process imports tubeke from its checkout's ``src/``, solves p = 1, 2, 3 and
+draws point_queries' inputs with this tree's ``bench/workloads.py``
+(``--queries`` off-axis points and vector pairs per p, from seed SEED).  For
+each door it times REPEATS passes over all the queries and keeps the
+fastest, in microseconds per call.
+
+It writes the ``"doors"`` entry of ``BENCH_<label>.json`` at the root of the
+repository, keeping the file's other entries: each door's per-round times
+on both sides with their median and quartiles, the ratio of the medians
+(parent over change, so above 1 is faster), the per-round ratios with
+their median and quartiles, and the rounds the change won.
+A one-line summary per door goes to stdout.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from bench_pairs import ROOT, QUARTILES, export, spread  # noqa: E402
+
+SEED = 0
+REPEATS = 3
+DOORS = ("metric_jet", "bisectional", "bisectional_raw", "bisectional_direct",
+         "einstein_residual", "bis_extremes", "sectional_max")
+
+CHILD = """
+import json, sys, time
+sys.path[:0] = [{src!r}, {bench!r}]
+import numpy as np
+import tubeke as tk
+from workloads import _random_point, _random_vector
+
+doors = {{
+    "metric_jet": lambda sol, z, pair: tk.metric_jet(sol, z),
+    "bisectional": lambda sol, z, pair: tk.bisectional(sol, z, pair),
+    "bisectional_raw": lambda sol, z, pair: tk.bisectional(sol, z, pair, normalize=False),
+    "bisectional_direct": lambda sol, z, pair: tk.bisectional(sol, z, pair, formula="direct"),
+    "einstein_residual": lambda sol, z, pair: tk.einstein_residual(sol, z),
+    "bis_extremes": lambda sol, z, pair: tk.bis_extremes(sol, z),
+    "sectional_max": lambda sol, z, pair: tk.sectional_max(sol, z),
+}}
+rng = np.random.default_rng({seed})
+queries = []
+for p in (1, 2, 3):
+    sol = tk.solve_potential(tk.TubeParams(p=p))
+    for _ in range({queries}):
+        z = _random_point(tk, p, rng)
+        queries.append((sol, z, tk.TangentPair(v=_random_vector(rng), w=_random_vector(rng))))
+out = {{}}
+for name in {doors!r}:
+    door, best = doors[name], float("inf")
+    for _ in range({repeats}):
+        t0 = time.perf_counter()
+        for sol, z, pair in queries:
+            door(sol, z, pair)
+        best = min(best, time.perf_counter() - t0)
+    out[name] = 1e6 * best / len(queries)
+print(json.dumps(out))
+"""
+
+
+def time_side(checkout: Path, queries: int) -> dict:
+    """{door: microseconds per call} of one fresh process on checkout's src/."""
+    code = CHILD.format(src=str(checkout / "src"), bench=str(ROOT / "bench"), seed=SEED,
+                        queries=queries, repeats=REPEATS, doors=DOORS)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    if done.returncode:
+        raise RuntimeError(f"timing {checkout} failed (exit {done.returncode}):\n{done.stderr}")
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def summarize(rounds: list) -> dict:
+    """Each door's record from rounds[k] = {"parent": {door: us}, "change": {door: us}}.
+
+    speedup is the parent's median over the change's, and ratio each
+    round's parent time over its change time, which the machine's speed
+    state moves less than the times; won counts the rounds in which the
+    change took less time (ties count for neither).
+    """
+    record = {}
+    for door in rounds[0]["parent"]:
+        runs = {side: [r[side][door] for r in rounds] for side in ("parent", "change")}
+        parent, change = spread(runs["parent"]), spread(runs["change"])
+        pairs = list(zip(runs["parent"], runs["change"]))
+        record[door] = {"parent": parent, "change": change,
+                        "speedup": parent["median"] / change["median"],
+                        "ratio": spread([old / new for old, new in pairs]),
+                        "won": f"{sum(new < old for old, new in pairs)}/{len(rounds)}"}
+    return record
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--label", required=True, help="the file written is BENCH_<label>.json")
+    parser.add_argument("--parent", default="HEAD", help="the git ref measured against")
+    parser.add_argument("--rounds", type=int, default=15)
+    parser.add_argument("--queries", type=int, default=300, help="points per p")
+    args = parser.parse_args(argv)
+
+    out = ROOT / f"BENCH_{args.label}.json"
+    with tempfile.TemporaryDirectory() as tmp:
+        parent_dir = Path(tmp)
+        commit = export(args.parent, parent_dir)
+        checkouts = {"parent": parent_dir, "change": ROOT}
+        rounds = []
+        for k in range(args.rounds):
+            order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+            rounds.append({side: time_side(checkouts[side], args.queries) for side in order})
+    doc = json.loads(out.read_text()) if out.exists() else {}
+    doc["doors"] = {
+        "what": "In-process microseconds per call of each door over point_queries' seeded "
+                f"inputs (seed {SEED}), the fastest of {REPEATS} passes, one fresh process per "
+                "side and round; round k ran the parent first when k is even.",
+        "parent": commit,
+        "command": f"python3 tools/time_doors.py --label {args.label} --parent {args.parent} "
+                   f"--rounds {args.rounds} --queries {args.queries}",
+        "quartiles": QUARTILES,
+        "doors": (record := summarize(rounds)),
+    }
+    out.write_text(json.dumps(doc, indent=1) + "\n")
+    for door, entry in record.items():
+        print(f"{door}: {entry['parent']['median']:.1f} -> {entry['change']['median']:.1f} us "
+              f"(x{entry['speedup']:.2f}; per round x{entry['ratio']['median']:.2f}, "
+              f"won {entry['won']})")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -3,7 +3,7 @@
 The domain T_p is the tube over the region Re(4p z1) + Re(z2)^{2p} < 1;
 its complete Kähler-Einstein metric (Ricci curvature -3) reduces, by
 symmetry, to one convex ODE profile F on (-1, 1) with prescribed blow-up
-at the ends.  This package shoots for that profile and exposes the
+at the ends.  This package solves for that profile and exposes the
 resulting metric tensor, full curvature tensor, holomorphic bisectional
 and sectional curvatures, and a battery of verification suites.
 
@@ -33,8 +33,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "params": ("TubeParams", "SUITE_NAMES"),
     "errors": ("DomainError",),
-    "potential_solver": ("PotentialSolution", "solve_potential", "load_solution",
-                         "integral_identity_residuals"),
+    "potential_solver": ("PotentialSolution", "solve_potential", "load_solution"),
     "tube_geometry": ("Point", "TubeAutomorphism", "BoundaryClass", "RegionClass",
                       "in_domain", "x_invariant", "normalizing_automorphism", "apply",
                       "jacobian", "jacobian_det", "classify_boundary", "region",

@@ -2,15 +2,15 @@
 
 Subcommands
 -----------
-solve      shoot for the center value and record the solve as JSON
+solve      solve for the profile and record the solve as JSON
 eval       evaluate the profile (and optionally its derivatives) at one x
 metric     metric tensor, determinant, and derivative jet at a point
 curvature  curvature tensor plus either one bisectional value or extremes
 sweep      CSV table of profile + curvature quantities along the real axis
 verify     run a named verification suite and report pass/fail per check
 
-Exit status: 0 on success, 1 when a verification suite (or the shooting
-itself) fails, 2 on usage or domain errors.
+Exit status: 0 on success, 1 when a verification suite fails or a sweep
+row is not finite, 2 on usage, domain or output-path errors.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import argparse
 import csv
 import itertools
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -140,14 +141,24 @@ def _print_stats(stages: _Stages, sol: PotentialSolution, **extra) -> None:
                       "solver": sol.stats, **extra}), file=sys.stderr)
 
 
+def _check_writable(path) -> None:
+    """Raise the OSError that writing path would, before the verb's work, changing no file."""
+    existed = os.path.lexists(path)
+    open(path, "a").close()
+    if not existed:
+        os.remove(path)
+
+
 def _print_json(obj) -> None:
     """A verb's result as one JSON line on stdout; a NaN or inf in it is a ValueError."""
     print(json.dumps(obj, allow_nan=False))
 
 
 def _cmd_solve(args) -> int:
+    params = TubeParams(p=args.p)
+    _check_writable(args.out)
     stages = _Stages()
-    sol = solve_potential(TubeParams(p=args.p))
+    sol = solve_potential(params)
     stages.lap("solve")
     sol.save(args.out)
     _print_json({**sol.to_dict(), "out": str(args.out)})
@@ -234,6 +245,7 @@ def _cmd_curvature(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    _check_writable(args.out)
     stages = _Stages()
     sol = load_solution(args.sol)
     stages.lap("load")
@@ -252,6 +264,8 @@ def _cmd_verify(args) -> int:
     params = TubeParams(p=args.p)
     seed = as_seed(args.seed)
     diagnostics._suite_names(args.suite, params.p)   # refused before the solve, as the seed is
+    if args.report:
+        _check_writable(args.report)
     stages = _Stages()
     sol = solve_potential(params)
     stages.lap("solve")

@@ -70,7 +70,6 @@ __all__ = [
     "TubeParams",
     "PotentialSolution",
     "solve_potential",
-    "integral_identity_residuals",
     "load_solution",
 ]
 
@@ -208,48 +207,43 @@ def _sign(x):
 class PotentialSolution:
     """The profile for one value of p: nodes and their series.
 
-    Stores the nodes (x, F, f) on [0, x_blowup) together with F(0) and the
-    achieved blow-up abscissa, the grid's own estimate x_last + 1/f_last of
-    where f blows up.  Each node but the last carries the series of (F, f)
-    through it (_series, scaled by the distance to the next node), and
-    evaluation anywhere in (-x_last, x_last) sums the series of the last
-    node at or below |x|, then runs the ODE chain (_ode_chain) for Z and
-    the higher derivatives, with parity carrying each odd quantity to
-    negative x.
+    Built from the nodes (x, F, f) on [0, x_blowup), which give F0 = F(0)
+    and the achieved blow-up abscissa achieved_blowup_x, the grid's own
+    estimate x_last + 1/f_last of where f blows up.  Each node but the last
+    carries the series of (F, f) through it (_series, scaled by the
+    distance to the next node), and evaluation anywhere in (-x_last,
+    x_last) sums the series of the last node at or below |x|, then runs the
+    ODE chain (_ode_chain) for Z and the higher derivatives, with parity
+    carrying each odd quantity to negative x.
 
     The constructor is the one gate for a profile: it keeps read-only float
     copies of xs, Fs and fs and raises ValueError unless they pass every
     check of _validate_solution_data, however the solution is built.
 
-    stats records how the solution was obtained: "integrations",
-    "accepted_steps" and "rejected_steps" (1, the march's steps and 0 for a
-    solve; all 0 by default, for a solution built directly; a loaded one is
-    a solve and carries them), then "nodes" and the largest
-    integral-identity residual "identity_residual", which the constructor
-    adds.
+    stats holds the node count "nodes" and the largest integral-identity
+    residual "identity_residual".
 
     Equality and hash are those of identity: a solution equals only
     itself.  Compare xs, Fs and fs to ask whether two hold one profile.
     """
 
     params: TubeParams
-    F0: float
     xs: np.ndarray = field(repr=False)
     Fs: np.ndarray = field(repr=False)
     fs: np.ndarray = field(repr=False)
-    achieved_blowup_x: float
-    stats: dict = field(repr=False, default_factory=lambda: {
-        "integrations": 0, "accepted_steps": 0, "rejected_steps": 0})
+    F0: float = field(init=False)
+    achieved_blowup_x: float = field(init=False)
+    stats: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("xs", "Fs", "fs"):
             nodes = np.array(getattr(self, name), dtype=float)
             nodes.flags.writeable = False
             object.__setattr__(self, name, nodes)
-        resid, coeffs = _validate_solution_data(self.params, self.F0, self.xs, self.Fs,
-                                                self.fs, self.achieved_blowup_x)
-        object.__setattr__(self, "stats", {**self.stats, "nodes": len(self.xs),
-                                           "identity_residual": resid})
+        blowup_x, resid, coeffs = _validate_solution_data(self.params, self.xs, self.Fs, self.fs)
+        object.__setattr__(self, "F0", float(self.Fs[0]))
+        object.__setattr__(self, "achieved_blowup_x", blowup_x)
+        object.__setattr__(self, "stats", {"nodes": len(self.xs), "identity_residual": resid})
         object.__setattr__(self, "_inner", self.xs[1:-1])
         object.__setattr__(self, "_h", np.diff(self.xs))
         object.__setattr__(self, "_coeffs", coeffs)
@@ -407,7 +401,7 @@ def _node_series(params, xs, Fs, fs):
     return np.ascontiguousarray(np.transpose([Fc, fc], (0, 2, 1)))
 
 
-def integral_identity_residuals(params: TubeParams, F0: float, xs, Fs, fs) -> np.ndarray:
+def _identity_residuals(params, xs, Fs, fs, fc):
     """Per-node relative residual of the integro-differential identity.
 
     The profile satisfies, besides the pointwise closure Z = e^{3F}, the
@@ -422,16 +416,8 @@ def integral_identity_residuals(params: TubeParams, F0: float, xs, Fs, fs) -> np
     of how the grid was produced, so it doubles as corruption detection for
     arrays given to the PotentialSolution constructor (a 1e-6 perturbation
     of a single node's F shows up at 3e-6 here, far above the accepted 1e-8
-    level; a solve reads about 1e-14).
+    level; a solve reads about 1e-14).  fc is f's rows of _node_series.
     """
-    xs = np.asarray(xs, dtype=float)
-    Fs = np.asarray(Fs, dtype=float)
-    fs = np.asarray(fs, dtype=float)
-    return _identity_residuals(params, F0, xs, Fs, fs, _node_series(params, xs, Fs, fs)[1])
-
-
-def _identity_residuals(params, F0, xs, Fs, fs, fc):
-    """integral_identity_residuals with f's series fc, shape (nodes - 1, _ORDER + 1)."""
     p = params.p
     K = params.K_float
     # \\int_0^1 f(t)^3 dt = sum_{j,k} f_j f_k m_{j+k}, with the moments
@@ -441,51 +427,48 @@ def _identity_residuals(params, F0, xs, Fs, fs, fc):
     cube = np.einsum("nj,nk,njk->n", fc, fc, moments[:, k[:, None] + k])
     integral = np.concatenate([[0.0], np.cumsum(np.diff(xs) * cube)])
     rhs = ((2 * p - 1) * xs * fs**3 + (6 * p * K + 1) * fs**2
-           - 2 * (p + 1) * integral + 4.0 * math.exp(3.0 * F0))
+           - 2 * (p + 1) * integral + 4.0 * math.exp(3.0 * Fs[0]))
     Z_implied = (rhs - fs**2) / 4.0
     Z_true = np.exp(3.0 * Fs)
     return np.abs(Z_implied - Z_true) / Z_true
 
 
-def _validate_solution_data(params, F0, xs, Fs, fs, blowup_x):
+def _validate_solution_data(params, xs, Fs, fs):
     """Every invariant of a solution, checked once by PotentialSolution's constructor.
 
-    xs, Fs and fs are float arrays.  Returns the largest integral-identity
-    residual over the nodes and the nodes' series (_node_series).
+    xs, Fs and fs are float arrays.  Returns the blow-up estimate, the
+    largest integral-identity residual and the nodes' series (_node_series).
     """
     if not (xs.ndim == 1 and xs.shape == Fs.shape == fs.shape):
         raise ValueError(f"node arrays must be 1-d of one length, got shapes "
                          f"{xs.shape}, {Fs.shape} and {fs.shape}")
     if len(xs) < 4:
         raise ValueError("solution grid has fewer than 4 nodes")
-    for name, value in (("F0", F0), ("blowup_x", blowup_x)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} = {value} is not finite")
     finite = np.isfinite(xs) & np.isfinite(Fs) & np.isfinite(fs)
     if not finite.all():
         i = int(np.argmin(finite))
         raise ValueError(f"node {i} is not finite: x={xs[i]}, F={Fs[i]}, f={fs[i]}")
     if xs[0] != 0.0 or fs[0] != 0.0:
         raise ValueError("grid must start at x=0 with f(0)=0 (F is even)")
-    if Fs[0] != F0:
-        raise ValueError("first node F value disagrees with F0")
-    # near the blow-up f is 1/(x_b - x) to leading order, so against the
-    # exact law 1/(1 - x) the last node carries the relative error
-    # |1 - x_b| f_last.  solve_potential's dilation map puts x_b at 1 up to
-    # rounding, so its grids read about 1e-16 f_last here; at the cap 1e8,
-    # a recorded blow-up that misses 1 by more than 1e-11 is refused.
-    tail = abs(1.0 - blowup_x) * fs[-1]
-    if not tail <= 1e-3:
-        raise ValueError(
-            f"tail error |1 - blowup_x| f = {tail:.2e} at the last node (f={fs[-1]:.3g}) "
-            f"exceeds 1e-3: the grid does not resolve the blow-up there"
-        )
     if not np.all(np.diff(xs) > 0.0):
         raise ValueError("node abscissae must be strictly increasing")
     if xs[-1] >= 1.0:
         raise ValueError("nodes must stay below x=1")
     if not np.all(np.diff(fs) > 0.0):
         raise ValueError("f must be strictly increasing along the grid (F strictly convex)")
+    # f rises from f(0) = 0, so f_last > 0 and the estimate is finite
+    blowup_x = float(xs[-1] + 1.0 / fs[-1])
+    # near the blow-up f is 1/(x_b - x) to leading order, so against the
+    # exact law 1/(1 - x) the last node carries the relative error
+    # |1 - x_b| f_last.  solve_potential's dilation map puts x_b at 1 up to
+    # rounding, so its grids read about 1e-16 f_last here; at the cap 1e8,
+    # a blow-up estimate that misses 1 by more than 1e-11 is refused.
+    tail = abs(1.0 - blowup_x) * fs[-1]
+    if not tail <= 1e-3:
+        raise ValueError(
+            f"tail error |1 - blowup_x| f = {tail:.2e} at the last node (f={fs[-1]:.3g}) "
+            f"exceeds 1e-3: the grid does not resolve the blow-up there"
+        )
     # with d = x_b - x, f = 1/d + c0 + o(1) and (2p-1)/(4Z) = d^3 (1 + 3 c0 d
     # + o(d)) near the singularity, so the distances d_Z and 1/f differ by
     # 2 c0 d^2: twice the error of the x + 1/f blow-up estimate
@@ -500,14 +483,14 @@ def _validate_solution_data(params, F0, xs, Fs, fs, blowup_x):
     if abs(blowup_x - 1.0) > 1e-5:
         raise ValueError(f"blow-up abscissa {blowup_x!r} misses 1 by more than 1e-5")
     coeffs = _node_series(params, xs, Fs, fs)
-    resid = _identity_residuals(params, F0, xs, Fs, fs, coeffs[1])
+    resid = _identity_residuals(params, xs, Fs, fs, coeffs[1])
     worst = float(resid.max())
     if not worst <= 1e-8:
         raise ValueError(
             f"integral-identity residual {worst:.3e} exceeds 1e-8 "
             f"at node x={float(xs[resid.argmax()])!r}"
         )
-    return worst, coeffs
+    return blowup_x, worst, coeffs
 
 
 def solve_potential(params: TubeParams) -> PotentialSolution:
@@ -520,13 +503,12 @@ def solve_potential(params: TubeParams) -> PotentialSolution:
     u = x f = 1e8, 79 steps for every p.  Its blow-up x_b gives
     F0 = 2 + (2/3) ln(x_b), and the same law maps its nodes onto the
     critical profile: x -> x/x_b, F -> F + (2/3) ln(x_b), f -> x_b f.  The
-    mapped grid's own blow-up estimate x_last + 1/f_last is stored as
-    achieved_blowup_x and must lie within 1e-5 of 1, the estimate's error
-    at the last node must not exceed 1e-12, and the tail error |1 - x_b| f
-    at the last node must not exceed 1e-3.
+    mapped grid's own blow-up estimate x_last + 1/f_last, achieved_blowup_x,
+    must lie within 1e-5 of 1, its error at the last node must not exceed
+    1e-12, and the tail error |1 - x_b| f there must not exceed 1e-3.
 
-    The PotentialSolution constructor checks these and every other
-    invariant, raising ValueError; its stats hold the march's step count.
+    The PotentialSolution constructor derives F0 and that estimate from the
+    nodes and checks these and every other invariant, raising ValueError.
 
     Raises
     ------
@@ -541,9 +523,7 @@ def solve_potential(params: TubeParams) -> PotentialSolution:
     xs = np.array(xs) / x_b
     fs = np.array(fs) * x_b
     Fs = np.array(Fs) + shift
-    stats = {"integrations": 1, "accepted_steps": len(xs) - 1, "rejected_steps": 0}
-    return PotentialSolution(params=params, F0=_C_START + shift, xs=xs, Fs=Fs, fs=fs,
-                             achieved_blowup_x=float(xs[-1] + 1.0 / fs[-1]), stats=stats)
+    return PotentialSolution(params=params, xs=xs, Fs=Fs, fs=fs)
 
 
 def load_solution(path) -> PotentialSolution:

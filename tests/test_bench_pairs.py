@@ -1,6 +1,7 @@
 """The pair recorder's summary (tools/bench_pairs.py), on synthetic run records."""
 
 import importlib.util
+import json
 import statistics
 from pathlib import Path
 
@@ -47,3 +48,33 @@ def test_one_pair_is_its_own_quartiles():
 def test_a_traced_run_keeps_its_values_as_printed():
     traced = bench_pairs.traced_record(result(5.0, 0.25, failed=1))
     assert traced == {"correct": False, "failed": 1, "ops_per_s": 5.0, "op_p50_ms": 0.25}
+
+
+def test_each_workload_keeps_its_own_machine_facts(tmp_path, monkeypatch):
+    # two calls, one workload each, into one file: each workload keeps the
+    # facts of its own first parent run, and none is overwritten
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": END_TO_END}))
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "export", lambda ref, dest: "c0ffee")
+    runs = []
+
+    def fake_run(checkout, workload, seed, seconds, trace):
+        runs.append((workload, seed, checkout == tmp_path))
+        side = "change" if checkout == tmp_path else "parent"
+        return {**result(100.0, 0.5), "machine": {
+            "nproc": len(workload), "cpu_model": f"{workload} {side} seed {seed}",
+            "python": "3.x", "numpy": "2.x", "load": 0.5}}
+
+    monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
+    for workload in ("cold_cli", "verify_suites"):
+        argv = ["--label", "t", "--workload", workload, "--pairs", "2", "--seed", "5"]
+        assert bench_pairs.main(argv) == 0
+    doc = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert "machine" not in doc and doc["parent"] == "c0ffee"
+    assert {name: record["machine"] for name, record in doc["workloads"].items()} == {
+        workload: {"nproc": len(workload), "cpu_model": f"{workload} parent seed 5",
+                   "python": "3.x", "numpy": "2.x"}
+        for workload in ("cold_cli", "verify_suites")}
+    # pair 0 runs the parent first, pair 1 the change
+    assert runs[:4] == [("cold_cli", 5, False), ("cold_cli", 5, True),
+                        ("cold_cli", 6, True), ("cold_cli", 6, False)]

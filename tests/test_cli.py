@@ -371,7 +371,7 @@ def test_verify_exit_zero_and_report(tmp_path, capsys):
     assert data["p"] == 2 and data["seed"] == 0
 
 
-def test_verify_stats_leave_stdout_and_report_unchanged(tmp_path, capsys):
+def test_verify_stats_leave_stdout_and_report_unchanged(sol_p2, tmp_path, capsys):
     runs = []
     for extra in ([], ["--stats"]):
         report = tmp_path / f"report{len(extra)}.json"
@@ -385,7 +385,7 @@ def test_verify_stats_leave_stdout_and_report_unchanged(tmp_path, capsys):
     assert set(stats) == {"solve_s", "solver", "suite_s", "checks", "failed"}
     assert list(stats["suite_s"]) == list(tubeke.SUITE_NAMES)
     assert all(t > 0.0 for t in [stats["solve_s"], *stats["suite_s"].values()])
-    assert stats["solver"]["integrations"] == 1 and stats["solver"]["nodes"] == 80
+    assert stats["solver"] == {"nodes": 80, "identity_residual": sol_p2.stats["identity_residual"]}
     assert stats["checks"] == len(json.loads(report)["checks"]) and stats["failed"] == 0
 
 
@@ -407,7 +407,8 @@ STATS_RUNS = {
 
 
 @pytest.mark.parametrize("verb", list(STATS_RUNS))
-def test_stats_leave_stdout_unchanged_for_every_verb(verb, sol_file, tmp_path, capsys):
+def test_stats_leave_stdout_unchanged_for_every_verb(verb, sol_file, sol_p1, sol_p2, tmp_path,
+                                                     capsys):
     template, stages, health = STATS_RUNS[verb]
     argv = [a.format(sol=sol_file, tmp=tmp_path) for a in template]
     runs = []
@@ -423,9 +424,9 @@ def test_stats_leave_stdout_unchanged_for_every_verb(verb, sol_file, tmp_path, c
     stats = json.loads(err_s)
     assert list(stats) == [f"{s}_s" for s in stages] + ["solver"] + health
     assert all(stats[f"{s}_s"] >= 0.0 for s in stages)
-    assert stats["solver"]["nodes"] == 80
     # every verb solves: a file records a solve and loading repeats it
-    assert stats["solver"]["integrations"] == 1
+    resid = (sol_p1 if verb == "solve" else sol_p2).stats["identity_residual"]
+    assert stats["solver"] == {"nodes": 80, "identity_residual": resid}
     if verb == "sweep":
         # the largest defect over the rows: on the axis, the closed forms'
         # |Q1111 + Q1122 + 3|, at rounding level
@@ -479,20 +480,88 @@ def test_verify_custom_seed_recorded(tmp_path):
     assert json.loads(report_path.read_text())["seed"] == 3
 
 
+# hostile inputs to solve, sweep and verify
+HOSTILE = [
+    *(["solve", f"--p={p}", "--out", "{tmp}/s.json"] for p in (0, -3, 20001)),
+    *(["sweep", "--sol", "{sol}", f"--{end}={x}", "--out", "{tmp}/rows.csv"]
+      for end in ("x-min", "x-max") for x in ("nan", "inf", "-inf", "1", "-1")),
+    *(["sweep", "--sol", "{sol}", f"--n={n}", "--out", "{tmp}/rows.csv"]
+      for n in (0, -1, _MAX_SWEEP_ROWS + 1)),
+    ["sweep", "--sol", "{sol}", "--x-min=0.5", "--x-max=0.1", "--n=3", "--out", "{tmp}/rows.csv"],
+    ["verify", "--p", "6", "--suite", "boundary_limit"],
+    ["verify", "--p", "1", "--suite", "origin", "--seed=-1"],
+]
+
+
 def test_usage_errors_exit_two(sol_file, tmp_path, capsys):
     assert main(["eval", "--sol", "no-such-file.json", "--x", "0"]) == 2
     assert main(["eval", "--sol", str(sol_file), "--x", "1.5"]) == 2
     capsys.readouterr()
     # beyond the last node: the range is printed as a plain float
     assert main(["eval", "--sol", str(sol_file), "--x", "0.999999999999"]) == 2
-    x_max = repr(tubeke.solve_potential(tubeke.TubeParams(p=2)).x_max)
-    assert f"error: |x| exceeds the solved range [0, {x_max}] (" in capsys.readouterr().err
+    x_max = tubeke.solve_potential(tubeke.TubeParams(p=2)).x_max
+    assert f"error: |x| exceeds the solved range [0, {x_max!r}] (" in capsys.readouterr().err
     assert main(["metric", "--sol", str(sol_file), "--point", "9,0,0,0"]) == 2
     assert main(["metric", "--sol", str(sol_file), "--point", "1,2,3"]) == 2
-    assert main(["solve", "--p", "0", "--out", str(tmp_path / "x.json")]) == 2
     assert main(["curvature", "--sol", str(sol_file), "--point", "0,0,0,0",
                  "--v", "1,0,0,0", "--w", "bad"]) == 2
     capsys.readouterr()
+    # hostile inputs to solve, sweep and verify: each is refused with exit
+    # 2, nothing on stdout and one line on stderr
+    for template in HOSTILE:
+        argv = [a.format(sol=sol_file, tmp=tmp_path) for a in template]
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1, argv
+    # endpoints inside (-1, 1) but beyond the grid end, on either side: the
+    # error names the solved range
+    beyond = repr(math.nextafter(x_max, 1.0))
+    for ends in ([f"--x-max={beyond}"], [f"--x-min=-{beyond}", "--x-max=0"]):
+        assert main(["sweep", "--sol", str(sol_file), *ends, "--out", str(tmp_path / "r.csv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: |x| exceeds the solved range [0, {x_max!r}] (the grid "
+                                "stops where f crosses the blow-up threshold)\n")
+    assert list(tmp_path.iterdir()) == []
+    # one row at x_min = x_max, and a seed beyond 64 bits, answer
+    assert main(["sweep", "--sol", str(sol_file), "--x-min=0.3", "--x-max=0.3", "--n=1",
+                 "--out", str(tmp_path / "one.csv")]) == 0
+    assert len((tmp_path / "one.csv").read_text().splitlines()) == 2
+    assert main(["verify", "--p", "1", "--suite", "origin", f"--seed={2 ** 70}"]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("template", [
+    ["verify", "--p", "1", "--suite", "origin", "--report", "{path}"],
+    ["sweep", "--sol", "{sol}", "--out", "{path}"],
+    ["solve", "--p", "2", "--out", "{path}"],
+])
+def test_an_unwritable_output_path_is_refused_before_the_work(template, sol_file, tmp_path,
+                                                              capsys, monkeypatch):
+    # a directory, or a file in a missing one: refused before the solve (or
+    # the load and the sweep) with one line, and nothing is left behind
+    def unreached(*args, **kwargs):
+        raise AssertionError("the work ran before the output path was refused")
+    for name in ("solve_potential", "load_solution", "axis_sweep"):
+        monkeypatch.setattr(tubeke.cli, name, unreached)
+    for path in (tmp_path, tmp_path / "missing" / "out"):
+        assert main([a.format(sol=sol_file, path=path) for a in template]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: [Errno ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_the_output_check_leaves_a_writable_path_as_it_was(sol_file, tmp_path, capsys):
+    # work refused after the check: an existing file keeps its bytes, and
+    # no new file is created
+    kept = tmp_path / "kept"
+    kept.write_text("old bytes\n")
+    for argv in (["solve", "--p", "20001"], ["sweep", "--sol", str(sol_file), "--n=0"]):
+        for out in (kept, tmp_path / "new"):
+            assert main([*argv, "--out", str(out)]) == 2
+            assert capsys.readouterr().out == ""
+    assert kept.read_text() == "old bytes\n" and list(tmp_path.iterdir()) == [kept]
 
 
 def test_argparse_rejects_unknown_subcommand():

@@ -8,7 +8,6 @@ from tubeke import diagnostics
 PUBLIC = [
     "TubeParams", "DomainError",
     "PotentialSolution", "solve_potential", "load_solution",
-    "integral_identity_residuals",
     "Point", "TubeAutomorphism", "BoundaryClass", "RegionClass", "in_domain",
     "x_invariant", "normalizing_automorphism", "apply", "jacobian", "jacobian_det",
     "classify_boundary", "region", "in_cone",
@@ -25,7 +24,7 @@ PUBLIC = [
 
 
 def test_public_names_are_unchanged_and_all_resolve():
-    assert len(PUBLIC) == len(set(PUBLIC)) == 45
+    assert len(PUBLIC) == len(set(PUBLIC)) == 44
     assert len(tubeke.__all__) == len(set(tubeke.__all__))
     assert set(tubeke.__all__) == set(PUBLIC)
     namespace = {}

@@ -22,7 +22,6 @@ from tubeke import (
     DomainError,
     PotentialSolution,
     TubeParams,
-    integral_identity_residuals,
     load_solution,
     solve_potential,
 )
@@ -166,12 +165,6 @@ def test_solution_invariants(sols):
         assert abs(sol.achieved_blowup_x - 1.0) <= 1e-9   # far inside the 1e-5 envelope
 
 
-def test_integral_identity_residuals(sols):
-    for sol in sols.values():
-        res = integral_identity_residuals(sol.params, sol.F0, sol.xs, sol.Fs, sol.fs)
-        assert np.max(res) < 1e-8
-
-
 def test_convexity_on_grid(sols):
     xs = np.linspace(-0.9999, 0.9999, 1001)
     for sol in sols.values():
@@ -219,9 +212,8 @@ def test_load_rejects_a_non_finite_scalar(tmp_path, sol_p2, key):
 
 
 def _built(sol, **changes):
-    """PotentialSolution(...) from sol's fields, with changes applied."""
-    fields = dict(params=sol.params, F0=sol.F0, xs=sol.xs, Fs=sol.Fs, fs=sol.fs,
-                  achieved_blowup_x=sol.achieved_blowup_x)
+    """PotentialSolution(...) from sol's params and nodes, with changes applied."""
+    fields = dict(params=sol.params, xs=sol.xs, Fs=sol.Fs, fs=sol.fs)
     return PotentialSolution(**{**fields, **changes})
 
 
@@ -235,9 +227,9 @@ def test_direct_construction_checks_and_rebuilds_the_solution(sol_p2):
     built = _built(sol_p2, xs=list(sol_p2.xs))
     assert built.to_dict() == sol_p2.to_dict()
     assert all(np.array_equal(getattr(built, k), getattr(sol_p2, k)) for k in ("xs", "Fs", "fs"))
-    assert built.stats == {"integrations": 0, "accepted_steps": 0, "rejected_steps": 0,
-                           "nodes": len(sol_p2.xs),
-                           "identity_residual": sol_p2.stats["identity_residual"]}
+    assert (built.F0, built.achieved_blowup_x) == (sol_p2.F0, sol_p2.achieved_blowup_x)
+    assert built.stats == sol_p2.stats == {"nodes": len(sol_p2.xs),
+                                           "identity_residual": sol_p2.stats["identity_residual"]}
     assert built.eval_F(0.99971) == sol_p2.eval_F(0.99971)
 
 
@@ -250,20 +242,32 @@ def test_direct_construction_refuses_a_non_finite_node(sol_p2, key, value):
         _built(sol_p2, **{key: _with(getattr(sol_p2, key), 40, value)})
 
 
+def _short_grid(sol):
+    """sol's nodes below f = 20, the last one's x put 3e-5 + 1/f below 1.
+
+    Its tail error reads 3e-5 f = 6e-4, and its last F is set to where
+    ((2p-1)/(4Z))^(1/3) = 1/f, so that the blow-up estimate reads exact.
+    """
+    keep = sol.fs < 20.0
+    xs, Fs, fs = sol.xs[keep].copy(), sol.Fs[keep].copy(), sol.fs[keep]
+    xs[-1] = 1.0 - 3e-5 - 1.0 / fs[-1]
+    Fs[-1] = math.log((2 * sol.params.p - 1) * fs[-1] ** 3 / 4.0) / 3.0
+    return {"xs": xs, "Fs": Fs, "fs": fs}
+
+
 @pytest.mark.parametrize("changes, message", [
     (lambda s: {"Fs": s.Fs[:-1]}, "node arrays must be 1-d of one length"),
     (lambda s: {"xs": s.xs[None]}, "node arrays must be 1-d of one length"),
     (lambda s: {"xs": s.xs[:3], "Fs": s.Fs[:3], "fs": s.fs[:3]}, "fewer than 4 nodes"),
-    (lambda s: {"F0": math.inf}, "F0 = inf is not finite"),
-    (lambda s: {"achieved_blowup_x": math.nan}, "blowup_x = nan is not finite"),
     (lambda s: {"xs": _with(s.xs, 0, 1e-9)}, "grid must start at x=0"),
-    (lambda s: {"F0": s.F0 + 1e-9}, "first node F value disagrees with F0"),
-    (lambda s: {"achieved_blowup_x": 1.0 - 1e-9}, "tail error .* exceeds 1e-3"),
+    # a last f twice too large puts the blow-up estimate 5e-9 below 1
+    (lambda s: {"fs": _with(s.fs, -1, 2.0 * s.fs[-1])}, "tail error .* exceeds 1e-3"),
     (lambda s: {"xs": _with(s.xs, 40, s.xs[39])}, "abscissae must be strictly increasing"),
     (lambda s: {"xs": _with(s.xs, -1, 1.0)}, "nodes must stay below x=1"),
     (lambda s: {"fs": _with(s.fs, 40, s.fs[39])}, "f must be strictly increasing"),
     (lambda s: {"xs": s.xs[s.fs < 1e4], "Fs": s.Fs[s.fs < 1e4], "fs": s.fs[s.fs < 1e4]},
      "blow-up estimate error .* exceeds 1e-12"),
+    (_short_grid, "blow-up abscissa 0.99997 misses 1 by more than 1e-5"),
     (lambda s: {"Fs": _with(s.Fs, 20, s.Fs[20] + 1e-5)}, "integral-identity residual"),
 ])
 def test_direct_construction_refuses_a_broken_invariant(sol_p2, changes, message):
@@ -421,11 +425,9 @@ def far_sols():
 def test_default_solve_takes_one_march(sols, far_sols):
     for sol in [*sols.values(), *far_sols]:
         stats = sol.stats
-        assert set(stats) == {"integrations", "accepted_steps", "rejected_steps",
-                              "nodes", "identity_residual"}
-        assert stats["integrations"] == 1 and stats["rejected_steps"] == 0
         # the dilation-invariant rules take the same 79 steps for every p
-        assert stats["nodes"] == len(sol.xs) == stats["accepted_steps"] + 1 == 80
+        assert stats == {"nodes": 80, "identity_residual": stats["identity_residual"]}
+        assert len(sol.xs) == 80
         assert 0.0 < stats["identity_residual"] < 1e-8
 
 
@@ -445,7 +447,7 @@ def test_stats_stay_out_of_the_solution_file(tmp_path, sol_p2):
     path = tmp_path / "sol.json"
     sol_p2.save(path)
     loaded = load_solution(path)
-    assert loaded.stats == sol_p2.stats and loaded.stats["integrations"] == 1
+    assert loaded.stats == sol_p2.stats
     assert path.read_text() == json.dumps(loaded.to_dict()) + "\n"
 
 
@@ -493,10 +495,10 @@ def test_blowup_cap_the_grid_cannot_resolve_is_refused(sol_p2, monkeypatch):
         assert abs(1.0 - sol.achieved_blowup_x) * sol.fs[-1] <= 1e-3
         assert abs(sol.F0 - sol_p2.F0) <= 1e-14
     assert abs(1.0 - sol_p2.achieved_blowup_x) * sol_p2.fs[-1] <= 3e-5
-    # the gate reads the recorded estimate: one 2e-11 off 1 reads 2e-3 at
-    # the last node (f = 1e8) and is refused
+    # the gate reads the grid's estimate: abscissae scaled by 1 - 2e-11 put
+    # it 2e-11 off 1, which reads 2e-3 at the last node (f = 1e8) and is refused
     with pytest.raises(ValueError, match="tail error .* exceeds 1e-3"):
-        _built(sol_p2, achieved_blowup_x=1.0 - 2e-11)
+        _built(sol_p2, xs=sol_p2.xs * (1.0 - 2e-11))
 
 
 def test_the_largest_supported_p_solves():

@@ -14,11 +14,12 @@ even and the working tree first when k is odd.  ``--traced-seed`` adds one
 
 It writes ``BENCH_<label>.json`` at the root of the repository: for each
 workload the seeds, each side's ``correct``, ``attempted`` and ``failed``,
-each end-to-end metric's runs with their median and quartiles, and the pairs
+each end-to-end metric's runs with their median and quartiles, the pairs
 in which the working tree reads better than the parent ("won"; ties count
-for neither side).  An existing file for the same parent commit keeps the
-workloads that this call does not run, so workloads can be recorded in
-separate calls.  A one-line summary per workload goes to stdout.
+for neither side), and the machine facts of its first parent run.  An
+existing file for the same parent commit keeps the workloads that this call
+does not run, so workloads can be recorded in separate calls.  A one-line
+summary per workload goes to stdout.
 """
 
 from __future__ import annotations
@@ -142,9 +143,9 @@ def main(argv=None) -> int:
                 order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
                 pairs.append({side: run_bench(checkouts[side], workload, seed, args.seconds, 0)
                               for side in order})
-            doc["machine"] = {key: pairs[0]["parent"]["machine"].get(key)
-                              for key in ("nproc", "cpu_model", "python", "numpy")}
             doc["workloads"][workload] = record = summarize(seeds, pairs, end_to_end)
+            record["machine"] = {key: pairs[0]["parent"]["machine"].get(key)
+                                 for key in ("nproc", "cpu_model", "python", "numpy")}
             if args.traced_seed is not None:
                 doc["traced_command"] = (f"python3 bench/run.py --workload W --seed "
                                          f"{args.traced_seed} --seconds {args.seconds:g} --trace 1")

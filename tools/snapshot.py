@@ -8,10 +8,11 @@ It imports ``tubeke`` from the checkout on PYTHONPATH and writes into OUTDIR:
 
 - ``p{p}.json`` (the saved record of the solve), ``nodes{p}.txt``
   (``repr`` of the node lists xs, Fs and fs, so that a change of the
-  profile shows) and ``stats{p}.txt`` (``repr`` of its stats) for
-  p = 1..8, 37, 38, 1000 and 20000: 37 is the last p whose coarse shot
-  from F(0) = 2 blows up before x = 2, 38 the first that blows up beyond
-  it, and 20000 the largest p solved;
+  profile shows) and ``stats{p}.txt`` (``repr`` of its stats, the node
+  count and the largest integral-identity residual) for p = 1..8, 37, 38,
+  1000 and 20000: 37 is the last p whose march from F(0) = 2 blows up
+  before x = 2, 38 the first whose march blows up beyond it, and 20000 the
+  largest p solved, whose march blows up near 1040;
 - ``evaluators.txt``: ``repr`` of eval_F, eval_f_derivs (orders 0..3) and
   eval_Z (orders 0..2) for p = 1, 2, 3, 5, 8 at every float of a fixed
   grid, then at scalar, 0-d and array arguments;

@@ -47,12 +47,17 @@ rounding.
 
 The frame and the closed forms use only +, -, *, / and sqrt,
 and X has one pow for floats and arrays, so stacked extremes equal the
-single point's bit for bit.  The pull to the axis has the same one pow, and
-the Bloch vectors round alike on Python complex and on numpy columns, so
-bisectional (normalized, tube) at stacked points equals the single point's
-bit for bit too.  So does the raw jet (metric_tensor), and with it raw
+single point's bit for bit.  One pair at one point stays in Python complex
+and float from the pull to the sum, in every mode; stacked points or pairs
+take numpy columns through the same arithmetic.  The pull takes numpy's
+pow for lam^{1/(2p)} on both paths, as X does, the binade scale is an exact
+power of two, and Python's complex times a float rounds as numpy's does,
+so the pushed vectors and their Bloch vectors agree and bisectional
+(normalized, tube) at stacked points equals the single point's bit for
+bit.  So does the raw jet (metric_tensor), and with it raw
 (normalize=False) tube Bis and the extremes of a raw stacked jet, and so
-does formula="direct", whose 16-term sum is formed from real parts.
+does formula="direct", whose 16-term sum is formed from real parts in one
+order on both paths.
 
 Each door builds only the jet entries it reads.  The tube formula and the
 extremes read g, det and (f, f'), so bisectional (tube, either mode),
@@ -265,51 +270,63 @@ def tensor_from_jet(jet: MetricJet) -> CurvatureTensor:
 # bisectional / sectional values
 # ---------------------------------------------------------------------------
 
+# the 16 terms (i, j, k, l) of the direct sum in its order, as (P index, Q index,
+# coefficient index): u_i conj(u_j) is entry 2(i - 1) + (j - 1) of _outer_parts, and
+# the count class of R_{i jbar k lbar} is read off coeff at a tensor that holds the
+# field numbers 0..5 as its coefficients
+_DIRECT_TERMS = tuple((2 * i + j - 3, 2 * k + l - 3, CurvatureTensor(*range(6)).coeff(i, j, k, l))
+                      for i in _IDX for j in _IDX for k in _IDX for l in _IDX)
+
+
 def _bis_direct(jet, tensor: CurvatureTensor, v, w) -> float:
     """Classical 16-term curvature sum; independent cross-check path.
 
-    v and w are vectors, or (2, n) columns of them with a stacked jet.  The
-    sum of R_{i jbar k lbar} v_i conj(v_j) w_k conj(w_l) is real: its 16
-    terms, in (i, j, k, l) order, are R Re(P_ij Q_kl) with P_ij =
-    v_i conj(v_j) and Q_kl = w_k conj(w_l), all formed from real parts
-    (numpy's complex product may fuse a multiply-add where Python's does
-    not), so a stacked row equals the single call bit for bit.
+    v and w are vectors of two Python complex, or (2, n) columns of them
+    with a stacked jet.  The sum of R_{i jbar k lbar} v_i conj(v_j) w_k
+    conj(w_l) is real: its 16 terms, in (i, j, k, l) order, are
+    R Re(P_ij Q_kl) with P_ij = v_i conj(v_j) and Q_kl = w_k conj(w_l), all
+    formed from real parts (numpy's complex product may fuse a multiply-add
+    where Python's does not), so a stacked row equals the single call bit
+    for bit.  Each term's R is read off the count-class table _DIRECT_TERMS.
     """
-    if v.ndim == 1:
-        v, w = v.tolist(), w.tolist()
     P, Q = _outer_parts(v), _outer_parts(w)
+    R = (tensor.R1111, tensor.R1112, tensor.R1122, tensor.R1212, tensor.R1222, tensor.R2222)
     num = 0.0
-    for i in _IDX:
-        for j in _IDX:
-            for k in _IDX:
-                for l in _IDX:
-                    (pr, pi), (qr, qi) = P[i - 1][j - 1], Q[k - 1][l - 1]
-                    num = num + tensor.coeff(i, j, k, l) * (pr * qr - pi * qi)
+    for ij, kl, c in _DIRECT_TERMS:
+        (pr, pi), (qr, qi) = P[ij], Q[kl]
+        num = num + R[c] * (pr * qr - pi * qi)
     g11, g12, g22 = jet.g
 
     def sq_norm(U):
-        return g11 * U[0][0][0] + g22 * U[1][1][0] + 2.0 * (g12 * U[0][1][0])
+        return g11 * U[0][0] + g22 * U[3][0] + 2.0 * (g12 * U[1][0])
 
     return num / (sq_norm(P) * sq_norm(Q))
 
 
 def _outer_parts(u) -> tuple:
-    """(Re, Im) of u_i conj(u_j), indexed [i - 1][j - 1], of a vector or (2, n) columns."""
+    """(Re, Im) of u_i conj(u_j) at entry 2(i - 1) + (j - 1), of a vector or (2, n) columns."""
     a, b, c, d = u[0].real, u[0].imag, u[1].real, u[1].imag
     re, im = a * c + b * d, b * c - a * d   # u_1 conj(u_2)
-    return (((a * a + b * b, 0.0), (re, im)), ((re, -im), (c * c + d * d, 0.0)))
+    return (a * a + b * b, 0.0), (re, im), (re, -im), (c * c + d * d, 0.0)
 
 
-def _columns(pair: TangentPair, x) -> tuple:
-    """The pair's (2,) vectors, or (2, n) columns of n pairs, by the module's broadcast rule.
+def _columns(pair: TangentPair, stack) -> tuple:
+    """The pair by the module's broadcast rule: one vector each, or (2, k) columns.
 
-    x is the points' X: a float, or a 1-d stack.
+    stack is a coordinate or X of the points: a scalar for one point, an
+    array for stacked points.  One pair at one point gives two lists of
+    two Python complex; one pair at stacked points (2, 1) columns, which
+    go with every point; n pairs (2, n) columns.
     """
     v, w = pair.v, pair.w
-    if isinstance(x, np.ndarray) and v.ndim == 2 and len(v) != len(x):
-        raise ValueError(f"{len(v)} vector pairs cannot go with {len(x)} stacked points: "
-                         f"give one pair, or one pair per point")
-    return (v, w) if v.ndim == 1 else (v.T, w.T)
+    if v.ndim == 2:
+        if isinstance(stack, np.ndarray) and len(v) != len(stack):
+            raise ValueError(f"{len(v)} vector pairs cannot go with {len(stack)} stacked "
+                             f"points: give one pair, or one pair per point")
+        return v.T, w.T
+    if isinstance(stack, np.ndarray):
+        return v[:, None], w[:, None]
+    return v.tolist(), w.tolist()
 
 
 def _pull_to_axis(sol: PotentialSolution, z: Point, r, vectors):
@@ -319,11 +336,12 @@ def _pull_to_axis(sol: PotentialSolution, z: Point, r, vectors):
     diag(lam, lam^{1/(2p)}) with lam = 1/r, r = 1 - Re(4p z1); bisectional
     curvature is invariant under it, so evaluating on the axis loses
     nothing and keeps the potential evaluators at their best-conditioned
-    abscissa.  The vectors are (2,) or (2, n) columns, as _columns gives them.
-    A point whose depth r overflows (lam = 0) is refused.
-    Each vector is _binade_scaled before the push, so that a subnormal one
-    is pushed at full precision.  lam^{1/(2p)} is numpy's pow for one point
-    and for stacked points alike, as X is.
+    abscissa.  The vectors come as _columns gives them, and lists are
+    pushed to lists in Python arithmetic, columns by numpy.  A point whose
+    depth r overflows (lam = 0) is refused.  Each vector is _binade_scaled
+    before the push, so that a subnormal one is pushed at full precision.
+    lam^{1/(2p)} is numpy's pow for one point and for stacked points alike,
+    as X is.
     """
     lam = 1.0 / r
     x = _orbit_x(sol.params, z, r)
@@ -331,8 +349,12 @@ def _pull_to_axis(sol: PotentialSolution, z: Point, r, vectors):
     if not _all(ok):
         raise DomainError(f"point {_first_point(z, ok)} is too deep to pull tangent "
                           f"vectors to the axis: 1 - Re(4p z1) overflows")
-    j1, j2 = lam, np.power(lam, 1.0 / (2 * sol.params.p))
-    return _on_axis(x), [np.array([j1 * u[0], j2 * u[1]]) for u in map(_binade_scaled, vectors)]
+    j2 = np.power(lam, 1.0 / (2 * sol.params.p))
+    scaled = map(_binade_scaled, vectors)
+    if isinstance(vectors[0], list):
+        j2 = float(j2)
+        return _on_axis(x), [[lam * a, j2 * b] for a, b in scaled]
+    return _on_axis(x), [np.array([lam * u[0], j2 * u[1]]) for u in scaled]
 
 
 def _on_axis(x) -> Point:
@@ -346,25 +368,27 @@ _MIN_NORMAL = sys.float_info.min
 _SUBNORMAL_LIFT = 2.0 ** 64
 
 
-def _binade_scaled(u: np.ndarray) -> np.ndarray:
+def _binade_scaled(u):
     """u times the power of two that brings its largest real or imaginary part into [0.5, 1).
 
-    u is one vector, or vectors stacked as the columns of a (2, n) array,
-    each scaled by its own power.  Bis and the boundary limit are invariant
-    under rescaling each vector, and the scale is exact in floating point;
-    it keeps squares of entries far from 1 from over- or underflowing, as
-    in the pushed vectors of deep points (lam -> 0, where lam and
-    lam^{1/(2p)} part by hundreds of decades).  The scale is read off the
-    parts, not the moduli: a finite entry's modulus can overflow, as
-    |1.7e308 (1 + i)| does.  A vector whose largest part is subnormal,
-    where 2^{-e} can overflow, is first lifted by 2^64, exactly.
+    u is one vector, a list of two Python complex scaled by math.frexp and
+    ldexp, or vectors stacked as the columns of a (2, n) array, each scaled
+    by its own power.  Bis and the boundary limit are invariant under
+    rescaling each vector, and the scale is exact in floating point; it
+    keeps squares of entries far from 1 from over- or underflowing, as in
+    the pushed vectors of deep points (lam -> 0, where lam and lam^{1/(2p)}
+    part by hundreds of decades).  The scale is read off the parts, not
+    the moduli: a finite entry's modulus can overflow, as |1.7e308 (1 + i)|
+    does.  A vector whose largest part is subnormal, where 2^{-e} can
+    overflow, is first lifted by 2^64, exactly.
     """
-    if u.ndim == 1:
-        a, b = u.tolist()
+    if isinstance(u, list):
+        a, b = u
         m = max(abs(a.real), abs(a.imag), abs(b.real), abs(b.imag))
         if m < _MIN_NORMAL:
-            return _binade_scaled(u * _SUBNORMAL_LIFT)
-        return u * math.ldexp(1.0, -math.frexp(m)[1])
+            return _binade_scaled([a * _SUBNORMAL_LIFT, b * _SUBNORMAL_LIFT])
+        scale = math.ldexp(1.0, -math.frexp(m)[1])
+        return [a * scale, b * scale]
     m = np.maximum(np.abs(u.real), np.abs(u.imag)).max(axis=0)
     tiny = m < _MIN_NORMAL
     if tiny.any():
@@ -406,7 +430,8 @@ def bisectional(sol: PotentialSolution, z: Point, pair: TangentPair,
         either vector: a float for one point and one pair, else an array.
     """
     r = require_domain(sol.params, z)
-    v, w = _columns(pair, z.z1)
+    # a scalar z1 goes with every point of a stacked z2
+    v, w = _columns(pair, z.z1 if isinstance(z.z1, np.ndarray) else z.z2)
     order = 2 if formula == "tube" else 4   # the tube formula reads g, det and (f, f')
     if normalize:
         axis, (v, w) = _pull_to_axis(sol, z, r, (v, w))
@@ -429,16 +454,15 @@ def bisectional_from_jet(jet: MetricJet, tensor: CurvatureTensor, pair: TangentP
 
 
 def _bis(jet: MetricJet, tensor: CurvatureTensor, v, w, formula: str):
-    """Bis(v, w) for checked (2,) vectors, or (2, n) columns, each _binade_scaled first.
+    """Bis(v, w) for checked vectors or columns, as _columns gives them, each _binade_scaled first.
 
     "tube" reads the jet's _kernel_split; "direct" reads the tensor, built
-    from the jet where it is None.  Stacked points give arrays.
+    from the jet where it is None.  One pair at one point stays in Python
+    complex (numpy scalars would cost most of the kernel) and gives a
+    float; stacked points or pairs give arrays.
     """
     v, w = _binade_scaled(v), _binade_scaled(w)
     if formula == "tube":
-        if v.ndim == 1:
-            # Python complex entries: numpy scalars would cost most of the kernel
-            v, w = v.tolist(), w.tolist()
         return _bis_frame(_kernel_split(jet), v, w)
     if formula != "direct":
         raise ValueError(f"unknown formula {formula!r} (expected 'tube' or 'direct')")
@@ -506,8 +530,8 @@ def boundary_limit_bis(jet: MetricJet, pair: TangentPair):
     ones.  The pair goes by the module's broadcast rule.
     """
     v, w = _columns(pair, jet.x_value)
-    limit = _boundary_limit(_frame(jet), v.reshape(2, -1), w.reshape(2, -1))
-    return float(limit[0]) if v.ndim == 1 and not isinstance(jet.x_value, np.ndarray) else limit
+    limit = _boundary_limit(_frame(jet), np.reshape(v, (2, -1)), np.reshape(w, (2, -1)))
+    return float(limit[0]) if isinstance(v, list) else limit
 
 
 # isinstance tells floats from arrays: np.ndim of a float costs more than the math

@@ -395,7 +395,8 @@ def test_bisectional_from_jet_equals_bisectional(sols, formula):
         for _ in range(10):
             v, w = random_vectors(rng, 2)
             pair = TangentPair(v=v, w=w)
-            axis, (pv, pw) = _pull_to_axis(sol, z, require_domain(sol.params, z), (v, w))
+            axis, (pv, pw) = _pull_to_axis(sol, z, require_domain(sol.params, z),
+                                           (v.tolist(), w.tolist()))
             jet = metric_jet(sol, axis)
             pushed = TangentPair(v=pv, w=pw)
             assert (bisectional_from_jet(jet, tensor_from_jet(jet), pushed, formula=formula)

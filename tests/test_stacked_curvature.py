@@ -379,3 +379,59 @@ def test_the_broadcast_rule(sol_p2):
             door(z, jet, two)
         none = TangentPair(v=np.empty((0, 2)), w=np.empty((0, 2)))
         assert door(points[0], jets[0], none).shape == (0,)
+
+
+def deep_points(p):
+    """Points at Re z1 = -1e100 and -1e300, where lam = 1/(1 - 4p Re z1) nears 1e-300."""
+    return [Point(complex(re1, 0.3), complex(x * (1.0 - 4 * p * re1) ** (1.0 / (2 * p)), -0.2))
+            for re1, x in ((-1e100, 0.6), (-1e300, -0.9))]
+
+
+# plain, scaled by 2^600 and 2^-600, subnormal, and with a zero component
+EXTREME_PAIRS = (
+    (np.array([0.3 - 1.2j, 0.7 + 0.5j]), np.array([-0.4 + 0.9j, 1.1 - 0.2j])),
+    (np.array([0.3 - 1.2j, 0.7 + 0.5j]) * 2.0 ** 600, np.array([1j, 0.5])),
+    (np.array([1.0, 1j]), np.array([-0.4 + 0.9j, 1.1 - 0.2j]) * 2.0 ** -600),
+    (np.array([5e-324, -1e-320j]), np.array([3e-310 + 4e-310j, 2e-322])),
+    (np.array([0.0, 2.0 - 1j]), np.array([-0.7j, 0.0])),
+)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_one_point_and_one_pair_equal_their_stacked_row_at_the_extremes(p, sols):
+    # one point with one pair stays in Python scalars from the pull to the
+    # sum, and must give a float with the bits of its row in the array path:
+    # at deep points, and at pairs far out of scale or subnormal
+    sol = sols[p]
+    shallow = sample_points(p, np.random.default_rng(130 + p), 3) + [Point(0j, 0j)]
+    modes = {"tube": ({}, shallow + deep_points(p)),
+             "raw": ({"normalize": False}, shallow),   # the raw jet refuses the deep points
+             "direct": ({"formula": "direct"}, shallow + deep_points(p))}
+    for name, (kw, points) in modes.items():
+        z = Point.stack(points)
+        for v, w in EXTREME_PAIRS:
+            pair = TangentPair(v=v, w=w)
+            single = [bisectional(sol, point, pair, **kw) for point in points]
+            assert all(type(value) is float for value in single), name
+            rows = TangentPair(v=np.tile(v, (len(points), 1)), w=np.tile(w, (len(points), 1)))
+            for stacked in (bisectional(sol, z, pair, **kw), bisectional(sol, z, rows, **kw)):
+                assert stacked.tobytes() == np.array(single).tobytes(), (name, v, w)
+
+
+def test_a_scalar_z1_with_a_stacked_z2_takes_the_broadcast_rule(sol_p2):
+    # the stack's length comes from either coordinate: a scalar z1 goes with
+    # every point of z2, as the stack of three full points does
+    mixed = Point(-0.1 + 0.3j, np.array([0.5 + 0.2j, 0.1, -0.3 + 0.1j]))
+    full = Point(np.full(3, mixed.z1), mixed.z2)
+    rng = np.random.default_rng(140)
+    one, rows = (TangentPair(v=rng.normal(size=shape) + 1j * rng.normal(size=shape),
+                             w=rng.normal(size=shape) - 1j) for shape in ((2,), (3, 2)))
+    for kw in ({}, {"normalize": False}, {"formula": "direct"}):
+        for pair in (one, rows):
+            assert (bisectional(sol_p2, mixed, pair, **kw).tobytes()
+                    == bisectional(sol_p2, full, pair, **kw).tobytes()), kw
+        for n in (1, 5):
+            pair = TangentPair(v=np.ones((n, 2)), w=np.ones((n, 2)) * 1j)
+            with pytest.raises(ValueError,
+                               match=f"{n} vector pairs cannot go with 3 stacked points"):
+                bisectional(sol_p2, mixed, pair, **kw)

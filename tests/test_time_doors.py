@@ -1,13 +1,24 @@
-"""The door timer's summary (tools/time_doors.py), on synthetic round records."""
+"""The door timer (tools/time_doors.py): its summary on synthetic rounds, and its doors."""
 
 import importlib.util
+import math
 import statistics
 from pathlib import Path
 
-_PATH = Path(__file__).resolve().parent.parent / "tools" / "time_doors.py"
-_SPEC = importlib.util.spec_from_file_location("time_doors", _PATH)
-time_doors = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(time_doors)
+import tubeke
+
+_ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+time_doors = _load("time_doors", _ROOT / "tools" / "time_doors.py")
+workloads = _load("bench_workloads", _ROOT / "bench" / "workloads.py")
 
 
 def rounds(parent: dict, change: dict) -> list:
@@ -38,3 +49,38 @@ def test_one_round_is_its_own_quartiles():
                                          {"metric_jet": [26.0]}))["metric_jet"]
     assert record["parent"] == {"runs": [25.0], "median": 25.0, "q1": 25.0, "q3": 25.0}
     assert record["won"] == "0/1"
+
+
+class _Recorder:
+    """A tubeke stand-in that records each call other than Point and TangentPair and answers 1.0."""
+
+    Point, TangentPair = tubeke.Point, tubeke.TangentPair
+
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, name):
+        def call(*args, **kwargs):
+            self.calls.append((name, kwargs))
+            return 1.0
+        return call
+
+
+def test_the_query_door_makes_the_calls_of_one_point_queries_op():
+    one = _Recorder()
+    time_doors.DOORS["query"](one, None, None, None)
+    assert [name for name, _ in one.calls] == ["metric_jet", "bisectional", "bisectional",
+                                                "bisectional", "einstein_residual"]
+    tk = _Recorder()
+    bench = workloads.PointQueries(tk, dict.fromkeys(workloads.PS), seed=1, workdir=None)
+    tk.calls.clear()
+    samples = bench.unit(0, False)
+    # boundary_limit_bis is the p = 1 oracle check, outside the timed calls
+    timed = [call for call in tk.calls if call[0] != "boundary_limit_bis"]
+    assert timed == one.calls * len(samples)
+
+
+def test_measure_times_every_door_in_process():
+    record = time_doors.measure(tubeke, workloads, queries=1, repeats=1)
+    assert list(record) == list(time_doors.DOORS)
+    assert all(0.0 < us < math.inf for us in record.values())

@@ -29,7 +29,13 @@ It imports ``tubeke`` from the checkout on PYTHONPATH and writes into OUTDIR:
   p = 1, 2, 3 with fixed vector pairs (among them vectors scaled by 2^600
   and 2^-600, and a subnormal one); ``curvature --v --w`` with the same
   pairs for p = 1, 2 on the axis at 1 - X = 1e-5 and at the grid end
-  (``edge*``).
+  (``edge*``);
+- ``pairs.txt``: ``repr`` of ``bisectional`` in its three modes (tube,
+  ``normalize=False``, ``formula="direct"``) and at ``normalize=False,
+  formula="direct"``, for p = 1, 2, 3, with the same fixed pairs at each
+  of ``EXTREME_POINTS`` and two deep points (Re z1 = -1e100 and -1e300),
+  then at the stack of the four and at the stack of all six, with each
+  pair and with one pair per point (values or the refusal).
 
 ``--stats``, whose timings vary from run to run, is left out.  Two
 checkouts give the same outputs exactly when ``diff -r`` between their
@@ -47,7 +53,7 @@ from pathlib import Path
 import numpy as np
 
 import tubeke
-from tubeke.cli import main as cli_main
+from tubeke.cli import _parse_vector, main as cli_main
 
 SOLVE_PS = (*range(1, 9), 37, 38, 1000, 20000)
 EVAL_PS = (1, 2, 3, 5, 8)
@@ -66,6 +72,41 @@ VECTOR_PAIRS = tuple(
         (_V, tuple(math.ldexp(c, -600) for c in _W)),
         ((5e-324, 0.0, 0.0, -1e-320), _W),
     ))
+
+
+PAIR_PS = (1, 2, 3)
+MODES = (("tube", {}), ("raw", {"normalize": False}), ("direct", {"formula": "direct"}),
+         ("raw_direct", {"normalize": False, "formula": "direct"}))
+# (Re z1, X) of the deep points, where lam = 1/(1 - 4p Re z1) nears 1e-300
+DEEP = ((-1e100, 0.6), (-1e300, -0.9))
+
+
+def _pair_points(p):
+    """EXTREME_POINTS and the deep points of p, as Points."""
+    deep = [tubeke.Point(complex(re1, 0.3),
+                         complex(x * (1.0 - 4 * p * re1) ** (1.0 / (2 * p)), -0.2))
+            for re1, x in DEEP]
+    return [*map(tubeke.Point.parse, EXTREME_POINTS), *deep]
+
+
+def _pair_lines(sol):
+    points = _pair_points(sol.params.p)
+    # the raw jet refuses the deep points, and with them a stack that holds them
+    stacks = {"stack": points[:len(EXTREME_POINTS)], "deep stack": points}
+    pairs = [tubeke.TangentPair(v=_parse_vector(v), w=_parse_vector(w)) for v, w in VECTOR_PAIRS]
+    for name, kw in MODES:
+        def bis(z, pair):
+            return _outcome(lambda: tubeke.bisectional(sol, z, pair, **kw))
+        for j, pair in enumerate(pairs):
+            for z in points:
+                yield f"{name} pair{j} {z}: {bis(z, pair)}"
+            for label, stack in stacks.items():
+                yield f"{name} pair{j} {label}: {bis(tubeke.Point.stack(stack), pair)}"
+        for label, stack in stacks.items():
+            # one pair per point, cycling through the pairs
+            cycled = [pairs[i % len(pairs)] for i in range(len(stack))]
+            rows = tubeke.TangentPair(v=[pair.v for pair in cycled], w=[pair.w for pair in cycled])
+            yield f"{name} rows {label}: {bis(tubeke.Point.stack(stack), rows)}"
 
 
 def _evaluator_lines(sol):
@@ -151,6 +192,10 @@ def main(outdir):
         for p in DEPTH_PS:
             fh.write(f"# p = {p}\n")
             fh.writelines(line + "\n" for line in _depth_lines(sols[p]))
+    with open("pairs.txt", "w") as fh:
+        for p in PAIR_PS:
+            fh.write(f"# p = {p}\n")
+            fh.writelines(line + "\n" for line in _pair_lines(sols[p]))
     with open("apply.txt", "w") as fh:
         for p in APPLY_PS:
             fh.write(f"# p = {p}\n")

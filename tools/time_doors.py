@@ -11,7 +11,9 @@ process imports tubeke from its checkout's ``src/``, solves p = 1, 2, 3 and
 draws point_queries' inputs with this tree's ``bench/workloads.py``
 (``--queries`` off-axis points and vector pairs per p, from seed SEED).  For
 each door it times REPEATS passes over all the queries and keeps the
-fastest, in microseconds per call.
+fastest, in microseconds per call.  The doors are the single-point
+curvature calls and ``query``, one point_queries op: ``metric_jet``, the
+three ``bisectional`` modes and ``einstein_residual`` at one query.
 
 It writes the ``"doors"`` entry of ``BENCH_<label>.json`` at the root of the
 repository, keeping the file's other entries: each door's per-round times
@@ -28,56 +30,79 @@ import json
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_pairs import ROOT, QUARTILES, export, spread  # noqa: E402
 
 SEED = 0
 REPEATS = 3
-DOORS = ("metric_jet", "bisectional", "bisectional_raw", "bisectional_direct",
-         "einstein_residual", "bis_extremes", "sectional_max")
 
+
+def _query(tk, sol, z, pair):
+    """One point_queries op: the calls bench/workloads.py's PointQueries times for one query."""
+    tk.metric_jet(sol, z)
+    tk.bisectional(sol, z, pair)
+    tk.bisectional(sol, z, pair, normalize=False)
+    tk.bisectional(sol, z, pair, formula="direct")
+    tk.einstein_residual(sol, z)
+
+
+DOORS = {
+    "metric_jet": lambda tk, sol, z, pair: tk.metric_jet(sol, z),
+    "bisectional": lambda tk, sol, z, pair: tk.bisectional(sol, z, pair),
+    "bisectional_raw": lambda tk, sol, z, pair: tk.bisectional(sol, z, pair, normalize=False),
+    "bisectional_direct": lambda tk, sol, z, pair: tk.bisectional(sol, z, pair, formula="direct"),
+    "einstein_residual": lambda tk, sol, z, pair: tk.einstein_residual(sol, z),
+    "bis_extremes": lambda tk, sol, z, pair: tk.bis_extremes(sol, z),
+    "sectional_max": lambda tk, sol, z, pair: tk.sectional_max(sol, z),
+    "query": _query,
+}
+
+
+def measure(tk, workloads, queries: int, repeats: int = REPEATS) -> dict:
+    """{door: microseconds per call}, the fastest of repeats passes over the seeded queries.
+
+    tk is the tubeke package timed and workloads bench/workloads.py, whose
+    point and vector draws give queries points and pairs per p = 1, 2, 3.
+    """
+    rng = np.random.default_rng(SEED)
+    cases = []
+    for p in (1, 2, 3):
+        sol = tk.solve_potential(tk.TubeParams(p=p))
+        for _ in range(queries):
+            z = workloads._random_point(tk, p, rng)
+            pair = tk.TangentPair(v=workloads._random_vector(rng), w=workloads._random_vector(rng))
+            cases.append((sol, z, pair))
+    out = {}
+    for name, door in DOORS.items():
+        best = float("inf")
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            for sol, z, pair in cases:
+                door(tk, sol, z, pair)
+            best = min(best, time.perf_counter() - t0)
+        out[name] = 1e6 * best / len(cases)
+    return out
+
+
+# a fresh process: tubeke from the checkout timed, this tree's workloads and measure
 CHILD = """
-import json, sys, time
-sys.path[:0] = [{src!r}, {bench!r}]
-import numpy as np
-import tubeke as tk
-from workloads import _random_point, _random_vector
-
-doors = {{
-    "metric_jet": lambda sol, z, pair: tk.metric_jet(sol, z),
-    "bisectional": lambda sol, z, pair: tk.bisectional(sol, z, pair),
-    "bisectional_raw": lambda sol, z, pair: tk.bisectional(sol, z, pair, normalize=False),
-    "bisectional_direct": lambda sol, z, pair: tk.bisectional(sol, z, pair, formula="direct"),
-    "einstein_residual": lambda sol, z, pair: tk.einstein_residual(sol, z),
-    "bis_extremes": lambda sol, z, pair: tk.bis_extremes(sol, z),
-    "sectional_max": lambda sol, z, pair: tk.sectional_max(sol, z),
-}}
-rng = np.random.default_rng({seed})
-queries = []
-for p in (1, 2, 3):
-    sol = tk.solve_potential(tk.TubeParams(p=p))
-    for _ in range({queries}):
-        z = _random_point(tk, p, rng)
-        queries.append((sol, z, tk.TangentPair(v=_random_vector(rng), w=_random_vector(rng))))
-out = {{}}
-for name in {doors!r}:
-    door, best = doors[name], float("inf")
-    for _ in range({repeats}):
-        t0 = time.perf_counter()
-        for sol, z, pair in queries:
-            door(sol, z, pair)
-        best = min(best, time.perf_counter() - t0)
-    out[name] = 1e6 * best / len(queries)
-print(json.dumps(out))
+import json, sys
+sys.path[:0] = [{src!r}, {bench!r}, {tools!r}]
+import tubeke, workloads
+from time_doors import measure
+print(json.dumps(measure(tubeke, workloads, {queries})))
 """
 
 
 def time_side(checkout: Path, queries: int) -> dict:
     """{door: microseconds per call} of one fresh process on checkout's src/."""
-    code = CHILD.format(src=str(checkout / "src"), bench=str(ROOT / "bench"), seed=SEED,
-                        queries=queries, repeats=REPEATS, doors=DOORS)
+    code = CHILD.format(src=str(checkout / "src"), bench=str(ROOT / "bench"),
+                        tools=str(ROOT / "tools"), queries=queries)
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     if done.returncode:
         raise RuntimeError(f"timing {checkout} failed (exit {done.returncode}):\n{done.stderr}")

@@ -7,7 +7,9 @@ extremes must reproduce the scalar ones point by point.  The frame Bis is
 checked against the feature form it replaced (conftest.reference_bis).
 """
 
+import importlib.util
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +34,11 @@ from tubeke import (
 from tubeke.curvature import _axis_form, _bis_frame
 
 from conftest import reference_bis, reference_extremes
+
+_SNAPSHOT = Path(__file__).resolve().parent.parent / "tools" / "snapshot.py"
+_SPEC = importlib.util.spec_from_file_location("snapshot", _SNAPSHOT)
+snapshot = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(snapshot)
 
 KEYS = ("R1111", "R1112", "R1122", "R1212", "R1222", "R2222")
 
@@ -312,20 +319,32 @@ def test_a_stack_of_more_than_one_dimension_is_refused():
             Point(z1, z2)
 
 
-def test_bisectional_at_stacked_points_pairs_one_vector_pair_with_each(sol_p2):
-    # the pushed vectors are (2, n) columns, one per point, in every mode
-    points = sample_points(2, np.random.default_rng(95), 2) + [Point(0j, 0.5 + 0j)]
-    z = Point.stack(points)
-    pair = TangentPair(v=np.array([1.0, 1j]), w=np.array([0.5, 2.0]))
-    for normalize in (True, False):
-        for formula in ("tube", "direct"):
-            values = bisectional(sol_p2, z, pair, normalize=normalize, formula=formula)
-            ref = [bisectional(sol_p2, point, pair, normalize=normalize, formula=formula)
-                   for point in points]
-            assert values.shape == (3,)
-            if formula == "tube":
-                assert values.tobytes() == np.array(ref).tobytes(), normalize
-            assert np.allclose(values, ref, rtol=1e-12, atol=0.0), (normalize, formula)
+def test_bisectional_at_stacked_points_pairs_one_vector_pair_with_each(sols):
+    # the pushed vectors are (2, n) columns, one per point, in every mode;
+    # one point with one pair stays in Python scalars from the pull to the
+    # sum and gives a float with the bits of its row, also at the snapshot's
+    # deep points and with its pairs far out of scale, subnormal or with a
+    # zero component
+    pairs = [TangentPair(v=np.array([1.0, 1j]), w=np.array([0.5, 2.0])),
+             *snapshot.tangent_pairs()]
+    for p, sol in sols.items():
+        points = (sample_points(p, np.random.default_rng(95), 2) + [Point(0j, 0.5 + 0j)]
+                  + snapshot.pair_points(p))
+        for normalize in (True, False):
+            # the raw jet refuses the deep points
+            at = points if normalize else points[:-len(snapshot.DEEP)]
+            z = Point.stack(at)
+            for formula in ("tube", "direct"):
+                kw = {"normalize": normalize, "formula": formula}
+                for pair in pairs:
+                    single = [bisectional(sol, point, pair, **kw) for point in at]
+                    assert all(type(value) is float for value in single), (p, kw)
+                    rows = TangentPair(v=np.tile(pair.v, (len(at), 1)),
+                                       w=np.tile(pair.w, (len(at), 1)))
+                    for stacked in (bisectional(sol, z, pair, **kw),
+                                    bisectional(sol, z, rows, **kw)):
+                        assert stacked.shape == (len(at),)
+                        assert stacked.tobytes() == np.array(single).tobytes(), (p, kw, pair)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 5])
@@ -379,43 +398,6 @@ def test_the_broadcast_rule(sol_p2):
             door(z, jet, two)
         none = TangentPair(v=np.empty((0, 2)), w=np.empty((0, 2)))
         assert door(points[0], jets[0], none).shape == (0,)
-
-
-def deep_points(p):
-    """Points at Re z1 = -1e100 and -1e300, where lam = 1/(1 - 4p Re z1) nears 1e-300."""
-    return [Point(complex(re1, 0.3), complex(x * (1.0 - 4 * p * re1) ** (1.0 / (2 * p)), -0.2))
-            for re1, x in ((-1e100, 0.6), (-1e300, -0.9))]
-
-
-# plain, scaled by 2^600 and 2^-600, subnormal, and with a zero component
-EXTREME_PAIRS = (
-    (np.array([0.3 - 1.2j, 0.7 + 0.5j]), np.array([-0.4 + 0.9j, 1.1 - 0.2j])),
-    (np.array([0.3 - 1.2j, 0.7 + 0.5j]) * 2.0 ** 600, np.array([1j, 0.5])),
-    (np.array([1.0, 1j]), np.array([-0.4 + 0.9j, 1.1 - 0.2j]) * 2.0 ** -600),
-    (np.array([5e-324, -1e-320j]), np.array([3e-310 + 4e-310j, 2e-322])),
-    (np.array([0.0, 2.0 - 1j]), np.array([-0.7j, 0.0])),
-)
-
-
-@pytest.mark.parametrize("p", [1, 2, 3])
-def test_one_point_and_one_pair_equal_their_stacked_row_at_the_extremes(p, sols):
-    # one point with one pair stays in Python scalars from the pull to the
-    # sum, and must give a float with the bits of its row in the array path:
-    # at deep points, and at pairs far out of scale or subnormal
-    sol = sols[p]
-    shallow = sample_points(p, np.random.default_rng(130 + p), 3) + [Point(0j, 0j)]
-    modes = {"tube": ({}, shallow + deep_points(p)),
-             "raw": ({"normalize": False}, shallow),   # the raw jet refuses the deep points
-             "direct": ({"formula": "direct"}, shallow + deep_points(p))}
-    for name, (kw, points) in modes.items():
-        z = Point.stack(points)
-        for v, w in EXTREME_PAIRS:
-            pair = TangentPair(v=v, w=w)
-            single = [bisectional(sol, point, pair, **kw) for point in points]
-            assert all(type(value) is float for value in single), name
-            rows = TangentPair(v=np.tile(v, (len(points), 1)), w=np.tile(w, (len(points), 1)))
-            for stacked in (bisectional(sol, z, pair, **kw), bisectional(sol, z, rows, **kw)):
-                assert stacked.tobytes() == np.array(single).tobytes(), (name, v, w)
 
 
 def test_a_scalar_z1_with_a_stacked_z2_takes_the_broadcast_rule(sol_p2):

@@ -81,6 +81,6 @@ def test_the_query_door_makes_the_calls_of_one_point_queries_op():
 
 
 def test_measure_times_every_door_in_process():
-    record = time_doors.measure(tubeke, workloads, queries=1, repeats=1)
+    record = time_doors.measure(tubeke, workloads, queries=1)
     assert list(record) == list(time_doors.DOORS)
     assert all(0.0 < us < math.inf for us in record.values())

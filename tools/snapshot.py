@@ -39,8 +39,9 @@ It imports ``tubeke`` from the checkout on PYTHONPATH and writes into OUTDIR:
 
 ``--stats``, whose timings vary from run to run, is left out.  Two
 checkouts give the same outputs exactly when ``diff -r`` between their
-OUTDIRs is empty.  The package does not import this script and the test
-suite does not run it.
+OUTDIRs is empty.  The package does not import this script; the test suite
+takes its fixed points and pairs (``pair_points``, ``tangent_pairs``) but
+does not run it.
 """
 
 import contextlib
@@ -81,7 +82,7 @@ MODES = (("tube", {}), ("raw", {"normalize": False}), ("direct", {"formula": "di
 DEEP = ((-1e100, 0.6), (-1e300, -0.9))
 
 
-def _pair_points(p):
+def pair_points(p):
     """EXTREME_POINTS and the deep points of p, as Points."""
     deep = [tubeke.Point(complex(re1, 0.3),
                          complex(x * (1.0 - 4 * p * re1) ** (1.0 / (2 * p)), -0.2))
@@ -89,11 +90,16 @@ def _pair_points(p):
     return [*map(tubeke.Point.parse, EXTREME_POINTS), *deep]
 
 
+def tangent_pairs():
+    """VECTOR_PAIRS as TangentPairs."""
+    return [tubeke.TangentPair(v=_parse_vector(v), w=_parse_vector(w)) for v, w in VECTOR_PAIRS]
+
+
 def _pair_lines(sol):
-    points = _pair_points(sol.params.p)
+    points = pair_points(sol.params.p)
     # the raw jet refuses the deep points, and with them a stack that holds them
     stacks = {"stack": points[:len(EXTREME_POINTS)], "deep stack": points}
-    pairs = [tubeke.TangentPair(v=_parse_vector(v), w=_parse_vector(w)) for v, w in VECTOR_PAIRS]
+    pairs = tangent_pairs()
     for name, kw in MODES:
         def bis(z, pair):
             return _outcome(lambda: tubeke.bisectional(sol, z, pair, **kw))

@@ -63,8 +63,8 @@ DOORS = {
 }
 
 
-def measure(tk, workloads, queries: int, repeats: int = REPEATS) -> dict:
-    """{door: microseconds per call}, the fastest of repeats passes over the seeded queries.
+def measure(tk, workloads, queries: int) -> dict:
+    """{door: microseconds per call}, the fastest of REPEATS passes over the seeded queries.
 
     tk is the tubeke package timed and workloads bench/workloads.py, whose
     point and vector draws give queries points and pairs per p = 1, 2, 3.
@@ -80,7 +80,7 @@ def measure(tk, workloads, queries: int, repeats: int = REPEATS) -> dict:
     out = {}
     for name, door in DOORS.items():
         best = float("inf")
-        for _ in range(repeats):
+        for _ in range(REPEATS):
             t0 = time.perf_counter()
             for sol, z, pair in cases:
                 door(tk, sol, z, pair)

@@ -20,7 +20,11 @@ Cauchy-product recurrence of
     f' D = 4E + f^2,    F' = f,    E' = 3fE,     D = (2p-1) x f + 4pK,
 
 with f = F' and E = e^{3F}, gives the series of (F, f) to order 24
-(_series).  A step is 0.2 of the radius estimate |a_22/a_24|^{1/2} from F's
+(_series).  The recurrence is written out term by term in a generated
+module, _taylor_series (tools/write_taylor_series.py), whose Cauchy sums
+run from 0.0, left to right, as CPython's sum() of floats did up to 3.11
+(3.12's is compensated), so a solve's nodes are the same on Python 3.10 to
+3.13.  A step is 0.2 of the radius estimate |a_22/a_24|^{1/2} from F's
 coefficients a_k, and the march stops once u = x f reaches 1e8.  Both rules
 are unchanged by the dilation, so a march from any F(0) takes the same
 steps up to scale.  Its blow-up x_b gives F0, and the law maps its nodes
@@ -58,11 +62,11 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from operator import mul
 from pathlib import Path
 
 import numpy as np
 
+from ._taylor_series import series as _series
 from .errors import DomainError
 from .params import TubeParams
 
@@ -88,34 +92,6 @@ _U_CAP = 1e8
 # distance to the blow-up, grows like 2.9e-17 p, to 5.8e-13 here, 0.58 of
 # its 1e-12 bound (first refused at p = 34551)
 _P_MAX = 20000
-
-
-def _series(p, x, F, f, E, h):
-    """The Taylor coefficients of (F, f) through a node, in the offset t = (x' - x)/h.
-
-    x, F, f and E = e^{3F} are the node's values and h the offset's scale:
-    floats, or float arrays for many nodes at once, since the recurrence
-    reads only +, *, / and sum.  Returns the lists [F_0..F_N] and [f_0..f_N],
-    N = _ORDER.  In t the ODE reads g D = h (4E + f^2) with g = df/dt, and
-    order k of it, of dF/dt = h f and of dE/dt = 3h f E gives
-
-        g_k D_0 = h (4 E_k + sum_j f_j f_{k-j}) - sum_{j<k} g_j D_{k-j},
-        f_{k+1} = g_k/(k+1),   F_{k+1} = h f_k/(k+1),
-        E_k = 3h sum_{j<k} f_j E_{k-1-j}/k,   D_k = (2p-1)(x f_k + h f_{k-1}).
-    """
-    p2m1 = 2.0 * p - 1.0
-    Fc, fc, Ec, gc = [F], [f], [E], []
-    D = [p2m1 * x * f + 4.0 * p * ((2 * p + 1) / 3.0)]
-    for k in range(_ORDER):
-        if k:
-            Ec.append(3.0 * h * sum(map(mul, fc, reversed(Ec))) / k)
-            D.append(p2m1 * (x * fc[k] + h * fc[k - 1]))
-        g = (h * (4.0 * Ec[k] + sum(map(mul, fc, reversed(fc))))
-             - sum(map(mul, gc, reversed(D)))) / D[0]
-        gc.append(g)
-        fc.append(g / (k + 1))
-        Fc.append(h * fc[k] / (k + 1))
-    return Fc, fc
 
 
 def _horner(coeffs, t):

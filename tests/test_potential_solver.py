@@ -115,11 +115,15 @@ def test_frozen_center_values(sols):
         assert abs(sol.F0 - frozen[p]) < 5e-11
 
 
-# F0 from an mpmath Taylor shot at 30 digits whose tail is integrated in
-# u = e^{-F} to the blow-up, with the dilation law (ROADMAP item 2); p = 1
-# is the closed form ln(2)/3
-REFERENCE_F0 = {1: LN2_OVER_3, 2: 0.6385331333837224062, 3: 0.8775358133419155934,
-                5: 1.185149818030512957}
+# F0 to 25 digits: the solver's recurrence (_series) marched over
+# mpmath.mpf at 50 digits, in steps of 0.05 of the radius estimate to
+# u = x f = 1e18, then F0 = c + (2/3) ln(x + 1/f); starts c = 0 and 2
+# agree.  p is passed as an mpf, so that K = (2p+1)/3 is not rounded to a
+# double: with an int p the march solves the solver's rounded 4pK, whose
+# F0 is 1.3e-17 higher at p = 2 and 1.9e-17 lower at p = 5 (p = 3's 4pK
+# rounds to 28 exactly).  p = 1 is the closed form ln(2)/3
+REFERENCE_F0 = {1: LN2_OVER_3, 2: 0.6385331333837224061776643,
+                3: 0.8775358133419155934005717, 5: 1.185149818030512956516398}
 
 
 @pytest.mark.parametrize("p", sorted(REFERENCE_F0))

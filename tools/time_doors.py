@@ -1,4 +1,4 @@
-"""Time the single-point curvature doors in process, interleaved against a parent commit.
+"""Time the solve and the single-point curvature doors in process, against a parent commit.
 
 Usage::
 
@@ -9,9 +9,10 @@ Each round runs one fresh process per side: the working tree as it stands
 the parent first in even rounds and the working tree first in odd ones.  A
 process imports tubeke from its checkout's ``src/``, solves p = 1, 2, 3 and
 draws point_queries' inputs with this tree's ``bench/workloads.py``
-(``--queries`` off-axis points and vector pairs per p, from seed SEED).  For
-each door it times REPEATS passes over all the queries and keeps the
-fastest, in microseconds per call.  The doors are the single-point
+(``--queries`` off-axis points and vector pairs per p, from seed SEED).  The
+first layer timed is ``solve``, one ``solve_potential`` per p = 1, 2, 3.  For
+each door it times REPEATS passes over all the queries.  Each layer keeps its
+fastest pass, in microseconds per call.  The doors are the single-point
 curvature calls and ``query``, one point_queries op: ``metric_jet``, the
 three ``bisectional`` modes and ``einstein_residual`` at one query.
 
@@ -40,6 +41,7 @@ from bench_pairs import ROOT, QUARTILES, export, spread  # noqa: E402
 
 SEED = 0
 REPEATS = 3
+PS = (1, 2, 3)
 
 
 def _query(tk, sol, z, pair):
@@ -64,20 +66,26 @@ DOORS = {
 
 
 def measure(tk, workloads, queries: int) -> dict:
-    """{door: microseconds per call}, the fastest of REPEATS passes over the seeded queries.
+    """{layer: microseconds per call}, the fastest of REPEATS passes of each.
 
     tk is the tubeke package timed and workloads bench/workloads.py, whose
-    point and vector draws give queries points and pairs per p = 1, 2, 3.
+    point and vector draws give queries points and pairs per p in PS.  The
+    first layer is solve, one solve per p in PS; the doors follow, each over
+    all the queries.
     """
+    best = float("inf")
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        sols = [tk.solve_potential(tk.TubeParams(p=p)) for p in PS]
+        best = min(best, time.perf_counter() - t0)
+    out = {"solve": 1e6 * best / len(PS)}
     rng = np.random.default_rng(SEED)
     cases = []
-    for p in (1, 2, 3):
-        sol = tk.solve_potential(tk.TubeParams(p=p))
+    for sol in sols:
         for _ in range(queries):
-            z = workloads._random_point(tk, p, rng)
+            z = workloads._random_point(tk, sol.params.p, rng)
             pair = tk.TangentPair(v=workloads._random_vector(rng), w=workloads._random_vector(rng))
             cases.append((sol, z, pair))
-    out = {}
     for name, door in DOORS.items():
         best = float("inf")
         for _ in range(REPEATS):
@@ -148,8 +156,9 @@ def main(argv=None) -> int:
             rounds.append({side: time_side(checkouts[side], args.queries) for side in order})
     doc = json.loads(out.read_text()) if out.exists() else {}
     doc["doors"] = {
-        "what": "In-process microseconds per call of each door over point_queries' seeded "
-                f"inputs (seed {SEED}), the fastest of {REPEATS} passes, one fresh process per "
+        "what": "In-process microseconds per call: solve, one solve_potential per p = "
+                f"{', '.join(map(str, PS))}, and each door over point_queries' seeded inputs "
+                f"(seed {SEED}); each the fastest of {REPEATS} passes, one fresh process per "
                 "side and round; round k ran the parent first when k is even.",
         "parent": commit,
         "command": f"python3 tools/time_doors.py --label {args.label} --parent {args.parent} "

@@ -22,7 +22,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,8 +39,9 @@ SWEEP_COLUMNS = ("x", "F", "f", "f1", "f2", "f3", "Z",
                  "det_g", "bis_min", "bis_max", "sect_max")
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
+    """One sweep row, a tuple in SWEEP_COLUMNS order with a field per column."""
+
     x: float
     F: float
     f: float
@@ -297,8 +298,8 @@ def _add_stats(parser: argparse.ArgumentParser, stages: str) -> None:
 
 def _add_sol(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sol", required=True,
-                        help="solution JSON from solve: its p is solved again (about "
-                             "6 ms), and the file is refused unless it records that solve")
+                        help="solution JSON from solve: its p is solved again, and the "
+                             "file is refused unless it records that solve")
 
 
 def _build_parser() -> argparse.ArgumentParser:

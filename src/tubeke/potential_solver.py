@@ -48,8 +48,11 @@ in Python floats; its running powers and their sum with the node's
 coefficients are the stacked path's accumulate and einsum on one row.  An
 array takes the stacked path, which does the same on whole arrays.
 Python floats round as numpy's float64 does, so a single value's results
-are Python floats with the bits of its row in a stacked call.  A value
-either path refuses gets one message, from _refuse.
+are Python floats with the bits of its row in a stacked call.  A solution
+keeps its last single-value read, so a value with the same |x| (one
+point's metric and curvature calls all read the profile at one |X|)
+skips the domain check, the node lookup and the series.  A value either
+path refuses gets one message, from _refuse.
 
 The profile is a function of p alone (1 <= p <= _P_MAX), and
 solve_potential is its one source: a solution file records a solve, and
@@ -227,6 +230,9 @@ class PotentialSolution:
         # each interval's (2, _ORDER + 1) row of coefficients
         object.__setattr__(self, "_lists", (self._inner.tolist(), self.xs.tolist(),
                                             self._h.tolist(), list(coeffs.transpose(1, 0, 2))))
+        # the float path's last read (|x|, F, f), one tuple replaced whole so a
+        # reader never sees a mix of two reads; NaN matches no |x|
+        object.__setattr__(self, "_kept", (math.nan, math.nan, math.nan))
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -274,9 +280,17 @@ class PotentialSolution:
         The same node and offset, formed in Python floats, which round as
         numpy's do, and the same running powers and einsum over the node's
         row of coefficients, so the bits are those of the stacked row.
+
+        The last admitted read is kept: a value with its |x| (x or -x, as
+        one point's chain reads it again) returns those very floats.
+        Non-negative floats that compare equal have equal bits, so a kept
+        read is the read itself.  Stacked reads neither use nor change it.
         """
-        inner, xs, h, rows = self._lists
         ax = abs(x)
+        kept = self._kept
+        if ax == kept[0]:   # false for NaN
+            return kept
+        inner, xs, h, rows = self._lists
         if not ax <= xs[-1]:   # false for NaN
             self._refuse(ax)
         i = bisect_right(inner, ax)   # searchsorted(side="right")
@@ -285,7 +299,9 @@ class PotentialSolution:
         powers[0] = 1.0
         np.multiply.accumulate(powers, out=powers)
         F, f = np.einsum("...k,...k->...", rows[i], powers).tolist()
-        return ax, F, f
+        kept = ax, F, f
+        object.__setattr__(self, "_kept", kept)
+        return kept
 
     def _profile(self, ax):
         """(F, f) at the abscissae 0 <= ax <= x_max, each shaped like ax.

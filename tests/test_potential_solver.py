@@ -376,6 +376,18 @@ def test_every_argument_form_gives_the_same_bits(five_sols, p, evaluator):
         assert all(type(v) is float for vs in values for v in vs)
         assert np.array(values).T.tobytes() == rows.tobytes(), form
     assert np.array(evaluate(sol, 0)).tobytes() == rows[:, 40].tobytes()
+    # the kept read: -x right after x repeats |x| and returns x's read, also
+    # after a stacked read of both, which neither uses nor changes it; it has
+    # the bits of a fresh solution's first read of -x (seeded x, 0.0, -0.0,
+    # x_max and a node)
+    for x in [*xs[[0, 1, 40, 41, 43]].tolist(), sol.xs[7]]:
+        evaluate(sol, x)
+        kept = sol._kept
+        evaluate(sol, np.array([x, -x]))
+        hit = evaluate(sol, -x)
+        assert sol._kept is kept
+        fresh = PotentialSolution(sol.params, sol.xs, sol.Fs, sol.fs)
+        assert np.array(hit).tobytes() == np.array(evaluate(fresh, -x)).tobytes(), x
 
 
 @pytest.mark.parametrize("evaluator", EVALUATORS)
@@ -388,9 +400,26 @@ def test_a_single_value_is_refused_as_a_stacked_one(five_sols, p, evaluator):
         with pytest.raises(DomainError) as stacked:
             evaluate(sol, np.array([0.3, bad]))
         for form in (float, np.float64, np.array):
+            # right after a hit at an admitted x, which the refusal leaves kept
+            evaluate(sol, 0.3)
+            evaluate(sol, -0.3)
+            kept = sol._kept
             with pytest.raises(DomainError) as single:
                 evaluate(sol, form(bad))
             assert str(single.value) == str(stacked.value), (bad, form)
+            assert sol._kept is kept
+
+
+@pytest.mark.parametrize("evaluator", EVALUATORS)
+def test_two_solutions_read_in_turn_keep_their_own_reads(five_sols, evaluator):
+    # p = 1 and p = 2 read in turn at x, -x and x again: each repeated |x|
+    # returns the solution's own kept read, never the other's
+    evaluate, sols = EVALUATORS[evaluator], (five_sols[1], five_sols[2])
+    xs = (np.random.default_rng(22).uniform(-0.99, 0.99, (20, 1)) * [1.0, -1.0, 1.0]).ravel()
+    reads = [[evaluate(sol, x) for sol in sols] for x in xs.tolist()]
+    for k, sol in enumerate(sols):
+        rows = np.asarray(evaluate(sol, xs))
+        assert np.array([read[k] for read in reads]).T.tobytes() == rows.tobytes()
 
 
 def test_a_solution_equals_only_itself(sol_p2):

@@ -3,7 +3,9 @@
 import importlib.util
 import math
 import statistics
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import tubeke
 
@@ -82,5 +84,25 @@ def test_the_query_door_makes_the_calls_of_one_point_queries_op():
 
 def test_measure_times_every_door_in_process():
     record = time_doors.measure(tubeke, workloads, queries=1)
-    assert list(record) == ["solve", *time_doors.DOORS]
+    assert list(record) == ["control", "solve", "sweep", *time_doors.DOORS]
     assert all(0.0 < us < math.inf for us in record.values())
+
+
+def test_the_sweep_layer_runs_one_500_row_sweep_per_p(sols):
+    calls = []
+    tk = SimpleNamespace(axis_sweep=lambda *args: calls.append(args))
+    time_doors.sweep(tk, workloads, list(sols.values()))
+    # bench's axis_sweep range, in the solutions' order p = 1, 2, 3
+    assert calls == [(sol, 0.0, workloads.AxisSweep.X_MAX, 500) for sol in sols.values()]
+
+
+def test_the_control_layer_runs_no_tubeke_code():
+    package = str(Path(tubeke.__file__).parent)
+    files = set()
+    sys.setprofile(lambda frame, event, arg: files.add(frame.f_code.co_filename))
+    try:
+        seconds = time_doors.control()
+    finally:
+        sys.setprofile(None)
+    assert 0.0 < seconds < math.inf
+    assert files and not any(name.startswith(package) for name in files)

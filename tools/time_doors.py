@@ -10,11 +10,17 @@ the parent first in even rounds and the working tree first in odd ones.  A
 process imports tubeke from its checkout's ``src/``, solves p = 1, 2, 3 and
 draws point_queries' inputs with this tree's ``bench/workloads.py``
 (``--queries`` off-axis points and vector pairs per p, from seed SEED).  The
-first layer timed is ``solve``, one ``solve_potential`` per p = 1, 2, 3.  For
-each door it times REPEATS passes over all the queries.  Each layer keeps its
-fastest pass, in microseconds per call.  The doors are the single-point
-curvature calls and ``query``, one point_queries op: ``metric_jet``, the
-three ``bisectional`` modes and ``einstein_residual`` at one query.
+first layer timed is ``control``, this tree's ``bench/run.py`` reference
+task, which runs no tubeke code: its per-round ratio shows how far two
+processes drift apart on identical work.  Then come ``solve``, one
+``solve_potential`` per p = 1, 2, 3, and ``sweep``, one SWEEP_ROWS-row
+``axis_sweep`` per p over axis_sweep's range.  For each door it times
+REPEATS passes over all the queries.  Each layer keeps its fastest pass, in
+microseconds per call.  The doors are the single-point curvature calls and
+``query``, one point_queries op: ``metric_jet``, the three ``bisectional``
+modes and ``einstein_residual`` at one query.  Each single door reads the
+profile once per point, at distinct points, so only ``query`` reads one
+|X| more than once.
 
 It writes the ``"doors"`` entry of ``BENCH_<label>.json`` at the root of the
 repository, keeping the file's other entries: each door's per-round times
@@ -27,6 +33,7 @@ A one-line summary per door goes to stdout.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import subprocess
 import sys
@@ -42,6 +49,13 @@ from bench_pairs import ROOT, QUARTILES, export, spread  # noqa: E402
 SEED = 0
 REPEATS = 3
 PS = (1, 2, 3)
+SWEEP_ROWS = 500
+
+# the control layer: bench/run.py's reference task, which runs no tubeke code
+_spec = importlib.util.spec_from_file_location("bench_run", ROOT / "bench" / "run.py")
+_bench_run = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_bench_run)
+control = _bench_run.reference_s
 
 
 def _query(tk, sol, z, pair):
@@ -65,20 +79,37 @@ DOORS = {
 }
 
 
+def sweep(tk, workloads, sols) -> None:
+    """One SWEEP_ROWS-row axis_sweep per solution, over bench's axis_sweep range."""
+    for sol in sols:
+        tk.axis_sweep(sol, 0.0, workloads.AxisSweep.X_MAX, SWEEP_ROWS)
+
+
+def _fastest(run, calls: int) -> float:
+    """Microseconds per call of the fastest of REPEATS passes of run(), which makes calls calls."""
+    best = float("inf")
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        run()
+        best = min(best, time.perf_counter() - t0)
+    return 1e6 * best / calls
+
+
 def measure(tk, workloads, queries: int) -> dict:
     """{layer: microseconds per call}, the fastest of REPEATS passes of each.
 
     tk is the tubeke package timed and workloads bench/workloads.py, whose
     point and vector draws give queries points and pairs per p in PS.  The
-    first layer is solve, one solve per p in PS; the doors follow, each over
-    all the queries.
+    layers are control, the reference task; solve, one solve per p in PS;
+    sweep, one sweep per p; and the doors, each over all the queries.
     """
-    best = float("inf")
-    for _ in range(REPEATS):
-        t0 = time.perf_counter()
-        sols = [tk.solve_potential(tk.TubeParams(p=p)) for p in PS]
-        best = min(best, time.perf_counter() - t0)
-    out = {"solve": 1e6 * best / len(PS)}
+    sols = []
+
+    def solve():
+        sols[:] = [tk.solve_potential(tk.TubeParams(p=p)) for p in PS]
+
+    out = {"control": _fastest(control, 1), "solve": _fastest(solve, len(PS)),
+           "sweep": _fastest(lambda: sweep(tk, workloads, sols), len(PS))}
     rng = np.random.default_rng(SEED)
     cases = []
     for sol in sols:
@@ -87,13 +118,10 @@ def measure(tk, workloads, queries: int) -> dict:
             pair = tk.TangentPair(v=workloads._random_vector(rng), w=workloads._random_vector(rng))
             cases.append((sol, z, pair))
     for name, door in DOORS.items():
-        best = float("inf")
-        for _ in range(REPEATS):
-            t0 = time.perf_counter()
+        def run(door=door):
             for sol, z, pair in cases:
                 door(tk, sol, z, pair)
-            best = min(best, time.perf_counter() - t0)
-        out[name] = 1e6 * best / len(cases)
+        out[name] = _fastest(run, len(cases))
     return out
 
 
@@ -156,10 +184,12 @@ def main(argv=None) -> int:
             rounds.append({side: time_side(checkouts[side], args.queries) for side in order})
     doc = json.loads(out.read_text()) if out.exists() else {}
     doc["doors"] = {
-        "what": "In-process microseconds per call: solve, one solve_potential per p = "
-                f"{', '.join(map(str, PS))}, and each door over point_queries' seeded inputs "
-                f"(seed {SEED}); each the fastest of {REPEATS} passes, one fresh process per "
-                "side and round; round k ran the parent first when k is even.",
+        "what": "In-process microseconds per call: control, bench/run.py's reference task "
+                "(no tubeke code); solve, one solve_potential per p = "
+                f"{', '.join(map(str, PS))}; sweep, one {SWEEP_ROWS}-row axis_sweep per p; and "
+                f"each door over point_queries' seeded inputs (seed {SEED}); each the fastest "
+                f"of {REPEATS} passes, one fresh process per side and round; round k ran the "
+                "parent first when k is even.",
         "parent": commit,
         "command": f"python3 tools/time_doors.py --label {args.label} --parent {args.parent} "
                    f"--rounds {args.rounds} --queries {args.queries}",

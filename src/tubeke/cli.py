@@ -62,16 +62,15 @@ _MAX_SWEEP_ROWS = 10 ** 6
 
 
 def axis_sweep(sol: PotentialSolution, x_min: float = 0.0,
-               x_max: float = 1.0 - 1e-4, n: int = 500, health: dict | None = None) -> list:
+               x_max: float = 1.0 - 1e-4, n: int = 500) -> list:
     """Tabulate profile and curvature quantities at n points of [x_min, x_max].
 
     Points on the real-z2 axis represent every orbit of the automorphism
     group with X >= 0, so this one table captures the whole geometry.
     The jet, tensor and extremes run once on the stacked axis points.
-    Rows come back in x order and are checked to be finite.  A health dict,
-    if given, receives the rows' largest Einstein defect.  n is an integer
-    (bools refused) from 1 to 10^6 (_MAX_SWEEP_ROWS), checked before
-    anything is allocated.
+    Rows come back in x order and are checked to be finite.  n is an
+    integer (bools refused) from 1 to 10^6 (_MAX_SWEEP_ROWS), checked
+    before anything is allocated.
     """
     n = as_integer("n", n)
     if not 1 <= n <= _MAX_SWEEP_ROWS:
@@ -93,8 +92,6 @@ def axis_sweep(sol: PotentialSolution, x_min: float = 0.0,
     finite = np.isfinite(columns).all(axis=0)
     if not finite.all():
         raise RuntimeError(f"non-finite sweep row at x={xs[np.argmin(finite)]}")
-    if health is not None:
-        health["einstein_defect"] = float(ext.einstein_defect.max())
     return [SweepRow(*row) for row in columns.T.tolist()]
 
 
@@ -239,9 +236,7 @@ def _cmd_curvature(args) -> int:
     _print_json(out)
     stages.lap("write")
     if args.stats:
-        # the closed forms' defect at X, which both modes read; kept on the tensor
-        defect = curvature.bis_extremes_from_jet(jet, tensor).einstein_defect
-        _print_stats(stages, sol, einstein_defect=defect)
+        _print_stats(stages, sol)
     return 0
 
 
@@ -250,14 +245,13 @@ def _cmd_sweep(args) -> int:
     stages = _Stages()
     sol = load_solution(args.sol)
     stages.lap("load")
-    health = {}
-    rows = axis_sweep(sol, x_min=args.x_min, x_max=args.x_max, n=args.n, health=health)
+    rows = axis_sweep(sol, x_min=args.x_min, x_max=args.x_max, n=args.n)
     stages.lap("sweep")
     write_sweep_csv(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
     stages.lap("write")
     if args.stats:
-        _print_stats(stages, sol, **health)
+        _print_stats(stages, sol)
     return 0
 
 
@@ -341,8 +335,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_curv.add_argument("--extremes", action="store_true",
                         help="extremal bisectional/sectional values, from closed forms "
                              "at the point's X, up to the grid end")
-    _add_stats(p_curv, "load, jet, tensor, then bis and/or extremes, write; "
-                       "einstein_defect follows, that of the closed forms at X")
+    _add_stats(p_curv, "load, jet, tensor, then bis and/or extremes, write")
     p_curv.set_defaults(func=_cmd_curvature)
 
     p_sweep = sub.add_parser("sweep", help="CSV sweep along the real-z2 axis")
@@ -351,7 +344,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--x-max", type=float, default=1.0 - 1e-4)
     p_sweep.add_argument("--n", type=int, default=500)
     p_sweep.add_argument("--out", required=True, help="output CSV path")
-    _add_stats(p_sweep, "load, sweep, write; the rows' largest einstein_defect follows")
+    _add_stats(p_sweep, "load, sweep, write")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")

@@ -38,11 +38,11 @@ reported values are the reduced bis_min/max = -3/2 -+ max|lambda| and
 sect_max = -3/2 + max lambda.  Every frame component of R on the axis
 (0, X) is a ratio of polynomials in s = f^2/Z and u = Xf
 (_axis_components; tools/derive_axis_curvature.py derives them with p
-symbolic), a = -3/2 and b = 0 hold identically, and the frame components
-at any point equal those at its axis point (see _reduced_form).  The
-defect reported is |Q1111 + Q1122 + 3|, at rounding level, and Bis values
-and extremes answer up to the grid end: for p = 1 within 1e-8 of the
-ball's (-2, -1, -2).  The extremes' pairs attain them at the pair doors to
+symbolic), a = -3/2 and b = 0 hold identically, so the kernel evaluates
+Q1111, Q1112 and Q1212 alone, and the frame components at any point equal
+those at its axis point (see _reduced_form).  Bis values and extremes
+answer up to the grid end: for p = 1 within 1e-8 of the ball's
+(-2, -1, -2).  The extremes' pairs attain them at the pair doors to
 rounding.
 
 The frame and the closed forms use only +, -, *, / and sqrt,
@@ -66,7 +66,7 @@ axis that jet comes from per-p constants with no admission, pow or log
 (metric_tensor._axis_jet), with metric_jet's bits.  formula="direct" alone
 builds the order-4 jet and its tensor.  The *_from_jet extremes make one
 closed-form evaluation per (jet, tensor): a tensor keeps the reduced form
-(frame, eigenpairs, defect) of the last jet it was evaluated with, so
+(frame, eigenpairs) of the last jet it was evaluated with, so
 sectional_max_from_jet after bis_extremes_from_jet evaluates nothing again.
 They read the tensor for nothing else, and a tensor of None keeps nothing.
 bis_extremes_from_jet computes the values alone, and BisExtremes builds its
@@ -189,7 +189,7 @@ class TangentPair:
 
 @dataclass(frozen=True)
 class BisExtremes:
-    """Extremal Bis, the closed forms' Einstein defect (see above) and the attaining pairs.
+    """Extremal Bis and the attaining pairs.
 
     The values come from the one closed-form evaluation of their (jet,
     tensor); argmin and argmax are TangentPairs built from the frame and
@@ -199,7 +199,6 @@ class BisExtremes:
 
     min: float
     max: float
-    einstein_defect: float
     _form: tuple = field(repr=False, compare=False)   # (frame, eigenpairs of M)
 
     @property
@@ -456,14 +455,14 @@ def bisectional_from_jet(jet: MetricJet, tensor: CurvatureTensor, pair: TangentP
 def _bis(jet: MetricJet, tensor: CurvatureTensor, v, w, formula: str):
     """Bis(v, w) for checked vectors or columns, as _columns gives them, each _binade_scaled first.
 
-    "tube" reads the jet's _kernel_split; "direct" reads the tensor, built
+    "tube" reads the jet's _axis_form; "direct" reads the tensor, built
     from the jet where it is None.  One pair at one point stays in Python
     complex (numpy scalars would cost most of the kernel) and gives a
     float; stacked points or pairs give arrays.
     """
     v, w = _binade_scaled(v), _binade_scaled(w)
     if formula == "tube":
-        return _bis_frame(_kernel_split(jet), v, w)
+        return _bis_frame(_axis_form(jet), v, w)
     if formula != "direct":
         raise ValueError(f"unknown formula {formula!r} (expected 'tube' or 'direct')")
     ok = abs(jet.x_value) <= 1.0 - 1e-4   # the 16-term sum's accurate range
@@ -561,19 +560,18 @@ def _bloch(frame, v) -> tuple:
     return 2.0 * (a * c + b * d) / norm, -2.0 * (b * c - a * d) / norm, (s0 - s1) / norm
 
 
-def _bis_frame(split, v, w):
-    """Bis(v, w) = a + b.(n + m) + n^T M m from a _kernel_split, or a tensor's split in the tests.
+def _bis_frame(form, v, w):
+    """Bis(v, w) = -3/2 + n^T M m from an _axis_form, for vectors or (2, n) columns.
 
-    v and w are vectors, or (2, n) columns; a stacked split takes one
-    column per point, or broadcasts as its arrays' shapes allow.
+    A stacked form takes one column per point, or broadcasts as its
+    arrays' shapes allow.
     """
-    frame, a, (bx, bz), (lam_y, mxx, mxz, mzz) = split
+    frame, (lam_y, mxx, mxz, mzz) = form
     (nx, ny, nz), (mx, my, mz) = _bloch(frame, v), _bloch(frame, w)
-    return (a + bx * (nx + mx) + bz * (nz + mz)
-            + nx * (mxx * mx + mxz * mz) + ny * lam_y * my + nz * (mxz * mx + mzz * mz))
+    return -1.5 + nx * (mxx * mx + mxz * mz) + ny * lam_y * my + nz * (mxz * mx + mzz * mz)
 
 
-_AXIS_COMPONENTS = ("Q1111", "Q1112", "Q1212", "Q1122")
+_AXIS_COMPONENTS = ("Q1111", "Q1112", "Q1212")
 _AXIS_DEGREE = 3   # the largest power of s, and of u, in any row of NUMERATORS
 
 
@@ -585,7 +583,7 @@ def _axis_tables(p: int) -> tuple:
     power first, padded with zero rows to _AXIS_DEGREE + 1, then its n0;
     each is a polynomial in u, padded with zero coefficients to
     _AXIS_DEGREE + 1, highest power first.  The tuples hold that flat,
-    20 polynomials of 4 coefficients; the array's entry [k, q, j, 0] is
+    15 polynomials of 4 coefficients; the array's entry [k, q, j, 0] is
     the coefficient k of polynomial j of component q.  Each integer
     polynomial in p is summed exactly, then rounded once.
     """
@@ -604,7 +602,7 @@ def _axis_tables(p: int) -> tuple:
 
 
 def _axis_components(p: int, x, f, Z) -> tuple:
-    """(Q1111, Q1112, Q1212, Q1122) at the axis points (0, x) from f and Z = e^{3F}.
+    """(Q1111, Q1112, Q1212) at the axis points (0, x) from f and Z = e^{3F}.
 
     The closed forms of tools/derive_axis_curvature.py, in s = f^2/Z and
     u = xf (see _axis_coefficients).  The terms free of s are taken in
@@ -631,51 +629,40 @@ def _axis_components(p: int, x, f, Z) -> tuple:
             N += rows[:, j]
         n0 = rows[:, -1]
         q = (N + xxZ * n0) / den
-        return q[0], ((f / root) * N[1] + (x * root) * n0[1]) / den, q[2], q[3]
+        return q[0], ((f / root) * N[1] + (x * root) * n0[1]) / den, q[2]
     r = [((a * u + b) * u + c) * u + d for a, b, c, d in flat]
     N = [((r[j] * s + r[j + 1]) * s + r[j + 2]) * s + r[j + 3]
          for j in range(0, len(r), _AXIS_DEGREE + 2)]
     return ((N[0] + xxZ * r[4]) / den, ((f / root) * N[1] + (x * root) * r[9]) / den,
-            (N[2] + xxZ * r[14]) / den, (N[3] + xxZ * r[19]) / den)
+            (N[2] + xxZ * r[14]) / den)
 
 
 def _axis_form(jet: MetricJet) -> tuple:
-    """(frame, M, Einstein defect) of a jet from _axis_components at its X (see _reduced_form).
+    """(frame, M) of Bis = -3/2 + n^T M m at a jet, from _axis_components at its X.
 
-    Z is read off the jet's profile (metric_tensor._four_z), so a jet off
-    the axis gives the form of its axis point; on the axis this Z is the
-    jet's closure det.
+    With Q2222 = Q1111, Q1122 = -3 - Q1111 and Q1222 = -Q1112, which hold
+    identically, M = (lam_y, Mxx, Mxz, Mzz) = ((Q1122 - Q1212)/2,
+    (Q1122 + Q1212)/2, Q1112, Q1111 + 3/2): the 1x1 block and the 2x2
+    (x, z) block; every other entry vanishes.  Z is read off the jet's
+    profile (metric_tensor._four_z), so a jet off the axis gives the form
+    of its axis point (see _reduced_form); on the axis this Z is the jet's
+    closure det.
     """
     p, x = jet.p, jet.x_value
     f, f1 = jet.profile[:2]
-    q1111, q1112, q1212, own = _axis_components(p, x, f, 0.25 * _four_z(p, x, f, f1))
+    q1111, q1112, q1212 = _axis_components(p, x, f, 0.25 * _four_z(p, x, f, f1))
     q1122 = -3.0 - q1111
-    M = (0.5 * (q1122 - q1212), 0.5 * (q1122 + q1212), q1112, q1111 + 1.5)
-    return _frame(jet), M, abs(q1111 + own + 3.0)
-
-
-def _kernel_split(jet: MetricJet) -> tuple:
-    """(frame, a, b, M) of the Bloch form from _axis_form: a = -3/2 and b = 0 hold identically.
-
-    b is (b_x, b_z) and M is (lam_y, Mxx, Mxz, Mzz): the 1x1 block and the
-    2x2 (x, z) block of M; every other entry vanishes.
-    """
-    frame, M, _ = _axis_form(jet)
-    return frame, -1.5, (0.0, 0.0), M
+    return _frame(jet), (0.5 * (q1122 - q1212), 0.5 * (q1122 + q1212), q1112, q1111 + 1.5)
 
 
 def _reduced_form(jet, tensor: CurvatureTensor | None) -> tuple:
-    """(frame, ((eigenvalue, unit eigenvector), ...) of M, Einstein defect) of a jet.
+    """(frame, ((eigenvalue, unit eigenvector), ...) of M) of a jet's _axis_form.
 
-    M comes from the closed forms of _axis_components at the jet's X
-    (_axis_form), at any point: the pull to the axis is diagonal and the
-    translations have the identity differential, so both keep the jet's
-    triangular frame, and M in it is M at the axis point (0, X).  With
-    Q2222 = Q1111, Q1122 = -3 - Q1111 and Q1222 = -Q1112, which hold
-    identically, M = ((Q1122 - Q1212)/2, (Q1122 + Q1212)/2, Q1112,
-    Q1111 + 3/2), and the defect is |Q1111 + Q1122 + 3| with Q1122 from
-    its own closed form.  The frame is the jet's own, for the attaining
-    pairs at its point.
+    M is the closed forms' at the jet's X, at any point: the pull to the
+    axis is diagonal and the translations have the identity differential,
+    so both keep the jet's triangular frame, and M in it is M at the axis
+    point (0, X).  The frame is the jet's own, for the attaining pairs at
+    its point.
 
     The 2x2 block's eigenvalues are mean +- h, h = |(d, Mxz)| with d =
     (Mxx - Mzz)/2; the larger one's eigenvector, x entry >= 0, lies along
@@ -687,7 +674,7 @@ def _reduced_form(jet, tensor: CurvatureTensor | None) -> tuple:
     kept = getattr(tensor, "_reduced", None)
     if kept is not None and kept[0] is jet:
         return kept[1]
-    frame, (lam_y, mxx, mxz, mzz), defect = _axis_form(jet)
+    frame, (lam_y, mxx, mxz, mzz) = _axis_form(jet)
     mean, d = 0.5 * (mxx + mzz), 0.5 * (mxx - mzz)
     h = _sqrt(d * d + mxz * mxz)
     ex = _pick(d < 0.0, abs(mxz), h + d) + (h == 0.0)
@@ -695,7 +682,7 @@ def _reduced_form(jet, tensor: CurvatureTensor | None) -> tuple:
     norm = _sqrt(ex * ex + ez * ez)
     c, s, zero = ex / norm, ez / norm, 0.0 * h
     form = frame, ((lam_y, (zero, 1.0 + zero, zero)), (mean + h, (c, zero, s)),
-                   (mean - h, (-s, zero, c))), defect
+                   (mean - h, (-s, zero, c)))
     if tensor is not None:
         # not a field: the tensor's eq and repr stay its six coefficients
         object.__setattr__(tensor, "_reduced", (jet, form))
@@ -735,11 +722,10 @@ def bis_extremes_from_jet(jet, tensor: CurvatureTensor | None) -> BisExtremes:
     tensor's coefficients are not read: it keeps the reduced form for a
     later call with the same jet (see _reduced_form), and None keeps nothing.
     """
-    frame, pairs, defect = _reduced_form(jet, tensor)
-    (lam_y, _), (upper, _), (lower, _) = pairs
+    form = _reduced_form(jet, tensor)
+    (lam_y, _), (upper, _), (lower, _) = form[1]
     top = _larger(_larger(abs(lam_y), abs(upper)), abs(lower))
-    return BisExtremes(min=-1.5 - top, max=-1.5 + top, einstein_defect=defect,
-                       _form=(frame, pairs))
+    return BisExtremes(min=-1.5 - top, max=-1.5 + top, _form=form)
 
 
 def bis_extremes(sol: PotentialSolution, z: Point) -> BisExtremes:
@@ -762,7 +748,7 @@ def sectional_max_from_jet(jet, tensor: CurvatureTensor | None) -> tuple[float, 
     Einstein-reduced -3/2 + lambda_max.  The tensor is as in
     bis_extremes_from_jet.
     """
-    frame, pairs, _ = _reduced_form(jet, tensor)
+    frame, pairs = _reduced_form(jet, tensor)
     lam, n = _largest(pairs, lambda lam: lam)
     return -1.5 + lam, _spinor_vector(frame, n)
 

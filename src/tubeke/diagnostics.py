@@ -60,7 +60,7 @@ from . import tube_geometry as geo
 from .tube_geometry import Point, RegionClass, BoundaryClass
 from .metric_tensor import (
     MetricJet,
-    _einstein_defect,
+    _closure_residual,
     _matrix,
     _metric_pass,
     einstein_residual,
@@ -70,10 +70,10 @@ from .metric_tensor import (
 from .curvature import (
     CurvatureTensor,
     TangentPair,
+    _axis_form,
     _bis_direct,
     _bis_frame,
     _boundary_limit,
-    _kernel_split,
     _pull_to_axis,
     bis_extremes_from_jet,
     bisectional,
@@ -391,8 +391,8 @@ def _suite_invariance(params, sol, rng):
     # z and its axis points in one pass
     jet = metric_jet(sol, _joined(z, axis))
     here, there = _split(jet, tensor_from_jet(jet))
-    on_axis = _kernel_split(there[0])
-    raw = _bis_frame(_kernel_split(here[0]), v, w)
+    on_axis = _axis_form(there[0])
+    raw = _bis_frame(_axis_form(here[0]), v, w)
     normalized = _bis_frame(on_axis, pv, pw)
     scaled = _bis_frame(on_axis, pcv, pdw)
     direct = _bis_direct(*there, pv, pw)
@@ -423,7 +423,7 @@ def _split(jet: MetricJet, tensor: CurvatureTensor):
 
 
 def _rows(values: tuple, rows) -> tuple:
-    """values[rows] of each array in a nested tuple, such as a frame split; floats stay."""
+    """values[rows] of each array in a nested tuple, such as a frame form; floats stay."""
     return tuple(_rows(a, rows) if isinstance(a, tuple)
                  else a[rows] if isinstance(a, np.ndarray) else a for a in values)
 
@@ -435,8 +435,8 @@ def _suite_einstein(params, sol, rng):
     z = _joined(_random_stack(params, rng, n), _random_stack(params, rng, n))
     tab, metric, F = _metric_pass(sol, z)
     checks = []
-    # the defect comes for both samples; the check reads the first
-    worst = np.max(_einstein_defect(tab, metric, F)[:n])
+    # the residual comes for both samples; the check reads the first
+    worst = np.max(_closure_residual(tab, metric, F)[:n])
     checks.append(_below("einstein_residual_random_points", worst, 1e-8))
     checks.append(_below("einstein_residual_origin",
                          einstein_residual(sol, Point(0j, 0j)), 1e-12))
@@ -465,8 +465,8 @@ def _suite_boundary_limit(params, sol, rng):
     # limit in the same frame; (0, 0.4) serves the limit-value checks
     xs = (0.9, 0.99, 0.999, 0.4)
     jet = metric_jet(sol, Point(np.zeros(len(xs), complex), np.array(xs, complex)))
-    split = _kernel_split(jet)
-    near = _rows(split, np.s_[:3, None])
+    form = _axis_form(jet)
+    near = _rows(form, np.s_[:3, None])
     gaps = _bis_frame(near, v, w) - _boundary_limit(near[0], v, w)
     E = dict(zip(xs, np.max(np.abs(gaps), axis=1).tolist()))
     checks.append(_below("E(0.9)", E[0.9], 1.0))
@@ -480,7 +480,7 @@ def _suite_boundary_limit(params, sol, rng):
     degenerate = max(E.values()) <= 1e-8
     checks.append(_flag("E_strictly_decreasing_or_noise_floor",
                         (increase < 0.0) or degenerate, increase))
-    frame, g = _rows(split[0], 3), jet.metric[3]
+    frame, g = _rows(form[0], 3), jet.metric[3]
     values = _boundary_limit(frame, v[:, :200], w[:, :200])
     worst_range = max(float(np.max(-2.0 - values)), float(np.max(values + 1.0)), 0.0)
     checks.append(_below("limit_value_within_[-2,-1]", worst_range, 1e-12))

@@ -48,7 +48,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .params import TubeParams
+from .params import TubeParams, as_integer
 from .potential_solver import PotentialSolution, _ode_chain, _sign
 from .tube_geometry import Point, _all, _first, _first_point, _orbit_x, require_domain
 
@@ -117,6 +117,7 @@ def x_derivatives(params: TubeParams, z: Point, max_total_order: int = 4) -> XLD
     Stacked points give arrays.  Raises DomainError, naming the (first)
     point, unless z lies in T_p (which makes r > 0) and r <= _R_MAX.
     """
+    max_total_order = as_integer("max_total_order", max_total_order)
     if not 0 <= max_total_order <= 4:
         raise ValueError(f"max_total_order must be in 0..4, got {max_total_order}")
     return _admitted_tables(params, z, require_domain(params, z), max_total_order)
@@ -364,7 +365,7 @@ def einstein_residual(sol: PotentialSolution, z: Point) -> float:
     cheapest end-to-end consistency probe for the metric path.  Stacked
     points give an array.
     """
-    return _einstein_defect(*_metric_pass(sol, z))
+    return _closure_residual(*_metric_pass(sol, z))
 
 
 def _metric_pass(sol: PotentialSolution, z: Point):
@@ -379,7 +380,7 @@ def _metric_pass(sol: PotentialSolution, z: Point):
     return tab, metric, F
 
 
-def _einstein_defect(tab: XLDerivatives, metric, F):
+def _closure_residual(tab: XLDerivatives, metric, F):
     """|det g - e^{3 g}| / e^{3 g} from an order-2 pass (an array for stacked points)."""
     g11, g12, g22 = metric
     # det from the entries, not the jet's closure det: this is the closure's check

@@ -71,7 +71,7 @@ import numpy as np
 
 from ._taylor_series import series as _series
 from .errors import DomainError
-from .params import TubeParams
+from .params import TubeParams, as_integer
 
 __all__ = [
     "TubeParams",
@@ -341,13 +341,14 @@ class PotentialSolution:
         x : float or ndarray
             Evaluation abscissa(e), |x| < 1 and within the solved range.
         max_order : int
-            Highest derivative order of f to return, 0..3.
+            Highest derivative order of f to return, an integer 0..3.
 
         Returns
         -------
         list of float or ndarray
             [f, f', ...] with max_order+1 entries.
         """
+        max_order = as_integer("max_order", max_order)
         if not 0 <= max_order <= 3:
             raise ValueError(f"max_order must be in 0..3, got {max_order}")
         x, ax, F, f = self._at(x)
@@ -364,6 +365,7 @@ class PotentialSolution:
 
         All three come from _ode_chain; Z and Z'' are even, Z' odd.
         """
+        max_order = as_integer("max_order", max_order)
         if not 0 <= max_order <= 2:
             raise ValueError(f"max_order must be in 0..2, got {max_order}")
         x, ax, F, f = self._at(x)

@@ -125,7 +125,7 @@ class TubeAutomorphism:
     which multiply the depth r = 1 - 4p Re(z1) and Im(z1) by lambda, and
     the symmetry s(z1, z2) = (z1, -z2).  Every word in the generators
     normalizes to the fixed composition order: translate by iu first, then
-    dilate by lam, then flip if requested.
+    dilate by lam, then flip if requested (flip is a bool, or ValueError).
     """
 
     params: TubeParams
@@ -144,6 +144,9 @@ class TubeAutomorphism:
             raise ValueError(f"translation must be finite, "
                              f"got u = ({_first(u1, ok)!r}, {_first(u2, ok)!r})")
         object.__setattr__(self, "u", (_real(u1), _real(u2)))
+        if not isinstance(self.flip, bool | np.bool_):
+            raise ValueError(f"flip must be a bool, got {self.flip!r}")
+        object.__setattr__(self, "flip", bool(self.flip))
 
 
 def _all(cond) -> bool:
@@ -418,6 +421,8 @@ def classify_boundary(params: TubeParams, q: Point, tol: float = 1e-9) -> Bounda
     an infinite or NaN coordinate is not on the boundary.  Takes one point.
     """
     _require_single(q, "classify_boundary")
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must lie in [0, inf), got {tol!r}")
     p = params.p
     defect = abs(_even_power(q.z2.real, 2 * p) - _depth(p, q.z1.real))
     if not (defect <= tol and _finite(q.z1, q.z2)):

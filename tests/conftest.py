@@ -101,8 +101,8 @@ def bloch_split(jet, tensor: CurvatureTensor) -> tuple:
     b is (b_x, b_z) and M is (lam_y, Mxx, Mxz, Mzz): the 1x1 block and
     the 2x2 (x, z) block of M; every other entry vanishes.  A stacked jet
     gives arrays.  The split of the jet's tensor, which no door reads: it
-    is the jet-path reference the closed forms (curvature._kernel_split)
-    are tested against.
+    is the jet-path reference the closed forms (curvature._axis_form) are
+    tested against.
     """
     al, be, ga = frame = curvature._frame(jet)
     t = tensor
@@ -128,7 +128,7 @@ def bloch_split(jet, tensor: CurvatureTensor) -> tuple:
 
 def reference_extremes(jet, tensor: CurvatureTensor) -> tuple:
     """(min, argmin, max, argmax), the pairs built eagerly as TangentPairs."""
-    frame, pairs, _ = _reduced_form(jet, tensor)
+    frame, pairs = _reduced_form(jet, tensor)
     lam, u = _largest(pairs, abs)
     # n^T M u = lam n.u: lam at n = u, -lam at n = -u
     m = _spinor_vector(frame, u)

@@ -248,7 +248,7 @@ def test_profile_and_extremes_are_right_or_refused(sol_p2):
         ext, (sect, vector) = bis_extremes(sol, z), sectional_max(sol, z)
         assert isinstance(ext, BisExtremes)
         vector = np.asarray(vector)   # (2,), or (n, 2) rows for stacked points
-        return [ext.min, ext.max, ext.einstein_defect, sect, *vector.real.T, *vector.imag.T]
+        return [ext.min, ext.max, sect, *vector.real.T, *vector.imag.T]
 
     rng = np.random.default_rng(2031)
 
@@ -387,3 +387,12 @@ def test_automorphism_doors_are_right_or_refused():
         apply(TubeAutomorphism(params=params), Point.stack([Point(0j, 0j), bad, bad]))
     with pytest.raises(ValueError, match="at lam = 1e[+]300 is no finite nonzero double"):
         jacobian_det(TubeAutomorphism(params=params, lam=np.array([2.0, 1e300, 1e301])))
+    # flip is a bool, Python's or numpy's; no other object is read by its truth value
+    z = Point(0j, 0.3 + 0j)
+    for flip in (True, False, np.True_, np.False_):
+        a = TubeAutomorphism(params=params, flip=flip)
+        assert a.flip is bool(flip) and apply(a, z).z2 == (-0.3 if flip else 0.3)
+        assert jacobian_det(a) == (-1.0 if flip else 1.0)
+    for flip in ("no", "", 1, 0, None, np.array([True, False]), np.array(True)):
+        with pytest.raises(ValueError, match=re.escape(f"flip must be a bool, got {flip!r}")):
+            TubeAutomorphism(params=params, flip=flip)

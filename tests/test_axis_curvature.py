@@ -21,7 +21,8 @@ from tubeke import (
     solve_potential,
     tensor_from_jet,
 )
-from tubeke.curvature import _axis_components, _axis_form
+from tubeke.curvature import _AXIS_COMPONENTS, _axis_components, _axis_form
+from tubeke._axis_coefficients import NUMERATORS
 
 from conftest import bloch_split
 
@@ -51,6 +52,11 @@ def exact_p1():
 
     object.__setattr__(sol, "eval_f_derivs", eval_f_derivs)
     return sol
+
+
+def test_the_table_holds_the_components_the_kernel_reads():
+    # the generated table carries no component that _axis_components never reads
+    assert tuple(NUMERATORS) == _AXIS_COMPONENTS
 
 
 def test_the_exact_p1_profile_gives_the_ball_to_rounding():
@@ -99,7 +105,6 @@ def test_extremes_answer_the_ball_where_the_jet_path_refused(sol_p1):
     ext = bis_extremes(sol_p1, z)
     assert abs(ext.min + 2.0) <= 1e-8 and abs(ext.max + 1.0) <= 1e-8
     assert abs(sectional_max(sol_p1, z)[0] + 2.0) <= 1e-8
-    assert ext.einstein_defect <= 1e-14
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 5, 8])
@@ -110,7 +115,6 @@ def test_extremes_answer_up_to_the_grid_end(p, five_sols):
     ext = bis_extremes(sol, axis(xs))
     sect = sectional_max(sol, axis(xs))[0]
     assert np.all(ext.min <= ext.max) and np.all(ext.max < 0.0) and np.all(sect < 0.0)
-    assert np.max(ext.einstein_defect) <= 1e-14
     if p == 1:
         # the ball's (-2, -1, -2), 7.3e-9 off at the grid end
         assert max(np.max(np.abs(ext.min + 2.0)), np.max(np.abs(ext.max + 1.0)),

@@ -221,12 +221,10 @@ def test_a_pair_beyond_the_jet_paths_range_answers(sol1_file, capsys):
         captured = capsys.readouterr()
         assert code == 0
         assert abs(json.loads(captured.out)["bis"] + 2.0) <= 1e-8
-        if stats:
-            assert json.loads(captured.err)["einstein_defect"] <= 1e-14
 
 
 def test_axis_sweep_makes_one_split_per_call(sol_p2, kernel_calls):
-    # the split is the closed forms' one evaluation on the stacked axis points
+    # the frame form is the closed forms' one evaluation on the stacked axis points
     axis_sweep(sol_p2, n=10)
     assert len(kernel_calls) == 1
     axis_sweep(sol_p2, n=500)
@@ -326,9 +324,7 @@ def test_axis_sweep_equals_the_row_loop_bit_for_bit(p, five_sols):
 def test_sweep_answers_up_to_the_grid_end(sol_p1, tmp_path, capsys):
     # p=1 from 1 - x = 1e-6 to the grid end, where the jet path's defect is
     # far above 1e-3: the closed forms give the ball's (-2, -1, -2)
-    health = {}
-    rows = axis_sweep(sol_p1, 1.0 - 1e-6, sol_p1.x_max, 50, health=health)
-    assert health["einstein_defect"] <= 1e-14
+    rows = axis_sweep(sol_p1, 1.0 - 1e-6, sol_p1.x_max, 50)
     assert max(max(abs(r.bis_min + 2.0), abs(r.bis_max + 1.0), abs(r.sect_max + 2.0))
                for r in rows) <= 1e-8
     path = tmp_path / "p1.json"
@@ -389,27 +385,27 @@ def test_verify_stats_leave_stdout_and_report_unchanged(sol_p2, tmp_path, capsys
     assert stats["checks"] == len(json.loads(report)["checks"]) and stats["failed"] == 0
 
 
-# argv, stages and the verb's health entries after "solver"
+# argv and stages
 STATS_RUNS = {
-    "solve": (["solve", "--p", "1", "--out", "{tmp}/s.json"], ["solve", "write"], []),
-    "eval": (["eval", "--sol", "{sol}", "--x", "0.3", "--derivs"], ["load", "eval", "write"], []),
+    "solve": (["solve", "--p", "1", "--out", "{tmp}/s.json"], ["solve", "write"]),
+    "eval": (["eval", "--sol", "{sol}", "--x", "0.3", "--derivs"], ["load", "eval", "write"]),
     "metric": (["metric", "--sol", "{sol}", "--point=-0.3,0.8,0.7,-1.1"],
-               ["load", "jet", "write"], []),
+               ["load", "jet", "write"]),
     "curvature": (["curvature", "--sol", "{sol}", "--point=-0.3,0.8,0.7,-1.1",
                    "--v=-1,0.5,0,2", "--w", "0,0,1,0", "--extremes"],
-                  ["load", "jet", "tensor", "bis", "extremes", "write"], ["einstein_defect"]),
+                  ["load", "jet", "tensor", "bis", "extremes", "write"]),
     "curvature_pair": (["curvature", "--sol", "{sol}", "--point=-0.3,0.8,0.7,-1.1",
                         "--v=-1,0.5,0,2", "--w", "0,0,1,0"],
-                       ["load", "jet", "tensor", "bis", "write"], ["einstein_defect"]),
+                       ["load", "jet", "tensor", "bis", "write"]),
     "sweep": (["sweep", "--sol", "{sol}", "--n", "5", "--out", "{tmp}/rows.csv"],
-              ["load", "sweep", "write"], ["einstein_defect"]),
+              ["load", "sweep", "write"]),
 }
 
 
 @pytest.mark.parametrize("verb", list(STATS_RUNS))
 def test_stats_leave_stdout_unchanged_for_every_verb(verb, sol_file, sol_p1, sol_p2, tmp_path,
                                                      capsys):
-    template, stages, health = STATS_RUNS[verb]
+    template, stages = STATS_RUNS[verb]
     argv = [a.format(sol=sol_file, tmp=tmp_path) for a in template]
     runs = []
     for extra in ([], ["--stats"]):
@@ -422,22 +418,11 @@ def test_stats_leave_stdout_unchanged_for_every_verb(verb, sol_file, sol_p1, sol
     # stdout and the files written (solve's JSON, sweep's CSV) stay byte-identical
     assert out_s == out and written_s == written and err == ""
     stats = json.loads(err_s)
-    assert list(stats) == [f"{s}_s" for s in stages] + ["solver"] + health
+    assert list(stats) == [f"{s}_s" for s in stages] + ["solver"]
     assert all(stats[f"{s}_s"] >= 0.0 for s in stages)
     # every verb solves: a file records a solve and loading repeats it
     resid = (sol_p1 if verb == "solve" else sol_p2).stats["identity_residual"]
     assert stats["solver"] == {"nodes": 80, "identity_residual": resid}
-    if verb == "sweep":
-        # the largest defect over the rows: on the axis, the closed forms'
-        # |Q1111 + Q1122 + 3|, at rounding level
-        found = {}
-        axis_sweep(tubeke.load_solution(sol_file), n=5, health=found)
-        assert stats["einstein_defect"] == found["einstein_defect"]
-        assert 0.0 <= stats["einstein_defect"] <= 1e-14
-    elif health:
-        # the raw jet at this point, and the axis jet of the pair path, meet
-        # the Einstein reduction to rounding
-        assert 0.0 <= stats["einstein_defect"] <= 1e-8
 
 
 def test_verify_refuses_the_limit_law_suites_above_p5(capsys, monkeypatch):
@@ -455,18 +440,18 @@ def test_verify_refuses_the_limit_law_suites_above_p5(capsys, monkeypatch):
     assert "[PASS] suite=origin p=6" in capsys.readouterr().out
 
 
-def test_curvature_stats_report_the_closed_forms_defect_in_both_modes(sol_file, capsys):
-    # one einstein_defect, the extremes', whichever mode runs
+def test_curvature_stats_evaluate_no_more_closed_forms(sol_file, capsys, kernel_calls):
+    # --stats reports stages and the solver alone: the pair's Bis reads the
+    # closed forms at its axis point, the extremes at the jet, and --stats
+    # adds no evaluation in either mode
     point = "--point=-0.3,0.8,0.7,-1.1"
-    found = []
-    for mode in (["--v=-1,0.5,0,2", "--w", "0,0,1,0"], ["--extremes"],
-                 ["--v=-1,0.5,0,2", "--w", "0,0,1,0", "--extremes"]):
-        assert main(["curvature", "--sol", str(sol_file), point, *mode, "--stats"]) == 0
-        found.append(json.loads(capsys.readouterr().err)["einstein_defect"])
-    sol = tubeke.load_solution(sol_file)
-    jet = tubeke.metric_jet(sol, tubeke.Point.parse("-0.3,0.8,0.7,-1.1"))
-    expected = tubeke.bis_extremes_from_jet(jet, tubeke.tensor_from_jet(jet)).einstein_defect
-    assert found == [expected] * 3
+    pair = ["--v=-1,0.5,0,2", "--w", "0,0,1,0"]
+    for mode, calls in ((pair, 1), (["--extremes"], 1), (pair + ["--extremes"], 2)):
+        for stats in ([], ["--stats"]):
+            kernel_calls.clear()
+            assert main(["curvature", "--sol", str(sol_file), point, *mode, *stats]) == 0
+            capsys.readouterr()
+            assert len(kernel_calls) == calls, (mode, stats)
 
 
 def test_verify_all_suites_p2():

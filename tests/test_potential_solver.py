@@ -20,10 +20,12 @@ import pytest
 
 from tubeke import (
     DomainError,
+    Point,
     PotentialSolution,
     TubeParams,
     load_solution,
     solve_potential,
+    x_derivatives,
 )
 from tubeke import potential_solver
 from tubeke.potential_solver import _integrate
@@ -347,6 +349,31 @@ def test_eval_domain_errors(sol_p1):
     empty = np.empty(0)
     for out in (sol_p1.eval_F(empty), *sol_p1.eval_f_derivs(empty), *sol_p1.eval_Z(empty)):
         assert isinstance(out, np.ndarray) and out.shape == (0,)
+
+
+# each door that takes a derivative order: (argument, largest order, call)
+ORDER_DOORS = {
+    "eval_f_derivs": ("max_order", 3, lambda sol, k: sol.eval_f_derivs(0.3, k)),
+    "eval_Z": ("max_order", 2, lambda sol, k: sol.eval_Z(0.3, k)),
+    "x_derivatives": ("max_total_order", 4,
+                      lambda sol, k: x_derivatives(sol.params, Point(0j, 0.3 + 0j), k)),
+}
+
+
+@pytest.mark.parametrize("door", ORDER_DOORS)
+def test_derivative_orders_are_integers_in_range(sol_p2, door):
+    # any integer type is read as its value; floats, bools and others are
+    # refused by name, as n and seed are, and so is an order out of range
+    name, top, call = ORDER_DOORS[door]
+    for k in (0, top):
+        assert repr(call(sol_p2, np.int64(k))) == repr(call(sol_p2, k))
+    for bad in (2.0, 1.5, True, False, "1", None):
+        message = f"^{name} must be an integer, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            call(sol_p2, bad)
+    for bad in (-1, top + 1):
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be in 0..{top}, got {bad}")):
+            call(sol_p2, bad)
 
 
 EVALUATORS = {

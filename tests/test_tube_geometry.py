@@ -274,6 +274,13 @@ def test_classify_boundary():
                 Point(0.125 + 0j, complex(0.0, nan)), Point(inf, 0j), Point(-inf, 0j),
                 Point(0.125 + 0j, inf), Point(0.125 + 0j, complex(0.0, -inf))):
         assert classify_boundary(P2, bad) is BoundaryClass.NOT_BOUNDARY, bad
+    # tol lies in [0, inf): 0 keeps the exact vertex, and a NaN or negative
+    # tol is refused rather than putting every point off the boundary
+    vertex = Point(0.125 + 0j, 0j)
+    assert classify_boundary(P2, vertex, tol=0.0) is BoundaryClass.WEAKLY_PSEUDOCONVEX
+    for tol in (nan, -1.0, -0.5e-9, inf, -inf):
+        with pytest.raises(ValueError, match=re.escape(f"tol must lie in [0, inf), got {tol!r}")):
+            classify_boundary(P2, vertex, tol=tol)
 
 
 def test_region_classification():

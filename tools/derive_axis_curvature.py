@@ -27,8 +27,8 @@ are divided by s here: u^2/s = x^2 Z and (f/sqrt(Z)) u/s = x sqrt(Z).
 
 It also checks the Einstein identities Q2222 = Q1111, Q1122 = -3 - Q1111
 and Q1222 = -Q1112, which make the mixed term b and a + 3/2 vanish.  The
-kernel evaluates Q1111, Q1112, Q1212 and, for its health number
-|Q1111 + Q1122 + 3|, Q1122.
+kernel evaluates Q1111, Q1112 and Q1212 alone and takes the rest from
+these identities.
 
 The module written is src/tubeke/_axis_coefficients.py.  The package
 imports that module, not this script, and the test suite does not run
@@ -47,7 +47,7 @@ from sympy import QQ, Poly, symbols
 from sympy.polys.fields import field
 
 OUT = Path(__file__).resolve().parent.parent / "src" / "tubeke" / "_axis_coefficients.py"
-KERNEL = ("Q1111", "Q1112", "Q1212", "Q1122")
+KERNEL = ("Q1111", "Q1112", "Q1212")
 ODD = ("Q1112", "Q1222")
 
 
@@ -114,7 +114,7 @@ def _frame_components(p, x, f, Z, one):
 
 
 def derive():
-    """{name: (N', n0)} for the four kernel components, over 2 s (s + 4)^2 P^3.
+    """{name: (N', n0)} for the three kernel components, over 2 s (s + 4)^2 P^3.
 
     N = s N'(s, u) + N(0, u), n0 = N(0, u)/u^2 for the even components and
     N(0, u)/u for the odd ones; all as {(i, j): [integer coefficients of
@@ -184,7 +184,7 @@ def render(out) -> str:
         "with s = f^2/Z, u = xf and P = 8p^2 + 4p + (6p - 3)u, the frame",
         "components are",
         "",
-        "    Q = (N(s, u) + x^2 Z n0(u)) / (2 (s + 4)^2 P^3)       (Q1111, Q1212, Q1122)",
+        "    Q = (N(s, u) + x^2 Z n0(u)) / (2 (s + 4)^2 P^3)       (Q1111, Q1212)",
         "    Q = ((f/sqrt Z) N(s, u) + x sqrt(Z) n0(u)) / (2 (s + 4)^2 P^3)    (Q1112)",
         "",
         "NUMERATORS[name] is (N, n0).  N holds one row per power of s, lowest",

@@ -35,12 +35,9 @@ from .potential_solver import _P_MAX, PotentialSolution, load_solution, solve_po
 
 __all__ = ["SweepRow", "axis_sweep", "main"]
 
-SWEEP_COLUMNS = ("x", "F", "f", "f1", "f2", "f3", "Z",
-                 "det_g", "bis_min", "bis_max", "sect_max")
-
 
 class SweepRow(NamedTuple):
-    """One sweep row, a tuple in SWEEP_COLUMNS order with a field per column."""
+    """One sweep row: its fields are the CSV's columns, in order."""
 
     x: float
     F: float
@@ -53,6 +50,9 @@ class SweepRow(NamedTuple):
     bis_min: float
     bis_max: float
     sect_max: float
+
+
+SWEEP_COLUMNS = SweepRow._fields
 
 
 # The most rows one sweep takes.  A sweep's arrays and rows peak at about
@@ -80,8 +80,7 @@ def axis_sweep(sol: PotentialSolution, x_min: float = 0.0,
     if n > 1 and not x_min < x_max:
         raise ValueError("need x_min < x_max for a multi-point sweep")
     xs = np.linspace(x_min, x_max, n)
-    jet = metric_tensor.metric_jet(sol, tube_geometry.Point(np.zeros(n, complex),
-                                                            xs.astype(complex)))
+    jet = metric_tensor.metric_jet(sol, tube_geometry._on_axis(xs))
     tensor = curvature.tensor_from_jet(jet)
     ext = curvature.bis_extremes_from_jet(jet, tensor)
     sect_max, _ = curvature.sectional_max_from_jet(jet, tensor)
@@ -104,11 +103,9 @@ def write_sweep_csv(rows, path) -> None:
 
 
 def _parse_vector(text: str) -> np.ndarray:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise ValueError(f"expected 4 comma-separated reals, got {text!r}")
-    a, b, c, d = (float(s) for s in parts)
-    return np.array([complex(a, b), complex(c, d)], dtype=complex)
+    """A tangent vector from "re1,im1,re2,im2", read as Point.parse reads a point."""
+    z = tube_geometry.Point.parse(text)
+    return np.array([z.z1, z.z2], dtype=complex)
 
 
 def _vector_reals(v) -> list:

@@ -87,7 +87,8 @@ import numpy as np
 from .params import TubeParams
 from .potential_solver import PotentialSolution
 from .errors import DomainError
-from .tube_geometry import Point, _all, _first, _first_point, _orbit_x, require_domain
+from .tube_geometry import (Point, _all, _first, _first_point, _on_axis, _orbit_x, _root,
+                            require_domain)
 from .metric_tensor import MetricJet, _admitted_tables, _axis_jet, _four_z, _jet
 from ._axis_coefficients import NUMERATORS
 
@@ -339,8 +340,7 @@ def _pull_to_axis(sol: PotentialSolution, z: Point, r, vectors):
     pushed to lists in Python arithmetic, columns by numpy.  A point whose
     depth r overflows (lam = 0) is refused.  Each vector is _binade_scaled
     before the push, so that a subnormal one is pushed at full precision.
-    lam^{1/(2p)} is numpy's pow for one point and for stacked points alike,
-    as X is.
+    lam^{1/(2p)} is tube_geometry._root's, as in X.
     """
     lam = 1.0 / r
     x = _orbit_x(sol.params, z, r)
@@ -348,19 +348,11 @@ def _pull_to_axis(sol: PotentialSolution, z: Point, r, vectors):
     if not _all(ok):
         raise DomainError(f"point {_first_point(z, ok)} is too deep to pull tangent "
                           f"vectors to the axis: 1 - Re(4p z1) overflows")
-    j2 = np.power(lam, 1.0 / (2 * sol.params.p))
+    j2 = _root(sol.params.p, lam)
     scaled = map(_binade_scaled, vectors)
     if isinstance(vectors[0], list):
-        j2 = float(j2)
         return _on_axis(x), [[lam * a, j2 * b] for a, b in scaled]
     return _on_axis(x), [np.array([lam * u[0], j2 * u[1]]) for u in scaled]
-
-
-def _on_axis(x) -> Point:
-    """The axis point (0, x), or the stacked axis points of an array x."""
-    if isinstance(x, np.ndarray) and x.ndim:
-        return Point(np.zeros(x.shape, dtype=complex), x.astype(complex))
-    return Point(0j, complex(x))
 
 
 _MIN_NORMAL = sys.float_info.min
@@ -422,12 +414,16 @@ def bisectional(sol: PotentialSolution, z: Point, pair: TangentPair,
         closer to the boundary.  They agree to ~5e-12 relative for
         |X| <= 0.99 and exist so that each can certify the other.
 
+    A formula outside the two, or a normalize that is not a bool, is a
+    ValueError before any work.
+
     Returns
     -------
     float or array
         The curvature value, invariant under nonzero complex rescaling of
         either vector: a float for one point and one pair, else an array.
     """
+    _check_mode(formula, normalize)
     r = require_domain(sol.params, z)
     # a scalar z1 goes with every point of a stacked z2
     v, w = _columns(pair, z.z1 if isinstance(z.z1, np.ndarray) else z.z2)
@@ -448,23 +444,34 @@ def bisectional_from_jet(jet: MetricJet, tensor: CurvatureTensor, pair: TangentP
     pull to the axis is made here.  A stacked jet takes its stacked
     tensor, and the pair goes by the module's broadcast rule.
     """
+    _check_mode(formula)
     v, w = _columns(pair, jet.x_value)
     return _bis(jet, tensor, v, w, formula)
+
+
+def _check_mode(formula: str, normalize: bool = True) -> None:
+    """ValueError, naming the argument, unless formula is "tube" or "direct" and normalize a bool.
+
+    bisectional and bisectional_batch call it first, before any work.
+    """
+    if formula not in ("tube", "direct"):
+        raise ValueError(f"unknown formula {formula!r} (expected 'tube' or 'direct')")
+    if not isinstance(normalize, bool | np.bool_):
+        raise ValueError(f"normalize must be a bool, got {normalize!r}")
 
 
 def _bis(jet: MetricJet, tensor: CurvatureTensor, v, w, formula: str):
     """Bis(v, w) for checked vectors or columns, as _columns gives them, each _binade_scaled first.
 
-    "tube" reads the jet's _axis_form; "direct" reads the tensor, built
-    from the jet where it is None.  One pair at one point stays in Python
-    complex (numpy scalars would cost most of the kernel) and gives a
-    float; stacked points or pairs give arrays.
+    "tube" reads the jet's _axis_form; "direct", the one other formula
+    _check_mode admits, reads the tensor, built from the jet where it is
+    None.  One pair at one point stays in Python complex (numpy scalars
+    would cost most of the kernel) and gives a float; stacked points or
+    pairs give arrays.
     """
     v, w = _binade_scaled(v), _binade_scaled(w)
     if formula == "tube":
         return _bis_frame(_axis_form(jet), v, w)
-    if formula != "direct":
-        raise ValueError(f"unknown formula {formula!r} (expected 'tube' or 'direct')")
     ok = abs(jet.x_value) <= 1.0 - 1e-4   # the 16-term sum's accurate range
     if not _all(ok):
         raise DomainError(f"direct Bis values at X = {_first(jet.x_value, ok)!r} are "
@@ -477,9 +484,11 @@ def bisectional_batch(sol: PotentialSolution, z: Point, vs, ws,
                       *, normalize: bool = True) -> np.ndarray:
     """bisectional(sol, z, TangentPair(v=vs, w=ws), normalize=normalize).
 
+    normalize is checked before the pair is built, as bisectional checks it.
     Kept while the benchmark names it: bench/tracer.py wraps it, and
     verify_suites expects its span from the origin suite.
     """
+    _check_mode("tube", normalize)
     return bisectional(sol, z, TangentPair(v=vs, w=ws), normalize=normalize)
 
 

@@ -153,23 +153,19 @@ class SuiteReport:
 
 def _close(name, expected, observed, tol) -> CheckResult:
     """|observed - expected| <= tol."""
-    expected = float(expected)
-    observed = float(observed)
-    return CheckResult(name, expected, observed, float(tol),
-                       abs(observed - expected) <= tol)
+    return CheckResult(name, expected, observed, tol, abs(observed - expected) <= tol)
 
 
 def _below(name, observed, tol) -> CheckResult:
     """observed <= tol (defect-style check, expected 0)."""
-    observed = float(observed)
-    return CheckResult(name, 0.0, observed, float(tol), observed <= tol)
+    return CheckResult(name, 0.0, observed, tol, observed <= tol)
 
 
 def _flag(name, passed, observed=None) -> CheckResult:
     """Boolean check; observed defaults to 1.0 on pass, 0.0 on failure."""
     if observed is None:
         observed = 1.0 if passed else 0.0
-    return CheckResult(name, 1.0, float(observed), 0.0, bool(passed))
+    return CheckResult(name, 1.0, observed, 0.0, passed)
 
 
 def _random_stack(params: TubeParams, rng, n, x_cap=0.99) -> Point:
@@ -178,16 +174,15 @@ def _random_stack(params: TubeParams, rng, n, x_cap=0.99) -> Point:
     The four uniforms (x, r, y1, y2) of every point come from one block,
     mapped with Generator.uniform's own low + (high - low) u, so the
     generator ends where drawing them point by point leaves it.  The root
-    is numpy's pow, as in x_invariant.
+    is x_invariant's (tube_geometry._root).
     """
     p = params.p
     u = rng.random((n, 4))
     xs = -x_cap + 2.0 * x_cap * u[:, 0]
     rs = 0.2 + (3.0 - 0.2) * u[:, 1]
     ys = -2.0 + 4.0 * u[:, 2:]
-    e = 1.0 / (2 * p)
     z1 = geo._re1_at_depth(p, rs).astype(complex)
-    z2 = (xs * np.power(rs, e)).astype(complex)
+    z2 = (xs * geo._root(p, rs)).astype(complex)
     z1.imag, z2.imag = ys[:, 0], ys[:, 1]
     return Point(z1, z2)
 
@@ -464,7 +459,7 @@ def _suite_boundary_limit(params, sol, rng):
     # 1000 pairs, so row i of the gaps sets Bis at (0, x_i) against the
     # limit in the same frame; (0, 0.4) serves the limit-value checks
     xs = (0.9, 0.99, 0.999, 0.4)
-    jet = metric_jet(sol, Point(np.zeros(len(xs), complex), np.array(xs, complex)))
+    jet = metric_jet(sol, geo._on_axis(np.array(xs)))
     form = _axis_form(jet)
     near = _rows(form, np.s_[:3, None])
     gaps = _bis_frame(near, v, w) - _boundary_limit(near[0], v, w)
@@ -544,7 +539,7 @@ def _suite_regions(params, sol, rng):
     # pinching over a light axis sweep (the full 500-row version lives in
     # the acceptance tests)
     xs = np.linspace(0.0, 1.0 - 1e-4, 100)
-    jet = metric_jet(sol, Point(np.zeros(len(xs), complex), xs.astype(complex)))
+    jet = metric_jet(sol, geo._on_axis(xs))
     ext = bis_extremes_from_jet(jet, tensor_from_jet(jet))
     worst_min, worst_max = min(0.0, float(ext.min.min())), float(ext.max.max())
     checks.append(CheckResult("sweep_bis_min_bounded_below", -5.0, worst_min, 0.0,
@@ -557,14 +552,8 @@ def _suite_regions(params, sol, rng):
 _P_LIMIT_LAWS = 5   # the largest p the limit-law suites run for (module docstring)
 _LIMIT_LAW_SUITES = ("asymptotics", "boundary_limit", "regions")
 
-_SUITES = {
-    "asymptotics": _suite_asymptotics,
-    "origin": _suite_origin,
-    "invariance": _suite_invariance,
-    "einstein": _suite_einstein,
-    "boundary_limit": _suite_boundary_limit,
-    "regions": _suite_regions,
-}
+# suite NAME is _suite_NAME; bench/tracer.py rebinds the entries of this dict
+_SUITES = {name: globals()[f"_suite_{name}"] for name in SUITE_NAMES}
 
 
 def _suite_names(name: str, p: int) -> tuple:

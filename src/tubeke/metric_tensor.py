@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import DomainError
 from .params import TubeParams, as_integer
-from .potential_solver import PotentialSolution, _ode_chain, _sign
+from .potential_solver import PotentialSolution
 from .tube_geometry import Point, _all, _first, _first_point, _orbit_x, require_domain
 
 __all__ = [
@@ -92,14 +92,15 @@ class XLDerivatives:
 # from them, are the fourth z1-derivatives: (1/r)^4 times constants >= 1
 # (dL has 2K 3! (2p)^3 / r^4).  They stay normal doubles while (1/r)^4 is
 # one, that is while r^4 <= 1/tiny; deeper points, or r = inf, are
-# refused.  At 2 _R_MAX, (1/r)^4 is subnormal; nothing overflows.
+# refused, by the raw jet of either order.  At 2 _R_MAX, (1/r)^4 is
+# subnormal; nothing overflows.
 _R_MAX = float(np.finfo(float).tiny) ** -0.25
 
 
 def _too_deep(z: Point, r) -> str:
     return (f"point {z} is too deep for the raw metric jet: r = 1 - 4p Re(z1) = {r!r} "
-            f"exceeds {_R_MAX:.4g}, where its order-4 entries (~ r^-4) leave the "
-            f"double range (bis_extremes and sectional_max work on the axis and accept it)")
+            f"exceeds the raw jet's depth bound {_R_MAX:.4g} (bis_extremes, sectional_max "
+            f"and the normalized bisectional work on the axis and accept it)")
 
 
 def x_derivatives(params: TubeParams, z: Point, max_total_order: int = 4) -> XLDerivatives:
@@ -328,6 +329,7 @@ def _jet(sol: PotentialSolution, z: Point, tab: XLDerivatives) -> MetricJet:
     with d3 and d4 None: all that the tube formula and the extremes read.
     """
     p = sol.params.p
+    # the public read of _derivs' list, where bench/tracer.py counts profile reads
     profile = sol.eval_f_derivs(tab.x_value, len(tab.dX0) - 2)
     f, f1 = profile[:2]
     inv, half_root = 1.0 / tab.r, tab.dX1[0]
@@ -369,14 +371,10 @@ def einstein_residual(sol: PotentialSolution, z: Point) -> float:
 
 
 def _metric_pass(sol: PotentialSolution, z: Point):
-    """(tables, (g11, g12, g22), F) at z, or at stacked points, from one order-2 pass.
-
-    The profile is read once: (F, f) at |X|, f' from the ODE chain, with
-    eval_f_derivs's parity, so g has the bits of eval_f_derivs(X, 1)'s.
-    """
+    """(tables, (g11, g12, g22), F) at z or stacked points: one order-2 pass, one profile read."""
     tab = x_derivatives(sol.params, z, 2)
-    x, ax, F, f = sol._at(tab.x_value)
-    metric, _, _ = _chain(tab, _sign(x) * f, _ode_chain(sol.params, ax, F, f, 2)[1])
+    F, profile = sol._derivs(tab.x_value, 1)
+    metric, _, _ = _chain(tab, *profile)
     return tab, metric, F
 
 

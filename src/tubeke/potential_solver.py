@@ -351,6 +351,10 @@ class PotentialSolution:
         max_order = as_integer("max_order", max_order)
         if not 0 <= max_order <= 3:
             raise ValueError(f"max_order must be in 0..3, got {max_order}")
+        return self._derivs(x, max_order)[1]
+
+    def _derivs(self, x, max_order: int):
+        """(F, eval_f_derivs(x, max_order)) from one read, for a checked max_order."""
         x, ax, F, f = self._at(x)
         sgn = _sign(x)
         out = [sgn * f]
@@ -358,7 +362,7 @@ class PotentialSolution:
             out += _ode_chain(self.params, ax, F, f, 2 * max_order)[1::2]
         if max_order >= 2:
             out[2] = sgn * out[2]
-        return out
+        return F, out
 
     def eval_Z(self, x, max_order: int = 2):
         """[Z, Z', Z''] with Z = e^{3F}, truncated to max_order+1 entries.

@@ -126,6 +126,8 @@ class TubeAutomorphism:
     the symmetry s(z1, z2) = (z1, -z2).  Every word in the generators
     normalizes to the fixed composition order: translate by iu first, then
     dilate by lam, then flip if requested (flip is a bool, or ValueError).
+    lam and u are numbers, kept as floats (arrays for stacked values); a
+    bool is refused.
     """
 
     params: TubeParams
@@ -135,6 +137,10 @@ class TubeAutomorphism:
 
     def __post_init__(self):
         lam, (u1, u2) = self.lam, self.u
+        if _is_bool(lam):
+            raise ValueError(f"lam must be a number, got {lam!r}")
+        if _is_bool(u1) or _is_bool(u2):
+            raise ValueError(f"u must be a pair of numbers, got {self.u!r}")
         ok = (lam > 0.0) & np.isfinite(lam)
         if not _all(ok):
             raise ValueError(f"dilation factor must be positive and finite, "
@@ -143,6 +149,7 @@ class TubeAutomorphism:
         if not _all(ok):
             raise ValueError(f"translation must be finite, "
                              f"got u = ({_first(u1, ok)!r}, {_first(u2, ok)!r})")
+        object.__setattr__(self, "lam", _real(lam))
         object.__setattr__(self, "u", (_real(u1), _real(u2)))
         if not isinstance(self.flip, bool | np.bool_):
             raise ValueError(f"flip must be a bool, got {self.flip!r}")
@@ -152,6 +159,11 @@ class TubeAutomorphism:
 def _all(cond) -> bool:
     """A condition on a single point (a bool) or on stacked points (an array)."""
     return cond if type(cond) is bool else bool(np.all(cond))
+
+
+def _is_bool(value) -> bool:
+    """Whether value is a bool, a numpy bool or an array of them: a flag, not a number."""
+    return np.asarray(value).dtype == bool
 
 
 def _real(value):
@@ -309,9 +321,8 @@ def x_invariant(params: TubeParams, z: Point) -> float:
     ulps of the X of the float point as r goes to 0 at the vertex, for
     every p.  DomainError where X is no finite double: at r <= 0 or NaN,
     at an infinite or NaN coordinate, where r overflows and Re(z2) != 0,
-    or where the quotient does.  The root is numpy's pow for single and
-    stacked points alike (libm's misses it by an ulp on ~5% of inputs), so
-    stacked X are bit-equal.
+    or where the quotient does.  The root is _root's, so stacked X are
+    bit-equal.
     """
     return _orbit_x(params, z, _depth(params.p, z.z1.real))
 
@@ -322,16 +333,31 @@ def _orbit_x(params: TubeParams, z: Point, r):
     # at r = inf the quotient reads 0, which is X only for Re(z2) = 0
     ok = _and_finite((r > 0.0) & ((r < math.inf) | (t == 0.0)), z)
     if _all(ok):
-        root = np.power(r, 1.0 / (2 * params.p))
         # a Python float's quotient may overflow without a numpy warning
-        x = t / (root if isinstance(root, np.ndarray) else float(root))
+        x = t / _root(params.p, r)
         ok = abs(x) < math.inf
     if not _all(ok):
         bad = _first_point(z, ok)
         raise DomainError(f"X undefined at {bad}: it takes finite coordinates with Re(4p z1) "
                           f"below 1, 1 - Re(4p z1) finite unless Re(z2) = 0, and "
                           f"Re(z2)/(1 - Re(4p z1))^(1/(2p)) a finite double")
-    return x if isinstance(x, np.ndarray) else float(x)
+    return x
+
+
+def _root(p: int, lam):
+    """lam^{1/(2p)} as numpy's pow, a float or a float array: the dilation's factor on z2.
+
+    libm's pow misses numpy's by an ulp on ~5% of inputs, so every door
+    takes this one, and stacked rows equal single calls bit for bit.
+    """
+    return _real(np.power(lam, 1.0 / (2 * p)))
+
+
+def _on_axis(x) -> Point:
+    """The axis point (0, x), the orbit representative at X = x, or those of an array x."""
+    if isinstance(x, np.ndarray) and x.ndim:
+        return Point(np.zeros(x.shape, dtype=complex), x.astype(complex))
+    return Point(0j, complex(x))
 
 
 def normalizing_automorphism(params: TubeParams, z: Point) -> TubeAutomorphism:
@@ -351,14 +377,20 @@ def apply(a: TubeAutomorphism, z: Point) -> Point:
     z2' = lam^{1/(2p)} (z2 + i u2), then Re z1' = Re z1 + (r - r')/(4p),
     from the change of depth, so that lam = 1 keeps Re z1 bit for bit; the
     parts are real products, so no infinity meets a zero, and
-    lam^{1/(2p)} is numpy's pow, so stacked rows equal single calls bit
-    for bit.  ValueError, naming the (first) point, where the image is no
+    lam^{1/(2p)} is _root's, so stacked rows equal single calls bit for
+    bit.  ValueError, naming the (first) point, where the image is no
     point of T_p with finite coordinates and depth: for a point outside
     T_p, and where the image overflows or rounds onto the boundary.
+
+    Below the spacing of the floats at the vertex plane Re z1 = 1/(4p)
+    (about 1e-17 apart), Re z1' cannot hold the depth lam r (lam = 1e-300
+    at an ordinary point, say): the image's depth is then not lam r but
+    what the last bit of Re z1' leaves, and the door answers or refuses on
+    that bit.
     """
     p = a.params.p
     lam = a.lam
-    root = _real(np.power(lam, 1.0 / (2 * p)))
+    root = _root(p, lam)
     if a.flip:
         root = -root
     r = _depth(p, z.z1.real)
@@ -384,9 +416,9 @@ def jacobian(a: TubeAutomorphism) -> np.ndarray:
     """Complex Jacobian matrix, diag(lam, +-lam^{1/(2p)}).
 
     For array lam the matrices are stacked along the leading axes.
-    lam^{1/(2p)} is numpy's pow, as in apply.
+    lam^{1/(2p)} is _root's, as in apply.
     """
-    d2 = np.power(a.lam, 1.0 / (2 * a.params.p))
+    d2 = _root(a.params.p, a.lam)
     if a.flip:
         d2 = -d2
     jac = np.zeros(np.shape(a.lam) + (2, 2), dtype=complex)
@@ -421,7 +453,7 @@ def classify_boundary(params: TubeParams, q: Point, tol: float = 1e-9) -> Bounda
     an infinite or NaN coordinate is not on the boundary.  Takes one point.
     """
     _require_single(q, "classify_boundary")
-    if not 0.0 <= tol < math.inf:
+    if _is_bool(tol) or not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must lie in [0, inf), got {tol!r}")
     p = params.p
     defect = abs(_even_power(q.z2.real, 2 * p) - _depth(p, q.z1.real))
@@ -468,7 +500,7 @@ def in_cone(params: TubeParams, z: Point, theta: float) -> bool:
     one point.
     """
     _require_single(z, "in_cone")
-    if not 0.0 < theta < math.pi / 2:
+    if _is_bool(theta) or not 0.0 < theta < math.pi / 2:
         raise ValueError(f"theta must lie in (0, pi/2), got {theta!r}")
     if not _finite(z.z1, z.z2):
         return False

@@ -246,6 +246,23 @@ def test_curvature_refuses_half_a_pair(sol_file, capsys):
             assert "provide both --v and --w" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["1,2,3", "1,2,3,4,5", ""])
+def test_a_malformed_point_or_vector_gets_one_message(sol_file, capsys, text):
+    # --point, --v and --w are read alike (Point.parse)
+    good = "1,0,0,0"
+    runs = (["--point", text, "--extremes"],
+            ["--point", "0,0,0,0", f"--v={text}", "--w", good],
+            ["--point", "0,0,0,0", "--v", good, f"--w={text}"])
+    errors = set()
+    for argv in runs:
+        assert main(["curvature", "--sol", str(sol_file), *argv]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1, argv
+        errors.add(captured.err)
+    assert errors == {"error: expected four comma-separated reals 're1,im1,re2,im2', "
+                      f"got {text!r}\n"}
+
+
 @pytest.mark.parametrize("re1", ["-1e300", "-inf"])
 def test_points_too_deep_for_the_jet_exit_two(sol_file, capsys, re1):
     for argv in (["metric"], ["curvature", "--extremes"]):

@@ -33,7 +33,7 @@ from tubeke import (
     sectional_max_from_jet,
     tensor_from_jet,
 )
-from tubeke import curvature
+from tubeke import curvature, tube_geometry
 from tubeke.curvature import _axis_form, _frame, _pull_to_axis, _reduced_form, _spinor_vector
 from tubeke.tube_geometry import require_domain
 
@@ -890,3 +890,50 @@ def test_p1_curvature_is_constant_in_x(sol_p1):
         assert abs(ext.max + 1.0) < 1e-7
         sm, _ = sectional_max(sol_p1, Point(0j, complex(x)))
         assert abs(sm + 2.0) < 1e-7
+
+
+def test_bisectional_refuses_a_bad_mode_before_any_work(sol_p2):
+    pair = TangentPair(v=np.array([1.0, 1j]), w=np.array([0.3, 1.0]))
+    # at Re z1 = -1e300 the raw jet refuses the depth: a typo there is named
+    # as a typo, not as the point
+    deep = Point(complex(-1e300, 0.3), 0j)
+    with pytest.raises(ValueError, match=re.escape("unknown formula 'Tube'")):
+        bisectional(sol_p2, deep, pair, formula="Tube", normalize=False)
+    # a bad mode outranks a point outside T_p, too
+    outside = Point(0.3 + 0j, 0j)
+    with pytest.raises(ValueError, match="unknown formula"):
+        bisectional(sol_p2, outside, pair, formula="bogus")
+    z = Point(complex(0.04, -0.7), complex(0.35, 1.2))
+    # "no" used to normalize and None to take the raw path
+    for bad in ("no", None, 1, 0.0, np.array([True])):
+        message = re.escape(f"normalize must be a bool, got {bad!r}")
+        with pytest.raises(ValueError, match=message):
+            bisectional(sol_p2, z, pair, normalize=bad)
+        with pytest.raises(ValueError, match=message):
+            bisectional(sol_p2, outside, pair, normalize=bad)
+        with pytest.raises(ValueError, match=message):
+            bisectional_batch(sol_p2, z, [pair.v], [pair.w], normalize=bad)
+    # a numpy bool is a bool
+    assert (bisectional(sol_p2, z, pair, normalize=np.bool_(False))
+            == bisectional(sol_p2, z, pair, normalize=False))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 5])
+def test_the_pull_pushes_z2_by_the_geometrys_root(p, five_sols):
+    sol = five_sols[p]
+    rng = np.random.default_rng(90 + p)
+    v, w = random_vectors(rng, 2)
+    for z in (Point(complex(0.04, -0.7), complex(0.35, 1.2)),
+              Point(complex(-3.0, 0.1), complex(0.8, 0.0))):
+        r = require_domain(sol.params, z)
+        j2 = tube_geometry._root(p, 1.0 / r)
+        _, pushed = _pull_to_axis(sol, z, r, (v.tolist(), w.tolist()))
+        for u, (_, b) in zip((v, w), pushed):
+            assert b == j2 * curvature._binade_scaled(u.tolist())[1]
+    # stacked points push each column by its own root
+    zs = Point.stack([Point(complex(0.01 * k - 0.3, k), complex(0.05 * k, -k)) for k in range(8)])
+    r = require_domain(sol.params, zs)
+    vs = random_vectors(rng, 8).T
+    _, (pushed,) = _pull_to_axis(sol, zs, r, (vs,))
+    j2 = tube_geometry._root(p, 1.0 / r)
+    assert np.array_equal(pushed[1], j2 * curvature._binade_scaled(vs)[1])

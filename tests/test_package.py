@@ -58,3 +58,10 @@ def test_names_are_looked_up_in_their_module_each_time(monkeypatch):
 
 def test_suite_names_are_the_suites():
     assert tubeke.SUITE_NAMES is diagnostics.SUITE_NAMES == tuple(diagnostics._SUITES)
+    # suite NAME is the function _suite_NAME
+    assert all(diagnostics._SUITES[name] is getattr(diagnostics, f"_suite_{name}")
+               for name in tubeke.SUITE_NAMES)
+
+
+def test_the_sweep_header_is_the_row_fields():
+    assert tubeke.cli.SWEEP_COLUMNS is tubeke.SweepRow._fields

@@ -160,6 +160,20 @@ def test_parity(sols):
         assert np.array_equal(f_neg[3], f_pos[3])   # f''' even
 
 
+def test_one_read_gives_the_profile_and_its_derivatives(sols):
+    # _derivs is eval_F and eval_f_derivs from one read, with the parity,
+    # bit for bit, for one value and for arrays
+    xs = np.linspace(-0.995, 0.995, 41)
+    for sol in sols.values():
+        for order in range(4):
+            for x in (xs, *xs[::8].tolist(), -0.0):
+                F, out = sol._derivs(x, order)
+                assert np.array_equal(F, sol.eval_F(x))
+                ref = sol.eval_f_derivs(x, order)
+                assert len(out) == order + 1
+                assert all(np.array_equal(a, b) and type(a) is type(b) for a, b in zip(out, ref))
+
+
 def test_solution_invariants(sols):
     for sol in sols.values():
         xs, fs = sol.xs, sol.fs

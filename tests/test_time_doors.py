@@ -31,26 +31,47 @@ def rounds(parent: dict, change: dict) -> list:
 
 
 def test_summary_gives_medians_speedups_and_wins_per_door():
+    # the control takes the same time in both processes of every round, so
+    # the adjusted ratios are the plain ones
+    control = [10.0, 10.0, 10.0, 10.0]
     record = time_doors.summarize(rounds(
-        {"bisectional": [60.0, 70.0, 66.0, 64.0], "bis_extremes": [60.0, 62.0, 58.0, 64.0]},
-        {"bisectional": [50.0, 44.0, 66.0, 46.0], "bis_extremes": [30.0, 31.0, 29.0, 66.0]}))
-    assert list(record) == ["bisectional", "bis_extremes"]
+        {"control": control, "bisectional": [60.0, 70.0, 66.0, 64.0],
+         "bis_extremes": [60.0, 62.0, 58.0, 64.0]},
+        {"control": control, "bisectional": [50.0, 44.0, 66.0, 46.0],
+         "bis_extremes": [30.0, 31.0, 29.0, 66.0]}))
+    assert list(record) == ["control", "bisectional", "bis_extremes"]
     bis = record["bisectional"]
     runs = [50.0, 44.0, 66.0, 46.0]
     q1, _, q3 = statistics.quantiles(runs, n=4, method="inclusive")
     assert bis["change"] == {"runs": runs, "median": 48.0, "q1": q1, "q3": q3}
     assert bis["parent"]["median"] == 65.0 and bis["speedup"] == 65.0 / 48.0
     assert bis["ratio"]["runs"] == [60.0 / 50.0, 70.0 / 44.0, 1.0, 64.0 / 46.0]
+    assert bis["adjusted"] == bis["ratio"] and bis["adjusted_won"] == bis["won"]
     # less time wins; a tie (bisectional's round 2) counts for neither side
     assert bis["won"] == "3/4" and record["bis_extremes"]["won"] == "3/4"
     assert record["bis_extremes"]["speedup"] == 61.0 / 30.5
 
 
 def test_one_round_is_its_own_quartiles():
-    record = time_doors.summarize(rounds({"metric_jet": [25.0]},
-                                         {"metric_jet": [26.0]}))["metric_jet"]
+    record = time_doors.summarize(rounds({"control": [10.0], "metric_jet": [25.0]},
+                                         {"control": [10.0], "metric_jet": [26.0]}))["metric_jet"]
     assert record["parent"] == {"runs": [25.0], "median": 25.0, "q1": 25.0, "q3": 25.0}
     assert record["won"] == "0/1"
+
+
+def test_adjusted_ratios_take_out_the_drift_the_control_sees():
+    # round 0: the change's process runs everything twice as slow; round 1
+    # the parent's does
+    record = time_doors.summarize(rounds(
+        {"control": [10.0, 20.0], "same": [30.0, 60.0], "faster": [60.0, 120.0]},
+        {"control": [20.0, 10.0], "same": [60.0, 30.0], "faster": [60.0, 30.0]}))
+    assert record["same"]["ratio"]["runs"] == [0.5, 2.0]
+    assert record["same"]["adjusted"]["runs"] == [1.0, 1.0]
+    assert record["faster"]["adjusted"]["runs"] == [2.0, 2.0]
+    assert record["control"]["adjusted"]["runs"] == [1.0, 1.0]
+    # the plain wins read the drift; the adjusted ones count ratios above 1
+    assert record["same"]["won"] == "1/2" and record["same"]["adjusted_won"] == "0/2"
+    assert record["faster"]["won"] == "1/2" and record["faster"]["adjusted_won"] == "2/2"
 
 
 class _Recorder:

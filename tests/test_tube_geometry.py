@@ -26,7 +26,7 @@ from tubeke import (
     region,
     x_invariant,
 )
-from tubeke.tube_geometry import require_domain
+from tubeke.tube_geometry import _depth, _root, require_domain
 
 P1 = TubeParams(p=1)
 P2 = TubeParams(p=2)
@@ -225,6 +225,13 @@ def test_automorphism_validation():
             TubeAutomorphism(params=P1, lam=bad)
         with pytest.raises(ValueError):
             TubeAutomorphism(params=P1, lam=np.array([1.0, bad, 2.0]))
+    # a bool is a flag, not the number 1: lam = True used to be kept
+    for lam in (True, np.bool_(False), np.array([True, False])):
+        with pytest.raises(ValueError, match=re.escape(f"lam must be a number, got {lam!r}")):
+            TubeAutomorphism(params=P1, lam=lam)
+    for u in ((True, 0.0), (0.0, np.bool_(True)), (np.zeros(2), np.array([True, False]))):
+        with pytest.raises(ValueError, match="u must be a pair of numbers"):
+            TubeAutomorphism(params=P1, u=u)
 
 
 def test_an_automorphism_reads_any_scalar_form_alike():
@@ -234,7 +241,7 @@ def test_an_automorphism_reads_any_scalar_form_alike():
     results = []
     for form in (float, np.float64, np.array):
         a = TubeAutomorphism(params=P2, lam=form(2.0), u=(form(0.1), form(-0.2)))
-        assert all(type(u) is float for u in a.u)
+        assert type(a.lam) is float and all(type(u) is float for u in a.u)
         results.append((a.u, jacobian_det(a), apply(a, z)))
         with pytest.raises(ValueError, match="dilation factor must be positive"):
             TubeAutomorphism(params=P2, lam=form(-1.0))
@@ -275,10 +282,11 @@ def test_classify_boundary():
                 Point(0.125 + 0j, inf), Point(0.125 + 0j, complex(0.0, -inf))):
         assert classify_boundary(P2, bad) is BoundaryClass.NOT_BOUNDARY, bad
     # tol lies in [0, inf): 0 keeps the exact vertex, and a NaN or negative
-    # tol is refused rather than putting every point off the boundary
+    # tol is refused rather than putting every point off the boundary, and
+    # a bool, which used to read as 1 or 0, too
     vertex = Point(0.125 + 0j, 0j)
     assert classify_boundary(P2, vertex, tol=0.0) is BoundaryClass.WEAKLY_PSEUDOCONVEX
-    for tol in (nan, -1.0, -0.5e-9, inf, -inf):
+    for tol in (nan, -1.0, -0.5e-9, inf, -inf, True, False, np.bool_(True)):
         with pytest.raises(ValueError, match=re.escape(f"tol must lie in [0, inf), got {tol!r}")):
             classify_boundary(P2, vertex, tol=tol)
 
@@ -320,8 +328,10 @@ def test_cone_membership():
 
 
 def test_cone_validation():
-    for bad_theta in (0.0, math.pi / 2, 2.0, -0.1):
-        with pytest.raises(ValueError):
+    # True used to read as 1 rad
+    for bad_theta in (0.0, math.pi / 2, 2.0, -0.1, True, np.bool_(True)):
+        message = re.escape(f"theta must lie in (0, pi/2), got {bad_theta!r}")
+        with pytest.raises(ValueError, match=message):
             in_cone(P1, Point(0j, 0j), bad_theta)
     with pytest.raises(DomainError):
         in_cone(P1, Point(0.3 + 0j, 0j), 0.3)  # beyond the vertex plane
@@ -491,3 +501,29 @@ def test_in_cone_takes_a_point_whose_modulus_overflows():
     # depth 1.7e308 + 1/8, about sqrt 2 = tan(0.9553), does not
     z = Point(complex(-1.7e308, 0.0), complex(1.7e308, 1.7e308))
     assert in_cone(P2, z, 0.96) is True and in_cone(P2, z, 0.95) is False
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 5, 8])
+def test_the_dilation_root_has_one_owner(p):
+    # x_invariant, apply and jacobian all take lam^{1/(2p)} from _root, for
+    # single and stacked points alike
+    params = TubeParams(p=p)
+    rng = np.random.default_rng(70 + p)
+    points = random_points(params, rng, 50)
+    lams = rng.uniform(0.2, 5.0, len(points))
+    z = Point.stack(points)
+    r = _depth(p, z.z1.real)
+    assert np.array_equal(x_invariant(params, z), z.z2.real / _root(p, r))
+    dil = TubeAutomorphism(params=params, lam=lams)
+    root = _root(p, lams)
+    img = apply(dil, z)
+    assert np.array_equal(img.z2.real, root * z.z2.real)
+    assert np.array_equal(img.z2.imag, root * z.z2.imag)
+    assert np.array_equal(jacobian(dil)[..., 1, 1], root.astype(complex))
+    for q, lam in zip(points, lams.tolist()):
+        one = _root(p, lam)
+        assert type(one) is float
+        assert x_invariant(params, q) == q.z2.real / _root(p, _depth(p, q.z1.real))
+        a = TubeAutomorphism(params=params, lam=lam)
+        assert apply(a, q).z2 == complex(one * q.z2.real, one * q.z2.imag)
+        assert jacobian(a)[1, 1] == one

@@ -26,7 +26,12 @@ It writes the ``"doors"`` entry of ``BENCH_<label>.json`` at the root of the
 repository, keeping the file's other entries: each door's per-round times
 on both sides with their median and quartiles, the ratio of the medians
 (parent over change, so above 1 is faster), the per-round ratios with
-their median and quartiles, and the rounds the change won.
+their median and quartiles, and the rounds the change won.  Each door also
+gets ``adjusted``: its per-round ratio over that round's ``control`` ratio,
+with its median and quartiles, and ``adjusted_won``, the rounds in which
+it is above 1.  Two processes drift apart by up to about 20% on identical
+work, and the adjusted ratio takes out the part of that drift the control
+sees; a door's claim is read against the control's own spread of ratios.
 A one-line summary per door goes to stdout.
 """
 
@@ -151,17 +156,25 @@ def summarize(rounds: list) -> dict:
     speedup is the parent's median over the change's, and ratio each
     round's parent time over its change time, which the machine's speed
     state moves less than the times; won counts the rounds in which the
-    change took less time (ties count for neither).
+    change took less time (ties count for neither).  adjusted is each
+    round's ratio over that round's "control" ratio, and adjusted_won
+    counts the rounds in which it is above 1; the control's own adjusted
+    ratios are all 1.
     """
     record = {}
     for door in rounds[0]["parent"]:
         runs = {side: [r[side][door] for r in rounds] for side in ("parent", "change")}
         parent, change = spread(runs["parent"]), spread(runs["change"])
         pairs = list(zip(runs["parent"], runs["change"]))
+        ratios = [old / new for old, new in pairs]
+        adjusted = [ratio / (r["parent"]["control"] / r["change"]["control"])
+                    for ratio, r in zip(ratios, rounds)]
         record[door] = {"parent": parent, "change": change,
                         "speedup": parent["median"] / change["median"],
-                        "ratio": spread([old / new for old, new in pairs]),
-                        "won": f"{sum(new < old for old, new in pairs)}/{len(rounds)}"}
+                        "ratio": spread(ratios),
+                        "won": f"{sum(new < old for old, new in pairs)}/{len(rounds)}",
+                        "adjusted": spread(adjusted),
+                        "adjusted_won": f"{sum(a > 1.0 for a in adjusted)}/{len(rounds)}"}
     return record
 
 
@@ -198,9 +211,11 @@ def main(argv=None) -> int:
     }
     out.write_text(json.dumps(doc, indent=1) + "\n")
     for door, entry in record.items():
+        adjusted = entry["adjusted"]
         print(f"{door}: {entry['parent']['median']:.1f} -> {entry['change']['median']:.1f} us "
               f"(x{entry['speedup']:.2f}; per round x{entry['ratio']['median']:.2f}, "
-              f"won {entry['won']})")
+              f"won {entry['won']}; over control x{adjusted['median']:.2f} "
+              f"[{adjusted['q1']:.2f}, {adjusted['q3']:.2f}], won {entry['adjusted_won']})")
     return 0
 
 
